@@ -98,7 +98,12 @@ class AdditiveSchwarzILU:
         # per-subdomain scratch, reused across Krylov iterations (the solve
         # runs every GMRES iteration; allocating there dominated profiles)
         self._work = [TrsvWorkspace.for_plan(s.plan) for s in self.subs]
-        self._local_z = [
+        # one subdomain covering every row in order: apply() needs neither
+        # the gather into local numbering nor the owned-rows scatter
+        self._identity = self.n_subdomains == 1 and np.array_equal(
+            self.subs[0].local_rows, np.arange(n)
+        )
+        self._local_z = [] if self._identity else [
             np.zeros((s.local_rows.shape[0], self.b)) for s in self.subs
         ]
 
@@ -152,6 +157,11 @@ class AdditiveSchwarzILU:
         preconditioned vector in their flexible basis, so internal scratch
         is never handed out.
         """
+        if self._identity and self._factors[0] is not None:
+            # np.empty, not empty_like: the output must be C-contiguous
+            # whatever the layout of r
+            out = np.empty(r.shape, dtype=r.dtype)
+            return trsv_solve(self._factors[0], r, out=out, work=self._work[0])
         flat = r.ndim == 1
         rb = r.reshape(self.n, self.b)
         z = np.zeros_like(rb)

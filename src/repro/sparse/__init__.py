@@ -3,20 +3,32 @@
 from .bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .dispatch import get_sparse_backend, use_sparse_backend
 from .fill import ilu_symbolic
-from .ilu import ILUFactor, ILUPlan, build_ilu_plan, ilu_factorize
+from .ilu import (
+    ILUFactor,
+    ILUPlan,
+    build_ilu_plan,
+    ilu_factorize,
+    ilu_factorize_levels,
+)
 from .levels import (
     LevelSchedule,
     available_parallelism,
     build_levels,
     row_flops,
 )
+from .native import native_kernels_available
 from .p2p import (
     DependencyGraph,
     build_dependency_graph,
     cross_thread_syncs,
     sparsify_transitive,
 )
-from .trsv import TrsvWorkspace, trsv_solve, trsv_solve_sequential
+from .trsv import (
+    TrsvWorkspace,
+    trsv_solve,
+    trsv_solve_levels,
+    trsv_solve_sequential,
+)
 from .wplan import SparseExecPlan, WorkerPlan, build_worker_plans
 
 __all__ = [
@@ -29,6 +41,8 @@ __all__ = [
     "ILUPlan",
     "build_ilu_plan",
     "ilu_factorize",
+    "ilu_factorize_levels",
+    "native_kernels_available",
     "LevelSchedule",
     "available_parallelism",
     "build_levels",
@@ -39,6 +53,7 @@ __all__ = [
     "sparsify_transitive",
     "TrsvWorkspace",
     "trsv_solve",
+    "trsv_solve_levels",
     "trsv_solve_sequential",
     "SparseExecPlan",
     "WorkerPlan",

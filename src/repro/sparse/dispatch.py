@@ -1,8 +1,9 @@
 """Active sparse-kernel backend registry.
 
 The numeric sparse kernels (:func:`repro.sparse.ilu.ilu_factorize`,
-:func:`repro.sparse.trsv.trsv_solve`) stay written as plain sequential
-NumPy; installing a backend here reroutes them to an alternate executor —
+:func:`repro.sparse.trsv.trsv_solve`) run in-process (one compiled
+sweep, else level-scheduled NumPy); installing a backend here reroutes
+them to an alternate executor —
 today :class:`repro.smp.sparse_parallel.SparseProcessBackend` — without the
 kernels or their callers changing signature.  Mirrors the edge-kernel
 registry in :mod:`repro.smp.backend`: a stack, truncation-on-exit

@@ -7,11 +7,13 @@ pseudo-time step, TRSV every Krylov iteration), so, exactly like PETSc does
 [Smith & Zhang 2011], we split the work:
 
 * **symbolic phase** (:func:`build_ilu_plan`, once per sparsity pattern):
-  computes the fill pattern, the dependency level schedule, and — the NumPy
-  twist of this reproduction — *flat index arrays* for every batched block
-  operation of the numeric phase, so that factorization and solves run as a
-  short sequence of large ``einsum`` calls instead of per-row Python loops.
-* **numeric phase** (:func:`ilu_factorize`): batched block arithmetic only.
+  computes the fill pattern and the dependency level schedule; on first
+  access also *flat index arrays* for every batched block operation of
+  the level-scheduled numeric phase, so that it runs as a short sequence
+  of large ``einsum`` calls instead of per-row Python loops.
+* **numeric phase** (:func:`ilu_factorize`): one call into the compiled
+  row-by-row sweep of ``_kernels.c`` (block size 4), else the
+  level-scheduled batched block arithmetic (:func:`ilu_factorize_levels`).
 
 Storage follows the paper: factors overwrite a copy of the matrix in BCSR;
 diagonal blocks are inverted once inside the factorization and stored
@@ -21,16 +23,24 @@ diagonal blocks are inverted once inside the factorization and stored
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..obs.metrics import get_metrics
+from . import native
 from .bcsr import BCSRMatrix
 from .dispatch import get_sparse_backend
 from .fill import ilu_symbolic
 from .levels import LevelSchedule, build_levels
 
-__all__ = ["ILUPlan", "ILUFactor", "build_ilu_plan", "ilu_factorize"]
+__all__ = [
+    "ILUPlan",
+    "ILUFactor",
+    "build_ilu_plan",
+    "ilu_factorize",
+    "ilu_factorize_levels",
+]
 
 
 @dataclass
@@ -73,7 +83,13 @@ class _LevelPairs:
 
 @dataclass
 class ILUPlan:
-    """Symbolic factorization plan for a fixed sparsity pattern."""
+    """Symbolic factorization plan for a fixed sparsity pattern.
+
+    The pattern arrays and the forward schedule are built eagerly; the
+    per-level batch structures that only the level-scheduled kernels, the
+    worker fleets and the cost model read (``schedule_back``, ``steps``,
+    ``fwd_pairs``, ``bwd_pairs``) are built on first access.
+    """
 
     n: int
     b: int
@@ -83,15 +99,67 @@ class ILUPlan:
     diag_idx: np.ndarray
     orig_map: np.ndarray  # factor-val index of each original nonzero
     schedule: LevelSchedule  # forward (lower) dependency levels
-    schedule_back: LevelSchedule  # backward (upper) dependency levels
-    steps: list[list[_StepBatch]]
-    fwd_pairs: list[_LevelPairs]
-    bwd_pairs: list[_LevelPairs]
     factor_nnzb: int = field(init=False)
     _wplans: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        # the compiled kernels index through these without further checks
+        self.rowptr, self.cols, self.diag_idx = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (self.rowptr, self.cols, self.diag_idx)
+        )
         self.factor_nnzb = int(self.cols.shape[0])
+        n, rowptr, cols = self.n, self.rowptr, self.cols
+        ok = (
+            rowptr.shape == (n + 1,)
+            and self.diag_idx.shape == (n,)
+            and (n == 0 or rowptr[0] == 0)
+            and rowptr[-1] == self.factor_nnzb
+            and bool(np.all(np.diff(rowptr) > 0))
+            and bool(np.all((cols >= 0) & (cols < n)))
+            and bool(np.all(self.diag_idx >= rowptr[:-1]))
+            and bool(np.all(self.diag_idx < rowptr[1:]))
+            and bool(np.all(cols[self.diag_idx] == np.arange(n)))
+        )
+        if not ok:
+            raise ValueError("inconsistent ILU factor pattern")
+
+    @cached_property
+    def schedule_back(self) -> LevelSchedule:
+        """Backward (upper) dependency levels: row i depends on the rows
+        j > i of its upper part."""
+        n, rowptr, cols, diag_idx = self.n, self.rowptr, self.cols, self.diag_idx
+        level_back = np.zeros(n, dtype=np.int64)
+        for i in range(n - 1, -1, -1):
+            upper = cols[diag_idx[i] + 1 : rowptr[i + 1]]
+            if upper.shape[0]:
+                level_back[i] = level_back[upper].max() + 1
+        order = np.argsort(level_back, kind="stable")
+        nb_lv = int(level_back.max()) + 1 if n else 0
+        bounds = np.searchsorted(level_back[order], np.arange(nb_lv + 1))
+        return LevelSchedule(
+            level_of=level_back,
+            levels=[order[bounds[l] : bounds[l + 1]] for l in range(nb_lv)],
+        )
+
+    @cached_property
+    def steps(self) -> list[list[_StepBatch]]:
+        """Numeric-factorization step batches, per forward level."""
+        return _build_steps(self)
+
+    @cached_property
+    def fwd_pairs(self) -> list[_LevelPairs]:
+        """Forward-sweep (strictly lower) pair lists, per forward level."""
+        lo, hi = self.rowptr[:-1], self.diag_idx
+        return [_level_pairs(self, rows, lo, hi) for rows in self.schedule.levels]
+
+    @cached_property
+    def bwd_pairs(self) -> list[_LevelPairs]:
+        """Backward-sweep (strictly upper) pair lists, per backward level."""
+        lo, hi = self.diag_idx + 1, self.rowptr[1:]
+        return [
+            _level_pairs(self, rows, lo, hi) for rows in self.schedule_back.levels
+        ]
 
     def worker_plans(self, n_workers: int):
         """Per-worker execution programs (cached per worker count).
@@ -108,9 +176,9 @@ class ILUPlan:
 
     def max_level_rows(self) -> int:
         """Widest wavefront across both sweeps (sizes solve scratch)."""
-        widths = [lp.rows.shape[0] for lp in self.fwd_pairs]
-        widths += [lp.rows.shape[0] for lp in self.bwd_pairs]
-        return max(widths, default=1)
+        return max(
+            self.schedule.max_level_width, self.schedule_back.max_level_width, 1
+        )
 
     # work accounting used by the machine model
     def factor_block_ops(self) -> int:
@@ -122,10 +190,9 @@ class ILUPlan:
         return total + self.n  # + diagonal inversions
 
     def solve_block_ops(self) -> int:
-        """Block multiplies in one forward+backward solve."""
-        off = sum(lp.pair_blk.shape[0] for lp in self.fwd_pairs)
-        off += sum(lp.pair_blk.shape[0] for lp in self.bwd_pairs)
-        return off + self.n  # + diagonal multiplies
+        """Block multiplies in one forward+backward solve: every strictly
+        lower and upper block once, plus the diagonal multiplies."""
+        return self.factor_nnzb
 
 
 @dataclass
@@ -138,83 +205,58 @@ class ILUFactor:
     diag_inv: np.ndarray  # (n, b, b)
 
 
-def build_ilu_plan(
-    rowptr: np.ndarray,
-    cols: np.ndarray,
-    b: int = 4,
-    fill_level: int = 0,
-) -> ILUPlan:
-    """Build the symbolic plan for ILU(``fill_level``) on a sorted pattern."""
-    f_rowptr, f_cols = ilu_symbolic(rowptr, cols, fill_level)
-    n = rowptr.shape[0] - 1
-
-    # map original nonzeros into the (superset) factor pattern
-    orig_map = np.empty(cols.shape[0], dtype=np.int64)
-    diag_idx = np.empty(n, dtype=np.int64)
-    row_lower: list[np.ndarray] = []  # strictly-lower cols per row
-    row_upper_start: list[int] = []
-    for i in range(n):
-        flo, fhi = f_rowptr[i], f_rowptr[i + 1]
-        frow = f_cols[flo:fhi]
-        olo, ohi = rowptr[i], rowptr[i + 1]
-        pos = np.searchsorted(frow, cols[olo:ohi])
-        orig_map[olo:ohi] = flo + pos
-        d = np.searchsorted(frow, i)
-        if d == fhi - flo or frow[d] != i:
-            raise ValueError(f"factor row {i} lost its diagonal")
-        diag_idx[i] = flo + d
-        row_lower.append(frow[:d])
-        row_upper_start.append(int(d))
-
-    schedule = build_levels(f_rowptr, f_cols)
-
-    # Backward (upper) dependency levels: row i depends on rows j > i that
-    # appear in its upper part.  Build by scanning rows in reverse.
-    level_back = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        flo, fhi = f_rowptr[i], f_rowptr[i + 1]
-        upper = f_cols[flo + row_upper_start[i] + 1 : fhi]
-        if upper.shape[0]:
-            level_back[i] = level_back[upper].max() + 1
-    order = np.argsort(level_back, kind="stable")
-    nb_lv = int(level_back.max()) + 1 if n else 0
-    bounds = np.searchsorted(level_back[order], np.arange(nb_lv + 1))
-    schedule_back = LevelSchedule(
-        level_of=level_back,
-        levels=[order[bounds[l] : bounds[l + 1]] for l in range(nb_lv)],
+def _level_pairs(
+    plan: ILUPlan, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> _LevelPairs:
+    """Pair list of one level: blocks ``lo[i] .. hi[i]-1`` of each row,
+    rows ascending, blocks in row order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = hi[rows] - lo[rows]
+    pair_row = np.repeat(rows, counts)
+    offset = np.arange(pair_row.shape[0]) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    pair_blk = np.repeat(lo[rows], counts) + offset
+    return _LevelPairs(
+        rows=rows,
+        pair_row=pair_row,
+        pair_blk=pair_blk,
+        pair_col=plan.cols[pair_blk],
+        pair_slot=np.repeat(np.arange(rows.shape[0]), counts),
     )
 
-    # ---- numeric-factorization step batches --------------------------------
+
+def _build_steps(plan: ILUPlan) -> list[list[_StepBatch]]:
+    f_rowptr, f_cols, diag_idx = plan.rowptr, plan.cols, plan.diag_idx
+    n_lower = diag_idx - f_rowptr[:-1]
     steps: list[list[_StepBatch]] = []
-    for rows in schedule.levels:
-        max_low = max((row_lower[i].shape[0] for i in rows), default=0)
+    for rows in plan.schedule.levels:
+        max_low = int(n_lower[rows].max()) if rows.shape[0] else 0
         level_steps: list[_StepBatch] = []
         for p in range(max_low):
             lik_idx, krow = [], []
             t_entry, t_dest, t_ukj = [], [], []
             for i in rows:
-                low = row_lower[i]
-                if p >= low.shape[0]:
+                if p >= n_lower[i]:
                     continue
-                k = int(low[p])
                 flo, fhi = f_rowptr[i], f_rowptr[i + 1]
                 frow = f_cols[flo:fhi]
                 lik = flo + p  # lower entries are the row prefix
+                k = int(f_cols[lik])
                 entry = len(lik_idx)
                 lik_idx.append(lik)
                 krow.append(k)
                 # update A_ij -= L_ik * U_kj for j in (row k beyond k) ∩ row i
-                klo, khi = f_rowptr[k], f_rowptr[k + 1]
-                kcols = f_cols[klo:khi]
-                kstart = np.searchsorted(kcols, k + 1)
-                kj = kcols[kstart:]
+                kstart, khi = diag_idx[k] + 1, f_rowptr[k + 1]
+                kj = f_cols[kstart:khi]
                 pos_i = np.searchsorted(frow, kj)
-                valid = (pos_i < frow.shape[0]) & (frow[np.minimum(pos_i, frow.shape[0] - 1)] == kj)
-                # also only columns j > k matter; all kj satisfy that
+                valid = (pos_i < frow.shape[0]) & (
+                    frow[np.minimum(pos_i, frow.shape[0] - 1)] == kj
+                )
                 for q in np.where(valid)[0]:
                     t_entry.append(entry)
                     t_dest.append(flo + pos_i[q])
-                    t_ukj.append(klo + kstart + q)
+                    t_ukj.append(kstart + q)
             level_steps.append(
                 _StepBatch(
                     lik_idx=np.asarray(lik_idx, dtype=np.int64),
@@ -225,50 +267,32 @@ def build_ilu_plan(
                 )
             )
         steps.append(level_steps)
+    return steps
 
-    # ---- triangular-solve pair lists ---------------------------------------
-    fwd_pairs: list[_LevelPairs] = []
-    for rows in schedule.levels:
-        pr, pb, pc = [], [], []
-        for i in rows:
-            flo = f_rowptr[i]
-            low = row_lower[i]
-            for p in range(low.shape[0]):
-                pr.append(i)
-                pb.append(flo + p)
-                pc.append(int(low[p]))
-        lrows = np.asarray(rows, dtype=np.int64)
-        lpr = np.asarray(pr, dtype=np.int64)
-        fwd_pairs.append(
-            _LevelPairs(
-                rows=lrows,
-                pair_row=lpr,
-                pair_blk=np.asarray(pb, dtype=np.int64),
-                pair_col=np.asarray(pc, dtype=np.int64),
-                pair_slot=np.searchsorted(lrows, lpr),
-            )
-        )
-    bwd_pairs: list[_LevelPairs] = []
-    for rows in schedule_back.levels:
-        pr, pb, pc = [], [], []
-        for i in rows:
-            flo, fhi = f_rowptr[i], f_rowptr[i + 1]
-            start = row_upper_start[i] + 1
-            for p in range(start, fhi - flo):
-                pr.append(i)
-                pb.append(flo + p)
-                pc.append(int(f_cols[flo + p]))
-        lrows = np.asarray(rows, dtype=np.int64)
-        lpr = np.asarray(pr, dtype=np.int64)
-        bwd_pairs.append(
-            _LevelPairs(
-                rows=lrows,
-                pair_row=lpr,
-                pair_blk=np.asarray(pb, dtype=np.int64),
-                pair_col=np.asarray(pc, dtype=np.int64),
-                pair_slot=np.searchsorted(lrows, lpr),
-            )
-        )
+
+def build_ilu_plan(
+    rowptr: np.ndarray,
+    cols: np.ndarray,
+    b: int = 4,
+    fill_level: int = 0,
+) -> ILUPlan:
+    """Build the symbolic plan for ILU(``fill_level``) on a sorted pattern."""
+    f_rowptr, f_cols = ilu_symbolic(rowptr, cols, fill_level)
+    n = rowptr.shape[0] - 1
+
+    # Both patterns are sorted CSR, so (row, col) -> row * n + col is
+    # ascending in each: one searchsorted maps the original nonzeros and
+    # the diagonals into the (superset) factor pattern.
+    f_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(f_rowptr)) * n + f_cols
+    key = np.repeat(np.arange(n, dtype=np.int64), np.diff(rowptr)) * n + cols
+    orig_map = np.searchsorted(f_key, key)
+    diag_key = np.arange(n, dtype=np.int64) * (n + 1)
+    diag_idx = np.searchsorted(f_key, diag_key)
+    lost = (diag_idx >= f_key.shape[0]) | (
+        f_key[np.minimum(diag_idx, max(f_key.shape[0] - 1, 0))] != diag_key
+    )
+    if lost.any():
+        raise ValueError(f"factor row {int(np.argmax(lost))} lost its diagonal")
 
     return ILUPlan(
         n=n,
@@ -278,21 +302,20 @@ def build_ilu_plan(
         cols=f_cols,
         diag_idx=diag_idx,
         orig_map=orig_map,
-        schedule=schedule,
-        schedule_back=schedule_back,
-        steps=steps,
-        fwd_pairs=fwd_pairs,
-        bwd_pairs=bwd_pairs,
+        schedule=build_levels(f_rowptr, f_cols),
     )
 
 
 def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     """Numeric block ILU factorization following ``plan``.
 
-    Row updates run level by level; within a level, position-p batches are
-    sequential but each batch is one set of batched 4x4 multiplies.  The
-    factored values overwrite a scattered copy of the matrix; diagonal
+    The factored values overwrite a scattered copy of the matrix; diagonal
     blocks are inverted and stored (multiplicative application in TRSV).
+    Runs, in order of preference: the installed sparse backend when it
+    claims the plan, the compiled row-by-row sweep (``b == 4``, float64,
+    kernels loadable), the level-scheduled NumPy kernel
+    :func:`ilu_factorize_levels`.  The compiled factors agree with the
+    level-scheduled ones to 1e-12 relative, not bitwise.
     """
     if matrix.vals.shape[1] != plan.b:
         raise ValueError("block size mismatch between matrix and plan")
@@ -303,8 +326,23 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     backend = get_sparse_backend()
     if backend is not None and backend.handles_plan(plan):
         return backend.factorize(matrix, plan)
-    vals = np.zeros((plan.factor_nnzb, plan.b, plan.b))
-    vals[plan.orig_map] = matrix.vals
+    if plan.b == 4 and matrix.vals.dtype == np.float64:
+        lib = native.load_kernels()
+        if lib is not None:
+            return _factorize_native(lib, matrix, plan)
+    return ilu_factorize_levels(matrix, plan)
+
+
+def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
+    """Level-scheduled NumPy factorization: the portable fallback of
+    :func:`ilu_factorize` and the bitwise oracle of the process fleets.
+
+    Row updates run level by level; within a level, position-p batches are
+    sequential but each batch is one set of batched block multiplies.
+    """
+    if matrix.vals.shape[1] != plan.b:
+        raise ValueError("block size mismatch between matrix and plan")
+    vals = _scattered(matrix, plan)
     diag_inv = np.zeros((plan.n, plan.b, plan.b))
 
     for rows, level_steps in zip(plan.schedule.levels, plan.steps):
@@ -326,4 +364,28 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
         dblocks = vals[plan.diag_idx[rows]]
         diag_inv[rows] = np.linalg.inv(dblocks)
 
+    return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+
+
+def _scattered(matrix: BCSRMatrix, plan: ILUPlan) -> np.ndarray:
+    vals = np.zeros((plan.factor_nnzb, plan.b, plan.b))
+    vals[plan.orig_map] = matrix.vals
+    return vals
+
+
+def _factorize_native(lib, matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
+    vals = _scattered(matrix, plan)
+    diag_inv = np.empty((plan.n, 4, 4))
+    pos = np.full(plan.n, -1, dtype=np.int64)
+    bad = lib.ilu4(
+        plan.n,
+        plan.rowptr.ctypes.data,
+        plan.cols.ctypes.data,
+        plan.diag_idx.ctypes.data,
+        vals.ctypes.data,
+        diag_inv.ctypes.data,
+        pos.ctypes.data,
+    )
+    if bad >= 0:
+        raise np.linalg.LinAlgError(f"Singular diagonal block in row {bad}")
     return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)

@@ -1,0 +1,127 @@
+"""Build, cache and load the compiled block-4 sweeps of ``_kernels.c``.
+
+The C source ships as package data and is compiled on first use with the
+system C compiler; the shared object is cached per user under a name that
+hashes the source and the build flags, so editing either rebuilds it.
+Nothing is ever written next to the source or into the working directory.
+
+The flags pin the arithmetic: no ``-march=native``, no ``-ffast-math`` and
+``-ffp-contract=off`` (no fused multiply-add), so every host runs the same
+IEEE multiply/add sequence and forked ranks agree bit for bit.
+
+Where no compiler, no writable cache or no loadable object exists,
+:func:`load_kernels` warns once and returns ``None``; the callers
+(:func:`repro.sparse.ilu.ilu_factorize`, :func:`repro.sparse.trsv.trsv_solve`)
+then run their NumPy level-scheduled kernels.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
+
+__all__ = ["load_kernels", "native_kernels_available"]
+
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_COMPILERS = ("cc", "gcc", "clang")
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 120.0
+
+
+def _cache_dirs() -> list[Path]:
+    """Per-user cache directory, then a private one under the temp dir."""
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return [
+        base / "repro",
+        Path(tempfile.gettempdir()) / f"repro-cache-{os.getuid()}",
+    ]
+
+
+def _usable_dir(path: Path) -> bool:
+    """Create ``path`` if needed; accept it only when it is ours and no
+    other user can write to it (a shared object is loaded from there)."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return False
+    mine = st.st_uid == os.getuid()
+    shared = st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    return mine and not shared and os.access(path, os.W_OK | os.X_OK)
+
+
+def _build(target: Path) -> None:
+    """Compile ``_kernels.c`` to ``target`` through an atomic rename, so
+    processes racing on a cold cache each install a complete file."""
+    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if compiler is None:
+        raise OSError("no C compiler found (tried " + ", ".join(_COMPILERS) + ")")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [compiler, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            capture_output=True,
+            text=True,
+            timeout=_BUILD_TIMEOUT_S,
+            cwd=target.parent,
+        )
+        if proc.returncode != 0:
+            raise OSError(
+                f"{compiler} exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load() -> ctypes.CDLL:
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    name = f"repro_sparse_kernels-{platform.machine()}-{digest}.so"
+    cache = next(filter(_usable_dir, _cache_dirs()), None)
+    if cache is None:
+        raise OSError("no writable cache directory")
+    target = cache / name
+    if not target.exists():
+        _build(target)
+    lib = ctypes.CDLL(str(target))  # OSError on a truncated/corrupt object
+
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.ilu4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.ilu4.restype = i64
+    lib.trsv4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.trsv4.restype = None
+    return lib
+
+
+@functools.lru_cache(maxsize=1)
+def load_kernels() -> ctypes.CDLL | None:
+    """The compiled kernels (``ilu4``, ``trsv4``), built on first use;
+    ``None`` — after one warning — when they cannot be built or loaded."""
+    try:
+        return _load()
+    except (OSError, subprocess.SubprocessError) as exc:
+        warnings.warn(
+            f"repro.sparse: compiled ILU/TRSV kernels unavailable ({exc}); "
+            "using the NumPy level-scheduled kernels",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+
+
+def native_kernels_available() -> bool:
+    """True iff ILU/TRSV run the compiled sweeps in this process."""
+    return load_kernels() is not None

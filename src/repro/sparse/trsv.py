@@ -6,12 +6,17 @@ block the kernel is a 4x4 matrix times 4-vector multiply with streaming
 access and no reuse across blocks, which is why the paper measures it
 reaching 94% of STREAM bandwidth.
 
-Two implementations:
+Three implementations:
 
-* :func:`trsv_solve` — level-scheduled and fully vectorized (one gather /
-  einsum / scatter per wavefront), numerically identical to sequential.
-* :func:`trsv_solve_sequential` — the plain row loop, kept as the reference
-  the vectorized path is tested against.
+* :func:`trsv_solve` — what callers use: one call into the compiled sweep
+  of ``_kernels.c`` (block size 4, float64), else the level kernel.
+* :func:`trsv_solve_levels` — level-scheduled and fully vectorized (one
+  gather / einsum / scatter per wavefront): the portable fallback and the
+  bitwise oracle of the process fleets.
+* :func:`trsv_solve_sequential` — the plain row loop with every block
+  product spelled out as four column axpys, so its floating-point order is
+  explicit.  The compiled sweep equals it bitwise; the level kernel agrees
+  with both to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -21,40 +26,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.metrics import get_metrics
+from . import native
 from .dispatch import get_sparse_backend
 from .ilu import ILUFactor, ILUPlan
 
-__all__ = ["TrsvWorkspace", "trsv_solve", "trsv_solve_sequential"]
+__all__ = [
+    "TrsvWorkspace",
+    "trsv_solve",
+    "trsv_solve_levels",
+    "trsv_solve_sequential",
+]
 
 
 @dataclass
 class TrsvWorkspace:
-    """Reusable scratch for :func:`trsv_solve`.
+    """Reusable scratch for the level-scheduled solve.
 
     The solve runs every Krylov iteration; without this it allocated two
     ``(n, b)`` vectors plus an ``(n, b)`` accumulator per wavefront.  A
     workspace pins those once and the per-level accumulator shrinks to the
     widest wavefront.  Never holds the *result* — callers own that (Krylov
-    methods keep each preconditioned vector in the flexible basis).
+    methods keep each preconditioned vector in the flexible basis).  The
+    compiled sweep works in place in the output and ignores it.
     """
 
     y: np.ndarray  # (n, b) forward-substitution result
     x: np.ndarray  # (n, b) backward-substitution result
-    acc: np.ndarray  # (max level width, b) per-level accumulator
+    #: (max level width, b) per-level accumulator; allocated by the first
+    #: level-scheduled solve, because sizing it walks both level schedules
+    acc: np.ndarray | None = None
 
     @classmethod
     def for_plan(cls, plan: ILUPlan) -> "TrsvWorkspace":
-        return cls(
-            y=np.zeros((plan.n, plan.b)),
-            x=np.zeros((plan.n, plan.b)),
-            acc=np.zeros((plan.max_level_rows(), plan.b)),
-        )
+        return cls(y=np.zeros((plan.n, plan.b)), x=np.zeros((plan.n, plan.b)))
 
     def fits(self, plan: ILUPlan) -> bool:
-        return (
-            self.y.shape == (plan.n, plan.b)
-            and self.acc.shape[0] >= plan.max_level_rows()
-        )
+        return self.y.shape == (plan.n, plan.b)
+
+    def acc_for(self, plan: ILUPlan) -> np.ndarray:
+        width = plan.max_level_rows()
+        if self.acc is None or self.acc.shape[0] < width:
+            self.acc = np.zeros((width, plan.b))
+        return self.acc
+
+
+def _native_ready(a: np.ndarray, size: int) -> bool:
+    """``a`` can be handed to the compiled sweep as ``size`` doubles."""
+    return a.dtype == np.float64 and a.size == size and a.flags.c_contiguous
 
 
 def trsv_solve(
@@ -63,16 +81,18 @@ def trsv_solve(
     out: np.ndarray | None = None,
     work: TrsvWorkspace | None = None,
 ) -> np.ndarray:
-    """Solve ``L U x = rhs`` with level-scheduled batched block ops.
+    """Solve ``L U x = rhs``.
 
     ``rhs`` may be ``(n, b)`` or flat ``(n*b,)``; the result matches.
     ``out`` (same shape as ``rhs``) receives the solution when given —
     otherwise a fresh array is returned.  ``work`` supplies reusable
-    scratch (:class:`TrsvWorkspace`) so repeated solves stop allocating.
+    scratch (:class:`TrsvWorkspace`) to the level-scheduled path.
+
+    Runs, in order of preference: the installed sparse backend when it
+    claims the factor, the compiled sweep (``b == 4``, C-contiguous
+    float64 operands, kernels loadable), :func:`trsv_solve_levels`.
     """
     plan = factor.plan
-    flat = rhs.ndim == 1
-    b = rhs.reshape(plan.n, plan.b)
     met = get_metrics()
     met.counter("trsv.solves").inc()
     met.counter("trsv.block_ops").inc(plan.solve_block_ops())
@@ -81,10 +101,45 @@ def trsv_solve(
     if backend is not None and backend.handles_factor(factor):
         return backend.solve(factor, rhs, out=out)
 
+    n = plan.n
+    if (
+        plan.b == 4
+        and _native_ready(rhs, n * 4)
+        and (out is None or _native_ready(out, n * 4))
+        and _native_ready(factor.vals, plan.factor_nnzb * 16)
+        and _native_ready(factor.diag_inv, n * 16)
+    ):
+        lib = native.load_kernels()
+        if lib is not None:
+            x = np.empty_like(rhs) if out is None else out
+            lib.trsv4(
+                n,
+                plan.rowptr.ctypes.data,
+                plan.cols.ctypes.data,
+                plan.diag_idx.ctypes.data,
+                factor.vals.ctypes.data,
+                factor.diag_inv.ctypes.data,
+                rhs.ctypes.data,
+                x.ctypes.data,
+            )
+            return x
+    return trsv_solve_levels(factor, rhs, out=out, work=work)
+
+
+def trsv_solve_levels(
+    factor: ILUFactor,
+    rhs: np.ndarray,
+    out: np.ndarray | None = None,
+    work: TrsvWorkspace | None = None,
+) -> np.ndarray:
+    """Level-scheduled batched solve (same arguments as :func:`trsv_solve`)."""
+    plan = factor.plan
+    flat = rhs.ndim == 1
+    b = rhs.reshape(plan.n, plan.b)
     vals, diag_inv = factor.vals, factor.diag_inv
     if work is None or not work.fits(plan):
         work = TrsvWorkspace.for_plan(plan)
-    y, x = work.y, work.x
+    y, x, level_acc = work.y, work.x, work.acc_for(plan)
 
     # forward: y_i = b_i - sum_k L_ik y_k (pair-slot accumulation runs
     # through each level's precompiled scatter plan, bitwise-identical to
@@ -94,7 +149,7 @@ def trsv_solve(
             contrib = np.einsum(
                 "nij,nj->ni", vals[lp.pair_blk], y[lp.pair_col]
             )
-            acc = lp.scatter().apply(contrib, out=work.acc[: lp.rows.shape[0]])
+            acc = lp.scatter().apply(contrib, out=level_acc[: lp.rows.shape[0]])
             y[lp.rows] = b[lp.rows] - acc
         else:
             y[lp.rows] = b[lp.rows]
@@ -106,7 +161,7 @@ def trsv_solve(
             contrib = np.einsum(
                 "nij,nj->ni", vals[lp.pair_blk], x[lp.pair_col]
             )
-            acc = lp.scatter().apply(contrib, out=work.acc[: rows.shape[0]])
+            acc = lp.scatter().apply(contrib, out=level_acc[: rows.shape[0]])
             x[rows] = np.einsum(
                 "nij,nj->ni", diag_inv[rows], y[rows] - acc
             )
@@ -120,27 +175,36 @@ def trsv_solve(
 
 
 def trsv_solve_sequential(factor: ILUFactor, rhs: np.ndarray) -> np.ndarray:
-    """Plain sequential forward/backward substitution (reference)."""
+    """Plain sequential forward/backward substitution (reference).
+
+    Each block product is four column axpys in block-row order rather than
+    ``@``, which would hand the summation order to BLAS: this is the
+    explicit order the compiled sweep reproduces bitwise.
+    """
     plan = factor.plan
     flat = rhs.ndim == 1
     bvec = rhs.reshape(plan.n, plan.b)
     vals, diag_inv = factor.vals, factor.diag_inv
     rowptr, cols, diag_idx = plan.rowptr, plan.cols, plan.diag_idx
 
+    def sub_product(acc, blocks, vec):
+        for p in blocks:
+            V, v = vals[p], vec[cols[p]]
+            for j in range(plan.b):
+                acc -= V[:, j] * v[j]
+
     y = np.zeros_like(bvec)
     for i in range(plan.n):
-        lo = rowptr[i]
-        d = diag_idx[i]
         acc = bvec[i].copy()
-        for p in range(lo, d):
-            acc -= vals[p] @ y[cols[p]]
+        sub_product(acc, range(rowptr[i], diag_idx[i]), y)
         y[i] = acc
     x = np.zeros_like(bvec)
     for i in range(plan.n - 1, -1, -1):
-        hi = rowptr[i + 1]
-        d = diag_idx[i]
         acc = y[i].copy()
-        for p in range(d + 1, hi):
-            acc -= vals[p] @ x[cols[p]]
-        x[i] = diag_inv[i] @ acc
+        sub_product(acc, range(diag_idx[i] + 1, rowptr[i + 1]), x)
+        D = diag_inv[i]
+        xi = D[:, 0] * acc[0]
+        for j in range(1, plan.b):
+            xi += D[:, j] * acc[j]
+        x[i] = xi
     return x.reshape(-1) if flat else x

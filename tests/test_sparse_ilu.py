@@ -13,7 +13,9 @@ from repro.sparse import (
     build_levels,
     ilu_factorize,
     ilu_symbolic,
+    native_kernels_available,
     trsv_solve,
+    trsv_solve_levels,
     trsv_solve_sequential,
 )
 
@@ -170,9 +172,16 @@ class TestTRSV:
         F = ilu_factorize(A, plan)
         rng = np.random.default_rng(9)
         b = rng.normal(size=A.shape[0])
+        ref = trsv_solve_sequential(F, b)
+        # the contract: the level kernel agrees with the explicit-order
+        # sequential reference to 1e-12, the compiled sweep bitwise
         np.testing.assert_allclose(
-            trsv_solve(F, b), trsv_solve_sequential(F, b), rtol=1e-12, atol=1e-12
+            trsv_solve_levels(F, b), ref, rtol=1e-12, atol=1e-12
         )
+        if native_kernels_available():
+            np.testing.assert_array_equal(trsv_solve(F, b), ref)
+        else:
+            np.testing.assert_array_equal(trsv_solve(F, b), trsv_solve_levels(F, b))
 
     def test_block_shaped_rhs(self):
         A = block_tridiagonal(8, b=2, seed=10)
@@ -261,5 +270,5 @@ def test_trsv_property(seed, fill):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=A.shape[0])
     np.testing.assert_allclose(
-        trsv_solve(F, b), trsv_solve_sequential(F, b), rtol=1e-11, atol=1e-11
+        trsv_solve_levels(F, b), trsv_solve_sequential(F, b), rtol=1e-11, atol=1e-11
     )

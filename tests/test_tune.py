@@ -342,8 +342,12 @@ class TestRunTuneBench:
         assert rec["kind"] == "tune"
         assert any(k.startswith("default@") for k in rec["walls"])
         assert any(k.startswith("tuned@") for k in rec["walls"])
-        # the appended record feeds the rolling gate without failures
-        assert rolling_tune_gate_failures(doc, records, max_regression=10.0) == []
+        # a round-tripped record feeds the rolling gate; its walls are
+        # fixed, because the gate embeds the wall-clock never-slower check
+        # and a measured 2-step solve fails that on a noisy host
+        fixed = _tune_doc()
+        append_history(fixed, path)
+        assert rolling_tune_gate_failures(fixed, load_history(path)) == []
 
 
 # ---------------------------------------------------------------------------
