@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import FlowField
+from .state import FlowConfig, FlowField, freestream_state
+from .viscous import viscous_residual
 
-__all__ = ["wall_flux", "wall_residual", "farfield_residual"]
+__all__ = [
+    "wall_flux",
+    "wall_residual",
+    "farfield_residual",
+    "add_boundary_closures",
+]
 
 
 def wall_flux(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -59,3 +65,23 @@ def farfield_residual(
     qe = np.broadcast_to(q_inf, qi.shape)
     fl = numerical_edge_flux(qi, qe, vnormals3, beta, scheme)
     return cplan.apply(fl)
+
+
+def add_boundary_closures(
+    field: FlowField, q: np.ndarray, config: FlowConfig, res: np.ndarray
+) -> np.ndarray:
+    """Add everything outside the interior edge loop to ``res``, in place.
+
+    Wall, symmetry, far field, then the viscous term when ``mu > 0`` —
+    the one statement order every residual path shares, which is what
+    keeps them bitwise equal to each other.
+    """
+    res += wall_residual(field, q, "wall")
+    res += wall_residual(field, q, "sym")
+    res += farfield_residual(
+        field, q, freestream_state(config), config.beta,
+        scheme=config.dissipation,
+    )
+    if config.mu > 0.0:
+        res += viscous_residual(field, q, config.mu, field.visc_coeffs)
+    return res

@@ -123,16 +123,16 @@ def interior_flux_residual(
     the edge midpoint with the (optionally limited) gradients:
     ``q_L = q[e0] + psi_0 * grad[e0] . (x_mid - x_0)``.
 
-    When a process-parallel edge backend is installed for this field
-    (:func:`repro.smp.use_edge_backend`), the whole compute+scatter loop
-    runs across its worker processes instead; the result agrees with the
-    sequential path to round-off by the backend's contract.
+    The first-order loop (``grad is None``, the preconditioner-side
+    residual) runs across the worker processes of an installed edge backend
+    (:func:`repro.smp.use_edge_backend`), agreeing with the sequential path
+    to round-off by the backend's contract.  With ``grad`` the call is
+    always sequential: it is the last step of the staged oracle the
+    production residual program (:mod:`repro.kgir`) is tested against.
     """
     backend = get_edge_backend()
-    if backend is not None and backend.handles(field):
-        return backend.flux_residual(
-            q, beta, grad=grad, limiter=limiter, scheme=scheme
-        )
+    if grad is None and backend is not None and backend.handles(field):
+        return backend.flux_residual(q, beta, scheme=scheme)
     ql = q[field.e0]
     qr = q[field.e1]
     if grad is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..smp.backend import get_edge_backend
 from .state import FlowField
 
 __all__ = [
@@ -32,13 +31,10 @@ def lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
 
     Solves, per vertex i, ``min_g sum_j |q_j - q_i - g . (x_j - x_i)|^2``
     over edge-connected neighbors j, using the prefactored normal matrices
-    in ``field.lsq_inv``.  An installed process-parallel edge backend
-    (:func:`repro.smp.use_edge_backend`) takes over the edge-based
-    accumulation; the batched 3x3 solve stays in this process either way.
+    in ``field.lsq_inv``.  Always sequential: together with
+    :func:`venkat_limiter` this is the staged oracle the production
+    residual program (:mod:`repro.kgir`) is tested against.
     """
-    backend = get_edge_backend()
-    if backend is not None and backend.handles(field):
-        return backend.gradients(q)
     dx = field.emid_d0 * 2.0  # x[e1] - x[e0]
     dq = q[field.e1] - q[field.e0]  # (ne, 4)
     rhs_contrib = dq[:, :, None] * dx[:, None, :]  # (ne, 4, 3)

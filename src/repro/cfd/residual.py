@@ -3,7 +3,7 @@
 ``R_i = sum_faces F . S`` over vertex i's control-volume surface — interior
 dual faces (the edge-based flux kernel), slip-wall/symmetry faces and
 far-field faces.  At steady state ``R = 0``.  The second-order path runs the
-gradient and limiter kernels first, mirroring the kernel mix in the paper's
+gradient and limiter stages first, mirroring the kernel mix in the paper's
 profile (flux 42%, gradient 13%).
 """
 
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kgir.programs import residual_program
 from ..obs.metrics import get_metrics
 from ..obs.span import kernel_span
 from ..smp.backend import get_edge_backend
-from .boundary import farfield_residual, wall_residual
+from .boundary import add_boundary_closures
 from .flux import interior_flux_residual
-from .gradient import lsq_gradients, venkat_limiter
-from .state import FlowConfig, FlowField, freestream_state
+from .state import FlowConfig, FlowField
 
 __all__ = ["compute_residual", "residual_norm"]
 
@@ -30,69 +30,33 @@ def compute_residual(
 ) -> np.ndarray:
     """Spatial residual ``f(q)``, shape ``(n_vertices, 4)``.
 
+    The second-order residual is the kernel-graph program of
+    :mod:`repro.kgir`: run in-process on the full edge set, or by the
+    installed edge backend's ``residual_pipeline`` on its workers.  Both
+    are bitwise equal to the staged kernels (``lsq_gradients`` ->
+    ``venkat_limiter`` -> ``interior_flux_residual`` + closures), which
+    remain as the test oracle.
+
     ``first_order=True`` skips reconstruction regardless of the config —
     used for the preconditioner-side discretization, which the paper keeps
     "lower-order, sparser and more diffusive".
 
-    Instrumentation: the reconstruction runs under a ``grad`` kernel span
-    and the flux + boundary sweep under ``flux`` (the paper's two edge-loop
-    profile entries), reported to both the perf registry and any active
-    tracer.
+    Instrumentation: every path reports the reconstruction under one
+    ``grad`` kernel span and the flux + boundary sweep under one ``flux``
+    span (the paper's two edge-loop profile entries), to both the perf
+    registry and any active tracer.
     """
     get_metrics().counter("residual.evals").inc()
-    grad = limiter = None
-    backend = get_edge_backend()
-    if (
-        config.second_order
-        and not first_order
-        and backend is not None
-        and getattr(backend, "residual_pipeline", None) is not None
-        and backend.handles(field)
-    ):
-        # fused kernel-graph path: one program evaluates gradients,
-        # limiter and interior flux (bitwise-equal to the staged oracle
-        # below); only the boundary closures remain per-kernel
-        res, grad, limiter = backend.residual_pipeline(q, config)
-        return _add_boundary(field, q, config, res)
     if config.second_order and not first_order:
-        with kernel_span("grad"):
-            grad = lsq_gradients(field, q)
-            limiter = venkat_limiter(field, q, grad, k=config.limiter_k)
+        backend = get_edge_backend()
+        if backend is not None and backend.handles(field):
+            return backend.residual_pipeline(q, config)[0]
+        return residual_program(field).run(q, config)[0]
     with kernel_span("flux"):
         res = interior_flux_residual(
-            field, q, config.beta, grad, limiter, scheme=config.dissipation
+            field, q, config.beta, scheme=config.dissipation
         )
-        res += wall_residual(field, q, "wall")
-        res += wall_residual(field, q, "sym")
-        res += farfield_residual(
-            field, q, freestream_state(config), config.beta,
-            scheme=config.dissipation,
-        )
-        if config.mu > 0.0:
-            from .viscous import viscous_residual
-
-            res += viscous_residual(field, q, config.mu, field.visc_coeffs)
-    return res
-
-
-def _add_boundary(
-    field: FlowField,
-    q: np.ndarray,
-    config: FlowConfig,
-    res: np.ndarray,
-) -> np.ndarray:
-    """Boundary closures on top of an interior residual, oracle order."""
-    with kernel_span("flux"):
-        res += wall_residual(field, q, "wall")
-        res += wall_residual(field, q, "sym")
-        res += farfield_residual(
-            field, q, freestream_state(config), config.beta,
-            scheme=config.dissipation,
-        )
-        if config.mu > 0.0:
-            from .viscous import viscous_residual
-
-            res += viscous_residual(field, q, config.mu, field.visc_coeffs)
+        add_boundary_closures(field, q, config, res)
     return res
 
 

@@ -16,7 +16,7 @@ Commands
 ``top``         live per-rank/per-worker view of a running solve's metrics
 
 ``solve``/``profile``/``serve`` accept ``--tune``: the host-calibrated
-cost model picks edge strategy, worker counts, sparse strategy, fusion,
+cost model picks edge strategy, worker counts, sparse strategy,
 ordering and (for serve) the evaluate batch width per mesh, never slower
 than the static flags by construction.
 
@@ -124,16 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "(0 = same as --workers)"
         )
         sp.add_argument(
-            "--fuse", choices=["off", "on"], default="off",
-            help="route the second-order residual through the fused "
-                 "kernel-graph programs (repro.kgir): bitwise-identical, "
-                 "fewer edge passes; composes with --backend process and "
-                 "--dist-ranks"
-        )
-        sp.add_argument(
             "--tune", action="store_true",
             help="let the calibrated auto-tuner (repro.tune) pick backend/"
-                 "strategy/workers/fusion/ordering for this mesh; the "
+                 "strategy/workers/ordering for this mesh; the "
                  "flags above become the fallback default candidate"
         )
         sp.add_argument(
@@ -327,16 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--kernel",
-        choices=["flux", "trsv", "scatter", "serve", "fusion", "tune"],
+        choices=["flux", "trsv", "scatter", "serve", "tune"],
         default="flux",
         help="'scatter' benches the precompiled gather-scatter plans "
              "against the np.add.at reference across mesh sizes -> "
              "BENCH_scatter_kernels.json; 'trsv' is an alias for "
              "--sparse-backend process; 'serve' benches warm batched "
              "daemon throughput against cold one-shot `repro solve` "
-             "runs -> BENCH_serve_throughput.json; 'fusion' benches the "
-             "fused kernel-graph residual against the unfused three-kernel "
-             "sequence across mesh sizes -> BENCH_fusion.json; 'tune' "
+             "runs -> BENCH_serve_throughput.json; 'tune' "
              "measures the auto-tuned configuration against the static "
              "default (never-slower gate) -> BENCH_tune.json"
     )
@@ -369,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate-amortization", type=float, default=3.0,
                     help="min warm-batched throughput as a multiple of the "
                          "cold per-case throughput (--kernel serve gate)")
-    sp.add_argument("--gate-speedup", type=float, default=1.2,
-                    help="min fused/unfused speedup on the largest benched "
-                         "mesh (--kernel fusion gate)")
     sp.add_argument("--cold-mode", choices=["cli", "inproc"], default="cli",
                     help="--kernel serve cold baseline: one-shot `repro "
                          "solve` subprocesses or in-process family builds")
@@ -580,7 +568,6 @@ def _run_dist_solve(args, app, obs=None):
             pipelined=args.pipelined,
             seed=args.seed,
             allreduce_algo=args.allreduce,
-            fuse=getattr(args, "fuse", "off") == "on",
         )
     res = Fun3dRunResult(
         solve=dres.result,
@@ -630,7 +617,6 @@ def _apply_tune(args, obs=None) -> None:
     args.workers = max(cfg.workers, 1)
     args.edge_strategy = cfg.edge_strategy
     args.partitioner = cfg.partitioner
-    args.fuse = cfg.fuse
     args.ordering = cfg.ordering
     args.sparse_backend = cfg.sparse_backend
     args.sparse_strategy = cfg.sparse_strategy
@@ -698,23 +684,6 @@ def _run_solve(args, obs=None):
             f"edge backend: process x{args.workers} "
             f"({backend_cm.strategy_label}, redundant edges "
             f"{100 * backend_cm.redundant_edge_fraction:.1f}%)"
-        )
-    if getattr(args, "fuse", "off") == "on":
-        from .kgir import FusedEdgeBackend
-        from .smp import use_edge_backend
-
-        inner = (
-            backend_cm
-            if getattr(args, "backend", "serial") == "process"
-            else None
-        )
-        fused = FusedEdgeBackend(app.field, inner=inner)
-        install_cm = use_edge_backend(fused)
-        rep = fused.program.report
-        print(
-            f"fused kernel-graph pipeline: {rep.stages_before} stages -> "
-            f"{rep.stages_after}"
-            + (f" over process x{args.workers}" if inner is not None else "")
         )
     with backend_cm, install_cm:
         res = app.run(
@@ -1094,82 +1063,6 @@ def _bench_scatter(args, repeats) -> int:
     return 0
 
 
-def _bench_fusion(args, repeats) -> int:
-    """Fusion branch of ``bench``: fused kgir programs vs the unfused
-    three-kernel (gradients / limiter / flux) reference sequence."""
-    from .perf import format_table
-    from .smp.bench import (
-        append_history,
-        fusion_gate_failures,
-        load_history,
-        rolling_fusion_gate_failures,
-        run_fusion,
-        write_bench_json,
-    )
-
-    if args.out == "BENCH_flux_scaling.json":  # only the untouched default
-        args.out = "BENCH_fusion.json"
-    # ascending mesh sizes so the largest (last) carries the gate reference
-    fractions = (1.0,) if args.quick else (0.25, 0.5, 1.0)
-    meshes = [_make_mesh(args, scale=args.scale * f) for f in fractions]
-    doc = run_fusion(
-        meshes,
-        repeats=repeats,
-        seed=args.seed,
-        dataset=args.dataset,
-        scale=args.scale,
-    )
-    write_bench_json(doc, args.out)
-    rows = [
-        [
-            str(r["mesh_vertices"]), str(r["mesh_edges"]),
-            f"{r['stages_before']}->{r['stages_after']}",
-            f"{1e3 * r['unfused_seconds']:.2f}",
-            f"{1e3 * r['wall_seconds']:.2f}",
-            f"{r['speedup']:.2f}x",
-            f"{r['bytes_saved'] / 1e6:.2f}",
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    print(format_table(
-        ["vertices", "edges", "stages", "unfused ms", "fused ms",
-         "speedup", "saved MB", "max dev"],
-        rows,
-        title=f"fused kernel-graph residual vs unfused reference "
-              f"({args.dataset}, ordering={args.ordering}, "
-              f"best of {repeats})",
-    ))
-    print(f"wrote {args.out}")
-    history = load_history(args.history) if args.history else []
-    if args.gate:
-        if args.history:
-            failures = rolling_fusion_gate_failures(
-                doc, history, max_regression=args.gate_slowdown,
-                min_speedup=args.gate_speedup,
-            )
-            gate_kind = (
-                "rolling-median trend" if history else
-                "fixed speedup (no comparable history yet)"
-            )
-        else:
-            failures = fusion_gate_failures(
-                doc, min_speedup=args.gate_speedup
-            )
-            gate_kind = "fixed speedup"
-        for msg in failures:
-            print(f"GATE FAIL: {msg}")
-        if failures:
-            return 1
-        print(f"GATE OK: bitwise fused==unfused equivalence + fusion "
-              f"speedup ({gate_kind})")
-    if args.history:
-        append_history(doc, args.history)
-        print(f"appended trend record to {args.history} "
-              f"({len(history) + 1} total)")
-    return 0
-
-
 def cmd_top(args) -> int:
     """Live terminal view of a running solve's Prometheus endpoint.
 
@@ -1493,9 +1386,6 @@ def cmd_bench(args) -> int:
     if args.kernel == "scatter":
         return _bench_scatter(args, repeats)
 
-    if args.kernel == "fusion":
-        return _bench_fusion(args, repeats)
-
     if args.kernel == "serve":
         return _bench_serve(args)
 
@@ -1640,7 +1530,6 @@ def cmd_serve(args) -> int:
         sparse_backend=args.sparse_backend,
         sparse_strategy=args.sparse_strategy,
         sparse_workers=args.sparse_workers or args.workers,
-        fuse=args.fuse,
         tune="on" if args.tune else "off",
         calibration=args.calibration,
     )

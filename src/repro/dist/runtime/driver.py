@@ -94,7 +94,6 @@ def distributed_solve(
     timeout: float = 300.0,
     telemetry: bool = True,
     decomp: DomainDecomposition | None = None,
-    fuse: bool = False,
 ) -> DistSolveResult:
     """Steady solve on ``n_ranks`` forked rank processes.
 
@@ -107,11 +106,6 @@ def distributed_solve(
     prebuilt :class:`DomainDecomposition` over the same mesh — the serve
     daemon's warm cache passes one so repeated distributed requests on a
     mesh family pay the multilevel partition exactly once.
-
-    ``fuse=True`` runs each rank's residual through the fused
-    kernel-graph pipeline (see :func:`..program.rank_residual`) —
-    bitwise-identical residuals, fewer edge passes, with per-stage
-    ``fuse.*`` spans in the rank trace.
     """
     opts = opts or SolverOptions()
     nv = field.n_vertices
@@ -131,8 +125,7 @@ def distributed_solve(
 
     def program(comm):
         return rank_solve_steady(
-            datas[comm.rank], comm, config, opts,
-            pipelined=pipelined, fuse=fuse,
+            datas[comm.rank], comm, config, opts, pipelined=pipelined
         )
 
     tracer = get_tracer()

@@ -4,9 +4,10 @@ Each rank owns a contiguous slice of the global problem (its subdomain's
 owned vertices) plus one ghost layer, and replays the exact serial solver
 arithmetic on local arrays:
 
-* **residual** — interior-edge fluxes and gradient contributions touch only
-  owned data and run *inside* the halo window; cut-edge contributions (the
-  edges the decomposition severed) wait for the ghosts.  Plain mode and
+* **residual** — the stage arithmetic of :mod:`repro.kgir.stages` on the
+  rank's own slices: interior-edge fluxes and gradient contributions touch
+  only owned data and run *inside* the halo window; cut-edge contributions
+  (the edges the decomposition severed) wait for the ghosts.  Plain mode and
   pipelined mode execute the identical interior-then-cut arithmetic — the
   only difference is whether the exchange blocks up front or overlaps the
   interior compute — so the two are bitwise-identical and only their span
@@ -37,6 +38,7 @@ from ...cfd.flux import edge_spectral_radius, numerical_edge_flux
 from ...cfd.jacobian import analytic_flux_jacobian
 from ...cfd.state import NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import ser_cfl
+from ...kgir import stages
 from ...perf.scatter import (
     edge_difference_plan,
     edge_sum_plan,
@@ -188,7 +190,7 @@ class _Workspace:
         self.limiter = np.ones((nl, NVARS))
         self.rhs = np.zeros((nl, NVARS, 3))
         self.res = np.zeros((nl, NVARS))
-        self.qmin = np.zeros((nl, NVARS))  # fused-pipeline neighbor bounds
+        self.qmin = np.zeros((nl, NVARS))  # neighbor bounds of q
         self.qmax = np.zeros((nl, NVARS))
         self.q[:no] = data.q0
         self.interior_seconds = 0.0
@@ -226,7 +228,7 @@ class _Workspace:
 
     def minmax_plan(self, sl: slice):
         """Cached segment min/max plan over both endpoints of the edges in
-        ``sl`` (fused recon sweep: neighbor bounds fold)."""
+        ``sl`` (recon sweep: neighbor bounds fold)."""
         key = ("mm", sl.start, sl.stop)
         plan = self._plans.get(key)
         if plan is None:
@@ -241,7 +243,7 @@ class _Workspace:
 
     def phi_plan(self, end: int):
         """Cached scatter-min plan over the owned rows of endpoint ``end``
-        across all local edges (fused limiter fold)."""
+        across all local edges (limiter fold)."""
         key = ("phi", end)
         plan = self._plans.get(key)
         if plan is None:
@@ -260,74 +262,47 @@ def _interior_span(comm: Communicator, ws: _Workspace, t0: float, edges: int):
     comm.recorder.add("interior", t0, t1, edges=edges)
 
 
-def _venkat_local(data: RankData, ws: _Workspace, k: float) -> None:
-    """Venkatakrishnan limiter for the owned vertices (serial formula on
-    local arrays; neighbor min/max sees ghosts, so owned rows are exact)."""
-    q, grad = ws.q, ws.grad
-    e0, e1 = data.e0, data.e1
-    qmin = q.copy()
-    qmax = q.copy()
-    np.minimum.at(qmin, e0, q[e1])
-    np.minimum.at(qmin, e1, q[e0])
-    np.maximum.at(qmax, e0, q[e1])
-    np.maximum.at(qmax, e1, q[e0])
-    eps2 = (k**3) * data.volumes  # (n_owned,)
-    phi = ws.limiter
-    phi[: data.n_owned] = 1.0
-    for end, disp in ((e0, data.d0), (e1, data.d1)):
-        sel = end < data.n_owned  # only owned rows need phi (and have grad)
-        endo, dispo = end[sel], disp[sel]
-        d2 = np.einsum("nvi,ni->nv", grad[endo], dispo)
-        dmax = qmax[endo] - q[endo]
-        dmin = qmin[endo] - q[endo]
-        d1 = np.where(d2 > 0.0, dmax, dmin)
-        e2 = eps2[endo][:, None]
-        num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
-        den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-        val = np.clip(val, 0.0, 1.0)
-        np.minimum.at(phi, endo, val)
-
-
-def _fused_minmax(data: RankData, ws: _Workspace, sl: slice) -> None:
-    """Fold the edges in ``sl`` into the neighbor min/max bounds — the
-    half of the fused recon sweep that shares its gather of ``q`` with the
-    gradient accumulation.  min/max are order-free exact, so splitting the
-    fold interior/cut is bitwise-equal to the one-shot ``ufunc.at`` in
-    :func:`_venkat_local`."""
-    e0, e1 = data.e0[sl], data.e1[sl]
-    vals = np.concatenate([ws.q[e1], ws.q[e0]], axis=0)
+def _recon(data: RankData, ws: _Workspace, comm: Communicator, sl: slice):
+    """Reconstruction sweep over the edges in ``sl``: one gather of ``q``
+    feeds the gradient-rhs accumulation and the neighbor min/max fold
+    (order-free exact, so the interior/cut split changes no bit)."""
+    t0 = time.perf_counter()
+    q0, q1 = ws.q[data.e0[sl]], ws.q[data.e1[sl]]
+    contrib = stages.grad_rhs_stage(q0, q1, data.d0[sl])
+    ws.edge_plan(sl, "sum").apply(contrib, out=ws.rhs, accumulate=True)
+    # each endpoint sees the opposite endpoint's value
+    vals = np.concatenate([q1, q0], axis=0)
     plan = ws.minmax_plan(sl)
     plan.apply(vals, ws.qmin, "min")
     plan.apply(vals, ws.qmax, "max")
+    comm.recorder.add(
+        "fuse.recon", t0, time.perf_counter(), edges=sl.stop - sl.start
+    )
 
 
-def _venkat_fused(data: RankData, ws: _Workspace, k: float) -> None:
-    """Fused limiter sweep: identical per-edge arithmetic to
-    :func:`_venkat_local`, but the neighbor bounds were already folded by
-    the recon sweep and the scatter-min runs through a precompiled
-    segment plan instead of ``np.minimum.at``."""
-    q, grad, qmin, qmax = ws.q, ws.grad, ws.qmin, ws.qmax
-    eps2 = (k**3) * data.volumes
-    phi = ws.limiter
-    phi[: data.n_owned] = 1.0
+def _limit(data: RankData, ws: _Workspace, comm: Communicator, k: float):
+    """Per-vertex solve and limiter sweep for the owned vertices (neighbor
+    bounds saw the ghosts, so owned rows are exact; only owned rows have a
+    gradient before the second exchange)."""
+    no = data.n_owned
+    ws.grad[:no], eps2, dmax, dmin = stages.solve_stage(
+        data.lsq_inv, ws.rhs[:no], data.volumes,
+        ws.q[:no], ws.qmin[:no], ws.qmax[:no], k,
+    )
+    t0 = time.perf_counter()
+    ws.limiter[:no] = 1.0
     for end_i, (end, disp) in enumerate(
         ((data.e0, data.d0), (data.e1, data.d1))
     ):
-        sel = end < data.n_owned
-        endo, dispo = end[sel], disp[sel]
-        d2 = np.einsum("nvi,ni->nv", grad[endo], dispo)
-        dmax = qmax[endo] - q[endo]
-        dmin = qmin[endo] - q[endo]
-        d1 = np.where(d2 > 0.0, dmax, dmin)
-        e2 = eps2[endo][:, None]
-        num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
-        den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-        val = np.clip(val, 0.0, 1.0)
-        ws.phi_plan(end_i).apply(val, phi, "min")
+        sel = end < no
+        endo = end[sel]
+        val, _ = stages.venkat_stage(
+            ws.grad[endo], dmax[endo], dmin[endo], eps2[endo], disp[sel]
+        )
+        ws.phi_plan(end_i).apply(val, ws.limiter, "min")
+    comm.recorder.add(
+        "fuse.limit", t0, time.perf_counter(), edges=data.e0.shape[0]
+    )
 
 
 def _boundary_residual(
@@ -353,25 +328,22 @@ def _boundary_residual(
 
 
 def _edge_flux(
-    data: RankData,
-    ws: _Workspace,
-    sl: slice,
-    config: FlowConfig,
-    second_order: bool,
+    data: RankData, ws: _Workspace, sl: slice, config: FlowConfig
 ) -> None:
     """Flux of the edges in ``sl`` scattered into ``ws.res`` (ghost rows of
     ``res`` absorb the cut edges' off-rank halves harmlessly)."""
     e0, e1 = data.e0[sl], data.e1[sl]
-    q = ws.q
-    ql = q[e0]
-    qr = q[e1]
-    if second_order:
-        dq0 = np.einsum("nvi,ni->nv", ws.grad[e0], data.d0[sl])
-        dq1 = np.einsum("nvi,ni->nv", ws.grad[e1], data.d1[sl])
-        ql = ql + dq0 * ws.limiter[e0]
-        qr = qr + dq1 * ws.limiter[e1]
-    flux = numerical_edge_flux(
-        ql, qr, data.normals[sl], config.beta, config.dissipation
+    recon = None
+    if config.second_order:
+        recon = (
+            stages.edge_projection(ws.grad[e0], data.d0[sl]),
+            stages.edge_projection(ws.grad[e1], data.d1[sl]),
+            ws.limiter[e0],
+            ws.limiter[e1],
+        )
+    flux = stages.flux_stage(
+        ws.q[e0], ws.q[e1], data.normals[sl], config.beta,
+        config.dissipation, recon,
     )
     ws.edge_plan(sl, "diff").apply(flux, out=ws.res, accumulate=True)
 
@@ -382,24 +354,16 @@ def rank_residual(
     ws: _Workspace,
     config: FlowConfig,
     pipelined: bool,
-    fuse: bool = False,
 ) -> np.ndarray:
     """Distributed spatial residual of the owned vertices.
 
     ``ws.q[:n_owned]`` holds the owned state on entry; ghosts are refreshed
     here.  Pipelined mode overlaps each halo window with the interior work
     that window makes safe; plain mode runs the same interior/cut split
-    back-to-back, so both modes produce bit-identical residuals.
-
-    ``fuse=True`` runs the kernel-graph fused pipeline: the gradient
-    accumulation and the limiter's neighbor min/max fold share one pass
-    (and one gather) over each edge slice, and the limiter scatter-min
-    runs through a precompiled segment plan.  Bitwise-identical to the
-    unfused path (min/max folds are order-free exact; everything else is
-    the same statements), with per-stage ``fuse.recon`` / ``fuse.limit``
+    back-to-back, so both modes produce bit-identical residuals.  The
+    reconstruction and limiter sweeps leave ``fuse.recon`` / ``fuse.limit``
     spans in the rank's trace.
     """
-    second_order = config.second_order
     ii = slice(0, data.n_interior)
     ic = slice(data.n_interior, data.e0.shape[0])
 
@@ -419,50 +383,15 @@ def rank_residual(
             interior_work()
         _interior_span(comm, ws, t0, data.n_interior)
 
-    def grad_accumulate(sl: slice) -> None:
-        e0, e1 = data.e0[sl], data.e1[sl]
-        dx = data.d0[sl] * 2.0  # x[e1] - x[e0]
-        dq = ws.q[e1] - ws.q[e0]
-        contrib = dq[:, :, None] * dx[:, None, :]
-        ws.edge_plan(sl, "sum").apply(contrib, out=ws.rhs, accumulate=True)
-
-    # ---- window 1: state exchange || interior gradient accumulation ----
-    if second_order and fuse:
-        # fused recon: one pass per edge slice accumulates the gradient
-        # rhs AND folds the neighbor min/max (interior edges touch only
-        # owned q, so the interior half runs inside the halo window)
+    # ---- window 1: state exchange || interior reconstruction sweep ----
+    if config.second_order:
         ws.rhs.fill(0.0)
         ws.qmin[...] = ws.q
         ws.qmax[...] = ws.q
-
-        def recon(sl: slice) -> None:
-            t0 = time.perf_counter()
-            grad_accumulate(sl)
-            _fused_minmax(data, ws, sl)
-            comm.recorder.add(
-                "fuse.recon", t0, time.perf_counter(),
-                edges=sl.stop - sl.start,
-            )
-
-        window([ws.q], lambda: recon(ii))
-        recon(ic)  # cut-edge contributions (need ghost q)
-        ws.grad[: data.n_owned] = np.einsum(
-            "nij,nvj->nvi", data.lsq_inv, ws.rhs[: data.n_owned]
-        )
-        t0 = time.perf_counter()
-        _venkat_fused(data, ws, config.limiter_k)
-        comm.recorder.add(
-            "fuse.limit", t0, time.perf_counter(), edges=data.e0.shape[0]
-        )
-        exchange_payload = [ws.grad, ws.limiter]
-    elif second_order:
-        ws.rhs.fill(0.0)
-        window([ws.q], lambda: grad_accumulate(ii))
-        grad_accumulate(ic)  # cut-edge contributions (need ghost q)
-        ws.grad[: data.n_owned] = np.einsum(
-            "nij,nvj->nvi", data.lsq_inv, ws.rhs[: data.n_owned]
-        )
-        _venkat_local(data, ws, config.limiter_k)
+        # interior edges touch only owned q, so they run inside the window
+        window([ws.q], lambda: _recon(data, ws, comm, ii))
+        _recon(data, ws, comm, ic)  # cut-edge contributions (need ghost q)
+        _limit(data, ws, comm, config.limiter_k)
         exchange_payload = [ws.grad, ws.limiter]
     else:
         # first order: the one exchange (state only) overlaps window 2
@@ -472,12 +401,12 @@ def rank_residual(
     ws.res.fill(0.0)
 
     def flux_interior() -> None:
-        _edge_flux(data, ws, ii, config, second_order)
+        _edge_flux(data, ws, ii, config)
         _boundary_residual(data, ws, config)
 
     window(exchange_payload, flux_interior)
     # cut-edge fluxes (ghost reconstruction now available)
-    _edge_flux(data, ws, ic, config, second_order)
+    _edge_flux(data, ws, ic, config)
     return ws.res[: data.n_owned]
 
 
@@ -652,7 +581,6 @@ def rank_solve_steady(
     config: FlowConfig,
     opts: SolverOptions,
     pipelined: bool = False,
-    fuse: bool = False,
 ) -> RankSolveStats:
     """One rank's pseudo-transient Newton loop (the distributed
     counterpart of :func:`repro.solver.newton.solve_steady`).
@@ -677,9 +605,9 @@ def rank_solve_steady(
             span_sink=comm.recorder.add,
         ) as backend, use_sparse_backend(backend):
             return _rank_solve_steady_impl(
-                data, comm, config, opts, pipelined, fuse, sparse=backend
+                data, comm, config, opts, pipelined, sparse=backend
             )
-    return _rank_solve_steady_impl(data, comm, config, opts, pipelined, fuse)
+    return _rank_solve_steady_impl(data, comm, config, opts, pipelined)
 
 
 def _rank_solve_steady_impl(
@@ -688,7 +616,6 @@ def _rank_solve_steady_impl(
     config: FlowConfig,
     opts: SolverOptions,
     pipelined: bool,
-    fuse: bool = False,
     sparse=None,
 ) -> RankSolveStats:
     from ...solver.distributed import dist_fd_operator, dist_gmres
@@ -701,9 +628,7 @@ def _rank_solve_steady_impl(
 
     def spatial_residual(u_flat: np.ndarray) -> np.ndarray:
         ws.q[:no] = u_flat.reshape(no, NVARS)
-        return rank_residual(
-            data, comm, ws, config, pipelined, fuse
-        ).reshape(-1)
+        return rank_residual(data, comm, ws, config, pipelined).reshape(-1)
 
     history: list[float] = []
     cfls: list[float] = []
@@ -735,7 +660,7 @@ def _rank_solve_steady_impl(
 
     for step in range(1, opts.max_steps + 1):
         ws.q[:no] = q_owned
-        res = rank_residual(data, comm, ws, config, pipelined, fuse).copy()
+        res = rank_residual(data, comm, ws, config, pipelined).copy()
         rnorm = float(
             np.sqrt(comm.allreduce(float(np.sum(res * res))) / n_unknowns)
         )

@@ -307,8 +307,7 @@ class Graph:
         g = Graph(out, widths=self.widths)
         return g
 
-    def report(self, fused: "Graph" | None = None) -> FusionReport:
-        fused = fused if fused is not None else self.fused()
+    def report(self, fused: "Graph") -> FusionReport:
         groups: list[tuple[str, ...]] = []
         eliminated: list[str] = []
         nbytes = 0

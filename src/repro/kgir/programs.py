@@ -1,7 +1,7 @@
 """The residual pipeline lowered onto the kernel-graph IR.
 
 Stage layout (interior edges only; boundary closures live on separate
-corner index sets and stay outside the graph):
+corner index sets, stay outside the graph and are added after it):
 
 .. code-block:: text
 
@@ -24,13 +24,13 @@ intermediates, so ``E4`` neither gathers ``grad`` (12 doubles per
 endpoint) nor recomputes the projection: reusing the exact array the
 producer computed is bitwise free.
 
-Every stage's arithmetic is copied verbatim from the oracle kernels in
-:mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux` (same NumPy calls on
-identically laid-out inputs), additive scatters run through the field's
-own :class:`~repro.perf.scatter.ScatterPlan` objects, and the reference
-``ufunc.at`` min/max loops are replaced by the order-free (hence exactly
-equal) :class:`~repro.perf.scatter.SegmentReducePlan` — together that is
-what makes fused output bitwise-identical to the unfused pipeline.
+Every stage's arithmetic lives in :mod:`repro.kgir.stages` and mirrors the
+oracle kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux` (same
+NumPy calls on identically laid-out inputs), additive scatters run through
+the field's own :class:`~repro.perf.scatter.ScatterPlan` objects, and the
+reference ``ufunc.at`` min/max loops are replaced by the order-free (hence
+exactly equal) :class:`~repro.perf.scatter.SegmentReducePlan` — together
+that is what makes the program bitwise-identical to the staged oracle.
 
 Batched evaluation (:meth:`ResidualProgram.run_batch`) stacks states on a
 trailing axis: each edge sweep gathers and scatters the whole batch once,
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..cfd.boundary import add_boundary_closures
 from ..cfd.state import FlowConfig, FlowField
 from ..obs.span import kernel_span
 from ..perf.scatter import segment_reduce_plan
@@ -56,6 +57,7 @@ from .ir import (
     ScatterSpec,
     fuse_graph,
 )
+from .stages import flux_stage, grad_rhs_stage, solve_stage, venkat_stage
 
 __all__ = [
     "ResidualProgram",
@@ -64,55 +66,15 @@ __all__ = [
     "fusion_report",
 ]
 
-#: per-vertex component counts, for the report's byte estimates
-_WIDTHS = {
-    "q": 4,
-    "grad": 12,
-    "qmin": 4,
-    "qmax": 4,
-    "eps2": 1,
-    "phi": 4,
-    "rhs": 12,
-    "res": 4,
-    "dmax": 4,
-    "dmin": 4,
-}
-
-
-def _interior_index_set(field: FlowField) -> EdgeIndexSet:
-    return field.plan(
-        "kgir.index",
-        lambda: EdgeIndexSet(name="interior", e0=field.e0, e1=field.e1),
-    )
-
-
-def _end_plans(field: FlowField):
-    """Per-endpoint segment min/max plans (targets ``e0`` and ``e1``).
-
-    min/max are order-free, so scattering each endpoint's contributions
-    through its own plan is bitwise equal to one pass over
-    ``concat(e0, e1)`` — and skips materializing the ``(2 ne, 4)``
-    concatenated value array every evaluation.
-    """
-    return field.plan(
-        "kgir.minmax",
-        lambda: (
-            segment_reduce_plan(
-                field.e0, field.n_vertices, name="kgir.minmax.e0"
-            ),
-            segment_reduce_plan(
-                field.e1, field.n_vertices, name="kgir.minmax.e1"
-            ),
-        ),
-    )
-
-
 def build_residual_graph(field: FlowField) -> Graph:
     """Lower the second-order interior residual pipeline onto the IR."""
     nv = field.n_vertices
-    idx = _interior_index_set(field)
-    mm0, mm1 = _end_plans(field)
-    dx = field.emid_d0 * 2.0  # x[e1] - x[e0], as in lsq_gradients
+    idx = EdgeIndexSet(name="interior", e0=field.e0, e1=field.e1)
+    # per-endpoint segment min/max plans: min/max are order-free, so one
+    # plan per endpoint is bitwise equal to one pass over concat(e0, e1)
+    # and skips materializing the (2 ne, 4) concatenated value array
+    mm0 = segment_reduce_plan(field.e0, nv, name="kgir.minmax.e0")
+    mm1 = segment_reduce_plan(field.e1, nv, name="kgir.minmax.e1")
 
     def init(cfg, env):
         q = env["q"]
@@ -125,9 +87,7 @@ def build_residual_graph(field: FlowField) -> Graph:
         }
 
     def grad_rhs(cfg, g):
-        q0, q1 = g["q"]
-        dq = q1 - q0
-        return {"rhs_contrib": dq[:, :, None] * dx[:, None, :]}
+        return {"rhs_contrib": grad_rhs_stage(*g["q"], field.emid_d0)}
 
     def limit_minmax(cfg, g):
         q0, q1 = g["q"]
@@ -135,43 +95,27 @@ def build_residual_graph(field: FlowField) -> Graph:
         return {"nbr_at_e0": q1, "nbr_at_e1": q0}
 
     def grad_solve(cfg, env):
-        # dmax/dmin are per-vertex differences; gathering them is bitwise
-        # equal to gathering qmax/qmin/q and subtracting per edge, and
-        # gathers two arrays instead of three
-        return {
-            "grad": np.einsum("nij,nvj->nvi", field.lsq_inv, env["rhs"]),
-            "eps2": (cfg.limiter_k**3) * field.volumes,
-            "dmax": env["qmax"] - env["q"],
-            "dmin": env["qmin"] - env["q"],
-        }
+        grad, eps2, dmax, dmin = solve_stage(
+            field.lsq_inv, env["rhs"], field.volumes,
+            env["q"], env["qmin"], env["qmax"], cfg.limiter_k,
+        )
+        return {"grad": grad, "eps2": eps2, "dmax": dmax, "dmin": dmin}
 
     def limit_phi(cfg, g):
         out = {}
-        for end, disp, tag in (
-            (0, field.emid_d0, "e0"), (1, field.emid_d1, "e1"),
-        ):
-            d2 = np.einsum("nvi,ni->nv", g["grad"][end], disp)
-            d1 = np.where(d2 > 0.0, g["dmax"][end], g["dmin"][end])
-            e2 = g["eps2"][end][:, None]
-            num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
-            den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-            out[f"phival_{tag}"] = np.clip(val, 0.0, 1.0)
-            out[f"dproj_{tag}"] = d2  # carried to the flux stage
+        for end, disp in enumerate((field.emid_d0, field.emid_d1)):
+            # dproj is carried to the flux stage
+            out[f"phival_e{end}"], out[f"dproj_e{end}"] = venkat_stage(
+                g["grad"][end], g["dmax"][end], g["dmin"][end],
+                g["eps2"][end], disp,
+            )
         return out
 
     def flux(cfg, g):
-        from ..cfd.flux import numerical_edge_flux
-
-        # dproj_* are the carried gradient projections limit.phi computed —
-        # the exact arrays the unfused flux kernel would recompute from a
-        # fresh gather of grad
-        ql = g["q"][0] + g["dproj_e0"] * g["phi"][0]
-        qr = g["q"][1] + g["dproj_e1"] * g["phi"][1]
         return {
-            "flux": numerical_edge_flux(
-                ql, qr, field.enormals, cfg.beta, cfg.dissipation
+            "flux": flux_stage(
+                *g["q"], field.enormals, cfg.beta, cfg.dissipation,
+                recon=(g["dproj_e0"], g["dproj_e1"], *g["phi"]),
             )
         }
 
@@ -231,7 +175,9 @@ def build_residual_graph(field: FlowField) -> Graph:
             edge_reads=("dproj_e0", "dproj_e1"),
         ),
     ]
-    return Graph(stages, widths=_WIDTHS)
+    # the report's byte estimate needs the width of every array a fused
+    # group gathers once instead of once per member: only q
+    return Graph(stages, widths={"q": 4})
 
 
 def _apply_scatter(spec: ScatterSpec, values: np.ndarray, env: dict) -> None:
@@ -242,34 +188,31 @@ def _apply_scatter(spec: ScatterSpec, values: np.ndarray, env: dict) -> None:
 
 
 class ResidualProgram:
-    """Executable (optionally fused) interior residual program.
+    """The executable second-order residual of one field.
 
     :meth:`run` evaluates one state; :meth:`run_batch` evaluates a
     trailing-axis stack of states in shared sweeps.  Both return
-    ``(res, grad, phi)`` — the *interior* residual plus the
-    reconstruction byproducts the caller needs for Jacobians and
-    diagnostics.  Boundary closures are separate index sets and are added
-    by :func:`repro.cfd.residual.compute_residual` /
-    :func:`batched_residual`.
+    ``(res, grad, phi)`` — the full residual (interior program plus
+    boundary closures) and the reconstruction byproducts.  The stages up to
+    the limiter report as one ``grad`` kernel span, the flux stage and the
+    closures as one ``flux`` span.
     """
 
-    def __init__(self, field: FlowField, fuse: bool = True):
+    def __init__(self, field: FlowField):
         self.field = field
-        self.fuse = bool(fuse)
-        self.graph = build_residual_graph(field)
-        if self.fuse:
-            self.exec_graph, self.report = fuse_graph(self.graph)
-        else:
-            self.exec_graph = self.graph
-            self.report = self.graph.report(self.graph)
+        self.exec_graph, self.report = fuse_graph(build_residual_graph(field))
 
     # ------------------------------------------------------------------
     def run(self, q: np.ndarray, config: FlowConfig):
         env: dict[str, np.ndarray] = {"q": q}
         edge_env: dict[str, np.ndarray] = {}
-        for node in self.exec_graph.stages:
-            with kernel_span(f"kgir.{node.name}"):
+        *recon, flux = self.exec_graph.stages
+        with kernel_span("grad"):
+            for node in recon:
                 self._run_node(node, env, config, edge_env)
+        with kernel_span("flux"):
+            self._run_node(flux, env, config, edge_env)
+            add_boundary_closures(self.field, q, config, env["res"])
         return env["res"], env["grad"], env["phi"]
 
     def _run_node(self, node, env: dict, cfg: FlowConfig, edge_env) -> None:
@@ -297,19 +240,31 @@ class ResidualProgram:
         """Evaluate ``q_batch`` of shape ``(n_vertices, 4, n_cases)``.
 
         Each edge sweep gathers and scatters the full batch once; the
-        per-edge arithmetic runs per case on contiguous slices with that
-        case's :class:`FlowConfig`, so case ``b``'s outputs are bitwise
-        equal to ``run(q_batch[..., b], configs[b])``.
+        per-edge arithmetic and the boundary closures run per case on
+        contiguous slices with that case's :class:`FlowConfig`, so case
+        ``b``'s outputs are bitwise equal to
+        ``run(q_batch[..., b], configs[b])``.
         """
         n_cases = q_batch.shape[-1]
         if len(configs) != n_cases:
             raise ValueError("one FlowConfig per batched case required")
         env: dict[str, np.ndarray] = {"q": np.ascontiguousarray(q_batch)}
         edge_env: dict[str, list] = {}  # name -> per-case edge arrays
-        for node in self.exec_graph.stages:
-            with kernel_span(f"kgir.{node.name}", cases=float(n_cases)):
+        *recon, flux = self.exec_graph.stages
+        with kernel_span("grad", cases=float(n_cases)):
+            for node in recon:
                 self._run_node_batch(node, env, configs, n_cases, edge_env)
-        return env["res"], env["grad"], env["phi"]
+        with kernel_span("flux", cases=float(n_cases)):
+            self._run_node_batch(flux, env, configs, n_cases, edge_env)
+            res = env["res"]
+            for b, cfg in enumerate(configs):
+                res[..., b] = add_boundary_closures(
+                    self.field,
+                    np.ascontiguousarray(q_batch[..., b]),
+                    cfg,
+                    np.ascontiguousarray(res[..., b]),
+                )
+        return res, env["grad"], env["phi"]
 
     def _run_node_batch(self, node, env, configs, n_cases, edge_env) -> None:
         def contig(a):
@@ -354,17 +309,14 @@ class ResidualProgram:
                 edge_env[name] = [out[name] for out in per_case]
 
 
-def residual_program(field: FlowField, fuse: bool = True) -> ResidualProgram:
+def residual_program(field: FlowField) -> ResidualProgram:
     """Cached :class:`ResidualProgram` for ``field``."""
-    return field.plan(
-        f"kgir.program.fuse={bool(fuse)}",
-        lambda: ResidualProgram(field, fuse=fuse),
-    )
+    return field.plan("kgir.program", lambda: ResidualProgram(field))
 
 
 def fusion_report(field: FlowField) -> FusionReport:
-    """What fusing the residual pipeline on ``field`` eliminates."""
-    return residual_program(field, fuse=True).report
+    """What the rewrite pass eliminates from ``field``'s residual graph."""
+    return residual_program(field).report
 
 
 def batched_residual(field: FlowField, q_batch: np.ndarray, configs):
@@ -372,33 +324,11 @@ def batched_residual(field: FlowField, q_batch: np.ndarray, configs):
 
     Returns ``(res, grad, phi)`` stacks of shape ``(nv, 4, B)``,
     ``(nv, 4, 3, B)``, ``(nv, 4, B)``.  Case ``b`` is bitwise equal to the
-    serial ``compute_residual(field, q_batch[..., b], configs[b])``:
-    interior comes from the shared fused sweep, then each case adds its
-    boundary closures in the oracle's order.
+    serial ``compute_residual(field, q_batch[..., b], configs[b])``.
     """
-    from ..cfd.boundary import farfield_residual, wall_residual
-    from ..cfd.state import freestream_state
-
     if not all(cfg.second_order for cfg in configs):
         raise ValueError(
             "batched_residual lowers the second-order pipeline; "
             "first-order cases must go through compute_residual"
         )
-    prog = residual_program(field, fuse=True)
-    res, grad, phi = prog.run_batch(q_batch, configs)
-    full = np.empty_like(res)
-    for b, cfg in enumerate(configs):
-        qb = np.ascontiguousarray(q_batch[..., b])
-        rb = np.ascontiguousarray(res[..., b])
-        rb += wall_residual(field, qb, "wall")
-        rb += wall_residual(field, qb, "sym")
-        rb += farfield_residual(
-            field, qb, freestream_state(cfg), cfg.beta,
-            scheme=cfg.dissipation,
-        )
-        if cfg.mu > 0.0:
-            from ..cfd.viscous import viscous_residual
-
-            rb += viscous_residual(field, qb, cfg.mu, field.visc_coeffs)
-        full[..., b] = rb
-    return full, grad, phi
+    return residual_program(field).run_batch(q_batch, configs)

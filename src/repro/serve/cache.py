@@ -43,10 +43,6 @@ class ExecutionConfig:
     sparse_backend: str = "serial"  # serial | process
     sparse_strategy: str = "p2p"
     sparse_workers: int = 2
-    #: "on" routes residual evaluation through the fused kernel-graph
-    #: programs (repro.kgir) — bitwise-identical, fewer edge passes, and
-    #: batched multi-case evaluation for the "evaluate" op
-    fuse: str = "off"  # off | on
     #: "on" re-plans the knobs above per family through the calibrated
     #: auto-tuner (repro.tune); the operator's static choices stay the
     #: tuner's default candidate, so tuning never picks a predicted-slower
@@ -96,15 +92,6 @@ class WarmFamily:
                 partitioner=execution.partitioner,
                 seed=spec.seed,
             )
-        if execution.fuse == "on" and spec.dist_ranks == 0:
-            from ..kgir import FusedEdgeBackend
-
-            # wraps the process fleet when one exists; the fused program
-            # (and its segment plans) is compiled once and cached on the
-            # warm field like every other plan
-            self.edge_backend = FusedEdgeBackend(
-                self.field, inner=self.edge_backend
-            )
         self.decomp = None
         if spec.dist_ranks > 0:
             from ..dist.halo import DomainDecomposition
@@ -131,7 +118,7 @@ class WarmFamily:
         """Re-plan the execution knobs for *this* mesh with the auto-tuner.
 
         The mesh ordering stays pinned by the family spec (batched solves
-        must match one-shot runs bitwise), so only backend/fleet/fusion
+        must match one-shot runs bitwise), so only backend/fleet
         knobs move; ``tuned_batch_width`` tells the batcher how many
         evaluate-cases amortize one dispatch on this host.
         """
@@ -146,7 +133,7 @@ class WarmFamily:
             load_history(".bench_history.jsonl"),
             dataset=self.spec.dataset, scale=self.spec.scale,
             seed=self.spec.seed, ilu_fill=self.spec.ilu,
-            ordering=self.spec.ordering, field=self.field,
+            ordering=self.spec.ordering,
             allow_dist=False, serve_cases=8,
         )
         self.tuned = cfg
@@ -160,7 +147,6 @@ class WarmFamily:
             sparse_backend=cfg.sparse_backend,
             sparse_strategy=cfg.sparse_strategy,
             sparse_workers=cfg.sparse_workers or max(cfg.workers, 1),
-            fuse=cfg.fuse,
         )
 
     # ------------------------------------------------------------------

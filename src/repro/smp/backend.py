@@ -1,10 +1,10 @@
 """Active edge-kernel backend registry.
 
-The CFD kernels (:func:`repro.cfd.flux.interior_flux_residual`,
-:func:`repro.cfd.gradient.lsq_gradients`) stay written as plain sequential
-NumPy; installing a backend here reroutes their edge loops to an alternate
-executor — today :class:`repro.smp.parallel.ProcessEdgeBackend` — without
-the kernels or their callers changing signature.  Mirrors the
+Installing a backend here reroutes the residual's edge loops —
+:func:`repro.cfd.residual.compute_residual` and the first-order
+:func:`repro.cfd.flux.interior_flux_residual` — to an alternate executor,
+today :class:`repro.smp.parallel.ProcessEdgeBackend`, without their
+callers changing signature.  Mirrors the
 ``use_registry``/``use_tracer`` contract from :mod:`repro.perf` /
 :mod:`repro.obs`: a stack, truncation-on-exit reentrancy, and a cheap
 ``None`` default when nothing is installed.
@@ -28,15 +28,16 @@ def get_edge_backend():
 def use_edge_backend(backend):
     """Route edge-kernel execution inside the block through ``backend``.
 
-    A backend must provide ``handles(field) -> bool``,
-    ``flux_residual(q, beta, grad=, limiter=, scheme=)`` and
-    ``gradients(q)``; kernels fall back to their sequential path whenever
-    ``handles`` declines (different field, unsupported configuration).
-    A backend may additionally provide
-    ``residual_pipeline(q, config) -> (res, grad, phi)`` — when present,
-    :func:`repro.cfd.residual.compute_residual` runs the whole interior
-    second-order pipeline through it as one fused kernel-graph program
-    (see :mod:`repro.kgir`) instead of separate per-kernel calls.
+    A backend must provide:
+
+    * ``handles(field) -> bool`` — callers fall back to their in-process
+      path whenever it declines (different field, closed or broken fleet);
+    * ``flux_residual(q, beta, scheme=) -> res`` — the first-order interior
+      flux residual (the preconditioner-side discretization);
+    * ``residual_pipeline(q, config) -> (res, grad, phi)`` — the full
+      second-order residual, boundary closures included, reported as one
+      ``grad`` and one ``flux`` kernel span: the backend's execution of
+      the :mod:`repro.kgir` residual program.
     """
     depth = len(_stack)
     _stack.append(backend)

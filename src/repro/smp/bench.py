@@ -50,24 +50,20 @@ __all__ = [
     "SCHEMA",
     "TRSV_SCHEMA",
     "SCATTER_SCHEMA",
-    "FUSION_SCHEMA",
     "HISTORY_SCHEMA",
     "DEFAULT_STRATEGIES",
     "SCATTER_KERNELS",
     "run_flux_scaling",
     "run_trsv_scaling",
     "run_scatter_kernels",
-    "run_fusion",
     "run_dist_breakdown",
     "run_rank_worker_sweep",
     "gate_failures",
     "trsv_gate_failures",
     "scatter_gate_failures",
-    "fusion_gate_failures",
     "rolling_gate_failures",
     "rolling_trsv_gate_failures",
     "rolling_scatter_gate_failures",
-    "rolling_fusion_gate_failures",
     "load_history",
     "append_history",
     "summarize_history",
@@ -77,7 +73,6 @@ __all__ = [
 SCHEMA = "repro.bench.flux_scaling/v1"
 TRSV_SCHEMA = "repro.bench.trsv_scaling/v1"
 SCATTER_SCHEMA = "repro.bench.scatter_kernels/v1"
-FUSION_SCHEMA = "repro.bench.fusion/v1"
 HISTORY_SCHEMA = "repro.bench.history/v1"
 DEFAULT_STRATEGIES = ("locked", "replicate", "owner-natural", "owner-metis")
 SCATTER_KERNELS = ("flux-edge", "grad-edge", "jacobian-edge", "bcsr-matvec")
@@ -549,109 +544,6 @@ def run_scatter_kernels(
     }
 
 
-def _graph_gather_bytes(graph) -> int:
-    """Estimated per-evaluation edge gather traffic of one kgir graph.
-
-    Every edge stage reads its declared vertex arrays at both endpoints —
-    ``2 * n_edges * width * 8`` bytes per read.  Fused stages gather the
-    union of member reads once, which is exactly where the saving shows up.
-    """
-    total = 0
-    for st in graph.stages:
-        idx = getattr(st, "index_set", None)
-        if idx is None:
-            continue
-        total += sum(
-            2 * idx.n_edges * graph.widths.get(r, 1) * 8 for r in st.reads
-        )
-    return int(total)
-
-
-def run_fusion(
-    meshes,
-    repeats: int = 5,
-    seed: int = 7,
-    dataset: str = "?",
-    scale: float = 0.0,
-) -> dict:
-    """Fused kernel-graph pipeline vs the unfused kernel sequence.
-
-    For each mesh (ascending sizes) times the interior second-order
-    residual pipeline both ways on the same perturbed state: ``unfused``
-    is the classic three-kernel sequence (LSQ gradients, Venkatakrishnan
-    limiter, interior flux) exactly as :func:`~repro.cfd.residual.\
-compute_residual` runs it without a fused backend; ``fused`` is the
-    :class:`~repro.kgir.programs.ResidualProgram` the rewrite pass
-    produced.  Document schema ``repro.bench.fusion/v1``: each row carries
-    ``strategy="fused"``, the mesh size in ``workers`` (so the shared
-    gate/history machinery keys on the largest mesh), the fused wall in
-    ``wall_seconds``, the unfused wall in ``unfused_seconds``, and
-    ``max_abs_dev`` — which must be exactly ``0.0``: fusion is bitwise by
-    contract, not approximately.  ``doc["serial"]`` holds the largest
-    mesh's unfused wall, and each row adds the rewrite-pass accounting
-    (stages before/after, estimated gather bytes both ways).
-    """
-    from ..cfd.flux import interior_flux_residual
-    from ..cfd.gradient import lsq_gradients, venkat_limiter
-    from ..cfd.state import FlowConfig, FlowField
-    from ..kgir import fusion_report, residual_program
-
-    if not isinstance(meshes, (list, tuple)):
-        meshes = [meshes]
-
-    config = FlowConfig()
-    results = []
-    gate_serial = None
-    for mesh in meshes:
-        field = FlowField(mesh)
-        q = _bench_state(field, seed)
-        prog = residual_program(field, fuse=True)
-        report = fusion_report(field)
-
-        def unfused():
-            grad = lsq_gradients(field, q)
-            phi = venkat_limiter(field, q, grad, config.limiter_k)
-            return interior_flux_residual(
-                field, q, config.beta, grad, phi,
-                scheme=config.dissipation,
-            )
-
-        ref = unfused()
-        res, _grad, _phi = prog.run(q, config)
-        dev = float(np.max(np.abs(res - ref)))
-        unfused_wall = _time_call(unfused, repeats)
-        fused_wall = _time_call(lambda: prog.run(q, config), repeats)
-        gate_serial = unfused_wall  # largest mesh wins (meshes ascend)
-        results.append({
-            "strategy": "fused",
-            "workers": int(mesh.n_vertices),
-            "mesh_vertices": int(mesh.n_vertices),
-            "mesh_edges": int(mesh.n_edges),
-            "wall_seconds": fused_wall,
-            "unfused_seconds": unfused_wall,
-            "speedup": unfused_wall / fused_wall,
-            "max_abs_dev": dev,
-            "stages_before": int(report.stages_before),
-            "stages_after": int(report.stages_after),
-            "intermediates_eliminated": len(report.intermediates_eliminated),
-            "bytes_saved": int(report.bytes_saved),
-            "gather_bytes_unfused": _graph_gather_bytes(prog.graph),
-            "gather_bytes_fused": _graph_gather_bytes(prog.exec_graph),
-        })
-    return {
-        "schema": FUSION_SCHEMA,
-        "dataset": dataset,
-        "scale": scale,
-        "seed": seed,
-        "n_vertices": int(meshes[-1].n_vertices),
-        "n_edges": int(meshes[-1].n_edges),
-        "repeats": int(repeats),
-        "host": host_fingerprint(),
-        "serial": {"wall_seconds": gate_serial},
-        "results": results,
-    }
-
-
 def run_dist_breakdown(
     mesh,
     n_ranks: int = 4,
@@ -847,67 +739,6 @@ def scatter_gate_failures(
     )
 
 
-def fusion_gate_failures(
-    doc: dict,
-    tol: float = 0.0,
-    min_speedup: float = 1.2,
-) -> list[str]:
-    """CI gate for the fusion sweep.
-
-    (1) Every mesh's fused residual must be **bitwise** identical to the
-    unfused kernel sequence (``max_abs_dev <= 0.0`` — the fusion contract
-    admits no tolerance); (2) on the largest benched mesh the fused
-    pipeline must be at least ``min_speedup``x faster than the unfused
-    wall.
-    """
-    failures = _residual_failures(doc, tol)
-    r = _gate_row(doc, "fused")
-    if r is None:
-        failures.append("gate strategy 'fused' was not measured")
-    elif r["speedup"] < min_speedup:
-        failures.append(
-            f"fused pipeline on the {r['mesh_vertices']}-vertex mesh is "
-            f"only {r['speedup']:.2f}x the unfused wall "
-            f"(gate {min_speedup:.2f}x)"
-        )
-    return failures
-
-
-def rolling_fusion_gate_failures(
-    doc: dict,
-    history: list[dict],
-    window: int = 5,
-    max_regression: float = 1.25,
-    tol: float = 0.0,
-    min_speedup: float = 1.2,
-) -> list[str]:
-    """Trend-aware fusion gate.
-
-    The absolute checks of :func:`fusion_gate_failures` always apply
-    (bitwise equivalence and the minimum fused-over-unfused speedup);
-    with comparable history the fused wall on the largest mesh must also
-    stay within ``max_regression``x the rolling median.
-    """
-    failures = fusion_gate_failures(doc, tol=tol, min_speedup=min_speedup)
-    r = _gate_row(doc, "fused")
-    if r is None:
-        return failures
-    prior = _comparable_history(doc, history)
-    cell = f"{r['strategy']}@{r['workers']}"
-    walls = [
-        h["walls"][cell] for h in prior[-window:] if cell in h.get("walls", {})
-    ]
-    if walls:
-        median = float(np.median(walls))
-        if r["wall_seconds"] > max_regression * median:
-            failures.append(
-                f"{cell} wall {1e3 * r['wall_seconds']:.2f} ms exceeds "
-                f"{max_regression:.2f}x the rolling median of the last "
-                f"{len(walls)} run(s) ({1e3 * median:.2f} ms)"
-            )
-    return failures
-
-
 def rolling_scatter_gate_failures(
     doc: dict,
     history: list[dict],
@@ -952,8 +783,6 @@ def _doc_kind(record: dict) -> str:
         return "trsv"
     if schema == SCATTER_SCHEMA:
         return "scatter"
-    if schema == FUSION_SCHEMA:
-        return "fusion"
     return "flux"
 
 

@@ -3,9 +3,11 @@
 Everything else in :mod:`repro.smp` *prices* the paper's threading
 strategies with cost models; this module *runs* them.  A
 :class:`ProcessEdgeBackend` forks N worker processes that execute the
-interior flux-residual edge loop (and the LSQ gradient edge loop) over
-``multiprocessing.shared_memory`` arrays, one worker per simulated thread,
-implementing the paper's three edge-threading strategies (Section V.A):
+residual's edge sweeps over ``multiprocessing.shared_memory`` arrays, one
+worker per simulated thread.  The per-edge arithmetic is
+:mod:`repro.kgir.stages` — the same functions the serial program and the
+ranks run; what lives here is the *write-out adapter*, the paper's three
+edge-threading strategies (Section V.A):
 
 ``locked``
     Natural-order edge split; every worker scatters into the one shared
@@ -36,8 +38,9 @@ is inherited copy-on-write, while everything mutated across calls — the
 state ``q``, gradients, limiter, residual/accumulator outputs — lives in a
 :class:`~repro.smp.shm.SharedArrayPool` so writes are visible both ways.
 Worker wall-clock intervals come back with every task and are attached to the
-active :mod:`repro.obs` tracer as ``flux.w<i>`` / ``grad.w<i>`` spans
-(``fork`` keeps ``perf_counter`` clocks comparable across the processes).
+active :mod:`repro.obs` tracer as ``flux.w<i>`` / ``grad.w<i>`` spans (the
+reconstruction and limiter rounds both report as ``grad``; ``fork`` keeps
+``perf_counter`` clocks comparable across the processes).
 """
 
 from __future__ import annotations
@@ -47,15 +50,18 @@ import multiprocessing as mp
 import multiprocessing.connection as mp_conn
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from ..cfd.boundary import add_boundary_closures
+from ..kgir import stages
 from ..obs.live.recorder import crash_dump, reap_dead
 from ..obs.live.ring import STATE_BUSY, STATE_IDLE
 from ..obs.metrics import get_metrics
-from ..obs.span import get_tracer
+from ..obs.span import get_tracer, kernel_span
+from ..perf.scatter import segment_reduce_plan
 from .shm import SharedArrayPool
 from .strategies import metis_thread_labels, natural_thread_labels
 
@@ -88,129 +94,121 @@ class _WorkerSpec:
     normals: np.ndarray
     d0: np.ndarray  # midpoint - x[e0]
     d1: np.ndarray
-    dx: np.ndarray  # x[e1] - x[e0]
     q: np.ndarray
     grad: np.ndarray
     limiter: np.ndarray
     res: np.ndarray
     rhs: np.ndarray
-    qmin: np.ndarray | None = dc_field(default=None)  # fused pipeline
-    qmax: np.ndarray | None = dc_field(default=None)
-    eps2: np.ndarray | None = dc_field(default=None)
-    mm_plan: Any = None  # SegmentReducePlan over this worker's write set
-    acc: np.ndarray | None = dc_field(default=None)  # this worker's slab
-    acc_rhs: np.ndarray | None = dc_field(default=None)
-    acc_min: np.ndarray | None = dc_field(default=None)
-    acc_max: np.ndarray | None = dc_field(default=None)
+    #: neighbor min/max of q while the recon round folds them; the parent
+    #: then overwrites both with the allowed jumps (bound - q) the limit
+    #: round gathers
+    lo: np.ndarray
+    hi: np.ndarray
+    eps2: np.ndarray
+    mm_plan: Any  # SegmentReducePlan over this worker's min/max write set
+    acc: np.ndarray | None = None  # replicate: this worker's slabs
+    acc_rhs: np.ndarray | None = None
+    acc_min: np.ndarray | None = None
+    acc_max: np.ndarray | None = None
     telem: Any = None  # TelemetryWriter | None
+    #: gradient projections of the last limit task, kept in this worker for
+    #: the flux task that follows it (never crosses the process boundary)
+    dproj: tuple | None = None
 
 
-def _run_flux(spec: _WorkerSpec, lock, beta, scheme, use_grad, use_limiter):
-    from ..cfd.flux import numerical_edge_flux
-
-    e0, e1, q = spec.e0, spec.e1, spec.q
-    ql = q[e0]
-    qr = q[e1]
-    if use_grad:
-        dq0 = np.einsum("nvi,ni->nv", spec.grad[e0], spec.d0)
-        dq1 = np.einsum("nvi,ni->nv", spec.grad[e1], spec.d1)
-        if use_limiter:
-            dq0 = dq0 * spec.limiter[e0]
-            dq1 = dq1 * spec.limiter[e1]
-        ql = ql + dq0
-        qr = qr + dq1
-    flux = numerical_edge_flux(ql, qr, spec.normals, beta, scheme)
+def _scatter_add(spec: _WorkerSpec, lock, shared, slab, vals, at_e1) -> None:
+    """Add per-edge ``vals`` at ``e0`` and apply ``at_e1`` (``np.add`` or
+    ``np.subtract``) with them at ``e1``, under the strategy's write-out
+    discipline — all endpoint-0 terms, then all endpoint-1 terms, which for
+    owner-writes is the serial accumulation order of every owned row."""
+    e0, e1 = spec.e0, spec.e1
     if spec.strategy == "owner":
-        np.add.at(spec.res, e0[spec.w0], flux[spec.w0])
-        np.subtract.at(spec.res, e1[spec.w1], flux[spec.w1])
+        np.add.at(shared, e0[spec.w0], vals[spec.w0])
+        at_e1.at(shared, e1[spec.w1], vals[spec.w1])
     elif spec.strategy == "replicate":
-        spec.acc.fill(0.0)
-        np.add.at(spec.acc, e0, flux)
-        np.subtract.at(spec.acc, e1, flux)
+        slab.fill(0.0)
+        np.add.at(slab, e0, vals)
+        at_e1.at(slab, e1, vals)
     else:  # locked scatter, one lock round-trip per conflict granule
         blk = spec.lock_block
         for s in range(0, e0.shape[0], blk):
             e = s + blk
             with lock:
-                np.add.at(spec.res, e0[s:e], flux[s:e])
-                np.subtract.at(spec.res, e1[s:e], flux[s:e])
+                np.add.at(shared, e0[s:e], vals[s:e])
+                at_e1.at(shared, e1[s:e], vals[s:e])
 
 
-def _run_grad(spec: _WorkerSpec, lock):
-    e0, e1 = spec.e0, spec.e1
-    dq = spec.q[e1] - spec.q[e0]
-    contrib = dq[:, :, None] * spec.dx[:, None, :]
+def _scatter_minmax(spec: _WorkerSpec, lock, v0, v1, *folds) -> None:
+    """Fold per-edge-end values (``v0`` at ``e0``, ``v1`` at ``e1``) into
+    vertex arrays with the strategy's write-out discipline; each fold is a
+    ``(shared, slab, op)`` triple.  min/max are IEEE-exact in any order, so
+    every strategy reproduces the serial result bitwise."""
     if spec.strategy == "owner":
-        np.add.at(spec.rhs, e0[spec.w0], contrib[spec.w0])
-        np.add.at(spec.rhs, e1[spec.w1], contrib[spec.w1])
-    elif spec.strategy == "replicate":
-        spec.acc_rhs.fill(0.0)
-        np.add.at(spec.acc_rhs, e0, contrib)
-        np.add.at(spec.acc_rhs, e1, contrib)
-    else:
-        blk = spec.lock_block
-        for s in range(0, e0.shape[0], blk):
-            e = s + blk
+        v0, v1 = v0[spec.w0], v1[spec.w1]
+    vals = np.concatenate([v0, v1], axis=0)
+    for shared, slab, op in folds:
+        if spec.strategy == "owner":
+            spec.mm_plan.apply(vals, shared, op)  # disjoint owned rows
+            continue
+        ident = np.inf if op == "min" else -np.inf
+        if spec.strategy == "replicate":
+            slab.fill(ident)
+            spec.mm_plan.apply(vals, slab, op)  # parent reduces slabs
+        else:  # locked: local fold, one lock round-trip to merge
+            tmp = np.full(shared.shape, ident)
+            spec.mm_plan.apply(vals, tmp, op)
             with lock:
-                np.add.at(spec.rhs, e0[s:e], contrib[s:e])
-                np.add.at(spec.rhs, e1[s:e], contrib[s:e])
+                (np.minimum if op == "min" else np.maximum)(
+                    shared, tmp, out=shared
+                )
 
 
-def _scatter_minmax(spec: _WorkerSpec, lock, vals, shared, acc_slab, op):
-    """Fold per-edge ``vals`` into the vertex array ``shared`` with the
-    strategy's write-out discipline.  min/max are IEEE-exact in any order,
-    so every strategy reproduces the serial ``ufunc.at`` result bitwise."""
-    ident = np.inf if op == "min" else -np.inf
-    ufunc = np.minimum if op == "min" else np.maximum
-    if spec.strategy == "owner":
-        spec.mm_plan.apply(vals, shared, op)  # disjoint owned rows
-    elif spec.strategy == "replicate":
-        acc_slab.fill(ident)
-        spec.mm_plan.apply(vals, acc_slab, op)  # parent reduces slabs
-    else:  # locked: local fold, one lock round-trip to merge
-        tmp = np.full(shared.shape, ident)
-        spec.mm_plan.apply(vals, tmp, op)
-        with lock:
-            ufunc(shared, tmp, out=shared)
+def _run_recon(spec: _WorkerSpec, lock) -> None:
+    """Reconstruction sweep: gradient-rhs accumulation plus the neighbor
+    min/max fold in one pass over this worker's edges (one gather of q)."""
+    q0, q1 = spec.q[spec.e0], spec.q[spec.e1]
+    _scatter_add(
+        spec, lock, spec.rhs, spec.acc_rhs,
+        stages.grad_rhs_stage(q0, q1, spec.d0), np.add,
+    )
+    # each endpoint sees the opposite endpoint's value
+    _scatter_minmax(
+        spec, lock, q1, q0,
+        (spec.lo, spec.acc_min, "min"), (spec.hi, spec.acc_max, "max"),
+    )
 
 
-def _run_recon(spec: _WorkerSpec, lock):
-    """Fused reconstruction sweep: the gradient-rhs accumulation plus the
-    neighbor min/max fold in one pass over this worker's edges (one shared
-    gather of ``q`` instead of two)."""
-    _run_grad(spec, lock)
-    qe0 = spec.q[spec.e0]
-    qe1 = spec.q[spec.e1]
-    if spec.strategy == "owner":
-        # the owner of each endpoint contributes its neighbor's value
-        vals = np.concatenate([qe1[spec.w0], qe0[spec.w1]], axis=0)
-    else:
-        vals = np.concatenate([qe1, qe0], axis=0)
-    _scatter_minmax(spec, lock, vals, spec.qmin, spec.acc_min, "min")
-    _scatter_minmax(spec, lock, vals, spec.qmax, spec.acc_max, "max")
+def _run_limit(spec: _WorkerSpec, lock) -> None:
+    """Limiter sweep: Venkat values per edge end, min-folded into the
+    shared ``limiter``; the projections stay here for the flux task."""
+    (v0, p0), (v1, p1) = (
+        stages.venkat_stage(
+            spec.grad[e], spec.hi[e], spec.lo[e], spec.eps2[e], disp
+        )
+        for e, disp in ((spec.e0, spec.d0), (spec.e1, spec.d1))
+    )
+    spec.dproj = (p0, p1)
+    _scatter_minmax(spec, lock, v0, v1, (spec.limiter, spec.acc_min, "min"))
 
 
-def _run_limit(spec: _WorkerSpec, lock):
-    """Fused limiter sweep: Venkat limiter values per edge end (same
-    arithmetic as :func:`repro.cfd.gradient.venkat_limiter`), folded into
-    the shared ``limiter`` array by scatter-min."""
-    vals = []
-    for e, disp in ((spec.e0, spec.d0), (spec.e1, spec.d1)):
-        d2 = np.einsum("nvi,ni->nv", spec.grad[e], disp)
-        dmax = spec.qmax[e] - spec.q[e]
-        dmin = spec.qmin[e] - spec.q[e]
-        d1 = np.where(d2 > 0.0, dmax, dmin)
-        e2 = spec.eps2[e][:, None]
-        num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
-        den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-        vals.append(np.clip(val, 0.0, 1.0))
-    if spec.strategy == "owner":
-        v = np.concatenate([vals[0][spec.w0], vals[1][spec.w1]], axis=0)
-    else:
-        v = np.concatenate(vals, axis=0)
-    _scatter_minmax(spec, lock, v, spec.limiter, spec.acc_min, "min")
+def _run_flux(spec: _WorkerSpec, lock, beta, scheme, second_order) -> None:
+    e0, e1 = spec.e0, spec.e1
+    recon = None
+    if second_order:
+        recon = (*spec.dproj, spec.limiter[e0], spec.limiter[e1])
+    flux = stages.flux_stage(
+        spec.q[e0], spec.q[e1], spec.normals, beta, scheme, recon
+    )
+    _scatter_add(spec, lock, spec.res, spec.acc, flux, np.subtract)
+
+
+#: task kind -> (sweep, kernel it reports under: worker spans are named
+#: ``<kernel>.w<i>`` and the telemetry slot counting it ``<kernel>_calls``)
+_TASKS = {
+    "flux": (_run_flux, "flux"),
+    "recon": (_run_recon, "grad"),
+    "limit": (_run_limit, "grad"),
+}
 
 
 def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
@@ -231,30 +229,17 @@ def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
         t0 = time.perf_counter()
         err = None
         try:
-            if kind == "flux":
-                _, _, beta, scheme, use_grad, use_limiter = task
-                _run_flux(spec, lock, beta, scheme, use_grad, use_limiter)
-            elif kind == "grad":
-                _run_grad(spec, lock)
-            elif kind == "recon":
-                _run_recon(spec, lock)
-            elif kind == "limit":
-                _run_limit(spec, lock)
-            elif kind == "sleep":  # test/diagnostic hook
+            if kind == "sleep":  # test/diagnostic hook
                 time.sleep(task[2])
             else:
-                raise ValueError(f"unknown task kind {kind!r}")
+                _TASKS[kind][0](spec, lock, *task[2:])
         except Exception as exc:  # surfaced to the parent, never swallowed
             err = f"{type(exc).__name__}: {exc}"
         t1 = time.perf_counter()
         conn.send((wid, seq, t0, t1, err))
         if telem is not None:
-            calls = {"flux": "flux_calls", "grad": "grad_calls"}.get(kind)
-            telem.add(
-                tasks=1.0,
-                busy_seconds=t1 - t0,
-                **({calls: 1.0} if calls else {}),
-            )
+            calls = {f"{_TASKS[kind][1]}_calls": 1.0} if kind in _TASKS else {}
+            telem.add(tasks=1.0, busy_seconds=t1 - t0, **calls)
             if err is None:
                 telem.push_event("task_done", a=float(seq), b=t1 - t0)
             else:
@@ -263,7 +248,7 @@ def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
 
 
 class ProcessEdgeBackend:
-    """Multiprocess executor of the flux/gradient edge loops on one field.
+    """Multiprocess executor of the residual's edge sweeps on one field.
 
     Parameters
     ----------
@@ -322,33 +307,28 @@ class ProcessEdgeBackend:
         self._broken = False
         self._seq = 0
         self._flux_rounds = 0
-        self._grad_rounds = 0
-        self._fused_rounds = 0
+        self._pipeline_rounds = 0
 
         nv, ne = field.n_vertices, field.n_edges
         w = self.n_workers
 
         # --- shared (mutable across calls) state ----------------------
         self._pool = SharedArrayPool()
-        q = self._pool.zeros("q", (nv, 4))
-        grad = self._pool.zeros("grad", (nv, 4, 3))
-        limiter = self._pool.zeros("limiter", (nv, 4))
-        res = self._pool.zeros("res", (nv, 4))
-        rhs = self._pool.zeros("rhs", (nv, 4, 3))
-        qmin = self._pool.zeros("qmin", (nv, 4))
-        qmax = self._pool.zeros("qmax", (nv, 4))
-        eps2 = self._pool.zeros("eps2", (nv,))
-        acc = acc_rhs = acc_min = acc_max = None
+        zeros = self._pool.zeros
+        self._q = zeros("q", (nv, 4))
+        self._grad = zeros("grad", (nv, 4, 3))
+        self._limiter = zeros("limiter", (nv, 4))
+        self._res = zeros("res", (nv, 4))
+        self._rhs = zeros("rhs", (nv, 4, 3))
+        self._lo = zeros("lo", (nv, 4))
+        self._hi = zeros("hi", (nv, 4))
+        self._eps2 = zeros("eps2", (nv,))
+        self._acc = self._acc_rhs = self._acc_min = self._acc_max = None
         if strategy == "replicate":
-            acc = self._pool.zeros("acc", (w, nv, 4))
-            acc_rhs = self._pool.zeros("acc_rhs", (w, nv, 4, 3))
-            acc_min = self._pool.zeros("acc_min", (w, nv, 4))
-            acc_max = self._pool.zeros("acc_max", (w, nv, 4))
-        self._q, self._grad, self._limiter = q, grad, limiter
-        self._res, self._rhs = res, rhs
-        self._qmin, self._qmax, self._eps2 = qmin, qmax, eps2
-        self._acc, self._acc_rhs = acc, acc_rhs
-        self._acc_min, self._acc_max = acc_min, acc_max
+            self._acc = zeros("acc", (w, nv, 4))
+            self._acc_rhs = zeros("acc_rhs", (w, nv, 4, 3))
+            self._acc_min = zeros("acc_min", (w, nv, 4))
+            self._acc_max = zeros("acc_max", (w, nv, 4))
 
         self._plane = None
         writers: list[Any] = [None] * w
@@ -395,16 +375,14 @@ class ProcessEdgeBackend:
         self._lock = ctx.Lock()
         self._conns = []
         self._workers = []
-        from ..perf.scatter import segment_reduce_plan
-
         for s in range(w):
             m = masks[s]
             sel = chunks[s]
             ce0 = np.ascontiguousarray(field.e0[sel])
             ce1 = np.ascontiguousarray(field.e1[sel])
-            # scatter-min/max write set of this worker's fused sweeps:
-            # owner writes only owned endpoint rows, the others fold
-            # every endpoint of their chunk (into a slab / under the lock)
+            # scatter-min/max write set of this worker's sweeps: owner writes
+            # only owned endpoint rows, the others fold every endpoint of
+            # their chunk (into a slab / under the lock)
             mm_targets = (
                 np.concatenate([ce0[m[0]], ce1[m[1]]])
                 if m
@@ -424,22 +402,20 @@ class ProcessEdgeBackend:
                 normals=np.ascontiguousarray(field.enormals[sel]),
                 d0=np.ascontiguousarray(field.emid_d0[sel]),
                 d1=np.ascontiguousarray(field.emid_d1[sel]),
-                dx=np.ascontiguousarray(field.emid_d0[sel] * 2.0),
-                q=q,
-                grad=grad,
-                limiter=limiter,
-                res=res,
-                rhs=rhs,
-                qmin=qmin,
-                qmax=qmax,
-                eps2=eps2,
+                q=self._q,
+                grad=self._grad,
+                limiter=self._limiter,
+                res=self._res,
+                rhs=self._rhs,
+                lo=self._lo,
+                hi=self._hi,
+                eps2=self._eps2,
                 mm_plan=mm_plan,
-                acc=acc[s] if acc is not None else None,
-                acc_rhs=acc_rhs[s] if acc_rhs is not None else None,
-                acc_min=acc_min[s] if acc_min is not None else None,
-                acc_max=acc_max[s] if acc_max is not None else None,
                 telem=writers[s],
             )
+            if strategy == "replicate":
+                spec.acc, spec.acc_rhs = self._acc[s], self._acc_rhs[s]
+                spec.acc_min, spec.acc_max = self._acc_min[s], self._acc_max[s]
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             p = ctx.Process(
                 target=_worker_loop,
@@ -496,8 +472,7 @@ class ProcessEdgeBackend:
             "strategy": self.strategy_label,
             "rounds": self._seq,
             "flux_rounds": self._flux_rounds,
-            "grad_rounds": self._grad_rounds,
-            "fused_rounds": self._fused_rounds,
+            "pipeline_rounds": self._pipeline_rounds,
             "closed": self._closed,
         }
 
@@ -512,9 +487,7 @@ class ProcessEdgeBackend:
                 "backend is unusable after a worker failure; create a new one"
             )
 
-    def _dispatch_collect(
-        self, task_tail: tuple, span_prefix: str | None = None
-    ) -> list[tuple[int, float, float]]:
+    def _dispatch_collect(self, task_tail: tuple) -> None:
         """Send one task to every worker, wait for all results.
 
         Raises ``RuntimeError`` (and marks the backend broken) if a worker
@@ -579,109 +552,87 @@ class ProcessEdgeBackend:
                 results.append((wid, t0, t1))
                 del pending[wid]
         tracer = get_tracer()
-        if span_prefix is not None and tracer.active:
+        if task[0] in _TASKS and tracer.active:
             for wid, t0, t1 in results:
                 tracer.add_complete(
-                    f"{span_prefix}.w{wid}",
+                    f"{_TASKS[task[0]][1]}.w{wid}",
                     t0,
                     t1,
                     edges=int(self._chunks[wid].shape[0]),
                     strategy=self.strategy_label,
+                    stage=task[0],
                 )
-        return results
 
     # ------------------------------------------------------------------
     def flux_residual(
-        self,
-        q: np.ndarray,
-        beta: float,
-        grad: np.ndarray | None = None,
-        limiter: np.ndarray | None = None,
-        scheme: str = "rusanov",
+        self, q: np.ndarray, beta: float, scheme: str = "rusanov"
     ) -> np.ndarray:
-        """Interior flux residual, parallel counterpart of
-        :func:`repro.cfd.flux.interior_flux_residual`."""
+        """First-order interior flux residual, parallel counterpart of
+        :func:`repro.cfd.flux.interior_flux_residual` without gradients
+        (the preconditioner-side discretization)."""
         self._require_usable()
         self._q[...] = q
-        if grad is not None:
-            self._grad[...] = grad
-        if limiter is not None:
-            self._limiter[...] = limiter
-        if self.strategy != "replicate":
-            self._res.fill(0.0)
-        self._dispatch_collect(
-            ("flux", float(beta), scheme, grad is not None, limiter is not None),
-            span_prefix="flux",
-        )
+        res = self._flux_round(float(beta), scheme, False)
         get_metrics().counter("parallel.flux_calls").inc()
         self._flux_rounds += 1
-        if self.strategy == "replicate":
-            return self._acc.sum(axis=0)
-        return self._res.copy()
+        return res
 
-    def gradients(self, q: np.ndarray) -> np.ndarray:
-        """LSQ gradients, parallel counterpart of
-        :func:`repro.cfd.gradient.lsq_gradients` (edge loop in the workers,
-        batched 3x3 solve in the parent)."""
-        self._require_usable()
-        self._q[...] = q
-        if self.strategy != "replicate":
-            self._rhs.fill(0.0)
-        self._dispatch_collect(("grad",), span_prefix="grad")
-        get_metrics().counter("parallel.grad_calls").inc()
-        self._grad_rounds += 1
-        rhs = (
-            self._acc_rhs.sum(axis=0)
-            if self.strategy == "replicate"
-            else self._rhs
-        )
-        return np.einsum("nij,nvj->nvi", self._field.lsq_inv, rhs)
+    def _flux_round(self, beta: float, scheme: str, second_order: bool):
+        replicate = self.strategy == "replicate"
+        if not replicate:
+            self._res.fill(0.0)
+        self._dispatch_collect(("flux", beta, scheme, second_order))
+        return self._acc.sum(axis=0) if replicate else self._res.copy()
 
-    def fused_pipeline(self, q: np.ndarray, config):
-        """Fused interior pipeline on the worker fleet: two fused edge
-        sweeps (``recon`` = gradient rhs + neighbor min/max, ``limit`` =
-        Venkat values + scatter-min) and the flux sweep, with the 3x3 LSQ
-        solve and slab reductions in the parent between dispatches.
+    def residual_pipeline(self, q: np.ndarray, config):
+        """The second-order residual on the worker fleet.
 
-        Returns ``(res, grad, phi)`` — bitwise identical to running
-        :meth:`gradients`, the serial limiter and :meth:`flux_residual`
-        separately (min/max folds are order-free exact; everything else
-        replays the same statements in the same order).
+        Three dispatch rounds — ``recon`` (gradient rhs + neighbor
+        min/max), ``limit`` (Venkat values + scatter-min) and ``flux`` —
+        with the per-vertex :func:`~repro.kgir.stages.solve_stage` and the
+        slab reductions in the parent between them, then the boundary
+        closures.  Returns the full ``(res, grad, phi)``; owner-writes is
+        bitwise equal to the serial program (min/max folds are order-free
+        exact, owned rows accumulate in serial order), replicate/locked
+        agree to round-off.
         """
         self._require_usable()
         replicate = self.strategy == "replicate"
-        self._q[...] = q
-        if not replicate:
-            self._rhs.fill(0.0)
-        self._qmin[...] = q
-        self._qmax[...] = q
-        self._dispatch_collect(("recon",), span_prefix="kgir.recon")
-        rhs = self._acc_rhs.sum(axis=0) if replicate else self._rhs
-        if replicate:
-            np.minimum(q, self._acc_min.min(axis=0), out=self._qmin)
-            np.maximum(q, self._acc_max.max(axis=0), out=self._qmax)
-        self._grad[...] = np.einsum(
-            "nij,nvj->nvi", self._field.lsq_inv, rhs
-        )
-        self._eps2[...] = (config.limiter_k**3) * self._field.volumes
-        self._limiter.fill(1.0)
-        self._dispatch_collect(("limit",), span_prefix="kgir.limit")
-        if replicate:
-            np.minimum(
-                self._limiter,
-                self._acc_min.min(axis=0),
-                out=self._limiter,
+        with kernel_span("grad"):
+            self._q[...] = q
+            self._lo[...] = q
+            self._hi[...] = q
+            if not replicate:
+                self._rhs.fill(0.0)
+            self._dispatch_collect(("recon",))
+            rhs = self._rhs
+            if replicate:
+                rhs = self._acc_rhs.sum(axis=0)
+                np.minimum(q, self._acc_min.min(axis=0), out=self._lo)
+                np.maximum(q, self._acc_max.max(axis=0), out=self._hi)
+            grad, eps2, dmax, dmin = stages.solve_stage(
+                self._field.lsq_inv, rhs, self._field.volumes,
+                q, self._lo, self._hi, config.limiter_k,
             )
-        if not replicate:
-            self._res.fill(0.0)
-        self._dispatch_collect(
-            ("flux", float(config.beta), config.dissipation, True, True),
-            span_prefix="kgir.flux",
-        )
-        get_metrics().counter("parallel.fused_calls").inc()
-        self._fused_rounds += 1
-        res = self._acc.sum(axis=0) if replicate else self._res.copy()
-        return res, self._grad.copy(), self._limiter.copy()
+            self._grad[...], self._eps2[...] = grad, eps2
+            self._hi[...], self._lo[...] = dmax, dmin
+            self._limiter.fill(1.0)
+            self._dispatch_collect(("limit",))
+            if replicate:
+                np.minimum(
+                    self._limiter,
+                    self._acc_min.min(axis=0),
+                    out=self._limiter,
+                )
+            phi = self._limiter.copy()
+        with kernel_span("flux"):
+            res = self._flux_round(
+                float(config.beta), config.dissipation, True
+            )
+            add_boundary_closures(self._field, q, config, res)
+        get_metrics().counter("parallel.pipeline_calls").inc()
+        self._pipeline_rounds += 1
+        return res, grad, phi
 
     def _debug_sleep(self, seconds: float) -> None:
         """Park every worker in a sleep task (test hook for mid-loop kills)."""

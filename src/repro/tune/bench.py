@@ -64,14 +64,6 @@ def _solve_once(mesh, cfg: TunedConfig, ilu: int, max_steps: int,
             seed=seed,
         )
         install_cm = use_edge_backend(backend_cm)
-    if cfg.fuse == "on":
-        from ..kgir import FusedEdgeBackend
-        from ..smp import use_edge_backend
-
-        inner = backend_cm if cfg.edge_backend == "process" else None
-        install_cm = use_edge_backend(
-            FusedEdgeBackend(app.field, inner=inner)
-        )
     with backend_cm, install_cm:
         t0 = time.perf_counter()
         res = app.run(OptimizationConfig.baseline(ilu_fill=ilu))

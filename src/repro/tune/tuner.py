@@ -3,7 +3,7 @@
 ``tune_solve`` prices one implicit solver step for every configuration the
 CLI exposes — edge strategy (locked / replicate / owner x partitioner),
 worker count, sparse strategy (levels / p2p) and fleet width, vertex
-ordering, kernel-graph fusion, forked ranks x sparse-workers splits, and
+ordering, forked ranks x sparse-workers splits, and
 the serve batch width — using the host-calibrated
 :class:`~repro.smp.machine.MachineModel` (falling back to the analytic
 paper model), and returns the cheapest as a frozen :class:`TunedConfig`.
@@ -74,7 +74,6 @@ class TunedConfig:
     workers: int = 1
     edge_strategy: str = "owner"
     partitioner: str = "metis"
-    fuse: str = "off"
     ordering: str = "rcm"
     sparse_backend: str = "serial"
     sparse_strategy: str = "p2p"
@@ -99,7 +98,6 @@ class TunedConfig:
             self.edge_backend == "serial"
             and self.sparse_backend == "serial"
             and self.dist_ranks == 0
-            and self.fuse == "off"
         )
 
     def to_dict(self) -> dict:
@@ -108,7 +106,6 @@ class TunedConfig:
             "workers": self.workers,
             "edge_strategy": self.edge_strategy,
             "partitioner": self.partitioner,
-            "fuse": self.fuse,
             "ordering": self.ordering,
             "sparse_backend": self.sparse_backend,
             "sparse_strategy": self.sparse_strategy,
@@ -135,7 +132,7 @@ class TunedConfig:
                 f"/{self.edge_strategy}@{self.workers}"
                 f" sparse={self.sparse_backend}/{self.sparse_strategy}"
                 f"@{self.sparse_workers or self.workers}"
-                f" fuse={self.fuse} ordering={self.ordering}"
+                f" ordering={self.ordering}"
             )
             if self.dist_ranks:
                 head += f" ranks={self.dist_ranks}"
@@ -261,20 +258,6 @@ def _sparse_candidates(
     return out
 
 
-def _fuse_saving_seconds(machine: MachineModel, mesh, field,
-                         workers: int) -> float:
-    """Seconds one fused residual saves vs the staged pipeline."""
-    if field is not None:
-        from ..kgir import fusion_report
-
-        bytes_saved = float(fusion_report(field).bytes_saved)
-    else:
-        # structural estimate: fusing grad+flux re-reads drops one
-        # edge-stream pass (normal + indices) and the gradient gather
-        bytes_saved = float(mesh.n_edges) * 56.0
-    return bytes_saved / machine.bandwidth(max(workers, 1))
-
-
 def _dist_candidates(
     mesh, machine: MachineModel, fabric, serial_resid: float,
     serial_jac: float, sparse_serial: dict, max_ranks: int
@@ -357,7 +340,6 @@ def tune_solve(
     seed: int = 7,
     ilu_fill: int = 1,
     ordering: str = "rcm",
-    field=None,
     margin: float = DEFAULT_MARGIN,
     max_workers: int | None = None,
     allow_dist: bool = True,
@@ -408,16 +390,6 @@ def tune_solve(
     if sparse_step(best_sparse) >= margin * sparse_step(default_sparse):
         best_sparse = default_sparse
 
-    # --- fusion ----------------------------------------------------------
-    saving = _fuse_saving_seconds(
-        machine, mesh, field, best_edge["workers"]
-    )
-    fused_resid = max(best_edge["resid_seconds"] - saving, 0.0)
-    fuse = "on" if fused_resid < margin * best_edge["resid_seconds"] \
-        else "off"
-    resid_chosen = fused_resid if fuse == "on" \
-        else best_edge["resid_seconds"]
-
     # --- assemble smp step costs ----------------------------------------
     def step_cost(resid: float, jac: float, sp: dict) -> float:
         return (
@@ -428,8 +400,8 @@ def tune_solve(
         default_edge["resid_seconds"], default_edge["jac_seconds"],
         default_sparse,
     )
-    smp_step = step_cost(resid_chosen, best_edge["jac_seconds"],
-                         best_sparse)
+    smp_step = step_cost(best_edge["resid_seconds"],
+                         best_edge["jac_seconds"], best_sparse)
 
     candidates = [("default", default_step)]
     candidates += [
@@ -466,7 +438,7 @@ def tune_solve(
     dispatch = machine.dispatch_seconds() + machine.barrier_seconds(
         max(best_edge["workers"], 2)
     )
-    marginal = max(resid_chosen, 1e-12)
+    marginal = max(best_edge["resid_seconds"], 1e-12)
     batch_width = int(np.clip(np.ceil(dispatch / (0.05 * marginal)),
                               1, 8))
     if serve_cases > 1:
@@ -476,7 +448,7 @@ def tune_solve(
         return TunedConfig(
             edge_backend="serial", workers=1,
             edge_strategy="owner", partitioner="metis",
-            fuse=fuse, ordering=best_ordering,
+            ordering=best_ordering,
             sparse_backend="serial", sparse_strategy="p2p",
             sparse_workers=0, dist_ranks=chosen_ranks,
             batch_width=batch_width,
@@ -490,7 +462,6 @@ def tune_solve(
         workers=best_edge["workers"],
         edge_strategy=best_edge["strategy"],
         partitioner=best_edge["partitioner"],
-        fuse=fuse,
         ordering=best_ordering,
         sparse_backend=best_sparse["backend"],
         sparse_strategy=best_sparse["strategy"],

@@ -52,12 +52,13 @@ class TestParser:
         assert not args.quick and not args.gate
         assert args.out == "BENCH_flux_scaling.json"
 
-    def test_fuse_defaults_off(self):
-        assert build_parser().parse_args(["solve"]).fuse == "off"
-        serve = build_parser().parse_args(["serve", "--socket", "/tmp/x"])
-        assert serve.fuse == "off"
-        args = build_parser().parse_args(["profile", "--fuse", "on"])
-        assert args.fuse == "on"
+    def test_fuse_option_is_gone(self, capsys):
+        """The residual program is the only path; nothing selects it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--fuse", "on"])
+        assert exc.value.code == 2
+        assert "--fuse" in capsys.readouterr().err
+        assert not hasattr(build_parser().parse_args(["solve"]), "fuse")
 
 
 class TestCommands:
@@ -124,33 +125,21 @@ class TestProcessBackend:
         forces = [ln for ln in out.splitlines() if "CL=" in ln]
         assert forces == serial_forces
 
-    def test_solve_fused_matches_serial(self, capsys):
-        rc = main(["solve", "--scale", "0.02", "--max-steps", "60"])
-        serial_out = capsys.readouterr().out
-        rc2 = main([
-            "solve", "--scale", "0.02", "--max-steps", "60", "--fuse", "on",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0 and rc2 == 0
-        assert "fused kernel-graph pipeline: 6 stages -> 5" in out
-        serial_forces = [ln for ln in serial_out.splitlines() if "CL=" in ln]
-        forces = [ln for ln in out.splitlines() if "CL=" in ln]
-        assert forces == serial_forces
-
-    def test_bench_fusion_writes_valid_document(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_fusion.json"
-        rc = main([
-            "bench", "--kernel", "fusion", "--quick", "--scale", "0.02",
-            "--repeats", "1", "--out", str(out_path),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fused kernel-graph residual" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.bench.fusion/v1"
-        assert all(r["max_abs_dev"] == 0.0 for r in doc["results"])
+    def test_solve_modes_print_identical_forces(self, capsys):
+        """Serial, process fleet and ranks run one residual definition."""
+        forces = []
+        for extra in (
+            [],
+            ["--backend", "process", "--workers", "2"],
+            ["--dist-ranks", "2"],
+        ):
+            rc = main(
+                ["solve", "--scale", "0.02", "--max-steps", "60"] + extra
+            )
+            out = capsys.readouterr().out
+            assert rc == 0
+            forces.append([ln for ln in out.splitlines() if "CL=" in ln])
+        assert forces[0] and forces[0] == forces[1] == forces[2]
 
     def test_profile_process_backend_has_worker_spans(self, capsys):
         rc = main([

@@ -292,20 +292,52 @@ class TestDistributedSolve:
         leaked = [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
         assert leaked == []
 
-    def test_fused_rank_program_bitwise_matches_unfused(self, wing_solve):
-        """The kgir-style fused rank program (shared recon/minmax pass,
-        precompiled limiter scatter) is an execution detail, never a
-        numerics change."""
-        mesh = wing_solve["mesh"]
-        opts = SolverOptions(max_steps=6, steady_rtol=1e-11)
-        runs = {
-            fuse: distributed_solve(
-                FlowField(mesh), FlowConfig(), opts, n_ranks=2,
-                pipelined=False, seed=0, fuse=fuse,
-            )
-            for fuse in (False, True)
-        }
-        assert np.array_equal(runs[True].result.q, runs[False].result.q)
+    def test_rank_residual_matches_staged_oracle(self, wing_solve):
+        """The rank program runs the shared stage arithmetic on its own
+        slices: plain == pipelined bitwise, and the owned rows agree with
+        the serial staged kernels (only summation order differs)."""
+        from repro.cfd.boundary import add_boundary_closures
+        from repro.cfd.flux import interior_flux_residual
+        from repro.cfd.gradient import lsq_gradients, venkat_limiter
+        from repro.dist.runtime.program import (
+            _Workspace,
+            build_rank_data,
+            rank_residual,
+        )
+
+        field, config = FlowField(wing_solve["mesh"]), FlowConfig()
+        rng = np.random.default_rng(11)
+        q = field.initial_state(config) + 0.05 * rng.normal(
+            size=(field.n_vertices, 4)
+        )
+        grad = lsq_gradients(field, q)
+        phi = venkat_limiter(field, q, grad, k=config.limiter_k)
+        ref = add_boundary_closures(
+            field, q, config,
+            interior_flux_residual(field, q, config.beta, grad, phi),
+        )
+
+        labels = partition_graph(
+            field.mesh.edges, field.n_vertices, 3, seed=0
+        )
+        decomp = DomainDecomposition(field.mesh.edges, labels)
+        datas = build_rank_data(field, config, decomp, q0=q)
+
+        def program(comm):
+            data = datas[comm.rank]
+            return [
+                rank_residual(
+                    data, comm, _Workspace(data), config, pipelined
+                ).copy()
+                for pipelined in (False, True)
+            ]
+
+        with DistRuntime(decomp, timeout=60) as rt:
+            results = rt.run(program)
+        for dom, rr in zip(decomp.domains, results):
+            plain, pipelined = rr.value
+            assert np.array_equal(plain, pipelined)
+            assert np.max(np.abs(plain - ref[dom.owned])) <= 1e-10
 
     def test_red_width_follows_gmres_restart(self):
         """Regression: deep GMRES restarts used to hit the fixed 64-slot

@@ -1,10 +1,11 @@
 """Property tests for the kernel-graph IR (repro.kgir).
 
-The contract under test: the fused single-pass programs are **bitwise
-identical** to the unfused gradient/limiter/flux oracle — across meshes,
-vertex orderings, serial and process execution, and trailing-axis batch
-widths — and the rewrite pass refuses every merge it cannot prove exact
-(mismatched index sets, scatter->gather hazards, write-write overlap).
+The contract under test: the residual program — the one production path
+of the second-order residual — is **bitwise identical** to the staged
+gradient/limiter/flux oracle across meshes, vertex orderings, serial and
+process execution, and trailing-axis batch widths; and the rewrite pass
+refuses every merge it cannot prove exact (mismatched index sets,
+scatter->gather hazards, write-write overlap).
 """
 
 import numpy as np
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.kgir import (
     EdgeIndexSet,
     EdgeStage,
-    FusedEdgeBackend,
     FusionError,
     Graph,
     PointStage,
@@ -32,14 +33,6 @@ from repro.kgir import (
 from repro.mesh import dataset_mesh, wing_mesh
 from repro.perf.scatter import segment_reduce_plan
 from repro.smp import ProcessEdgeBackend, use_edge_backend
-from repro.smp.bench import (
-    FUSION_SCHEMA,
-    append_history,
-    fusion_gate_failures,
-    load_history,
-    rolling_fusion_gate_failures,
-    run_fusion,
-)
 
 _FIELDS: dict = {}
 
@@ -63,17 +56,17 @@ def _state(field: FlowField, cfg: FlowConfig, seed: int) -> np.ndarray:
 
 
 def _oracle(field: FlowField, q: np.ndarray, cfg: FlowConfig):
-    """The unfused three-kernel reference sequence."""
+    """The staged reference: three sequential kernels plus the closures."""
     grad = lsq_gradients(field, q)
     phi = venkat_limiter(field, q, grad, k=cfg.limiter_k)
     res = interior_flux_residual(
         field, q, cfg.beta, grad, phi, scheme=cfg.dissipation
     )
-    return res, grad, phi
+    return add_boundary_closures(field, q, cfg, res), grad, phi
 
 
 # ---------------------------------------------------------------------------
-# fused == unfused, bitwise (the acceptance property)
+# program == staged oracle, bitwise (the acceptance property)
 # ---------------------------------------------------------------------------
 
 
@@ -90,11 +83,12 @@ def test_program_bitwise_equals_oracle(kind, ordering, seed, aoa, scheme):
     cfg = FlowConfig(aoa_deg=aoa, dissipation=scheme)
     q = _state(field, cfg, seed)
     res0, grad0, phi0 = _oracle(field, q, cfg)
-    for fuse in (False, True):
-        res, grad, phi = residual_program(field, fuse=fuse).run(q, cfg)
-        assert np.array_equal(res, res0), f"res differs (fuse={fuse})"
-        assert np.array_equal(grad, grad0), f"grad differs (fuse={fuse})"
-        assert np.array_equal(phi, phi0), f"phi differs (fuse={fuse})"
+    res, grad, phi = residual_program(field).run(q, cfg)
+    assert np.array_equal(res, res0), "res differs"
+    assert np.array_equal(grad, grad0), "grad differs"
+    assert np.array_equal(phi, phi0), "phi differs"
+    # ... and it is what a plain compute_residual call runs
+    assert np.array_equal(compute_residual(field, q, cfg), res0)
 
 
 @settings(max_examples=8, deadline=None)
@@ -121,8 +115,8 @@ def test_batched_residual_bitwise_per_case(ordering, width, seed):
     assert res.shape == (field.n_vertices, 4, width)
     for b, cfg in enumerate(configs):
         qb = np.ascontiguousarray(q_batch[..., b])
-        ref = compute_residual(field, qb, cfg)
-        assert np.array_equal(np.ascontiguousarray(res[..., b]), ref)
+        assert np.array_equal(res[..., b], compute_residual(field, qb, cfg))
+        assert np.array_equal(res[..., b], _oracle(field, qb, cfg)[0])
 
 
 def test_batched_residual_rejects_first_order():
@@ -148,48 +142,69 @@ def wing_setup():
 
 
 def test_fused_backend_serial_bitwise(wing_setup):
+    """With no backend installed compute_residual runs the program itself:
+    one ``grad`` and one ``flux`` kernel span per evaluation, equal to the
+    staged oracle bit for bit."""
+    from repro.obs import Tracer, use_tracer
+
     field, q, cfg = wing_setup
-    ref = compute_residual(field, q, cfg)
-    backend = FusedEdgeBackend(field)
-    with use_edge_backend(backend):
+    tracer = Tracer()
+    with use_tracer(tracer):
         got = compute_residual(field, q, cfg)
-    assert np.array_equal(got, ref)
-    assert backend.fleet_stats()["fused"] is True
+    assert np.array_equal(got, _oracle(field, q, cfg)[0])
+    assert tracer.kernel_counts() == {"grad": 1, "flux": 1}
 
 
 def test_fused_backend_process_owner_bitwise(wing_setup):
     """Owner-writes keeps the reference accumulation order per vertex, so
-    the fused pipeline over worker processes stays bitwise-exact."""
+    the pipeline over worker processes stays bitwise-exact."""
+    from repro.obs import Tracer, use_tracer
+
     field, q, cfg = wing_setup
-    ref = compute_residual(field, q, cfg)
-    with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as inner:
-        fused = FusedEdgeBackend(field, inner=inner)
-        with use_edge_backend(fused):
+    ref, gref, pref = _oracle(field, q, cfg)
+    tracer = Tracer()
+    with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+        with use_edge_backend(fleet), use_tracer(tracer):
             got = compute_residual(field, q, cfg)
+        res, grad, phi = fleet.residual_pipeline(q, cfg)
+        assert fleet.fleet_stats()["pipeline_rounds"] == 2
     assert np.array_equal(got, ref)
+    assert np.array_equal(res, ref)
+    assert np.array_equal(grad, gref)
+    assert np.array_equal(phi, pref)
+    counts = tracer.kernel_counts()
+    assert counts["grad"] == counts["flux"] == 1
+    assert counts["grad.w0"] == 2 and counts["flux.w0"] == 1  # recon+limit
 
 
 @pytest.mark.parametrize("strategy", ["replicate", "locked"])
 def test_fused_backend_process_tolerance_strategies(wing_setup, strategy):
     """Replicated/locked accumulation reorders the additive folds, so the
-    fused pipeline promises the same tolerance as the unfused one there."""
+    pipeline promises round-off agreement there, not bitwise."""
     field, q, cfg = wing_setup
-    ref = compute_residual(field, q, cfg)
-    with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as inner:
-        fused = FusedEdgeBackend(field, inner=inner)
-        with use_edge_backend(fused):
+    ref = _oracle(field, q, cfg)[0]
+    with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
+        with use_edge_backend(fleet):
             got = compute_residual(field, q, cfg)
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
 def test_first_order_bypasses_fused_pipeline(wing_setup):
     """The preconditioner-side first-order residual never routes through
-    the program (it has no gradients/limiter to fuse)."""
+    the program (it has no gradients/limiter to fuse): serially it is the
+    staged first-order flux, on a fleet the ``flux_residual`` route."""
     field, q, cfg = wing_setup
-    ref = compute_residual(field, q, cfg, first_order=True)
-    with use_edge_backend(FusedEdgeBackend(field)):
-        got = compute_residual(field, q, cfg, first_order=True)
+    ref = add_boundary_closures(
+        field, q, cfg,
+        interior_flux_residual(field, q, cfg.beta, scheme=cfg.dissipation),
+    )
+    assert np.array_equal(compute_residual(field, q, cfg, first_order=True), ref)
+    with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+        with use_edge_backend(fleet):
+            got = compute_residual(field, q, cfg, first_order=True)
+        stats = fleet.fleet_stats()
     assert np.array_equal(got, ref)
+    assert stats["flux_rounds"] == 1 and stats["pipeline_rounds"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,39 +330,3 @@ def test_segment_reduce_plan_matches_ufunc_at(seed, n_targets, n_values,
         out = np.full(shape, init)
         plan.apply(values, out, op)
         assert np.array_equal(out, ref)
-
-
-# ---------------------------------------------------------------------------
-# bench doc + gates (what CI's fusion step runs)
-# ---------------------------------------------------------------------------
-
-
-def test_run_fusion_doc_and_gates(tmp_path):
-    meshes = [
-        dataset_mesh("wing", scale=s, seed=5) for s in (0.015, 0.02)
-    ]
-    doc = run_fusion(meshes, repeats=1, seed=3, dataset="wing", scale=0.02)
-    assert doc["schema"] == FUSION_SCHEMA
-    assert len(doc["results"]) == 2
-    for row in doc["results"]:
-        assert row["strategy"] == "fused"
-        assert row["max_abs_dev"] == 0.0  # bitwise, not approximately
-        assert row["stages_before"] == 6 and row["stages_after"] == 5
-        assert row["bytes_saved"] > 0
-        assert row["gather_bytes_fused"] < row["gather_bytes_unfused"]
-    # speedup gate: trivially passable and trivially failable bounds
-    assert fusion_gate_failures(doc, min_speedup=0.0) == []
-    failures = fusion_gate_failures(doc, min_speedup=1e9)
-    assert failures and "fused pipeline" in failures[0]
-    # rolling gate: no history falls back to the absolute checks ...
-    assert rolling_fusion_gate_failures(doc, [], min_speedup=0.0) == []
-    # ... and with history the comparable fused cells bound the trend
-    hist_path = tmp_path / "hist.jsonl"
-    append_history(doc, str(hist_path))
-    history = load_history(str(hist_path))
-    assert rolling_fusion_gate_failures(
-        doc, history, max_regression=10.0, min_speedup=0.0
-    ) == []
-    assert rolling_fusion_gate_failures(
-        doc, history, max_regression=0.0, min_speedup=0.0
-    )  # its own wall can't beat a 0x regression bound

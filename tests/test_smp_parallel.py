@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cfd import FlowConfig, FlowField
+from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
@@ -132,21 +133,22 @@ class TestBackendEquivalence:
             np.testing.assert_allclose(
                 be.flux_residual(q, 4.0), ref, rtol=1e-12, atol=1e-12
             )
-            np.testing.assert_allclose(
-                be.gradients(q), gref, rtol=1e-12, atol=1e-12
-            )
+            _res, grad, _phi = be.residual_pipeline(q, FlowConfig(beta=4.0))
+            np.testing.assert_allclose(grad, gref, rtol=1e-12, atol=1e-12)
 
     def test_second_order_and_roe_paths(self, wing_setup):
         field, q = wing_setup
+        cfg = FlowConfig(beta=4.0)
         grad = lsq_gradients(field, q)
-        lim = venkat_limiter(field, q, grad)
-        ref2 = interior_flux_residual(field, q, 4.0, grad, lim)
+        lim = venkat_limiter(field, q, grad, k=cfg.limiter_k)
+        ref2 = add_boundary_closures(
+            field, q, cfg, interior_flux_residual(field, q, 4.0, grad, lim)
+        )
         ref_roe = interior_flux_residual(field, q, 4.0, scheme="roe")
         with ProcessEdgeBackend(field, 2) as be:
-            np.testing.assert_allclose(
-                be.flux_residual(q, 4.0, grad=grad, limiter=lim),
-                ref2, rtol=1e-12, atol=1e-12,
-            )
+            res, _grad, phi = be.residual_pipeline(q, cfg)
+            np.testing.assert_allclose(res, ref2, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(phi, lim)
             np.testing.assert_allclose(
                 be.flux_residual(q, 4.0, scheme="roe"),
                 ref_roe, rtol=1e-12, atol=1e-12,
@@ -155,15 +157,19 @@ class TestBackendEquivalence:
     def test_kernel_dispatch_through_use_edge_backend(self, wing_setup):
         field, q = wing_setup
         ref = serial_flux(field, q)
-        gref = lsq_gradients(field, q)
+        cfg = FlowConfig(beta=4.0)
+        ref2 = compute_residual(field, q, cfg)
         with ProcessEdgeBackend(field, 2) as be, use_edge_backend(be):
             np.testing.assert_allclose(
                 interior_flux_residual(field, q, 4.0), ref,
                 rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
-                lsq_gradients(field, q), gref, rtol=1e-12, atol=1e-12
+                compute_residual(field, q, cfg), ref2, rtol=1e-12, atol=1e-12
             )
+            stats = be.fleet_stats()
+            assert stats["flux_rounds"] == stats["pipeline_rounds"] == 1
+            assert stats["rounds"] == 4  # flux + (recon, limit, flux)
         # outside the block the serial path is back and the backend is gone
         from repro.smp import get_edge_backend
 
@@ -213,12 +219,13 @@ class TestBackendStructure:
         tracer = Tracer()
         with ProcessEdgeBackend(field, 2) as be, use_tracer(tracer):
             be.flux_residual(q, 4.0)
-            be.gradients(q)
+            be.residual_pipeline(q, FlowConfig())
         names = {s.name for s in tracer.walk()}
         assert {"flux.w0", "flux.w1", "grad.w0", "grad.w1"} <= names
         for s in tracer.walk():
             assert s.seconds > 0.0
-            assert s.attrs["strategy"] == "owner-metis"
+            if s.name not in ("grad", "flux"):  # the parent's kernel spans
+                assert s.attrs["strategy"] == "owner-metis"
 
 
 class TestFailureContainment:
