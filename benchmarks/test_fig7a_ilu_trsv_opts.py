@@ -2,16 +2,13 @@
 
 Paper: at 20 threads (10 cores) the optimized ILU factorization reaches
 9.4x and the blocked triangular solve 3.2x over the sequential base — both
-bandwidth-bound, hence far below the flux kernel's scaling.  The second
-bench cross-checks the model's levels-vs-P2P ordering against the *real*
-process backend (``repro.smp.sparse_parallel``).
+bandwidth-bound, hence far below the flux kernel's scaling.  Both benches
+are model reproductions; the measured negative result for process-parallel
+recurrences is recorded in EXPERIMENTS.md.
 """
-
-import os
 
 import pytest
 
-from repro.mesh import mesh_c_prime
 from repro.perf import format_table
 from repro.smp import (
     XEON_E5_2690_V2,
@@ -20,7 +17,6 @@ from repro.smp import (
     tri_solve_options_from_plan,
     trsv_time,
 )
-from repro.smp.bench import run_trsv_scaling
 
 from conftest import emit
 
@@ -72,52 +68,39 @@ def test_fig7a_recurrence_speedups(benchmark, app_c, capsys):
 
 
 @pytest.mark.benchmark(group="fig7a")
-def test_fig7a_sync_strategy_ordering_measured_vs_model(benchmark, capsys):
-    """Levels-vs-P2P ordering: cost model cross-checked against the real
-    process backend at 4 workers.
+def test_fig7a_sync_strategy_ordering_model(benchmark, app_c, capsys):
+    """Levels-vs-P2P ordering of the cost model at 4 and 20 threads.
 
     The model must strictly prefer P2P (the sparsified flags replace
-    ``n_levels x workers`` barrier hits with far fewer waits — the paper's
-    Fig 7 argument).  The measured ordering is asserted with 1.2x slack and
-    only when 4 cores are actually available: spin-waiting workers on an
-    oversubscribed box invert the comparison for reasons the model does not
-    price (it assumes one core per thread, as the paper's runs had).
+    ``n_levels x threads`` barrier hits with far fewer waits — the paper's
+    Fig 7 argument).  Model only: the recurrences have no parallel
+    runtime to measure; EXPERIMENTS.md "Fig 7a" (2026-10-02) records the
+    one measured comparison, which agreed on the ordering.
     """
-    mesh = mesh_c_prime(scale=0.06)
-    doc = benchmark.pedantic(
-        lambda: run_trsv_scaling(
-            mesh, workers=(4,), repeats=3, dataset="mesh-c", scale=0.06,
-        ),
-        rounds=1, iterations=1,
-    )
-    cell = {r["strategy"]: r for r in doc["results"]}
+    plan = app_c.ilu_plan(0)
+    mach = XEON_E5_2690_V2
 
-    rows = [
-        [
-            s, f"{1e3 * cell[s]['trsv_wall_seconds']:.2f}",
-            f"{1e3 * cell[s]['trsv_model_seconds']:.2f}",
-            str(cell[s]["cross_deps"]), f"{cell[s]['max_abs_dev']:.1e}",
-        ]
-        for s in ("levels", "p2p")
-    ]
+    def price():
+        return {
+            (s, t): trsv_time(
+                mach, plan.factor_nnzb, plan.n, 4,
+                tri_solve_options_from_plan(plan, s, t),
+            )
+            for s in ("level", "p2p") for t in (4, 20)
+        }
+
+    cell = benchmark.pedantic(price, rounds=1, iterations=1)
     emit(
         capsys,
         format_table(
-            ["strategy", "measured ms", "model ms", "cross deps", "max dev"],
-            rows,
-            title="Fig 7a: TRSV sync strategies at 4 workers "
-                  "(measured process backend vs cost model)",
+            ["threads", "level barriers ms", "p2p ms"],
+            [
+                [str(t), f"{1e3 * cell['level', t]:.3f}",
+                 f"{1e3 * cell['p2p', t]:.3f}"]
+                for t in (4, 20)
+            ],
+            title="Fig 7a: TRSV sync strategies (cost model)",
         ),
     )
-
-    for r in doc["results"]:
-        assert r["max_abs_dev"] <= 1e-12  # numerics never depend on sync
-    assert (
-        cell["p2p"]["trsv_model_seconds"]
-        < cell["levels"]["trsv_model_seconds"]
-    )
-    if len(os.sched_getaffinity(0)) >= 4:
-        assert (
-            cell["p2p"]["trsv_wall_seconds"]
-            <= 1.2 * cell["levels"]["trsv_wall_seconds"]
-        )
+    for t in (4, 20):
+        assert cell["p2p", t] < cell["level", t]

@@ -16,9 +16,9 @@ Commands
 ``top``         live per-rank/per-worker view of a running solve's metrics
 
 ``solve``/``profile``/``serve`` accept ``--tune``: the host-calibrated
-cost model picks edge strategy, worker counts, sparse strategy,
-ordering and (for serve) the evaluate batch width per mesh, never slower
-than the static flags by construction.
+cost model picks edge strategy, worker counts, ordering and (for serve)
+the evaluate batch width per mesh, never slower than the static flags by
+construction.
 
 ``solve`` and ``profile`` accept ``--backend process --workers N`` to run
 the flux/gradient edge loops across real worker processes over shared
@@ -107,22 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--partitioner", choices=["metis", "natural"],
                         default="metis",
                         help="vertex ownership labels for the owner strategy")
-        sp.add_argument(
-            "--sparse-backend", choices=["serial", "process"],
-            default="serial",
-            help="ILU/TRSV executor: in-process kernels or a persistent "
-                 "worker fleet over shared memory"
-        )
-        sp.add_argument(
-            "--sparse-strategy", choices=["levels", "p2p"], default="p2p",
-            help="sparse-fleet synchronization: barrier per wavefront or "
-                 "P2P-sparsified per-row flags"
-        )
-        sp.add_argument(
-            "--sparse-workers", type=int, default=0, metavar="N",
-            help="worker processes for --sparse-backend process "
-                 "(0 = same as --workers)"
-        )
         sp.add_argument(
             "--tune", action="store_true",
             help="let the calibrated auto-tuner (repro.tune) pick backend/"
@@ -314,18 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quick", action="store_true",
                     help="smoke mode: measure only --workers, 3 repeats")
     sp.add_argument(
-        "--sparse-backend", choices=["flux", "process"], default="flux",
-        help="'process' switches the sweep to process-parallel ILU/TRSV "
-             "(levels vs p2p synchronization) -> BENCH_trsv_scaling.json"
-    )
-    sp.add_argument(
         "--kernel",
-        choices=["flux", "trsv", "scatter", "serve", "tune"],
+        choices=["flux", "scatter", "serve", "tune"],
         default="flux",
         help="'scatter' benches the precompiled gather-scatter plans "
              "against the np.add.at reference across mesh sizes -> "
-             "BENCH_scatter_kernels.json; 'trsv' is an alias for "
-             "--sparse-backend process; 'serve' benches warm batched "
+             "BENCH_scatter_kernels.json; 'serve' benches warm batched "
              "daemon throughput against cold one-shot `repro solve` "
              "runs -> BENCH_serve_throughput.json; 'tune' "
              "measures the auto-tuned configuration against the static "
@@ -347,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force a scatter engine for --kernel scatter (default: auto)"
     )
     sp.add_argument("--ilu", type=int, default=0,
-                    help="ILU fill level of the TRSV sweep")
+                    help="ILU fill level of the serve/tune benches")
     sp.add_argument("--out", default="BENCH_flux_scaling.json",
                     help="output JSON path")
     sp.add_argument("--gate", action="store_true",
@@ -370,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "slowdown bound")
     sp.add_argument("--dist-ranks", type=int, default=0, metavar="N",
                     help="also measure a short N-rank distributed solve's "
-                         "comm/compute breakdown (--kernel trsv: a "
-                         "ranks x sparse-workers sweep up to N ranks "
-                         "instead)")
+                         "comm/compute breakdown")
     sp.add_argument("--pipelined", action="store_true",
                     help="pipelined comm/compute overlap for --dist-ranks")
     return p
@@ -618,9 +594,6 @@ def _apply_tune(args, obs=None) -> None:
     args.edge_strategy = cfg.edge_strategy
     args.partitioner = cfg.partitioner
     args.ordering = cfg.ordering
-    args.sparse_backend = cfg.sparse_backend
-    args.sparse_strategy = cfg.sparse_strategy
-    args.sparse_workers = cfg.sparse_workers
     if cfg.dist_ranks > 0 and getattr(args, "dist_ranks", 0) == 0:
         args.dist_ranks = cfg.dist_ranks
     print(cfg.summary())
@@ -641,8 +614,6 @@ def _run_solve(args, obs=None):
     if getattr(args, "tune", False):
         _apply_tune(args, obs)
     mesh = _make_mesh(args)
-    sparse_backend = getattr(args, "sparse_backend", "serial")
-    sparse_workers = getattr(args, "sparse_workers", 0) or args.workers
     app = Fun3dApp(
         mesh,
         flow=FlowConfig(aoa_deg=args.aoa, dissipation=args.dissipation),
@@ -651,16 +622,8 @@ def _run_solve(args, obs=None):
             steady_rtol=args.rtol,
             n_subdomains=args.subdomains,
             ilu_fill=args.ilu,
-            sparse_backend=sparse_backend,
-            sparse_strategy=getattr(args, "sparse_strategy", "p2p"),
-            sparse_workers=sparse_workers,
         ),
     )
-    if sparse_backend == "process":
-        print(
-            f"sparse backend: process x{sparse_workers} "
-            f"({args.sparse_strategy} synchronization)"
-        )
     if getattr(args, "dist_ranks", 0) > 0:
         print(
             f"distributed runtime: {args.dist_ranks} rank processes "
@@ -744,9 +707,10 @@ def _print_recurrence_structure(app, fill: int) -> None:
     """Table II companion: ILU/TRSV dependency-graph parallelism stats.
 
     ``available_parallelism`` is the paper's metric (total work over
-    critical-path work); ``max_level_width`` caps how many sparse workers
-    can ever be busy at once, and the width histogram shows how much of the
-    schedule sits in levels too narrow to share.
+    critical-path work); ``max_level_width`` caps how many threads a
+    level-scheduled sweep could ever keep busy at once, and the width
+    histogram shows how much of the schedule sits in levels too narrow to
+    share.
     """
     from .sparse import available_parallelism
 
@@ -914,79 +878,6 @@ def cmd_partition(args) -> int:
         title=f"{mesh.name}: {k}-way partition quality",
     ))
     return 0
-
-
-def _bench_trsv(args, mesh, worker_list, repeats, machine=None,
-                calibrated=False) -> dict:
-    """TRSV-sweep branch of ``bench``: measured process ILU/TRSV scaling."""
-    from .smp.bench import run_trsv_scaling
-    from .smp.machine import XEON_E5_2690_V2
-
-    return run_trsv_scaling(
-        mesh,
-        workers=tuple(worker_list),
-        repeats=repeats,
-        fill_level=args.ilu,
-        seed=args.seed,
-        dataset=args.dataset,
-        scale=args.scale,
-        machine=machine or XEON_E5_2690_V2,
-        calibrated=calibrated,
-    )
-
-
-def _print_rank_worker_sweep(rows: list[dict]) -> None:
-    from .perf import format_table
-
-    table = [
-        [
-            f"{r['n_ranks']}x{r['sparse_workers']}",
-            f"{1e3 * r['wall_seconds']:.1f}",
-            f"{100 * r['halo_fraction']:.1f}%",
-            f"{100 * r['allreduce_fraction']:.1f}%",
-            (
-                f"{100 * r['allreduce_model_rel_error']:.0f}%"
-                if r.get("allreduce_model_rel_error") is not None
-                else "-"
-            ),
-        ]
-        for r in rows
-    ]
-    print(format_table(
-        ["ranks x workers", "wall ms", "halo", "allreduce", "model err"],
-        table,
-        title="measured ranks x sparse-workers splits (dist_sweep)",
-    ))
-
-
-def _print_trsv_table(args, mesh, doc, repeats) -> None:
-    from .perf import format_table
-
-    rows = [
-        [
-            r["strategy"], str(r["workers"]),
-            f"{1e3 * r['trsv_wall_seconds']:.2f}",
-            f"{r['trsv_speedup']:.2f}x",
-            f"{1e3 * r['ilu_wall_seconds']:.2f}",
-            f"{r['ilu_speedup']:.2f}x",
-            f"{1e3 * r['trsv_model_seconds']:.2f}",
-            str(r["cross_deps"]),
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    print(format_table(
-        ["strategy", "workers", "trsv ms", "speedup", "ilu ms", "speedup",
-         "model ms", "cross", "max dev"],
-        rows,
-        title=f"{mesh.name}: measured ILU({doc['fill_level']})+TRSV "
-              f"process scaling (serial trsv "
-              f"{1e3 * doc['serial']['trsv_wall_seconds']:.2f} ms / ilu "
-              f"{1e3 * doc['serial']['ilu_wall_seconds']:.2f} ms, "
-              f"best of {repeats}; {doc['n_levels']} fwd levels, "
-              f"max width {doc['max_level_width']})",
-    ))
-    print(f"wrote {args.out}")
 
 
 def _bench_scatter(args, repeats) -> int:
@@ -1362,8 +1253,6 @@ def cmd_bench(args) -> int:
         rolling_gate_failures,
         run_dist_breakdown,
         run_flux_scaling,
-        trsv_gate_failures,
-        rolling_trsv_gate_failures,
         write_bench_json,
     )
     from .tune import active_model, calibrated_fabric
@@ -1394,55 +1283,6 @@ def cmd_bench(args) -> int:
 
     machine, cal = active_model(getattr(args, "calibration", "") or None)
     mesh = _make_mesh(args)
-    if args.sparse_backend == "process" or args.kernel == "trsv":
-        if args.out == "BENCH_flux_scaling.json":  # only the untouched default
-            args.out = "BENCH_trsv_scaling.json"
-        doc = _bench_trsv(args, mesh, worker_list, repeats,
-                          machine=machine, calibrated=cal is not None)
-        if args.dist_ranks > 0:
-            from .smp.bench import run_rank_worker_sweep
-
-            pairs = []
-            r = 2
-            while r <= args.dist_ranks:
-                pairs.append((r, max(args.dist_ranks // r, 1)))
-                r *= 2
-            doc["dist_sweep"] = run_rank_worker_sweep(
-                mesh, pairs or [(args.dist_ranks, 1)], seed=args.seed,
-                fabric=calibrated_fabric(cal, machine),
-            )
-        write_bench_json(doc, args.out)
-        _print_trsv_table(args, mesh, doc, repeats)
-        if "dist_sweep" in doc:
-            _print_rank_worker_sweep(doc["dist_sweep"])
-        history = load_history(args.history) if args.history else []
-        if args.gate:
-            if args.history:
-                failures = rolling_trsv_gate_failures(
-                    doc, history, max_regression=args.gate_slowdown,
-                    tol=args.gate_tol,
-                )
-                gate_kind = (
-                    "rolling-median trend" if history else
-                    "fixed slowdown (no comparable history yet)"
-                )
-            else:
-                failures = trsv_gate_failures(
-                    doc, tol=args.gate_tol, max_slowdown=args.gate_slowdown
-                )
-                gate_kind = "fixed slowdown"
-            for msg in failures:
-                print(f"GATE FAIL: {msg}")
-            if failures:
-                return 1
-            print(f"GATE OK: serial-equivalent solves + p2p performance "
-                  f"({gate_kind})")
-        if args.history:
-            append_history(doc, args.history)
-            print(f"appended trend record to {args.history} "
-                  f"({len(history) + 1} total)")
-        return 0
-
     doc = run_flux_scaling(
         mesh,
         workers=tuple(worker_list),
@@ -1527,9 +1367,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         edge_strategy=args.edge_strategy,
         partitioner=args.partitioner,
-        sparse_backend=args.sparse_backend,
-        sparse_strategy=args.sparse_strategy,
-        sparse_workers=args.sparse_workers or args.workers,
         tune="on" if args.tune else "off",
         calibration=args.calibration,
     )

@@ -44,7 +44,7 @@ DEFAULT_HALO_WIDTH = 16
 #: scalar slots per rank in the reduction scratch (>= GMRES restart + 1)
 DEFAULT_RED_WIDTH = 64
 
-#: default metric slots of one rank's telemetry row: solver progress
+#: metric slots of one rank's telemetry row: solver progress
 #: (written by the rank program) plus communication totals (written by the
 #: communicator itself)
 RANK_SLOTS = (
@@ -95,7 +95,6 @@ class ShmTransport:
         red_width: int = DEFAULT_RED_WIDTH,
         timeout: float = 120.0,
         telemetry: bool = True,
-        rank_slots: Sequence[str] | None = None,
     ) -> None:
         from ...smp.shm import SharedArrayPool
 
@@ -130,9 +129,8 @@ class ShmTransport:
         if telemetry:
             from ...obs.live.plane import TelemetryPlane
 
-            slots = tuple(rank_slots) if rank_slots is not None else RANK_SLOTS
             self.plane = TelemetryPlane(
-                {f"rank{r}": slots for r in range(self.n_ranks)},
+                {f"rank{r}": RANK_SLOTS for r in range(self.n_ranks)},
                 pool=self.pool,
             )
         self.spec = self.pool.export_spec()

@@ -30,7 +30,6 @@ from ...obs.metrics import get_metrics
 from ...obs.span import Span, get_tracer
 from ...solver.newton import SolveResult, SolverOptions
 from ..halo import DomainDecomposition
-from .comm import RANK_SLOTS
 from .program import GRAD_LIMITER_WIDTH, build_rank_data, rank_solve_steady
 from .runtime import DistRuntime
 
@@ -130,18 +129,6 @@ def distributed_solve(
 
     tracer = get_tracer()
     met = get_metrics()
-    # extend each rank's telemetry row with per-sparse-worker folded slots
-    # when the ranks will drive their own SparseProcessBackend fleets (the
-    # parent cannot see a grandchild's plane, so the rank folds it in)
-    rank_slots = list(RANK_SLOTS)
-    if opts.sparse_backend == "process":
-        for w in range(max(1, opts.sparse_workers)):
-            rank_slots += [
-                f"sw{w}_tasks",
-                f"sw{w}_busy_seconds",
-                f"sw{w}_spin_iters",
-                f"sw{w}_spin_seconds",
-            ]
     with DistRuntime(
         decomp,
         halo_width=GRAD_LIMITER_WIDTH,
@@ -149,7 +136,6 @@ def distributed_solve(
         allreduce_algo=allreduce_algo,
         timeout=timeout,
         telemetry=telemetry,
-        rank_slots=tuple(rank_slots),
     ) as rt:
         with tracer.span(
             "dist-solve", n_ranks=decomp.n_ranks, pipelined=pipelined,

@@ -587,37 +587,7 @@ def rank_solve_steady(
 
     Control flow is replicated: every global scalar is a deterministic
     allreduce, so all ranks take identical branches.
-
-    With ``opts.sparse_backend == "process"`` each rank drives its own
-    :class:`~repro.smp.sparse_parallel.SparseProcessBackend` fleet for the
-    block-Jacobi ILU/TRSV (paper-style MPI+threads nesting); the per-worker
-    ``ilu.w<i>`` / ``trsv.w<i>`` spans land in the rank's span log.
     """
-    from ...solver.distributed import dist_fd_operator, dist_gmres
-
-    if opts.sparse_backend == "process":
-        from ...smp.sparse_parallel import SparseProcessBackend
-        from ...sparse.dispatch import use_sparse_backend
-
-        with SparseProcessBackend(
-            n_workers=max(1, opts.sparse_workers),
-            strategy=opts.sparse_strategy,
-            span_sink=comm.recorder.add,
-        ) as backend, use_sparse_backend(backend):
-            return _rank_solve_steady_impl(
-                data, comm, config, opts, pipelined, sparse=backend
-            )
-    return _rank_solve_steady_impl(data, comm, config, opts, pipelined)
-
-
-def _rank_solve_steady_impl(
-    data: RankData,
-    comm: Communicator,
-    config: FlowConfig,
-    opts: SolverOptions,
-    pipelined: bool,
-    sparse=None,
-) -> RankSolveStats:
     from ...solver.distributed import dist_fd_operator, dist_gmres
 
     t_start = time.perf_counter()
@@ -640,22 +610,16 @@ def _rank_solve_steady_impl(
     q_owned = data.q0.copy()
 
     def publish(step: int, rnorm: float, cfl: float, iters: int) -> None:
-        """Write this rank's solver-progress slots (and fold in the rank's
-        sparse worker fleet, whose plane only this process can see)."""
+        """Write this rank's solver-progress slots."""
         if comm.telem is None:
             return
-        vals = {
-            "step": float(step),
-            "residual": float(rnorm),
-            "cfl": float(cfl),
-            "krylov_iters": float(iters),
-            "interior_seconds": ws.interior_seconds,
-        }
-        if sparse is not None:
-            for wid, tot in sparse.worker_telemetry_totals().items():
-                for k, v in tot.items():
-                    vals[f"sw{wid}_{k}"] = float(v)
-        comm.telem.update(**vals)
+        comm.telem.update(
+            step=float(step),
+            residual=float(rnorm),
+            cfl=float(cfl),
+            krylov_iters=float(iters),
+            interior_seconds=ws.interior_seconds,
+        )
         comm.telem.push_event("note", float(step), float(rnorm))
 
     for step in range(1, opts.max_steps + 1):

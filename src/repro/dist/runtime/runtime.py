@@ -22,7 +22,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ...obs.live.recorder import crash_dump, reap_dead
 from .comm import Communicator, ShmTransport
@@ -97,7 +97,6 @@ class DistRuntime:
         allreduce_algo: str = "flat",
         timeout: float = 300.0,
         telemetry: bool = True,
-        rank_slots: Sequence[str] | None = None,
     ) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
@@ -117,7 +116,6 @@ class DistRuntime:
             red_width=red_width,
             timeout=timeout,
             telemetry=telemetry,
-            rank_slots=rank_slots,
         )
         self._owner_pid = os.getpid()
         self._closed = False
@@ -141,14 +139,10 @@ class DistRuntime:
             raise RuntimeError("runtime already has ranks in flight")
         for r in range(self.n_ranks):
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            # not daemonic: a rank program may fork its own worker fleet
-            # (per-rank SparseProcessBackend); daemonic processes cannot
-            # have children.  Cleanup is unaffected — _terminate/_join and
-            # the atexit close() path reap the ranks either way.
             p = self._ctx.Process(
                 target=_rank_main,
                 args=(self.transport, r, program, self.allreduce_algo, child_conn),
-                daemon=False,
+                daemon=True,
                 name=f"repro-rank{r}",
             )
             p.start()

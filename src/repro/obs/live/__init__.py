@@ -1,7 +1,7 @@
 """Live telemetry plane: shared-memory rings, health, flight recorder.
 
 Cross-process observability for the fleet backends and the distributed
-runtime.  Producers (forked edge/sparse workers, ranks, the solver loop)
+runtime.  Producers (forked edge workers, ranks, the solver loop)
 write seqlock-guarded metric slots and bounded event rings
 (:mod:`.ring`) into arrays allocated by a :class:`~.plane.TelemetryPlane`
 — shared-memory-backed for forked processes, plain numpy in-process.  The

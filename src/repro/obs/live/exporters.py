@@ -5,7 +5,7 @@ Three export surfaces over the existing obs model plus the live planes:
 * :func:`prometheus_text` — text exposition format 0.0.4: every registry
   counter/gauge/histogram plus one ``repro_live_*`` family per telemetry
   slot, labeled by producing process, so a scrape mid-solve sees per-worker
-  and per-rank rates/spin fractions while the fleet is still running.
+  and per-rank rates while the fleet is still running.
 * :class:`MetricsServer` — a ThreadingHTTPServer daemon serving /metrics,
   started by ``--metrics-serve PORT`` (port 0 picks an ephemeral port).
 * :func:`otlp_trace` — the span forest in OTLP/JSON shape

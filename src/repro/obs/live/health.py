@@ -1,16 +1,13 @@
 """Fleet health monitor over telemetry-plane snapshots.
 
-Three structured conditions, all derived from the per-process rings:
+Two structured conditions, both derived from the per-process rings:
 
 * **stalled** — a process that said hello, is busy or spinning, and whose
-  heartbeat has not advanced for ``stall_after`` seconds.  Spin-wait loops
-  heartbeat periodically (see ``repro.sparse.p2p.wait_generation``), so a
-  *hung* spin still trips this while a healthy one does not.
+  heartbeat has not advanced for ``stall_after`` seconds.  Blocking waits
+  heartbeat periodically (see the rank communicator's ``_acquire``), so a
+  *hung* wait still trips this while a healthy one does not.
 * **divergence** — a ``residual`` slot that goes non-finite or grows by
   ``divergence_factor`` over the best residual seen so far.
-* **excessive_spin** — P2P synchronization overhead: cumulative
-  ``spin_seconds`` exceeding ``spin_fraction_max`` of ``busy_seconds``
-  (the paper's lock-vs-P2P sync-overhead axis, live instead of post hoc).
 
 Conditions are edge-triggered: one event when a process enters the bad
 state, another only after it recovers and re-enters.
@@ -31,7 +28,7 @@ __all__ = ["HealthEvent", "HealthMonitor"]
 class HealthEvent:
     """One structured health finding."""
 
-    kind: str  # stalled | divergence | excessive_spin
+    kind: str  # stalled | divergence
     proc: str
     ts: float
     detail: dict = field(default_factory=dict)
@@ -41,13 +38,9 @@ class HealthMonitor:
     def __init__(
         self,
         stall_after: float = 5.0,
-        spin_fraction_max: float = 0.8,
-        min_busy_seconds: float = 0.25,
         divergence_factor: float = 1e3,
     ) -> None:
         self.stall_after = float(stall_after)
-        self.spin_fraction_max = float(spin_fraction_max)
-        self.min_busy_seconds = float(min_busy_seconds)
         self.divergence_factor = float(divergence_factor)
         self._active: set[tuple[str, str]] = set()  # (proc, kind) in effect
         self._best_residual: dict[str, float] = {}
@@ -82,18 +75,6 @@ class HealthMonitor:
                         "stalled", name, now,
                         {"heartbeat_age": age, "state": s.state_name,
                          "pid": s.pid},
-                    )
-                )
-
-            busy = s.slots.get("busy_seconds", 0.0)
-            spin = s.slots.get("spin_seconds", 0.0)
-            frac = spin / busy if busy > self.min_busy_seconds else 0.0
-            if self._edge(name, "excessive_spin", frac > self.spin_fraction_max):
-                events.append(
-                    HealthEvent(
-                        "excessive_spin", name, now,
-                        {"spin_fraction": frac, "spin_seconds": spin,
-                         "busy_seconds": busy},
                     )
                 )
 

@@ -11,8 +11,7 @@ are inspectable even though the run never reached its exporters.
 Dumping is opt-in per process: nothing is written unless a recorder has
 been installed (the CLI installs one for ``solve``/``profile``; tests
 install into a tmpdir).  Fleet backends call :func:`crash_dump` from their
-dead-worker branches; forked ranks inherit the parent's installed recorder,
-so a sparse-worker death inside a rank dumps from the rank process.
+dead-worker branches.
 """
 
 from __future__ import annotations

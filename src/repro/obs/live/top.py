@@ -3,7 +3,7 @@
 Scrapes a ``--metrics-serve`` endpoint (attach mode) or spawns a solve
 with one injected (spawn mode) and renders a plain-refresh table: per
 process the heartbeat age and state, task/step rate (derived from deltas
-between scrapes), spin fraction of busy time, and the latest residual.
+between scrapes), and the latest residual.
 Plain ANSI refresh rather than curses so output stays useful when piped
 or captured (``--plain`` disables the escape codes entirely).
 """
@@ -77,7 +77,7 @@ def render_table(
     prev_procs = _live_procs(prev) if prev else {}
     hdr = (
         f"{'PROC':<16} {'STATE':<5} {'HB AGE':>7} {'RATE/S':>8} "
-        f"{'SPIN%':>6} {'RESIDUAL':>10} {'STEP':>5}"
+        f"{'RESIDUAL':>10} {'STEP':>5}"
     )
     rows = [hdr, "-" * len(hdr)]
     for proc in sorted(procs):
@@ -90,13 +90,6 @@ def render_table(
             rate = _rate(p, q, counter, dt)
             if rate is not None:
                 break
-        dspin = _rate(p, q, "spin_seconds", dt)
-        dbusy = _rate(p, q, "busy_seconds", dt)
-        spin = (
-            100.0 * dspin / dbusy
-            if dspin is not None and dbusy and dbusy > 1e-9
-            else None
-        )
         res = p.get("residual")
         step = p.get("step")
         rows.append(
@@ -104,8 +97,6 @@ def render_table(
             + (f"{age:>7.1f}" if age is not None else f"{'-':>7}")
             + " "
             + (f"{rate:>8.1f}" if rate is not None else f"{'-':>8}")
-            + " "
-            + (f"{spin:>6.1f}" if spin is not None else f"{'-':>6}")
             + " "
             + (f"{res:>10.3e}" if res is not None else f"{'-':>10}")
             + " "

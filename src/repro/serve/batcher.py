@@ -115,8 +115,7 @@ def solve_cases(
     """Run ``cases`` through the family's warm session, in order.
 
     The family's edge fleet (if any) is installed for the whole batch, so
-    consecutive cases reuse the same forked workers; the sparse fleet lives
-    inside the session and persists the same way.  Distributed families
+    consecutive cases reuse the same forked workers.  Distributed families
     reuse the cached decomposition per case (rank fleets are per-solve).
     """
     from contextlib import nullcontext

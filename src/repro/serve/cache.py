@@ -3,7 +3,7 @@
 Every expensive artifact the stack builds is keyed by mesh *structure*, not
 by case state: the mesh itself, the :class:`FlowField`'s precompiled
 gather–scatter plans, the BCSR Jacobian pattern, the Schwarz split with its
-ILU symbolic plans, forked edge/sparse worker fleets, and (for distributed
+ILU symbolic plans, the forked edge worker fleet, and (for distributed
 families) the multilevel partition + domain decomposition.  A
 :class:`WarmFamily` bundles all of that behind one
 :class:`~repro.solver.newton.SteadySolverSession`; the :class:`WarmCache`
@@ -40,9 +40,6 @@ class ExecutionConfig:
     workers: int = 2
     edge_strategy: str = "owner"
     partitioner: str = "metis"
-    sparse_backend: str = "serial"  # serial | process
-    sparse_strategy: str = "p2p"
-    sparse_workers: int = 2
     #: "on" re-plans the knobs above per family through the calibrated
     #: auto-tuner (repro.tune); the operator's static choices stay the
     #: tuner's default candidate, so tuning never picks a predicted-slower
@@ -74,11 +71,7 @@ class WarmFamily:
             execution = self._tuned_execution(execution)
         self.execution = execution
         self.opts = SolverOptions(
-            ilu_fill=spec.ilu,
-            n_subdomains=spec.subdomains,
-            sparse_backend=execution.sparse_backend,
-            sparse_strategy=execution.sparse_strategy,
-            sparse_workers=execution.sparse_workers,
+            ilu_fill=spec.ilu, n_subdomains=spec.subdomains
         )
         self.session = SteadySolverSession(self.field, self.opts)
         self.edge_backend = None
@@ -144,9 +137,6 @@ class WarmFamily:
             workers=max(cfg.workers, 1),
             edge_strategy=cfg.edge_strategy,
             partitioner=cfg.partitioner,
-            sparse_backend=cfg.sparse_backend,
-            sparse_strategy=cfg.sparse_strategy,
-            sparse_workers=cfg.sparse_workers or max(cfg.workers, 1),
         )
 
     # ------------------------------------------------------------------
@@ -158,18 +148,14 @@ class WarmFamily:
         self.last_used = time.monotonic()
 
     def fleet_stats(self) -> dict:
-        """Dispatch counters of this family's forked fleets (if any).
+        """Dispatch counters of this family's forked edge fleet (if any).
 
         Counters grow monotonically across solves on one fleet, so the
-        daemon's ``stats`` op proves fleets are reused, not reforked.
+        daemon's ``stats`` op proves the fleet is reused, not reforked.
         """
-        out: dict = {}
-        if self.edge_backend is not None:
-            out["edge"] = self.edge_backend.fleet_stats()
-        sparse = getattr(self.session, "_backend", None)
-        if sparse is not None:
-            out["sparse"] = sparse.fleet_stats()
-        return out
+        if self.edge_backend is None:
+            return {}
+        return {"edge": self.edge_backend.fleet_stats()}
 
     def close(self) -> None:
         """Tear down fleets and shared segments (idempotent)."""

@@ -6,7 +6,6 @@ process-parallel backend (``shm``/``backend``/``parallel``/``bench``) that
 really runs the edge kernels across worker processes over shared memory.
 """
 
-from ..sparse.dispatch import get_sparse_backend, use_sparse_backend
 from .backend import get_edge_backend, use_edge_backend
 from .cost import (
     FLUX_WORK_PER_EDGE,
@@ -27,7 +26,6 @@ from .cost import (
 from .machine import STAMPEDE_E5_2680, XEON_E5_2690_V2, XEON_PHI_KNC, MachineModel
 from .parallel import STRATEGIES, ProcessEdgeBackend
 from .shm import SharedArrayPool
-from .sparse_parallel import SPARSE_STRATEGIES, SparseProcessBackend
 from .strategies import (
     EdgeLoopExecutor,
     make_edge_loop_options,
@@ -63,10 +61,6 @@ __all__ = [
     "ProcessEdgeBackend",
     "STRATEGIES",
     "SharedArrayPool",
-    "SparseProcessBackend",
-    "SPARSE_STRATEGIES",
     "get_edge_backend",
     "use_edge_backend",
-    "get_sparse_backend",
-    "use_sparse_backend",
 ]

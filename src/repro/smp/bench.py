@@ -48,21 +48,16 @@ from .strategies import (
 
 __all__ = [
     "SCHEMA",
-    "TRSV_SCHEMA",
     "SCATTER_SCHEMA",
     "HISTORY_SCHEMA",
     "DEFAULT_STRATEGIES",
     "SCATTER_KERNELS",
     "run_flux_scaling",
-    "run_trsv_scaling",
     "run_scatter_kernels",
     "run_dist_breakdown",
-    "run_rank_worker_sweep",
     "gate_failures",
-    "trsv_gate_failures",
     "scatter_gate_failures",
     "rolling_gate_failures",
-    "rolling_trsv_gate_failures",
     "rolling_scatter_gate_failures",
     "load_history",
     "append_history",
@@ -71,7 +66,6 @@ __all__ = [
 ]
 
 SCHEMA = "repro.bench.flux_scaling/v1"
-TRSV_SCHEMA = "repro.bench.trsv_scaling/v1"
 SCATTER_SCHEMA = "repro.bench.scatter_kernels/v1"
 HISTORY_SCHEMA = "repro.bench.history/v1"
 DEFAULT_STRATEGIES = ("locked", "replicate", "owner-natural", "owner-metis")
@@ -281,137 +275,6 @@ def _trsv_matrix(mesh, seed: int, b: int = 4):
     return BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
 
 
-def _trsv_model_seconds(
-    plan, strategy: str, workers: int,
-    machine: MachineModel = XEON_E5_2690_V2,
-) -> tuple[float, float, int]:
-    """Cost-model (trsv_seconds, ilu_seconds, cross_deps) for one cell.
-
-    The generic ``tri_solve_options_from_plan`` prices P2P synchronization
-    from a natural row partition; the process backend assigns contiguous
-    chunks of each *wavefront*, so its retained cross-worker count (from the
-    actual execution plan) replaces the estimate.
-    """
-    from .cost import ilu_time, trsv_time
-    from .strategies import tri_solve_options_from_plan
-
-    model_strategy = {
-        "levels": "level", "p2p": "p2p", "sequential": "sequential"
-    }[strategy]
-    opts = tri_solve_options_from_plan(plan, model_strategy, workers)
-    cross = 0
-    if workers > 1:
-        cross = plan.worker_plans(workers).cross_deps()
-        if model_strategy == "p2p":
-            opts.cross_deps = cross
-    nnzb = plan.cols.shape[0]
-    return (
-        trsv_time(machine, nnzb, plan.n, plan.b, opts),
-        ilu_time(
-            machine, plan.factor_block_ops(), nnzb, plan.n, plan.b,
-            opts,
-        ),
-        int(cross),
-    )
-
-
-def run_trsv_scaling(
-    mesh,
-    workers: tuple[int, ...] = (1, 2, 4),
-    strategies: tuple[str, ...] = ("levels", "p2p"),
-    repeats: int = 5,
-    fill_level: int = 0,
-    seed: int = 7,
-    dataset: str = "?",
-    scale: float = 0.0,
-    machine: MachineModel = XEON_E5_2690_V2,
-    calibrated: bool = False,
-) -> dict:
-    """Sweep workers x sync strategies over process-parallel ILU+TRSV.
-
-    Times the real :class:`~repro.smp.sparse_parallel.SparseProcessBackend`
-    (barrier-per-level vs P2P-sparsified flags) against the serial kernels
-    on the mesh's Jacobian pattern, and prices every cell with the Table II
-    cost models so measured points sit next to the model curves.  Document
-    schema ``repro.bench.trsv_scaling/v1`` mirrors the flux document:
-    ``serial`` holds ``trsv_wall_seconds``/``ilu_wall_seconds``, each result
-    row adds ``cross_deps`` and ``trsv_model_seconds``/``ilu_model_seconds``.
-    """
-    from ..sparse.ilu import build_ilu_plan, ilu_factorize
-    from ..sparse.trsv import trsv_solve
-    from .sparse_parallel import SparseProcessBackend
-
-    matrix = _trsv_matrix(mesh, seed)
-    plan = build_ilu_plan(
-        matrix.rowptr, matrix.cols, b=matrix.b, fill_level=fill_level
-    )
-    rng = np.random.default_rng(seed + 1)
-    rhs = rng.normal(size=(plan.n, plan.b))
-
-    factor = ilu_factorize(matrix, plan)
-    x_ref = trsv_solve(factor, rhs)
-    serial_ilu = _time_call(lambda: ilu_factorize(matrix, plan), repeats)
-    serial_trsv = _time_call(lambda: trsv_solve(factor, rhs), repeats)
-
-    results = []
-    for w in workers:
-        for strategy in strategies:
-            with SparseProcessBackend(n_workers=w, strategy=strategy) as be:
-                pf = be.factorize(matrix, plan)  # warm-up + correctness
-                x = be.solve(pf, rhs)
-                dev = float(np.max(np.abs(x - x_ref)))
-                ilu_wall = _time_call(
-                    lambda: be.factorize(matrix, plan), repeats
-                )
-                trsv_wall = _time_call(lambda: be.solve(pf, rhs), repeats)
-            trsv_model, ilu_model, cross = _trsv_model_seconds(
-                plan, strategy, w, machine
-            )
-            results.append({
-                "strategy": strategy,
-                "workers": int(w),
-                "wall_seconds": trsv_wall,  # gate/history cell (TRSV)
-                "trsv_wall_seconds": trsv_wall,
-                "ilu_wall_seconds": ilu_wall,
-                "trsv_speedup": serial_trsv / trsv_wall,
-                "ilu_speedup": serial_ilu / ilu_wall,
-                "max_abs_dev": dev,
-                "cross_deps": cross,
-                "trsv_model_seconds": trsv_model,
-                "ilu_model_seconds": ilu_model,
-                "model_rel_error": _rel_error(trsv_model, trsv_wall),
-                "ilu_model_rel_error": _rel_error(ilu_model, ilu_wall),
-            })
-    sched = plan.schedule
-    serial_trsv_model, serial_ilu_model, _ = _trsv_model_seconds(
-        plan, "sequential", 1, machine
-    )
-    return {
-        "schema": TRSV_SCHEMA,
-        "dataset": dataset,
-        "scale": scale,
-        "seed": seed,
-        "fill_level": int(fill_level),
-        "n_vertices": int(mesh.n_vertices),
-        "nnzb": int(plan.cols.shape[0]),
-        "repeats": int(repeats),
-        "host": host_fingerprint(),
-        "model": _model_info(machine, calibrated),
-        "n_levels": len(sched.levels),
-        "max_level_width": int(sched.max_level_width),
-        "serial": {
-            "wall_seconds": serial_trsv,
-            "trsv_wall_seconds": serial_trsv,
-            "ilu_wall_seconds": serial_ilu,
-            "model_seconds": serial_trsv_model,
-            "model_rel_error": _rel_error(serial_trsv_model, serial_trsv),
-            "ilu_model_seconds": serial_ilu_model,
-            "ilu_model_rel_error": _rel_error(serial_ilu_model, serial_ilu),
-        },
-        "results": results,
-    }
-
-
 def _scatter_cases(mesh, seed: int, engine: str | None = None):
     """The four hot scatter structures of one mesh + deterministic values.
 
@@ -598,66 +461,6 @@ def run_dist_breakdown(
     return doc
 
 
-def run_rank_worker_sweep(
-    mesh,
-    rank_worker_pairs,
-    max_steps: int = 2,
-    seed: int = 7,
-    fabric=None,
-) -> list[dict]:
-    """Measured ranks x sparse-workers splits of a short distributed solve.
-
-    The Fig 11 question — how to split a core budget between ranks and
-    threads — measured on the real runtime: each ``(ranks, sparse_workers)``
-    pair runs ``max_steps`` Newton steps with the sparse fleet nested
-    inside every rank.  Rows land in ``BENCH_trsv_scaling.json`` under
-    ``dist_sweep`` and double as validation data for the tuner's
-    ranks-vs-workers pricing (``allreduce_model_*`` when a fabric is
-    given).
-    """
-    from ..cfd.state import FlowConfig, FlowField
-    from ..dist.runtime import distributed_solve
-    from ..solver.newton import SolverOptions
-
-    rows = []
-    for n_ranks, sparse_workers in rank_worker_pairs:
-        field = FlowField(mesh)
-        opts = SolverOptions(
-            max_steps=max_steps, steady_rtol=1e-14, steady_atol=1e-15,
-            sparse_backend="process" if sparse_workers > 1 else "serial",
-            sparse_strategy="p2p",
-            sparse_workers=int(sparse_workers),
-        )
-        dres = distributed_solve(
-            field, FlowConfig(), opts, n_ranks=int(n_ranks), seed=seed
-        )
-        bd = dres.comm_breakdown()
-        wall = max(
-            (float(rs.get("elapsed", 0.0)) for rs in dres.rank_stats),
-            default=0.0,
-        )
-        allreduces = max(
-            (int(rs.get("allreduces", 0)) for rs in dres.rank_stats),
-            default=0,
-        )
-        row = {
-            "n_ranks": int(dres.n_ranks),
-            "sparse_workers": int(sparse_workers),
-            "wall_seconds": wall,
-            "steps": int(dres.result.steps),
-            "allreduces": allreduces,
-            **bd,
-        }
-        if fabric is not None and allreduces > 0:
-            model = allreduces * fabric.allreduce_time(8.0, dres.n_ranks)
-            row["allreduce_model_seconds"] = model
-            row["allreduce_model_rel_error"] = _rel_error(
-                model, bd.get("allreduce_seconds", 0.0)
-            )
-        rows.append(row)
-    return rows
-
-
 def _residual_failures(doc: dict, tol: float) -> list[str]:
     """Check (1): every configuration reproduced the serial residual."""
     return [
@@ -700,25 +503,6 @@ def gate_failures(
     return failures
 
 
-def trsv_gate_failures(
-    doc: dict,
-    tol: float = 1e-12,
-    max_slowdown: float = 1.25,
-    gate_strategy: str = "p2p",
-) -> list[str]:
-    """CI gate for the TRSV sweep; same two checks as :func:`gate_failures`.
-
-    (1) Both sync strategies reproduced the serial solve bitwise-tight
-    (``max_abs_dev <= tol`` for every cell); (2) the P2P backend's solve at
-    the largest measured worker count is within ``max_slowdown``x of the
-    serial TRSV wall.  Speedup > 1 is reported in the document but not
-    gated — single- and dual-core CI runners cannot promise it.
-    """
-    return gate_failures(
-        doc, tol=tol, max_slowdown=max_slowdown, gate_strategy=gate_strategy
-    )
-
-
 def scatter_gate_failures(
     doc: dict,
     tol: float = 0.0,
@@ -754,44 +538,24 @@ def rolling_scatter_gate_failures(
     )
 
 
-def rolling_trsv_gate_failures(
-    doc: dict,
-    history: list[dict],
-    window: int = 5,
-    max_regression: float = 1.25,
-    tol: float = 1e-12,
-    gate_strategy: str = "p2p",
-) -> list[str]:
-    """Trend-aware TRSV gate (see :func:`rolling_gate_failures`)."""
-    return rolling_gate_failures(
-        doc, history, window=window, max_regression=max_regression, tol=tol,
-        gate_strategy=gate_strategy,
-    )
-
-
 # ---------------------------------------------------------------------------
 # trend tracking: JSONL history + rolling-median regression gate
 # ---------------------------------------------------------------------------
 
 def _doc_kind(record: dict) -> str:
-    """``trsv``/``scatter`` for those sweeps' documents, else ``flux``."""
+    """``scatter`` for that sweep's documents, else ``flux``."""
     kind = record.get("kind")
     if kind is not None:
         return kind
-    schema = record.get("schema")
-    if schema == TRSV_SCHEMA:
-        return "trsv"
-    if schema == SCATTER_SCHEMA:
-        return "scatter"
-    return "flux"
+    return "scatter" if record.get("schema") == SCATTER_SCHEMA else "flux"
 
 
 def _history_key(record: dict) -> tuple:
     """Runs are only comparable on the same problem configuration.
 
-    ``kind`` separates flux-loop and TRSV-sweep records sharing one history
-    file; pre-existing records (written before the TRSV sweep existed) carry
-    no kind and default to ``flux``, so old histories stay comparable.
+    ``kind`` separates the sweeps sharing one history file; records written
+    before there was more than one carry no kind and default to ``flux``,
+    so old histories stay comparable.
     """
     return (
         _doc_kind(record),
@@ -847,7 +611,8 @@ def append_history(doc: dict, path: str) -> dict:
 
 
 def load_history(path: str) -> list[dict]:
-    """Parse a JSONL history file; missing file or bad lines are skipped."""
+    """Parse a JSONL history file; a missing file, bad lines and records of
+    the deleted ``trsv`` sweep (an old restored cache) are skipped."""
     records: list[dict] = []
     try:
         with open(path) as fh:
@@ -859,7 +624,7 @@ def load_history(path: str) -> list[dict]:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if rec.get("schema") == HISTORY_SCHEMA:
+                if rec.get("schema") == HISTORY_SCHEMA and _doc_kind(rec) != "trsv":
                     records.append(rec)
     except OSError:
         return []

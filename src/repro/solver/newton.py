@@ -60,11 +60,6 @@ class SolverOptions:
     #: the assembled first-order Jacobian is the Krylov operator itself
     #: (cheaper per iteration, first-order-limited convergence path).
     matrix_free: bool = True
-    #: ``serial`` (in-process kernels) or ``process``: run ILU/TRSV on a
-    #: :class:`repro.smp.sparse_parallel.SparseProcessBackend` fleet.
-    sparse_backend: str = "serial"
-    sparse_strategy: str = "p2p"  # levels | p2p
-    sparse_workers: int = 2
 
 
 @dataclass
@@ -91,10 +86,9 @@ class SteadySolverSession:
     """Warm, reusable solver context for repeated solves on one field.
 
     Everything that depends only on the *structure* of the problem — the
-    Jacobian pattern and assembler workspaces, the BCSR matrix, the
-    additive-Schwarz subdomain split with its ILU symbolic plans, and an
-    optional :class:`~repro.smp.sparse_parallel.SparseProcessBackend`
-    worker fleet — is built once here and reused by every :meth:`solve`.
+    Jacobian pattern and assembler workspaces, the BCSR matrix and the
+    additive-Schwarz subdomain split with its ILU symbolic plans — is
+    built once here and reused by every :meth:`solve`.
     Only the state arrays and the :class:`FlowConfig` differ per case, so
     an angle-of-attack / Mach sweep pays the setup exactly once (the serve
     daemon's warm-cache story; the paper's setup-vs-solve cost split).
@@ -108,11 +102,6 @@ class SteadySolverSession:
 
     def __init__(self, fld: FlowField, opts: SolverOptions | None = None):
         opts = opts or SolverOptions()
-        if opts.sparse_backend not in ("serial", "process"):
-            raise ValueError(
-                f"unknown sparse backend {opts.sparse_backend!r}; "
-                "pick 'serial' or 'process'"
-            )
         self.field = fld
         self.opts = opts
         self.assembler = JacobianAssembler(fld)
@@ -128,39 +117,10 @@ class SteadySolverSession:
             self.A, labels=labels, overlap=opts.overlap,
             fill_level=opts.ilu_fill,
         )
-        self._backend = None
-        self._owns_backend = False
         self._closed = False
 
-    # ------------------------------------------------------------------
-    def _sparse_cm(self):
-        """Context installing the session's sparse fleet (if configured).
-
-        An ambient backend installed by the caller (e.g. the serve daemon
-        keeping one fleet warm across requests) takes precedence: the
-        session then never forks its own workers.
-        """
-        from contextlib import nullcontext
-
-        if self.opts.sparse_backend != "process":
-            return nullcontext()
-        from ..sparse.dispatch import get_sparse_backend, use_sparse_backend
-
-        ambient = get_sparse_backend()
-        if ambient is not None and not getattr(ambient, "closed", False):
-            return nullcontext()
-        if self._backend is None or self._backend.closed:
-            from ..smp.sparse_parallel import SparseProcessBackend
-
-            self._backend = SparseProcessBackend(
-                n_workers=max(1, self.opts.sparse_workers),
-                strategy=self.opts.sparse_strategy,
-            )
-            self._owns_backend = True
-        return use_sparse_backend(self._backend)
-
     #: solver knobs safe to override per solve: none of them changes a
-    #: pattern, plan, partition or fleet, so the warm structures stay valid.
+    #: pattern, plan or partition, so the warm structures stay valid.
     NONSTRUCTURAL = frozenset({
         "cfl0", "cfl_max", "max_steps", "steady_rtol", "steady_atol",
         "gmres_rtol", "gmres_restart", "gmres_maxiter", "max_update",
@@ -193,19 +153,13 @@ class SteadySolverSession:
             from dataclasses import replace
 
             opts = replace(opts, **overrides)
-        with self._sparse_cm():
-            return _solve_steady_impl(
-                self.field, config, opts, q0, callback, session=self
-            )
+        return _solve_steady_impl(
+            self.field, config, opts, q0, callback, session=self
+        )
 
     def close(self) -> None:
-        """Tear down the session's own sparse fleet (idempotent)."""
-        if self._closed:
-            return
+        """Refuse further solves (idempotent)."""
         self._closed = True
-        if self._backend is not None and self._owns_backend:
-            self._backend.close()
-            self._backend = None
 
     def __enter__(self) -> "SteadySolverSession":
         return self
@@ -227,14 +181,6 @@ def solve_steady(
     kernel names (Flux+BC residual assembly under ``flux``/``grad``,
     ``jacobian``, ``ilu``, ``trsv`` inside the preconditioner, vector
     primitives from GMRES under their PETSc names).
-
-    With ``opts.sparse_backend == "process"`` the preconditioner's ILU
-    factorizations and triangular solves run on a process fleet
-    (:class:`repro.smp.sparse_parallel.SparseProcessBackend`) for the
-    duration of the solve; the workers persist across Newton steps and
-    Krylov iterations and are torn down on exit.  If a sparse backend is
-    already installed (:func:`repro.sparse.use_sparse_backend`), that warm
-    fleet is reused instead of forking a fresh one.
 
     One-shot wrapper over :class:`SteadySolverSession`; callers with many
     structurally-identical cases should hold a session (or go through

@@ -1,7 +1,6 @@
 """Block sparse linear algebra: BCSR, ILU(k), TRSV, level scheduling, P2P."""
 
 from .bcsr import BCSRMatrix, bcsr_pattern_from_edges
-from .dispatch import get_sparse_backend, use_sparse_backend
 from .fill import ilu_symbolic
 from .ilu import (
     ILUFactor,
@@ -29,13 +28,10 @@ from .trsv import (
     trsv_solve_levels,
     trsv_solve_sequential,
 )
-from .wplan import SparseExecPlan, WorkerPlan, build_worker_plans
 
 __all__ = [
     "BCSRMatrix",
     "bcsr_pattern_from_edges",
-    "get_sparse_backend",
-    "use_sparse_backend",
     "ilu_symbolic",
     "ILUFactor",
     "ILUPlan",
@@ -55,7 +51,4 @@ __all__ = [
     "trsv_solve",
     "trsv_solve_levels",
     "trsv_solve_sequential",
-    "SparseExecPlan",
-    "WorkerPlan",
-    "build_worker_plans",
 ]

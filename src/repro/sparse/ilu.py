@@ -30,7 +30,6 @@ import numpy as np
 from ..obs.metrics import get_metrics
 from . import native
 from .bcsr import BCSRMatrix
-from .dispatch import get_sparse_backend
 from .fill import ilu_symbolic
 from .levels import LevelSchedule, build_levels
 
@@ -86,9 +85,9 @@ class ILUPlan:
     """Symbolic factorization plan for a fixed sparsity pattern.
 
     The pattern arrays and the forward schedule are built eagerly; the
-    per-level batch structures that only the level-scheduled kernels, the
-    worker fleets and the cost model read (``schedule_back``, ``steps``,
-    ``fwd_pairs``, ``bwd_pairs``) are built on first access.
+    per-level batch structures that only the level-scheduled kernels and
+    the cost model read (``schedule_back``, ``steps``, ``fwd_pairs``,
+    ``bwd_pairs``) are built on first access.
     """
 
     n: int
@@ -100,7 +99,6 @@ class ILUPlan:
     orig_map: np.ndarray  # factor-val index of each original nonzero
     schedule: LevelSchedule  # forward (lower) dependency levels
     factor_nnzb: int = field(init=False)
-    _wplans: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # the compiled kernels index through these without further checks
@@ -160,19 +158,6 @@ class ILUPlan:
         return [
             _level_pairs(self, rows, lo, hi) for rows in self.schedule_back.levels
         ]
-
-    def worker_plans(self, n_workers: int):
-        """Per-worker execution programs (cached per worker count).
-
-        Extends the symbolic phase for the process backend; see
-        :func:`repro.sparse.wplan.build_worker_plans`.
-        """
-        key = int(n_workers)
-        if key not in self._wplans:
-            from .wplan import build_worker_plans
-
-            self._wplans[key] = build_worker_plans(self, key)
-        return self._wplans[key]
 
     def max_level_rows(self) -> int:
         """Widest wavefront across both sweeps (sizes solve scratch)."""
@@ -311,9 +296,8 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
 
     The factored values overwrite a scattered copy of the matrix; diagonal
     blocks are inverted and stored (multiplicative application in TRSV).
-    Runs, in order of preference: the installed sparse backend when it
-    claims the plan, the compiled row-by-row sweep (``b == 4``, float64,
-    kernels loadable), the level-scheduled NumPy kernel
+    Runs the compiled row-by-row sweep when it can (``b == 4``, float64,
+    kernels loadable), else the level-scheduled NumPy kernel
     :func:`ilu_factorize_levels`.  The compiled factors agree with the
     level-scheduled ones to 1e-12 relative, not bitwise.
     """
@@ -323,9 +307,6 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     met.counter("ilu.factorizations").inc()
     met.gauge("ilu.factor_nnzb").set(plan.factor_nnzb)
     met.gauge("ilu.fwd_levels").set(len(plan.schedule.levels))
-    backend = get_sparse_backend()
-    if backend is not None and backend.handles_plan(plan):
-        return backend.factorize(matrix, plan)
     if plan.b == 4 and matrix.vals.dtype == np.float64:
         lib = native.load_kernels()
         if lib is not None:
@@ -335,7 +316,8 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
 
 def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     """Level-scheduled NumPy factorization: the portable fallback of
-    :func:`ilu_factorize` and the bitwise oracle of the process fleets.
+    :func:`ilu_factorize` and the declared-tolerance (1e-12) reference of
+    the compiled sweep.
 
     Row updates run level by level; within a level, position-p batches are
     sequential but each batch is one set of batched block multiplies.

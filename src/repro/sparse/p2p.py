@@ -11,19 +11,10 @@ graph from a triangular pattern, the 2-hop approximate transitive reduction,
 and counts/statistics consumed by the shared-memory cost model (each
 retained dependency crossing a thread boundary costs one point-to-point
 synchronization instead of a barrier).
-
-:func:`wait_generation` is the runtime half: the generation-flag spin-wait
-the process backend's workers execute for every retained cross-worker
-dependency.  It accumulates spin-iteration and wait-time counters
-(:class:`SpinStats`) so the live telemetry plane can report per-worker
-spin fractions — the P2P-sync overhead the paper discusses — while a
-solve is running, and it heartbeats periodically so a *hung* wait is
-distinguishable from a busy one.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +24,6 @@ __all__ = [
     "build_dependency_graph",
     "sparsify_transitive",
     "cross_thread_syncs",
-    "SpinStats",
-    "wait_generation",
 ]
 
 
@@ -122,66 +111,6 @@ def sparsify_transitive(graph: DependencyGraph) -> DependencyGraph:
     return DependencyGraph(
         pred_ptr=graph.pred_ptr, preds=graph.preds, retained=retained
     )
-
-
-@dataclass
-class SpinStats:
-    """Accumulated spin-wait cost of one worker's generation-flag waits."""
-
-    waits: int = 0  # wait calls issued (incl. immediately-satisfied ones)
-    iters: int = 0  # spin-loop iterations actually executed
-    seconds: float = 0.0  # wall time spent spinning
-
-    def merge(self, other: "SpinStats") -> None:
-        self.waits += other.waits
-        self.iters += other.iters
-        self.seconds += other.seconds
-
-
-def wait_generation(
-    flags: np.ndarray,
-    idx: np.ndarray,
-    gen: int,
-    deadline: float,
-    stats: SpinStats | None = None,
-    heartbeat=None,
-    hb_every: int = 256,
-) -> None:
-    """Spin until every row in ``idx`` has published generation ``gen``.
-
-    ``sleep(0)`` yields the GIL-free core so sibling workers make progress
-    even when oversubscribed (the CI runners have 2 cores).  ``stats``
-    accumulates iteration/wall-time counters; ``heartbeat`` (a no-arg
-    callable) fires every ``hb_every`` iterations so a stalled wait keeps a
-    live pulse for the health monitor right up to the timeout.
-    """
-    if idx.shape[0] == 0:
-        return
-    if stats is not None:
-        stats.waits += 1
-    if (flags[idx] >= gen).all():
-        return
-    t0 = time.monotonic()
-    iters = 0
-    while True:
-        iters += 1
-        if heartbeat is not None and iters % hb_every == 0:
-            heartbeat()
-        if time.monotonic() > deadline:
-            if stats is not None:
-                stats.iters += iters
-                stats.seconds += time.monotonic() - t0
-            missing = idx[flags[idx] < gen]
-            raise RuntimeError(
-                f"p2p wait timed out; rows {missing[:8].tolist()} "
-                f"never reached generation {gen}"
-            )
-        time.sleep(0)
-        if (flags[idx] >= gen).all():
-            break
-    if stats is not None:
-        stats.iters += iters
-        stats.seconds += time.monotonic() - t0
 
 
 def cross_thread_syncs(graph: DependencyGraph, owner: np.ndarray) -> int:

@@ -12,7 +12,7 @@ Three implementations:
   of ``_kernels.c`` (block size 4, float64), else the level kernel.
 * :func:`trsv_solve_levels` — level-scheduled and fully vectorized (one
   gather / einsum / scatter per wavefront): the portable fallback and the
-  bitwise oracle of the process fleets.
+  declared-tolerance reference of the compiled sweep.
 * :func:`trsv_solve_sequential` — the plain row loop with every block
   product spelled out as four column axpys, so its floating-point order is
   explicit.  The compiled sweep equals it bitwise; the level kernel agrees
@@ -27,7 +27,6 @@ import numpy as np
 
 from ..obs.metrics import get_metrics
 from . import native
-from .dispatch import get_sparse_backend
 from .ilu import ILUFactor, ILUPlan
 
 __all__ = [
@@ -88,18 +87,13 @@ def trsv_solve(
     otherwise a fresh array is returned.  ``work`` supplies reusable
     scratch (:class:`TrsvWorkspace`) to the level-scheduled path.
 
-    Runs, in order of preference: the installed sparse backend when it
-    claims the factor, the compiled sweep (``b == 4``, C-contiguous
-    float64 operands, kernels loadable), :func:`trsv_solve_levels`.
+    Runs the compiled sweep when it can (``b == 4``, C-contiguous float64
+    operands, kernels loadable), else :func:`trsv_solve_levels`.
     """
     plan = factor.plan
     met = get_metrics()
     met.counter("trsv.solves").inc()
     met.counter("trsv.block_ops").inc(plan.solve_block_ops())
-
-    backend = get_sparse_backend()
-    if backend is not None and backend.handles_factor(factor):
-        return backend.solve(factor, rhs, out=out)
 
     n = plan.n
     if (

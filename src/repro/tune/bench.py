@@ -44,13 +44,7 @@ def _solve_once(mesh, cfg: TunedConfig, ilu: int, max_steps: int,
     app = Fun3dApp(
         mesh,
         flow=FlowConfig(),
-        solver=SolverOptions(
-            max_steps=max_steps,
-            ilu_fill=ilu,
-            sparse_backend=cfg.sparse_backend,
-            sparse_strategy=cfg.sparse_strategy,
-            sparse_workers=cfg.sparse_workers or cfg.workers,
-        ),
+        solver=SolverOptions(max_steps=max_steps, ilu_fill=ilu),
     )
     backend_cm = install_cm = nullcontext()
     if cfg.edge_backend == "process":

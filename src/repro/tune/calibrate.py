@@ -260,7 +260,7 @@ def _barrier_cost(thread_counts, waits: int) -> dict:
 def _p2p_flag_cost(rounds: int, budget_s: float = 0.5) -> dict:
     """Shared-memory flag ping-pong between two forked processes.
 
-    The same transport the P2P sparse backend's generation flags use:
+    The point-to-point synchronization the Table II P2P rows price:
     one side spins on a shm word the other writes.  ``budget_s`` bounds
     the measurement on oversubscribed hosts (where a spin round trip is
     honestly a scheduler timeslice — the fitted cost reflects that).

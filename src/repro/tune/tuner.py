@@ -2,9 +2,8 @@
 
 ``tune_solve`` prices one implicit solver step for every configuration the
 CLI exposes — edge strategy (locked / replicate / owner x partitioner),
-worker count, sparse strategy (levels / p2p) and fleet width, vertex
-ordering, forked ranks x sparse-workers splits, and
-the serve batch width — using the host-calibrated
+worker count, vertex ordering, forked rank counts, and the serve batch
+width — using the host-calibrated
 :class:`~repro.smp.machine.MachineModel` (falling back to the analytic
 paper model), and returns the cheapest as a frozen :class:`TunedConfig`.
 
@@ -75,9 +74,6 @@ class TunedConfig:
     edge_strategy: str = "owner"
     partitioner: str = "metis"
     ordering: str = "rcm"
-    sparse_backend: str = "serial"
-    sparse_strategy: str = "p2p"
-    sparse_workers: int = 0
     dist_ranks: int = 0
     batch_width: int = 1
     predicted_step_seconds: float = 0.0
@@ -94,11 +90,7 @@ class TunedConfig:
         return self.default_step_seconds / self.predicted_step_seconds
 
     def is_default(self) -> bool:
-        return (
-            self.edge_backend == "serial"
-            and self.sparse_backend == "serial"
-            and self.dist_ranks == 0
-        )
+        return self.edge_backend == "serial" and self.dist_ranks == 0
 
     def to_dict(self) -> dict:
         return {
@@ -107,9 +99,6 @@ class TunedConfig:
             "edge_strategy": self.edge_strategy,
             "partitioner": self.partitioner,
             "ordering": self.ordering,
-            "sparse_backend": self.sparse_backend,
-            "sparse_strategy": self.sparse_strategy,
-            "sparse_workers": self.sparse_workers,
             "dist_ranks": self.dist_ranks,
             "batch_width": self.batch_width,
             "predicted_step_seconds": self.predicted_step_seconds,
@@ -130,8 +119,6 @@ class TunedConfig:
             head = (
                 f"tune: edge={self.edge_backend}"
                 f"/{self.edge_strategy}@{self.workers}"
-                f" sparse={self.sparse_backend}/{self.sparse_strategy}"
-                f"@{self.sparse_workers or self.workers}"
                 f" ordering={self.ordering}"
             )
             if self.dist_ranks:
@@ -218,51 +205,25 @@ def _edge_candidates(
     return out
 
 
-def _sparse_candidates(
-    mesh, machine: MachineModel, ilu_fill: int, max_workers: int, seed: int
-) -> list[dict]:
-    """Price serial vs (levels | p2p) fleet TRSV+ILU on the real plan."""
+def _sparse_step_seconds(mesh, machine: MachineModel, ilu_fill: int) -> float:
+    """One step's serial ILU + ``TRSV_PER_STEP`` solves on the real plan."""
     from ..sparse.bcsr import bcsr_pattern_from_edges
     from ..sparse.ilu import build_ilu_plan
 
     rowptr, cols = bcsr_pattern_from_edges(mesh.edges, mesh.n_vertices)
     plan = build_ilu_plan(rowptr, cols, b=4, fill_level=ilu_fill)
     nnzb, n, b = plan.cols.shape[0], plan.n, plan.b
-    block_ops = plan.factor_block_ops()
-
-    def price(strategy: str, t: int) -> tuple[float, float]:
-        opts = tri_solve_options_from_plan(plan, strategy, t)
-        return (
-            trsv_time(machine, nnzb, n, b, opts),
-            ilu_time(machine, block_ops, nnzb, n, b, opts),
-        )
-
-    trsv_s, ilu_s = price("sequential", 1)
-    out = [{
-        "label": "sparse-serial",
-        "backend": "serial", "strategy": "p2p", "workers": 0,
-        "trsv_seconds": trsv_s, "ilu_seconds": ilu_s,
-    }]
-    w = 2
-    while w <= max_workers:
-        for strategy in ("levels", "p2p"):
-            trsv_s, ilu_s = price(
-                "level" if strategy == "levels" else "p2p", w
-            )
-            out.append({
-                "label": f"sparse-{strategy}@{w}",
-                "backend": "process", "strategy": strategy, "workers": w,
-                "trsv_seconds": trsv_s, "ilu_seconds": ilu_s,
-            })
-        w *= 2
-    return out
+    opts = tri_solve_options_from_plan(plan, "sequential", 1)
+    return ilu_time(
+        machine, plan.factor_block_ops(), nnzb, n, b, opts
+    ) + TRSV_PER_STEP * trsv_time(machine, nnzb, n, b, opts)
 
 
 def _dist_candidates(
     mesh, machine: MachineModel, fabric, serial_resid: float,
-    serial_jac: float, sparse_serial: dict, max_ranks: int
+    serial_jac: float, sparse_step: float, max_ranks: int
 ) -> list[dict]:
-    """Price ranks x sparse-workers splits of one step on the local fabric.
+    """Price rank counts of one step on the local fabric.
 
     Edge work splits by owned vertices (natural chunks, the rank
     decomposition's assignment); each rank pays halo exchange for its cut
@@ -284,23 +245,16 @@ def _dist_candidates(
         )
         # replication at the cut keeps ranks from perfect 1/r scaling
         eff = (mesh.n_edges + cut_edges) / (mesh.n_edges * r)
-        workers_per_rank = max(machine.n_cores // r, 1)
-        sparse_w = 1 if workers_per_rank == 1 else workers_per_rank
         step = (
             RESID_EVALS_PER_STEP * (serial_resid * eff + halo)
             + serial_jac * eff
-            + sparse_serial["ilu_seconds"] / r
-            + TRSV_PER_STEP * (
-                sparse_serial["trsv_seconds"] / r
-                + fabric.allreduce_time(ALLREDUCE_BYTES, r)
-            )
+            + sparse_step / r
+            + TRSV_PER_STEP * fabric.allreduce_time(ALLREDUCE_BYTES, r)
             + allreduce
             + RESID_EVALS_PER_STEP * machine.dispatch_seconds()
         )
         out.append({
-            "label": f"dist@{r}x{sparse_w}",
-            "ranks": r, "sparse_workers": sparse_w,
-            "step_seconds": step,
+            "label": f"dist@{r}", "ranks": r, "step_seconds": step,
         })
         r *= 2
     return out
@@ -379,51 +333,29 @@ def tune_solve(
     if best_edge["resid_seconds"] >= margin * default_edge["resid_seconds"]:
         best_edge = default_edge
 
-    # --- sparse dimension ------------------------------------------------
-    sparse = _sparse_candidates(mesh, machine, ilu_fill, max_w, seed)
-    default_sparse = sparse[0]
+    # --- assemble smp step costs (the recurrence is the serial sweep) ---
+    sparse_step = _sparse_step_seconds(mesh, machine, ilu_fill)
 
-    def sparse_step(c: dict) -> float:
-        return c["ilu_seconds"] + TRSV_PER_STEP * c["trsv_seconds"]
-
-    best_sparse = min(sparse[1:], key=sparse_step, default=default_sparse)
-    if sparse_step(best_sparse) >= margin * sparse_step(default_sparse):
-        best_sparse = default_sparse
-
-    # --- assemble smp step costs ----------------------------------------
-    def step_cost(resid: float, jac: float, sp: dict) -> float:
+    def step_cost(c: dict) -> float:
         return (
-            RESID_EVALS_PER_STEP * resid + jac + sparse_step(sp)
+            RESID_EVALS_PER_STEP * c["resid_seconds"] + c["jac_seconds"]
+            + sparse_step
         )
 
-    default_step = step_cost(
-        default_edge["resid_seconds"], default_edge["jac_seconds"],
-        default_sparse,
-    )
-    smp_step = step_cost(best_edge["resid_seconds"],
-                         best_edge["jac_seconds"], best_sparse)
+    default_step = step_cost(default_edge)
+    smp_step = step_cost(best_edge)
 
     candidates = [("default", default_step)]
-    candidates += [
-        (c["label"], step_cost(c["resid_seconds"], c["jac_seconds"],
-                               default_sparse))
-        for c in edge[1:]
-    ]
-    candidates += [
-        (c["label"],
-         step_cost(default_edge["resid_seconds"],
-                   default_edge["jac_seconds"], c))
-        for c in sparse[1:]
-    ]
+    candidates += [(c["label"], step_cost(c)) for c in edge[1:]]
 
-    # --- ranks x workers split on the calibrated local fabric -----------
+    # --- rank count on the calibrated local fabric ----------------------
     chosen_ranks = 0
     dist_step = float("inf")
     if allow_dist and machine.n_cores >= 4:
         fabric = calibrated_fabric(cal, machine)
         dist = _dist_candidates(
             mesh, machine, fabric, default_edge["resid_seconds"],
-            default_edge["jac_seconds"], default_sparse,
+            default_edge["jac_seconds"], sparse_step,
             max_ranks=min(max_w, 8),
         )
         candidates += [(c["label"], c["step_seconds"]) for c in dist]
@@ -449,8 +381,7 @@ def tune_solve(
             edge_backend="serial", workers=1,
             edge_strategy="owner", partitioner="metis",
             ordering=best_ordering,
-            sparse_backend="serial", sparse_strategy="p2p",
-            sparse_workers=0, dist_ranks=chosen_ranks,
+            dist_ranks=chosen_ranks,
             batch_width=batch_width,
             predicted_step_seconds=dist_step,
             default_step_seconds=default_step,
@@ -463,9 +394,6 @@ def tune_solve(
         edge_strategy=best_edge["strategy"],
         partitioner=best_edge["partitioner"],
         ordering=best_ordering,
-        sparse_backend=best_sparse["backend"],
-        sparse_strategy=best_sparse["strategy"],
-        sparse_workers=best_sparse["workers"],
         dist_ranks=0,
         batch_width=batch_width,
         predicted_step_seconds=smp_step,

@@ -60,6 +60,39 @@ class TestParser:
         assert "--fuse" in capsys.readouterr().err
         assert not hasattr(build_parser().parse_args(["solve"]), "fuse")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--sparse-backend=process"],
+            ["profile", "--sparse-backend=process"],
+            ["serve", "--socket", "s", "--sparse-backend=process"],
+            ["bench", "--sparse-backend=process"],
+            ["bench", "--kernel", "trsv"],
+        ],
+        ids=" ".join,
+    )
+    def test_sparse_fleet_options_are_gone(self, argv, capsys):
+        """The compiled sweep is the recurrence; nothing selects a fleet."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
+    def test_sparse_fleet_fields_are_gone(self):
+        """No silent-ignore shim behind the removed flags either."""
+        from repro.serve import ExecutionConfig
+        from repro.solver import SolverOptions
+        from repro.tune import TunedConfig
+
+        cmds = (["solve"], ["profile"], ["serve", "--socket", "s"], ["bench"])
+        parsed = [build_parser().parse_args(argv) for argv in cmds]
+        for flag in ("--sparse-backend", "--sparse-strategy", "--sparse-workers"):
+            name = flag.lstrip("-").replace("-", "_")
+            assert not any(hasattr(ns, name) for ns in parsed)
+            for cls in (SolverOptions, ExecutionConfig, TunedConfig):
+                with pytest.raises(TypeError):
+                    cls(**{name: 2})
+
 
 class TestCommands:
     def test_mesh_info(self, capsys):

@@ -10,6 +10,7 @@ mode), and failure containment (a SIGKILLed rank surfaces as an error and
 no ``/dev/shm`` segment survives).
 """
 
+import multiprocessing as mp
 import os
 import signal
 import threading
@@ -443,6 +444,17 @@ class TestFailureContainment:
             t.join()
             rt.close()
         _assert_unlinked(names)
+
+    def test_ranks_are_daemonic_leaf_processes(self):
+        """A rank forks nothing, so it is daemonic: an abandoned runtime
+        cannot outlive the interpreter that started it."""
+        mesh, decomp = _decomp(n=50, seed=2, ranks=2)
+        with DistRuntime(decomp, timeout=30) as rt:
+            flags = [
+                rr.value
+                for rr in rt.run(lambda comm: mp.current_process().daemon)
+            ]
+        assert flags == [True, True]
 
     def test_rank_exception_propagates_with_traceback(self):
         mesh, decomp = _decomp(n=50, seed=2, ranks=2)

@@ -4,7 +4,7 @@ Covers the seqlock ring protocol (untorn snapshots under a hammering
 writer thread, property-checked against a model), the bounded event ring's
 overrun accounting, cross-process visibility through a forked writer, the
 aggregator/health/flight-recorder pipeline (including the SIGKILLed-worker
-regression: a dead sparse worker must leave a schema-valid JSONL bundle
+regression: a dead edge worker must leave a schema-valid JSONL bundle
 naming the victim), and the Prometheus / OTLP / ``repro top`` export
 surfaces.
 """
@@ -276,25 +276,6 @@ class TestHealthMonitor:
         hm2 = HealthMonitor()
         assert [e.kind for e in hm2.check(nan, now=100.0)] == ["divergence"]
 
-    def test_excessive_spin(self):
-        hm = HealthMonitor(spin_fraction_max=0.8, min_busy_seconds=0.25)
-        spinny = {
-            "w0": _snap(
-                "w0", hb_time=99.9,
-                slots={"busy_seconds": 1.0, "spin_seconds": 0.9},
-            )
-        }
-        evs = hm.check(spinny, now=100.0)
-        assert [e.kind for e in evs] == ["excessive_spin"]
-        assert evs[0].detail["spin_fraction"] == pytest.approx(0.9)
-        tiny = {
-            "w0": _snap(
-                "w0", hb_time=99.9,
-                slots={"busy_seconds": 0.1, "spin_seconds": 0.09},
-            )
-        }
-        assert HealthMonitor().check(tiny, now=100.0) == []  # under min busy
-
 
 class TestFlightRecorder:
     def test_crash_dump_is_noop_without_recorder(self):
@@ -326,30 +307,26 @@ class TestFlightRecorder:
         assert procs["solver"]["slots"]["residual"] == 3e-5
         assert any(r.get("step") == 4 for r in by_type["milestone"])
 
-    def test_sigkilled_sparse_worker_leaves_bundle(
+    def test_sigkilled_edge_worker_leaves_bundle(
         self, tmp_path, tmp_recorder
     ):
-        """Regression (acceptance): SIGKILL a sparse worker mid-task; the
+        """Regression (acceptance): SIGKILL a fleet worker mid-task; the
         parent must dump a schema-valid JSONL bundle naming the dead worker
         before raising."""
+        from repro.cfd import FlowField
         from repro.mesh import wing_mesh
-        from repro.smp.bench import _trsv_matrix
-        from repro.smp.sparse_parallel import SparseProcessBackend
-        from repro.sparse.ilu import build_ilu_plan
+        from repro.smp import ProcessEdgeBackend
 
-        mesh = wing_mesh(n_around=16, n_radial=6, n_span=5)
-        matrix = _trsv_matrix(mesh, 3)
-        plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=matrix.b)
-        be = SparseProcessBackend(2)
-        be.factorize(matrix, plan)
-        victim = be._fleets[id(plan)].workers[0]
+        field = FlowField(wing_mesh(n_around=16, n_radial=6, n_span=5))
+        be = ProcessEdgeBackend(field, 2)
+        victim = be._workers[0]
         timer = threading.Timer(
             0.2, os.kill, args=(victim.pid, signal.SIGKILL)
         )
         timer.start()
         try:
             with pytest.raises(RuntimeError, match="died|pipe"):
-                be._debug_sleep(plan, 3.0)
+                be._debug_sleep(3.0)
         finally:
             timer.cancel()
             be.close()
@@ -358,11 +335,11 @@ class TestFlightRecorder:
         lines = [json.loads(ln) for ln in open(bundles[0], encoding="utf-8")]
         header = lines[0]
         assert header["schema"] == FLIGHTREC_SCHEMA
-        assert header["reason"].startswith("sparse-worker-death")
-        assert victim.name in header["dead"]  # repro-sparse-w0
+        assert header["reason"].startswith("edge-worker-death")
+        assert victim.name in header["dead"]  # repro-edge-w0
         # the bundle carries the fleet's last plane snapshots
         procs = {r["proc"] for r in lines if r["type"] == "proc"}
-        assert {"sparse.w0", "sparse.w1"} <= procs
+        assert {"edge.w0", "edge.w1"} <= procs
 
 
 class TestExporters:

@@ -517,12 +517,12 @@ def _shm_entries():
         return set()
 
 
-def test_daemon_sparse_fleet_reused_across_requests_no_shm_leak(tmp_path):
+def test_daemon_edge_fleet_reused_across_requests_no_shm_leak(tmp_path):
     before = _shm_entries()
     path = str(tmp_path / "fleet.sock")
     d = ServeDaemon(
         path,
-        execution=ExecutionConfig(sparse_backend="process", sparse_workers=2),
+        execution=ExecutionConfig(edge_backend="process", workers=2),
         telemetry=False,
     )
     d.start()
@@ -530,12 +530,11 @@ def test_daemon_sparse_fleet_reused_across_requests_no_shm_leak(tmp_path):
         wait_for_socket(path)
         with ServeClient(path, timeout=300.0) as c:
             c.solve(family=FAMILY, case=CASE)
-            first = c.stats()["cache"]["families"][0]["fleets"]["sparse"]
+            first = c.stats()["cache"]["families"][0]["fleets"]["edge"]
             c.solve(family=FAMILY, case=CASE)
-            second = c.stats()["cache"]["families"][0]["fleets"]["sparse"]
-        assert first["trsv_solves"] > 0
-        assert second["trsv_solves"] > first["trsv_solves"]
-        assert second["factorizations"] > first["factorizations"]
+            second = c.stats()["cache"]["families"][0]["fleets"]["edge"]
+        assert first["pipeline_rounds"] > 0
+        assert second["pipeline_rounds"] > first["pipeline_rounds"]
         assert not second["closed"]  # same fleet, never reforked
     finally:
         d.request_stop()

@@ -6,6 +6,7 @@ contract (context manager, atexit, crashed workers must not leak
 ``/dev/shm`` segments), and the bench/gate machinery the CI job runs.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -379,6 +380,24 @@ class TestBenchHistory:
             fh.write("not json\n")
             fh.write('{"schema": "something-else/v1"}\n')
         assert len(load_history(path)) == 2
+
+    def test_report_skips_records_of_a_deleted_bench(self, tmp_path, capsys):
+        """A restored CI cache may still hold ``trsv`` sweep records; the
+        sweep is gone, so its rows must not be reported (or gated) forever."""
+        from repro.cli import main
+
+        path = str(tmp_path / "hist.jsonl")
+        rec = append_history(_trend_doc(0.010), path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps({
+                **rec, "kind": "trsv", "fill_level": 0,
+                "walls": {"levels@2": 0.05, "p2p@2": 0.04},
+            }) + "\n")
+        assert [r["kind"] for r in load_history(path)] == ["flux"]
+        assert main(["bench", "report", "--history", path]) == 0
+        out = capsys.readouterr().out
+        assert "owner-metis@4" in out
+        assert "trsv" not in out and "p2p@2" not in out
 
     def test_rolling_gate_uses_median_of_history(self, tmp_path):
         path = str(tmp_path / "hist.jsonl")

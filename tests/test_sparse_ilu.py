@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repro.mesh import box_mesh, delaunay_cloud_mesh
 from repro.sparse import (
     BCSRMatrix,
+    TrsvWorkspace,
     available_parallelism,
     build_ilu_plan,
     build_levels,
     ilu_factorize,
+    ilu_factorize_levels,
     ilu_symbolic,
     native_kernels_available,
     trsv_solve,
@@ -205,6 +207,71 @@ class TestTRSV:
         np.testing.assert_allclose(trsv_solve(F, rhs), rhs)
 
 
+@pytest.fixture(scope="module")
+def block4_problem():
+    """(matrix, ILU(1) plan, rhs) with the block size the compiled sweep takes."""
+    A = random_spd_bcsr(box_mesh((4, 4, 3), jitter=0.1, seed=13), seed=13)
+    plan = build_ilu_plan(A.rowptr, A.cols, b=4, fill_level=1)
+    return A, plan, np.random.default_rng(14).normal(size=(plan.n, 4))
+
+
+@pytest.fixture(params=["compiled", "levels"])
+def kernels(request):
+    """(factorize, solve) of one of the two execution paths."""
+    if request.param == "levels":
+        return ilu_factorize_levels, trsv_solve_levels
+    if not native_kernels_available():
+        pytest.skip("kernels not loadable")
+    return ilu_factorize, trsv_solve
+
+
+class TestSolveArguments:
+    """The ``out=`` / ``work=`` / flat-``rhs`` contract both paths share."""
+
+    def test_workspace_and_out_paths_match_plain_solve(
+        self, block4_problem, kernels
+    ):
+        factorize, solve = kernels
+        matrix, plan, rhs = block4_problem
+        factor = factorize(matrix, plan)
+        ref = solve(factor, rhs)
+        work = TrsvWorkspace.for_plan(plan)
+        assert work.fits(plan)
+        out = np.empty_like(rhs)
+        assert solve(factor, rhs, out=out, work=work) is out
+        np.testing.assert_array_equal(out, ref)
+        # the workspace is scratch only: reusing it must not change results
+        np.testing.assert_array_equal(
+            solve(factor, 3.0 * rhs, work=work), solve(factor, 3.0 * rhs)
+        )
+
+    def test_out_and_flat_rhs(self, block4_problem, kernels):
+        factorize, solve = kernels
+        matrix, plan, rhs = block4_problem
+        factor = factorize(matrix, plan)
+        x = solve(factor, rhs)
+        out = np.empty_like(rhs)
+        assert solve(factor, rhs, out=out) is out
+        np.testing.assert_array_equal(out, x)
+        flat = solve(factor, rhs.reshape(-1))
+        assert flat.shape == (plan.n * plan.b,)
+        np.testing.assert_array_equal(flat.reshape(plan.n, plan.b), x)
+
+    def test_result_is_not_a_view_of_the_workspace(
+        self, block4_problem, kernels
+    ):
+        """Krylov callers keep each preconditioned vector: a later solve
+        through the same workspace must never mutate an earlier result."""
+        factorize, solve = kernels
+        matrix, plan, rhs = block4_problem
+        factor = factorize(matrix, plan)
+        work = TrsvWorkspace.for_plan(plan)
+        x1 = solve(factor, rhs, work=work)
+        snap = x1.copy()
+        solve(factor, 2.0 * rhs, work=work)
+        np.testing.assert_array_equal(x1, snap)
+
+
 class TestLevels:
     def test_diagonal_single_level(self):
         rowptr = np.arange(6)
@@ -240,6 +307,16 @@ class TestLevels:
         A = random_spd_bcsr(m)
         sched = build_levels(A.rowptr, A.cols)
         assert sched.widths().sum() == A.n_brows
+
+    def test_schedule_width_stats(self, block4_problem):
+        _, plan, _ = block4_problem
+        for sched in (plan.schedule, plan.schedule_back):
+            widths = sched.widths()
+            assert sched.max_level_width == widths.max()
+            hist = sched.width_histogram()
+            assert sum(cnt for _, _, cnt in hist) == len(sched.levels)
+            for lo, hi, cnt in hist:
+                assert cnt == int(((widths >= lo) & (widths <= hi)).sum())
 
     def test_available_parallelism_bounds(self):
         m = box_mesh((5, 5, 5))

@@ -165,14 +165,12 @@ class TestTuner:
                          dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
                          allow_dist=False)
         assert cfg.workers <= (os.cpu_count() or 1)
-        assert cfg.sparse_workers <= (os.cpu_count() or 1)
 
     def test_wide_margin_keeps_default(self, small_mesh):
         cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
                          dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
                          margin=1e-9, allow_dist=False)
         assert cfg.edge_backend == "serial"
-        assert cfg.sparse_backend == "serial"
         assert cfg.dist_ranks == 0
 
     def test_fallback_without_calibration(self, small_mesh, tmp_path):
