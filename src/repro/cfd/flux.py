@@ -28,6 +28,7 @@ import numpy as np
 
 from ..smp.backend import get_edge_backend
 from .state import FlowField
+from .sums import dot3
 
 __all__ = [
     "pointwise_flux",
@@ -42,7 +43,7 @@ def pointwise_flux(q: np.ndarray, normals: np.ndarray, beta: float) -> np.ndarra
     """Analytic flux ``F(q, S)`` for states ``(n, 4)`` and normals ``(n, 3)``."""
     p = q[..., 0]
     vel = q[..., 1:4]
-    theta = np.einsum("...i,...i->...", normals, vel)
+    theta = dot3(normals, vel)
     out = np.empty_like(q)
     out[..., 0] = beta * theta
     out[..., 1:4] = vel * theta[..., None] + normals * p[..., None]
@@ -55,8 +56,8 @@ def edge_spectral_radius(
     """Spectral radius ``|Theta| + c`` of the face eigen-system, evaluated at
     the Roe-style arithmetic average state."""
     qa = 0.5 * (ql + qr)
-    theta = np.einsum("...i,...i->...", normals, qa[..., 1:4])
-    s2 = np.einsum("...i,...i->...", normals, normals)
+    theta = dot3(normals, qa[..., 1:4])
+    s2 = dot3(normals, normals)
     c = np.sqrt(theta * theta + beta * s2)
     return np.abs(theta) + c
 
@@ -126,18 +127,29 @@ def interior_flux_residual(
     The first-order loop (``grad is None``, the preconditioner-side
     residual) runs across the worker processes of an installed edge backend
     (:func:`repro.smp.use_edge_backend`), agreeing with the sequential path
-    to round-off by the backend's contract.  With ``grad`` the call is
-    always sequential: it is the last step of the staged oracle the
-    production residual program (:mod:`repro.kgir`) is tested against.
+    to round-off by the backend's contract; without one it is the compiled
+    flux sweep (:mod:`repro.kgir.sweeps`) where that can run, bitwise equal
+    to the NumPy statements below.  With ``grad`` the call is always those
+    statements: it is the last step of the staged oracle the production
+    residual program (:mod:`repro.kgir`) is tested against.
     """
-    backend = get_edge_backend()
-    if grad is None and backend is not None and backend.handles(field):
-        return backend.flux_residual(q, beta, scheme=scheme)
+    if grad is None:
+        backend = get_edge_backend()
+        if backend is not None and backend.handles(field):
+            return backend.flux_residual(q, beta, scheme=scheme)
+        # repro.kgir imports this package (cfd.boundary, cfd.state)
+        from ..kgir.sweeps import field_sweeps
+
+        sweeps = field_sweeps(field)
+        if sweeps is not None and sweeps.takes(q):
+            res = np.zeros_like(q)
+            sweeps.flux(q, None, None, beta, scheme, res)
+            return res
     ql = q[field.e0]
     qr = q[field.e1]
     if grad is not None:
-        dq0 = np.einsum("nvi,ni->nv", grad[field.e0], field.emid_d0)
-        dq1 = np.einsum("nvi,ni->nv", grad[field.e1], field.emid_d1)
+        dq0 = dot3(grad[field.e0], field.emid_d0[:, None, :])
+        dq1 = dot3(grad[field.e1], field.emid_d1[:, None, :])
         if limiter is not None:
             dq0 = dq0 * limiter[field.e0]
             dq1 = dq1 * limiter[field.e1]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .state import FlowField
+from .sums import dot3
 
 __all__ = [
     "lsq_gradients",
@@ -39,7 +40,7 @@ def lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     dq = q[field.e1] - q[field.e0]  # (ne, 4)
     rhs_contrib = dq[:, :, None] * dx[:, None, :]  # (ne, 4, 3)
     rhs = field.edge_sum_plan.apply(rhs_contrib)
-    return np.einsum("nij,nvj->nvi", field.lsq_inv, rhs)
+    return dot3(field.lsq_inv[:, None, :, :], rhs[:, :, None, :])
 
 
 def weighted_lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
@@ -124,7 +125,7 @@ def venkat_limiter(
     phi = np.ones((nv, nvar))
 
     for end, disp in ((field.e0, field.emid_d0), (field.e1, field.emid_d1)):
-        d2 = np.einsum("nvi,ni->nv", grad[end], disp)  # reconstructed jump
+        d2 = dot3(grad[end], disp[:, None, :])  # reconstructed jump
         dmax = qmax[end] - q[end]
         dmin = qmin[end] - q[end]
         d1 = np.where(d2 > 0.0, dmax, dmin)

@@ -24,6 +24,7 @@ from ..perf.scatter import (
 from ..sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .flux import edge_spectral_radius
 from .state import NVARS, FlowConfig, FlowField, freestream_state
+from .sums import dot3
 
 __all__ = ["analytic_flux_jacobian", "JacobianAssembler"]
 
@@ -38,11 +39,11 @@ def analytic_flux_jacobian(
     """
     n = q.shape[0]
     vel = q[:, 1:4]
-    theta = np.einsum("ni,ni->n", normals, vel)
+    theta = dot3(normals, vel)
     A = np.zeros((n, NVARS, NVARS))
     A[:, 0, 1:4] = beta * normals
     A[:, 1:4, 0] = normals
-    A[:, 1:4, 1:4] = np.einsum("ni,nj->nij", vel, normals)
+    A[:, 1:4, 1:4] = vel[:, :, None] * normals[:, None, :]
     idx = np.arange(3)
     A[:, idx + 1, idx + 1] += theta[:, None]
     return A

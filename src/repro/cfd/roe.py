@@ -22,14 +22,19 @@ The characteristic flux ``0.5 (F_L + F_R) - 0.5 |A(q_mean)| (q_R - q_L)``
 is strictly less dissipative than the Rusanov flux (which replaces ``|A|``
 by its spectral radius), at the cost of two extra batched 4x4 multiplies
 per edge — exactly the flop/byte trade the paper's flux kernel embodies.
+
+Every product is written in the explicit order of :mod:`repro.cfd.sums`;
+``roe_dissipation`` in ``repro/native/_kernels.c`` is the same arithmetic
+in C and must change with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jacobian import analytic_flux_jacobian
 from .flux import pointwise_flux
+from .jacobian import analytic_flux_jacobian
+from .sums import dot3, dot4, matmul4
 
 __all__ = ["abs_flux_jacobian", "characteristic_edge_flux"]
 
@@ -45,8 +50,8 @@ def abs_flux_jacobian(
     Returns ``(n, 4, 4)``.
     """
     A = analytic_flux_jacobian(q, normals, beta)
-    theta = np.einsum("ni,ni->n", normals, q[:, 1:4])
-    s2 = np.einsum("ni,ni->n", normals, normals)
+    theta = dot3(normals, q[:, 1:4])
+    s2 = dot3(normals, normals)
     c = np.sqrt(theta * theta + beta * s2)
     # guard degenerate faces (zero area): |A| = 0 there
     c_safe = np.where(c > 0.0, c, 1.0)
@@ -60,9 +65,9 @@ def abs_flux_jacobian(
     Bi = A - b[:, None, None] * _EYE4
     Di = A - d[:, None, None] * _EYE4
 
-    BD = np.einsum("nij,njk->nik", Bi, Di)
-    AD = np.einsum("nij,njk->nik", Ai, Di)
-    AB = np.einsum("nij,njk->nik", Ai, Bi)
+    BD = matmul4(Bi, Di)
+    AD = matmul4(Ai, Di)
+    AB = matmul4(Ai, Bi)
 
     c2 = (c_safe * c_safe)[:, None, None]
     absA = (
@@ -81,5 +86,5 @@ def characteristic_edge_flux(
     fl = pointwise_flux(ql, normals, beta)
     fr = pointwise_flux(qr, normals, beta)
     absA = abs_flux_jacobian(0.5 * (ql + qr), normals, beta)
-    diss = np.einsum("nij,nj->ni", absA, qr - ql)
+    diss = dot4(absA, (qr - ql)[:, None, :])
     return 0.5 * (fl + fr) - 0.5 * diss

@@ -4,8 +4,10 @@ Each rank owns a contiguous slice of the global problem (its subdomain's
 owned vertices) plus one ghost layer, and replays the exact serial solver
 arithmetic on local arrays:
 
-* **residual** — the stage arithmetic of :mod:`repro.kgir.stages` on the
-  rank's own slices: interior-edge fluxes and gradient contributions touch
+* **residual** — the compiled sweeps of :mod:`repro.kgir.sweeps` (or, where
+  they cannot run, the NumPy stages of :mod:`repro.kgir.stages` — the same
+  bits) on the rank's own slices: interior-edge fluxes and gradient
+  contributions touch
   only owned data and run *inside* the halo window; cut-edge contributions
   (the edges the decomposition severed) wait for the ghosts.  Plain mode and
   pipelined mode execute the identical interior-then-cut arithmetic — the
@@ -39,6 +41,7 @@ from ...cfd.jacobian import analytic_flux_jacobian
 from ...cfd.state import NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import ser_cfl
 from ...kgir import stages
+from ...kgir.sweeps import edge_sweeps, vertex_stage
 from ...perf.scatter import (
     edge_difference_plan,
     edge_sum_plan,
@@ -176,11 +179,13 @@ def build_rank_data(
 
 
 class _Workspace:
-    """Persistent per-rank arrays reused across residual evaluations.
+    """Persistent per-rank arrays reused across residual evaluations (a
+    rank is one single-threaded process, so they are never shared).
 
-    Also owns the rank's compiled scatter plans (one per static edge-slice /
-    boundary-tag index structure), so every residual evaluation runs the
-    precompiled segment reduction instead of ``np.add.at``.
+    Also owns the rank's edge kernels: the compiled sweeps over its local
+    edges, writing owned rows only, or — where those cannot run — the
+    scatter plans of the NumPy stages (one per static edge-slice /
+    boundary-tag index structure, built on first use).
     """
 
     def __init__(self, data: RankData) -> None:
@@ -190,9 +195,16 @@ class _Workspace:
         self.limiter = np.ones((nl, NVARS))
         self.rhs = np.zeros((nl, NVARS, 3))
         self.res = np.zeros((nl, NVARS))
-        self.qmin = np.zeros((nl, NVARS))  # neighbor bounds of q
+        #: neighbor bounds of q, then (owned rows) the allowed jumps
+        self.qmin = np.zeros((nl, NVARS))
         self.qmax = np.zeros((nl, NVARS))
+        self.eps2 = np.zeros(nl)
         self.q[:no] = data.q0
+        self.owned_ends = (data.e0 < no, data.e1 < no)
+        self.sweeps = edge_sweeps(
+            nl, data.e0, data.e1, data.normals, data.d0, data.d1,
+            *self.owned_ends,
+        )
         self.interior_seconds = 0.0
         self._data = data
         self._plans: dict = {}
@@ -267,39 +279,46 @@ def _recon(data: RankData, ws: _Workspace, comm: Communicator, sl: slice):
     feeds the gradient-rhs accumulation and the neighbor min/max fold
     (order-free exact, so the interior/cut split changes no bit)."""
     t0 = time.perf_counter()
-    q0, q1 = ws.q[data.e0[sl]], ws.q[data.e1[sl]]
-    contrib = stages.grad_rhs_stage(q0, q1, data.d0[sl])
-    ws.edge_plan(sl, "sum").apply(contrib, out=ws.rhs, accumulate=True)
-    # each endpoint sees the opposite endpoint's value
-    vals = np.concatenate([q1, q0], axis=0)
-    plan = ws.minmax_plan(sl)
-    plan.apply(vals, ws.qmin, "min")
-    plan.apply(vals, ws.qmax, "max")
+    if ws.sweeps is not None:
+        ws.sweeps.recon(ws.q, ws.rhs, ws.qmin, ws.qmax, sl.start, sl.stop)
+    else:
+        q0, q1 = ws.q[data.e0[sl]], ws.q[data.e1[sl]]
+        contrib = stages.grad_rhs_stage(q0, q1, data.d0[sl])
+        ws.edge_plan(sl, "sum").apply(contrib, out=ws.rhs, accumulate=True)
+        # each endpoint sees the opposite endpoint's value
+        vals = np.concatenate([q1, q0], axis=0)
+        plan = ws.minmax_plan(sl)
+        plan.apply(vals, ws.qmin, "min")
+        plan.apply(vals, ws.qmax, "max")
     comm.recorder.add(
         "fuse.recon", t0, time.perf_counter(), edges=sl.stop - sl.start
     )
 
 
 def _limit(data: RankData, ws: _Workspace, comm: Communicator, k: float):
-    """Per-vertex solve and limiter sweep for the owned vertices (neighbor
+    """Per-vertex stage and limiter sweep for the owned vertices (neighbor
     bounds saw the ghosts, so owned rows are exact; only owned rows have a
     gradient before the second exchange)."""
     no = data.n_owned
-    ws.grad[:no], eps2, dmax, dmin = stages.solve_stage(
-        data.lsq_inv, ws.rhs[:no], data.volumes,
-        ws.q[:no], ws.qmin[:no], ws.qmax[:no], k,
+    vertex_stage(
+        data.lsq_inv, ws.rhs, data.volumes, ws.q, k,
+        ws.grad, ws.eps2, ws.qmin, ws.qmax,
     )
     t0 = time.perf_counter()
     ws.limiter[:no] = 1.0
-    for end_i, (end, disp) in enumerate(
-        ((data.e0, data.d0), (data.e1, data.d1))
-    ):
-        sel = end < no
-        endo = end[sel]
-        val, _ = stages.venkat_stage(
-            ws.grad[endo], dmax[endo], dmin[endo], eps2[endo], disp[sel]
-        )
-        ws.phi_plan(end_i).apply(val, ws.limiter, "min")
+    if ws.sweeps is not None:
+        ws.sweeps.limit(ws.grad, ws.qmax, ws.qmin, ws.eps2, ws.limiter)
+    else:
+        for end_i, (end, disp) in enumerate(
+            ((data.e0, data.d0), (data.e1, data.d1))
+        ):
+            sel = ws.owned_ends[end_i]
+            endo = end[sel]
+            val, _ = stages.venkat_stage(
+                ws.grad[endo], ws.qmax[endo], ws.qmin[endo], ws.eps2[endo],
+                disp[sel],
+            )
+            ws.phi_plan(end_i).apply(val, ws.limiter, "min")
     comm.recorder.add(
         "fuse.limit", t0, time.perf_counter(), edges=data.e0.shape[0]
     )
@@ -330,8 +349,15 @@ def _boundary_residual(
 def _edge_flux(
     data: RankData, ws: _Workspace, sl: slice, config: FlowConfig
 ) -> None:
-    """Flux of the edges in ``sl`` scattered into ``ws.res`` (ghost rows of
-    ``res`` absorb the cut edges' off-rank halves harmlessly)."""
+    """Flux of the edges in ``sl`` accumulated into the owned rows of
+    ``ws.res`` (the NumPy write-out also touches ghost rows, which absorb
+    the cut edges' off-rank halves harmlessly)."""
+    if ws.sweeps is not None:
+        ws.sweeps.flux(
+            ws.q, ws.grad if config.second_order else None, ws.limiter,
+            config.beta, config.dissipation, ws.res, sl.start, sl.stop,
+        )
+        return
     e0, e1 = data.e0[sl], data.e1[sl]
     recon = None
     if config.second_order:

@@ -24,6 +24,7 @@ import traceback
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
+from ... import native
 from ...obs.live.recorder import crash_dump, reap_dead
 from .comm import Communicator, ShmTransport
 
@@ -137,6 +138,9 @@ class DistRuntime:
             raise RuntimeError("runtime is closed")
         if self._procs:
             raise RuntimeError("runtime already has ranks in flight")
+        # build/load the compiled kernels once, here: the ranks inherit the
+        # handle through fork instead of each racing a cold compile
+        native.load_kernels()
         for r in range(self.n_ranks):
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
             p = self._ctx.Process(

@@ -8,11 +8,16 @@ flux), each pass materializing full edge-length intermediates.
 
 This package is the one production implementation of that residual:
 
-* :mod:`.stages` — the arithmetic of every stage, as functions of gathered
-  per-edge arrays.  Serial execution, the process-fleet workers
-  (:mod:`repro.smp.parallel`) and the rank program
-  (:mod:`repro.dist.runtime.program`) all call these and differ only in
-  how they gather and write out.
+* :mod:`.stages` — the arithmetic of every stage, as NumPy functions of
+  gathered per-edge arrays, every short sum spelled out in one explicit
+  order (:mod:`repro.cfd.sums`).
+* :mod:`.sweeps` — the same arithmetic compiled
+  (``repro/native/_kernels.c``): one C call per sweep over an edge range
+  with optional endpoint write masks.  Serial execution, the process-fleet
+  workers (:mod:`repro.smp.parallel`) and the rank program
+  (:mod:`repro.dist.runtime.program`) all call these — or, where they
+  cannot run, the stage functions — and differ only in the edge set and
+  the write-out targets they pass.
 * :mod:`.ir` — gather/compute/scatter stage nodes with declared
   reads/writes and an edge-index-set identity, plus the rewrite pass that
   fuses adjacent stages with matching index sets into single-pass fused
@@ -22,15 +27,18 @@ This package is the one production implementation of that residual:
   multi-case evaluation), which :func:`repro.cfd.residual.compute_residual`
   runs directly, and the :func:`fusion_report` ``repro profile`` prints.
 
-Numerics contract: the program is **bitwise identical** to the staged
-oracle kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux`
-(property-tested in ``tests/test_kgir.py``).  Additive scatters go
-through the same :class:`~repro.perf.scatter.ScatterPlan` objects in the
-same statement order; min/max scatters are IEEE-exact in any order, which
-is what lets the program replace the reference ``ufunc.at`` loops with
-precompiled segment reductions; all remaining arithmetic reuses the very
-same NumPy calls (including ``einsum``, whose per-row results are verified
-stable under chunking/gathering) on identically laid-out inputs.
+Numerics contract: the compiled sweeps, the NumPy program and the staged
+oracle kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux` are
+**bitwise identical** to one another (property-tested in
+``tests/test_native_residual.py`` and ``tests/test_kgir.py``).  Additive
+write-out is term-major everywhere — all ``e0`` terms in edge order, then
+all ``e1`` terms — through the same :class:`~repro.perf.scatter.ScatterPlan`
+objects or the C loops that replay them; min/max scatters are IEEE-exact in
+any order, which is what lets the program replace the reference
+``ufunc.at`` loops with precompiled segment reductions; and no stage calls
+one of NumPy's contraction or reduction routines, whose association order
+belongs to the NumPy build (:mod:`repro.cfd.sums` has the 1-ulp
+measurement), so "bitwise" holds on every host.
 """
 
 from .ir import (

@@ -32,19 +32,23 @@ reference ``ufunc.at`` min/max loops are replaced by the order-free (hence
 exactly equal) :class:`~repro.perf.scatter.SegmentReducePlan` — together
 that is what makes the program bitwise-identical to the staged oracle.
 
-Batched evaluation (:meth:`ResidualProgram.run_batch`) stacks states on a
-trailing axis: each edge sweep gathers and scatters the whole batch once,
-while the per-edge arithmetic loops over contiguous per-case slices so
-every case reproduces its single-state result bitwise even with
-heterogeneous per-case configs.
+Where the compiled sweeps of :mod:`repro.kgir.sweeps` can take the field
+and the state as they are (kernels loadable, int64 endpoints, C-contiguous
+float64 arrays) :meth:`ResidualProgram.run` calls them instead of walking
+the graph: the same stages in the same order, each one C call, bitwise
+equal to the graph executor (``tests/test_native_residual.py``) — which
+stays as the portable fallback and the reference.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from ..cfd.boundary import add_boundary_closures
 from ..cfd.state import FlowConfig, FlowField
+from ..obs.metrics import get_metrics
 from ..obs.span import kernel_span
 from ..perf.scatter import segment_reduce_plan
 from .ir import (
@@ -58,6 +62,7 @@ from .ir import (
     fuse_graph,
 )
 from .stages import flux_stage, grad_rhs_stage, solve_stage, venkat_stage
+from .sweeps import field_sweeps, vertex_stage
 
 __all__ = [
     "ResidualProgram",
@@ -190,20 +195,37 @@ def _apply_scatter(spec: ScatterSpec, values: np.ndarray, env: dict) -> None:
 class ResidualProgram:
     """The executable second-order residual of one field.
 
-    :meth:`run` evaluates one state; :meth:`run_batch` evaluates a
-    trailing-axis stack of states in shared sweeps.  Both return
-    ``(res, grad, phi)`` — the full residual (interior program plus
-    boundary closures) and the reconstruction byproducts.  The stages up to
-    the limiter report as one ``grad`` kernel span, the flux stage and the
-    closures as one ``flux`` span.
+    :meth:`run` evaluates one state, :meth:`run_batch` a trailing-axis
+    stack of states.  Both return fresh ``(res, grad, phi)`` arrays — the
+    full residual (interior program plus boundary closures) and the
+    reconstruction byproducts.  The stages up to the limiter report as one
+    ``grad`` kernel span, the flux stage and the closures as one ``flux``
+    span.
     """
 
     def __init__(self, field: FlowField):
         self.field = field
-        self.exec_graph, self.report = fuse_graph(build_residual_graph(field))
+        self.sweeps = field_sweeps(field)
+
+    @cached_property
+    def _lowered(self):
+        """``(fused graph, fusion report)``, built when the graph executor
+        or ``repro profile`` first asks: with the compiled sweeps running,
+        its scatter and segment plans are never needed."""
+        return fuse_graph(build_residual_graph(self.field))
+
+    @property
+    def exec_graph(self) -> Graph:
+        return self._lowered[0]
+
+    @property
+    def report(self) -> FusionReport:
+        return self._lowered[1]
 
     # ------------------------------------------------------------------
     def run(self, q: np.ndarray, config: FlowConfig):
+        if self.sweeps is not None and self.sweeps.takes(q):
+            return self._run_compiled(q, config)
         env: dict[str, np.ndarray] = {"q": q}
         edge_env: dict[str, np.ndarray] = {}
         *recon, flux = self.exec_graph.stages
@@ -214,6 +236,29 @@ class ResidualProgram:
             self._run_node(flux, env, config, edge_env)
             add_boundary_closures(self.field, q, config, env["res"])
         return env["res"], env["grad"], env["phi"]
+
+    def _run_compiled(self, q: np.ndarray, config: FlowConfig):
+        """The graph's stages as compiled sweeps; every array is allocated
+        here, per call — nothing mutable is cached on the field."""
+        field, sw = self.field, self.sweeps
+        nv = field.n_vertices
+        with kernel_span("grad"):
+            rhs = np.zeros((nv, 4, 3))
+            qmin, qmax = q.copy(), q.copy()
+            sw.recon(q, rhs, qmin, qmax)
+            grad, eps2 = np.empty((nv, 4, 3)), np.empty(nv)
+            vertex_stage(
+                field.lsq_inv, rhs, field.volumes, q, config.limiter_k,
+                grad, eps2, qmin, qmax,
+            )
+            phi = np.ones((nv, 4))
+            sw.limit(grad, qmax, qmin, eps2, phi)
+        with kernel_span("flux"):
+            res = np.zeros((nv, 4))
+            sw.flux(q, grad, phi, config.beta, config.dissipation, res)
+            add_boundary_closures(field, q, config, res)
+        get_metrics().counter("residual.native_evals").inc()
+        return res, grad, phi
 
     def _run_node(self, node, env: dict, cfg: FlowConfig, edge_env) -> None:
         if isinstance(node, PointStage):
@@ -237,76 +282,16 @@ class ResidualProgram:
 
     # ------------------------------------------------------------------
     def run_batch(self, q_batch: np.ndarray, configs):
-        """Evaluate ``q_batch`` of shape ``(n_vertices, 4, n_cases)``.
-
-        Each edge sweep gathers and scatters the full batch once; the
-        per-edge arithmetic and the boundary closures run per case on
-        contiguous slices with that case's :class:`FlowConfig`, so case
-        ``b``'s outputs are bitwise equal to
-        ``run(q_batch[..., b], configs[b])``.
-        """
-        n_cases = q_batch.shape[-1]
-        if len(configs) != n_cases:
+        """Evaluate ``q_batch`` of shape ``(n_vertices, 4, n_cases)``: case
+        ``b`` is ``run(q_batch[..., b], configs[b])``, stacked back on the
+        trailing axis."""
+        if len(configs) != q_batch.shape[-1]:
             raise ValueError("one FlowConfig per batched case required")
-        env: dict[str, np.ndarray] = {"q": np.ascontiguousarray(q_batch)}
-        edge_env: dict[str, list] = {}  # name -> per-case edge arrays
-        *recon, flux = self.exec_graph.stages
-        with kernel_span("grad", cases=float(n_cases)):
-            for node in recon:
-                self._run_node_batch(node, env, configs, n_cases, edge_env)
-        with kernel_span("flux", cases=float(n_cases)):
-            self._run_node_batch(flux, env, configs, n_cases, edge_env)
-            res = env["res"]
-            for b, cfg in enumerate(configs):
-                res[..., b] = add_boundary_closures(
-                    self.field,
-                    np.ascontiguousarray(q_batch[..., b]),
-                    cfg,
-                    np.ascontiguousarray(res[..., b]),
-                )
-        return res, env["grad"], env["phi"]
-
-    def _run_node_batch(self, node, env, configs, n_cases, edge_env) -> None:
-        def contig(a):
-            return np.ascontiguousarray(a)
-
-        if isinstance(node, PointStage):
-            per_case = []
-            for b in range(n_cases):
-                view = {r: contig(env[r][..., b]) for r in node.reads}
-                per_case.append(node.compute(configs[b], view))
-            for name in per_case[0]:
-                env[name] = np.stack(
-                    [out[name] for out in per_case], axis=-1
-                )
-            return
-        members = node.members if isinstance(node, FusedStage) else (node,)
-        idx = node.index_set
-        # one gather of the whole batch per read array
-        gathered = {
-            name: (env[name][idx.e0], env[name][idx.e1])
-            for name in node.reads
-        }
-        for m in members:
-            per_case = []
-            for b in range(n_cases):
-                g = {
-                    r: (
-                        contig(gathered[r][0][..., b]),
-                        contig(gathered[r][1][..., b]),
-                    )
-                    for r in m.reads
-                }
-                for r in m.edge_reads:
-                    g[r] = edge_env[r][b]
-                per_case.append(m.compute(configs[b], g))
-            for spec in m.scatters:
-                stacked = np.stack(
-                    [out[spec.src] for out in per_case], axis=-1
-                )
-                _apply_scatter(spec, stacked, env)
-            for name in m.carries:
-                edge_env[name] = [out[name] for out in per_case]
+        cases = [
+            self.run(np.ascontiguousarray(q_batch[..., b]), cfg)
+            for b, cfg in enumerate(configs)
+        ]
+        return tuple(np.stack(parts, axis=-1) for parts in zip(*cases))
 
 
 def residual_program(field: FlowField) -> ResidualProgram:

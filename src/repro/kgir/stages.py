@@ -10,14 +10,26 @@ itself and keeps only what is genuinely its own:
 * ranks — :mod:`repro.dist.runtime.program` gathers its interior and cut
   slices around the halo windows.
 
+Each mode runs them only where the compiled sweeps of
+:mod:`repro.kgir.sweeps` cannot (no C compiler, exotic array layouts):
+those sweeps are this same arithmetic in C, and because every sum here is
+spelled out in one explicit order (:mod:`repro.cfd.sums` — none of NumPy's
+contraction or reduction routines, whose association order is the NumPy
+build's business) the two agree **bitwise**, on any host
+(``tests/test_native_residual.py``).  These functions are therefore both
+the portable fallback and the reference of the compiled residual.
+
 The staged kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux`
-are the only other copy of this arithmetic: they are the bitwise test
-oracle (``tests/test_kgir.py``), so a change here must be mirrored there.
+are the only other Python copy of this arithmetic: they are the bitwise
+test oracle (``tests/test_kgir.py``).  A change here must be mirrored
+there and in ``repro/native/_kernels.c``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..cfd.sums import dot3
 
 __all__ = [
     "grad_rhs_stage",
@@ -48,13 +60,13 @@ def solve_stage(lsq_inv, rhs, volumes, q, qmin, qmax, limiter_k: float):
     bitwise equal to gathering ``qmax``/``qmin``/``q`` and subtracting
     per edge, and gathers two arrays instead of three.
     """
-    grad = np.einsum("nij,nvj->nvi", lsq_inv, rhs)
+    grad = dot3(lsq_inv[:, None, :, :], rhs[:, :, None, :])
     return grad, (limiter_k**3) * volumes, qmax - q, qmin - q
 
 
 def edge_projection(grad_e: np.ndarray, disp: np.ndarray) -> np.ndarray:
     """Reconstructed jump ``grad . (x_mid - x_end)`` at one edge end."""
-    return np.einsum("nvi,ni->nv", grad_e, disp)
+    return dot3(grad_e, disp[:, None, :])
 
 
 def venkat_stage(grad_e, dmax_e, dmin_e, eps2_e, disp):

@@ -1,9 +1,12 @@
-"""Build, cache and load the compiled block-4 sweeps of ``_kernels.c``.
+"""Build, cache and load the package's compiled kernels (``_kernels.c``).
 
-The C source ships as package data and is compiled on first use with the
-system C compiler; the shared object is cached per user under a name that
-hashes the source and the build flags, so editing either rebuilds it.
-Nothing is ever written next to the source or into the working directory.
+One C translation unit holds both kernel families — the block-4 ILU/TRSV
+recurrences of :mod:`repro.sparse` and the edge sweeps of the second-order
+residual (:mod:`repro.kgir.sweeps`).  The source ships as package data and
+is compiled on first use with the system C compiler; the shared object is
+cached per user under a name that hashes the source and the build flags, so
+editing either rebuilds it.  Nothing is ever written next to the source or
+into the working directory.
 
 The flags pin the arithmetic: no ``-march=native``, no ``-ffast-math`` and
 ``-ffp-contract=off`` (no fused multiply-add), so every host runs the same
@@ -11,8 +14,10 @@ IEEE multiply/add sequence and forked ranks agree bit for bit.
 
 Where no compiler, no writable cache or no loadable object exists,
 :func:`load_kernels` warns once and returns ``None``; the callers
-(:func:`repro.sparse.ilu.ilu_factorize`, :func:`repro.sparse.trsv.trsv_solve`)
-then run their NumPy level-scheduled kernels.
+(:func:`repro.sparse.ilu.ilu_factorize`, :func:`repro.sparse.trsv.trsv_solve`,
+the residual program, its fleet workers and the ranks) then run their NumPy
+kernels.  Call it before forking: the children inherit the loaded handle
+instead of each racing a cold compile.
 """
 
 from __future__ import annotations
@@ -29,12 +34,20 @@ import tempfile
 import warnings
 from pathlib import Path
 
-__all__ = ["load_kernels", "native_kernels_available"]
+import numpy as np
+
+__all__ = ["is_native", "load_kernels", "native_kernels_available"]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILERS = ("cc", "gcc", "clang")
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120.0
+
+
+def is_native(a, dtype=np.float64) -> bool:
+    """``a`` can be handed to the compiled kernels as it is: the expected
+    dtype, C-contiguous."""
+    return a.dtype == dtype and a.flags.c_contiguous
 
 
 def _cache_dirs() -> list[Path]:
@@ -89,7 +102,7 @@ def _build(target: Path) -> None:
 def _load() -> ctypes.CDLL:
     source = _SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
-    name = f"repro_sparse_kernels-{platform.machine()}-{digest}.so"
+    name = f"repro_kernels-{platform.machine()}-{digest}.so"
     cache = next(filter(_usable_dir, _cache_dirs()), None)
     if cache is None:
         raise OSError("no writable cache directory")
@@ -98,24 +111,32 @@ def _load() -> ctypes.CDLL:
         _build(target)
     lib = ctypes.CDLL(str(target))  # OSError on a truncated/corrupt object
 
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.ilu4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.ilu4.restype = i64
-    lib.trsv4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.trsv4.restype = None
+    for entry_name, argtypes in (
+        ("trsv4", [i64, *[ptr] * 7]),
+        ("recon_sweep", [i64, i64, *[ptr] * 9]),
+        ("vertex_stage", [i64, ptr, ptr, ptr, ptr, f64, *[ptr] * 4]),
+        ("limit_sweep", [i64, i64, *[ptr] * 11]),
+        ("flux_sweep", [i64, i64, *[ptr] * 10, f64, i64, ptr, ptr]),
+    ):
+        entry = getattr(lib, entry_name)
+        entry.argtypes, entry.restype = argtypes, None
     return lib
 
 
 @functools.lru_cache(maxsize=1)
 def load_kernels() -> ctypes.CDLL | None:
-    """The compiled kernels (``ilu4``, ``trsv4``), built on first use;
-    ``None`` — after one warning — when they cannot be built or loaded."""
+    """The compiled kernels (``ilu4``, ``trsv4`` and the residual's edge
+    sweeps), built on first use; ``None`` — after one warning — when they
+    cannot be built or loaded."""
     try:
         return _load()
     except (OSError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"repro.sparse: compiled ILU/TRSV kernels unavailable ({exc}); "
-            "using the NumPy level-scheduled kernels",
+            f"repro.native: compiled kernels unavailable ({exc}); "
+            "using the NumPy kernels",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -123,5 +144,6 @@ def load_kernels() -> ctypes.CDLL | None:
 
 
 def native_kernels_available() -> bool:
-    """True iff ILU/TRSV run the compiled sweeps in this process."""
+    """True iff the compiled kernels (ILU/TRSV and the residual's edge
+    sweeps) are what this process runs."""
     return load_kernels() is not None

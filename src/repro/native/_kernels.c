@@ -1,0 +1,434 @@
+/* The package's compiled kernels, one translation unit, two families:
+ *
+ *   ilu4 / trsv4   block-4 ILU factorization and triangular solve over BCSR
+ *                  factors: one call per recurrence instead of one NumPy
+ *                  dispatch per wavefront;
+ *   recon_sweep / vertex_stage / limit_sweep / flux_sweep
+ *                  the edge sweeps of the second-order residual (second
+ *                  half of this file).
+ *
+ * Built by repro/native/__init__.py with
+ *     cc -O2 -ffp-contract=off -shared -fPIC
+ * No -march=native, no -ffast-math and no fused multiply-add: every host
+ * executes the same sequence of IEEE double multiplies and adds, so a
+ * solve repeats bit for bit across machines and across forked ranks.
+ *
+ * BCSR layout (see repro/sparse/ilu.py): row i owns blocks rowptr[i] ..
+ * rowptr[i+1]-1 with ascending block columns cols[]; diag_idx[i] is the
+ * position of its diagonal block; blocks are row-major 4x4 doubles.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define B 4
+#define BB 16
+
+/* C = X Y */
+static void gemm(double *C, const double *X, const double *Y)
+{
+    for (int r = 0; r < B; r++)
+        for (int c = 0; c < B; c++) {
+            double s = X[r * B] * Y[c];
+            for (int j = 1; j < B; j++)
+                s += X[r * B + j] * Y[j * B + c];
+            C[r * B + c] = s;
+        }
+}
+
+/* inv = A^-1 by Gauss-Jordan with partial pivoting; 1 when a pivot is
+ * exactly zero (singular).  NaN/Inf never compare equal to zero, so they
+ * propagate into the result as they do through LAPACK. */
+static int inv4(const double *A, double *inv)
+{
+    double M[B][2 * B];
+    for (int r = 0; r < B; r++)
+        for (int c = 0; c < B; c++) {
+            M[r][c] = A[r * B + c];
+            M[r][B + c] = (r == c) ? 1.0 : 0.0;
+        }
+    for (int k = 0; k < B; k++) {
+        int piv = k;
+        double best = fabs(M[k][k]);
+        for (int r = k + 1; r < B; r++)
+            if (fabs(M[r][k]) > best) {
+                best = fabs(M[r][k]);
+                piv = r;
+            }
+        if (best == 0.0)
+            return 1;
+        if (piv != k)
+            for (int c = 0; c < 2 * B; c++) {
+                double t = M[k][c];
+                M[k][c] = M[piv][c];
+                M[piv][c] = t;
+            }
+        const double p = M[k][k];
+        for (int c = 0; c < 2 * B; c++)
+            M[k][c] /= p;
+        for (int r = 0; r < B; r++) {
+            if (r == k)
+                continue;
+            const double f = M[r][k];
+            for (int c = 0; c < 2 * B; c++)
+                M[r][c] -= f * M[k][c];
+        }
+    }
+    for (int r = 0; r < B; r++)
+        for (int c = 0; c < B; c++)
+            inv[r * B + c] = M[r][B + c];
+    return 0;
+}
+
+/* Row-by-row IKJ block ILU in place on the factor pattern.  vals holds the
+ * matrix scattered into the pattern (fill entries zero) and leaves as L
+ * (unit lower, diagonal implied) and U; diag_inv receives the inverted
+ * diagonal blocks of U.  pos is an n-entry scratch, all -1 on entry and
+ * again on every return.  Returns -1, or the row of a singular diagonal
+ * block. */
+int64_t ilu4(int64_t n, const int64_t *rowptr, const int64_t *cols,
+             const int64_t *diag_idx, double *vals, double *diag_inv,
+             int64_t *pos)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t lo = rowptr[i], hi = rowptr[i + 1], d = diag_idx[i];
+        for (int64_t p = lo; p < hi; p++)
+            pos[cols[p]] = p;
+        for (int64_t p = lo; p < d; p++) {
+            const int64_t k = cols[p];
+            double L[BB], upd[BB];
+            gemm(L, vals + p * BB, diag_inv + k * BB);
+            for (int e = 0; e < BB; e++)
+                vals[p * BB + e] = L[e];
+            /* A_ij -= L_ik U_kj for j in (row k beyond k) ∩ row i */
+            for (int64_t q = diag_idx[k] + 1; q < rowptr[k + 1]; q++) {
+                const int64_t t = pos[cols[q]];
+                if (t < 0)
+                    continue;
+                gemm(upd, L, vals + q * BB);
+                for (int e = 0; e < BB; e++)
+                    vals[t * BB + e] -= upd[e];
+            }
+        }
+        const int singular = inv4(vals + d * BB, diag_inv + i * BB);
+        for (int64_t p = lo; p < hi; p++)
+            pos[cols[p]] = -1;
+        if (singular)
+            return i;
+    }
+    return -1;
+}
+
+/* acc -= sum_p vals[p] x[cols[p]] over blocks p0 .. p1-1, each product as
+ * four column axpys (y0 first): the explicit order of
+ * trsv_solve_sequential, which trsv4 reproduces bitwise.  The accumulator
+ * lives in four scalars so it stays in registers across the row. */
+static inline void row_sweep(double *acc, const double *vals,
+                             const int64_t *cols, const double *x,
+                             int64_t p0, int64_t p1)
+{
+    double a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
+    for (int64_t p = p0; p < p1; p++) {
+        const double *V = vals + p * BB;
+        const double *y = x + cols[p] * B;
+        const double y0 = y[0], y1 = y[1], y2 = y[2], y3 = y[3];
+        a0 -= V[0] * y0;  a1 -= V[4] * y0;  a2 -= V[8] * y0;   a3 -= V[12] * y0;
+        a0 -= V[1] * y1;  a1 -= V[5] * y1;  a2 -= V[9] * y1;   a3 -= V[13] * y1;
+        a0 -= V[2] * y2;  a1 -= V[6] * y2;  a2 -= V[10] * y2;  a3 -= V[14] * y2;
+        a0 -= V[3] * y3;  a1 -= V[7] * y3;  a2 -= V[11] * y3;  a3 -= V[15] * y3;
+    }
+    acc[0] = a0; acc[1] = a1; acc[2] = a2; acc[3] = a3;
+}
+
+/* x = (LU)^-1 rhs: forward substitution on unit-lower L, then backward on
+ * U with the stored inverted diagonal blocks, both in place in x (rhs may
+ * alias x). */
+void trsv4(int64_t n, const int64_t *rowptr, const int64_t *cols,
+           const int64_t *diag_idx, const double *vals,
+           const double *diag_inv, const double *rhs, double *x)
+{
+    double acc[B];
+    for (int64_t i = 0; i < n; i++) {
+        for (int r = 0; r < B; r++)
+            acc[r] = rhs[i * B + r];
+        row_sweep(acc, vals, cols, x, rowptr[i], diag_idx[i]);
+        for (int r = 0; r < B; r++)
+            x[i * B + r] = acc[r];
+    }
+    for (int64_t i = n - 1; i >= 0; i--) {
+        for (int r = 0; r < B; r++)
+            acc[r] = x[i * B + r];
+        row_sweep(acc, vals, cols, x, diag_idx[i] + 1, rowptr[i + 1]);
+        const double *D = diag_inv + i * BB;
+        for (int r = 0; r < B; r++) {
+            double s = D[r * B] * acc[0];
+            for (int j = 1; j < B; j++)
+                s += D[r * B + j] * acc[j];
+            x[i * B + r] = s;
+        }
+    }
+}
+
+
+/* ------------------------------------------------------------------------
+ * Edge sweeps of the second-order residual.
+ *
+ * The arithmetic below is the C spelling of the NumPy stage functions in
+ * repro/kgir/stages.py (and repro/cfd/flux.py, repro/cfd/roe.py): every
+ * sum is written in the same explicit order, so compiled == NumPy
+ * bitwise (tests/test_native_residual.py).  A change here must be made
+ * there too.
+ *
+ * Every sweep takes an edge range [lo, hi) over the caller's edge arrays
+ * and optional endpoint write masks w0 / w1 (NULL = write every
+ * endpoint): serial execution passes the full range and no masks, an
+ * owner-writes worker its chunk and ownership masks, a rank its interior
+ * or cut slice.  Additive write-out is term-major — all e0 terms in edge
+ * order, then all e1 terms — which is the accumulation order of the
+ * reference `np.add.at` statements, so a masked sweep leaves in every
+ * written row the bits the full serial sweep leaves there.
+ *
+ * Vertex arrays are rows of NV states (q, res, phi, bounds: NV doubles;
+ * rhs, grad: NV x ND, row-major); edge arrays are rows of ND doubles.
+ */
+#define NV 4
+#define ND 3
+
+static inline int writes(const uint8_t *mask, int64_t e)
+{
+    return mask == 0 || mask[e];
+}
+
+/* np.minimum / np.maximum: NaN in either operand propagates.  Written so
+ * the comparison compiles to minsd / maxsd (b when either operand is NaN)
+ * rather than a data-dependent branch. */
+static inline double min_nan(double a, double b)
+{
+    const double m = a < b ? a : b;
+    return a != a ? a : m;
+}
+
+static inline double max_nan(double a, double b)
+{
+    const double m = a > b ? a : b;
+    return a != a ? a : m;
+}
+
+static inline double dot3(const double *a, const double *b)
+{
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2];
+}
+
+static inline double dot4(const double *a, const double *b)
+{
+    return ((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3];
+}
+
+/* Reconstruction sweep: the LSQ right-hand side dq (x) dx added at both
+ * endpoints and each endpoint's neighbour folded into its min/max bounds,
+ * from one read of q per edge end.  d0 is the midpoint minus x[e0], so
+ * dx = 2 d0.  The e1 pass recomputes the contribution (same operands, same
+ * bits) instead of keeping an (edges, 12) scratch. */
+void recon_sweep(int64_t lo, int64_t hi, const int64_t *e0,
+                 const int64_t *e1, const double *d0, const uint8_t *w0,
+                 const uint8_t *w1, const double *q, double *rhs,
+                 double *qmin, double *qmax)
+{
+    for (int end = 0; end < 2; end++) {
+        const int64_t *at = end ? e1 : e0, *nbr = end ? e0 : e1;
+        const uint8_t *mask = end ? w1 : w0;
+        for (int64_t e = lo; e < hi; e++) {
+            if (!writes(mask, e))
+                continue;
+            const int64_t v = at[e];
+            const double *qa = q + e0[e] * NV, *qb = q + e1[e] * NV;
+            const double *qn = q + nbr[e] * NV;
+            double dx[ND];
+            for (int i = 0; i < ND; i++)
+                dx[i] = d0[e * ND + i] * 2.0;
+            for (int k = 0; k < NV; k++) {
+                const double dq = qb[k] - qa[k];
+                for (int i = 0; i < ND; i++)
+                    rhs[(v * NV + k) * ND + i] += dq * dx[i];
+                qmin[v * NV + k] = min_nan(qmin[v * NV + k], qn[k]);
+                qmax[v * NV + k] = max_nan(qmax[v * NV + k], qn[k]);
+            }
+        }
+    }
+}
+
+/* Per-vertex work between the edge sweeps, rows 0 .. n-1: the gradient
+ * lsq_inv . rhs, the Venkatakrishnan threshold eps2 = k^3 V, and the
+ * neighbour bounds turned, in place, into the allowed jumps bound - q. */
+void vertex_stage(int64_t n, const double *lsq_inv, const double *rhs,
+                  const double *volumes, const double *q, double k3,
+                  double *grad, double *eps2, double *qmin, double *qmax)
+{
+    for (int64_t v = 0; v < n; v++) {
+        for (int k = 0; k < NV; k++) {
+            for (int i = 0; i < ND; i++)
+                grad[(v * NV + k) * ND + i] = dot3(
+                    lsq_inv + (v * ND + i) * ND, rhs + (v * NV + k) * ND);
+            qmax[v * NV + k] = qmax[v * NV + k] - q[v * NV + k];
+            qmin[v * NV + k] = qmin[v * NV + k] - q[v * NV + k];
+        }
+        eps2[v] = k3 * volumes[v];
+    }
+}
+
+/* Venkatakrishnan limiter value for reconstructed jump d2 against the
+ * allowed jumps; np.where / np.clip semantics, NaN included.  Branch-free:
+ * the quotient is formed unconditionally (and discarded where |d2| is
+ * tiny), so the compiler can run the four variables of a vertex side by
+ * side. */
+static inline double venkat(double d2, double dmax, double dmin, double e2)
+{
+    const double d1 = d2 > 0.0 ? dmax : dmin;
+    const double num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1;
+    const double den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2);
+    const double ratio = num / den;
+    const double val = fabs(d2) > 1e-14 ? ratio : 1.0;
+    const double pos = (val > 0.0 || val != val) ? val : 0.0;
+    return (pos < 1.0 || pos != pos) ? pos : 1.0;
+}
+
+/* Limiter sweep: the Venkat value of every written edge end, min-folded
+ * into phi.  disp is d0 at e0 and d1 at e1 (midpoint minus that end);
+ * dmax / dmin / eps2 are read only at written ends, so a rank's rows
+ * beyond its owned vertices are never looked at. */
+void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
+                 const int64_t *e1, const double *d0, const double *d1,
+                 const uint8_t *w0, const uint8_t *w1, const double *grad,
+                 const double *dmax, const double *dmin, const double *eps2,
+                 double *phi)
+{
+    for (int64_t e = lo; e < hi; e++)
+        for (int end = 0; end < 2; end++) {
+            if (!writes(end ? w1 : w0, e))
+                continue;
+            const int64_t v = (end ? e1 : e0)[e];
+            const double *disp = (end ? d1 : d0) + e * ND;
+            const double *g = grad + v * NV * ND;
+            const double *jmax = dmax + v * NV, *jmin = dmin + v * NV;
+            const double e2 = eps2[v];
+            double *p = phi + v * NV;
+            double d2[NV], val[NV];
+            for (int k = 0; k < NV; k++)
+                d2[k] = dot3(g + k * ND, disp);
+            for (int k = 0; k < NV; k++)
+                val[k] = venkat(d2[k], jmax[k], jmin[k], e2);
+            for (int k = 0; k < NV; k++)
+                p[k] = min_nan(p[k], val[k]);
+        }
+}
+
+/* Analytic flux F(q, S) of the artificial-compressibility system. */
+static inline void pointwise_flux(const double *q, const double *s,
+                                  double beta, double *f)
+{
+    const double theta = dot3(s, q + 1);
+    f[0] = beta * theta;
+    for (int i = 0; i < ND; i++)
+        f[1 + i] = q[1 + i] * theta + s[i] * q[0];
+}
+
+/* 0.5 |A(qa)| dq with |A| the quadratic matrix polynomial of
+ * repro/cfd/roe.py::abs_flux_jacobian, products in its explicit order. */
+static void roe_dissipation(const double *qa, const double *s, double beta,
+                            const double *dq, double *diss)
+{
+    const double theta = dot3(s, qa + 1), s2 = dot3(s, s);
+    const double c = sqrt(theta * theta + beta * s2);
+    const double c_safe = c > 0.0 ? c : 1.0;
+    const double a = theta, b = theta + c, d = theta - c;
+    const double fa = fabs(a), fb = fabs(b), fd = fabs(d);
+    const double c2 = c_safe * c_safe;
+
+    double A[NV][NV], Ai[NV][NV], Bi[NV][NV], Di[NV][NV];
+    A[0][0] = 0.0;
+    for (int i = 0; i < ND; i++) {
+        A[0][1 + i] = beta * s[i];
+        A[1 + i][0] = s[i];
+        for (int j = 0; j < ND; j++)
+            A[1 + i][1 + j] = qa[1 + i] * s[j];
+        A[1 + i][1 + i] = A[1 + i][1 + i] + theta;
+    }
+    for (int i = 0; i < NV; i++)
+        for (int j = 0; j < NV; j++) {
+            const double eye = i == j ? 1.0 : 0.0;
+            Ai[i][j] = A[i][j] - a * eye;
+            Bi[i][j] = A[i][j] - b * eye;
+            Di[i][j] = A[i][j] - d * eye;
+        }
+    for (int i = 0; i < NV; i++) {
+        double absA[NV];
+        for (int k = 0; k < NV; k++) {
+            double BD = Bi[i][0] * Di[0][k], AD = Ai[i][0] * Di[0][k],
+                   AB = Ai[i][0] * Bi[0][k];
+            for (int j = 1; j < NV; j++) {
+                BD += Bi[i][j] * Di[j][k];
+                AD += Ai[i][j] * Di[j][k];
+                AB += Ai[i][j] * Bi[j][k];
+            }
+            absA[k] = -fa * BD / c2 + fb * AD / (2.0 * c2)
+                      + fd * AB / (2.0 * c2);
+            if (c <= 0.0) /* zero-area face */
+                absA[k] = 0.0;
+        }
+        diss[i] = 0.5 * dot4(absA, dq);
+    }
+}
+
+/* Flux sweep: one numerical flux per edge (Rusanov, or Roe when roe != 0)
+ * added at e0 and subtracted at e1.  With grad the states are first
+ * reconstructed to the edge midpoint, q + (grad . disp) phi; grad == NULL
+ * is the first-order flux.  flux is an (hi - lo, NV) scratch that carries
+ * the edge values from the e0 pass to the e1 pass. */
+void flux_sweep(int64_t lo, int64_t hi, const int64_t *e0, const int64_t *e1,
+                const double *normals, const double *d0, const double *d1,
+                const uint8_t *w0, const uint8_t *w1, const double *q,
+                const double *grad, const double *phi, double beta,
+                int64_t roe, double *flux, double *res)
+{
+    for (int64_t e = lo; e < hi; e++) {
+        const int64_t v0 = e0[e], v1 = e1[e];
+        const double *s = normals + e * ND;
+        double ql[NV], qr[NV], fl[NV], fr[NV], dq[NV], diss[NV];
+        for (int k = 0; k < NV; k++) {
+            ql[k] = q[v0 * NV + k];
+            qr[k] = q[v1 * NV + k];
+            if (grad) {
+                ql[k] = ql[k] + dot3(grad + (v0 * NV + k) * ND, d0 + e * ND)
+                                    * phi[v0 * NV + k];
+                qr[k] = qr[k] + dot3(grad + (v1 * NV + k) * ND, d1 + e * ND)
+                                    * phi[v1 * NV + k];
+            }
+            dq[k] = qr[k] - ql[k];
+        }
+        pointwise_flux(ql, s, beta, fl);
+        pointwise_flux(qr, s, beta, fr);
+        if (roe) {
+            double qa[NV];
+            for (int k = 0; k < NV; k++)
+                qa[k] = 0.5 * (ql[k] + qr[k]);
+            roe_dissipation(qa, s, beta, dq, diss);
+        } else { /* spectral radius |Theta| + c at the average state */
+            double vel[ND];
+            for (int i = 0; i < ND; i++)
+                vel[i] = 0.5 * (ql[1 + i] + qr[1 + i]);
+            const double theta = dot3(s, vel), s2 = dot3(s, s);
+            const double lam = fabs(theta) + sqrt(theta * theta + beta * s2);
+            for (int k = 0; k < NV; k++)
+                diss[k] = 0.5 * lam * dq[k];
+        }
+        double *f = flux + (e - lo) * NV;
+        for (int k = 0; k < NV; k++)
+            f[k] = 0.5 * (fl[k] + fr[k]) - diss[k];
+        if (writes(w0, e))
+            for (int k = 0; k < NV; k++)
+                res[v0 * NV + k] += f[k];
+    }
+    for (int64_t e = lo; e < hi; e++)
+        if (writes(w1, e))
+            for (int k = 0; k < NV; k++)
+                res[e1[e] * NV + k] -= flux[(e - lo) * NV + k];
+}

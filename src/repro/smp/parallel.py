@@ -4,17 +4,19 @@ Everything else in :mod:`repro.smp` *prices* the paper's threading
 strategies with cost models; this module *runs* them.  A
 :class:`ProcessEdgeBackend` forks N worker processes that execute the
 residual's edge sweeps over ``multiprocessing.shared_memory`` arrays, one
-worker per simulated thread.  The per-edge arithmetic is
-:mod:`repro.kgir.stages` — the same functions the serial program and the
-ranks run; what lives here is the *write-out adapter*, the paper's three
-edge-threading strategies (Section V.A):
+worker per simulated thread.  The per-edge arithmetic is the compiled
+sweeps of :mod:`repro.kgir.sweeps` over the worker's edge chunk (or, where
+those cannot run, the NumPy stages of :mod:`repro.kgir.stages`) — the same
+kernels the serial program and the ranks run; what lives here is the
+*write-out adapter*, the paper's three edge-threading strategies
+(Section V.A):
 
 ``locked``
-    Natural-order edge split; every worker scatters into the one shared
-    residual array under a lock, acquired per small block of edges.  This
-    is the Python stand-in for "basic partitioning with atomics": the
-    compute phase parallelizes, the write-out phase serializes and pays a
-    synchronization toll per conflict granule.
+    Natural-order edge split; every worker accumulates its chunk privately
+    (compute outside the lock) and adds the result into the one shared
+    array under a lock.  This is the Python stand-in for "basic
+    partitioning with atomics": the compute phase parallelizes, the
+    write-out phase serializes.
 ``replicate``
     Natural-order edge split with one private accumulator array per
     worker; the parent reduces the ``(workers, nv, 4)`` slab at the end.
@@ -57,6 +59,7 @@ import numpy as np
 
 from ..cfd.boundary import add_boundary_closures
 from ..kgir import stages
+from ..kgir.sweeps import edge_sweeps, vertex_stage
 from ..obs.live.recorder import crash_dump, reap_dead
 from ..obs.live.ring import STATE_BUSY, STATE_IDLE
 from ..obs.metrics import get_metrics
@@ -86,7 +89,6 @@ class _WorkerSpec:
 
     wid: int
     strategy: str
-    lock_block: int
     w0: np.ndarray | None  # owner strategy: write mask for endpoint 0
     w1: np.ndarray | None
     e0: np.ndarray  # this worker's edge endpoints (contiguous copies)
@@ -105,101 +107,121 @@ class _WorkerSpec:
     lo: np.ndarray
     hi: np.ndarray
     eps2: np.ndarray
+    #: compiled sweeps over this chunk (with the owner masks), or None:
+    #: then the NumPy stages run and ``mm_plan`` is their min/max write-out
+    sweeps: Any
     mm_plan: Any  # SegmentReducePlan over this worker's min/max write set
-    acc: np.ndarray | None = None  # replicate: this worker's slabs
+    #: replicate / locked: this worker's private accumulators (replicate's
+    #: are rows of the shared slabs the parent reduces)
+    acc: np.ndarray | None = None
     acc_rhs: np.ndarray | None = None
     acc_min: np.ndarray | None = None
     acc_max: np.ndarray | None = None
     telem: Any = None  # TelemetryWriter | None
-    #: gradient projections of the last limit task, kept in this worker for
-    #: the flux task that follows it (never crosses the process boundary)
+    #: gradient projections of the last NumPy limit task, kept in this worker
+    #: for the flux task that follows it (never crosses the process boundary)
     dproj: tuple | None = None
 
 
-def _scatter_add(spec: _WorkerSpec, lock, shared, slab, vals, at_e1) -> None:
-    """Add per-edge ``vals`` at ``e0`` and apply ``at_e1`` (``np.add`` or
-    ``np.subtract``) with them at ``e1``, under the strategy's write-out
-    discipline — all endpoint-0 terms, then all endpoint-1 terms, which for
-    owner-writes is the serial accumulation order of every owned row."""
-    e0, e1 = spec.e0, spec.e1
+def _targets(spec: _WorkerSpec, *folds) -> list[np.ndarray]:
+    """The arrays one sweep of this worker writes.  Each fold is
+    ``(shared, private, ufunc, identity)``: owner-writes goes straight to
+    its disjoint owned rows of ``shared``; the other strategies accumulate
+    into ``private``, reset to the fold's identity."""
     if spec.strategy == "owner":
-        np.add.at(shared, e0[spec.w0], vals[spec.w0])
-        at_e1.at(shared, e1[spec.w1], vals[spec.w1])
-    elif spec.strategy == "replicate":
-        slab.fill(0.0)
-        np.add.at(slab, e0, vals)
-        at_e1.at(slab, e1, vals)
-    else:  # locked scatter, one lock round-trip per conflict granule
-        blk = spec.lock_block
-        for s in range(0, e0.shape[0], blk):
-            e = s + blk
-            with lock:
-                np.add.at(shared, e0[s:e], vals[s:e])
-                at_e1.at(shared, e1[s:e], vals[s:e])
+        return [shared for shared, _, _, _ in folds]
+    for _, private, _, identity in folds:
+        private.fill(identity)
+    return [private for _, private, _, _ in folds]
 
 
-def _scatter_minmax(spec: _WorkerSpec, lock, v0, v1, *folds) -> None:
-    """Fold per-edge-end values (``v0`` at ``e0``, ``v1`` at ``e1``) into
-    vertex arrays with the strategy's write-out discipline; each fold is a
-    ``(shared, slab, op)`` triple.  min/max are IEEE-exact in any order, so
-    every strategy reproduces the serial result bitwise."""
+def _publish(spec: _WorkerSpec, lock, *folds) -> None:
+    """Write-out of the private accumulators: ``locked`` folds them into
+    the shared arrays under the lock; ``replicate`` leaves its slab rows
+    for the parent to reduce."""
+    if spec.strategy == "locked":
+        with lock:
+            for shared, private, ufunc, _ in folds:
+                ufunc(shared, private, out=shared)
+
+
+def _add_at(spec: _WorkerSpec, target, vals, at_e1) -> None:
+    """NumPy write-out: add per-edge ``vals`` at ``e0`` and apply ``at_e1``
+    (``np.add`` or ``np.subtract``) with them at ``e1`` — all endpoint-0
+    terms, then all endpoint-1 terms, which for owner-writes is the serial
+    accumulation order of every owned row."""
+    w0, w1 = (spec.w0, spec.w1) if spec.strategy == "owner" else (..., ...)
+    np.add.at(target, spec.e0[w0], vals[w0])
+    at_e1.at(target, spec.e1[w1], vals[w1])
+
+
+def _minmax_at(spec: _WorkerSpec, v0, v1, *folds) -> None:
+    """NumPy write-out: fold per-edge-end values (``v0`` at ``e0``, ``v1``
+    at ``e1``) into each ``(target, op)``.  min/max are IEEE-exact in any
+    order, so every strategy reproduces the serial result bitwise."""
     if spec.strategy == "owner":
         v0, v1 = v0[spec.w0], v1[spec.w1]
     vals = np.concatenate([v0, v1], axis=0)
-    for shared, slab, op in folds:
-        if spec.strategy == "owner":
-            spec.mm_plan.apply(vals, shared, op)  # disjoint owned rows
-            continue
-        ident = np.inf if op == "min" else -np.inf
-        if spec.strategy == "replicate":
-            slab.fill(ident)
-            spec.mm_plan.apply(vals, slab, op)  # parent reduces slabs
-        else:  # locked: local fold, one lock round-trip to merge
-            tmp = np.full(shared.shape, ident)
-            spec.mm_plan.apply(vals, tmp, op)
-            with lock:
-                (np.minimum if op == "min" else np.maximum)(
-                    shared, tmp, out=shared
-                )
+    for target, op in folds:
+        spec.mm_plan.apply(vals, target, op)
 
 
 def _run_recon(spec: _WorkerSpec, lock) -> None:
     """Reconstruction sweep: gradient-rhs accumulation plus the neighbor
     min/max fold in one pass over this worker's edges (one gather of q)."""
-    q0, q1 = spec.q[spec.e0], spec.q[spec.e1]
-    _scatter_add(
-        spec, lock, spec.rhs, spec.acc_rhs,
-        stages.grad_rhs_stage(q0, q1, spec.d0), np.add,
+    folds = (
+        (spec.rhs, spec.acc_rhs, np.add, 0.0),
+        (spec.lo, spec.acc_min, np.minimum, np.inf),
+        (spec.hi, spec.acc_max, np.maximum, -np.inf),
     )
-    # each endpoint sees the opposite endpoint's value
-    _scatter_minmax(
-        spec, lock, q1, q0,
-        (spec.lo, spec.acc_min, "min"), (spec.hi, spec.acc_max, "max"),
-    )
+    rhs, lo, hi = _targets(spec, *folds)
+    if spec.sweeps is not None:
+        spec.sweeps.recon(spec.q, rhs, lo, hi)
+    else:
+        q0, q1 = spec.q[spec.e0], spec.q[spec.e1]
+        _add_at(spec, rhs, stages.grad_rhs_stage(q0, q1, spec.d0), np.add)
+        # each endpoint sees the opposite endpoint's value
+        _minmax_at(spec, q1, q0, (lo, "min"), (hi, "max"))
+    _publish(spec, lock, *folds)
 
 
 def _run_limit(spec: _WorkerSpec, lock) -> None:
     """Limiter sweep: Venkat values per edge end, min-folded into the
-    shared ``limiter``; the projections stay here for the flux task."""
-    (v0, p0), (v1, p1) = (
-        stages.venkat_stage(
-            spec.grad[e], spec.hi[e], spec.lo[e], spec.eps2[e], disp
+    ``limiter``."""
+    fold = (spec.limiter, spec.acc_min, np.minimum, np.inf)
+    (phi,) = _targets(spec, fold)
+    if spec.sweeps is not None:
+        spec.sweeps.limit(spec.grad, spec.hi, spec.lo, spec.eps2, phi)
+    else:
+        (v0, p0), (v1, p1) = (
+            stages.venkat_stage(
+                spec.grad[e], spec.hi[e], spec.lo[e], spec.eps2[e], disp
+            )
+            for e, disp in ((spec.e0, spec.d0), (spec.e1, spec.d1))
         )
-        for e, disp in ((spec.e0, spec.d0), (spec.e1, spec.d1))
-    )
-    spec.dproj = (p0, p1)
-    _scatter_minmax(spec, lock, v0, v1, (spec.limiter, spec.acc_min, "min"))
+        spec.dproj = (p0, p1)  # stays here for the flux task
+        _minmax_at(spec, v0, v1, (phi, "min"))
+    _publish(spec, lock, fold)
 
 
 def _run_flux(spec: _WorkerSpec, lock, beta, scheme, second_order) -> None:
-    e0, e1 = spec.e0, spec.e1
-    recon = None
-    if second_order:
-        recon = (*spec.dproj, spec.limiter[e0], spec.limiter[e1])
-    flux = stages.flux_stage(
-        spec.q[e0], spec.q[e1], spec.normals, beta, scheme, recon
-    )
-    _scatter_add(spec, lock, spec.res, spec.acc, flux, np.subtract)
+    fold = (spec.res, spec.acc, np.add, 0.0)
+    (res,) = _targets(spec, fold)
+    if spec.sweeps is not None:
+        spec.sweeps.flux(
+            spec.q, spec.grad if second_order else None, spec.limiter,
+            beta, scheme, res,
+        )
+    else:
+        e0, e1 = spec.e0, spec.e1
+        recon = None
+        if second_order:
+            recon = (*spec.dproj, spec.limiter[e0], spec.limiter[e1])
+        flux = stages.flux_stage(
+            spec.q[e0], spec.q[e1], spec.normals, beta, scheme, recon
+        )
+        _add_at(spec, res, flux, np.subtract)
+    _publish(spec, lock, fold)
 
 
 #: task kind -> (sweep, kernel it reports under: worker spans are named
@@ -261,9 +283,6 @@ class ProcessEdgeBackend:
     partitioner:
         vertex labeling for ``owner``: ``metis`` (multilevel) or
         ``natural`` (contiguous chunks).  Ignored otherwise.
-    lock_block:
-        edges per lock acquisition in the ``locked`` scatter — the
-        conflict granule of the atomics stand-in.
     timeout:
         seconds to wait for a worker round before declaring it dead.
     telemetry:
@@ -280,7 +299,6 @@ class ProcessEdgeBackend:
         strategy: str = "owner",
         partitioner: str = "metis",
         seed: int = 0,
-        lock_block: int = 64,
         timeout: float = 120.0,
         telemetry: bool = True,
     ) -> None:
@@ -380,28 +398,35 @@ class ProcessEdgeBackend:
             sel = chunks[s]
             ce0 = np.ascontiguousarray(field.e0[sel])
             ce1 = np.ascontiguousarray(field.e1[sel])
-            # scatter-min/max write set of this worker's sweeps: owner writes
-            # only owned endpoint rows, the others fold every endpoint of
-            # their chunk (into a slab / under the lock)
-            mm_targets = (
-                np.concatenate([ce0[m[0]], ce1[m[1]]])
-                if m
-                else np.concatenate([ce0, ce1])
+            normals, d0, d1 = (
+                np.ascontiguousarray(a[sel])
+                for a in (field.enormals, field.emid_d0, field.emid_d1)
             )
-            mm_plan = segment_reduce_plan(
-                mm_targets, nv, name=f"kgir.minmax.w{s}"
-            )
+            # built here, before the fork: the workers inherit the loaded
+            # kernels instead of each racing a cold compile
+            sweeps = edge_sweeps(nv, ce0, ce1, normals, d0, d1, *(m or ()))
+            mm_plan = None
+            if sweeps is None:
+                # min/max write set of the NumPy sweeps: owner writes only
+                # owned endpoint rows, the others fold every endpoint
+                mm_targets = (
+                    np.concatenate([ce0[m[0]], ce1[m[1]]])
+                    if m
+                    else np.concatenate([ce0, ce1])
+                )
+                mm_plan = segment_reduce_plan(
+                    mm_targets, nv, name=f"kgir.minmax.w{s}"
+                )
             spec = _WorkerSpec(
                 wid=s,
                 strategy=strategy,
-                lock_block=int(lock_block),
                 w0=m[0] if m else None,
                 w1=m[1] if m else None,
                 e0=ce0,
                 e1=ce1,
-                normals=np.ascontiguousarray(field.enormals[sel]),
-                d0=np.ascontiguousarray(field.emid_d0[sel]),
-                d1=np.ascontiguousarray(field.emid_d1[sel]),
+                normals=normals,
+                d0=d0,
+                d1=d1,
                 q=self._q,
                 grad=self._grad,
                 limiter=self._limiter,
@@ -410,12 +435,16 @@ class ProcessEdgeBackend:
                 lo=self._lo,
                 hi=self._hi,
                 eps2=self._eps2,
+                sweeps=sweeps,
                 mm_plan=mm_plan,
                 telem=writers[s],
             )
             if strategy == "replicate":
                 spec.acc, spec.acc_rhs = self._acc[s], self._acc_rhs[s]
                 spec.acc_min, spec.acc_max = self._acc_min[s], self._acc_max[s]
+            elif strategy == "locked":  # private after the fork
+                spec.acc, spec.acc_rhs = np.empty((nv, 4)), np.empty((nv, 4, 3))
+                spec.acc_min, spec.acc_max = np.empty((nv, 4)), np.empty((nv, 4))
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             p = ctx.Process(
                 target=_worker_loop,
@@ -427,6 +456,8 @@ class ProcessEdgeBackend:
             child_conn.close()  # parent keeps only its end
             self._conns.append(parent_conn)
             self._workers.append(p)
+        # every chunk has the field's dtypes and layout: all or none compiled
+        self._compiled = sweeps is not None
         atexit.register(self.close)
 
     # ------------------------------------------------------------------
@@ -589,7 +620,7 @@ class ProcessEdgeBackend:
 
         Three dispatch rounds — ``recon`` (gradient rhs + neighbor
         min/max), ``limit`` (Venkat values + scatter-min) and ``flux`` —
-        with the per-vertex :func:`~repro.kgir.stages.solve_stage` and the
+        with the per-vertex :func:`~repro.kgir.sweeps.vertex_stage` and the
         slab reductions in the parent between them, then the boundary
         closures.  Returns the full ``(res, grad, phi)``; owner-writes is
         bitwise equal to the serial program (min/max folds are order-free
@@ -610,12 +641,11 @@ class ProcessEdgeBackend:
                 rhs = self._acc_rhs.sum(axis=0)
                 np.minimum(q, self._acc_min.min(axis=0), out=self._lo)
                 np.maximum(q, self._acc_max.max(axis=0), out=self._hi)
-            grad, eps2, dmax, dmin = stages.solve_stage(
-                self._field.lsq_inv, rhs, self._field.volumes,
-                q, self._lo, self._hi, config.limiter_k,
+            vertex_stage(
+                self._field.lsq_inv, rhs, self._field.volumes, self._q,
+                config.limiter_k, self._grad, self._eps2, self._lo, self._hi,
             )
-            self._grad[...], self._eps2[...] = grad, eps2
-            self._hi[...], self._lo[...] = dmax, dmin
+            grad = self._grad.copy()
             self._limiter.fill(1.0)
             self._dispatch_collect(("limit",))
             if replicate:
@@ -631,6 +661,8 @@ class ProcessEdgeBackend:
             )
             add_boundary_closures(self._field, q, config, res)
         get_metrics().counter("parallel.pipeline_calls").inc()
+        if self._compiled:
+            get_metrics().counter("residual.native_evals").inc()
         self._pipeline_rounds += 1
         return res, grad, phi
 

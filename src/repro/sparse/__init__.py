@@ -1,5 +1,6 @@
 """Block sparse linear algebra: BCSR, ILU(k), TRSV, level scheduling, P2P."""
 
+from ..native import native_kernels_available
 from .bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .fill import ilu_symbolic
 from .ilu import (
@@ -15,7 +16,6 @@ from .levels import (
     build_levels,
     row_flops,
 )
-from .native import native_kernels_available
 from .p2p import (
     DependencyGraph,
     build_dependency_graph,

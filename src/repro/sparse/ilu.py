@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .. import native
 from ..obs.metrics import get_metrics
-from . import native
 from .bcsr import BCSRMatrix
 from .fill import ilu_symbolic
 from .levels import LevelSchedule, build_levels

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..obs.metrics import get_metrics
-from . import native
 from .ilu import ILUFactor, ILUPlan
 
 __all__ = [
@@ -71,7 +71,7 @@ class TrsvWorkspace:
 
 def _native_ready(a: np.ndarray, size: int) -> bool:
     """``a`` can be handed to the compiled sweep as ``size`` doubles."""
-    return a.dtype == np.float64 and a.size == size and a.flags.c_contiguous
+    return native.is_native(a) and a.size == size
 
 
 def trsv_solve(

@@ -1,0 +1,418 @@
+"""Contract tests for the compiled edge sweeps of the residual.
+
+The contract (DESIGN.md, "Residual kernels"): the compiled sweeps of
+``repro/native/_kernels.c`` and the explicit-order NumPy stages of
+``repro.kgir.stages`` produce the same bits — for ``(res, grad, phi)``,
+Rusanov and Roe, first and second order — in every execution mode, and the
+code picks between them from what it observes (kernels loadable, int64
+endpoints, C-contiguous float64 arrays).  No tolerance appears where the
+contract says bitwise.
+"""
+
+import sys
+import threading
+import tomllib
+import types
+from contextlib import contextmanager
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import native
+from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro.cfd.boundary import add_boundary_closures
+from repro.cfd.flux import interior_flux_residual
+from repro.cfd.gradient import lsq_gradients, venkat_limiter
+from repro.dist import DomainDecomposition
+from repro.dist.runtime import DistRuntime
+from repro.dist.runtime.program import _Workspace, build_rank_data, rank_residual
+from repro.kgir import residual_program, sweeps
+from repro.mesh import dataset_mesh, wing_mesh
+from repro.obs import MetricsRegistry, use_metrics
+from repro.partition import partition_graph
+from repro.smp import ProcessEdgeBackend, use_edge_backend
+from repro.solver import SolverOptions, solve_steady
+
+pytestmark = pytest.mark.skipif(
+    not native.native_kernels_available(),
+    reason="no C compiler / kernels not loadable",
+)
+
+
+@contextmanager
+def numpy_residual():
+    """Make the residual (and only it — ILU/TRSV keep their kernels) see no
+    loadable kernels, so fields *built and evaluated* inside run the NumPy
+    stages."""
+    seen = sweeps.native
+    sweeps.native = types.SimpleNamespace(load_kernels=lambda: None)
+    try:
+        yield
+    finally:
+        sweeps.native = seen
+
+
+_MESHES: dict = {}
+
+
+def _mesh(kind: str, ordering: str):
+    key = (kind, ordering)
+    if key not in _MESHES:
+        scale = 0.02 if kind == "wing" else 0.04
+        if ordering == "random":
+            base = dataset_mesh(kind, scale=scale, seed=5)
+            perm = np.random.default_rng(17).permutation(base.n_vertices)
+            _MESHES[key] = base.relabeled(perm)
+        else:
+            _MESHES[key] = dataset_mesh(
+                kind, scale=scale, seed=5, ordering=ordering
+            )
+    return _MESHES[key]
+
+
+_FIELDS: dict = {}
+
+
+def _fields(kind: str, ordering: str):
+    """``(compiled, numpy)`` fields over one mesh; the second was built
+    with no kernels in sight and must be evaluated the same way."""
+    key = (kind, ordering)
+    if key not in _FIELDS:
+        mesh = _mesh(kind, ordering)
+        _FIELDS[key] = (FlowField(mesh), FlowField(mesh))
+    return _FIELDS[key]
+
+
+def _state(field: FlowField, cfg: FlowConfig, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return field.initial_state(cfg) + 0.05 * rng.normal(
+        size=(field.n_vertices, 4)
+    )
+
+
+def _evaluate(field: FlowField, q: np.ndarray, cfg: FlowConfig):
+    """``(res, grad, phi)`` the way production evaluates it; first order has
+    no reconstruction byproducts."""
+    if cfg.second_order:
+        return residual_program(field).run(q, cfg)
+    return (compute_residual(field, q, cfg),)
+
+
+def _oracle(field: FlowField, q: np.ndarray, cfg: FlowConfig):
+    """The staged sequential kernels (never compiled)."""
+    if not cfg.second_order:
+        with numpy_residual():
+            res = interior_flux_residual(
+                field, q, cfg.beta, scheme=cfg.dissipation
+            )
+        return (add_boundary_closures(field, q, cfg, res),)
+    grad = lsq_gradients(field, q)
+    phi = venkat_limiter(field, q, grad, k=cfg.limiter_k)
+    res = interior_flux_residual(
+        field, q, cfg.beta, grad, phi, scheme=cfg.dissipation
+    )
+    return add_boundary_closures(field, q, cfg, res), grad, phi
+
+
+def _native_evals(fn) -> tuple:
+    """``(result, residual.native_evals counted while fn ran)``."""
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        out = fn()
+    return out, metrics.counter("residual.native_evals").value
+
+
+# ---------------------------------------------------------------------------
+# compiled == NumPy program == staged oracle, bitwise
+# ---------------------------------------------------------------------------
+@settings(max_examples=24, deadline=None)
+@given(
+    kind=st.sampled_from(["wing", "mesh-c"]),
+    ordering=st.sampled_from(["natural", "rcm", "random"]),
+    seed=st.integers(0, 50),
+    aoa=st.sampled_from([0.0, 2.0]),
+    scheme=st.sampled_from(["rusanov", "roe"]),
+    second_order=st.booleans(),
+)
+def test_compiled_equals_numpy_program_bitwise(
+    kind, ordering, seed, aoa, scheme, second_order
+):
+    compiled_field, numpy_field = _fields(kind, ordering)
+    cfg = FlowConfig(aoa_deg=aoa, dissipation=scheme, second_order=second_order)
+    q = _state(compiled_field, cfg, seed)
+    compiled = _evaluate(compiled_field, q, cfg)
+    with numpy_residual():
+        reference = _evaluate(numpy_field, q, cfg)
+        assert sweeps.field_sweeps(numpy_field) is None
+    assert sweeps.field_sweeps(compiled_field) is not None
+    for name, a, b, c in zip(
+        ("res", "grad", "phi"), compiled, reference, _oracle(numpy_field, q, cfg)
+    ):
+        assert np.array_equal(a, b), f"{name}: compiled != NumPy program"
+        assert np.array_equal(b, c), f"{name}: NumPy program != staged oracle"
+
+
+def test_nan_poisoned_state_is_nan_in_the_same_entries():
+    """``np.where`` / ``np.clip`` / ``np.minimum`` and the C ternaries agree
+    on NaN and Inf, so a diverging solve is detected, not masked."""
+    compiled_field, numpy_field = _fields("wing", "natural")
+    for scheme in ("rusanov", "roe"):
+        cfg = FlowConfig(dissipation=scheme)
+        q = _state(compiled_field, cfg, 4)
+        q[7, 0] = np.nan
+        q[19, 2] = np.inf
+        q[33] = -np.inf
+        with np.errstate(all="ignore"):
+            compiled = _evaluate(compiled_field, q, cfg)
+            with numpy_residual():
+                reference = _evaluate(numpy_field, q, cfg)
+        assert np.isnan(compiled[0]).any()
+        for a, b in zip(compiled, reference):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
+    compiled_field, numpy_field = _fields("wing", "natural")
+    cfg = FlowConfig()
+    q = _state(compiled_field, cfg, 9)
+    program = residual_program(compiled_field)
+    want, n = _native_evals(lambda: program.run(q, cfg))
+    assert n == 1
+
+    # a strided view and a Fortran-ordered copy hold the same values
+    strided = np.repeat(q, 2, axis=0)[::2]
+    assert not strided.flags.c_contiguous
+    for other in (strided, np.asfortranarray(q)):
+        got, n = _native_evals(lambda: program.run(other, cfg))
+        assert n == 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(
+            compute_residual(compiled_field, other, cfg, first_order=True),
+            compute_residual(compiled_field, q, cfg, first_order=True),
+        )
+
+    # float32 state: whatever the NumPy stages make of it, not a crash and
+    # not a reinterpretation of the buffer
+    q32 = q.astype(np.float32)
+    got, n = _native_evals(lambda: program.run(q32, cfg))
+    with numpy_residual():
+        ref = residual_program(numpy_field).run(q32, cfg)
+    assert n == 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert np.allclose(got[0], want[0], atol=1e-4)
+
+    # int32 endpoints: no sweeps are built for the field at all
+    narrow = FlowField(compiled_field.mesh)
+    narrow.e0, narrow.e1 = narrow.e0.astype(np.int32), narrow.e1.astype(np.int32)
+    assert sweeps.field_sweeps(narrow) is None
+    got, n = _native_evals(lambda: residual_program(narrow).run(q, cfg))
+    assert n == 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_out_of_range_endpoints_are_rejected_before_any_kernel_runs():
+    field, _ = _fields("wing", "natural")
+    bad = field.e1.copy()
+    bad[3] = field.n_vertices
+    with pytest.raises(ValueError, match="out of range"):
+        sweeps.edge_sweeps(
+            field.n_vertices, field.e0, bad, field.enormals,
+            field.emid_d0, field.emid_d1,
+        )
+    sw = sweeps.field_sweeps(field)
+    with pytest.raises(ValueError, match="float64"):
+        sw.recon(
+            np.zeros((field.n_vertices, 4)), np.zeros((field.n_vertices, 4, 3)),
+            np.zeros((3, 4)), np.zeros((field.n_vertices, 4)),
+        )
+    with pytest.raises(ValueError, match="unknown dissipation scheme"):
+        sw.flux(
+            np.zeros((field.n_vertices, 4)), None, None, 4.0, "hllc",
+            np.zeros((field.n_vertices, 4)),
+        )
+
+
+# ---------------------------------------------------------------------------
+# no shared mutable scratch
+# ---------------------------------------------------------------------------
+def test_results_are_fresh_arrays():
+    field, _ = _fields("wing", "natural")
+    cfg = FlowConfig()
+    program = residual_program(field)
+    first = program.run(_state(field, cfg, 1), cfg)
+    kept = [a.copy() for a in first]
+    second = program.run(_state(field, cfg, 2), cfg)
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in second)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+def test_concurrent_evaluations_on_one_field_do_not_interfere():
+    """The serve daemon's solver threads evaluate on one cached field and
+    ``ctypes`` drops the GIL for each sweep."""
+    field, _ = _fields("mesh-c", "natural")
+    cfg = FlowConfig(dissipation="roe")
+    program = residual_program(field)
+    states = [_state(field, cfg, s) for s in range(4)]
+    want = [program.run(q, cfg) for q in states]
+    failures: list = []
+    start = threading.Barrier(len(states))
+
+    def worker(i: int) -> None:
+        start.wait(timeout=30)
+        for _ in range(25):
+            got = program.run(states[i], cfg)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want[i])):
+                failures.append(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more threads than cores, switched often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# the process fleet and the ranks call the same sweeps
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wing_case():
+    field = FlowField(wing_mesh(n_around=16, n_radial=5, n_span=4))
+    cfg = FlowConfig(aoa_deg=2.0, dissipation="roe")
+    q = _state(field, cfg, 3)
+    return field, q, cfg, residual_program(field).run(q, cfg)
+
+
+@pytest.mark.parametrize(
+    "partitioner,workers",
+    [("metis", 1), ("metis", 2), ("metis", 3), ("natural", 2), ("natural", 3)],
+)
+def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
+    field, q, cfg, want = wing_case
+    first = compute_residual(field, q, cfg, first_order=True)
+    with ProcessEdgeBackend(
+        field, n_workers=workers, strategy="owner", partitioner=partitioner
+    ) as fleet:
+        got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+        with use_edge_backend(fleet):
+            got_first = compute_residual(field, q, cfg, first_order=True)
+    assert n == 1  # the workers ran the compiled sweeps
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got_first, first)
+
+
+@pytest.mark.parametrize("strategy", ["replicate", "locked"])
+def test_reordering_strategies_stay_within_roundoff(wing_case, strategy):
+    field, q, cfg, want = wing_case
+    with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
+        got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+    assert n == 1
+    assert np.max(np.abs(got[0] - want[0])) < 1e-10
+    # min/max folds are exact in any order; grad sums are reordered
+    assert np.max(np.abs(got[1] - want[1])) < 1e-10
+    assert np.max(np.abs(got[2] - want[2])) < 1e-10
+
+
+def test_fleet_without_kernels_equals_fleet_with_them(wing_case):
+    field, q, cfg, want = wing_case
+    with numpy_residual():
+        with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+            got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+    assert n == 0
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("second_order", [True, False])
+def test_rank_residual_compiled_equals_numpy_bitwise(wing_case, second_order):
+    field, q, _, _ = wing_case
+    cfg = FlowConfig(dissipation="roe", second_order=second_order)
+    labels = partition_graph(field.mesh.edges, field.n_vertices, 2, seed=0)
+    decomp = DomainDecomposition(field.mesh.edges, labels)
+    datas = build_rank_data(field, cfg, decomp, q0=q)
+
+    def program(comm):
+        data = datas[comm.rank]
+        ws = _Workspace(data)
+        return ws.sweeps is not None, [
+            rank_residual(data, comm, ws, cfg, pipelined).copy()
+            for pipelined in (False, True)
+        ]
+
+    def run():
+        with DistRuntime(decomp, timeout=60) as rt:
+            return [rr.value for rr in rt.run(program)]
+
+    compiled = run()
+    with numpy_residual():  # forked ranks inherit the patched module
+        reference = run()
+    serial = compute_residual(field, q, cfg)
+    for dom, (c_native, c), (r_native, r) in zip(decomp.domains, compiled, reference):
+        assert c_native and not r_native
+        assert np.array_equal(c[0], c[1])  # plain == pipelined
+        assert np.array_equal(c[0], r[0])
+        assert np.max(np.abs(c[0] - serial[dom.owned])) <= 1e-10
+
+
+def test_steady_solve_without_residual_kernels_is_bit_identical():
+    mesh = dataset_mesh("mesh-c", scale=0.02, seed=7)
+    cfg = FlowConfig(aoa_deg=3.0)
+    opts = SolverOptions(max_steps=60, ilu_fill=1)
+    fast = solve_steady(FlowField(mesh), cfg, opts)
+    with numpy_residual():
+        slow = solve_steady(FlowField(mesh), cfg, opts)
+    assert fast.converged and slow.converged
+    assert (fast.steps, fast.linear_iterations) == (
+        slow.steps, slow.linear_iterations
+    )
+    assert np.array_equal(fast.q, slow.q)
+
+
+# ---------------------------------------------------------------------------
+# one loader, one shared object, loaded before any fork
+# ---------------------------------------------------------------------------
+def test_c_source_ships_with_the_package():
+    source = resources.files("repro.native") / "_kernels.c"
+    assert source.is_file()
+    assert Path(str(source)) == native._SOURCE
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["repro"]
+    package = Path(native.__file__).parents[1]
+    shipped = {p for g in globs for p in package.glob(g)}
+    assert native._SOURCE in shipped
+    # one translation unit for both kernel families
+    assert len(list(package.rglob("*.c"))) == 1
+    text = native._SOURCE.read_text()
+    for entry in ("ilu4", "trsv4", "recon_sweep", "limit_sweep", "flux_sweep"):
+        assert f" {entry}(" in text
+
+
+def test_kernels_are_loaded_before_workers_and_ranks_fork(wing_case):
+    field, q, cfg, _ = wing_case
+    native.load_kernels.cache_clear()
+    try:
+        with ProcessEdgeBackend(field, n_workers=2, strategy="owner"):
+            assert native.load_kernels.cache_info().currsize == 1
+        native.load_kernels.cache_clear()
+        labels = partition_graph(field.mesh.edges, field.n_vertices, 2, seed=0)
+        decomp = DomainDecomposition(field.mesh.edges, labels)
+        with DistRuntime(decomp, timeout=60) as rt:
+            inherited = rt.run(
+                lambda comm: native.load_kernels.cache_info().currsize
+            )
+        assert [rr.value for rr in inherited] == [1, 1]
+    finally:
+        native.load_kernels.cache_clear()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.cfd import FlowConfig, FlowField
 from repro.mesh import delaunay_cloud_mesh, mesh_c_prime, wing_mesh
 from repro.ordering import rcm_relabel
@@ -29,7 +30,6 @@ from repro.sparse import (
     build_ilu_plan,
     ilu_factorize,
     ilu_factorize_levels,
-    native,
     native_kernels_available,
     trsv_solve,
     trsv_solve_levels,
