@@ -127,11 +127,11 @@ def interior_flux_residual(
     The first-order loop (``grad is None``, the preconditioner-side
     residual) runs across the worker processes of an installed edge backend
     (:func:`repro.smp.use_edge_backend`), agreeing with the sequential path
-    to round-off by the backend's contract; without one it is the compiled
-    flux sweep (:mod:`repro.kgir.sweeps`) where that can run, bitwise equal
-    to the NumPy statements below.  With ``grad`` the call is always those
-    statements: it is the last step of the staged oracle the production
-    residual program (:mod:`repro.kgir`) is tested against.
+    to round-off by the backend's contract; without one it is the flux
+    sweep of :mod:`repro.kgir.sweeps`, bitwise equal to the NumPy
+    statements below.  With ``grad`` the call is always those statements:
+    it is the last step of the staged oracle the production residual
+    program (:mod:`repro.kgir`) is tested against.
     """
     if grad is None:
         backend = get_edge_backend()
@@ -140,20 +140,15 @@ def interior_flux_residual(
         # repro.kgir imports this package (cfd.boundary, cfd.state)
         from ..kgir.sweeps import field_sweeps
 
-        sweeps = field_sweeps(field)
-        if sweeps is not None and sweeps.takes(q):
-            res = np.zeros_like(q)
-            sweeps.flux(q, None, None, beta, scheme, res)
-            return res
-    ql = q[field.e0]
-    qr = q[field.e1]
-    if grad is not None:
-        dq0 = dot3(grad[field.e0], field.emid_d0[:, None, :])
-        dq1 = dot3(grad[field.e1], field.emid_d1[:, None, :])
-        if limiter is not None:
-            dq0 = dq0 * limiter[field.e0]
-            dq1 = dq1 * limiter[field.e1]
-        ql = ql + dq0
-        qr = qr + dq1
+        res = np.zeros(q.shape)
+        field_sweeps(field, q).flux(q, None, None, beta, scheme, res)
+        return res
+    dq0 = dot3(grad[field.e0], field.emid_d0[:, None, :])
+    dq1 = dot3(grad[field.e1], field.emid_d1[:, None, :])
+    if limiter is not None:
+        dq0 = dq0 * limiter[field.e0]
+        dq1 = dq1 * limiter[field.e1]
+    ql = q[field.e0] + dq0
+    qr = q[field.e1] + dq1
     flux = numerical_edge_flux(ql, qr, field.enormals, beta, scheme)
     return field.edge_diff_plan.apply(flux)

@@ -30,7 +30,7 @@ def compute_residual(
 ) -> np.ndarray:
     """Spatial residual ``f(q)``, shape ``(n_vertices, 4)``.
 
-    The second-order residual is the kernel-graph program of
+    The second-order residual is the sweep program of
     :mod:`repro.kgir`: run in-process on the full edge set, or by the
     installed edge backend's ``residual_pipeline`` on its workers.  Both
     are bitwise equal to the staged kernels (``lsq_gradients`` ->

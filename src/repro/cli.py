@@ -762,10 +762,6 @@ def _cmd_profile_impl(args, obs) -> int:
     print("per-kernel scatter strategy (precompiled plans vs np.add.at):")
     print(plan_report())
     print()
-    from .kgir import fusion_report
-
-    print(fusion_report(app.field).text())
-    print()
     _print_recurrence_structure(app, args.ilu)
     print()
     if getattr(res, "dist", None) is not None:

@@ -4,10 +4,8 @@ Each rank owns a contiguous slice of the global problem (its subdomain's
 owned vertices) plus one ghost layer, and replays the exact serial solver
 arithmetic on local arrays:
 
-* **residual** — the compiled sweeps of :mod:`repro.kgir.sweeps` (or, where
-  they cannot run, the NumPy stages of :mod:`repro.kgir.stages` — the same
-  bits) on the rank's own slices: interior-edge fluxes and gradient
-  contributions touch
+* **residual** — the sweeps of :mod:`repro.kgir.sweeps` on the rank's own
+  slices: interior-edge fluxes and gradient contributions touch
   only owned data and run *inside* the halo window; cut-edge contributions
   (the edges the decomposition severed) wait for the ghosts.  Plain mode and
   pipelined mode execute the identical interior-then-cut arithmetic — the
@@ -40,15 +38,8 @@ from ...cfd.flux import edge_spectral_radius, numerical_edge_flux
 from ...cfd.jacobian import analytic_flux_jacobian
 from ...cfd.state import NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import ser_cfl
-from ...kgir import stages
 from ...kgir.sweeps import edge_sweeps, vertex_stage
-from ...perf.scatter import (
-    edge_difference_plan,
-    edge_sum_plan,
-    jacobian_edge_plan,
-    scatter_plan,
-    segment_reduce_plan,
-)
+from ...perf.scatter import edge_sum_plan, jacobian_edge_plan, scatter_plan
 from ...solver.newton import SolverOptions
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
@@ -182,10 +173,10 @@ class _Workspace:
     """Persistent per-rank arrays reused across residual evaluations (a
     rank is one single-threaded process, so they are never shared).
 
-    Also owns the rank's edge kernels: the compiled sweeps over its local
-    edges, writing owned rows only, or — where those cannot run — the
-    scatter plans of the NumPy stages (one per static edge-slice /
-    boundary-tag index structure, built on first use).
+    Also owns the rank's edge kernels: the sweeps over its local edges,
+    writing owned rows only, and the scatter plans of the time step and
+    the boundary closures (one per static index structure, built on first
+    use).
     """
 
     def __init__(self, data: RankData) -> None:
@@ -200,30 +191,22 @@ class _Workspace:
         self.qmax = np.zeros((nl, NVARS))
         self.eps2 = np.zeros(nl)
         self.q[:no] = data.q0
-        self.owned_ends = (data.e0 < no, data.e1 < no)
         self.sweeps = edge_sweeps(
             nl, data.e0, data.e1, data.normals, data.d0, data.d1,
-            *self.owned_ends,
+            data.e0 < no, data.e1 < no,
         )
         self.interior_seconds = 0.0
         self._data = data
         self._plans: dict = {}
 
-    def edge_plan(self, sl: slice, kind: str):
-        """Cached edge scatter plan of the edges in ``sl`` over local rows.
-
-        ``kind`` is ``"diff"`` (flux: +e0 / -e1) or ``"sum"`` (gradient and
-        spectral-radius accumulation: +e0 / +e1).
-        """
-        key = (kind, sl.start, sl.stop)
-        plan = self._plans.get(key)
+    def edge_plan(self):
+        """Cached ``+e0 / +e1`` scatter plan of all local edges over local
+        rows (spectral-radius accumulation)."""
+        plan = self._plans.get("sum")
         if plan is None:
             d = self._data
-            build = edge_difference_plan if kind == "diff" else edge_sum_plan
-            plan = build(
-                d.e0[sl], d.e1[sl], d.n_local, name=f"dist.edge.{kind}"
-            )
-            self._plans[key] = plan
+            plan = edge_sum_plan(d.e0, d.e1, d.n_local, name="dist.edge.sum")
+            self._plans["sum"] = plan
         return plan
 
     def boundary_plan(self, tag: str):
@@ -238,35 +221,6 @@ class _Workspace:
             self._plans[key] = plan
         return plan
 
-    def minmax_plan(self, sl: slice):
-        """Cached segment min/max plan over both endpoints of the edges in
-        ``sl`` (recon sweep: neighbor bounds fold)."""
-        key = ("mm", sl.start, sl.stop)
-        plan = self._plans.get(key)
-        if plan is None:
-            d = self._data
-            plan = segment_reduce_plan(
-                np.concatenate([d.e0[sl], d.e1[sl]]),
-                d.n_local,
-                name="dist.kgir.minmax",
-            )
-            self._plans[key] = plan
-        return plan
-
-    def phi_plan(self, end: int):
-        """Cached scatter-min plan over the owned rows of endpoint ``end``
-        across all local edges (limiter fold)."""
-        key = ("phi", end)
-        plan = self._plans.get(key)
-        if plan is None:
-            d = self._data
-            e = d.e0 if end == 0 else d.e1
-            plan = segment_reduce_plan(
-                e[e < d.n_owned], d.n_local, name="dist.kgir.phi"
-            )
-            self._plans[key] = plan
-        return plan
-
 
 def _interior_span(comm: Communicator, ws: _Workspace, t0: float, edges: int):
     t1 = time.perf_counter()
@@ -274,22 +228,12 @@ def _interior_span(comm: Communicator, ws: _Workspace, t0: float, edges: int):
     comm.recorder.add("interior", t0, t1, edges=edges)
 
 
-def _recon(data: RankData, ws: _Workspace, comm: Communicator, sl: slice):
+def _recon(ws: _Workspace, comm: Communicator, sl: slice):
     """Reconstruction sweep over the edges in ``sl``: one gather of ``q``
     feeds the gradient-rhs accumulation and the neighbor min/max fold
     (order-free exact, so the interior/cut split changes no bit)."""
     t0 = time.perf_counter()
-    if ws.sweeps is not None:
-        ws.sweeps.recon(ws.q, ws.rhs, ws.qmin, ws.qmax, sl.start, sl.stop)
-    else:
-        q0, q1 = ws.q[data.e0[sl]], ws.q[data.e1[sl]]
-        contrib = stages.grad_rhs_stage(q0, q1, data.d0[sl])
-        ws.edge_plan(sl, "sum").apply(contrib, out=ws.rhs, accumulate=True)
-        # each endpoint sees the opposite endpoint's value
-        vals = np.concatenate([q1, q0], axis=0)
-        plan = ws.minmax_plan(sl)
-        plan.apply(vals, ws.qmin, "min")
-        plan.apply(vals, ws.qmax, "max")
+    ws.sweeps.recon(ws.q, ws.rhs, ws.qmin, ws.qmax, sl.start, sl.stop)
     comm.recorder.add(
         "fuse.recon", t0, time.perf_counter(), edges=sl.stop - sl.start
     )
@@ -306,19 +250,7 @@ def _limit(data: RankData, ws: _Workspace, comm: Communicator, k: float):
     )
     t0 = time.perf_counter()
     ws.limiter[:no] = 1.0
-    if ws.sweeps is not None:
-        ws.sweeps.limit(ws.grad, ws.qmax, ws.qmin, ws.eps2, ws.limiter)
-    else:
-        for end_i, (end, disp) in enumerate(
-            ((data.e0, data.d0), (data.e1, data.d1))
-        ):
-            sel = ws.owned_ends[end_i]
-            endo = end[sel]
-            val, _ = stages.venkat_stage(
-                ws.grad[endo], ws.qmax[endo], ws.qmin[endo], ws.eps2[endo],
-                disp[sel],
-            )
-            ws.phi_plan(end_i).apply(val, ws.limiter, "min")
+    ws.sweeps.limit(ws.grad, ws.qmax, ws.qmin, ws.eps2, ws.limiter)
     comm.recorder.add(
         "fuse.limit", t0, time.perf_counter(), edges=data.e0.shape[0]
     )
@@ -346,32 +278,13 @@ def _boundary_residual(
         ws.boundary_plan("far").apply(fl, out=res, accumulate=True)
 
 
-def _edge_flux(
-    data: RankData, ws: _Workspace, sl: slice, config: FlowConfig
-) -> None:
+def _edge_flux(ws: _Workspace, sl: slice, config: FlowConfig) -> None:
     """Flux of the edges in ``sl`` accumulated into the owned rows of
-    ``ws.res`` (the NumPy write-out also touches ghost rows, which absorb
-    the cut edges' off-rank halves harmlessly)."""
-    if ws.sweeps is not None:
-        ws.sweeps.flux(
-            ws.q, ws.grad if config.second_order else None, ws.limiter,
-            config.beta, config.dissipation, ws.res, sl.start, sl.stop,
-        )
-        return
-    e0, e1 = data.e0[sl], data.e1[sl]
-    recon = None
-    if config.second_order:
-        recon = (
-            stages.edge_projection(ws.grad[e0], data.d0[sl]),
-            stages.edge_projection(ws.grad[e1], data.d1[sl]),
-            ws.limiter[e0],
-            ws.limiter[e1],
-        )
-    flux = stages.flux_stage(
-        ws.q[e0], ws.q[e1], data.normals[sl], config.beta,
-        config.dissipation, recon,
+    ``ws.res``."""
+    ws.sweeps.flux(
+        ws.q, ws.grad if config.second_order else None, ws.limiter,
+        config.beta, config.dissipation, ws.res, sl.start, sl.stop,
     )
-    ws.edge_plan(sl, "diff").apply(flux, out=ws.res, accumulate=True)
 
 
 def rank_residual(
@@ -415,8 +328,8 @@ def rank_residual(
         ws.qmin[...] = ws.q
         ws.qmax[...] = ws.q
         # interior edges touch only owned q, so they run inside the window
-        window([ws.q], lambda: _recon(data, ws, comm, ii))
-        _recon(data, ws, comm, ic)  # cut-edge contributions (need ghost q)
+        window([ws.q], lambda: _recon(ws, comm, ii))
+        _recon(ws, comm, ic)  # cut-edge contributions (need ghost q)
         _limit(data, ws, comm, config.limiter_k)
         exchange_payload = [ws.grad, ws.limiter]
     else:
@@ -427,12 +340,12 @@ def rank_residual(
     ws.res.fill(0.0)
 
     def flux_interior() -> None:
-        _edge_flux(data, ws, ii, config)
+        _edge_flux(ws, ii, config)
         _boundary_residual(data, ws, config)
 
     window(exchange_payload, flux_interior)
     # cut-edge fluxes (ghost reconstruction now available)
-    _edge_flux(data, ws, ic, config)
+    _edge_flux(ws, ic, config)
     return ws.res[: data.n_owned]
 
 
@@ -445,7 +358,7 @@ def _local_timestep(
     lam_e = edge_spectral_radius(
         q[data.e0], q[data.e1], data.normals, config.beta
     )
-    lam_sum = ws.edge_plan(slice(0, data.e0.shape[0]), "sum").apply(lam_e)
+    lam_sum = ws.edge_plan().apply(lam_e)
     for tag in ("wall", "sym", "far"):
         verts, normals = data.bcorners[tag]
         if verts.shape[0] == 0:

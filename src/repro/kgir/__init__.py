@@ -1,78 +1,46 @@
-"""Kernel-graph IR: the second-order residual as one single-pass program.
+"""The second-order residual: one sweep interface, two implementations.
 
 The paper's lesson is that the edge loops are memory-bound: once scatter
 conflicts are handled, wins come from cutting traffic per edge, not from
 more threads.  A staged residual pays the edge-gather tax four times per
 evaluation (gradient accumulation, neighbor min/max, limiter values,
-flux), each pass materializing full edge-length intermediates.
+flux), each pass materializing full edge-length intermediates; this one
+pays it three times (recon, limit, flux), with nothing edge-length kept
+between the sweeps.
 
 This package is the one production implementation of that residual:
 
 * :mod:`.stages` — the arithmetic of every stage, as NumPy functions of
   gathered per-edge arrays, every short sum spelled out in one explicit
   order (:mod:`repro.cfd.sums`).
-* :mod:`.sweeps` — the same arithmetic compiled
-  (``repro/native/_kernels.c``): one C call per sweep over an edge range
-  with optional endpoint write masks.  Serial execution, the process-fleet
+* :mod:`.sweeps` — the ``recon`` / ``limit`` / ``flux`` sweeps over an edge
+  range with optional endpoint write masks, twice: compiled
+  (``repro/native/_kernels.c``, one C call per sweep) and as the stage
+  functions written out with the reference ``ufunc.at`` statements.
+  :func:`~.sweeps.edge_sweeps` picks one from what it observes (kernels
+  loadable, array dtypes and layout).  Serial execution, the process-fleet
   workers (:mod:`repro.smp.parallel`) and the rank program
-  (:mod:`repro.dist.runtime.program`) all call these — or, where they
-  cannot run, the stage functions — and differ only in the edge set and
-  the write-out targets they pass.
-* :mod:`.ir` — gather/compute/scatter stage nodes with declared
-  reads/writes and an edge-index-set identity, plus the rewrite pass that
-  fuses adjacent stages with matching index sets into single-pass fused
-  groups (one shared gather, pipelined arithmetic, scatters at the end).
-* :mod:`.programs` — the residual lowered onto the IR:
-  :class:`ResidualProgram` (single-state and trailing-axis batched
-  multi-case evaluation), which :func:`repro.cfd.residual.compute_residual`
-  runs directly, and the :func:`fusion_report` ``repro profile`` prints.
+  (:mod:`repro.dist.runtime.program`) all call what it returns and differ
+  only in the edge set and the write-out targets they pass.
+* :mod:`.programs` — :class:`ResidualProgram`, the serial sequence of
+  sweeps (single-state and trailing-axis batched multi-case evaluation),
+  which :func:`repro.cfd.residual.compute_residual` runs directly.
 
-Numerics contract: the compiled sweeps, the NumPy program and the staged
+Numerics contract: the compiled sweeps, the NumPy sweeps and the staged
 oracle kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux` are
 **bitwise identical** to one another (property-tested in
 ``tests/test_native_residual.py`` and ``tests/test_kgir.py``).  Additive
 write-out is term-major everywhere — all ``e0`` terms in edge order, then
-all ``e1`` terms — through the same :class:`~repro.perf.scatter.ScatterPlan`
-objects or the C loops that replay them; min/max scatters are IEEE-exact in
-any order, which is what lets the program replace the reference
-``ufunc.at`` loops with precompiled segment reductions; and no stage calls
-one of NumPy's contraction or reduction routines, whose association order
-belongs to the NumPy build (:mod:`repro.cfd.sums` has the 1-ulp
+all ``e1`` terms; min/max folds are IEEE-exact in any order; and no stage
+calls one of NumPy's contraction or reduction routines, whose association
+order belongs to the NumPy build (:mod:`repro.cfd.sums` has the 1-ulp
 measurement), so "bitwise" holds on every host.
+
+(The package name is historical: until PR 20 it also held a kernel-graph
+IR and a fusion rewrite pass, whose one fusion — recon with min/max — is
+now simply how the recon sweep is written.)
 """
 
-from .ir import (
-    EdgeIndexSet,
-    EdgeStage,
-    FusedStage,
-    FusionError,
-    FusionReport,
-    Graph,
-    PointStage,
-    ScatterSpec,
-    fuse_graph,
-    fuse_stages,
-)
-from .programs import (
-    ResidualProgram,
-    batched_residual,
-    fusion_report,
-    residual_program,
-)
+from .programs import ResidualProgram, batched_residual, residual_program
 
-__all__ = [
-    "EdgeIndexSet",
-    "EdgeStage",
-    "PointStage",
-    "ScatterSpec",
-    "FusedStage",
-    "FusionError",
-    "FusionReport",
-    "Graph",
-    "fuse_graph",
-    "fuse_stages",
-    "ResidualProgram",
-    "residual_program",
-    "batched_residual",
-    "fusion_report",
-]
+__all__ = ["ResidualProgram", "residual_program", "batched_residual"]

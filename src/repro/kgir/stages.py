@@ -1,18 +1,11 @@
 """The arithmetic of the second-order residual's stages, defined once.
 
-Every execution mode runs these same functions on arrays it gathered
-itself and keeps only what is genuinely its own:
-
-* serial — :mod:`repro.kgir.programs` gathers the full edge set and
-  scatters through the field's precompiled plans;
-* process fleet — each :mod:`repro.smp.parallel` worker gathers its edge
-  chunk and writes out under its strategy (locked / replicate / owner);
-* ranks — :mod:`repro.dist.runtime.program` gathers its interior and cut
-  slices around the halo windows.
-
-Each mode runs them only where the compiled sweeps of
-:mod:`repro.kgir.sweeps` cannot (no C compiler, exotic array layouts):
-those sweeps are this same arithmetic in C, and because every sum here is
+NumPy functions of gathered per-edge arrays.  Their one caller is
+:mod:`repro.kgir.sweeps`: :class:`~repro.kgir.sweeps.NumpySweeps` gathers an
+edge range, runs them and writes out, and every execution mode (serial,
+process fleet, ranks) reaches them through it — only where the compiled
+sweeps cannot run (no C compiler, exotic array layouts).  Those compiled
+sweeps are this same arithmetic in C, and because every sum here is
 spelled out in one explicit order (:mod:`repro.cfd.sums` — none of NumPy's
 contraction or reduction routines, whose association order is the NumPy
 build's business) the two agree **bitwise**, on any host
@@ -70,12 +63,8 @@ def edge_projection(grad_e: np.ndarray, disp: np.ndarray) -> np.ndarray:
 
 
 def venkat_stage(grad_e, dmax_e, dmin_e, eps2_e, disp):
-    """Venkatakrishnan limiter values at one end of each edge.
-
-    Returns ``(phival, dproj)``: the per-edge limiter candidates (to be
-    min-folded per vertex) and the gradient projection they were computed
-    from, which the flux stage reuses instead of gathering ``grad`` again.
-    """
+    """Venkatakrishnan limiter values at one end of each edge: the per-edge
+    candidates, to be min-folded per vertex."""
     d2 = edge_projection(grad_e, disp)
     d1 = np.where(d2 > 0.0, dmax_e, dmin_e)
     e2 = eps2_e[:, None]
@@ -83,7 +72,7 @@ def venkat_stage(grad_e, dmax_e, dmin_e, eps2_e, disp):
     den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-    return np.clip(val, 0.0, 1.0), d2
+    return np.clip(val, 0.0, 1.0)
 
 
 def flux_stage(q0, q1, normals, beta, scheme, recon=None):

@@ -1,10 +1,10 @@
-"""The compiled edge sweeps of the residual, bound to one static edge set.
+"""The edge sweeps of the residual, bound to one static edge set.
 
-``repro/native/_kernels.c`` holds the C spelling of the stage arithmetic in
-:mod:`repro.kgir.stages`; this module is the ``ctypes`` side of it.  An
-:class:`EdgeSweeps` pins one edge set — endpoints, metrics and optional
-endpoint write masks — and exposes the three sweeps over it; every
-execution mode builds its own and keeps only its write-out targets:
+One interface, two implementations.  A sweeps object pins one edge set —
+endpoints, metrics and optional endpoint write masks — and exposes the
+three sweeps over it, ``recon`` / ``limit`` / ``flux``; the arrays a sweep
+writes are the caller's.  Every execution mode builds its own and keeps
+only its write-out targets:
 
 * serial (:mod:`repro.kgir.programs`): the field's full edge set, no masks;
 * process fleet (:mod:`repro.smp.parallel`): each worker's edge chunk, with
@@ -12,13 +12,17 @@ execution mode builds its own and keeps only its write-out targets:
 * ranks (:mod:`repro.dist.runtime.program`): the rank's local edges with
   owned-row masks, swept as an interior and a cut range.
 
-:func:`edge_sweeps` returns ``None`` where the compiled path cannot run (no
-loadable kernels, endpoints that are not int64, metrics that are not
-C-contiguous float64); the caller then runs the NumPy stages, which give
-the same bits.  An :class:`EdgeSweeps` holds no mutable state: the arrays a
-sweep writes are the caller's, so concurrent evaluations on one field (the
-serve daemon's solver threads; ``ctypes`` releases the GIL for the call)
-never share scratch.
+:class:`EdgeSweeps` is the ``ctypes`` side of ``repro/native/_kernels.c``,
+the C spelling of the stage arithmetic in :mod:`repro.kgir.stages`;
+:class:`NumpySweeps` is those stage functions written out with the
+reference term-major statements (``np.add.at`` / ``np.subtract.at`` at
+``e0`` then ``e1``, ``np.minimum.at`` / ``np.maximum.at``) — the same bits,
+several times slower.  :func:`edge_sweeps` is the one place that picks:
+compiled where the kernels load and the edge set can be passed as it is
+(int64 endpoints, C-contiguous float64 metrics, boolean masks), NumPy
+otherwise; ``compiled`` on the result says which.  Neither holds mutable
+state, so concurrent evaluations on one field (the serve daemon's solver
+threads; ``ctypes`` releases the GIL for the call) never share scratch.
 """
 
 from __future__ import annotations
@@ -29,59 +33,100 @@ from .. import native
 from ..native import is_native
 from . import stages
 
-__all__ = ["EdgeSweeps", "edge_sweeps", "field_sweeps", "vertex_stage"]
+__all__ = [
+    "EdgeSweeps",
+    "NumpySweeps",
+    "edge_sweeps",
+    "field_sweeps",
+    "vertex_stage",
+]
+
 
 _ROE = {"rusanov": 0, "roe": 1}
 
 
-def _ptr(a: np.ndarray, rows: int, *block: int) -> int:
-    """Address of ``a`` after checking it holds at least ``rows`` rows of
-    ``block`` doubles — the kernels index it without further checks."""
-    if not is_native(a) or a.shape[1:] != block or a.shape[0] < rows:
+def _roe(scheme: str) -> int:
+    """The kernels' flag for a dissipation scheme, after checking that it
+    is one both implementations know."""
+    if scheme not in _ROE:
+        raise ValueError(f"unknown dissipation scheme {scheme!r}")
+    return _ROE[scheme]
+
+
+def _rows(a: np.ndarray, rows: int, *block: int) -> np.ndarray:
+    """``a`` after checking it holds at least ``rows`` rows of ``block``
+    values: the sweeps index it by validated endpoints only."""
+    if a.shape[1:] != block or a.shape[0] < rows:
         raise ValueError(
-            f"compiled sweep needs a C-contiguous float64 array of at least "
-            f"{(rows, *block)}, got {a.dtype} {a.shape}"
+            f"sweep needs an array of at least {(rows, *block)}, "
+            f"got {a.dtype} {a.shape}"
+        )
+    return a
+
+
+def _ptr(a: np.ndarray, rows: int, *block: int) -> int:
+    """Address of ``a`` for the kernels, which index it without further
+    checks: :func:`_rows`, and C-contiguous float64."""
+    if not is_native(_rows(a, rows, *block)):
+        raise ValueError(
+            f"compiled sweep needs a C-contiguous float64 array, "
+            f"got {a.dtype} {a.shape}"
         )
     return a.ctypes.data
 
 
-class EdgeSweeps:
-    """Compiled reconstruction / limiter / flux sweeps over one edge set.
+class _EdgeSet:
+    """What both implementations bind: one validated static edge set.
 
     ``n_rows`` is the row count of every vertex array the sweeps index
     (endpoints are validated against it once, here).  ``w0`` / ``w1`` are
     optional boolean write masks per edge end; an unwritten end is still
-    read.  Build through :func:`edge_sweeps`.
+    read.
     """
 
-    def __init__(self, lib, n_rows, e0, e1, normals, d0, d1, w0, w1) -> None:
+    #: read-only: the sweeps are the C kernels (else their NumPy twin)
+    compiled: bool
+
+    def __init__(self, n_rows, e0, e1, normals, d0, d1, w0, w1) -> None:
         ne = e0.shape[0]
         if ne and (min(e0.min(), e1.min()) < 0 or max(e0.max(), e1.max()) >= n_rows):
             raise ValueError("edge endpoints out of range")
         for a in (normals, d0, d1):
-            _ptr(a, ne, 3)
+            _rows(a, ne, 3)
         if e1.shape != (ne,) or any(
-            w is not None and w.shape != (ne,) for w in (w0, w1)
+            w is not None and (w.shape != (ne,) or w.dtype != np.bool_)
+            for w in (w0, w1)
         ):
-            raise ValueError("edge arrays differ in length")
-        self._lib = lib
+            raise ValueError("edge arrays differ in length, or a mask is not boolean")
         self.n_rows, self.n_edges = int(n_rows), int(ne)
-        # the kernels read these through raw addresses: keep them alive
-        self._arrays = (e0, e1, normals, d0, d1, w0, w1)
-        self._e = (e0.ctypes.data, e1.ctypes.data)
-        self._normals = normals.ctypes.data
-        self._d = (d0.ctypes.data, d1.ctypes.data)
-        self._w = tuple(None if w is None else w.ctypes.data for w in (w0, w1))
-
-    def takes(self, q: np.ndarray) -> bool:
-        """``q`` is a state array these sweeps can read as it is."""
-        return is_native(q) and q.shape == (self.n_rows, 4)
 
     def _range(self, lo, hi):
         hi = self.n_edges if hi is None else hi
         if not 0 <= lo <= hi <= self.n_edges:
             raise ValueError(f"edge range [{lo}, {hi}) outside the edge set")
         return lo, hi
+
+
+class EdgeSweeps(_EdgeSet):
+    """Compiled reconstruction / limiter / flux sweeps over one edge set:
+    one C call each.  Build through :func:`edge_sweeps`."""
+
+    compiled = True
+
+    def __init__(self, lib, n_rows, e0, e1, normals, d0, d1, w0, w1) -> None:
+        super().__init__(n_rows, e0, e1, normals, d0, d1, w0, w1)
+        ne = self.n_edges
+        self._lib = lib
+        # the kernels read these through raw addresses: keep them alive
+        self._arrays = (e0, e1, normals, d0, d1, w0, w1)
+        self._e = (e0.ctypes.data, e1.ctypes.data)
+        self._normals = _ptr(normals, ne, 3)
+        self._d = (_ptr(d0, ne, 3), _ptr(d1, ne, 3))
+        self._w = tuple(None if w is None else w.ctypes.data for w in (w0, w1))
+
+    def takes(self, q: np.ndarray) -> bool:
+        """``q`` is a state array these sweeps can read as it is."""
+        return is_native(q) and q.shape == (self.n_rows, 4)
 
     def recon(self, q, rhs, qmin, qmax, lo: int = 0, hi: int | None = None):
         """Add the gradient right-hand sides of edges ``[lo, hi)`` into
@@ -111,8 +156,7 @@ class EdgeSweeps:
         ends of ``res`` and subtract it at written ``e1`` ends.  With
         ``grad`` / ``phi`` the states are reconstructed to the edge
         midpoint first; ``grad=None`` is the first-order flux."""
-        if scheme not in _ROE:
-            raise ValueError(f"unknown dissipation scheme {scheme!r}")
+        roe = _roe(scheme)
         n = self.n_rows
         lo, hi = self._range(lo, hi)
         scratch = np.empty((hi - lo, 4))  # per call: carries e0 pass -> e1 pass
@@ -120,16 +164,87 @@ class EdgeSweeps:
             lo, hi, *self._e, self._normals, *self._d, *self._w, _ptr(q, n, 4),
             None if grad is None else _ptr(grad, n, 4, 3),
             None if grad is None else _ptr(phi, n, 4),
-            float(beta), _ROE[scheme], scratch.ctypes.data, _ptr(res, n, 4),
+            float(beta), roe, scratch.ctypes.data, _ptr(res, n, 4),
         )
+
+
+class NumpySweeps(_EdgeSet):
+    """The NumPy twin of :class:`EdgeSweeps`: the same three methods over
+    the same ranges and masks, the stage functions of
+    :mod:`repro.kgir.stages` written out with the reference term-major
+    statements.  Reads any dtype and layout; nothing is carried between
+    calls (``flux`` recomputes the projections from ``grad``, as the C
+    does)."""
+
+    compiled = False
+
+    def __init__(self, n_rows, e0, e1, normals, d0, d1, w0, w1) -> None:
+        super().__init__(n_rows, e0, e1, normals, d0, d1, w0, w1)
+        self._normals = normals
+        self._ends = ((e0, d0, w0), (e1, d1, w1))
+
+    def takes(self, q: np.ndarray) -> bool:
+        return True
+
+    def _slices(self, lo, hi):
+        """Per edge end of ``[lo, hi)``: endpoints, displacements and the
+        index of the written edges."""
+        return [
+            (e[lo:hi], d[lo:hi], (... if w is None else w[lo:hi]))
+            for e, d, w in self._ends
+        ]
+
+    def recon(self, q, rhs, qmin, qmax, lo: int = 0, hi: int | None = None):
+        n = self.n_rows
+        _rows(rhs, n, 4, 3)
+        _rows(qmin, n, 4)
+        _rows(qmax, n, 4)
+        (e0, d0, w0), (e1, _, w1) = self._slices(*self._range(lo, hi))
+        q0, q1 = q[e0], q[e1]
+        contrib = stages.grad_rhs_stage(q0, q1, d0)
+        # each endpoint sees the opposite endpoint's value
+        for at, w, nbr in ((e0, w0, q1), (e1, w1, q0)):
+            np.add.at(rhs, at[w], contrib[w])
+            np.minimum.at(qmin, at[w], nbr[w])
+            np.maximum.at(qmax, at[w], nbr[w])
+
+    def limit(self, grad, dmax, dmin, eps2, phi) -> None:
+        _rows(phi, self.n_rows, 4)
+        for at, disp, w in self._slices(0, self.n_edges):
+            v = at[w]  # the allowed jumps are read at written ends only
+            val = stages.venkat_stage(grad[v], dmax[v], dmin[v], eps2[v], disp[w])
+            np.minimum.at(phi, v, val)
+
+    def flux(
+        self, q, grad, phi, beta: float, scheme: str, res,
+        lo: int = 0, hi: int | None = None,
+    ) -> None:
+        _roe(scheme)
+        _rows(res, self.n_rows, 4)
+        lo, hi = self._range(lo, hi)
+        (e0, d0, w0), (e1, d1, w1) = self._slices(lo, hi)
+        recon = None
+        if grad is not None:
+            recon = (
+                stages.edge_projection(grad[e0], d0),
+                stages.edge_projection(grad[e1], d1),
+                phi[e0],
+                phi[e1],
+            )
+        flux = stages.flux_stage(
+            q[e0], q[e1], self._normals[lo:hi], beta, scheme, recon
+        )
+        np.add.at(res, e0[w0], flux[w0])
+        np.subtract.at(res, e1[w1], flux[w1])
 
 
 def edge_sweeps(
     n_rows: int, e0, e1, normals, d0, d1, w0=None, w1=None
-) -> EdgeSweeps | None:
-    """:class:`EdgeSweeps` over the given edge set, or ``None`` when the
-    compiled path cannot take it as it is (the caller's NumPy stages can).
-    Call before forking workers: they inherit the loaded kernels."""
+) -> EdgeSweeps | NumpySweeps:
+    """The sweeps over the given edge set: :class:`EdgeSweeps` where the
+    compiled path can take it as it is, else :class:`NumpySweeps`.  Call
+    before forking workers: they inherit the loaded kernels."""
+    edge_set = (n_rows, e0, e1, normals, d0, d1, w0, w1)
     lib = native.load_kernels()
     if (
         lib is None
@@ -137,19 +252,24 @@ def edge_sweeps(
         or not all(is_native(a) for a in (normals, d0, d1))
         or not all(w is None or is_native(w, np.bool_) for w in (w0, w1))
     ):
-        return None
-    return EdgeSweeps(lib, n_rows, e0, e1, normals, d0, d1, w0, w1)
+        return NumpySweeps(*edge_set)
+    return EdgeSweeps(lib, *edge_set)
 
 
-def field_sweeps(field) -> EdgeSweeps | None:
+def field_sweeps(field, q: np.ndarray | None = None) -> EdgeSweeps | NumpySweeps:
     """The sweeps over ``field``'s full edge set, no masks (built once per
-    field; they hold no per-evaluation state)."""
+    field; they hold no per-evaluation state).  With ``q``, the ones that
+    can read that state as it is: the NumPy twin for a strided or float32
+    ``q`` the compiled sweeps cannot take."""
+    edge_set = (
+        field.n_vertices, field.e0, field.e1, field.enormals,
+        field.emid_d0, field.emid_d1,
+    )
+    sweeps = field.plan("kgir.sweeps", lambda: edge_sweeps(*edge_set))
+    if q is None or sweeps.takes(q):
+        return sweeps
     return field.plan(
-        "kgir.sweeps",
-        lambda: edge_sweeps(
-            field.n_vertices, field.e0, field.e1, field.enormals,
-            field.emid_d0, field.emid_d1,
-        ),
+        "kgir.sweeps.numpy", lambda: NumpySweeps(*edge_set, None, None)
     )
 
 

@@ -48,9 +48,7 @@ import numpy as np
 __all__ = [
     "ScatterTerm",
     "ScatterPlan",
-    "SegmentReducePlan",
     "build_scatter_plan",
-    "segment_reduce_plan",
     "scatter_plan",
     "edge_difference_plan",
     "edge_sum_plan",
@@ -274,101 +272,6 @@ class ScatterPlan:
     # small convenience used by tests/benchmarks
     def out_like(self, x: np.ndarray) -> np.ndarray:
         return np.zeros((self.n_targets, *x.shape[1:]), dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# Segment min/max reductions
-# ---------------------------------------------------------------------------
-@dataclass
-class SegmentReducePlan:
-    """Compiled scatter-min/-max over a fixed target index structure.
-
-    The additive scatters above must replay the reference statement order
-    because float addition is order-sensitive; ``min``/``max`` are exact
-    (associative *and* commutative in IEEE-754, no rounding), so any
-    reduction order is bitwise-identical to the ``np.minimum.at`` /
-    ``np.maximum.at`` reference.  That freedom buys the fast shape: sort
-    the targets once at build time, then every apply is one pre-permuted
-    gather plus a ``ufunc.reduceat`` over the segment starts — the same
-    10-50x win over ``ufunc.at`` the additive plans get from CSR, and the
-    enabler for the fused kgir limiter stages.
-
-    ``apply`` folds the segment results *into* ``out`` (``out[t] =
-    op(out[t], reduce(values at t))``), matching the reference kernels'
-    "initialize from q / ones, then tighten" idiom; untouched targets keep
-    their initial values.
-    """
-
-    name: str
-    n_targets: int
-    #: statement-order target concatenation (reference replay + bound check)
-    _targets: np.ndarray = field(repr=False)
-    _order: np.ndarray = field(repr=False)  # argsort of targets
-    _starts: np.ndarray = field(repr=False)  # segment starts in sorted order
-    _uts: np.ndarray = field(repr=False)  # unique targets, one per segment
-
-    @property
-    def n_entries(self) -> int:
-        return int(self._targets.shape[0])
-
-    def apply(self, values: np.ndarray, out: np.ndarray, op: str) -> np.ndarray:
-        """Fold ``values`` of shape ``(n_entries, *block)`` into ``out``.
-
-        ``op`` is ``"min"`` or ``"max"``.  Bitwise-identical to
-        ``np.minimum.at(out, targets, values)`` (property-tested in
-        ``tests/test_kgir.py``) and several times faster.
-        """
-        t0 = time.perf_counter()
-        ufunc = np.minimum if op == "min" else np.maximum
-        if self._targets.shape[0]:
-            seg = ufunc.reduceat(values[self._order], self._starts, axis=0)
-            out[self._uts] = ufunc(out[self._uts], seg)
-        s = _stat(self.name)
-        s["applies"] += 1
-        s["apply_seconds"] += time.perf_counter() - t0
-        return out
-
-    def apply_reference(
-        self, values: np.ndarray, out: np.ndarray, op: str
-    ) -> np.ndarray:
-        """The ``ufunc.at`` statement ``apply`` must reproduce bitwise."""
-        ufunc = np.minimum if op == "min" else np.maximum
-        ufunc.at(out, self._targets, values)
-        return out
-
-
-def segment_reduce_plan(
-    targets: np.ndarray, n_targets: int, name: str = "segreduce"
-) -> SegmentReducePlan:
-    """Compile a :class:`SegmentReducePlan` for one target index vector."""
-    t0 = time.perf_counter()
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
-    if targets.shape[0] and (
-        targets.min() < 0 or targets.max() >= n_targets
-    ):
-        raise ValueError("segment-reduce targets out of range")
-    order = np.argsort(targets, kind="stable")
-    st = targets[order]
-    starts = (
-        np.flatnonzero(np.r_[True, st[1:] != st[:-1]])
-        if st.shape[0]
-        else np.zeros(0, dtype=np.int64)
-    )
-    plan = SegmentReducePlan(
-        name=name,
-        n_targets=int(n_targets),
-        _targets=targets,
-        _order=order,
-        _starts=starts,
-        _uts=np.ascontiguousarray(st[starts]),
-    )
-    s = _stat(name)
-    s["engine"] = "reduceat"
-    s["builds"] += 1
-    s["build_seconds"] += time.perf_counter() - t0
-    s["entries"] = plan.n_entries
-    s["targets"] = plan.n_targets
-    return plan
 
 
 # ---------------------------------------------------------------------------

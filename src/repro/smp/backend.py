@@ -36,8 +36,8 @@ def use_edge_backend(backend):
       flux residual (the preconditioner-side discretization);
     * ``residual_pipeline(q, config) -> (res, grad, phi)`` — the full
       second-order residual, boundary closures included, reported as one
-      ``grad`` and one ``flux`` kernel span: the backend's execution of
-      the :mod:`repro.kgir` residual program.
+      ``grad`` and one ``flux`` kernel span: the sweeps of
+      :mod:`repro.kgir.sweeps` on the backend's workers.
     """
     depth = len(_stack)
     _stack.append(backend)

@@ -4,12 +4,10 @@ Everything else in :mod:`repro.smp` *prices* the paper's threading
 strategies with cost models; this module *runs* them.  A
 :class:`ProcessEdgeBackend` forks N worker processes that execute the
 residual's edge sweeps over ``multiprocessing.shared_memory`` arrays, one
-worker per simulated thread.  The per-edge arithmetic is the compiled
-sweeps of :mod:`repro.kgir.sweeps` over the worker's edge chunk (or, where
-those cannot run, the NumPy stages of :mod:`repro.kgir.stages`) — the same
-kernels the serial program and the ranks run; what lives here is the
-*write-out adapter*, the paper's three edge-threading strategies
-(Section V.A):
+worker per simulated thread.  The per-edge arithmetic is the sweeps of
+:mod:`repro.kgir.sweeps` over the worker's edge chunk — the same kernels
+the serial program and the ranks run; what lives here is the *write-out
+adapter*, the paper's three edge-threading strategies (Section V.A):
 
 ``locked``
     Natural-order edge split; every worker accumulates its chunk privately
@@ -58,13 +56,11 @@ from typing import Any
 import numpy as np
 
 from ..cfd.boundary import add_boundary_closures
-from ..kgir import stages
 from ..kgir.sweeps import edge_sweeps, vertex_stage
 from ..obs.live.recorder import crash_dump, reap_dead
 from ..obs.live.ring import STATE_BUSY, STATE_IDLE
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer, kernel_span
-from ..perf.scatter import segment_reduce_plan
 from .shm import SharedArrayPool
 from .strategies import metis_thread_labels, natural_thread_labels
 
@@ -78,24 +74,12 @@ EDGE_WORKER_SLOTS = ("tasks", "flux_calls", "grad_calls", "busy_seconds")
 
 @dataclass
 class _WorkerSpec:
-    """Per-worker view of the shared problem (inherited through fork).
-
-    Edge-indexed inputs are *pre-gathered* into contiguous per-worker
-    copies at construction time (the backend is built once per field, then
-    called every residual evaluation), so the hot loop streams its chunk
-    without an extra index indirection — the paper's "edge data in streamed
-    SoA order" layout point applied to the worker chunks.
-    """
+    """Per-worker view of the shared problem (inherited through fork)."""
 
     wid: int
     strategy: str
-    w0: np.ndarray | None  # owner strategy: write mask for endpoint 0
-    w1: np.ndarray | None
-    e0: np.ndarray  # this worker's edge endpoints (contiguous copies)
-    e1: np.ndarray
-    normals: np.ndarray
-    d0: np.ndarray  # midpoint - x[e0]
-    d1: np.ndarray
+    #: the sweeps over this worker's edge chunk (with the owner masks)
+    sweeps: Any
     q: np.ndarray
     grad: np.ndarray
     limiter: np.ndarray
@@ -107,10 +91,6 @@ class _WorkerSpec:
     lo: np.ndarray
     hi: np.ndarray
     eps2: np.ndarray
-    #: compiled sweeps over this chunk (with the owner masks), or None:
-    #: then the NumPy stages run and ``mm_plan`` is their min/max write-out
-    sweeps: Any
-    mm_plan: Any  # SegmentReducePlan over this worker's min/max write set
     #: replicate / locked: this worker's private accumulators (replicate's
     #: are rows of the shared slabs the parent reduces)
     acc: np.ndarray | None = None
@@ -118,9 +98,6 @@ class _WorkerSpec:
     acc_min: np.ndarray | None = None
     acc_max: np.ndarray | None = None
     telem: Any = None  # TelemetryWriter | None
-    #: gradient projections of the last NumPy limit task, kept in this worker
-    #: for the flux task that follows it (never crosses the process boundary)
-    dproj: tuple | None = None
 
 
 def _targets(spec: _WorkerSpec, *folds) -> list[np.ndarray]:
@@ -145,27 +122,6 @@ def _publish(spec: _WorkerSpec, lock, *folds) -> None:
                 ufunc(shared, private, out=shared)
 
 
-def _add_at(spec: _WorkerSpec, target, vals, at_e1) -> None:
-    """NumPy write-out: add per-edge ``vals`` at ``e0`` and apply ``at_e1``
-    (``np.add`` or ``np.subtract``) with them at ``e1`` — all endpoint-0
-    terms, then all endpoint-1 terms, which for owner-writes is the serial
-    accumulation order of every owned row."""
-    w0, w1 = (spec.w0, spec.w1) if spec.strategy == "owner" else (..., ...)
-    np.add.at(target, spec.e0[w0], vals[w0])
-    at_e1.at(target, spec.e1[w1], vals[w1])
-
-
-def _minmax_at(spec: _WorkerSpec, v0, v1, *folds) -> None:
-    """NumPy write-out: fold per-edge-end values (``v0`` at ``e0``, ``v1``
-    at ``e1``) into each ``(target, op)``.  min/max are IEEE-exact in any
-    order, so every strategy reproduces the serial result bitwise."""
-    if spec.strategy == "owner":
-        v0, v1 = v0[spec.w0], v1[spec.w1]
-    vals = np.concatenate([v0, v1], axis=0)
-    for target, op in folds:
-        spec.mm_plan.apply(vals, target, op)
-
-
 def _run_recon(spec: _WorkerSpec, lock) -> None:
     """Reconstruction sweep: gradient-rhs accumulation plus the neighbor
     min/max fold in one pass over this worker's edges (one gather of q)."""
@@ -175,13 +131,7 @@ def _run_recon(spec: _WorkerSpec, lock) -> None:
         (spec.hi, spec.acc_max, np.maximum, -np.inf),
     )
     rhs, lo, hi = _targets(spec, *folds)
-    if spec.sweeps is not None:
-        spec.sweeps.recon(spec.q, rhs, lo, hi)
-    else:
-        q0, q1 = spec.q[spec.e0], spec.q[spec.e1]
-        _add_at(spec, rhs, stages.grad_rhs_stage(q0, q1, spec.d0), np.add)
-        # each endpoint sees the opposite endpoint's value
-        _minmax_at(spec, q1, q0, (lo, "min"), (hi, "max"))
+    spec.sweeps.recon(spec.q, rhs, lo, hi)
     _publish(spec, lock, *folds)
 
 
@@ -190,37 +140,17 @@ def _run_limit(spec: _WorkerSpec, lock) -> None:
     ``limiter``."""
     fold = (spec.limiter, spec.acc_min, np.minimum, np.inf)
     (phi,) = _targets(spec, fold)
-    if spec.sweeps is not None:
-        spec.sweeps.limit(spec.grad, spec.hi, spec.lo, spec.eps2, phi)
-    else:
-        (v0, p0), (v1, p1) = (
-            stages.venkat_stage(
-                spec.grad[e], spec.hi[e], spec.lo[e], spec.eps2[e], disp
-            )
-            for e, disp in ((spec.e0, spec.d0), (spec.e1, spec.d1))
-        )
-        spec.dproj = (p0, p1)  # stays here for the flux task
-        _minmax_at(spec, v0, v1, (phi, "min"))
+    spec.sweeps.limit(spec.grad, spec.hi, spec.lo, spec.eps2, phi)
     _publish(spec, lock, fold)
 
 
 def _run_flux(spec: _WorkerSpec, lock, beta, scheme, second_order) -> None:
     fold = (spec.res, spec.acc, np.add, 0.0)
     (res,) = _targets(spec, fold)
-    if spec.sweeps is not None:
-        spec.sweeps.flux(
-            spec.q, spec.grad if second_order else None, spec.limiter,
-            beta, scheme, res,
-        )
-    else:
-        e0, e1 = spec.e0, spec.e1
-        recon = None
-        if second_order:
-            recon = (*spec.dproj, spec.limiter[e0], spec.limiter[e1])
-        flux = stages.flux_stage(
-            spec.q[e0], spec.q[e1], spec.normals, beta, scheme, recon
-        )
-        _add_at(spec, res, flux, np.subtract)
+    spec.sweeps.flux(
+        spec.q, spec.grad if second_order else None, spec.limiter,
+        beta, scheme, res,
+    )
     _publish(spec, lock, fold)
 
 
@@ -388,45 +318,36 @@ class ProcessEdgeBackend:
             sum(c.shape[0] for c in chunks) - ne
         ) / ne
 
+        # --- the sweeps over each chunk ---------------------------------
+        # Edge-indexed inputs are pre-gathered into contiguous per-worker
+        # copies (the backend is built once per field, then called every
+        # residual evaluation), so the hot loop streams its chunk without
+        # an extra index indirection: the paper's "edge data in streamed
+        # SoA order" layout point applied to the worker chunks.  Built
+        # before the fork: the workers inherit the loaded kernels instead
+        # of each racing a cold compile.
+        edge_arrays = (
+            field.e0, field.e1, field.enormals, field.emid_d0, field.emid_d1
+        )
+        sweeps = [
+            edge_sweeps(
+                nv, *(np.ascontiguousarray(a[sel]) for a in edge_arrays), *(m or ())
+            )
+            for sel, m in zip(chunks, masks)
+        ]
+        # every chunk has the field's dtypes and layout: all or none compiled
+        self._compiled = sweeps[0].compiled
+
         # --- worker processes -----------------------------------------
         ctx = mp.get_context("fork")
         self._lock = ctx.Lock()
         self._conns = []
         self._workers = []
         for s in range(w):
-            m = masks[s]
-            sel = chunks[s]
-            ce0 = np.ascontiguousarray(field.e0[sel])
-            ce1 = np.ascontiguousarray(field.e1[sel])
-            normals, d0, d1 = (
-                np.ascontiguousarray(a[sel])
-                for a in (field.enormals, field.emid_d0, field.emid_d1)
-            )
-            # built here, before the fork: the workers inherit the loaded
-            # kernels instead of each racing a cold compile
-            sweeps = edge_sweeps(nv, ce0, ce1, normals, d0, d1, *(m or ()))
-            mm_plan = None
-            if sweeps is None:
-                # min/max write set of the NumPy sweeps: owner writes only
-                # owned endpoint rows, the others fold every endpoint
-                mm_targets = (
-                    np.concatenate([ce0[m[0]], ce1[m[1]]])
-                    if m
-                    else np.concatenate([ce0, ce1])
-                )
-                mm_plan = segment_reduce_plan(
-                    mm_targets, nv, name=f"kgir.minmax.w{s}"
-                )
             spec = _WorkerSpec(
                 wid=s,
                 strategy=strategy,
-                w0=m[0] if m else None,
-                w1=m[1] if m else None,
-                e0=ce0,
-                e1=ce1,
-                normals=normals,
-                d0=d0,
-                d1=d1,
+                sweeps=sweeps[s],
                 q=self._q,
                 grad=self._grad,
                 limiter=self._limiter,
@@ -435,8 +356,6 @@ class ProcessEdgeBackend:
                 lo=self._lo,
                 hi=self._hi,
                 eps2=self._eps2,
-                sweeps=sweeps,
-                mm_plan=mm_plan,
                 telem=writers[s],
             )
             if strategy == "replicate":
@@ -456,8 +375,6 @@ class ProcessEdgeBackend:
             child_conn.close()  # parent keeps only its end
             self._conns.append(parent_conn)
             self._workers.append(p)
-        # every chunk has the field's dtypes and layout: all or none compiled
-        self._compiled = sweeps is not None
         atexit.register(self.close)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Property tests for the kernel-graph IR (repro.kgir).
+"""Property tests for the residual program (repro.kgir).
 
 The contract under test: the residual program — the one production path
 of the second-order residual — is **bitwise identical** to the staged
 gradient/limiter/flux oracle across meshes, vertex orderings, serial and
-process execution, and trailing-axis batch widths; and the rewrite pass
-refuses every merge it cannot prove exact (mismatched index sets,
-scatter->gather hazards, write-write overlap).
+process execution, and trailing-axis batch widths.
 """
 
 import numpy as np
@@ -17,21 +15,8 @@ from repro.cfd import FlowConfig, FlowField, compute_residual
 from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
-from repro.kgir import (
-    EdgeIndexSet,
-    EdgeStage,
-    FusionError,
-    Graph,
-    PointStage,
-    ScatterSpec,
-    batched_residual,
-    fuse_graph,
-    fuse_stages,
-    fusion_report,
-    residual_program,
-)
+from repro.kgir import batched_residual, residual_program
 from repro.mesh import dataset_mesh, wing_mesh
-from repro.perf.scatter import segment_reduce_plan
 from repro.smp import ProcessEdgeBackend, use_edge_backend
 
 _FIELDS: dict = {}
@@ -205,128 +190,3 @@ def test_first_order_bypasses_fused_pipeline(wing_setup):
         stats = fleet.fleet_stats()
     assert np.array_equal(got, ref)
     assert stats["flux_rounds"] == 1 and stats["pipeline_rounds"] == 0
-
-
-# ---------------------------------------------------------------------------
-# rewrite pass: legality
-# ---------------------------------------------------------------------------
-
-
-def _idx(name="interior", n=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return EdgeIndexSet(
-        name=name, e0=rng.integers(0, 5, n), e1=rng.integers(0, 5, n)
-    )
-
-
-def _edge(name, idx, reads=("q",), writes=("res",), edge_reads=(),
-          carries=()):
-    return EdgeStage(
-        name=name,
-        index_set=idx,
-        reads=tuple(reads),
-        scatters=tuple(
-            ScatterSpec(src=f"{w}_src", target=w, op="add", plan=None)
-            for w in writes
-        ),
-        compute=lambda cfg, g: {},
-        edge_reads=tuple(edge_reads),
-        carries=tuple(carries),
-    )
-
-
-class TestFusionLegality:
-    def test_mismatched_index_sets_refused(self):
-        a = _edge("a", _idx("interior"))
-        b = _edge("b", _idx("boundary", seed=1), writes=("other",))
-        with pytest.raises(FusionError, match="index sets differ"):
-            fuse_stages([a, b])
-
-    def test_scatter_gather_hazard_refused(self):
-        idx = _idx()
-        a = _edge("a", idx, writes=("phi",))
-        b = _edge("b", idx, reads=("q", "phi"), writes=("res",))
-        with pytest.raises(FusionError, match="scatter->gather hazard"):
-            fuse_stages([a, b])
-
-    def test_write_write_overlap_refused(self):
-        idx = _idx()
-        with pytest.raises(FusionError, match="write-write overlap"):
-            fuse_stages([_edge("a", idx), _edge("b", idx)])
-
-    def test_point_stage_refused(self):
-        point = PointStage(
-            name="p", reads=(), writes=("x",), compute=lambda c, e: {}
-        )
-        with pytest.raises(FusionError, match="not an edge stage"):
-            fuse_stages([_edge("a", _idx()), point])
-
-    def test_legal_fusion_dedups_reads_and_merges_writes(self):
-        idx = _idx()
-        a = _edge("a", idx, reads=("q",), writes=("rhs",), carries=("d",))
-        b = _edge("b", idx, reads=("q", "w"), writes=("res",),
-                  edge_reads=("d", "ext"))
-        fused = fuse_stages([a, b])
-        assert fused.name == "a+b"
-        assert fused.reads == ("q", "w")  # shared gather, deduped
-        assert fused.writes == ("rhs", "res")
-        assert fused.carries == ("d",)
-        # 'd' resolves inside the shared sweep; only 'ext' is external
-        assert fused.edge_reads == ("ext",)
-
-    def test_graph_rewrite_splits_at_point_barriers(self):
-        idx = _idx()
-        point = PointStage(
-            name="solve", reads=("rhs",), writes=("grad",),
-            compute=lambda c, e: {},
-        )
-        g = Graph([
-            _edge("a", idx, writes=("rhs",)),
-            point,
-            _edge("b", idx, reads=("grad",), writes=("res",)),
-        ])
-        fused, report = fuse_graph(g)
-        # nothing adjacent to fuse across the barrier: structure unchanged
-        assert [s.name for s in fused.stages] == ["a", "solve", "b"]
-        assert report.stages_before == report.stages_after == 3
-        assert report.groups == ()
-
-
-def test_residual_graph_fuses_recon_with_minmax():
-    field = _field("wing", "natural")
-    rep = fusion_report(field)
-    assert rep.stages_before == 6 and rep.stages_after == 5
-    assert ("grad.rhs", "limit.minmax") in rep.groups
-    assert rep.bytes_saved > 0
-    text = rep.text()
-    assert "grad.rhs + limit.minmax" in text and "MB" in text
-
-
-# ---------------------------------------------------------------------------
-# segment reduce plans (the min/max scatter engine under the limiter)
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 200),
-    n_targets=st.integers(1, 30),
-    n_values=st.integers(0, 200),
-    width=st.sampled_from([1, 4]),
-)
-def test_segment_reduce_plan_matches_ufunc_at(seed, n_targets, n_values,
-                                              width):
-    rng = np.random.default_rng(seed)
-    targets = rng.integers(0, n_targets, size=n_values)
-    values = rng.normal(size=(n_values, width) if width > 1 else (n_values,))
-    plan = segment_reduce_plan(targets, n_targets)
-    for op, ufunc, init in (
-        ("min", np.minimum, np.inf),
-        ("max", np.maximum, -np.inf),
-    ):
-        shape = (n_targets, width) if width > 1 else (n_targets,)
-        ref = np.full(shape, init)
-        ufunc.at(ref, targets, values)
-        out = np.full(shape, init)
-        plan.apply(values, out, op)
-        assert np.array_equal(out, ref)

@@ -1,9 +1,10 @@
-"""Contract tests for the compiled edge sweeps of the residual.
+"""Contract tests for the two implementations of the residual's edge sweeps.
 
 The contract (DESIGN.md, "Residual kernels"): the compiled sweeps of
-``repro/native/_kernels.c`` and the explicit-order NumPy stages of
-``repro.kgir.stages`` produce the same bits — for ``(res, grad, phi)``,
-Rusanov and Roe, first and second order — in every execution mode, and the
+``repro/native/_kernels.c`` and their NumPy twin (the explicit-order stages
+of ``repro.kgir.stages`` written out with ``ufunc.at``) produce the same
+bits — for ``(res, grad, phi)``, Rusanov and Roe, first and second order,
+over any edge range and endpoint masks — in every execution mode, and the
 code picks between them from what it observes (kernels loadable, int64
 endpoints, C-contiguous float64 arrays).  No tolerance appears where the
 contract says bitwise.
@@ -13,7 +14,7 @@ import sys
 import threading
 import tomllib
 import types
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +26,11 @@ from hypothesis import strategies as st
 from repro import native
 from repro.cfd import FlowConfig, FlowField, compute_residual
 from repro.cfd.boundary import add_boundary_closures
-from repro.cfd.flux import interior_flux_residual
+from repro.cfd.flux import (
+    interior_flux_residual,
+    numerical_edge_flux,
+    scatter_edge_flux,
+)
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.dist import DomainDecomposition
 from repro.dist.runtime import DistRuntime
@@ -47,7 +52,7 @@ pytestmark = pytest.mark.skipif(
 def numpy_residual():
     """Make the residual (and only it — ILU/TRSV keep their kernels) see no
     loadable kernels, so fields *built and evaluated* inside run the NumPy
-    stages."""
+    sweeps."""
     seen = sweeps.native
     sweeps.native = types.SimpleNamespace(load_kernels=lambda: None)
     try:
@@ -105,10 +110,10 @@ def _evaluate(field: FlowField, q: np.ndarray, cfg: FlowConfig):
 def _oracle(field: FlowField, q: np.ndarray, cfg: FlowConfig):
     """The staged sequential kernels (never compiled)."""
     if not cfg.second_order:
-        with numpy_residual():
-            res = interior_flux_residual(
-                field, q, cfg.beta, scheme=cfg.dissipation
-            )
+        flux = numerical_edge_flux(
+            q[field.e0], q[field.e1], field.enormals, cfg.beta, cfg.dissipation
+        )
+        res = scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)
         return (add_boundary_closures(field, q, cfg, res),)
     grad = lsq_gradients(field, q)
     phi = venkat_limiter(field, q, grad, k=cfg.limiter_k)
@@ -147,8 +152,8 @@ def test_compiled_equals_numpy_program_bitwise(
     compiled = _evaluate(compiled_field, q, cfg)
     with numpy_residual():
         reference = _evaluate(numpy_field, q, cfg)
-        assert sweeps.field_sweeps(numpy_field) is None
-    assert sweeps.field_sweeps(compiled_field) is not None
+        assert not sweeps.field_sweeps(numpy_field).compiled
+    assert sweeps.field_sweeps(compiled_field).compiled
     for name, a, b, c in zip(
         ("res", "grad", "phi"), compiled, reference, _oracle(numpy_field, q, cfg)
     ):
@@ -195,7 +200,7 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
             compute_residual(compiled_field, q, cfg, first_order=True),
         )
 
-    # float32 state: whatever the NumPy stages make of it, not a crash and
+    # float32 state: whatever the NumPy sweeps make of it, not a crash and
     # not a reinterpretation of the buffer
     q32 = q.astype(np.float32)
     got, n = _native_evals(lambda: program.run(q32, cfg))
@@ -205,35 +210,125 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     assert np.allclose(got[0], want[0], atol=1e-4)
 
-    # int32 endpoints: no sweeps are built for the field at all
+    # int32 endpoints: no compiled sweeps are built for the field at all
     narrow = FlowField(compiled_field.mesh)
     narrow.e0, narrow.e1 = narrow.e0.astype(np.int32), narrow.e1.astype(np.int32)
-    assert sweeps.field_sweeps(narrow) is None
+    assert not sweeps.field_sweeps(narrow).compiled
     got, n = _native_evals(lambda: residual_program(narrow).run(q, cfg))
     assert n == 0
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _edge_set(field, w0=None, w1=None):
+    return (
+        field.n_vertices, field.e0, field.e1, field.enormals,
+        field.emid_d0, field.emid_d1, w0, w1,
+    )
+
+
+def _build(compiled: bool, *edge_set):
+    """One of the two implementations over an edge set, built directly."""
+    if compiled:
+        return sweeps.EdgeSweeps(native.load_kernels(), *edge_set)
+    return sweeps.NumpySweeps(*edge_set)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    density=st.sampled_from([None, 0.0, 0.3, 0.9, 1.0]),
+    scheme=st.sampled_from(["rusanov", "roe"]),
+    second_order=st.booleans(),
+)
+def test_numpy_twin_writes_the_same_bits_into_the_same_targets(
+    seed, span, density, scheme, second_order
+):
+    """The interface itself — sub-ranges ``[lo, hi)`` and endpoint masks —
+    which fleets (masks) and ranks (masks and ranges) otherwise exercise
+    only through whole evaluations."""
+    field, _ = _fields("wing", "natural")
+    nv, ne = field.n_vertices, field.n_edges
+    rng = np.random.default_rng(seed)
+    masks = (
+        (None, None) if density is None
+        else tuple(rng.random(ne) < density for _ in range(2))
+    )
+    lo, hi = sorted(int(f * ne) for f in span)
+    cfg = FlowConfig(dissipation=scheme)
+    q = _state(field, cfg, seed)
+    # targets start non-zero: a sweep adds to what is there
+    rhs0, res0 = rng.normal(size=(nv, 4, 3)), rng.normal(size=(nv, 4))
+    written = []
+    for compiled in (True, False):
+        sw = _build(compiled, *_edge_set(field, *masks))
+        rhs, qmin, qmax = rhs0.copy(), q.copy(), q.copy()
+        sw.recon(q, rhs, qmin, qmax, lo, hi)
+        out = [rhs, qmin.copy(), qmax.copy()]
+        grad, eps2 = np.empty((nv, 4, 3)), np.empty(nv)
+        sweeps.vertex_stage(
+            field.lsq_inv, rhs, field.volumes, q, cfg.limiter_k,
+            grad, eps2, qmin, qmax,
+        )
+        phi = np.ones((nv, 4))
+        sw.limit(grad, qmax, qmin, eps2, phi)
+        res = res0.copy()
+        recon = (grad, phi) if second_order else (None, None)
+        sw.flux(q, *recon, cfg.beta, scheme, res, lo, hi)
+        written.append(out + [phi, res])
+    for name, a, b in zip(("rhs", "qmin", "qmax", "phi", "res"), *written):
+        assert np.array_equal(a, b), f"{name}: compiled != NumPy twin"
+    if density == 0.0 or lo == hi:  # nothing written: targets untouched
+        assert np.array_equal(written[1][0], rhs0)
+        assert np.array_equal(written[1][4], res0)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_both_twins_reject_the_same_bad_arguments(compiled):
+    field, _ = _fields("wing", "natural")
+    nv, ne = field.n_vertices, field.n_edges
+    for bad_value in (nv, -1):
+        bad = field.e1.copy()
+        bad[3] = bad_value
+        with pytest.raises(ValueError, match="out of range"):
+            _build(compiled, nv, field.e0, bad, *_edge_set(field)[3:])
+    with pytest.raises(ValueError, match="differ in length"):
+        _build(compiled, *_edge_set(field, np.ones(ne - 1, dtype=bool)))
+    with pytest.raises(ValueError, match="not boolean"):
+        _build(compiled, *_edge_set(field, np.ones(ne, dtype=np.uint8)))
+    with pytest.raises(ValueError, match="at least"):
+        _build(
+            compiled, nv, field.e0, field.e1, field.enormals[:-1],
+            *_edge_set(field)[4:],
+        )
+
+    sw = _build(compiled, *_edge_set(field))
+    state, block = np.zeros((nv, 4)), np.zeros((nv, 4, 3))
+    with pytest.raises(ValueError, match="at least"):  # short target
+        sw.recon(state, block, np.zeros((3, 4)), state.copy())
+    with pytest.raises(ValueError, match="at least"):
+        sw.limit(block, state, state, np.zeros(nv), np.ones((nv - 1, 4)))
+    with pytest.raises(ValueError, match="at least"):
+        sw.flux(state, None, None, 4.0, "roe", np.zeros((nv, 3)))
+    with pytest.raises(ValueError, match="unknown dissipation scheme"):
+        sw.flux(state, None, None, 4.0, "hllc", state.copy())
+    for lo, hi in ((-1, 4), (5, 4), (0, ne + 1)):
+        with pytest.raises(ValueError, match="outside the edge set"):
+            sw.recon(state, block, state.copy(), state.copy(), lo, hi)
+        with pytest.raises(ValueError, match="outside the edge set"):
+            sw.flux(state, None, None, 4.0, "roe", state.copy(), lo, hi)
 
 
 def test_out_of_range_endpoints_are_rejected_before_any_kernel_runs():
     field, _ = _fields("wing", "natural")
     bad = field.e1.copy()
     bad[3] = field.n_vertices
-    with pytest.raises(ValueError, match="out of range"):
-        sweeps.edge_sweeps(
-            field.n_vertices, field.e0, bad, field.enormals,
-            field.emid_d0, field.emid_d1,
-        )
-    sw = sweeps.field_sweeps(field)
-    with pytest.raises(ValueError, match="float64"):
-        sw.recon(
-            np.zeros((field.n_vertices, 4)), np.zeros((field.n_vertices, 4, 3)),
-            np.zeros((3, 4)), np.zeros((field.n_vertices, 4)),
-        )
-    with pytest.raises(ValueError, match="unknown dissipation scheme"):
-        sw.flux(
-            np.zeros((field.n_vertices, 4)), None, None, 4.0, "hllc",
-            np.zeros((field.n_vertices, 4)),
-        )
+    for patch in (numpy_residual, nullcontext):
+        with patch(), pytest.raises(ValueError, match="out of range"):
+            sweeps.edge_sweeps(
+                field.n_vertices, field.e0, bad, field.enormals,
+                field.emid_d0, field.emid_d1,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +441,7 @@ def test_rank_residual_compiled_equals_numpy_bitwise(wing_case, second_order):
     def program(comm):
         data = datas[comm.rank]
         ws = _Workspace(data)
-        return ws.sweeps is not None, [
+        return ws.sweeps.compiled, [
             rank_residual(data, comm, ws, cfg, pipelined).copy()
             for pipelined in (False, True)
         ]
