@@ -108,8 +108,7 @@ def test_fig6b_flux_strategy_scaling_measured(benchmark, mesh_c, capsys):
     processes over shared memory (model curves above, wall clock here)."""
     doc = benchmark.pedantic(
         lambda: run_flux_scaling(
-            mesh_c, workers=MEASURED_WORKERS, repeats=3,
-            dataset=mesh_c.name, scale=1.0,
+            mesh_c, workers=MEASURED_WORKERS, repeats=3
         ),
         rounds=1, iterations=1,
     )

@@ -9,11 +9,13 @@ Commands
 ``scaling``     multi-node strong-scaling table (Fig 9-11)
 ``partition``   partition-quality study (natural / RCB / multilevel)
 ``calibrate``   micro-benchmark this host, fit the cost-model constants,
-                write ``.repro_calibration.json`` (read by ``--tune`` and
-                the bench model columns)
-``bench``       measured flux-kernel scaling sweep -> BENCH_flux_scaling.json
-                (``bench report`` prints the trend table of ``--history``)
+                write ``.repro_calibration.json`` (read by ``--tune``)
 ``top``         live per-rank/per-worker view of a running solve's metrics
+``serve``       persistent warm-fleet solver daemon on a local Unix socket
+``submit``      client of a running ``serve`` daemon (single cases, sweeps)
+
+Performance is measured by ``python3 bench/run.py`` (see
+``bench/README.md``), not by a subcommand here.
 
 ``solve``/``profile``/``serve`` accept ``--tune``: the host-calibrated
 cost model picks edge strategy, worker counts, ordering and (for serve)
@@ -115,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--calibration", default="", metavar="PATH",
-            help="calibration file for --tune and the bench cost models "
-                 "(default: .repro_calibration.json; analytic paper model "
-                 "when absent or from another host)"
+            help="calibration file for --tune (default: "
+                 ".repro_calibration.json; analytic paper model when "
+                 "absent or from another host)"
         )
 
     def add_dist_args(sp):
@@ -186,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--out", default=".repro_calibration.json",
                     metavar="PATH",
-                    help="calibration file to write (what --tune and the "
-                         "bench cost models read back)")
+                    help="calibration file to write (what --tune reads "
+                         "back)")
     sp.add_argument("--fast", action="store_true",
                     help="smoke mode: smaller arrays, fewer repeats "
                          "(seconds instead of a minute; noisier constants)")
@@ -277,89 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spawn", nargs=argparse.REMAINDER, metavar="-- CMD",
                     help="repro subcommand to launch and watch, e.g. "
                          "`repro top -- solve --dist-ranks 4`")
-
-    sp = sub.add_parser(
-        "bench",
-        help="measured flux-kernel scaling sweep (workers x strategies)",
-    )
-    sp.add_argument("mode", nargs="?", choices=["run", "report"],
-                    default="run",
-                    help="'report' prints the per-kernel trend table of "
-                         "--history instead of running a sweep")
-    add_mesh_args(sp)
-    sp.add_argument("--workers", type=int, default=4,
-                    help="max worker count of the sweep")
-    sp.add_argument("--strategies", nargs="+",
-                    default=["locked", "replicate", "owner-natural",
-                             "owner-metis"],
-                    help="strategy labels to measure")
-    sp.add_argument("--repeats", type=int, default=5,
-                    help="timed repetitions per configuration (min is kept)")
-    sp.add_argument("--quick", action="store_true",
-                    help="smoke mode: measure only --workers, 3 repeats")
-    sp.add_argument(
-        "--kernel",
-        choices=["flux", "scatter", "serve", "tune"],
-        default="flux",
-        help="'scatter' benches the precompiled gather-scatter plans "
-             "against the np.add.at reference across mesh sizes -> "
-             "BENCH_scatter_kernels.json; 'serve' benches warm batched "
-             "daemon throughput against cold one-shot `repro solve` "
-             "runs -> BENCH_serve_throughput.json; 'tune' "
-             "measures the auto-tuned configuration against the static "
-             "default (never-slower gate) -> BENCH_tune.json"
-    )
-    sp.add_argument(
-        "--calibration", default="", metavar="PATH",
-        help="calibration file for the model columns and --kernel tune "
-             "(default: .repro_calibration.json; analytic paper model "
-             "when absent or from another host)"
-    )
-    sp.add_argument(
-        "--all-hosts", action="store_true",
-        help="'report' mode: include history records from other hosts "
-             "(default: only this host's fingerprint)"
-    )
-    sp.add_argument(
-        "--engine", choices=["csr", "bincount", "addat"], default=None,
-        help="force a scatter engine for --kernel scatter (default: auto)"
-    )
-    sp.add_argument("--ilu", type=int, default=0,
-                    help="ILU fill level of the serve/tune benches")
-    sp.add_argument("--out", default="BENCH_flux_scaling.json",
-                    help="output JSON path")
-    sp.add_argument("--gate", action="store_true",
-                    help="exit 1 if residuals diverge or owner-writes "
-                         "regresses vs serial (CI benchmark gate)")
-    sp.add_argument("--gate-tol", type=float, default=1e-12,
-                    help="max |parallel - serial| residual deviation")
-    sp.add_argument("--gate-slowdown", type=float, default=1.25,
-                    help="max owner-writes wall time as a multiple of serial")
-    sp.add_argument("--gate-amortization", type=float, default=3.0,
-                    help="min warm-batched throughput as a multiple of the "
-                         "cold per-case throughput (--kernel serve gate)")
-    sp.add_argument("--cold-mode", choices=["cli", "inproc"], default="cli",
-                    help="--kernel serve cold baseline: one-shot `repro "
-                         "solve` subprocesses or in-process family builds")
-    sp.add_argument("--history", metavar="PATH",
-                    help="JSONL trend file: append this run and, with "
-                         "--gate, compare against the rolling median of "
-                         "the last 5 comparable runs instead of the fixed "
-                         "slowdown bound")
-    sp.add_argument("--dist-ranks", type=int, default=0, metavar="N",
-                    help="also measure a short N-rank distributed solve's "
-                         "comm/compute breakdown")
-    sp.add_argument("--pipelined", action="store_true",
-                    help="pipelined comm/compute overlap for --dist-ranks")
     return p
 
 
-def _make_mesh(args, scale: float | None = None):
+def _make_mesh(args):
     from .mesh import dataset_mesh
 
     return dataset_mesh(
         args.dataset,
-        scale=args.scale if scale is None else scale,
+        scale=args.scale,
         seed=args.seed,
         ordering=getattr(args, "ordering", "natural"),
     )
@@ -578,14 +506,11 @@ def _apply_tune(args, obs=None) -> None:
     calibrated model predicts a clear win (see ``repro.tune.tuner``).  The
     chosen plan is printed and logged as a ``tune.plan`` trace event.
     """
-    from .smp.bench import load_history
     from .tune import active_model, tune_solve
 
     machine, cal = active_model(getattr(args, "calibration", "") or None)
     cfg = tune_solve(
         _make_mesh(args), machine, cal,
-        load_history(".bench_history.jsonl"),
-        dataset=args.dataset, scale=args.scale, seed=args.seed,
         ilu_fill=args.ilu, ordering=getattr(args, "ordering", "natural"),
         allow_dist=getattr(args, "dist_ranks", 0) == 0,
     )
@@ -876,80 +801,6 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _bench_scatter(args, repeats) -> int:
-    """Scatter-plan branch of ``bench``: precompiled plans vs np.add.at."""
-    from .perf import format_table
-    from .smp.bench import (
-        append_history,
-        load_history,
-        rolling_scatter_gate_failures,
-        run_scatter_kernels,
-        scatter_gate_failures,
-        write_bench_json,
-    )
-
-    if args.out == "BENCH_flux_scaling.json":  # only the untouched default
-        args.out = "BENCH_scatter_kernels.json"
-    # ascending mesh sizes so the largest (last) carries the gate reference
-    fractions = (1.0,) if args.quick else (0.25, 0.5, 1.0)
-    meshes = [_make_mesh(args, scale=args.scale * f) for f in fractions]
-    doc = run_scatter_kernels(
-        meshes,
-        repeats=repeats,
-        seed=args.seed,
-        dataset=args.dataset,
-        scale=args.scale,
-        engine=args.engine,
-    )
-    write_bench_json(doc, args.out)
-    rows = [
-        [
-            r["strategy"], str(r["mesh_vertices"]), str(r["mesh_edges"]),
-            r["engine"], str(r["entries"]),
-            f"{1e3 * r['addat_seconds']:.2f}",
-            f"{1e3 * r['wall_seconds']:.2f}",
-            f"{r['speedup']:.2f}x",
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    print(format_table(
-        ["kernel", "vertices", "edges", "engine", "entries", "add.at ms",
-         "plan ms", "speedup", "max dev"],
-        rows,
-        title=f"scatter-plan kernels vs np.add.at reference "
-              f"({args.dataset}, ordering={args.ordering}, "
-              f"best of {repeats})",
-    ))
-    print(f"wrote {args.out}")
-    history = load_history(args.history) if args.history else []
-    if args.gate:
-        if args.history:
-            failures = rolling_scatter_gate_failures(
-                doc, history, max_regression=args.gate_slowdown,
-            )
-            gate_kind = (
-                "rolling-median trend" if history else
-                "fixed slowdown (no comparable history yet)"
-            )
-        else:
-            failures = scatter_gate_failures(
-                doc, max_slowdown=args.gate_slowdown
-            )
-            gate_kind = "fixed slowdown"
-        for msg in failures:
-            print(f"GATE FAIL: {msg}")
-        if failures:
-            return 1
-        print(f"GATE OK: bitwise add.at equivalence + plan performance "
-              f"({gate_kind})")
-    if args.history:
-        append_history(doc, args.history)
-        print(f"appended trend record to {args.history} "
-              f"({len(history) + 1} total)")
-    return 0
-
-
 def cmd_top(args) -> int:
     """Live terminal view of a running solve's Prometheus endpoint.
 
@@ -1047,310 +898,7 @@ def cmd_calibrate(args) -> int:
         rows,
         title=f"{m.name}: calibrated in {elapsed:.1f} s ({mode})",
     ))
-    print(f"wrote {args.out} (used by --tune and the bench model columns "
-          f"on this host)")
-    return 0
-
-
-def _cmd_bench_report(args) -> int:
-    """``repro bench report``: per-kernel trend table of the history file."""
-    from .perf import format_table
-    from .smp.bench import load_history, summarize_history
-
-    path = args.history or ".bench_history.jsonl"
-    records = load_history(path)
-    if not records:
-        print(f"no history records in {path}")
-        return 1
-    hidden = 0
-    if not getattr(args, "all_hosts", False):
-        from .obs.live.fingerprint import same_host
-
-        here = [r for r in records if same_host(r.get("host"))]
-        hidden = len(records) - len(here)
-        if not here:
-            print(f"no records from this host in {path} "
-                  f"({hidden} from other hosts or unfingerprinted; "
-                  f"--all-hosts to include them)")
-            return 1
-        records = here
-    rows = [
-        [
-            r["kind"], str(r["dataset"]), r["cell"], str(r["runs"]),
-            f"{1e3 * r['median_seconds']:.2f}",
-            f"{1e3 * r['last_seconds']:.2f}",
-            f"{100 * r['delta_fraction']:+.1f}%",
-            r["verdict"],
-        ]
-        for r in summarize_history(records)
-    ]
-    print(format_table(
-        ["kind", "dataset", "cell", "runs", "median ms", "last ms",
-         "delta", "verdict"],
-        rows,
-        title=f"bench trends from {path} ({len(records)} records"
-              + (f", {hidden} other-host hidden" if hidden else "")
-              + ", rolling median of last 5)",
-    ))
-    if any(r[-1] == "regressed" for r in rows):
-        return 1
-    return 0
-
-
-def _bench_serve(args) -> int:
-    """--kernel serve: warm batched daemon throughput vs cold one-shots."""
-    from .perf import format_table
-    from .serve.bench import (
-        rolling_serve_gate_failures,
-        run_serve_throughput,
-        serve_gate_failures,
-    )
-    from .smp.bench import append_history, load_history, write_bench_json
-
-    if args.out == "BENCH_flux_scaling.json":  # only the untouched default
-        args.out = "BENCH_serve_throughput.json"
-    batch_sizes = (2, 4) if args.quick else (2, 4, 8)
-    doc = run_serve_throughput(
-        dataset=args.dataset,
-        scale=args.scale,
-        seed=args.seed,
-        ilu=args.ilu,
-        batch_sizes=batch_sizes,
-        cold_mode=args.cold_mode,
-    )
-    write_bench_json(doc, args.out)
-
-    rows = [
-        [
-            r["strategy"], str(r["workers"]),
-            f"{1e3 * r['wall_seconds']:.1f}",
-            f"{r['cases_per_second']:.2f}",
-            f"{r['amortization_x']:.2f}x",
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    print(format_table(
-        ["strategy", "batch", "ms/case", "cases/s", "vs cold", "max dev"],
-        rows,
-        title=f"{args.dataset}: serve throughput (cold {args.cold_mode} "
-              f"one-shot {1e3 * doc['serial']['wall_seconds']:.0f} ms/case, "
-              f"family build {1e3 * doc['family_build_seconds']:.0f} ms)",
-    ))
-    print(f"wrote {args.out}")
-
-    history = load_history(args.history) if args.history else []
-    if args.gate:
-        if args.history:
-            failures = rolling_serve_gate_failures(
-                doc, history, min_amortization=args.gate_amortization,
-                max_regression=args.gate_slowdown, tol=args.gate_tol,
-            )
-            gate_kind = (
-                "amortization floor + rolling-median trend" if history
-                else "amortization floor (no comparable history yet)"
-            )
-        else:
-            failures = serve_gate_failures(
-                doc, tol=args.gate_tol,
-                min_amortization=args.gate_amortization,
-            )
-            gate_kind = "amortization floor"
-        for msg in failures:
-            print(f"GATE FAIL: {msg}")
-        if failures:
-            return 1
-        print(f"GATE OK: cold-equivalent forces + warm amortization "
-              f"({gate_kind})")
-    if args.history:
-        append_history(doc, args.history)
-        print(f"appended trend record to {args.history} "
-              f"({len(history) + 1} total)")
-    return 0
-
-
-def _bench_tune(args) -> int:
-    """--kernel tune: auto-tuned vs static-default solve (never-slower)."""
-    from .perf import format_table
-    from .smp.bench import append_history, load_history, write_bench_json
-    from .tune import (
-        active_model,
-        rolling_tune_gate_failures,
-        run_tune_bench,
-        tune_gate_failures,
-    )
-
-    if args.out == "BENCH_flux_scaling.json":  # only the untouched default
-        args.out = "BENCH_tune.json"
-    machine, cal = active_model(getattr(args, "calibration", "") or None)
-    history = load_history(args.history) if args.history else []
-    doc = run_tune_bench(
-        dataset=args.dataset,
-        scale=args.scale,
-        seed=args.seed,
-        ilu=args.ilu,
-        max_steps=3 if args.quick else 5,
-        machine=machine,
-        cal=cal,
-        history=history,
-    )
-    write_bench_json(doc, args.out)
-
-    rows = [
-        [
-            r["strategy"], str(r["workers"]),
-            f"{1e3 * r['wall_seconds']:.1f}",
-            f"{1e3 * r['model_seconds']:.1f}",
-            f"{100 * r['model_rel_error']:.0f}%",
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    tuned = doc["tuned"]
-    print(format_table(
-        ["strategy", "workers", "wall ms", "model ms", "rel err",
-         "max dev"],
-        rows,
-        title=f"{args.dataset}: tuned vs default "
-              f"({tuned['predicted_speedup']:.2f}x predicted, "
-              f"{tuned['source']}, machine: {doc['machine']}"
-              f"{', calibrated' if doc['calibrated'] else ''})",
-    ))
-    print(f"wrote {args.out}")
-
-    if args.gate:
-        if history:
-            failures = rolling_tune_gate_failures(
-                doc, history, max_regression=args.gate_slowdown,
-            )
-            gate_kind = "never-slower + rolling-median trend"
-        else:
-            failures = tune_gate_failures(doc)
-            gate_kind = "never-slower"
-        for msg in failures:
-            print(f"GATE FAIL: {msg}")
-        if failures:
-            return 1
-        print(f"GATE OK: tuned config no slower than default, forces "
-              f"identical ({gate_kind})")
-    if args.history:
-        append_history(doc, args.history)
-        print(f"appended trend record to {args.history} "
-              f"({len(history) + 1} total)")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .perf import format_table
-    from .smp.bench import (
-        append_history,
-        gate_failures,
-        load_history,
-        rolling_gate_failures,
-        run_dist_breakdown,
-        run_flux_scaling,
-        write_bench_json,
-    )
-    from .tune import active_model, calibrated_fabric
-
-    if args.mode == "report":
-        return _cmd_bench_report(args)
-
-    if args.quick:
-        worker_list = [max(1, args.workers)]
-        repeats = min(args.repeats, 3)
-    else:
-        worker_list, w = [1], 2
-        while w < args.workers:
-            worker_list.append(w)
-            w *= 2
-        if args.workers > 1:
-            worker_list.append(args.workers)
-        repeats = args.repeats
-
-    if args.kernel == "scatter":
-        return _bench_scatter(args, repeats)
-
-    if args.kernel == "serve":
-        return _bench_serve(args)
-
-    if args.kernel == "tune":
-        return _bench_tune(args)
-
-    machine, cal = active_model(getattr(args, "calibration", "") or None)
-    mesh = _make_mesh(args)
-    doc = run_flux_scaling(
-        mesh,
-        workers=tuple(worker_list),
-        strategies=tuple(args.strategies),
-        repeats=repeats,
-        seed=args.seed,
-        dataset=args.dataset,
-        scale=args.scale,
-        machine=machine,
-        calibrated=cal is not None,
-    )
-    if args.dist_ranks > 0:
-        doc["dist"] = run_dist_breakdown(
-            mesh, n_ranks=args.dist_ranks, pipelined=args.pipelined,
-            seed=args.seed, fabric=calibrated_fabric(cal, machine),
-        )
-    write_bench_json(doc, args.out)
-
-    rows = [
-        [
-            r["strategy"], str(r["workers"]),
-            f"{1e3 * r['wall_seconds']:.2f}", f"{r['speedup']:.2f}x",
-            f"{100 * r['redundant_edge_fraction']:.1f}%",
-            f"{r['max_abs_dev']:.1e}",
-        ]
-        for r in doc["results"]
-    ]
-    print(format_table(
-        ["strategy", "workers", "wall ms", "speedup", "redundant",
-         "max dev"],
-        rows,
-        title=f"{mesh.name}: measured flux-kernel scaling "
-              f"(serial {1e3 * doc['serial']['wall_seconds']:.2f} ms, "
-              f"best of {repeats})",
-    ))
-    print(f"wrote {args.out}")
-    if "dist" in doc:
-        d = doc["dist"]
-        print(
-            f"dist breakdown ({d['n_ranks']} ranks, "
-            f"{'pipelined' if d['pipelined'] else 'plain'}): "
-            f"halo {100 * d['halo_fraction']:.1f}% "
-            f"allreduce {100 * d['allreduce_fraction']:.1f}% "
-            f"comm {100 * d['comm_fraction']:.1f}%"
-        )
-
-    history = load_history(args.history) if args.history else []
-    if args.gate:
-        if args.history:
-            failures = rolling_gate_failures(
-                doc, history, max_regression=args.gate_slowdown,
-                tol=args.gate_tol,
-            )
-            gate_kind = (
-                "rolling-median trend" if history else
-                "fixed slowdown (no comparable history yet)"
-            )
-        else:
-            failures = gate_failures(
-                doc, tol=args.gate_tol, max_slowdown=args.gate_slowdown
-            )
-            gate_kind = "fixed slowdown"
-        for msg in failures:
-            print(f"GATE FAIL: {msg}")
-        if failures:
-            return 1
-        print(f"GATE OK: residual equivalence + owner-writes performance "
-              f"({gate_kind})")
-    if args.history:
-        append_history(doc, args.history)
-        print(f"appended trend record to {args.history} "
-              f"({len(history) + 1} total)")
+    print(f"wrote {args.out} (used by --tune on this host)")
     return 0
 
 
@@ -1522,7 +1070,6 @@ _COMMANDS = {
     "scaling": cmd_scaling,
     "partition": cmd_partition,
     "calibrate": cmd_calibrate,
-    "bench": cmd_bench,
     "top": cmd_top,
     "serve": cmd_serve,
     "submit": cmd_submit,

@@ -1,8 +1,9 @@
-"""Host fingerprint stamped into bench records and flight bundles.
+"""Host fingerprint stamped into ``bench/`` records and flight bundles.
 
-Trend gates compare wall times across runs; a fingerprint (cpu count,
-platform, interpreter/library versions, git revision) lets readers discount
-deltas that coincide with a host or toolchain change.
+Wall times are only comparable on the same machine; a fingerprint (cpu
+count, platform, interpreter/library versions, git revision) stamped into
+every ``bench/`` record lets readers discount deltas that coincide with a
+host or toolchain change.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ _cached: dict | None = None
 #: fingerprint fields that identify *hardware + numerics stack*.
 #: Deliberately excludes ``git_rev`` (changes per commit) and the full
 #: ``platform`` string (kernel patch level churns on CI runners) —
-#: calibration files and history-gate comparisons stay valid across
-#: commits on the same box but never cross machines.
+#: calibration files and ``bench/`` records stay comparable across commits
+#: on the same box but never cross machines.
 STABLE_KEYS = ("cpu_count", "machine", "python", "numpy")
 
 
@@ -33,9 +34,8 @@ def stable_host_key(fp: dict | None = None) -> dict:
 def same_host(a: dict | None, b: dict | None = None) -> bool:
     """Do two fingerprints describe the same hardware + stack?
 
-    Records with no fingerprint are never comparable (``False``), so
-    pre-fingerprint history degrades to the fixed gates rather than
-    polluting a rolling median with another machine's walls.
+    A missing fingerprint never matches (``False``): an unstamped
+    calibration file is treated as another machine's.
     """
     if not a:
         return False

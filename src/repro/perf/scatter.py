@@ -258,8 +258,8 @@ class ScatterPlan:
     def apply_reference(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Replay the original ``np.add.at`` statement sequence on ``out``.
 
-        The semantics every engine must reproduce bitwise; also the
-        baseline the scatter bench times plans against.
+        The semantics every engine must reproduce bitwise
+        (``tests/test_scatter.py``).
         """
         for t in self.terms:
             rows = x[t.src_start : t.src_start + t.targets.shape[0]]

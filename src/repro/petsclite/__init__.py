@@ -1,6 +1,5 @@
-"""PETSc-like layer: instrumented vector primitives and solver objects."""
+"""PETSc-like layer: the instrumented vector primitives GMRES runs on."""
 
-from .objects import KSP, PC, Mat, OptionsDB, Vec
 from .vec import (
     vec_axpy,
     vec_aypx,
@@ -15,11 +14,6 @@ from .vec import (
 )
 
 __all__ = [
-    "KSP",
-    "PC",
-    "Mat",
-    "OptionsDB",
-    "Vec",
     "vec_axpy",
     "vec_aypx",
     "vec_copy",

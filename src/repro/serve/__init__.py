@@ -14,8 +14,7 @@ process and multiplexes solve requests onto them:
 * :mod:`.batcher` — k-case sweeps through one warm family, bitwise equal
   to k independent solves;
 * :mod:`.daemon` — the :class:`ServeDaemon` socket server;
-* :mod:`.client` — :class:`ServeClient` used by ``repro submit``;
-* :mod:`.bench` — cold-vs-warm throughput benchmark feeding the CI gate.
+* :mod:`.client` — :class:`ServeClient` used by ``repro submit``.
 """
 
 from .batcher import (

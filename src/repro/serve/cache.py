@@ -117,15 +117,12 @@ class WarmFamily:
         """
         from dataclasses import replace
 
-        from ..smp.bench import load_history
         from ..tune import active_model, tune_solve
 
         machine, cal = active_model(execution.calibration or None)
         cfg = tune_solve(
             self.mesh, machine, cal,
-            load_history(".bench_history.jsonl"),
-            dataset=self.spec.dataset, scale=self.spec.scale,
-            seed=self.spec.seed, ilu_fill=self.spec.ilu,
+            ilu_fill=self.spec.ilu,
             ordering=self.spec.ordering,
             allow_dist=False, serve_cases=8,
         )

@@ -2,8 +2,9 @@
 
 Two execution tiers live here: the *simulated* strategies + calibrated
 cost models (``cost``/``machine``/``strategies``), and the *measured*
-process-parallel backend (``shm``/``backend``/``parallel``/``bench``) that
-really runs the edge kernels across worker processes over shared memory.
+process-parallel backend (``shm``/``backend``/``parallel``) that really
+runs the edge kernels across worker processes over shared memory
+(``bench`` times it for the Fig 6b / Fig 10 measured rows).
 """
 
 from .backend import get_edge_backend, use_edge_backend

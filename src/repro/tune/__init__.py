@@ -8,19 +8,13 @@ hardware; this package makes the same cost paths answer them for the
   fit the :class:`~repro.smp.machine.MachineModel` constants and write a
   host-fingerprinted ``.repro_calibration.json``;
 * :mod:`~repro.tune.tuner` — ``--tune``: a deterministic search over the
-  CLI's configuration space, priced by the calibrated model and
-  cross-checked against matching ``.bench_history.jsonl`` measurements,
-  that never picks anything predicted slower than the static default;
-* :mod:`~repro.tune.bench` — ``repro bench --kernel tune``: measures
-  tuned vs default on a real solve and gates the never-slower contract.
+  CLI's configuration space, priced by the calibrated model, that never
+  picks anything *predicted* slower than the static default.
+
+What the choices cost in measured wall-clock is recorded in EXPERIMENTS.md
+("Auto-tuner, measured"); ``bench/`` is the harness to re-measure with.
 """
 
-from .bench import (
-    TUNE_SCHEMA,
-    rolling_tune_gate_failures,
-    run_tune_bench,
-    tune_gate_failures,
-)
 from .calibrate import (
     CALIBRATION_SCHEMA,
     DEFAULT_CALIBRATION_PATH,
@@ -40,20 +34,16 @@ from .tuner import TunedConfig, tune_solve
 __all__ = [
     "CALIBRATION_SCHEMA",
     "DEFAULT_CALIBRATION_PATH",
-    "TUNE_SCHEMA",
     "Calibration",
     "TunedConfig",
     "active_model",
     "calibrated_fabric",
     "fit_machine_model",
     "load_calibration",
-    "rolling_tune_gate_failures",
     "run_calibration",
     "run_micro_benchmarks",
-    "run_tune_bench",
     "same_host",
     "save_calibration",
     "stable_host_key",
-    "tune_gate_failures",
     "tune_solve",
 ]

@@ -197,10 +197,16 @@ def _flux_kernel(mesh, repeats: int, seed: int) -> dict:
 def _sparse_kernels(mesh, repeats: int, seed: int) -> dict:
     """Measured serial TRSV and ILU walls + their counted flops."""
     from ..sparse.ilu import build_ilu_plan, ilu_factorize
+    from ..sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
     from ..sparse.trsv import trsv_solve
-    from ..smp.bench import _trsv_matrix
 
-    matrix = _trsv_matrix(mesh, seed)
+    # diagonally dominant blocks on the mesh's real Jacobian pattern, so
+    # the level structure is the solver's and ILU stays well conditioned
+    rowptr, cols = bcsr_pattern_from_edges(mesh.edges, mesh.n_vertices)
+    vals = 0.1 * np.random.default_rng(seed).normal(size=(cols.shape[0], 4, 4))
+    rows = np.repeat(np.arange(mesh.n_vertices, dtype=np.int64), np.diff(rowptr))
+    vals[rows == cols] += 4.0 * np.eye(4)
+    matrix = BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
     plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=matrix.b,
                           fill_level=0)
     rng = np.random.default_rng(seed + 1)

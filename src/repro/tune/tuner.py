@@ -14,15 +14,9 @@ Two guarantees shape the search:
   challenger's predicted step is below ``margin`` (default 0.85) of the
   default's prediction, so model noise inside the margin keeps the
   default;
-* **deterministic** — no clocks, no randomness: the same mesh, machine
-  constants, and history records always produce the same choice (the
-  tuner-determinism test runs it twice and compares).
-
-When a ``.bench_history.jsonl`` record from *this* host (fingerprint
-match, same dataset/scale/seed) has measured exactly a candidate's
-(strategy, workers) cell, the measured serial-relative ratio replaces the
-modeled one — measurements outrank the model where both exist
-(``source`` reports ``model+history``).
+* **deterministic** — no clocks, no randomness: the same mesh and machine
+  constants always produce the same choice (the tuner-determinism test
+  runs it twice and compares).
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from ..smp.strategies import (
     natural_thread_labels,
     tri_solve_options_from_plan,
 )
-from .calibrate import Calibration, calibrated_fabric, same_host
+from .calibrate import Calibration, calibrated_fabric
 
 __all__ = ["TunedConfig", "tune_solve"]
 
@@ -78,7 +72,6 @@ class TunedConfig:
     batch_width: int = 1
     predicted_step_seconds: float = 0.0
     default_step_seconds: float = 0.0
-    source: str = "model"
     machine: str = ""
     #: (label, predicted step seconds) for every configuration priced
     candidates: tuple = dc_field(default_factory=tuple)
@@ -104,7 +97,6 @@ class TunedConfig:
             "predicted_step_seconds": self.predicted_step_seconds,
             "default_step_seconds": self.default_step_seconds,
             "predicted_speedup": self.predicted_speedup,
-            "source": self.source,
             "machine": self.machine,
             "candidates": [
                 {"label": label, "step_seconds": cost}
@@ -126,7 +118,7 @@ class TunedConfig:
         return (
             f"{head}  (predicted {self.predicted_step_seconds * 1e3:.3f} ms"
             f"/step vs default {self.default_step_seconds * 1e3:.3f} ms, "
-            f"{self.predicted_speedup:.2f}x, {self.source}, "
+            f"{self.predicted_speedup:.2f}x, "
             f"machine: {self.machine})"
         )
 
@@ -148,8 +140,7 @@ def _edge_candidates(
     """Price every (backend, strategy, partitioner, workers) edge config.
 
     Structural inputs (per-thread edge counts with replication) come from
-    real :class:`EdgeLoopExecutor` partitions of *this* mesh, exactly as
-    the bench harness prices its cells.
+    real :class:`EdgeLoopExecutor` partitions of *this* mesh.
     """
     rcm = ordering == "rcm"
     n_edges = mesh.n_edges
@@ -189,12 +180,9 @@ def _edge_candidates(
             )
             opts = make_edge_loop_options(ex, layout="aos", simd=True,
                                           prefetch=True, rcm=rcm)
-            hist_label = (
-                "locked" if cli_strategy == "locked" else f"owner-{part}"
-            )
+            label = "locked" if cli_strategy == "locked" else f"owner-{part}"
             out.append({
-                "label": f"{hist_label}@{w}",
-                "hist_key": f"{hist_label}@{w}",
+                "label": f"{label}@{w}",
                 "backend": "process", "workers": w,
                 "strategy": cli_strategy, "partitioner": part,
                 "resid_seconds": _residual_seconds(machine, n_edges, opts),
@@ -260,38 +248,12 @@ def _dist_candidates(
     return out
 
 
-def _history_ratio(history, candidate_key: str, *, dataset, scale, seed,
-                   host) -> float | None:
-    """Median measured cell/serial ratio from matching host records."""
-    if not history:
-        return None
-    ratios = []
-    for rec in history:
-        if rec.get("kind", "flux") != "flux":
-            continue
-        if (rec.get("dataset"), rec.get("scale"), rec.get("seed")) != (
-            dataset, scale, seed
-        ):
-            continue
-        if not same_host(rec.get("host"), host):
-            continue
-        serial = rec.get("serial_wall_seconds")
-        cell = (rec.get("walls") or {}).get(candidate_key)
-        if serial and cell:
-            ratios.append(cell / serial)
-    return float(np.median(ratios)) if ratios else None
-
-
 # ---------------------------------------------------------------------------
 def tune_solve(
     mesh,
     machine: MachineModel,
     cal: Calibration | None = None,
-    history: list[dict] | None = None,
     *,
-    dataset: str | None = None,
-    scale: float | None = None,
-    seed: int = 7,
     ilu_fill: int = 1,
     ordering: str = "rcm",
     margin: float = DEFAULT_MARGIN,
@@ -300,7 +262,6 @@ def tune_solve(
     serve_cases: int = 1,
 ) -> TunedConfig:
     """Choose the fastest configuration for one mesh on one machine."""
-    host = cal.host if cal is not None else None
     # never price more workers than the machine *or the real host* has:
     # an uncalibrated (paper-machine) model must not oversubscribe the
     # box it actually runs on
@@ -308,7 +269,6 @@ def tune_solve(
 
     max_w = min(max_workers or machine.n_cores, machine.n_cores,
                 os.cpu_count() or 1)
-    source = "model"
 
     # --- ordering: keep RCM unless the host shows no locality penalty ---
     orderings = {"rcm", "natural"}
@@ -319,15 +279,6 @@ def tune_solve(
     # --- edge dimension --------------------------------------------------
     edge = _edge_candidates(mesh, machine, best_ordering, max_w)
     default_edge = edge[0]
-    for c in edge[1:]:
-        ratio = _history_ratio(
-            history, c.get("hist_key", ""), dataset=dataset, scale=scale,
-            seed=seed, host=host,
-        )
-        if ratio is not None:
-            c["resid_seconds"] = default_edge["resid_seconds"] * ratio
-            c["jac_seconds"] = default_edge["jac_seconds"] * ratio
-            source = "model+history"
     best_edge = min(edge[1:], key=lambda c: c["resid_seconds"],
                     default=default_edge)
     if best_edge["resid_seconds"] >= margin * default_edge["resid_seconds"]:
@@ -385,7 +336,7 @@ def tune_solve(
             batch_width=batch_width,
             predicted_step_seconds=dist_step,
             default_step_seconds=default_step,
-            source=source, machine=machine.name,
+            machine=machine.name,
             candidates=tuple(candidates),
         )
     return TunedConfig(
@@ -398,7 +349,6 @@ def tune_solve(
         batch_width=batch_width,
         predicted_step_seconds=smp_step,
         default_step_seconds=default_step,
-        source=source,
         machine=machine.name,
         candidates=tuple(candidates),
     )

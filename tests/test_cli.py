@@ -45,13 +45,6 @@ class TestParser:
         assert args.edge_strategy == "owner"
         assert args.partitioner == "metis"
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.workers == 4
-        assert args.repeats == 5
-        assert not args.quick and not args.gate
-        assert args.out == "BENCH_flux_scaling.json"
-
     def test_fuse_option_is_gone(self, capsys):
         """The residual program is the only path; nothing selects it."""
         with pytest.raises(SystemExit) as exc:
@@ -66,8 +59,6 @@ class TestParser:
             ["solve", "--sparse-backend=process"],
             ["profile", "--sparse-backend=process"],
             ["serve", "--socket", "s", "--sparse-backend=process"],
-            ["bench", "--sparse-backend=process"],
-            ["bench", "--kernel", "trsv"],
         ],
         ids=" ".join,
     )
@@ -78,13 +69,40 @@ class TestParser:
         assert exc.value.code == 2
         assert argv[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["bench", "report"]], ids=" ".join
+    )
+    def test_bench_subcommand_is_gone(self, argv, capsys):
+        """``bench/run.py`` is the one harness; no shim keeps ``repro bench``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_bench_gates_and_history_are_gone(self):
+        """No shim behind the removed subcommand: ``smp/bench.py`` keeps the
+        two figure-test measurements, and with nothing writing
+        ``.bench_history.jsonl`` the tuner takes no history records."""
+        import inspect
+
+        import repro.smp.bench as smp_bench
+        from repro.tune import tune_solve
+
+        for name in ("gate_failures", "rolling_gate_failures", "load_history",
+                     "append_history", "run_scatter_kernels"):
+            assert not hasattr(smp_bench, name)
+        assert "history" not in inspect.signature(tune_solve).parameters
+        for mod in ("repro.serve.bench", "repro.tune.bench"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(mod)
+
     def test_sparse_fleet_fields_are_gone(self):
         """No silent-ignore shim behind the removed flags either."""
         from repro.serve import ExecutionConfig
         from repro.solver import SolverOptions
         from repro.tune import TunedConfig
 
-        cmds = (["solve"], ["profile"], ["serve", "--socket", "s"], ["bench"])
+        cmds = (["solve"], ["profile"], ["serve", "--socket", "s"])
         parsed = [build_parser().parse_args(argv) for argv in cmds]
         for flag in ("--sparse-backend", "--sparse-strategy", "--sparse-workers"):
             name = flag.lstrip("-").replace("-", "_")
@@ -184,39 +202,6 @@ class TestProcessBackend:
         assert rc == 0
         assert "flux.w0" in out and "flux.w1" in out
         assert "grad.w0" in out and "grad.w1" in out
-
-    def test_bench_writes_valid_document(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_flux_scaling.json"
-        rc = main([
-            "bench", "--quick", "--workers", "2", "--scale", "0.02",
-            "--repeats", "1", "--out", str(out_path),
-            "--gate", "--gate-slowdown", "1e9",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "GATE OK" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.bench.flux_scaling/v1"
-        assert doc["serial"]["wall_seconds"] > 0
-        labels = {(r["strategy"], r["workers"]) for r in doc["results"]}
-        assert labels == {
-            ("locked", 2), ("replicate", 2),
-            ("owner-natural", 2), ("owner-metis", 2),
-        }
-        for r in doc["results"]:
-            assert r["max_abs_dev"] <= 1e-12
-
-    def test_bench_gate_failure_sets_exit_code(self, tmp_path, capsys):
-        out_path = tmp_path / "b.json"
-        rc = main([
-            "bench", "--quick", "--workers", "2", "--scale", "0.02",
-            "--repeats", "1", "--strategies", "locked",
-            "--out", str(out_path), "--gate", "--gate-slowdown", "1e9",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 1  # gate strategy owner-metis was not measured
-        assert "GATE FAIL" in out
-        assert out_path.exists()  # the artifact is written before gating
 
 
 class TestObservability:

@@ -11,9 +11,8 @@ from repro import (
     save_mesh,
     wing_mesh,
 )
-from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro.cfd import FlowConfig, FlowField
 from repro.perf import PerfRegistry, use_registry
-from repro.petsclite import KSP, PC, Mat, OptionsDB, Vec
 from repro.solver import solve_steady
 
 
@@ -31,45 +30,6 @@ class TestMeshPersistencePipeline:
         assert r1.steps == r2.steps
         assert r1.linear_iterations == r2.linear_iterations
         np.testing.assert_array_equal(r1.q, r2.q)
-
-
-class TestKspDrivesNewtonStep:
-    def test_petsclite_ksp_solves_a_pseudo_step(self):
-        # assemble one pseudo-time step's system through the petsclite
-        # objects and verify the correction reduces the residual
-        from repro.cfd import JacobianAssembler, local_timestep
-        from repro.solver.jfnk import fd_jacobian_operator
-
-        mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)
-        field = FlowField(mesh)
-        cfg = FlowConfig()
-        q = field.initial_state(cfg)
-        res = compute_residual(field, q, cfg)
-
-        dt = local_timestep(field, q, cfg, cfl=20.0)
-        assembler = JacobianAssembler(field)
-        A = assembler.assemble(q, cfg)
-        assembler.add_pseudo_time(A, dt)
-
-        diag = np.repeat(field.volumes / dt, 4)
-        op = fd_jacobian_operator(
-            lambda u: compute_residual(
-                field, u.reshape(-1, 4), cfg
-            ).reshape(-1),
-            q.reshape(-1),
-            r0=res.reshape(-1),
-            diag=diag,
-        )
-        amat = Mat.shell(A.shape[0], op)
-        ksp = KSP(pc=PC(type="ilu"))
-        ksp.set_from_options(OptionsDB("-ksp_rtol 1e-3 -ksp_gmres_restart 30"))
-        ksp.set_operators(amat, Mat.from_bcsr(A))
-        ksp.setup()
-        du, result = ksp.solve(Vec(-res.reshape(-1)))
-        assert result.converged
-        q_new = q + 0.5 * du.array.reshape(-1, 4)
-        res_new = compute_residual(field, q_new, cfg)
-        assert np.linalg.norm(res_new) < np.linalg.norm(res)
 
 
 class TestAppConsistency:

@@ -17,7 +17,6 @@ import threading
 import time
 import urllib.request
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +39,7 @@ from repro.obs.live import (
     use_live_writer,
 )
 from repro.obs.live import recorder as recorder_mod
+from repro.obs.live.fingerprint import same_host, stable_host_key
 from repro.obs.live.recorder import FLIGHTREC_SCHEMA, crash_dump
 from repro.obs.live.ring import CTL_VER, ProcSnapshot
 from repro.obs.live.top import fetch_metrics, parse_prometheus, render_table
@@ -434,3 +434,18 @@ class TestFingerprint:
         assert again == fp
         again["cpu_count"] = -1  # caller copies must not poison the cache
         assert host_fingerprint()["cpu_count"] == os.cpu_count()
+
+
+class TestStableHostKey:
+    def test_excludes_churning_fields(self):
+        key = stable_host_key()
+        assert set(key) == {"cpu_count", "machine", "python", "numpy"}
+
+    def test_same_host_ignores_git_rev_and_platform(self):
+        a = host_fingerprint()
+        b = dict(a, git_rev="deadbeef", platform="other-kernel")
+        assert same_host(a, b)
+
+    def test_missing_fingerprint_never_matches(self):
+        assert not same_host(None)
+        assert not same_host({})

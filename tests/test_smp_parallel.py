@@ -3,10 +3,9 @@
 Covers the paper's ground rule (numerics identical to sequential for every
 strategy, now across real worker processes), the SharedArrayPool cleanup
 contract (context manager, atexit, crashed workers must not leak
-``/dev/shm`` segments), and the bench/gate machinery the CI job runs.
+``/dev/shm`` segments), and the measured rows the figure tests consume.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -27,15 +26,7 @@ from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.smp import ProcessEdgeBackend, SharedArrayPool, use_edge_backend
-from repro.smp.bench import (
-    HISTORY_SCHEMA,
-    append_history,
-    gate_failures,
-    load_history,
-    rolling_gate_failures,
-    run_dist_breakdown,
-    run_flux_scaling,
-)
+from repro.smp.bench import run_dist_breakdown, run_flux_scaling
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -295,146 +286,29 @@ def test_process_strategy_equivalence_property(n, seed, workers, strategy):
     np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
 
 
-class TestBenchAndGate:
-    @pytest.fixture(scope="class")
-    def bench_doc(self):
-        mesh = delaunay_cloud_mesh(150, seed=2)
-        return run_flux_scaling(
-            mesh, workers=(1, 2), strategies=("locked", "owner-metis"),
-            repeats=1, dataset="cloud", scale=1.0,
-        )
+class TestFigureMeasurements:
+    """The two measured rows the ``benchmarks/`` figure tests consume."""
 
-    def test_document_schema(self, bench_doc):
-        doc = bench_doc
-        assert doc["schema"] == "repro.bench.flux_scaling/v1"
+    def test_flux_scaling_document(self):
+        mesh = delaunay_cloud_mesh(150, seed=2)
+        doc = run_flux_scaling(
+            mesh, workers=(1, 2), strategies=("locked", "owner-metis"),
+            repeats=1,
+        )
+        assert set(doc) == {"serial", "results"}
         assert doc["serial"]["wall_seconds"] > 0
         assert len(doc["results"]) == 4
         for r in doc["results"]:
             assert set(r) == {
                 "strategy", "workers", "wall_seconds", "speedup",
                 "redundant_edge_fraction", "max_abs_dev", "model_seconds",
-                "model_rel_error",
             }
-            if r["model_seconds"] is not None:
-                assert r["model_rel_error"] >= 0.0
+            assert r["model_seconds"] > 0.0  # both strategies are modeled
             assert r["wall_seconds"] > 0
             assert r["speedup"] == pytest.approx(
                 doc["serial"]["wall_seconds"] / r["wall_seconds"]
             )
             assert r["max_abs_dev"] <= 1e-12
-
-    def test_gate_passes_on_equivalent_results(self, bench_doc):
-        assert gate_failures(bench_doc, max_slowdown=1e9) == []
-
-    def test_gate_flags_divergence_and_regression(self, bench_doc):
-        import copy
-
-        doc = copy.deepcopy(bench_doc)
-        doc["results"][0]["max_abs_dev"] = 1e-6
-        for r in doc["results"]:
-            if r["strategy"] == "owner-metis":
-                r["wall_seconds"] = 100.0 * doc["serial"]["wall_seconds"]
-        failures = gate_failures(doc, tol=1e-12, max_slowdown=1.25)
-        assert len(failures) == 2
-        assert any("deviates" in f for f in failures)
-        assert any("serial wall time" in f for f in failures)
-
-    def test_gate_requires_the_gated_strategy(self, bench_doc):
-        import copy
-
-        doc = copy.deepcopy(bench_doc)
-        doc["results"] = [
-            r for r in doc["results"] if r["strategy"] != "owner-metis"
-        ]
-        assert any(
-            "not measured" in f for f in gate_failures(doc, max_slowdown=1e9)
-        )
-
-
-def _trend_doc(wall, dataset="cloud", scale=1.0, seed=7, dev=0.0):
-    """Minimal bench document for exercising the trend gate."""
-    return {
-        "schema": "repro.bench.flux_scaling/v1",
-        "dataset": dataset, "scale": scale, "seed": seed,
-        "serial": {"wall_seconds": 0.010},
-        "results": [{
-            "strategy": "owner-metis", "workers": 4, "wall_seconds": wall,
-            "speedup": 0.010 / wall, "redundant_edge_fraction": 0.05,
-            "max_abs_dev": dev, "model_seconds": None,
-        }],
-    }
-
-
-class TestBenchHistory:
-    def test_append_and_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        assert load_history(path) == []  # missing file is empty history
-        for w in (0.010, 0.011):
-            append_history(_trend_doc(w), path)
-        recs = load_history(path)
-        assert len(recs) == 2
-        assert all(r["schema"] == HISTORY_SCHEMA for r in recs)
-        assert recs[0]["walls"]["owner-metis@4"] == 0.010
-        # junk lines and foreign schemas are skipped, not fatal
-        with open(path, "a") as fh:
-            fh.write("not json\n")
-            fh.write('{"schema": "something-else/v1"}\n')
-        assert len(load_history(path)) == 2
-
-    def test_report_skips_records_of_a_deleted_bench(self, tmp_path, capsys):
-        """A restored CI cache may still hold ``trsv`` sweep records; the
-        sweep is gone, so its rows must not be reported (or gated) forever."""
-        from repro.cli import main
-
-        path = str(tmp_path / "hist.jsonl")
-        rec = append_history(_trend_doc(0.010), path)
-        with open(path, "a") as fh:
-            fh.write(json.dumps({
-                **rec, "kind": "trsv", "fill_level": 0,
-                "walls": {"levels@2": 0.05, "p2p@2": 0.04},
-            }) + "\n")
-        assert [r["kind"] for r in load_history(path)] == ["flux"]
-        assert main(["bench", "report", "--history", path]) == 0
-        out = capsys.readouterr().out
-        assert "owner-metis@4" in out
-        assert "trsv" not in out and "p2p@2" not in out
-
-    def test_rolling_gate_uses_median_of_history(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        # one 5x outlier among steady runs: the median shrugs it off where
-        # a compare-to-last-run gate would whipsaw
-        for w in (0.010, 0.010, 0.011, 0.010, 0.050):
-            append_history(_trend_doc(w), path)
-        history = load_history(path)
-        assert rolling_gate_failures(_trend_doc(0.012), history) == []
-        assert any(
-            "rolling median" in f
-            for f in rolling_gate_failures(_trend_doc(0.100), history)
-        )
-
-    def test_rolling_gate_falls_back_without_comparable_history(
-        self, tmp_path
-    ):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_trend_doc(0.001, dataset="other"), path)
-        history = load_history(path)
-        # the foreign-dataset record must not be compared against: the
-        # fixed serial-relative gate applies (1.0x serial passes; 0.001s
-        # history would have failed a 0.010s run)
-        assert rolling_gate_failures(_trend_doc(0.010), history) == []
-        assert any(
-            "serial wall time" in f
-            for f in rolling_gate_failures(_trend_doc(0.100), history)
-        )
-
-    def test_rolling_gate_always_checks_residuals(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_trend_doc(0.010), path)
-        bad = _trend_doc(0.010, dev=1e-3)
-        assert any(
-            "deviates" in f
-            for f in rolling_gate_failures(bad, load_history(path))
-        )
 
     def test_run_dist_breakdown_smoke(self):
         mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)

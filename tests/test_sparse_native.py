@@ -22,11 +22,11 @@ from repro import native
 from repro.cfd import FlowConfig, FlowField
 from repro.mesh import delaunay_cloud_mesh, mesh_c_prime, wing_mesh
 from repro.ordering import rcm_relabel
-from repro.smp.bench import _trsv_matrix
 from repro.solver import AdditiveSchwarzILU, SolverOptions, solve_steady
 from repro.sparse import (
     BCSRMatrix,
     TrsvWorkspace,
+    bcsr_pattern_from_edges,
     build_ilu_plan,
     ilu_factorize,
     ilu_factorize_levels,
@@ -40,6 +40,23 @@ compiled = pytest.mark.skipif(
     not native_kernels_available(), reason="no C compiler / kernel not loadable"
 )
 RTOL = 1e-12
+
+
+def _trsv_matrix(mesh, seed: int, b: int = 4):
+    """Deterministic diagonally dominant BCSR on the mesh Jacobian pattern.
+
+    A synthetic stand-in for the first-order Jacobian: same sparsity (so the
+    level structure is the real one), random off-diagonal blocks, dominant
+    diagonal so ILU stays well conditioned.
+    """
+    rowptr, cols = bcsr_pattern_from_edges(mesh.edges, mesh.n_vertices)
+    rng = np.random.default_rng(seed)
+    vals = 0.1 * rng.normal(size=(cols.shape[0], b, b))
+    rows = np.repeat(
+        np.arange(mesh.n_vertices, dtype=np.int64), np.diff(rowptr)
+    )
+    vals[rows == cols] += 4.0 * np.eye(b)
+    return BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
 
 
 def _problem(mesh, seed=3, fill=0):

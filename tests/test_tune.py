@@ -3,33 +3,25 @@
 Covers the calibration-file contract (fit -> write -> load roundtrips to an
 identical model; wrong-schema / wrong-host / missing files fall back to the
 analytic paper model), tuner determinism and its never-slower-by-default
-margin logic, history cross-checking keyed on the stable host fingerprint,
-the tuned-vs-default bench document and its gates, and the serve-tier
-integration (ExecutionConfig tune fields, batcher chunking that never
-changes per-case numerics).
+margin logic, and the serve-tier integration (ExecutionConfig tune fields,
+batcher chunking that never changes per-case numerics).
 """
 
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.mesh import dataset_mesh
-from repro.obs.live.fingerprint import host_fingerprint, same_host, stable_host_key
-from repro.smp.machine import XEON_E5_2690_V2, MachineModel
+from repro.obs.live.fingerprint import host_fingerprint, same_host
+from repro.smp.machine import XEON_E5_2690_V2
 from repro.tune import (
     CALIBRATION_SCHEMA,
-    Calibration,
-    TunedConfig,
     active_model,
     calibrated_fabric,
     load_calibration,
-    rolling_tune_gate_failures,
     run_calibration,
-    run_tune_bench,
     save_calibration,
-    tune_gate_failures,
     tune_solve,
 )
 
@@ -125,34 +117,17 @@ class TestActiveModelFallback:
         assert machine == fast_calibration.model
 
 
-class TestStableHostKey:
-    def test_excludes_churning_fields(self):
-        key = stable_host_key()
-        assert set(key) == {"cpu_count", "machine", "python", "numpy"}
-
-    def test_same_host_ignores_git_rev_and_platform(self):
-        a = host_fingerprint()
-        b = dict(a, git_rev="deadbeef", platform="other-kernel")
-        assert same_host(a, b)
-
-    def test_missing_fingerprint_never_matches(self):
-        assert not same_host(None)
-        assert not same_host({})
-
-
 # ---------------------------------------------------------------------------
 # tuner
 # ---------------------------------------------------------------------------
 class TestTuner:
     def test_deterministic(self, small_mesh):
-        kw = dict(dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0)
-        a = tune_solve(small_mesh, XEON_E5_2690_V2, **kw)
-        b = tune_solve(small_mesh, XEON_E5_2690_V2, **kw)
+        a = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0)
+        b = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0)
         assert a == b
 
     def test_default_always_priced(self, small_mesh):
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0)
+        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0)
         labels = [c["label"] for c in cfg.to_dict()["candidates"]]
         assert labels[0] == "default"
         assert cfg.default_step_seconds > 0
@@ -161,71 +136,29 @@ class TestTuner:
     def test_never_oversubscribes_the_real_host(self, small_mesh):
         # the paper model has 10 cores; the tuner must still cap worker
         # candidates at the box it actually runs on
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
+        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0,
                          allow_dist=False)
         assert cfg.workers <= (os.cpu_count() or 1)
 
     def test_wide_margin_keeps_default(self, small_mesh):
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
+        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0,
                          margin=1e-9, allow_dist=False)
         assert cfg.edge_backend == "serial"
         assert cfg.dist_ranks == 0
 
     def test_fallback_without_calibration(self, small_mesh, tmp_path):
         machine, cal = active_model(str(tmp_path / "absent.json"))
-        cfg = tune_solve(small_mesh, machine, cal,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0)
+        cfg = tune_solve(small_mesh, machine, cal, ilu_fill=0)
         assert cfg.machine == XEON_E5_2690_V2.name
-        assert cfg.source == "model"
         assert cfg.predicted_step_seconds > 0
 
-    def test_history_overrides_model(self, small_mesh, monkeypatch):
-        # a measured flux record from THIS host claiming a 100x win for
-        # locked@2 must flip the tuner to that cell.  The tuner caps
-        # candidates at the real cpu count, so pretend this box has 2
-        # (the cached host fingerprint is unaffected).
-        host_fingerprint()  # prime the cache before patching cpu_count
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        history = [{
-            "kind": "flux", "dataset": "mesh-c", "scale": 0.04, "seed": 7,
-            "host": host_fingerprint(),
-            "serial_wall_seconds": 1.0,
-            "walls": {"locked@2": 0.01},
-        }]
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, None, history,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
-                         max_workers=2, allow_dist=False)
-        assert cfg.source == "model+history"
-        assert cfg.edge_backend == "process"
-        assert cfg.edge_strategy == "locked"
-        assert cfg.workers == 2
-
-    def test_other_host_history_ignored(self, small_mesh, monkeypatch):
-        host_fingerprint()
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        other = dict(host_fingerprint(), cpu_count=9999)
-        history = [{
-            "kind": "flux", "dataset": "mesh-c", "scale": 0.04, "seed": 7,
-            "host": other,
-            "serial_wall_seconds": 1.0,
-            "walls": {"locked@2": 0.01},
-        }]
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, None, history,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
-                         max_workers=2, allow_dist=False)
-        assert cfg.source == "model"
-
     def test_batch_width_bounds(self, small_mesh):
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0,
+        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0,
                          serve_cases=3)
         assert 1 <= cfg.batch_width <= 3
 
     def test_summary_and_speedup(self, small_mesh):
-        cfg = tune_solve(small_mesh, XEON_E5_2690_V2,
-                         dataset="mesh-c", scale=0.04, seed=7, ilu_fill=0)
+        cfg = tune_solve(small_mesh, XEON_E5_2690_V2, ilu_fill=0)
         assert cfg.predicted_speedup >= 1.0
         assert "ms/step" in cfg.summary()
         d = cfg.to_dict()
@@ -241,111 +174,6 @@ class TestCalibratedFabric:
     def test_uses_fitted_stage_cost(self, fast_calibration):
         fabric = calibrated_fabric(fast_calibration, fast_calibration.model)
         assert fabric.allreduce_time(64.0, 2) > 0
-
-
-# ---------------------------------------------------------------------------
-# tuned-vs-default bench + gates
-# ---------------------------------------------------------------------------
-def _tune_doc(default_wall=1.0, tuned_wall=0.8, dev=0.0, err=0.1):
-    rows = [
-        {"strategy": "default", "workers": 1, "wall_seconds": default_wall,
-         "steps": 3, "model_seconds": 0.9, "model_rel_error": err,
-         "max_abs_dev": dev},
-        {"strategy": "tuned", "workers": 2, "wall_seconds": tuned_wall,
-         "steps": 3, "model_seconds": 0.7, "model_rel_error": err,
-         "max_abs_dev": dev},
-    ]
-    return {
-        "schema": "repro.bench.tune/v1", "kind": "tune",
-        "dataset": "mesh-c", "scale": 0.04, "seed": 7, "fill_level": 0,
-        "host": host_fingerprint(), "machine": "test", "calibrated": False,
-        "tuned": TunedConfig().to_dict(),
-        "serial": {"wall_seconds": default_wall},
-        "results": rows,
-    }
-
-
-class TestTuneGates:
-    def test_clean_doc_passes(self):
-        assert tune_gate_failures(_tune_doc()) == []
-
-    def test_tuned_slower_fails(self):
-        failures = tune_gate_failures(_tune_doc(tuned_wall=2.0))
-        assert any("slower" in f for f in failures)
-
-    def test_force_mismatch_fails(self):
-        failures = tune_gate_failures(_tune_doc(dev=1e-3))
-        assert any("deviate" in f for f in failures)
-
-    def test_missing_rel_error_fails(self):
-        doc = _tune_doc()
-        doc["results"][1]["model_rel_error"] = float("nan")
-        failures = tune_gate_failures(doc)
-        assert any("model_rel_error" in f for f in failures)
-
-    def test_rolling_gate_flags_regression(self):
-        doc = _tune_doc(tuned_wall=0.9)
-        prior = {
-            "kind": "tune", "dataset": "mesh-c", "scale": 0.04, "seed": 7,
-            "fill_level": 0, "host": host_fingerprint(),
-            "walls": {"default@1": 0.5, "tuned@2": 0.1},
-        }
-        failures = rolling_tune_gate_failures(doc, [prior] * 5)
-        assert any("rolling median" in f for f in failures)
-
-    def test_rolling_gate_ignores_other_hosts(self):
-        doc = _tune_doc(tuned_wall=0.9)
-        prior = {
-            "kind": "tune", "dataset": "mesh-c", "scale": 0.04, "seed": 7,
-            "fill_level": 0,
-            "host": dict(host_fingerprint(), cpu_count=9999),
-            "walls": {"tuned@2": 0.1},
-        }
-        assert rolling_tune_gate_failures(doc, [prior] * 5) == []
-
-    def test_rolling_gate_without_history_is_fixed_gate(self):
-        assert rolling_tune_gate_failures(_tune_doc(), []) == []
-
-
-class TestRunTuneBench:
-    def test_doc_shape_and_gate(self, fast_calibration):
-        doc = run_tune_bench(
-            dataset="mesh-c", scale=0.03, seed=7, ilu=0, max_steps=2,
-            machine=fast_calibration.model, cal=fast_calibration,
-        )
-        assert doc["schema"] == "repro.bench.tune/v1"
-        assert doc["kind"] == "tune"
-        assert doc["calibrated"] is True
-        strategies = [r["strategy"] for r in doc["results"]]
-        assert strategies == ["default", "tuned"]
-        for r in doc["results"]:
-            assert np.isfinite(r["model_rel_error"])
-            assert r["model_seconds"] > 0
-        # same solve numerics under both configurations
-        assert doc["results"][1]["max_abs_dev"] <= 1e-8
-        assert same_host(doc["host"])
-
-    def test_history_append_roundtrip(self, fast_calibration, tmp_path):
-        from repro.smp.bench import append_history, load_history
-
-        doc = run_tune_bench(
-            dataset="mesh-c", scale=0.03, seed=7, ilu=0, max_steps=2,
-            machine=fast_calibration.model, cal=fast_calibration,
-        )
-        path = str(tmp_path / "hist.jsonl")
-        append_history(doc, path)
-        records = load_history(path)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec["kind"] == "tune"
-        assert any(k.startswith("default@") for k in rec["walls"])
-        assert any(k.startswith("tuned@") for k in rec["walls"])
-        # a round-tripped record feeds the rolling gate; its walls are
-        # fixed, because the gate embeds the wall-clock never-slower check
-        # and a measured 2-step solve fails that on a noisy host
-        fixed = _tune_doc()
-        append_history(fixed, path)
-        assert rolling_tune_gate_failures(fixed, load_history(path)) == []
 
 
 # ---------------------------------------------------------------------------
