@@ -36,16 +36,16 @@ def wall_flux(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
 def wall_residual(
     field: FlowField, q: np.ndarray, which: str = "wall"
 ) -> np.ndarray:
-    """Accumulate slip-wall (or symmetry) fluxes into the residual.
+    """Slip-wall (or symmetry) fluxes of all corners of tag ``which``,
+    accumulated from zero in the column-major corner order — the corner
+    sweep of :mod:`repro.kgir.sweeps` (compiled, or :func:`wall_flux`
+    written out with ``np.add.at``: the same bits)."""
+    # repro.kgir imports this module
+    from ..kgir.sweeps import field_corners
 
-    All three corners of every face are evaluated in one batch (the flux
-    is pointwise, so the values match the per-corner loop exactly) and
-    written out through the field's precompiled corner scatter plan.
-    """
-    verts, vnormals3, cplan = field.corner_scatter(which)
-    if verts.shape[0] == 0:
-        return np.zeros_like(q)
-    return cplan.apply(wall_flux(q[verts], vnormals3))
+    out = np.zeros_like(q)
+    field_corners(field, which).residual(q, None, 0.0, "rusanov", out)
+    return out
 
 
 def farfield_residual(
@@ -55,16 +55,13 @@ def farfield_residual(
     beta: float,
     scheme: str = "rusanov",
 ) -> np.ndarray:
-    """Upwind far-field fluxes between interior states and the freestream."""
-    from .flux import numerical_edge_flux
+    """Upwind far-field fluxes between interior states and the freestream,
+    accumulated from zero like :func:`wall_residual`."""
+    from ..kgir.sweeps import field_corners
 
-    verts, vnormals3, cplan = field.corner_scatter("far")
-    if verts.shape[0] == 0:
-        return np.zeros_like(q)
-    qi = q[verts]
-    qe = np.broadcast_to(q_inf, qi.shape)
-    fl = numerical_edge_flux(qi, qe, vnormals3, beta, scheme)
-    return cplan.apply(fl)
+    out = np.zeros_like(q)
+    field_corners(field, "far").residual(q, q_inf, beta, scheme, out)
+    return out
 
 
 def add_boundary_closures(

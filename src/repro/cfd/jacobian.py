@@ -15,18 +15,19 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..perf.scatter import (
-    ScatterTerm,
-    build_scatter_plan,
-    jacobian_edge_plan,
-    scatter_plan,
-)
+from ..obs.metrics import get_metrics
+from ..perf.scatter import ScatterTerm, build_scatter_plan
 from ..sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .flux import edge_spectral_radius
-from .state import NVARS, FlowConfig, FlowField, freestream_state
+from .state import BOUNDARY_TAGS, NVARS, FlowConfig, FlowField, freestream_state
 from .sums import dot3
 
-__all__ = ["analytic_flux_jacobian", "JacobianAssembler"]
+__all__ = [
+    "analytic_flux_jacobian",
+    "edge_flux_jacobians",
+    "block_slots",
+    "JacobianAssembler",
+]
 
 
 def analytic_flux_jacobian(
@@ -36,6 +37,9 @@ def analytic_flux_jacobian(
 
         row p:    (0,          beta S_x,          beta S_y,          beta S_z)
         row u_i:  (S_i,        u_i S_j + delta_ij Theta)
+
+    ``flux_jacobian`` in ``repro/native/_kernels.c`` is the same arithmetic
+    in C and must change with it.
     """
     n = q.shape[0]
     vel = q[:, 1:4]
@@ -49,53 +53,71 @@ def analytic_flux_jacobian(
     return A
 
 
+def edge_flux_jacobians(
+    ql: np.ndarray, qr: np.ndarray, normals: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dF/dq_l, dF/dq_r)`` of the Rusanov flux
+    ``F = 0.5 (F_l + F_r) - 0.5 lam (q_r - q_l)`` with the dissipation
+    coefficient ``lam`` frozen, ``(n, 4, 4)`` each.
+
+    The NumPy twin of the compiled ``jacobian_sweep`` / ``boundary_sweep``
+    blocks (``half_jacobian`` in ``repro/native/_kernels.c``), bitwise.
+    """
+    lam = edge_spectral_radius(ql, qr, normals, beta)
+    lamI = lam[:, None, None] * np.eye(NVARS)
+    return (
+        0.5 * analytic_flux_jacobian(ql, normals, beta) + 0.5 * lamI,
+        0.5 * analytic_flux_jacobian(qr, normals, beta) - 0.5 * lamI,
+    )
+
+
+def block_slots(
+    rowptr: np.ndarray, cols: np.ndarray, e0: np.ndarray, e1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the Jacobian blocks of the edges ``(e0, e1)`` sit in the value
+    array of the sorted BCSR pattern ``(rowptr, cols)``: ``(diag, slots)``
+    with ``diag[v]`` the diagonal block of row ``v`` and ``slots[:, e]``
+    edge ``e``'s four — diagonal of ``e0``, ``(e0, e1)``, diagonal of
+    ``e1``, ``(e1, e0)`` (the layout the ``jacobian`` sweeps take)."""
+    n = rowptr.shape[0] - 1
+    # block keys are sorted (rows ascending, cols sorted within rows), so
+    # block lookup is a single vectorized searchsorted
+    rows = np.arange(n, dtype=np.int64)
+    keys = np.repeat(rows, np.diff(rowptr)) * np.int64(n) + cols
+    diag = np.searchsorted(keys, rows * n + rows)
+    slots = np.stack([
+        diag[e0],
+        np.searchsorted(keys, e0 * np.int64(n) + e1),
+        diag[e1],
+        np.searchsorted(keys, e1 * np.int64(n) + e0),
+    ])
+    return diag, slots
+
+
 @dataclass
 class JacobianAssembler:
     """Assembles the first-order Jacobian for a fixed mesh/pattern.
 
-    Precomputes, once per mesh, the scatter indices mapping each edge to its
-    four blocks in the BCSR value array — the NumPy analogue of the paper's
-    static access information.
+    Precomputes, once per mesh, the slots mapping each edge to its four
+    blocks (and each boundary corner to its diagonal block) in the BCSR
+    value array — the analogue of the paper's static access information.
     """
 
     field: FlowField
     rowptr: np.ndarray = dc_field(init=False)
     cols: np.ndarray = dc_field(init=False)
-    _diag_idx: np.ndarray = dc_field(init=False)
-    _idx_ij: np.ndarray = dc_field(init=False)
-    _idx_ji: np.ndarray = dc_field(init=False)
+    #: per edge: diagonal of e0, (e0, e1), diagonal of e1, (e1, e0)
+    _slots: np.ndarray = dc_field(init=False)
+    _corner_slots: dict = dc_field(init=False)
 
     def __post_init__(self) -> None:
         f = self.field
         nv = f.n_vertices
         self.rowptr, self.cols = bcsr_pattern_from_edges(f.mesh.edges, nv)
-        # Global block keys are sorted (rows ascending, cols sorted within
-        # rows), so block lookup is a single vectorized searchsorted.
-        keys = np.repeat(
-            np.arange(nv, dtype=np.int64), np.diff(self.rowptr)
-        ) * np.int64(nv) + self.cols
-        self._diag_idx = np.searchsorted(
-            keys, np.arange(nv, dtype=np.int64) * nv + np.arange(nv)
-        )
-        self._idx_ij = np.searchsorted(keys, f.e0 * np.int64(nv) + f.e1)
-        self._idx_ji = np.searchsorted(keys, f.e1 * np.int64(nv) + f.e0)
-        nnzb = self.cols.shape[0]
-        self._edge_plan = jacobian_edge_plan(
-            self._diag_idx[f.e0],
-            self._idx_ij,
-            self._diag_idx[f.e1],
-            self._idx_ji,
-            nnzb,
-            name="jacobian.edge",
-        )
-        # boundary corners land on diagonal blocks, one value per corner
-        self._bc_plans = {
-            which: scatter_plan(
-                self._diag_idx[verts], nnzb, name="jacobian.bc"
-            )
-            for which, (verts, _, _) in (
-                (w, f.corner_scatter(w)) for w in ("wall", "sym", "far")
-            )
+        diag, self._slots = block_slots(self.rowptr, self.cols, f.e0, f.e1)
+        # boundary corners land on diagonal blocks, one block per corner
+        self._corner_slots = {
+            tag: diag[f.corner_scatter(tag)[0]] for tag in BOUNDARY_TAGS
         }
         self._visc_plan = None
 
@@ -110,52 +132,39 @@ class JacobianAssembler:
     ) -> BCSRMatrix:
         """Assemble the first-order spatial Jacobian ``df/dq`` at state ``q``.
 
-        The pseudo-transient diagonal is added separately with
+        The edge blocks and the boundary blocks are the ``jacobian`` sweeps
+        of :mod:`repro.kgir.sweeps` — compiled where they can run, their
+        NumPy twin (:func:`edge_flux_jacobians` written out with the
+        reference ``np.add.at`` statements) otherwise, the same bits.  The
+        pseudo-transient diagonal is added separately with
         :meth:`add_pseudo_time` so the spatial part can be reused.
         """
+        # repro.kgir imports this package (cfd.boundary, cfd.state)
+        from ..kgir.sweeps import field_corners, field_sweeps
+
         f = self.field
         beta = config.beta
         A = out if out is not None else self.new_matrix()
         A.set_zero()
         vals = A.vals
 
-        ql, qr = q[f.e0], q[f.e1]
-        Ai = analytic_flux_jacobian(ql, f.enormals, beta)
-        Aj = analytic_flux_jacobian(qr, f.enormals, beta)
-        lam = edge_spectral_radius(ql, qr, f.enormals, beta)
-        lamI = lam[:, None, None] * np.eye(NVARS)
+        # dF/dq_i and dF/dq_j of F = 0.5 (F_i + F_j) - 0.5 lam (q_j - q_i);
+        # residual of e0 gains +F, residual of e1 gains -F
+        sweeps = field_sweeps(f, q, vals)
+        sweeps.jacobian(q, beta, self._slots, vals)
+        met = get_metrics()
+        met.counter("jacobian.assemblies").inc()
+        if sweeps.compiled:
+            met.counter("jacobian.native_assemblies").inc()
 
-        # dF/dq_i and dF/dq_j of F = 0.5 (F_i + F_j) - 0.5 lam (q_j - q_i)
-        dFdqi = 0.5 * Ai + 0.5 * lamI
-        dFdqj = 0.5 * Aj - 0.5 * lamI
-        # residual of e0 gains +F; residual of e1 gains -F: all four edge
-        # statements execute as one precompiled scatter over vals
-        self._edge_plan.apply(
-            np.concatenate([dFdqi, dFdqj]), out=vals, accumulate=True
-        )
-
-        # slip wall / symmetry: dF/dq has only the pressure column (the
-        # same block for each of a face's three corners)
-        for which in ("wall", "sym"):
-            verts, vnormals3, _ = f.corner_scatter(which)
-            if verts.shape[0] == 0:
-                continue
-            blk = np.zeros((verts.shape[0], NVARS, NVARS))
-            blk[:, 1:4, 0] = vnormals3
-            self._bc_plans[which].apply(blk, out=vals, accumulate=True)
-
-        # far field: 0.5 A(q_i) + 0.5 lam I (freestream side has no
+        # slip wall / symmetry: dF/dq has only the pressure column; far
+        # field: 0.5 A(q_i) + 0.5 lam I (the freestream side has no
         # dependence on the unknowns)
-        verts, vnormals3, _ = f.corner_scatter("far")
-        if verts.shape[0]:
-            q_inf = freestream_state(config)
-            qi = q[verts]
-            Af = analytic_flux_jacobian(qi, vnormals3, beta)
-            lam_f = edge_spectral_radius(
-                qi, np.broadcast_to(q_inf, qi.shape), vnormals3, beta
+        q_inf = freestream_state(config)
+        for tag in BOUNDARY_TAGS:
+            field_corners(f, tag).jacobian(
+                q, q_inf, beta, self._corner_slots[tag], vals
             )
-            blk = 0.5 * Af + 0.5 * lam_f[:, None, None] * np.eye(NVARS)
-            self._bc_plans["far"].apply(blk, out=vals, accumulate=True)
 
         if config.mu > 0.0:
             from .viscous import viscous_jacobian_blocks
@@ -165,12 +174,13 @@ class JacobianAssembler:
             )
             if self._visc_plan is None:
                 ne = f.e0.shape[0]
+                diag0, ij, diag1, ji = self._slots
                 self._visc_plan = build_scatter_plan(
                     [
-                        ScatterTerm(self._diag_idx[f.e0], 0, 1.0),
-                        ScatterTerm(self._diag_idx[f.e1], 0, 1.0),
-                        ScatterTerm(self._idx_ij, ne, 1.0),
-                        ScatterTerm(self._idx_ji, ne, 1.0),
+                        ScatterTerm(diag0, 0, 1.0),
+                        ScatterTerm(diag1, 0, 1.0),
+                        ScatterTerm(ij, ne, 1.0),
+                        ScatterTerm(ji, ne, 1.0),
                     ],
                     self.cols.shape[0],
                     n_sources=2 * ne,

@@ -19,9 +19,11 @@ import numpy as np
 
 from ..mesh.core import TAG_FARFIELD, TAG_SYMMETRY, TAG_WALL, UnstructuredMesh
 
-__all__ = ["NVARS", "FlowField", "freestream_state", "FlowConfig"]
+__all__ = ["NVARS", "BOUNDARY_TAGS", "FlowField", "freestream_state", "FlowConfig"]
 
 NVARS = 4  # (p, u, v, w)
+#: the boundary kinds of :meth:`FlowField.corner_scatter`, in closure order
+BOUNDARY_TAGS = ("wall", "sym", "far")
 
 
 @dataclass

@@ -34,12 +34,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ...cfd.flux import edge_spectral_radius, numerical_edge_flux
-from ...cfd.jacobian import analytic_flux_jacobian
-from ...cfd.state import NVARS, FlowConfig, freestream_state
+from ...cfd.flux import edge_spectral_radius
+from ...cfd.jacobian import block_slots, edge_flux_jacobians
+from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import ser_cfl
-from ...kgir.sweeps import edge_sweeps, vertex_stage
-from ...perf.scatter import edge_sum_plan, jacobian_edge_plan, scatter_plan
+from ...kgir.sweeps import CornerSweeps, edge_sweeps, vertex_stage
+from ...perf.scatter import edge_sum_plan, scatter_plan
 from ...solver.newton import SolverOptions
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
@@ -173,10 +173,10 @@ class _Workspace:
     """Persistent per-rank arrays reused across residual evaluations (a
     rank is one single-threaded process, so they are never shared).
 
-    Also owns the rank's edge kernels: the sweeps over its local edges,
-    writing owned rows only, and the scatter plans of the time step and
-    the boundary closures (one per static index structure, built on first
-    use).
+    Also owns the rank's kernels: the sweeps over its local edges, writing
+    owned rows only, the closure sweeps over its owned boundary corners,
+    and the scatter plans of the time step (one per static index
+    structure, built on first use).
     """
 
     def __init__(self, data: RankData) -> None:
@@ -195,6 +195,10 @@ class _Workspace:
             nl, data.e0, data.e1, data.normals, data.d0, data.d1,
             data.e0 < no, data.e1 < no,
         )
+        self.corners = {
+            tag: CornerSweeps(nl, *data.bcorners[tag], far=tag == "far")
+            for tag in BOUNDARY_TAGS
+        }
         self.interior_seconds = 0.0
         self._data = data
         self._plans: dict = {}
@@ -259,23 +263,12 @@ def _limit(data: RankData, ws: _Workspace, comm: Communicator, k: float):
 def _boundary_residual(
     data: RankData, ws: _Workspace, config: FlowConfig
 ) -> None:
-    """Owned-vertex boundary fluxes, accumulated into ``ws.res``."""
-    q, res = ws.q, ws.res
-    for tag in ("wall", "sym"):
-        verts, normals = data.bcorners[tag]
-        if verts.shape[0] == 0:
-            continue
-        contrib = np.zeros((verts.shape[0], NVARS))
-        contrib[:, 1:4] = normals * q[verts, 0:1]
-        ws.boundary_plan(tag).apply(contrib, out=res, accumulate=True)
-    verts, normals = data.bcorners["far"]
-    if verts.shape[0]:
-        qi = q[verts]
-        qe = np.broadcast_to(freestream_state(config), qi.shape)
-        fl = numerical_edge_flux(
-            qi, qe, normals, config.beta, config.dissipation
-        )
-        ws.boundary_plan("far").apply(fl, out=res, accumulate=True)
+    """Owned-vertex boundary fluxes, accumulated corner by corner straight
+    into ``ws.res`` (the serial closures total each tag from zero first:
+    one of the summation-order differences of the numerics contract)."""
+    q_inf = freestream_state(config)
+    for corners in ws.corners.values():
+        corners.residual(ws.q, q_inf, config.beta, config.dissipation, ws.res)
 
 
 def _edge_flux(ws: _Workspace, sl: slice, config: FlowConfig) -> None:
@@ -383,47 +376,23 @@ class _RankJacobian:
         no = data.n_owned
         edges = np.column_stack([data.int_e0, data.int_e1])
         self.rowptr, self.cols = bcsr_pattern_from_edges(edges, no)
-        keys = np.repeat(
-            np.arange(no, dtype=np.int64), np.diff(self.rowptr)
-        ) * np.int64(no) + self.cols
-        self._diag_idx = np.searchsorted(
-            keys, np.arange(no, dtype=np.int64) * no + np.arange(no)
+        #: per interior edge: diagonal of e0, (e0, e1), diagonal of e1, (e1, e0)
+        diag, self._slots = block_slots(
+            self.rowptr, self.cols, data.int_e0, data.int_e1
         )
-        self._idx_ij = np.searchsorted(
-            keys, data.int_e0 * np.int64(no) + data.int_e1
-        )
-        self._idx_ji = np.searchsorted(
-            keys, data.int_e1 * np.int64(no) + data.int_e0
-        )
+        self._diag_idx = diag
         self._cut_sel0 = np.where(data.cut_e0 < no)[0]
         self._cut_sel1 = np.where(data.cut_e1 < no)[0]
         nnzb = self.cols.shape[0]
-        self._edge_plan = jacobian_edge_plan(
-            self._diag_idx[data.int_e0],
-            self._idx_ij,
-            self._diag_idx[data.int_e1],
-            self._idx_ji,
-            nnzb,
-            name="jacobian.edge",
-        )
         self._cut_plan0 = scatter_plan(
-            self._diag_idx[data.cut_e0[self._cut_sel0]],
-            nnzb,
-            name="jacobian.cut",
+            diag[data.cut_e0[self._cut_sel0]], nnzb, name="jacobian.cut"
         )
         self._cut_plan1 = scatter_plan(
-            self._diag_idx[data.cut_e1[self._cut_sel1]],
-            nnzb,
-            sign=-1.0,
+            diag[data.cut_e1[self._cut_sel1]], nnzb, sign=-1.0,
             name="jacobian.cut",
         )
-        self._bc_plans = {
-            tag: scatter_plan(
-                self._diag_idx[data.bcorners[tag][0]],
-                nnzb,
-                name="jacobian.bc",
-            )
-            for tag in ("wall", "sym", "far")
+        self._corner_slots = {
+            tag: diag[data.bcorners[tag][0]] for tag in BOUNDARY_TAGS
         }
         self.matrix = BCSRMatrix.from_pattern(self.rowptr, self.cols, NVARS)
         self.plan = build_ilu_plan(
@@ -440,55 +409,27 @@ class _RankJacobian:
         beta = config.beta
         vals = self.matrix.vals
         vals[:] = 0.0
-        eye = np.eye(NVARS)
 
-        ql, qr = q[data.int_e0], q[data.int_e1]
-        normals = data.normals[: data.n_interior]
-        Ai = analytic_flux_jacobian(ql, normals, beta)
-        Aj = analytic_flux_jacobian(qr, normals, beta)
-        lamI = edge_spectral_radius(ql, qr, normals, beta)[:, None, None] * eye
-        dFdqi = 0.5 * Ai + 0.5 * lamI
-        dFdqj = 0.5 * Aj - 0.5 * lamI
-        self._edge_plan.apply(
-            np.concatenate([dFdqi, dFdqj]), out=vals, accumulate=True
-        )
+        # interior edges: the serial assembler's sweep over this rank's
+        # edge set (both endpoints owned, so the masks write everything)
+        ws.sweeps.jacobian(q, beta, self._slots, vals, 0, data.n_interior)
 
         # cut edges: the owned endpoint's diagonal block only (the off-rank
         # coupling is what block-Jacobi drops)
         if data.cut_e0.shape[0]:
-            ql, qr = q[data.cut_e0], q[data.cut_e1]
-            normals = data.normals[data.n_interior :]
-            Ai = analytic_flux_jacobian(ql, normals, beta)
-            Aj = analytic_flux_jacobian(qr, normals, beta)
-            lamI = (
-                edge_spectral_radius(ql, qr, normals, beta)[:, None, None]
-                * eye
+            dFdqi, dFdqj = edge_flux_jacobians(
+                q[data.cut_e0], q[data.cut_e1],
+                data.normals[data.n_interior :], beta,
             )
-            dFdqi = 0.5 * Ai + 0.5 * lamI
-            dFdqj = 0.5 * Aj - 0.5 * lamI
             s0, s1 = self._cut_sel0, self._cut_sel1
             self._cut_plan0.apply(dFdqi[s0], out=vals, accumulate=True)
             self._cut_plan1.apply(dFdqj[s1], out=vals, accumulate=True)
 
-        for tag in ("wall", "sym"):
-            verts, normals = data.bcorners[tag]
-            if verts.shape[0] == 0:
-                continue
-            blk = np.zeros((verts.shape[0], NVARS, NVARS))
-            blk[:, 1:4, 0] = normals
-            self._bc_plans[tag].apply(blk, out=vals, accumulate=True)
+        q_inf = freestream_state(config)
+        for tag, corners in ws.corners.items():
+            corners.jacobian(q, q_inf, beta, self._corner_slots[tag], vals)
 
-        verts, normals = data.bcorners["far"]
-        if verts.shape[0]:
-            qi = q[verts]
-            q_inf = freestream_state(config)
-            Af = analytic_flux_jacobian(qi, normals, beta)
-            lam_f = edge_spectral_radius(
-                qi, np.broadcast_to(q_inf, qi.shape), normals, beta
-            )
-            blk = 0.5 * Af + 0.5 * lam_f[:, None, None] * eye
-            self._bc_plans["far"].apply(blk, out=vals, accumulate=True)
-
+        eye = np.eye(NVARS)
         vals[self._diag_idx] += (data.volumes / dt)[:, None, None] * eye
         self._factor = ilu_factorize(self.matrix, self.plan)
 

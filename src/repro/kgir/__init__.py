@@ -21,7 +21,11 @@ This package is the one production implementation of that residual:
   loadable, array dtypes and layout).  Serial execution, the process-fleet
   workers (:mod:`repro.smp.parallel`) and the rank program
   (:mod:`repro.dist.runtime.program`) all call what it returns and differ
-  only in the edge set and the write-out targets they pass.
+  only in the edge set and the write-out targets they pass.  The same
+  module holds the first-order Jacobian's edge blocks (a fourth sweep,
+  ``jacobian``, over the same edge sets) and
+  :class:`~.sweeps.CornerSweeps`, the boundary closures of the residual
+  and of the Jacobian as one corner loop per boundary tag.
 * :mod:`.programs` — :class:`ResidualProgram`, the serial sequence of
   sweeps (single-state and trailing-axis batched multi-case evaluation),
   which :func:`repro.cfd.residual.compute_residual` runs directly.

@@ -1,8 +1,10 @@
-"""The edge sweeps of the residual, bound to one static edge set.
+"""The edge and corner sweeps of the residual and of the first-order
+Jacobian, bound to one static index set.
 
 One interface, two implementations.  A sweeps object pins one edge set —
 endpoints, metrics and optional endpoint write masks — and exposes the
-three sweeps over it, ``recon`` / ``limit`` / ``flux``; the arrays a sweep
+sweeps over it, ``recon`` / ``limit`` / ``flux`` for the residual and
+``jacobian`` for the first-order Jacobian's edge blocks; the arrays a sweep
 writes are the caller's.  Every execution mode builds its own and keeps
 only its write-out targets:
 
@@ -23,6 +25,13 @@ compiled where the kernels load and the edge set can be passed as it is
 otherwise; ``compiled`` on the result says which.  Neither holds mutable
 state, so concurrent evaluations on one field (the serve daemon's solver
 threads; ``ctypes`` releases the GIL for the call) never share scratch.
+
+:class:`CornerSweeps` is the same idea for the boundary closures: one
+tag's flattened corners, validated once, with the closure flux
+(``residual``) and its Jacobian block (``jacobian``) accumulated
+sequentially in corner order — the compiled ``boundary_sweep`` when the
+call's arrays can be passed as they are, the reference ``np.add.at``
+statement otherwise, the same bits.
 """
 
 from __future__ import annotations
@@ -34,9 +43,11 @@ from ..native import is_native
 from . import stages
 
 __all__ = [
+    "CornerSweeps",
     "EdgeSweeps",
     "NumpySweeps",
     "edge_sweeps",
+    "field_corners",
     "field_sweeps",
     "vertex_stage",
 ]
@@ -106,10 +117,23 @@ class _EdgeSet:
             raise ValueError(f"edge range [{lo}, {hi}) outside the edge set")
         return lo, hi
 
+    @staticmethod
+    def _slots(slots, hi, vals) -> None:
+        """Check the ``(4, >= hi)`` block slots of a Jacobian sweep against
+        the ``(nnzb, 4, 4)`` value array they index."""
+        _rows(vals, 0, 4, 4)
+        if slots.ndim != 2 or slots.shape[0] != 4 or slots.shape[1] < hi:
+            raise ValueError(
+                f"Jacobian sweep needs (4, >= {hi}) block slots, "
+                f"got {slots.shape}"
+            )
+        if slots.size and (slots.min() < 0 or slots.max() >= vals.shape[0]):
+            raise ValueError("block slots out of range")
+
 
 class EdgeSweeps(_EdgeSet):
-    """Compiled reconstruction / limiter / flux sweeps over one edge set:
-    one C call each.  Build through :func:`edge_sweeps`."""
+    """Compiled reconstruction / limiter / flux / Jacobian sweeps over one
+    edge set: one C call each.  Build through :func:`edge_sweeps`."""
 
     compiled = True
 
@@ -124,9 +148,14 @@ class EdgeSweeps(_EdgeSet):
         self._d = (_ptr(d0, ne, 3), _ptr(d1, ne, 3))
         self._w = tuple(None if w is None else w.ctypes.data for w in (w0, w1))
 
-    def takes(self, q: np.ndarray) -> bool:
-        """``q`` is a state array these sweeps can read as it is."""
-        return is_native(q) and q.shape == (self.n_rows, 4)
+    def takes(self, q: np.ndarray, *targets: np.ndarray) -> bool:
+        """``q`` is a state array these sweeps can read, and ``targets``
+        arrays they can write, as they are."""
+        return (
+            is_native(q)
+            and q.shape == (self.n_rows, 4)
+            and all(map(is_native, targets))
+        )
 
     def recon(self, q, rhs, qmin, qmax, lo: int = 0, hi: int | None = None):
         """Add the gradient right-hand sides of edges ``[lo, hi)`` into
@@ -167,10 +196,28 @@ class EdgeSweeps(_EdgeSet):
             float(beta), roe, scratch.ctypes.data, _ptr(res, n, 4),
         )
 
+    def jacobian(
+        self, q, beta: float, slots, vals, lo: int = 0, hi: int | None = None
+    ) -> None:
+        """Add the first-order Jacobian blocks of edges ``[lo, hi)`` into
+        the BCSR value array ``vals``.  ``slots[:, e]`` are edge ``e``'s
+        four block positions — diagonal of ``e0``, ``(e0, e1)``, diagonal
+        of ``e1``, ``(e1, e0)``; row ``e0``'s two are written where ``e0``
+        is a written end, row ``e1``'s two where ``e1`` is."""
+        lo, hi = self._range(lo, hi)
+        self._slots(slots, hi, vals)
+        if not is_native(slots, np.int64):
+            raise ValueError("compiled sweep needs C-contiguous int64 slots")
+        self._lib.jacobian_sweep(
+            lo, hi, *self._e, self._normals, *self._w,
+            *(row.ctypes.data for row in slots), _ptr(q, self.n_rows, 4),
+            float(beta), _ptr(vals, 0, 4, 4),
+        )
+
 
 class NumpySweeps(_EdgeSet):
-    """The NumPy twin of :class:`EdgeSweeps`: the same three methods over
-    the same ranges and masks, the stage functions of
+    """The NumPy twin of :class:`EdgeSweeps`: the same methods over the
+    same ranges and masks, the stage functions of
     :mod:`repro.kgir.stages` written out with the reference term-major
     statements.  Reads any dtype and layout; nothing is carried between
     calls (``flux`` recomputes the projections from ``grad``, as the C
@@ -183,7 +230,7 @@ class NumpySweeps(_EdgeSet):
         self._normals = normals
         self._ends = ((e0, d0, w0), (e1, d1, w1))
 
-    def takes(self, q: np.ndarray) -> bool:
+    def takes(self, q: np.ndarray, *targets: np.ndarray) -> bool:
         return True
 
     def _slices(self, lo, hi):
@@ -237,6 +284,23 @@ class NumpySweeps(_EdgeSet):
         np.add.at(res, e0[w0], flux[w0])
         np.subtract.at(res, e1[w1], flux[w1])
 
+    def jacobian(
+        self, q, beta: float, slots, vals, lo: int = 0, hi: int | None = None
+    ) -> None:
+        # repro.cfd is mid-import when repro.smp.parallel first pulls this
+        # module in (see stages.flux_stage)
+        from ..cfd.jacobian import edge_flux_jacobians
+
+        lo, hi = self._range(lo, hi)
+        self._slots(slots, hi, vals)
+        (e0, _, w0), (e1, _, w1) = self._slices(lo, hi)
+        dfi, dfj = edge_flux_jacobians(q[e0], q[e1], self._normals[lo:hi], beta)
+        diag0, ij, diag1, ji = slots[:, lo:hi]
+        np.add.at(vals, diag0[w0], dfi[w0])
+        np.add.at(vals, ij[w0], dfj[w0])
+        np.subtract.at(vals, diag1[w1], dfj[w1])
+        np.subtract.at(vals, ji[w1], dfi[w1])
+
 
 def edge_sweeps(
     n_rows: int, e0, e1, normals, d0, d1, w0=None, w1=None
@@ -256,20 +320,133 @@ def edge_sweeps(
     return EdgeSweeps(lib, *edge_set)
 
 
-def field_sweeps(field, q: np.ndarray | None = None) -> EdgeSweeps | NumpySweeps:
+def field_sweeps(
+    field, q: np.ndarray | None = None, *targets: np.ndarray
+) -> EdgeSweeps | NumpySweeps:
     """The sweeps over ``field``'s full edge set, no masks (built once per
-    field; they hold no per-evaluation state).  With ``q``, the ones that
-    can read that state as it is: the NumPy twin for a strided or float32
-    ``q`` the compiled sweeps cannot take."""
+    field; they hold no per-evaluation state).  With ``q`` (and the
+    caller's ``targets``), the ones that can take those arrays as they
+    are: the NumPy twin for a strided or float32 array the compiled sweeps
+    cannot."""
     edge_set = (
         field.n_vertices, field.e0, field.e1, field.enormals,
         field.emid_d0, field.emid_d1,
     )
     sweeps = field.plan("kgir.sweeps", lambda: edge_sweeps(*edge_set))
-    if q is None or sweeps.takes(q):
+    if q is None or sweeps.takes(q, *targets):
         return sweeps
     return field.plan(
         "kgir.sweeps.numpy", lambda: NumpySweeps(*edge_set, None, None)
+    )
+
+
+class CornerSweeps:
+    """The boundary-closure sweeps over one tag's flattened corners.
+
+    ``verts[c]`` is the vertex of corner ``c`` and ``normals[c]`` its share
+    of the face's area vector; ``n_rows`` bounds the vertex ids (checked
+    once, here).  ``far`` says what the faces are: the far field (an upwind
+    flux against the freestream state ``q_inf`` every call passes) or a
+    slip wall / symmetry plane (pressure force only; ``q_inf`` is not
+    looked at).  Both methods accumulate sequentially in corner order —
+    the reference ``np.add.at`` statement.  Stateless between calls; the
+    compiled ``boundary_sweep`` runs when the call's arrays can be passed
+    as they are.
+    """
+
+    def __init__(self, n_rows: int, verts, normals, far: bool) -> None:
+        n = verts.shape[0]
+        if verts.shape != (n,) or normals.shape != (n, 3):
+            raise ValueError("corner arrays differ in length")
+        if n and (verts.min() < 0 or verts.max() >= n_rows):
+            raise ValueError("corner vertices out of range")
+        self.n_rows, self.n_corners, self.far = int(n_rows), int(n), bool(far)
+        self._verts, self._normals = verts, normals
+        self._native = is_native(verts, np.int64) and is_native(normals)
+
+    def _compiled(self, q, q_inf, beta, roe, res=None, slots=None, vals=None):
+        """Run the compiled corner loop if the corners and this call's
+        arrays can be passed as they are; False when they cannot."""
+        lib = native.load_kernels() if self._native else None
+        if (
+            lib is None
+            or not all(a is None or is_native(a) for a in (q, q_inf, res, vals))
+            or not (slots is None or is_native(slots, np.int64))
+        ):
+            return False
+        lib.boundary_sweep(
+            self.n_corners, self._verts.ctypes.data, self._normals.ctypes.data,
+            q.ctypes.data, None if q_inf is None else q_inf.ctypes.data,
+            float(beta), roe,
+            *(None if a is None else a.ctypes.data for a in (res, slots, vals)),
+        )
+        return True
+
+    def _states(self, q, q_inf):
+        """``(q, q_inf)`` after the shape checks; ``q_inf`` is None for a
+        wall, whatever was passed."""
+        _rows(q, self.n_rows, 4)
+        if not self.far:
+            return q, None
+        if q_inf is None or q_inf.shape != (4,):
+            raise ValueError("far-field corners need a freestream state of 4")
+        return q, q_inf
+
+    def residual(self, q, q_inf, beta: float, scheme: str, res) -> None:
+        """Add every corner's closure flux at its vertex's row of ``res``:
+        the pressure force, or for the far field the ``scheme`` flux
+        between the vertex state and the freestream."""
+        roe = _roe(scheme)
+        q, q_inf = self._states(q, q_inf)
+        _rows(res, self.n_rows, 4)
+        if self._compiled(q, q_inf, beta, roe, res=res):
+            return
+        from ..cfd.boundary import wall_flux
+        from ..cfd.flux import numerical_edge_flux
+
+        qi = q[self._verts]
+        if q_inf is None:
+            flux = wall_flux(qi, self._normals)
+        else:
+            flux = numerical_edge_flux(
+                qi, np.broadcast_to(q_inf, qi.shape), self._normals, beta, scheme
+            )
+        np.add.at(res, self._verts, flux)
+
+    def jacobian(self, q, q_inf, beta: float, slots, vals) -> None:
+        """Add every corner's first-order Jacobian block at ``vals[slots]``
+        (its vertex's diagonal block): the pressure column, or for the far
+        field the vertex-side half of the frozen-dissipation Rusanov
+        linearization."""
+        q, q_inf = self._states(q, q_inf)
+        _rows(vals, 0, 4, 4)
+        if slots.shape != (self.n_corners,) or (
+            slots.size and (slots.min() < 0 or slots.max() >= vals.shape[0])
+        ):
+            raise ValueError("corner block slots missing or out of range")
+        if self._compiled(q, q_inf, beta, 0, slots=slots, vals=vals):
+            return
+        from ..cfd.jacobian import edge_flux_jacobians
+
+        qi = q[self._verts]
+        if q_inf is None:
+            blk = np.zeros((self.n_corners, 4, 4))
+            blk[:, 1:4, 0] = self._normals
+        else:
+            blk, _ = edge_flux_jacobians(
+                qi, np.broadcast_to(q_inf, qi.shape), self._normals, beta
+            )
+        np.add.at(vals, slots, blk)
+
+
+def field_corners(field, tag: str) -> CornerSweeps:
+    """The closure sweeps over ``field``'s corners of boundary ``tag``
+    (``"wall"`` / ``"sym"`` / ``"far"``), built once per field."""
+    return field.plan(
+        f"kgir.corners.{tag}",
+        lambda: CornerSweeps(
+            field.n_vertices, *field.corner_scatter(tag)[:2], far=tag == "far"
+        ),
     )
 
 

@@ -1,8 +1,9 @@
 """Build, cache and load the package's compiled kernels (``_kernels.c``).
 
-One C translation unit holds both kernel families — the block-4 ILU/TRSV
-recurrences of :mod:`repro.sparse` and the edge sweeps of the second-order
-residual (:mod:`repro.kgir.sweeps`).  The source ships as package data and
+One C translation unit holds every kernel family — the ILU(k) symbolic
+phase and the block-4 ILU/TRSV recurrences of :mod:`repro.sparse`, and the
+edge and corner sweeps of the residual and of the first-order Jacobian
+(:mod:`repro.kgir.sweeps`).  The source ships as package data and
 is compiled on first use with the system C compiler; the shared object is
 cached per user under a name that hashes the source and the build flags, so
 editing either rebuilds it.  Nothing is ever written next to the source or
@@ -14,8 +15,9 @@ IEEE multiply/add sequence and forked ranks agree bit for bit.
 
 Where no compiler, no writable cache or no loadable object exists,
 :func:`load_kernels` warns once and returns ``None``; the callers
-(:func:`repro.sparse.ilu.ilu_factorize`, :func:`repro.sparse.trsv.trsv_solve`,
-the residual program, its fleet workers and the ranks) then run their NumPy
+(:func:`repro.sparse.fill.ilu_symbolic`, :func:`repro.sparse.ilu.ilu_factorize`,
+:func:`repro.sparse.trsv.trsv_solve`, the residual program, its fleet
+workers, the ranks and the Jacobian assembly) then run their NumPy
 kernels.  Call it before forking: the children inherit the loaded handle
 instead of each racing a cold compile.
 """
@@ -114,12 +116,16 @@ def _load() -> ctypes.CDLL:
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.ilu4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.ilu4.restype = i64
+    lib.ilu_symbolic.argtypes = [i64, ptr, ptr, i64, i64, *[ptr] * 6]
+    lib.ilu_symbolic.restype = i64
     for entry_name, argtypes in (
         ("trsv4", [i64, *[ptr] * 7]),
         ("recon_sweep", [i64, i64, *[ptr] * 9]),
         ("vertex_stage", [i64, ptr, ptr, ptr, ptr, f64, *[ptr] * 4]),
         ("limit_sweep", [i64, i64, *[ptr] * 11]),
         ("flux_sweep", [i64, i64, *[ptr] * 10, f64, i64, ptr, ptr]),
+        ("jacobian_sweep", [i64, i64, *[ptr] * 10, f64, ptr]),
+        ("boundary_sweep", [i64, *[ptr] * 4, f64, i64, ptr, ptr, ptr]),
     ):
         entry = getattr(lib, entry_name)
         entry.argtypes, entry.restype = argtypes, None
@@ -128,9 +134,9 @@ def _load() -> ctypes.CDLL:
 
 @functools.lru_cache(maxsize=1)
 def load_kernels() -> ctypes.CDLL | None:
-    """The compiled kernels (``ilu4``, ``trsv4`` and the residual's edge
-    sweeps), built on first use; ``None`` — after one warning — when they
-    cannot be built or loaded."""
+    """The compiled kernels (``ilu_symbolic``, ``ilu4``, ``trsv4`` and the
+    edge and corner sweeps), built on first use; ``None`` — after one
+    warning — when they cannot be built or loaded."""
     try:
         return _load()
     except (OSError, subprocess.SubprocessError) as exc:
@@ -144,6 +150,6 @@ def load_kernels() -> ctypes.CDLL | None:
 
 
 def native_kernels_available() -> bool:
-    """True iff the compiled kernels (ILU/TRSV and the residual's edge
-    sweeps) are what this process runs."""
+    """True iff the compiled kernels (ILU symbolic/numeric/TRSV and the
+    residual's and Jacobian's sweeps) are what this process runs."""
     return load_kernels() is not None

@@ -1,11 +1,15 @@
-/* The package's compiled kernels, one translation unit, two families:
+/* The package's compiled kernels, one translation unit, three families:
  *
- *   ilu4 / trsv4   block-4 ILU factorization and triangular solve over BCSR
- *                  factors: one call per recurrence instead of one NumPy
- *                  dispatch per wavefront;
+ *   ilu_symbolic / ilu4 / trsv4
+ *                  the ILU(k) level-of-fill pattern, then the block-4
+ *                  factorization and triangular solve over BCSR factors:
+ *                  one call per recurrence instead of one NumPy dispatch
+ *                  per wavefront (or one Python dict merge per row);
  *   recon_sweep / vertex_stage / limit_sweep / flux_sweep
- *                  the edge sweeps of the second-order residual (second
- *                  half of this file).
+ *                  the edge sweeps of the second-order residual;
+ *   jacobian_sweep / boundary_sweep
+ *                  the first-order Jacobian's edge blocks and the boundary
+ *                  closures of both (corner loops), end of this file.
  *
  * Built by repro/native/__init__.py with
  *     cc -O2 -ffp-contract=off -shared -fPIC
@@ -77,6 +81,66 @@ static int inv4(const double *A, double *inv)
         for (int c = 0; c < B; c++)
             inv[r * B + c] = M[r][B + c];
     return 0;
+}
+
+/* ILU(fill) pattern of a sorted CSR pattern by the level-of-fill rule: the
+ * IKJ merge of repro/sparse/fill.py::ilu_symbolic on a sorted linked list.
+ * Row i starts as its own columns at level 0; every pivot k < i in the
+ * list, ascending (fill pivots included), offers row k's entries j > k at
+ * level lev(i,k) + lev(k,j) + 1, kept when <= fill, the smaller level
+ * winning.  f_cols / f_levs have room for cap entries; returns the factor's
+ * entry count, or -1 when a row does not fit (the caller retries with more
+ * room).  Scratch: next (n + 1: the list, next[n] its head, n its end),
+ * lev (n) and upper (n: where each finished row continues beyond its
+ * diagonal). */
+int64_t ilu_symbolic(int64_t n, const int64_t *rowptr, const int64_t *cols,
+                     int64_t fill, int64_t cap, int64_t *f_rowptr,
+                     int64_t *f_cols, int64_t *f_levs, int64_t *next,
+                     int64_t *lev, int64_t *upper)
+{
+    int64_t nnz = 0;
+    f_rowptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t count = rowptr[i + 1] - rowptr[i], tail = n;
+        for (int64_t p = rowptr[i]; p < rowptr[i + 1]; p++) {
+            next[tail] = cols[p];
+            lev[cols[p]] = 0;
+            tail = cols[p];
+        }
+        next[tail] = n;
+        for (int64_t k = next[n]; k < i; k = next[k]) {
+            const int64_t lev_ik = lev[k];
+            int64_t at = k; /* last list node below the offered column */
+            for (int64_t p = upper[k]; p < f_rowptr[k + 1]; p++) {
+                const int64_t j = f_cols[p], l = lev_ik + f_levs[p] + 1;
+                if (l > fill)
+                    continue;
+                while (next[at] < j)
+                    at = next[at];
+                if (next[at] == j) {
+                    if (l < lev[j])
+                        lev[j] = l;
+                } else {
+                    next[j] = next[at];
+                    next[at] = j;
+                    lev[j] = l;
+                    count++;
+                }
+            }
+        }
+        if (nnz + count > cap)
+            return -1;
+        upper[i] = nnz;
+        for (int64_t j = next[n]; j < n; j = next[j]) {
+            if (j <= i)
+                upper[i] = nnz + 1;
+            f_cols[nnz] = j;
+            f_levs[nnz] = lev[j];
+            nnz++;
+        }
+        f_rowptr[i + 1] = nnz;
+    }
+    return nnz;
 }
 
 /* Row-by-row IKJ block ILU in place on the factor pattern.  vals holds the
@@ -331,10 +395,28 @@ static inline void pointwise_flux(const double *q, const double *s,
         f[1 + i] = q[1 + i] * theta + s[i] * q[0];
 }
 
+/* dF/dq of the analytic flux, repro/cfd/jacobian.py::
+ * analytic_flux_jacobian: the one C spelling, shared by the Roe dissipation
+ * and the first-order Jacobian. */
+static inline void flux_jacobian(const double *q, const double *s,
+                                 double beta, double A[NV][NV])
+{
+    const double theta = dot3(s, q + 1);
+    A[0][0] = 0.0;
+    for (int i = 0; i < ND; i++) {
+        A[0][1 + i] = beta * s[i];
+        A[1 + i][0] = s[i];
+        for (int j = 0; j < ND; j++)
+            A[1 + i][1 + j] = q[1 + i] * s[j];
+        A[1 + i][1 + i] = A[1 + i][1 + i] + theta;
+    }
+}
+
 /* 0.5 |A(qa)| dq with |A| the quadratic matrix polynomial of
  * repro/cfd/roe.py::abs_flux_jacobian, products in its explicit order. */
-static void roe_dissipation(const double *qa, const double *s, double beta,
-                            const double *dq, double *diss)
+static inline __attribute__((always_inline)) void roe_dissipation(
+    const double *qa, const double *s, double beta, const double *dq,
+    double *diss)
 {
     const double theta = dot3(s, qa + 1), s2 = dot3(s, s);
     const double c = sqrt(theta * theta + beta * s2);
@@ -344,14 +426,7 @@ static void roe_dissipation(const double *qa, const double *s, double beta,
     const double c2 = c_safe * c_safe;
 
     double A[NV][NV], Ai[NV][NV], Bi[NV][NV], Di[NV][NV];
-    A[0][0] = 0.0;
-    for (int i = 0; i < ND; i++) {
-        A[0][1 + i] = beta * s[i];
-        A[1 + i][0] = s[i];
-        for (int j = 0; j < ND; j++)
-            A[1 + i][1 + j] = qa[1 + i] * s[j];
-        A[1 + i][1 + i] = A[1 + i][1 + i] + theta;
-    }
+    flux_jacobian(qa, s, beta, A);
     for (int i = 0; i < NV; i++)
         for (int j = 0; j < NV; j++) {
             const double eye = i == j ? 1.0 : 0.0;
@@ -378,11 +453,50 @@ static void roe_dissipation(const double *qa, const double *s, double beta,
     }
 }
 
-/* Flux sweep: one numerical flux per edge (Rusanov, or Roe when roe != 0)
- * added at e0 and subtracted at e1.  With grad the states are first
- * reconstructed to the edge midpoint, q + (grad . disp) phi; grad == NULL
- * is the first-order flux.  flux is an (hi - lo, NV) scratch that carries
- * the edge values from the e0 pass to the e1 pass. */
+/* Spectral radius |Theta| + c of the face eigen-system at the average of
+ * the two states (repro/cfd/flux.py::edge_spectral_radius). */
+static inline double spectral_radius(const double *ql, const double *qr,
+                                     const double *s, double beta)
+{
+    double vel[ND];
+    for (int i = 0; i < ND; i++)
+        vel[i] = 0.5 * (ql[1 + i] + qr[1 + i]);
+    const double theta = dot3(s, vel), s2 = dot3(s, s);
+    return fabs(theta) + sqrt(theta * theta + beta * s2);
+}
+
+/* Upwind flux 0.5 (F(ql) + F(qr)) - dissipation through a face with area
+ * vector s: Rusanov, or Roe when roe != 0.  Forced inline, like
+ * roe_dissipation: with two call sites (edges, far-field corners) the
+ * compiler otherwise pays a call per edge in flux_sweep. */
+static inline __attribute__((always_inline)) void numerical_flux(
+    const double *ql, const double *qr, const double *s, double beta,
+    int64_t roe, double *f)
+{
+    double fl[NV], fr[NV], dq[NV], diss[NV];
+    for (int k = 0; k < NV; k++)
+        dq[k] = qr[k] - ql[k];
+    pointwise_flux(ql, s, beta, fl);
+    pointwise_flux(qr, s, beta, fr);
+    if (roe) {
+        double qa[NV];
+        for (int k = 0; k < NV; k++)
+            qa[k] = 0.5 * (ql[k] + qr[k]);
+        roe_dissipation(qa, s, beta, dq, diss);
+    } else {
+        const double lam = spectral_radius(ql, qr, s, beta);
+        for (int k = 0; k < NV; k++)
+            diss[k] = 0.5 * lam * dq[k];
+    }
+    for (int k = 0; k < NV; k++)
+        f[k] = 0.5 * (fl[k] + fr[k]) - diss[k];
+}
+
+/* Flux sweep: one numerical flux per edge added at e0 and subtracted at
+ * e1.  With grad the states are first reconstructed to the edge midpoint,
+ * q + (grad . disp) phi; grad == NULL is the first-order flux.  flux is an
+ * (hi - lo, NV) scratch that carries the edge values from the e0 pass to
+ * the e1 pass. */
 void flux_sweep(int64_t lo, int64_t hi, const int64_t *e0, const int64_t *e1,
                 const double *normals, const double *d0, const double *d1,
                 const uint8_t *w0, const uint8_t *w1, const double *q,
@@ -391,8 +505,7 @@ void flux_sweep(int64_t lo, int64_t hi, const int64_t *e0, const int64_t *e1,
 {
     for (int64_t e = lo; e < hi; e++) {
         const int64_t v0 = e0[e], v1 = e1[e];
-        const double *s = normals + e * ND;
-        double ql[NV], qr[NV], fl[NV], fr[NV], dq[NV], diss[NV];
+        double ql[NV], qr[NV];
         for (int k = 0; k < NV; k++) {
             ql[k] = q[v0 * NV + k];
             qr[k] = q[v1 * NV + k];
@@ -402,27 +515,9 @@ void flux_sweep(int64_t lo, int64_t hi, const int64_t *e0, const int64_t *e1,
                 qr[k] = qr[k] + dot3(grad + (v1 * NV + k) * ND, d1 + e * ND)
                                     * phi[v1 * NV + k];
             }
-            dq[k] = qr[k] - ql[k];
-        }
-        pointwise_flux(ql, s, beta, fl);
-        pointwise_flux(qr, s, beta, fr);
-        if (roe) {
-            double qa[NV];
-            for (int k = 0; k < NV; k++)
-                qa[k] = 0.5 * (ql[k] + qr[k]);
-            roe_dissipation(qa, s, beta, dq, diss);
-        } else { /* spectral radius |Theta| + c at the average state */
-            double vel[ND];
-            for (int i = 0; i < ND; i++)
-                vel[i] = 0.5 * (ql[1 + i] + qr[1 + i]);
-            const double theta = dot3(s, vel), s2 = dot3(s, s);
-            const double lam = fabs(theta) + sqrt(theta * theta + beta * s2);
-            for (int k = 0; k < NV; k++)
-                diss[k] = 0.5 * lam * dq[k];
         }
         double *f = flux + (e - lo) * NV;
-        for (int k = 0; k < NV; k++)
-            f[k] = 0.5 * (fl[k] + fr[k]) - diss[k];
+        numerical_flux(ql, qr, normals + e * ND, beta, roe, f);
         if (writes(w0, e))
             for (int k = 0; k < NV; k++)
                 res[v0 * NV + k] += f[k];
@@ -431,4 +526,128 @@ void flux_sweep(int64_t lo, int64_t hi, const int64_t *e0, const int64_t *e1,
         if (writes(w1, e))
             for (int k = 0; k < NV; k++)
                 res[e1[e] * NV + k] -= flux[(e - lo) * NV + k];
+}
+
+
+/* ------------------------------------------------------------------------
+ * First-order Jacobian blocks and boundary closures.
+ *
+ * The C spelling of repro/cfd/jacobian.py::edge_flux_jacobians and of the
+ * closure fluxes of repro/cfd/boundary.py, with the same bitwise contract
+ * as the sweeps above (tests/test_native_jacobian.py).  Blocks are row-major 4x4 doubles
+ * added into a BCSR value array at precomputed block slots.
+ */
+
+/* blk = 0.5 A(q) +- 0.5 lam I: one half of the linearized Rusanov flux
+ * 0.5 (F_i + F_j) - 0.5 lam (q_j - q_i) with lam frozen; minus selects
+ * the q_j side.  lam I is formed as lam * 1 and lam * 0, as NumPy's
+ * lam * eye(4) does, so a non-finite lam poisons the same entries. */
+static inline void half_jacobian(const double *q, const double *s,
+                                 double beta, double lam, int minus,
+                                 double *blk)
+{
+    double A[NV][NV];
+    flux_jacobian(q, s, beta, A);
+    const double on = 0.5 * (lam * 1.0), off = 0.5 * (lam * 0.0);
+    for (int i = 0; i < NV; i++)
+        for (int j = 0; j < NV; j++) {
+            const double half_lam = i == j ? on : off;
+            blk[i * NV + j] = minus ? 0.5 * A[i][j] - half_lam
+                                    : 0.5 * A[i][j] + half_lam;
+        }
+}
+
+/* Jacobian sweep: per edge the blocks dF/dq_i, dF/dq_j of its frozen-lam
+ * Rusanov flux, added into vals at the edge's four slots — the four
+ * statements of repro.perf.scatter.jacobian_edge_plan:
+ *     vals[slot_d0] += dFdqi;  vals[slot_ij] += dFdqj    (row e0)
+ *     vals[slot_d1] -= dFdqj;  vals[slot_ji] -= dFdqi    (row e1)
+ * A row's slots are written where its end of the edge is a written end.
+ * Only the diagonal blocks receive more than one term, and they receive
+ * them term-major like every additive sweep: the first pass adds the e0
+ * terms in edge order (and both off-diagonal blocks, one term each, while
+ * dFdqi is at hand), the second the e1 terms, recomputing dFdqj (same
+ * operands, same bits) instead of keeping an (edges, 16) scratch. */
+void jacobian_sweep(int64_t lo, int64_t hi, const int64_t *e0,
+                    const int64_t *e1, const double *normals,
+                    const uint8_t *w0, const uint8_t *w1,
+                    const int64_t *slot_d0, const int64_t *slot_ij,
+                    const int64_t *slot_d1, const int64_t *slot_ji,
+                    const double *q, double beta, double *vals)
+{
+    for (int64_t e = lo; e < hi; e++) {
+        const int at0 = writes(w0, e), at1 = writes(w1, e);
+        if (!at0 && !at1)
+            continue;
+        const double *ql = q + e0[e] * NV, *qr = q + e1[e] * NV;
+        const double *s = normals + e * ND;
+        const double lam = spectral_radius(ql, qr, s, beta);
+        double dfi[BB], dfj[BB];
+        half_jacobian(ql, s, beta, lam, 0, dfi);
+        if (at0) {
+            double *diag = vals + slot_d0[e] * BB, *off = vals + slot_ij[e] * BB;
+            half_jacobian(qr, s, beta, lam, 1, dfj);
+            for (int k = 0; k < BB; k++)
+                diag[k] += dfi[k];
+            for (int k = 0; k < BB; k++)
+                off[k] += dfj[k];
+        }
+        if (at1) {
+            double *off = vals + slot_ji[e] * BB;
+            for (int k = 0; k < BB; k++)
+                off[k] -= dfi[k];
+        }
+    }
+    for (int64_t e = lo; e < hi; e++) {
+        if (!writes(w1, e))
+            continue;
+        const double *ql = q + e0[e] * NV, *qr = q + e1[e] * NV;
+        const double *s = normals + e * ND;
+        double dfj[BB], *diag = vals + slot_d1[e] * BB;
+        half_jacobian(qr, s, beta, spectral_radius(ql, qr, s, beta), 1, dfj);
+        for (int k = 0; k < BB; k++)
+            diag[k] -= dfj[k];
+    }
+}
+
+/* Boundary sweep: one loop over the flattened corners of one boundary tag
+ * (vertex verts[c], its share normals[c] of the face's area vector),
+ * accumulating sequentially in corner order.  q_inf == NULL is a slip wall
+ * or symmetry plane — no mass flux, so the flux is the pressure force
+ * (0, S p) and its Jacobian the pressure column; otherwise the far field,
+ * the numerical flux between the vertex state and the freestream q_inf and
+ * the vertex-side half of its frozen-lam Rusanov linearization.  With res
+ * the flux is added at res[verts[c]]; with vals the block at
+ * vals[slots[c]].  Either may be NULL. */
+void boundary_sweep(int64_t n, const int64_t *verts, const double *normals,
+                    const double *q, const double *q_inf, double beta,
+                    int64_t roe, double *res, const int64_t *slots,
+                    double *vals)
+{
+    for (int64_t c = 0; c < n; c++) {
+        const double *qi = q + verts[c] * NV, *s = normals + c * ND;
+        if (res) {
+            double f[NV];
+            if (q_inf) {
+                numerical_flux(qi, q_inf, s, beta, roe, f);
+            } else {
+                f[0] = 0.0;
+                for (int i = 0; i < ND; i++)
+                    f[1 + i] = s[i] * qi[0];
+            }
+            for (int k = 0; k < NV; k++)
+                res[verts[c] * NV + k] += f[k];
+        }
+        if (vals) {
+            double blk[BB] = {0.0};
+            if (q_inf)
+                half_jacobian(qi, s, beta,
+                              spectral_radius(qi, q_inf, s, beta), 0, blk);
+            else
+                for (int i = 0; i < ND; i++)
+                    blk[(1 + i) * NV] = s[i];
+            for (int k = 0; k < BB; k++)
+                vals[slots[c] * BB + k] += blk[k];
+        }
+    }
 }

@@ -49,10 +49,17 @@ def vec_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y))
 
 
-def vec_mdot(xs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+def _rows(xs) -> np.ndarray:
+    """``xs`` as the rows of one matrix: a 2-D array as it is (a row slice
+    of a preallocated basis costs no copy), a list stacked."""
+    return xs if isinstance(xs, np.ndarray) else np.stack(xs)
+
+
+def vec_mdot(xs: list[np.ndarray] | np.ndarray, y: np.ndarray) -> np.ndarray:
     """Multiple dot products against a common vector (VecMDot).
 
-    GMRES orthogonalization is built on this: one fused pass over y.
+    ``xs`` is a list of vectors or a 2-D array of them, row by row.  GMRES
+    orthogonalization is built on this: one fused pass over y.
     """
     m = len(xs)
     get_registry().add(
@@ -60,7 +67,7 @@ def vec_mdot(xs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
     )
     if m == 0:
         return np.zeros(0)
-    return np.asarray(np.stack(xs) @ y)
+    return np.asarray(_rows(xs) @ y)
 
 
 def vec_axpy(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -86,14 +93,17 @@ def vec_waxpy(w: np.ndarray, alpha: float, x: np.ndarray, y: np.ndarray) -> np.n
     return w
 
 
-def vec_maxpy(y: np.ndarray, alphas: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    """y += sum_k alphas[k] * xs[k] (fused multi-AXPY)."""
+def vec_maxpy(
+    y: np.ndarray, alphas: np.ndarray, xs: list[np.ndarray] | np.ndarray
+) -> np.ndarray:
+    """y += sum_k alphas[k] * xs[k] (fused multi-AXPY); ``xs`` as in
+    :func:`vec_mdot`."""
     m = len(xs)
     get_registry().add(
         "VecMAXPY", flops=2.0 * m * y.size, nbytes=_F8 * (m + 2) * y.size
     )
     if m:
-        y += np.asarray(alphas) @ np.stack(xs)
+        y += np.asarray(alphas) @ _rows(xs)
     return y
 
 

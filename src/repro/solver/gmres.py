@@ -119,8 +119,11 @@ def _gmres_cycles(
             converged = True
             break
         m = min(restart, maxiter - total_it)
-        V = [vec_scale(r, 1.0 / beta)]  # orthonormal basis
-        Z: list[np.ndarray] = []  # preconditioned basis (flexible)
+        # one allocation per cycle, sliced by row: the fused MDot / MAXPY
+        # read the basis in place instead of stacking a list of vectors
+        V = np.empty((m + 1, r.shape[0]), dtype=r.dtype)  # orthonormal basis
+        Z = np.empty((m, r.shape[0]), dtype=r.dtype)  # preconditioned (flexible)
+        V[0] = vec_scale(r, 1.0 / beta)
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -128,21 +131,21 @@ def _gmres_cycles(
         g[0] = beta
         j_done = 0
         for j in range(m):
-            z = M(V[j])
-            Z.append(z)
+            vj = V[j]
+            z = Z[j] = M(vj)
             w = op(z)
-            if w is z or w is V[j]:  # defend against aliasing operators
+            if w is z or w is vj:  # defend against aliasing operators
                 w = w.copy()
             # classical Gram-Schmidt: one fused MDot + MAXPY
-            h = vec_mdot(V, w)
-            vec_maxpy(w, -h, V)
+            h = vec_mdot(V[: j + 1], w)
+            vec_maxpy(w, -h, V[: j + 1])
             allreduces += 2  # the MDot and the norm below
             H[: j + 1, j] = h
             H[j + 1, j] = vec_norm(w)
             if H[j + 1, j] > 1e-14 * max(beta, 1.0):
-                V.append(vec_scale(w, 1.0 / H[j + 1, j]))
+                V[j + 1] = vec_scale(w, 1.0 / H[j + 1, j])
             else:
-                V.append(np.zeros_like(w))  # lucky breakdown
+                V[j + 1] = 0.0  # lucky breakdown
             # apply stored Givens rotations to the new column
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]

@@ -110,24 +110,22 @@ class AdditiveSchwarzILU:
     def _build_subdomain(
         self, matrix: BCSRMatrix, owned: np.ndarray, local: np.ndarray
     ) -> SubdomainILU:
-        remap = -np.ones(self.n, dtype=np.int64)
-        remap[local] = np.arange(local.shape[0])
-        rows = []
-        cols = []
-        gather = []
-        for li, g in enumerate(local):
-            lo, hi = matrix.rowptr[g], matrix.rowptr[g + 1]
-            for p in range(lo, hi):
-                lj = remap[matrix.cols[p]]
-                if lj >= 0:
-                    rows.append(li)
-                    cols.append(lj)
-                    gather.append(p)
         nl = local.shape[0]
+        remap = -np.ones(self.n, dtype=np.int64)
+        remap[local] = np.arange(nl)
+        # every block of the local rows, row by row, then those whose
+        # column is local too
+        counts = matrix.rowptr[local + 1] - matrix.rowptr[local]
+        first = np.cumsum(counts) - counts
+        blocks = np.repeat(matrix.rowptr[local] - first, counts) + np.arange(
+            int(counts.sum())
+        )
+        local_cols = remap[matrix.cols[blocks]]
+        keep = local_cols >= 0
+        rows_a = np.repeat(np.arange(nl), counts)[keep]
+        cols_a = local_cols[keep]
+        gather_a = blocks[keep]
         rowptr = np.zeros(nl + 1, dtype=np.int64)
-        rows_a = np.asarray(rows, dtype=np.int64)
-        cols_a = np.asarray(cols, dtype=np.int64)
-        gather_a = np.asarray(gather, dtype=np.int64)
         rowptr[1:] = np.bincount(rows_a, minlength=nl)
         np.cumsum(rowptr, out=rowptr)
         plan = build_ilu_plan(rowptr, cols_a, b=self.b, fill_level=self.fill_level)

@@ -294,7 +294,9 @@ class TestInterruptFlush:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "solve",
-                "--scale", "0.06", "--max-steps", "500",
+                # a solve of several seconds: the signal, ~1 s in, must
+                # land while it is still stepping
+                "--scale", "0.15", "--max-steps", "500",
                 "--metrics-serve", "0",
                 "--metrics-prom", str(prom),
                 "--trace-otlp", str(otlp),

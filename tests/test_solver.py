@@ -163,6 +163,37 @@ class TestAdditiveSchwarz:
 
         assert quality(1) < quality(0)
 
+    @pytest.mark.parametrize("parts,overlap", [(1, 0), (3, 0), (4, 1), (2, 2)])
+    def test_subdomain_patterns_equal_the_block_by_block_loop(self, parts, overlap):
+        """The vectorised restriction against the double loop it replaced,
+        kept here as the reference: every block of every local row, kept
+        when its column is local too."""
+        m = box_mesh((5, 4, 4), jitter=0.05, seed=21)
+        A = _diag_dominant_bcsr(m, seed=21)
+        from repro.partition import natural_partition
+
+        pc = AdditiveSchwarzILU(
+            A, labels=natural_partition(m.n_vertices, parts), overlap=overlap
+        )
+        assert len(pc.subs) == parts
+        for sub in pc.subs:
+            local = sub.local_rows
+            remap = -np.ones(A.n_brows, dtype=np.int64)
+            remap[local] = np.arange(local.shape[0])
+            rows, cols, gather = [], [], []
+            for li, g in enumerate(local):
+                for p in range(A.rowptr[g], A.rowptr[g + 1]):
+                    if remap[A.cols[p]] >= 0:
+                        rows.append(li)
+                        cols.append(remap[A.cols[p]])
+                        gather.append(p)
+            rowptr = np.zeros(local.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=local.shape[0]), out=rowptr[1:])
+            np.testing.assert_array_equal(sub.sub_pattern[0], rowptr)
+            np.testing.assert_array_equal(sub.sub_pattern[1], cols)
+            np.testing.assert_array_equal(sub.gather, gather)
+            assert sub.gather.dtype == sub.sub_pattern[1].dtype == np.int64
+
     def test_apply_before_update_raises(self):
         m = box_mesh((3, 3, 3))
         A = _diag_dominant_bcsr(m)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import box_mesh, delaunay_cloud_mesh
+from repro import native
+from repro.mesh import box_mesh, delaunay_cloud_mesh, mesh_c_prime
+from repro.obs import MetricsRegistry, use_metrics
+from repro.ordering import rcm_relabel
 from repro.sparse import (
     BCSRMatrix,
     TrsvWorkspace,
@@ -20,6 +23,7 @@ from repro.sparse import (
     trsv_solve_levels,
     trsv_solve_sequential,
 )
+from repro.sparse.fill import _symbolic_native, ilu_symbolic_python
 
 
 def random_spd_bcsr(mesh, b=4, seed=0, shift=8.0):
@@ -89,6 +93,107 @@ class TestSymbolic:
         A = block_tridiagonal(4)
         with pytest.raises(ValueError):
             ilu_symbolic(A.rowptr, A.cols, -1)
+
+
+def _symbolic_paths(rowptr, cols, fill):
+    """``(pattern from ilu_symbolic, times it took the compiled merge)``."""
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        pattern = ilu_symbolic(rowptr, cols, fill)
+    return pattern, metrics.counter("ilu.native_symbolic").value
+
+
+@pytest.mark.skipif(
+    not native_kernels_available(), reason="no C compiler / kernel not loadable"
+)
+class TestCompiledSymbolic:
+    """The compiled level-of-fill merge against the per-row dict merge:
+    integer output, so equality is exact."""
+
+    @pytest.mark.parametrize("fill", [1, 2, 3])
+    @pytest.mark.parametrize("rcm", [False, True], ids=["natural", "rcm"])
+    def test_mesh_pattern(self, fill, rcm):
+        mesh = mesh_c_prime(scale=0.02, seed=7)
+        if rcm:
+            mesh = rcm_relabel(mesh)
+        A = BCSRMatrix.from_mesh_edges(mesh.edges, mesh.n_vertices)
+        (rp, c), n = _symbolic_paths(A.rowptr, A.cols, fill)
+        assert n == 1
+        want_rp, want_c = ilu_symbolic_python(A.rowptr, A.cols, fill)
+        np.testing.assert_array_equal(rp, want_rp)
+        np.testing.assert_array_equal(c, want_c)
+        assert (rp.dtype, c.dtype) == (np.int64, np.int64)
+        assert c.flags.owndata  # not a view of the spare capacity
+
+    def test_fill_zero_copies_without_a_merge(self):
+        A = block_tridiagonal(5)
+        (rp, c), n = _symbolic_paths(A.rowptr, A.cols, 0)
+        assert n == 0
+        assert not np.shares_memory(c, A.cols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 0.5),
+        fill=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_sorted_patterns_with_diagonal(self, n, density, fill, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, n)) < density
+        np.fill_diagonal(dense, True)
+        rows, cols = np.nonzero(dense)  # row-major: sorted within rows
+        rowptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=rowptr[1:])
+        (rp, c), took = _symbolic_paths(rowptr, cols.astype(np.int64), fill)
+        assert took == 1
+        want_rp, want_c = ilu_symbolic_python(rowptr, cols, fill)
+        np.testing.assert_array_equal(rp, want_rp)
+        np.testing.assert_array_equal(c, want_c)
+
+    def test_capacity_retry_ends_in_the_same_pattern(self):
+        m = delaunay_cloud_mesh(80, seed=4)
+        A = BCSRMatrix.from_mesh_edges(m.edges, m.n_vertices)
+        want_rp, want_c = ilu_symbolic_python(A.rowptr, A.cols, 2)
+        assert want_c.shape[0] > A.cols.shape[0]
+        for capacity in (1, A.cols.shape[0], want_c.shape[0]):
+            rp, c = _symbolic_native(
+                native.load_kernels(), A.rowptr, A.cols, 2, capacity
+            )
+            np.testing.assert_array_equal(rp, want_rp)
+            np.testing.assert_array_equal(c, want_c)
+
+    def test_patterns_the_merge_cannot_index_take_the_python_path(self):
+        A = block_tridiagonal(8, b=4)
+        want = ilu_symbolic_python(A.rowptr, A.cols, 1)
+        unsorted = A.cols.copy()
+        lo, hi = A.rowptr[3], A.rowptr[4]
+        unsorted[lo:hi] = unsorted[lo:hi][::-1]
+        out_of_range = A.cols.copy()
+        out_of_range[-1] = A.n_brows
+        for rowptr, cols in (
+            (A.rowptr.astype(np.int32), A.cols),
+            (A.rowptr, A.cols.astype(np.int32)),
+            (A.rowptr, unsorted),
+            (A.rowptr, out_of_range),
+            (A.rowptr[:-1], A.cols),
+        ):
+            _, n = _symbolic_paths(rowptr, cols, 1)
+            assert n == 0
+        narrow = ilu_symbolic(A.rowptr.astype(np.int32), A.cols, 1)
+        for got, w in zip(narrow, want):
+            np.testing.assert_array_equal(got, w)
+
+    def test_plan_is_the_same_with_the_kernels_off(self, monkeypatch):
+        m = delaunay_cloud_mesh(70, seed=9)
+        A = BCSRMatrix.from_mesh_edges(m.edges, m.n_vertices)
+        fast = build_ilu_plan(A.rowptr, A.cols, fill_level=1)
+        monkeypatch.setattr(native, "load_kernels", lambda: None)
+        (_, _), n = _symbolic_paths(A.rowptr, A.cols, 1)
+        assert n == 0
+        slow = build_ilu_plan(A.rowptr, A.cols, fill_level=1)
+        for name in ("rowptr", "cols", "diag_idx", "orig_map"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
 
 
 class TestNumericILU:

@@ -10,6 +10,7 @@ The contract under test (DESIGN.md, "Sparse kernels"):
 """
 
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -204,6 +205,20 @@ class TestFailurePaths:
         # rows factored before the poisoned one are untouched
         first = plan.diag_idx[0]
         np.testing.assert_allclose(got.vals[first], ref.vals[first], rtol=RTOL)
+
+
+@compiled
+def test_every_exported_entry_declares_its_argument_types():
+    """``ctypes`` would otherwise pass Python ints as C ``int`` and
+    truncate addresses and 64-bit counts."""
+    source = Path(native.__file__).with_name("_kernels.c").read_text()
+    entries = re.findall(r"^(?:void|int64_t) (\w+)\(", source, flags=re.M)
+    assert {"ilu_symbolic", "ilu4", "trsv4", "jacobian_sweep", "boundary_sweep"} <= set(
+        entries
+    )
+    lib = native.load_kernels()
+    for name in entries:
+        assert getattr(lib, name).argtypes, name
 
 
 class TestLoaderFallback:
