@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..perf.scatter import jacobian_edge_plan, scatter_plan
+from ..perf.scatter import scatter_add
 from ..solver.gmres import gmres
 from ..solver.jfnk import fd_jacobian_operator
 from ..solver.schwarz import AdditiveSchwarzILU
@@ -186,25 +186,19 @@ def compressible_residual(
         ql = ql + dq0
         qr = qr + dq1
     flux = rusanov_euler_flux(ql, qr, fld.enormals, g)
-    res = fld.edge_diff_plan.apply(flux)
-
+    idx, vals = [fld.e0, fld.e1], [flux, -flux]
     for which in ("wall", "sym"):
-        verts, vnormals3, cplan = fld.corner_scatter(which)
-        if verts.shape[0] == 0:
-            continue
-        cplan.apply(
-            _wall_flux_c(q[verts], vnormals3, g), out=res, accumulate=True
-        )
-
+        verts, vnormals3 = fld.corner_scatter(which)
+        idx.append(verts)
+        vals.append(_wall_flux_c(q[verts], vnormals3, g))
     q_inf = compressible_freestream(config)
-    verts, vnormals3, cplan = fld.corner_scatter("far")
-    if verts.shape[0]:
-        qi = q[verts]
-        fl = rusanov_euler_flux(
-            qi, np.broadcast_to(q_inf, qi.shape), vnormals3, g
-        )
-        cplan.apply(fl, out=res, accumulate=True)
-    return res
+    verts, vnormals3 = fld.corner_scatter("far")
+    qi = q[verts]
+    idx.append(verts)
+    vals.append(
+        rusanov_euler_flux(qi, np.broadcast_to(q_inf, qi.shape), vnormals3, g)
+    )
+    return scatter_add(np.concatenate(idx), np.concatenate(vals), fld.n_vertices)
 
 
 def compressible_local_timestep(
@@ -213,13 +207,12 @@ def compressible_local_timestep(
     """Local pseudo time step from the acoustic wave-speed sums."""
     g = config.gamma
     lam_e = euler_spectral_radius(q[fld.e0], q[fld.e1], fld.enormals, g)
-    lam_sum = fld.edge_sum_plan.apply(lam_e)
+    idx, lam = [fld.e0, fld.e1], [lam_e, lam_e]
     for which in ("wall", "sym", "far"):
-        verts, vnormals3, cplan = fld.corner_scatter(which)
-        if verts.shape[0] == 0:
-            continue
-        lam_b = euler_spectral_radius(q[verts], q[verts], vnormals3, g)
-        cplan.apply(lam_b, out=lam_sum, accumulate=True)
+        verts, vnormals3 = fld.corner_scatter(which)
+        idx.append(verts)
+        lam.append(euler_spectral_radius(q[verts], q[verts], vnormals3, g))
+    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), fld.n_vertices)
     return cfl * fld.volumes / np.maximum(lam_sum, 1e-30)
 
 
@@ -236,25 +229,17 @@ class CompressibleJacobian:
         keys = np.repeat(
             np.arange(nv, dtype=np.int64), np.diff(self.rowptr)
         ) * np.int64(nv) + self.cols
-        self._diag = np.searchsorted(
+        diag = np.searchsorted(
             keys, np.arange(nv, dtype=np.int64) * nv + np.arange(nv)
         )
-        self._ij = np.searchsorted(keys, fld.e0 * np.int64(nv) + fld.e1)
-        self._ji = np.searchsorted(keys, fld.e1 * np.int64(nv) + fld.e0)
-        nnzb = self.cols.shape[0]
-        self._edge_plan = jacobian_edge_plan(
-            self._diag[fld.e0],
-            self._ij,
-            self._diag[fld.e1],
-            self._ji,
-            nnzb,
-            name="jacobian.edge",
-        )
-        self._bc_plans = {
-            which: scatter_plan(self._diag[verts], nnzb, name="jacobian.bc")
-            for which, (verts, _, _) in (
-                (w, fld.corner_scatter(w)) for w in ("wall", "sym", "far")
-            )
+        ij = np.searchsorted(keys, fld.e0 * np.int64(nv) + fld.e1)
+        ji = np.searchsorted(keys, fld.e1 * np.int64(nv) + fld.e0)
+        #: the four edge statements' slots: +dFdqi at diag(e0), +dFdqj at
+        #: (e0, e1), -dFdqj at diag(e1), -dFdqi at (e1, e0)
+        self._edge_slots = np.concatenate([diag[fld.e0], ij, diag[fld.e1], ji])
+        self._bc_slots = {
+            which: diag[fld.corner_scatter(which)[0]]
+            for which in ("wall", "sym", "far")
         }
 
     def new_matrix(self) -> BCSRMatrix:
@@ -266,11 +251,11 @@ class CompressibleJacobian:
         config: CompressibleConfig,
         out: BCSRMatrix | None = None,
     ) -> BCSRMatrix:
+        """Every block in one scatter from zero: the four edge statements,
+        then the wall, symmetry and far-field corners."""
         fld = self.fld
         g = config.gamma
         A = out if out is not None else self.new_matrix()
-        A.set_zero()
-        vals = A.vals
 
         ql, qr = q[fld.e0], q[fld.e1]
         Ai = euler_flux_jacobian(ql, fld.enormals, g)
@@ -279,16 +264,13 @@ class CompressibleJacobian:
         lamI = lam[:, None, None] * np.eye(NVARS_C)
         dFdqi = 0.5 * Ai + 0.5 * lamI
         dFdqj = 0.5 * Aj - 0.5 * lamI
-        self._edge_plan.apply(
-            np.concatenate([dFdqi, dFdqj]), out=vals, accumulate=True
-        )
+        slots = [self._edge_slots]
+        blocks = [dFdqi, dFdqj, -dFdqj, -dFdqi]
 
         # slip wall / symmetry: d(S p)/dq rows
         gm1 = g - 1.0
         for which in ("wall", "sym"):
-            verts, vnormals3, _ = fld.corner_scatter(which)
-            if verts.shape[0] == 0:
-                continue
+            verts, vnormals3 = fld.corner_scatter(which)
             qi = q[verts]
             vel = qi[:, 1:4] / qi[:, 0:1]
             v2 = np.einsum("ni,ni->n", vel, vel)
@@ -299,18 +281,21 @@ class CompressibleJacobian:
                 "ni,nj->nij", vnormals3, vel
             )
             blk[:, 1:4, 4] = gm1 * vnormals3
-            self._bc_plans[which].apply(blk, out=vals, accumulate=True)
+            slots.append(self._bc_slots[which])
+            blocks.append(blk)
 
-        verts, vnormals3, _ = fld.corner_scatter("far")
-        if verts.shape[0]:
-            q_inf = compressible_freestream(config)
-            qi = q[verts]
-            Af = euler_flux_jacobian(qi, vnormals3, g)
-            lam_f = euler_spectral_radius(
-                qi, np.broadcast_to(q_inf, qi.shape), vnormals3, g
-            )
-            blk = 0.5 * Af + 0.5 * lam_f[:, None, None] * np.eye(NVARS_C)
-            self._bc_plans["far"].apply(blk, out=vals, accumulate=True)
+        verts, vnormals3 = fld.corner_scatter("far")
+        q_inf = compressible_freestream(config)
+        qi = q[verts]
+        Af = euler_flux_jacobian(qi, vnormals3, g)
+        lam_f = euler_spectral_radius(
+            qi, np.broadcast_to(q_inf, qi.shape), vnormals3, g
+        )
+        slots.append(self._bc_slots["far"])
+        blocks.append(0.5 * Af + 0.5 * lam_f[:, None, None] * np.eye(NVARS_C))
+        A.vals[...] = scatter_add(
+            np.concatenate(slots), np.concatenate(blocks), A.nnzb
+        )
         return A
 
     def add_pseudo_time(self, A: BCSRMatrix, dt: np.ndarray) -> None:

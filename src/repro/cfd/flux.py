@@ -99,10 +99,10 @@ def scatter_edge_flux(
     """Accumulate per-edge fluxes into the vertex residual (write-out phase).
 
     Flux leaves control volume ``e0`` (normal points e0 -> e1) and enters
-    ``e1``.  This is the reference ``np.add.at`` statement sequence; the
-    hot path (:func:`interior_flux_residual`) runs the same scatter through
-    the field's precompiled :class:`~repro.perf.scatter.ScatterPlan`,
-    which is bitwise-identical and several times faster.
+    ``e1``.  This is the reference ``np.add.at`` statement sequence: the
+    staged oracle (:func:`interior_flux_residual` with ``grad``) writes out
+    with it, and the flux sweeps of :mod:`repro.kgir.sweeps` equal it
+    bitwise.
     """
     res = np.zeros((n_vertices, flux.shape[-1]))
     np.add.at(res, e0, flux)
@@ -151,4 +151,4 @@ def interior_flux_residual(
     ql = q[field.e0] + dq0
     qr = q[field.e1] + dq1
     flux = numerical_edge_flux(ql, qr, field.enormals, beta, scheme)
-    return field.edge_diff_plan.apply(flux)
+    return scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)

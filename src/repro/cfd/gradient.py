@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..perf.scatter import scatter_add
 from .state import FlowField
 from .sums import dot3
 
@@ -39,7 +40,7 @@ def lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     dx = field.emid_d0 * 2.0  # x[e1] - x[e0]
     dq = q[field.e1] - q[field.e0]  # (ne, 4)
     rhs_contrib = dq[:, :, None] * dx[:, None, :]  # (ne, 4, 3)
-    rhs = field.edge_sum_plan.apply(rhs_contrib)
+    rhs = field.edge_sum(rhs_contrib)
     return dot3(field.lsq_inv[:, None, :, :], rhs[:, :, None, :])
 
 
@@ -56,14 +57,14 @@ def weighted_lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     dx = field.emid_d0 * 2.0
     w = 1.0 / np.maximum(np.linalg.norm(dx, axis=1), 1e-300)
     outer = np.einsum("n,ni,nj->nij", w, dx, dx)
-    m = field.edge_sum_plan.apply(outer)
+    m = field.edge_sum(outer)
     tr = np.trace(m, axis1=1, axis2=2)
     m += (1e-12 * np.maximum(tr, 1e-30))[:, None, None] * np.eye(3)
     minv = np.linalg.inv(m)
 
     dq = q[field.e1] - q[field.e0]
     rhs_contrib = w[:, None, None] * dq[:, :, None] * dx[:, None, :]
-    rhs = field.edge_sum_plan.apply(rhs_contrib)
+    rhs = field.edge_sum(rhs_contrib)
     return np.einsum("nij,nvj->nvi", minv, rhs)
 
 
@@ -79,23 +80,18 @@ def green_gauss_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     """
     mid = 0.5 * (q[field.e0] + q[field.e1])  # (ne, nvar)
     contrib = mid[:, :, None] * field.enormals[:, None, :]
-    acc = field.edge_diff_plan.apply(contrib)
-    for which in ("wall", "sym", "far"):
-        verts, vnormals3, cplan = field.corner_scatter(which)
-        if verts.shape[0] == 0:
-            continue
-        faces = {
-            "wall": field.wall_faces,
-            "sym": field.sym_faces,
-            "far": field.far_faces,
-        }[which]
+    idx, vals = [field.e0, field.e1], [contrib, -contrib]
+    for which, faces in (
+        ("wall", field.wall_faces),
+        ("sym", field.sym_faces),
+        ("far", field.far_faces),
+    ):
+        verts, vnormals3 = field.corner_scatter(which)
         fc = q[faces].mean(axis=1)  # (nf, nvar)
         fc3 = np.concatenate([fc] * 3, axis=0)  # per corner, c-major
-        cplan.apply(
-            fc3[:, :, None] * vnormals3[:, None, :],
-            out=acc,
-            accumulate=True,
-        )
+        idx.append(verts)
+        vals.append(fc3[:, :, None] * vnormals3[:, None, :])
+    acc = scatter_add(np.concatenate(idx), np.concatenate(vals), field.n_vertices)
     return acc / field.volumes[:, None, None]
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..perf.scatter import ScatterTerm, build_scatter_plan
 from ..sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .flux import edge_spectral_radius
 from .state import BOUNDARY_TAGS, NVARS, FlowConfig, FlowField, freestream_state
@@ -119,7 +118,6 @@ class JacobianAssembler:
         self._corner_slots = {
             tag: diag[f.corner_scatter(tag)[0]] for tag in BOUNDARY_TAGS
         }
-        self._visc_plan = None
 
     def new_matrix(self) -> BCSRMatrix:
         return BCSRMatrix.from_pattern(self.rowptr, self.cols, NVARS)
@@ -172,23 +170,11 @@ class JacobianAssembler:
             d_diag, d_off = viscous_jacobian_blocks(
                 f, config.mu, f.visc_coeffs
             )
-            if self._visc_plan is None:
-                ne = f.e0.shape[0]
-                diag0, ij, diag1, ji = self._slots
-                self._visc_plan = build_scatter_plan(
-                    [
-                        ScatterTerm(diag0, 0, 1.0),
-                        ScatterTerm(diag1, 0, 1.0),
-                        ScatterTerm(ij, ne, 1.0),
-                        ScatterTerm(ji, ne, 1.0),
-                    ],
-                    self.cols.shape[0],
-                    n_sources=2 * ne,
-                    name="jacobian.visc",
-                )
-            self._visc_plan.apply(
-                np.concatenate([d_diag, d_off]), out=vals, accumulate=True
-            )
+            diag0, ij, diag1, ji = self._slots
+            np.add.at(vals, diag0, d_diag)
+            np.add.at(vals, diag1, d_diag)
+            np.add.at(vals, ij, d_off)
+            np.add.at(vals, ji, d_off)
 
         return A
 

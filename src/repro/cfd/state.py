@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mesh.core import TAG_FARFIELD, TAG_SYMMETRY, TAG_WALL, UnstructuredMesh
+from ..perf.scatter import scatter_add
 
 __all__ = ["NVARS", "BOUNDARY_TAGS", "FlowField", "freestream_state", "FlowConfig"]
 
@@ -75,7 +76,8 @@ class FlowField:
     sym_vnormals: np.ndarray = field(init=False)
     lsq_inv: np.ndarray = field(init=False)  # per-vertex 3x3 LSQ pseudo-inv
     _visc_coeffs: np.ndarray | None = field(default=None, repr=False)
-    #: precompiled gather-scatter plans, keyed by kernel (built on first use)
+    #: per-field kernel objects and corner arrays, keyed by name (built on
+    #: first use)
     _plans: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -107,74 +109,46 @@ class FlowField:
         """
         dx = self.mesh.coords[self.e1] - self.mesh.coords[self.e0]
         outer = np.einsum("ni,nj->nij", dx, dx)
-        m = self.edge_sum_plan.apply(outer)
+        m = self.edge_sum(outer)
         # Boundary vertices with nearly-planar neighborhoods can still be
         # full rank in 3D tet meshes; regularize defensively anyway.
         tr = np.trace(m, axis1=1, axis2=2)
         m += (1e-12 * np.maximum(tr, 1e-30))[:, None, None] * np.eye(3)
         return np.linalg.inv(m)
 
-    # ------------------------------------------------------------------
-    # Precompiled scatter plans (repro.perf.scatter): compiled on first
-    # use per field and reused by every kernel evaluation thereafter.
-    # ------------------------------------------------------------------
+    def edge_sum(self, values: np.ndarray) -> np.ndarray:
+        """``out[e0] += values; out[e1] += values`` from zero (the
+        gradient sums), bitwise the two ``np.add.at`` statements."""
+        return scatter_add(
+            np.concatenate([self.e0, self.e1]),
+            np.concatenate([values, values]),
+            self.n_vertices,
+        )
+
     def plan(self, key: str, builder):
-        """Cached :class:`~repro.perf.scatter.ScatterPlan` for ``key``."""
+        """The per-field object cached under ``key`` (sweeps, programs,
+        corner arrays), built by ``builder()`` on first use."""
         p = self._plans.get(key)
         if p is None:
             p = self._plans[key] = builder()
         return p
 
-    @property
-    def edge_diff_plan(self):
-        """``out[e0] += x; out[e1] -= x`` (flux write-out)."""
-        from ..perf.scatter import edge_difference_plan
-
-        return self.plan(
-            "edge.diff",
-            lambda: edge_difference_plan(
-                self.e0, self.e1, self.n_vertices, name="flux.edge"
-            ),
-        )
-
-    @property
-    def edge_sum_plan(self):
-        """``out[e0] += x; out[e1] += x`` (gradient / wave-speed sums)."""
-        from ..perf.scatter import edge_sum_plan
-
-        return self.plan(
-            "edge.sum",
-            lambda: edge_sum_plan(
-                self.e0, self.e1, self.n_vertices, name="grad.edge"
-            ),
-        )
-
-    def corner_scatter(self, which: str):
+    def corner_scatter(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """Flattened boundary corners of tag ``which``: the per-corner
-        vertex ids, their replicated face normals, and the scatter plan
-        accumulating one value per corner — all three in the serial
+        vertex ids and their replicated face normals, both in the serial
         kernels' column-major corner order (all first corners, then all
         second, then all third)."""
-        key = f"corner.{which}"
-        cached = self._plans.get(key)
-        if cached is None:
-            from ..perf.scatter import scatter_plan
 
+        def build():
             faces, vnormals = {
                 "wall": (self.wall_faces, self.wall_vnormals),
                 "sym": (self.sym_faces, self.sym_vnormals),
                 "far": (self.far_faces, self.far_vnormals),
             }[which]
             verts = np.ascontiguousarray(faces.T.reshape(-1))
-            normals = np.concatenate([vnormals] * 3, axis=0)
-            cached = self._plans[key] = (
-                verts,
-                normals,
-                scatter_plan(
-                    verts, self.n_vertices, name=f"boundary.{which}"
-                ),
-            )
-        return cached
+            return verts, np.concatenate([vnormals] * 3, axis=0)
+
+        return self.plan(f"corner.{which}", build)
 
     @property
     def n_vertices(self) -> int:

@@ -392,11 +392,13 @@ class _ObsSession:
         return self
 
     def flush(self) -> None:
-        """Write every requested export (idempotent; runs on interrupt and
-        crash paths too, so partial data survives an aborted run)."""
+        """Write every requested export (runs on interrupt and crash paths
+        too, so partial data survives an aborted run).  A no-op once it has
+        completed; a flush that is itself interrupted leaves no truncated
+        file (each is renamed into place whole) and the next call writes
+        every file again."""
         if self._flushed:
             return
-        self._flushed = True
         args = self.args
         _write_obs(args, self.tracer, self.metrics)
         if getattr(args, "metrics_prom", None):
@@ -409,6 +411,7 @@ class _ObsSession:
 
             write_otlp_trace(self.tracer, args.trace_otlp)
             print(f"wrote OTLP trace: {args.trace_otlp}")
+        self._flushed = True
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         from .obs.live.recorder import crash_dump
@@ -420,7 +423,12 @@ class _ObsSession:
         ):
             crash_dump(f"unhandled-{exc_type.__name__}")
         try:
-            self.flush()
+            try:
+                self.flush()
+            except KeyboardInterrupt:
+                # a signal landed inside the final flush: finish it, then stop
+                self.flush()
+                raise
         finally:
             if self.server is not None:
                 self.server.stop()
@@ -681,11 +689,6 @@ def _cmd_profile_impl(args, obs) -> int:
     ))
     print()
     print(res.metrics.report())
-    print()
-    from .perf.scatter import plan_report
-
-    print("per-kernel scatter strategy (precompiled plans vs np.add.at):")
-    print(plan_report())
     print()
     _print_recurrence_structure(app, args.ilu)
     print()

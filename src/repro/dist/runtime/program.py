@@ -39,7 +39,7 @@ from ...cfd.jacobian import block_slots, edge_flux_jacobians
 from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import ser_cfl
 from ...kgir.sweeps import CornerSweeps, edge_sweeps, vertex_stage
-from ...perf.scatter import edge_sum_plan, scatter_plan
+from ...perf.scatter import scatter_add
 from ...solver.newton import SolverOptions
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
@@ -174,9 +174,8 @@ class _Workspace:
     rank is one single-threaded process, so they are never shared).
 
     Also owns the rank's kernels: the sweeps over its local edges, writing
-    owned rows only, the closure sweeps over its owned boundary corners,
-    and the scatter plans of the time step (one per static index
-    structure, built on first use).
+    owned rows only, and the closure sweeps over its owned boundary
+    corners.
     """
 
     def __init__(self, data: RankData) -> None:
@@ -200,30 +199,6 @@ class _Workspace:
             for tag in BOUNDARY_TAGS
         }
         self.interior_seconds = 0.0
-        self._data = data
-        self._plans: dict = {}
-
-    def edge_plan(self):
-        """Cached ``+e0 / +e1`` scatter plan of all local edges over local
-        rows (spectral-radius accumulation)."""
-        plan = self._plans.get("sum")
-        if plan is None:
-            d = self._data
-            plan = edge_sum_plan(d.e0, d.e1, d.n_local, name="dist.edge.sum")
-            self._plans["sum"] = plan
-        return plan
-
-    def boundary_plan(self, tag: str):
-        """Cached per-corner scatter plan of one boundary tag."""
-        key = ("bnd", tag)
-        plan = self._plans.get(key)
-        if plan is None:
-            verts, _ = self._data.bcorners[tag]
-            plan = scatter_plan(
-                verts, self._data.n_local, name="dist.boundary"
-            )
-            self._plans[key] = plan
-        return plan
 
 
 def _interior_span(comm: Communicator, ws: _Workspace, t0: float, edges: int):
@@ -351,13 +326,12 @@ def _local_timestep(
     lam_e = edge_spectral_radius(
         q[data.e0], q[data.e1], data.normals, config.beta
     )
-    lam_sum = ws.edge_plan().apply(lam_e)
-    for tag in ("wall", "sym", "far"):
+    idx, lam = [data.e0, data.e1], [lam_e, lam_e]
+    for tag in BOUNDARY_TAGS:
         verts, normals = data.bcorners[tag]
-        if verts.shape[0] == 0:
-            continue
-        lam_b = edge_spectral_radius(q[verts], q[verts], normals, config.beta)
-        ws.boundary_plan(tag).apply(lam_b, out=lam_sum, accumulate=True)
+        idx.append(verts)
+        lam.append(edge_spectral_radius(q[verts], q[verts], normals, config.beta))
+    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), data.n_local)
     lam = np.maximum(lam_sum[: data.n_owned], 1e-30)
     return cfl * data.volumes / lam
 
@@ -383,14 +357,9 @@ class _RankJacobian:
         self._diag_idx = diag
         self._cut_sel0 = np.where(data.cut_e0 < no)[0]
         self._cut_sel1 = np.where(data.cut_e1 < no)[0]
-        nnzb = self.cols.shape[0]
-        self._cut_plan0 = scatter_plan(
-            diag[data.cut_e0[self._cut_sel0]], nnzb, name="jacobian.cut"
-        )
-        self._cut_plan1 = scatter_plan(
-            diag[data.cut_e1[self._cut_sel1]], nnzb, sign=-1.0,
-            name="jacobian.cut",
-        )
+        #: the diagonal slot of each cut edge's owned endpoint
+        self._cut_slots0 = diag[data.cut_e0[self._cut_sel0]]
+        self._cut_slots1 = diag[data.cut_e1[self._cut_sel1]]
         self._corner_slots = {
             tag: diag[data.bcorners[tag][0]] for tag in BOUNDARY_TAGS
         }
@@ -421,9 +390,8 @@ class _RankJacobian:
                 q[data.cut_e0], q[data.cut_e1],
                 data.normals[data.n_interior :], beta,
             )
-            s0, s1 = self._cut_sel0, self._cut_sel1
-            self._cut_plan0.apply(dFdqi[s0], out=vals, accumulate=True)
-            self._cut_plan1.apply(dFdqj[s1], out=vals, accumulate=True)
+            np.add.at(vals, self._cut_slots0, dFdqi[self._cut_sel0])
+            np.subtract.at(vals, self._cut_slots1, dFdqj[self._cut_sel1])
 
         q_inf = freestream_state(config)
         for tag, corners in ws.corners.items():

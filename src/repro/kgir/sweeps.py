@@ -445,7 +445,7 @@ def field_corners(field, tag: str) -> CornerSweeps:
     return field.plan(
         f"kgir.corners.{tag}",
         lambda: CornerSweeps(
-            field.n_vertices, *field.corner_scatter(tag)[:2], far=tag == "far"
+            field.n_vertices, *field.corner_scatter(tag), far=tag == "far"
         ),
     )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf.scatter import ScatterTerm, build_scatter_plan
+from ..perf.scatter import scatter_add
 from .core import UnstructuredMesh, tet_volumes
 
 __all__ = ["MeshReport", "validate_mesh", "closure_residual"]
@@ -50,18 +50,13 @@ def closure_residual(mesh: UnstructuredMesh) -> np.ndarray:
     the face areas.
     """
     m = mesh.metrics
-    ne = mesh.n_edges
-    terms = [
-        ScatterTerm(mesh.edges[:, 0], 0, 1.0),
-        ScatterTerm(mesh.edges[:, 1], 0, -1.0),
-    ]
-    values = [m.edge_normals]
+    idx = [mesh.edges[:, 0], mesh.edges[:, 1]]
+    values = [m.edge_normals, -m.edge_normals]
     if mesh.n_bfaces:
         for c in range(3):
-            terms.append(ScatterTerm(mesh.bfaces[:, c], ne + c * mesh.n_bfaces))
+            idx.append(mesh.bfaces[:, c])
             values.append(m.bvertex_normals)
-    plan = build_scatter_plan(terms, mesh.n_vertices, name="mesh.closure")
-    return plan.apply(np.concatenate(values))
+    return scatter_add(np.concatenate(idx), np.concatenate(values), mesh.n_vertices)
 
 
 def validate_mesh(mesh: UnstructuredMesh, tol: float = 1e-9) -> MeshReport:

@@ -559,7 +559,7 @@ static inline void half_jacobian(const double *q, const double *s,
 
 /* Jacobian sweep: per edge the blocks dF/dq_i, dF/dq_j of its frozen-lam
  * Rusanov flux, added into vals at the edge's four slots — the four
- * statements of repro.perf.scatter.jacobian_edge_plan:
+ * reference np.add.at / np.subtract.at statements of NumpySweeps.jacobian:
  *     vals[slot_d0] += dFdqi;  vals[slot_ij] += dFdqj    (row e0)
  *     vals[slot_d1] -= dFdqj;  vals[slot_ji] -= dFdqi    (row e1)
  * A row's slots are written where its end of the edge is a written end.

@@ -6,24 +6,48 @@ Chrome traces load directly in ``chrome://tracing`` or https://ui.perfetto.dev
 machine-readable archive format: one self-contained JSON object per line
 (spans flattened with id/parent links, then events, then metric snapshots),
 and :func:`read_jsonl` reconstructs the span forest so round-tripping a
-trace is lossless.
+trace is lossless.  Every file export goes through :func:`atomic_open`, so
+an interrupted write never leaves a truncated file behind.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+import os
+from contextlib import contextmanager, suppress
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .metrics import MetricsRegistry
 from .span import NullTracer, Span, TraceEvent, Tracer
 
 __all__ = [
+    "atomic_open",
     "chrome_trace",
     "write_chrome_trace",
     "jsonl_records",
     "write_jsonl",
     "read_jsonl",
 ]
+
+
+@contextmanager
+def atomic_open(path: str) -> Iterator[TextIO]:
+    """A text file that appears at ``path`` only once it is complete.
+
+    Writes go to a temporary file beside ``path``, renamed over it with
+    ``os.replace`` when the block finishes; on any exception (an interrupt
+    included) the temporary file is removed and ``path`` keeps whatever it
+    held before.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _clean(value: Any) -> Any:
@@ -98,7 +122,7 @@ def chrome_trace(
 
 
 def write_chrome_trace(tracer: Tracer | NullTracer, path: str, **kw: Any) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(chrome_trace(tracer, **kw), f, indent=1)
 
 
@@ -153,7 +177,7 @@ def write_jsonl(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for rec in jsonl_records(tracer, metrics):
             f.write(json.dumps(rec) + "\n")
 

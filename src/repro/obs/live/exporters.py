@@ -22,7 +22,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-from ..export import _clean
+from ..export import _clean, atomic_open
 
 __all__ = [
     "prometheus_text",
@@ -134,7 +134,7 @@ def prometheus_text(metrics=None, planes=None) -> str:
 
 def write_prometheus(path: str, metrics=None, planes=None) -> None:
     """One-shot ``.prom`` export (``--metrics-prom``)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(prometheus_text(metrics, planes))
 
 
@@ -270,5 +270,5 @@ def _otlp_value(v) -> dict:
 
 
 def write_otlp_trace(tracer, path: str, service_name: str = "repro") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(otlp_trace(tracer, service_name), fh, indent=2)

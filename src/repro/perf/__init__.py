@@ -1,21 +1,9 @@
-"""Performance instrumentation: kernel timers, profiles, report tables."""
+"""Performance instrumentation: kernel timers, profiles, report tables,
+and ``scatter_add``, the one write-out helper."""
 
 from .profile import KernelRecord, PerfRegistry, get_registry, use_registry
 from .report import format_profile, format_series, format_table
-from .scatter import (
-    ScatterPlan,
-    ScatterTerm,
-    build_scatter_plan,
-    default_engine,
-    edge_difference_plan,
-    edge_sum_plan,
-    jacobian_edge_plan,
-    plan_report,
-    reset_scatter_stats,
-    scatter_add,
-    scatter_plan,
-    scatter_stats,
-)
+from .scatter import scatter_add
 from .stream import measure_stream_triad
 
 __all__ = [
@@ -27,16 +15,5 @@ __all__ = [
     "format_series",
     "measure_stream_triad",
     "format_table",
-    "ScatterPlan",
-    "ScatterTerm",
-    "build_scatter_plan",
-    "scatter_plan",
-    "edge_difference_plan",
-    "edge_sum_plan",
-    "jacobian_edge_plan",
     "scatter_add",
-    "scatter_stats",
-    "plan_report",
-    "reset_scatter_stats",
-    "default_engine",
 ]

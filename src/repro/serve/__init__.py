@@ -1,6 +1,6 @@
 """``repro serve``: a warm-fleet solver daemon over a local Unix socket.
 
-The expensive half of every solve — mesh build, gather–scatter plans,
+The expensive half of every solve — mesh build, field metrics, the
 Jacobian pattern, Schwarz/ILU symbolics, forked worker fleets, multilevel
 partitions — depends only on the mesh *family*, not on the case being
 solved.  This package keeps those artifacts resident in one long-lived

@@ -1,8 +1,8 @@
 """Warm per-family cache: the daemon's reason to exist.
 
 Every expensive artifact the stack builds is keyed by mesh *structure*, not
-by case state: the mesh itself, the :class:`FlowField`'s precompiled
-gather–scatter plans, the BCSR Jacobian pattern, the Schwarz split with its
+by case state: the mesh itself, the :class:`FlowField`'s metrics and edge
+sweeps, the BCSR Jacobian pattern, the Schwarz split with its
 ILU symbolic plans, the forked edge worker fleet, and (for distributed
 families) the multilevel partition + domain decomposition.  A
 :class:`WarmFamily` bundles all of that behind one

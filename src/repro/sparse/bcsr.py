@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..perf.scatter import scatter_add
+
 __all__ = ["BCSRMatrix", "bcsr_pattern_from_edges"]
 
 
@@ -56,7 +58,8 @@ class BCSRMatrix:
     cols: np.ndarray
     vals: np.ndarray
     _diag_idx: np.ndarray | None = field(default=None, repr=False)
-    _mv_plan: object | None = field(default=None, repr=False)
+    #: row of each block (SpMV write-out index; pattern-static, lazy)
+    _block_rows: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -130,25 +133,19 @@ class BCSRMatrix:
         """Block SpMV: ``y = A @ x`` with ``x`` of shape ``(n_brows, b)`` or
         flat ``(n_brows * b,)``; output matches the input's shape.
 
-        The per-entry row scatter runs through a precompiled
-        :class:`~repro.perf.scatter.ScatterPlan` cached on the matrix
-        (pattern-static), bitwise-identical to the ``np.add.at``
+        The per-block products are summed into their rows by
+        :func:`~repro.perf.scatter.scatter_add`, bitwise the ``np.add.at``
         reference.
         """
         flat = x.ndim == 1
         xb = x.reshape(self.n_brows, self.b)
-        if self._mv_plan is None:
-            from ..perf.scatter import scatter_plan
-
-            src = np.repeat(
+        if self._block_rows is None:
+            self._block_rows = np.repeat(
                 np.arange(self.n_brows, dtype=np.int64),
                 np.diff(self.rowptr),
             )
-            self._mv_plan = scatter_plan(
-                src, self.n_brows, name="bcsr.matvec"
-            )
         contrib = np.einsum("nij,nj->ni", self.vals, xb[self.cols])
-        y = self._mv_plan.apply(contrib)
+        y = scatter_add(self._block_rows, contrib, self.n_brows)
         return y.reshape(-1) if flat else y
 
     def to_scipy(self):

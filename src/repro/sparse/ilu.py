@@ -67,17 +67,6 @@ class _LevelPairs:
     pair_blk: np.ndarray  # block value index
     pair_col: np.ndarray  # column (the already-solved unknown)
     pair_slot: np.ndarray  # position of pair_row within rows (local slot)
-    _scatter: object = field(default=None, repr=False)
-
-    def scatter(self):
-        """Precompiled ``acc[pair_slot] += contrib`` plan (lazy, cached)."""
-        if self._scatter is None:
-            from ..perf.scatter import scatter_plan
-
-            self._scatter = scatter_plan(
-                self.pair_slot, self.rows.shape[0], name="trsv.level"
-            )
-        return self._scatter
 
 
 @dataclass
@@ -158,12 +147,6 @@ class ILUPlan:
         return [
             _level_pairs(self, rows, lo, hi) for rows in self.schedule_back.levels
         ]
-
-    def max_level_rows(self) -> int:
-        """Widest wavefront across both sweeps (sizes solve scratch)."""
-        return max(
-            self.schedule.max_level_width, self.schedule_back.max_level_width, 1
-        )
 
     # work accounting used by the machine model
     def factor_block_ops(self) -> int:

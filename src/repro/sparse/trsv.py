@@ -27,6 +27,7 @@ import numpy as np
 
 from .. import native
 from ..obs.metrics import get_metrics
+from ..perf.scatter import scatter_add
 from .ilu import ILUFactor, ILUPlan
 
 __all__ = [
@@ -41,19 +42,14 @@ __all__ = [
 class TrsvWorkspace:
     """Reusable scratch for the level-scheduled solve.
 
-    The solve runs every Krylov iteration; without this it allocated two
-    ``(n, b)`` vectors plus an ``(n, b)`` accumulator per wavefront.  A
-    workspace pins those once and the per-level accumulator shrinks to the
-    widest wavefront.  Never holds the *result* — callers own that (Krylov
-    methods keep each preconditioned vector in the flexible basis).  The
-    compiled sweep works in place in the output and ignores it.
+    The solve runs every Krylov iteration; a workspace pins its two
+    ``(n, b)`` vectors once.  Never holds the *result* — callers own that
+    (Krylov methods keep each preconditioned vector in the flexible basis).
+    The compiled sweep works in place in the output and ignores it.
     """
 
     y: np.ndarray  # (n, b) forward-substitution result
     x: np.ndarray  # (n, b) backward-substitution result
-    #: (max level width, b) per-level accumulator; allocated by the first
-    #: level-scheduled solve, because sizing it walks both level schedules
-    acc: np.ndarray | None = None
 
     @classmethod
     def for_plan(cls, plan: ILUPlan) -> "TrsvWorkspace":
@@ -61,12 +57,6 @@ class TrsvWorkspace:
 
     def fits(self, plan: ILUPlan) -> bool:
         return self.y.shape == (plan.n, plan.b)
-
-    def acc_for(self, plan: ILUPlan) -> np.ndarray:
-        width = plan.max_level_rows()
-        if self.acc is None or self.acc.shape[0] < width:
-            self.acc = np.zeros((width, plan.b))
-        return self.acc
 
 
 def _native_ready(a: np.ndarray, size: int) -> bool:
@@ -133,17 +123,16 @@ def trsv_solve_levels(
     vals, diag_inv = factor.vals, factor.diag_inv
     if work is None or not work.fits(plan):
         work = TrsvWorkspace.for_plan(plan)
-    y, x, level_acc = work.y, work.x, work.acc_for(plan)
+    y, x = work.y, work.x
 
-    # forward: y_i = b_i - sum_k L_ik y_k (pair-slot accumulation runs
-    # through each level's precompiled scatter plan, bitwise-identical to
-    # the np.add.at reference)
+    # forward: y_i = b_i - sum_k L_ik y_k (pair-slot accumulation is one
+    # scatter_add per level, bitwise the np.add.at reference)
     for lp in plan.fwd_pairs:
         if lp.pair_blk.shape[0]:
             contrib = np.einsum(
                 "nij,nj->ni", vals[lp.pair_blk], y[lp.pair_col]
             )
-            acc = lp.scatter().apply(contrib, out=level_acc[: lp.rows.shape[0]])
+            acc = scatter_add(lp.pair_slot, contrib, lp.rows.shape[0])
             y[lp.rows] = b[lp.rows] - acc
         else:
             y[lp.rows] = b[lp.rows]
@@ -155,7 +144,7 @@ def trsv_solve_levels(
             contrib = np.einsum(
                 "nij,nj->ni", vals[lp.pair_blk], x[lp.pair_col]
             )
-            acc = lp.scatter().apply(contrib, out=level_acc[: rows.shape[0]])
+            acc = scatter_add(lp.pair_slot, contrib, rows.shape[0])
             x[rows] = np.einsum(
                 "nij,nj->ni", diag_inv[rows], y[rows] - acc
             )

@@ -334,3 +334,70 @@ class TestInterruptFlush:
         doc = json.loads(otlp.read_text())
         spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
         assert any(s["name"] == "solve" for s in spans)
+
+    EXPORTS = ("trace.json", "log.jsonl", "snap.prom", "otlp.json")
+
+    def _session(self, tmp_path, monkeypatch):
+        """An ``_ObsSession`` (never entered: no handlers, no threads) with
+        one span and one counter to export, whose OTLP writer is
+        interrupted inside its temporary file on the first call."""
+        import argparse
+
+        import repro.obs.live.exporters as exporters
+        from repro.cli import _ObsSession
+
+        trace, log, prom, otlp = (str(tmp_path / n) for n in self.EXPORTS)
+        session = _ObsSession(argparse.Namespace(
+            trace_out=trace, metrics_out=log, metrics_prom=prom, trace_otlp=otlp,
+        ))
+        with session.tracer.span("solve"):
+            session.metrics.counter("residual.evals").inc()
+        real, calls = exporters.otlp_trace, []
+
+        def interrupted_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise KeyboardInterrupt  # a SIGTERM landing mid-write
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exporters, "otlp_trace", interrupted_once)
+        return session
+
+    def _assert_exports_whole(self, tmp_path):
+        from repro.obs import read_jsonl
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.EXPORTS)
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert [e["name"] for e in trace["traceEvents"]] == ["solve"]
+        roots, _, rows = read_jsonl(str(tmp_path / "log.jsonl"))
+        assert [r.name for r in roots] == ["solve"] and rows
+        for line in (tmp_path / "snap.prom").read_text().splitlines():
+            if not line.startswith("#"):
+                float(line.rsplit(" ", 1)[1])
+        doc = json.loads((tmp_path / "otlp.json").read_text())
+        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
+        assert [s["name"] for s in spans] == ["solve"]
+
+    def test_interrupted_flush_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        """Regression: the flush used to mark itself done before writing, so
+        an interrupt inside it left a truncated file that no later flush
+        rewrote."""
+        session = self._session(tmp_path, monkeypatch)
+        (tmp_path / "otlp.json").write_text('{"previous": "export"}')
+        with pytest.raises(KeyboardInterrupt):
+            session.flush()
+        # the interrupted file kept its old contents; no temporary remains
+        assert json.loads((tmp_path / "otlp.json").read_text()) == {
+            "previous": "export"
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.EXPORTS)
+        session.flush()
+        self._assert_exports_whole(tmp_path)
+
+    def test_exit_finishes_a_flush_the_signal_interrupted(
+        self, tmp_path, monkeypatch
+    ):
+        session = self._session(tmp_path, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):  # still stops the command
+            session.__exit__(None, None, None)
+        self._assert_exports_whole(tmp_path)

@@ -33,7 +33,6 @@ from repro.kgir import sweeps
 from repro.mesh import mesh_c_prime
 from repro.obs import MetricsRegistry, use_metrics
 from repro.partition import partition_graph
-from repro.perf.scatter import jacobian_edge_plan
 from repro.solver import SolverOptions, solve_steady
 from repro.sparse import fill
 
@@ -84,19 +83,22 @@ def test_compiled_assemble_equals_numpy_twin_bitwise(kind, ordering, seed, aoa):
     seed=st.integers(0, 50),
 )
 def test_assemble_equals_the_reference_statements(kind, ordering, seed):
-    """``ScatterPlan.apply_reference`` replays the four edge statements; the
-    corner blocks follow as one ``np.add.at`` per tag."""
+    """The four edge statements, then one ``np.add.at`` of corner blocks
+    per tag."""
     f, _ = _fields(kind, ordering)
     cfg = FlowConfig(aoa_deg=3.0)
     q = _state(f, cfg, seed)
     assembler = JacobianAssembler(f)
     vals = assembler.assemble(q, cfg).vals
-    replay = jacobian_edge_plan(*assembler._slots, vals.shape[0]).apply_reference(
-        np.concatenate(edge_flux_jacobians(q[f.e0], q[f.e1], f.enormals, cfg.beta)),
-        np.zeros_like(vals),
-    )
+    dFdqi, dFdqj = edge_flux_jacobians(q[f.e0], q[f.e1], f.enormals, cfg.beta)
+    diag0, ij, diag1, ji = assembler._slots
+    replay = np.zeros_like(vals)
+    np.add.at(replay, diag0, dFdqi)
+    np.add.at(replay, ij, dFdqj)
+    np.subtract.at(replay, diag1, dFdqj)
+    np.subtract.at(replay, ji, dFdqi)
     for tag in BOUNDARY_TAGS:
-        verts, normals, _ = f.corner_scatter(tag)
+        verts, normals = f.corner_scatter(tag)
         if tag == "far":
             q_inf = np.broadcast_to(freestream_state(cfg), (verts.shape[0], 4))
             blk, _ = edge_flux_jacobians(q[verts], q_inf, normals, cfg.beta)
@@ -117,7 +119,7 @@ def test_closures_equal_the_reference_statements(scheme):
     res0 = np.random.default_rng(6).normal(size=q.shape)
     want = res0.copy()
     for tag in BOUNDARY_TAGS:
-        verts, normals, _ = f.corner_scatter(tag)
+        verts, normals = f.corner_scatter(tag)
         if tag == "far":
             q_inf = np.broadcast_to(freestream_state(cfg), (verts.shape[0], 4))
             flux = numerical_edge_flux(q[verts], q_inf, normals, cfg.beta, scheme)

@@ -1,146 +1,62 @@
-"""Property tests for the precompiled gather-scatter plans.
+"""Property tests for ``scatter_add``, the one write-out helper.
 
-The contract under test: for every engine, every block shape, duplicate and
-absent targets, and both from-zero and accumulate-into applications, a
-:class:`~repro.perf.scatter.ScatterPlan` is **bitwise identical** to
-replaying the reference ``np.add.at`` / ``np.subtract.at`` statement
-sequence.
+The contract under test: for duplicate and absent targets, empty index
+lists, every block shape the kernels scatter, and any sequence of add and
+subtract statements that starts from zero, one ``scatter_add`` over the
+concatenated terms (subtract terms negated) is **bitwise identical** to the
+literal ``np.add.at`` / ``np.subtract.at`` statement sequence.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FlowField, mesh_c_prime
 from repro.mesh.generator import delaunay_cloud_mesh
-from repro.perf.scatter import (
-    ENGINES,
-    ScatterTerm,
-    build_scatter_plan,
-    default_engine,
-    edge_difference_plan,
-    edge_sum_plan,
-    jacobian_edge_plan,
-    scatter_add,
-    scatter_plan,
-    scatter_stats,
-)
+from repro.perf.scatter import scatter_add
 
-BLOCKS = [(), (3,), (2, 2)]
+BLOCKS = [(), (4,), (4, 3), (4, 4)]
 
 
-def reference(terms, n_targets, x, base=None):
-    """Literal np.add.at / np.subtract.at statement replay."""
-    out = (
-        np.zeros((n_targets, *x.shape[1:]))
-        if base is None
-        else base.copy()
-    )
-    for t in terms:
-        rows = x[t.src_start : t.src_start + t.targets.shape[0]]
-        if t.sign > 0:
-            np.add.at(out, t.targets, rows)
-        else:
-            np.subtract.at(out, t.targets, rows)
-    return out
-
-
-def random_terms(rng, n_targets, n_sources):
-    terms = []
-    start = 0
-    for _ in range(int(rng.integers(1, 4))):
-        m = int(rng.integers(0, n_sources - start + 1)) if n_sources > start else 0
-        terms.append(
-            ScatterTerm(
-                rng.integers(0, n_targets, size=m),
-                start,
-                float(rng.choice([1.0, -1.0])),
-            )
+@st.composite
+def statement_sequences(draw):
+    """``(n_targets, block, [(indices, negated), ...], seed)``: a few
+    statements over a small target range (so duplicates are common),
+    empty index lists included."""
+    n_targets = draw(st.integers(1, 12))
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, n_targets - 1), max_size=30),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
         )
-        start += m
-    return terms
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    blk=st.sampled_from(BLOCKS),
-    engine=st.sampled_from(ENGINES),
-)
-def test_plan_bitwise_matches_reference(seed, blk, engine):
-    """Random multi-term plans reproduce the add.at replay bit-for-bit."""
-    rng = np.random.default_rng(seed)
-    n_targets = int(rng.integers(1, 40))
-    n_sources = int(rng.integers(0, 120))
-    terms = random_terms(rng, n_targets, n_sources)
-    plan = build_scatter_plan(
-        terms, n_targets, n_sources=n_sources, engine=engine
     )
-    x = rng.standard_normal((n_sources, *blk))
-    want = reference(terms, n_targets, x)
-
-    # fresh output
-    assert np.array_equal(plan.apply(x), want)
-    # supplied zeroed buffer
-    out = plan.out_like(x)
-    out.fill(7.0)  # apply() must reset it
-    assert np.array_equal(plan.apply(x, out=out), want)
-    # accumulate onto nonzero contents
-    base = rng.standard_normal((n_targets, *blk))
-    got = plan.apply(x, out=base.copy(), accumulate=True)
-    assert np.array_equal(got, reference(terms, n_targets, x, base=base))
+    block = draw(st.sampled_from(BLOCKS))
+    return n_targets, block, terms, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(30, 120),
-    seed=st.integers(0, 50),
-    engine=st.sampled_from(ENGINES),
-)
-def test_edge_plans_on_random_meshes(n, seed, engine):
-    """Edge difference/sum plans on real mesh edge structures."""
-    m = delaunay_cloud_mesh(n, seed=seed)
-    e0, e1 = m.edges[:, 0], m.edges[:, 1]
+@settings(max_examples=80, deadline=None)
+@given(case=statement_sequences())
+def test_scatter_add_matches_reference_statements(case):
+    n_targets, block, terms, seed = case
     rng = np.random.default_rng(seed)
-    flux = rng.standard_normal((m.n_edges, 4))
+    idx = [np.array(t, dtype=np.int64) for t, _ in terms]
+    vals = [rng.standard_normal((i.shape[0], *block)) for i in idx]
 
-    want = np.zeros((m.n_vertices, 4))
-    np.add.at(want, e0, flux)
-    np.subtract.at(want, e1, flux)
-    diff = edge_difference_plan(e0, e1, m.n_vertices, engine=engine)
-    assert np.array_equal(diff.apply(flux), want)
+    want = np.zeros((n_targets, *block))
+    for i, v, (_, negated) in zip(idx, vals, terms):
+        (np.subtract if negated else np.add).at(want, i, v)
+    signed = [-v if negated else v for v, (_, negated) in zip(vals, terms)]
+    got = scatter_add(np.concatenate(idx), np.concatenate(signed), n_targets)
 
-    want = np.zeros((m.n_vertices, 4))
-    np.add.at(want, e0, flux)
-    np.add.at(want, e1, flux)
-    ssum = edge_sum_plan(e0, e1, m.n_vertices, engine=engine)
-    assert np.array_equal(ssum.apply(flux), want)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 500), engine=st.sampled_from(ENGINES))
-def test_jacobian_edge_plan_matches_four_statements(seed, engine):
-    """The 4-term Jacobian plan equals the four assembly statements."""
-    rng = np.random.default_rng(seed)
-    nnzb = int(rng.integers(4, 60))
-    ne = int(rng.integers(0, 40))
-    d0 = rng.integers(0, nnzb, size=ne)
-    ij = rng.integers(0, nnzb, size=ne)
-    d1 = rng.integers(0, nnzb, size=ne)
-    ji = rng.integers(0, nnzb, size=ne)
-    dFdqi = rng.standard_normal((ne, 4, 4))
-    dFdqj = rng.standard_normal((ne, 4, 4))
-
-    want = rng.standard_normal((nnzb, 4, 4))
-    got = want.copy()
-    np.add.at(want, d0, dFdqi)
-    np.add.at(want, ij, dFdqj)
-    np.subtract.at(want, d1, dFdqj)
-    np.subtract.at(want, ji, dFdqi)
-
-    plan = jacobian_edge_plan(d0, ij, d1, ji, nnzb, engine=engine)
-    plan.apply(np.concatenate([dFdqi, dFdqj]), out=got, accumulate=True)
+    assert got.shape == (n_targets, *block)
     assert np.array_equal(got, want)
+    # targets no statement touches stay exactly 0.0
+    untouched = np.setdiff1d(np.arange(n_targets), np.concatenate(idx))
+    assert np.all(got[untouched] == 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,45 +72,51 @@ def test_scatter_add_one_shot(seed, blk):
     assert np.array_equal(scatter_add(idx, v, n_targets), want)
 
 
-def test_empty_plan_and_empty_segments():
-    plan = build_scatter_plan(
-        [ScatterTerm(np.zeros(0, dtype=np.int64))], 5, n_sources=0
-    )
-    out = plan.apply(np.zeros((0, 3)))
-    assert out.shape == (5, 3)
-    assert np.all(out == 0.0)
-    # targets that receive nothing stay exactly 0.0 alongside hot ones
-    idx = np.array([2, 2, 2, 0])
-    plan = scatter_plan(idx, 6)
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    got = plan.apply(x)
-    assert np.array_equal(got, reference([ScatterTerm(idx)], 6, x))
-    assert got[1] == 0.0 and got[5] == 0.0
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(30, 120), seed=st.integers(0, 50))
+def test_edge_write_outs_on_random_meshes(n, seed):
+    """Edge difference (flux) and edge sum (gradient) on real edge sets."""
+    m = delaunay_cloud_mesh(n, seed=seed)
+    e0, e1 = m.edges[:, 0], m.edges[:, 1]
+    ends = np.concatenate([e0, e1])
+    flux = np.random.default_rng(seed).standard_normal((m.n_edges, 4))
+
+    want = np.zeros((m.n_vertices, 4))
+    np.add.at(want, e0, flux)
+    np.subtract.at(want, e1, flux)
+    got = scatter_add(ends, np.concatenate([flux, -flux]), m.n_vertices)
+    assert np.array_equal(got, want)
+
+    want = np.zeros((m.n_vertices, 4))
+    np.add.at(want, e0, flux)
+    np.add.at(want, e1, flux)
+    got = scatter_add(ends, np.concatenate([flux, flux]), m.n_vertices)
+    assert np.array_equal(got, want)
 
 
-def test_non_float64_falls_back_to_reference():
+def test_field_edge_sum_is_the_two_statements():
+    field = FlowField(mesh_c_prime(scale=0.02, seed=7))
+    x = np.random.default_rng(3).standard_normal((field.n_edges, 4, 3))
+    want = np.zeros((field.n_vertices, 4, 3))
+    np.add.at(want, field.e0, x)
+    np.add.at(want, field.e1, x)
+    assert np.array_equal(field.edge_sum(x), want)
+
+
+def test_non_float64_falls_back_to_reference(monkeypatch):
+    """A float32 or integer input takes the literal ``np.add.at`` path."""
+
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("non-float64 input reached np.bincount")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
     idx = np.array([0, 1, 0, 2])
-    plan = scatter_plan(idx, 3)
-    x32 = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
-    want = np.zeros(3, dtype=np.float64)
-    np.add.at(want, idx, x32)
-    assert np.array_equal(plan.apply(x32), want)
-
-
-def test_sign_validation():
-    with pytest.raises(ValueError):
-        ScatterTerm(np.array([0]), 0, 0.5)
-    with pytest.raises(ValueError):
-        build_scatter_plan([ScatterTerm(np.array([7]))], 3)  # out of range
-    with pytest.raises(ValueError):
-        build_scatter_plan([], 3, engine="nope")
-
-
-def test_stats_accounting():
-    name = "test.stats.plan"
-    plan = scatter_plan(np.array([0, 1]), 2, name=name)
-    plan.apply(np.ones(2))
-    s = scatter_stats()[name]
-    assert s["engine"] == default_engine()
-    assert s["builds"] >= 1 and s["applies"] >= 1
-    assert s["entries"] == 2 and s["targets"] == 2
+    for x in (
+        np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32),
+        np.array([[1, 2], [3, 4], [5, 6], [7, 8]]),
+    ):
+        want = np.zeros((3, *x.shape[1:]), dtype=np.float64)
+        np.add.at(want, idx, x)
+        got = scatter_add(idx, x, 3)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
