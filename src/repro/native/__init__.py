@@ -11,7 +11,10 @@ into the working directory.
 
 The flags pin the arithmetic: no ``-march=native``, no ``-ffast-math`` and
 ``-ffp-contract=off`` (no fused multiply-add), so every host runs the same
-IEEE multiply/add sequence and forked ranks agree bit for bit.
+IEEE multiply/add sequence and forked ranks agree bit for bit.  ``-O3``
+vectorizes without reordering any floating-point sum (that would need
+``-fassociative-math``), so the object computes what ``-O0`` computes, up
+to which of two NaN operands a NaN result carries.
 
 Where no compiler, no writable cache or no loadable object exists,
 :func:`load_kernels` warns once and returns ``None``; the callers
@@ -42,7 +45,7 @@ __all__ = ["is_native", "load_kernels", "native_kernels_available"]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _COMPILERS = ("cc", "gcc", "clang")
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120.0
 
 
@@ -75,9 +78,10 @@ def _usable_dir(path: Path) -> bool:
     return mine and not shared and os.access(path, os.W_OK | os.X_OK)
 
 
-def _build(target: Path) -> None:
-    """Compile ``_kernels.c`` to ``target`` through an atomic rename, so
-    processes racing on a cold cache each install a complete file."""
+def _build(target: Path, flags: tuple[str, ...] = _FLAGS) -> None:
+    """Compile ``_kernels.c`` with ``flags`` to ``target`` through an atomic
+    rename, so processes racing on a cold cache each install a complete
+    file."""
     compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if compiler is None:
         raise OSError("no C compiler found (tried " + ", ".join(_COMPILERS) + ")")
@@ -85,7 +89,7 @@ def _build(target: Path) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [compiler, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            [compiler, *flags, "-o", tmp, str(_SOURCE)],
             capture_output=True,
             text=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -111,8 +115,11 @@ def _load() -> ctypes.CDLL:
     target = cache / name
     if not target.exists():
         _build(target)
-    lib = ctypes.CDLL(str(target))  # OSError on a truncated/corrupt object
+    return _bind(ctypes.CDLL(str(target)))  # OSError on a truncated/corrupt object
 
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the argument and result types of every entry of ``lib``."""
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.ilu4.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.ilu4.restype = i64

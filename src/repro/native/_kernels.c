@@ -12,10 +12,14 @@
  *                  closures of both (corner loops), end of this file.
  *
  * Built by repro/native/__init__.py with
- *     cc -O2 -ffp-contract=off -shared -fPIC
+ *     cc -O3 -ffp-contract=off -shared -fPIC
  * No -march=native, no -ffast-math and no fused multiply-add: every host
  * executes the same sequence of IEEE double multiplies and adds, so a
  * solve repeats bit for bit across machines and across forked ranks.
+ * -O3 lets gcc vectorize loops (the 4x4 block products of ilu4), and
+ * without -fassociative-math it never reorders a floating-point sum to do
+ * so: any optimisation level computes the same bits, except which of two
+ * NaN operands a NaN result carries (tests/test_native_builds.py).
  *
  * BCSR layout (see repro/sparse/ilu.py): row i owns blocks rowptr[i] ..
  * rowptr[i+1]-1 with ascending block columns cols[]; diag_idx[i] is the
@@ -23,6 +27,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define B 4
 #define BB 16
@@ -262,9 +267,11 @@ static inline int writes(const uint8_t *mask, int64_t e)
     return mask == 0 || mask[e];
 }
 
-/* np.minimum / np.maximum: NaN in either operand propagates.  Written so
- * the comparison compiles to minsd / maxsd (b when either operand is NaN)
- * rather than a data-dependent branch. */
+/* np.minimum / np.maximum: NaN in either operand propagates.  No branch:
+ * gcc compiles m to minsd / maxsd (b when either operand is NaN) and the
+ * NaN test on a to ucomisd + cmovnp, or packs the four variables of a
+ * vertex into minpd + a cmpneqpd mask select where it vectorizes the
+ * fold. */
 static inline double min_nan(double a, double b)
 {
     const double m = a < b ? a : b;
@@ -339,26 +346,59 @@ void vertex_stage(int64_t n, const double *lsq_inv, const double *rhs,
     }
 }
 
-/* Venkatakrishnan limiter value for reconstructed jump d2 against the
- * allowed jumps; np.where / np.clip semantics, NaN included.  Branch-free:
- * the quotient is formed unconditionally (and discarded where |d2| is
- * tiny), so the compiler can run the four variables of a vertex side by
- * side. */
-static inline double venkat(double d2, double dmax, double dmin, double e2)
+/* Two variables of a vertex as the lanes of one vector: a GCC / Clang
+ * generic vector as wide as an SSE2 or NEON register, so it lowers to
+ * packed instructions with no -march (four lanes would not: gcc 12 splits
+ * their comparisons into scalar ones on SSE2).  A lane operation is the
+ * scalar IEEE operation, so vector code keeps the bits of scalar code
+ * written in the same order.  mask2 is what a lane comparison yields: all
+ * ones where it holds, zero where it does not (always, against a NaN). */
+typedef double v2d __attribute__((vector_size(2 * sizeof(double))));
+typedef __typeof__((v2d){0} > (v2d){0}) mask2;
+
+static inline v2d splat2(double x)
 {
-    const double d1 = d2 > 0.0 ? dmax : dmin;
-    const double num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1;
-    const double den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2);
-    const double ratio = num / den;
-    const double val = fabs(d2) > 1e-14 ? ratio : 1.0;
-    const double pos = (val > 0.0 || val != val) ? val : 0.0;
-    return (pos < 1.0 || pos != pos) ? pos : 1.0;
+    return (v2d){x, x};
+}
+
+static inline v2d load2(const double *p)
+{
+    v2d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* mask ? a : b per lane, by bits: exact for NaN and signed zeros. */
+static inline v2d select2(mask2 mask, v2d a, v2d b)
+{
+    return (v2d)((mask & (mask2)a) | (~mask & (mask2)b));
+}
+
+/* Venkatakrishnan limiter values, one variable per lane: reconstructed
+ * jumps d2 against the allowed jumps dmax / dmin with threshold e2;
+ * np.where / np.clip semantics, NaN and signed zeros included.
+ * Branch-free: the quotient is formed in every lane (and discarded where
+ * |d2| is tiny) and each choice is a select on a comparison mask.  Like
+ * np.clip, a clip replaces only values strictly beyond its bound, so a
+ * quotient that underflows to -0.0 stays -0.0, and a NaN, which fails
+ * every comparison, survives both. */
+static inline v2d venkat(v2d d2, v2d dmax, v2d dmin, double e2)
+{
+    const v2d d1 = select2(d2 > splat2(0.0), dmax, dmin);
+    const v2d num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1;
+    const v2d den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2);
+    const mask2 big = (d2 > splat2(1e-14)) | (d2 < splat2(-1e-14));
+    const v2d val = select2(big, num / den, splat2(1.0));
+    const v2d pos = select2(val < splat2(0.0), splat2(0.0), val);
+    return select2(pos > splat2(1.0), splat2(1.0), pos);
 }
 
 /* Limiter sweep: the Venkat value of every written edge end, min-folded
  * into phi.  disp is d0 at e0 and d1 at e1 (midpoint minus that end);
  * dmax / dmin / eps2 are read only at written ends, so a rank's rows
- * beyond its owned vertices are never looked at. */
+ * beyond its owned vertices are never looked at.  The four variables run
+ * as two vectors of two lanes; a lane's jump d2 is its dot3(grad row,
+ * disp), read from grad by columns. */
 void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
                  const int64_t *e1, const double *d0, const double *d1,
                  const uint8_t *w0, const uint8_t *w1, const double *grad,
@@ -371,15 +411,18 @@ void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
                 continue;
             const int64_t v = (end ? e1 : e0)[e];
             const double *disp = (end ? d1 : d0) + e * ND;
-            const double *g = grad + v * NV * ND;
-            const double *jmax = dmax + v * NV, *jmin = dmin + v * NV;
-            const double e2 = eps2[v];
-            double *p = phi + v * NV;
-            double d2[NV], val[NV];
-            for (int k = 0; k < NV; k++)
-                d2[k] = dot3(g + k * ND, disp);
-            for (int k = 0; k < NV; k++)
-                val[k] = venkat(d2[k], jmax[k], jmin[k], e2);
+            double val[NV], *p = phi + v * NV;
+            for (int k = 0; k < NV; k += 2) {
+                const double *g = grad + (v * NV + k) * ND;
+                v2d col[ND];
+                for (int i = 0; i < ND; i++)
+                    col[i] = (v2d){g[i], g[ND + i]};
+                const v2d d2 = (col[0] * disp[0] + col[1] * disp[1])
+                               + col[2] * disp[2];
+                const v2d lim = venkat(d2, load2(dmax + v * NV + k),
+                                       load2(dmin + v * NV + k), eps2[v]);
+                memcpy(val + k, &lim, sizeof lim);
+            }
             for (int k = 0; k < NV; k++)
                 p[k] = min_nan(p[k], val[k]);
         }

@@ -283,6 +283,112 @@ def test_numpy_twin_writes_the_same_bits_into_the_same_targets(
         assert np.array_equal(written[1][4], res0)
 
 
+def _jump(d2, y=-0.0):
+    """A gradient row whose reconstructed jump along ``(1, 0, 0)`` is ``d2``
+    exactly, signed zero included (``-0.0 * 0.0`` adds ``-0.0``); ``y`` in
+    the second component is multiplied by that 0.0."""
+    return (d2, y, -0.0)
+
+
+_NAN, _INF, _TINY = np.nan, np.inf, 1e-14
+#: one variable each: (gradient row, allowed jump up, allowed jump down)
+_LIMITER_LANES = [
+    (_jump(0.0), 1.0, -1.0),
+    (_jump(-0.0), 1.0, -1.0),
+    (_jump(_TINY), 1.0, -1.0),  # |d2| exactly at the threshold
+    (_jump(-_TINY), 1.0, -1.0),
+    (_jump(np.nextafter(_TINY, 1.0)), 1.0, -1.0),  # the first |d2| above it
+    (_jump(-np.nextafter(_TINY, 1.0)), 1.0, -1.0),
+    (_jump(np.nextafter(_TINY, 0.0)), 1.0, -1.0),
+    (_jump(0.5), 0.0, -1.0),  # d1 = 0 (and e2 = 0 on the first vertices)
+    (_jump(-0.5), 1.0, -0.0),
+    (_jump(1e-3), 1e-3, -1.0),  # quotient rounds to exactly 1.0 at e2 = 1e10
+    (_jump(1.0), 1e10, -1.0),  # quotient above 1
+    (_jump(1.0), -0.5, -1.0),  # negative quotient
+    (_jump(1e30), -1e-300, -1.0),  # quotient underflows to -0.0 at e2 = 0
+    (_jump(_NAN), 1.0, -1.0),
+    (_jump(_INF), 1.0, -1.0),
+    (_jump(-_INF), 1.0, -1.0),
+    (_jump(0.5, _INF), 1.0, -1.0),  # inf * 0 in the projection
+    (_jump(0.5), _NAN, -1.0),
+    (_jump(0.5), _INF, -1.0),
+    (_jump(0.5), -_INF, -1.0),
+    (_jump(-0.5), 1.0, _NAN),
+    (_jump(-0.5), 1.0, _INF),
+    (_jump(-0.5), 1.0, -_INF),
+]
+_LIMITER_EPS2 = [0.0, 1e-6, 1e10, _NAN, _INF, -_INF]
+
+
+def _limiter_table():
+    """``(grad, dmax, dmin, eps2)`` with every lane of the table under every
+    threshold: four lanes a vertex, padded with a plain one."""
+    lanes = _LIMITER_LANES + [(_jump(0.25), 1.0, -1.0)] * (-len(_LIMITER_LANES) % 4)
+    rows = [lanes[i : i + 4] for i in range(0, len(lanes), 4)]
+    grad = np.array([[g for g, _, _ in row] for row in rows] * len(_LIMITER_EPS2))
+    dmax = np.array([[hi for _, hi, _ in row] for row in rows] * len(_LIMITER_EPS2))
+    dmin = np.array([[lo for _, _, lo in row] for row in rows] * len(_LIMITER_EPS2))
+    eps2 = np.repeat(_LIMITER_EPS2, len(rows))
+    return grad, dmax, dmin, eps2
+
+
+def test_limiter_table_reaches_the_cases_it_names():
+    from repro.kgir.stages import edge_projection, venkat_stage
+
+    grad, dmax, dmin, eps2 = _limiter_table()
+    disp = np.tile([1.0, 0.0, 0.0], (len(grad), 1))
+    with np.errstate(invalid="ignore"):
+        jumps = edge_projection(grad, disp)
+    assert jumps[0, 1] == 0.0 and np.signbit(jumps[0, 1])  # d2 = -0.0
+    assert jumps[0, 2] == _TINY and jumps[1, 0] > _TINY
+    # the quotient itself is 1.0, not clipped to it
+    d1, e2 = 1e-3, 1e10
+    num = (d1 * d1 + e2) * d1 + 2.0 * d1 * d1 * d1
+    den = d1 * (d1 * d1 + 2.0 * d1 * d1 + d1 * d1 + e2)
+    assert num / den == 1.0
+    with np.errstate(all="ignore"):
+        val = venkat_stage(grad, dmax, dmin, eps2, disp)
+    assert np.isnan(val).any() and (val == 1.0).any()
+    assert ((val == 0.0) & np.signbit(val)).any()  # np.clip keeps -0.0
+    assert ((val == 0.0) & ~np.signbit(val)).any()
+
+
+@pytest.mark.parametrize(
+    "two,masks",
+    [
+        (False, (None, None)),
+        (False, ([True], [False])),
+        (False, ([False], [True])),
+        (False, ([False], [False])),
+        (True, (None, None)),
+        (True, ([True, False], [False, True])),
+        (True, ([False, True], [True, False])),
+        (True, ([True, True], [False, False])),
+    ],
+)
+def test_limiter_edge_cases_equal_numpy_twin_bytes(two, masks):
+    """Every vertex of the table as an edge end of a hand-built one- or
+    two-edge set (two: the vertex ends both edges, seeing opposite jumps),
+    compiled vs NumPy, compared by bytes so signed zeros count."""
+    grad, dmax, dmin, eps2 = _limiter_table()
+    n = len(grad)
+    w0, w1 = (None if w is None else np.array(w) for w in masks)
+    lib = native.load_kernels()
+    for v in range(n):
+        u, t = (v + 1) % n, (v + 2) % n
+        e0 = np.array([v, t] if two else [v], dtype=np.int64)
+        e1 = np.array([u, v] if two else [u], dtype=np.int64)
+        disp = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]][: len(e0)])
+        edge_set = (n, e0, e1, np.ones_like(disp), disp, disp.copy(), w0, w1)
+        phis = []
+        for impl in (sweeps.EdgeSweeps(lib, *edge_set), sweeps.NumpySweeps(*edge_set)):
+            phi = np.ones((n, 4))
+            with np.errstate(all="ignore"):
+                impl.limit(grad, dmax, dmin, eps2, phi)
+            phis.append(phi)
+        assert phis[0].tobytes() == phis[1].tobytes(), f"vertex {v}"
+
+
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
 def test_both_twins_reject_the_same_bad_arguments(compiled):
     field, _ = _fields("wing", "natural")
