@@ -8,19 +8,12 @@ Commands
 ``speedup``     price a run under baseline + optimized configs (Fig 8a)
 ``scaling``     multi-node strong-scaling table (Fig 9-11)
 ``partition``   partition-quality study (natural / RCB / multilevel)
-``calibrate``   micro-benchmark this host, fit the cost-model constants,
-                write ``.repro_calibration.json`` (read by ``--tune``)
 ``top``         live per-rank/per-worker view of a running solve's metrics
 ``serve``       persistent warm-fleet solver daemon on a local Unix socket
 ``submit``      client of a running ``serve`` daemon (single cases, sweeps)
 
 Performance is measured by ``python3 bench/run.py`` (see
 ``bench/README.md``), not by a subcommand here.
-
-``solve``/``profile``/``serve`` accept ``--tune``: the host-calibrated
-cost model picks edge strategy, worker counts, ordering and (for serve)
-the evaluate batch width per mesh, never slower than the static flags by
-construction.
 
 ``solve`` and ``profile`` accept ``--backend process --workers N`` to run
 the flux/gradient edge loops across real worker processes over shared
@@ -109,18 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--partitioner", choices=["metis", "natural"],
                         default="metis",
                         help="vertex ownership labels for the owner strategy")
-        sp.add_argument(
-            "--tune", action="store_true",
-            help="let the calibrated auto-tuner (repro.tune) pick backend/"
-                 "strategy/workers/ordering for this mesh; the "
-                 "flags above become the fallback default candidate"
-        )
-        sp.add_argument(
-            "--calibration", default="", metavar="PATH",
-            help="calibration file for --tune (default: "
-                 ".repro_calibration.json; analytic paper model when "
-                 "absent or from another host)"
-        )
 
     def add_dist_args(sp):
         sp.add_argument(
@@ -181,22 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("partition", help="partition quality study")
     add_mesh_args(sp)
     sp.add_argument("--parts", type=int, default=20)
-
-    sp = sub.add_parser(
-        "calibrate",
-        help="micro-benchmark this host and fit the cost-model constants",
-    )
-    sp.add_argument("--out", default=".repro_calibration.json",
-                    metavar="PATH",
-                    help="calibration file to write (what --tune reads "
-                         "back)")
-    sp.add_argument("--fast", action="store_true",
-                    help="smoke mode: smaller arrays, fewer repeats "
-                         "(seconds instead of a minute; noisier constants)")
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--max-threads", type=int, default=0,
-                    help="cap the bandwidth/barrier thread sweeps "
-                         "(0 = cpu count)")
 
     sp = sub.add_parser(
         "serve",
@@ -506,37 +471,6 @@ def _print_dist_breakdown(dres) -> None:
     )
 
 
-def _apply_tune(args, obs=None) -> None:
-    """``--tune``: replace the backend args with the tuner's choice.
-
-    The flags the user passed stay the tuner's default candidate, so an
-    explicit ``--backend process --workers 8`` is only overridden when the
-    calibrated model predicts a clear win (see ``repro.tune.tuner``).  The
-    chosen plan is printed and logged as a ``tune.plan`` trace event.
-    """
-    from .tune import active_model, tune_solve
-
-    machine, cal = active_model(getattr(args, "calibration", "") or None)
-    cfg = tune_solve(
-        _make_mesh(args), machine, cal,
-        ilu_fill=args.ilu, ordering=getattr(args, "ordering", "natural"),
-        allow_dist=getattr(args, "dist_ranks", 0) == 0,
-    )
-    args.backend = cfg.edge_backend
-    args.workers = max(cfg.workers, 1)
-    args.edge_strategy = cfg.edge_strategy
-    args.partitioner = cfg.partitioner
-    args.ordering = cfg.ordering
-    if cfg.dist_ranks > 0 and getattr(args, "dist_ranks", 0) == 0:
-        args.dist_ranks = cfg.dist_ranks
-    print(cfg.summary())
-    if obs is not None:
-        attrs = {
-            k: v for k, v in cfg.to_dict().items() if k != "candidates"
-        }
-        obs.tracer.event("tune.plan", **attrs)
-
-
 def _run_solve(args, obs=None):
     from contextlib import nullcontext
 
@@ -544,8 +478,6 @@ def _run_solve(args, obs=None):
     from .cfd import FlowConfig
     from .solver import SolverOptions
 
-    if getattr(args, "tune", False):
-        _apply_tune(args, obs)
     mesh = _make_mesh(args)
     app = Fun3dApp(
         mesh,
@@ -853,58 +785,6 @@ def cmd_top(args) -> int:
     return rc
 
 
-def cmd_calibrate(args) -> int:
-    """``repro calibrate``: fit the cost model to this host and save it."""
-    import time
-
-    from .perf import format_table
-    from .tune import run_calibration, save_calibration
-
-    mode = "fast" if args.fast else "full"
-    print(f"calibrating host ({mode} sweep) ...")
-    t0 = time.perf_counter()
-    cal = run_calibration(
-        fast=args.fast,
-        max_threads=args.max_threads or None,
-        seed=args.seed,
-    )
-    elapsed = time.perf_counter() - t0
-    save_calibration(cal, args.out)
-
-    m = cal.model
-    rows = [
-        ["n_cores", f"{m.n_cores}", "cpu count"],
-        ["freq_hz", f"{m.freq_hz:.3e}", "effective cycles/s from the "
-                                        "serial flux kernel"],
-        ["core_bw", f"{m.core_bw / 1e9:.2f} GB/s", "1-thread STREAM triad"],
-        ["stream_bw", f"{m.stream_bw / 1e9:.2f} GB/s",
-         "best multi-thread STREAM triad"],
-        ["stall_per_load", f"{m.stall_per_load:.2f} cy",
-         "sorted gather latency"],
-        ["unordered_latency_factor", f"{m.unordered_latency_factor:.2f}",
-         "shuffled/sorted gather ratio"],
-        ["flops_per_cycle_simd", f"{m.flops_per_cycle_simd:.2f}",
-         "block TRSV rate"],
-        ["ilu_rate_factor", f"{m.ilu_rate_factor:.2f}",
-         "ILU factorization rate"],
-        ["barrier_base_ns", f"{m.barrier_base_ns:.0f} ns",
-         "threading.Barrier sweep"],
-        ["p2p_sync_ns", f"{m.p2p_sync_ns:.0f} ns",
-         "shared-flag ping-pong"],
-        ["dispatch_ns", f"{m.dispatch_ns:.0f} ns",
-         "fork + pipe round trip"],
-        ["allreduce_stage_cost", f"{cal.allreduce_stage_cost:.2e} s",
-         "forked-rank scatter-gather (per tree stage)"],
-    ]
-    print(format_table(
-        ["constant", "fitted", "measured from"],
-        rows,
-        title=f"{m.name}: calibrated in {elapsed:.1f} s ({mode})",
-    ))
-    print(f"wrote {args.out} (used by --tune on this host)")
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the warm-fleet solver daemon until SIGTERM/SIGINT (exit 0)."""
     from .serve import ExecutionConfig, ServeDaemon
@@ -914,8 +794,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         edge_strategy=args.edge_strategy,
         partitioner=args.partitioner,
-        tune="on" if args.tune else "off",
-        calibration=args.calibration,
     )
     daemon = ServeDaemon(
         args.socket,
@@ -1072,7 +950,6 @@ _COMMANDS = {
     "speedup": cmd_speedup,
     "scaling": cmd_scaling,
     "partition": cmd_partition,
-    "calibrate": cmd_calibrate,
     "top": cmd_top,
     "serve": cmd_serve,
     "submit": cmd_submit,

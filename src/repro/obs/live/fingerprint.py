@@ -13,15 +13,15 @@ import platform
 import subprocess
 import sys
 
-__all__ = ["host_fingerprint", "stable_host_key", "same_host"]
+__all__ = ["host_fingerprint", "stable_host_key"]
 
 _cached: dict | None = None
 
 #: fingerprint fields that identify *hardware + numerics stack*.
 #: Deliberately excludes ``git_rev`` (changes per commit) and the full
 #: ``platform`` string (kernel patch level churns on CI runners) —
-#: calibration files and ``bench/`` records stay comparable across commits
-#: on the same box but never cross machines.
+#: ``bench/`` records stay comparable across commits on the same box but
+#: never cross machines.
 STABLE_KEYS = ("cpu_count", "machine", "python", "numpy")
 
 
@@ -29,19 +29,6 @@ def stable_host_key(fp: dict | None = None) -> dict:
     """The fingerprint subset performance comparisons are valid across."""
     fp = fp if fp is not None else host_fingerprint()
     return {k: fp.get(k) for k in STABLE_KEYS}
-
-
-def same_host(a: dict | None, b: dict | None = None) -> bool:
-    """Do two fingerprints describe the same hardware + stack?
-
-    A missing fingerprint never matches (``False``): an unstamped
-    calibration file is treated as another machine's.
-    """
-    if not a:
-        return False
-    return stable_host_key(a) == stable_host_key(
-        b if b is not None else host_fingerprint()
-    )
 
 
 def _git_rev() -> str | None:

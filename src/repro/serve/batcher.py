@@ -160,11 +160,6 @@ def evaluate_cases(
     (trailing-axis batching, see :mod:`repro.kgir`) and only the per-case
     arithmetic is repeated.  The per-case residuals are bitwise identical
     to k independent :func:`~repro.cfd.residual.compute_residual` calls.
-
-    Tuned families (``--tune``) cap the stack depth at the family's
-    ``tuned_batch_width``: wide enough to amortize dispatch, narrow enough
-    that the batched working set stays cache-resident on this host.  The
-    chunking changes grouping only, never per-case numerics.
     """
     import numpy as np
 
@@ -176,27 +171,24 @@ def evaluate_cases(
             "'evaluate' is not supported for distributed families"
         )
     field = family.field
-    width = int(getattr(family, "tuned_batch_width", 0)) or len(cases)
+    configs = [case.flow_config() for case in cases]
+    q_batch = np.stack(
+        [field.initial_state(cfg) for cfg in configs], axis=-1
+    )
+    res, _grad, _phi = batched_residual(field, q_batch, configs)
     out = []
-    for start in range(0, len(cases), max(width, 1)):
-        chunk = cases[start:start + max(width, 1)]
-        configs = [case.flow_config() for case in chunk]
-        q_batch = np.stack(
-            [field.initial_state(cfg) for cfg in configs], axis=-1
+    for b, (case, cfg) in enumerate(zip(cases, configs)):
+        rb = np.ascontiguousarray(res[..., b])
+        forces = integrate_forces(
+            field, np.ascontiguousarray(q_batch[..., b]), cfg
         )
-        res, _grad, _phi = batched_residual(field, q_batch, configs)
-        for b, (case, cfg) in enumerate(zip(chunk, configs)):
-            rb = np.ascontiguousarray(res[..., b])
-            forces = integrate_forces(
-                field, np.ascontiguousarray(q_batch[..., b]), cfg
-            )
-            out.append(EvaluationResult(
-                case=case.to_dict(),
-                residual_norm=float(np.linalg.norm(rb)),
-                residual_max=float(np.abs(rb).max()),
-                cl=float(forces.cl),
-                cd=float(forces.cd),
-            ))
+        out.append(EvaluationResult(
+            case=case.to_dict(),
+            residual_norm=float(np.linalg.norm(rb)),
+            residual_max=float(np.abs(rb).max()),
+            cl=float(forces.cl),
+            cd=float(forces.cd),
+        ))
     return out
 
 

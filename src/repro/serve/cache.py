@@ -40,14 +40,6 @@ class ExecutionConfig:
     workers: int = 2
     edge_strategy: str = "owner"
     partitioner: str = "metis"
-    #: "on" re-plans the knobs above per family through the calibrated
-    #: auto-tuner (repro.tune); the operator's static choices stay the
-    #: tuner's default candidate, so tuning never picks a predicted-slower
-    #: configuration than the one the daemon was started with
-    tune: str = "off"  # off | on
-    #: calibration file for the tuner ("" = default path, falling back to
-    #: the analytic paper model when absent or from another host)
-    calibration: str = ""
 
 
 class WarmFamily:
@@ -65,10 +57,6 @@ class WarmFamily:
             ordering=spec.ordering,
         )
         self.field = FlowField(self.mesh)
-        self.tuned = None
-        self.tuned_batch_width = 0
-        if execution.tune == "on" and spec.dist_ranks == 0:
-            execution = self._tuned_execution(execution)
         self.execution = execution
         self.opts = SolverOptions(
             ilu_fill=spec.ilu, n_subdomains=spec.subdomains
@@ -105,36 +93,6 @@ class WarmFamily:
         self.last_used = time.monotonic()
         self._lock = threading.Lock()  # one solve at a time per family
         self._closed = False
-
-    # ------------------------------------------------------------------
-    def _tuned_execution(self, execution: ExecutionConfig) -> ExecutionConfig:
-        """Re-plan the execution knobs for *this* mesh with the auto-tuner.
-
-        The mesh ordering stays pinned by the family spec (batched solves
-        must match one-shot runs bitwise), so only backend/fleet
-        knobs move; ``tuned_batch_width`` tells the batcher how many
-        evaluate-cases amortize one dispatch on this host.
-        """
-        from dataclasses import replace
-
-        from ..tune import active_model, tune_solve
-
-        machine, cal = active_model(execution.calibration or None)
-        cfg = tune_solve(
-            self.mesh, machine, cal,
-            ilu_fill=self.spec.ilu,
-            ordering=self.spec.ordering,
-            allow_dist=False, serve_cases=8,
-        )
-        self.tuned = cfg
-        self.tuned_batch_width = int(cfg.batch_width)
-        return replace(
-            execution,
-            edge_backend=cfg.edge_backend,
-            workers=max(cfg.workers, 1),
-            edge_strategy=cfg.edge_strategy,
-            partitioner=cfg.partitioner,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -223,10 +181,6 @@ class WarmCache:
                     "n_vertices": fam.mesh.n_vertices,
                     "n_edges": fam.mesh.n_edges,
                     "fleets": fam.fleet_stats(),
-                    "tuned": (
-                        fam.tuned.to_dict() if fam.tuned is not None
-                        else None
-                    ),
                 }
                 for fam in self._families.values()
             ]

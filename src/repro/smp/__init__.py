@@ -1,10 +1,10 @@
 """Shared-memory machine model, cost models and executable thread strategies.
 
-Two execution tiers live here: the *simulated* strategies + calibrated
-cost models (``cost``/``machine``/``strategies``), and the *measured*
-process-parallel backend (``shm``/``backend``/``parallel``) that really
-runs the edge kernels across worker processes over shared memory
-(``bench`` times it for the Fig 6b / Fig 10 measured rows).
+Two execution tiers live here: the *simulated* strategies + cost models
+priced on the paper's hardware (``cost``/``machine``/``strategies``), and
+the *measured* process-parallel backend (``shm``/``backend``/``parallel``)
+that really runs the edge kernels across worker processes over shared
+memory (``bench`` times it for the Fig 6b / Fig 10 measured rows).
 """
 
 from .backend import get_edge_backend, use_edge_backend

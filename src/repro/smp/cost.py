@@ -186,7 +186,6 @@ def edge_loop_time(
         # coloring pays one barrier per color; other strategies one per sweep
         n_barriers = max(opts.n_colors, 1) if opts.strategy == "coloring" else 1
         time += n_barriers * machine.barrier_seconds(t)
-        time += machine.dispatch_seconds()
     return time
 
 
@@ -282,7 +281,7 @@ def trsv_time(
             lvl_flops = nb * 2.0 * b * b + w * 2.0 * b * b
             lvl = max(lvl_flops / rate, frac / machine.bandwidth(t)) * imb
             total += lvl + machine.barrier_seconds(t)
-        return total + machine.dispatch_seconds()
+        return total
 
     if opts.strategy == "p2p":
         util = _utilization(machine, opts, t)
@@ -293,8 +292,7 @@ def trsv_time(
         sync = opts.cross_deps * machine.p2p_seconds() / t
         # residual imbalance: the tail of the dependency graph still
         # serializes a little
-        return (base * machine.trsv_p2p_tail_factor + sync
-                + machine.dispatch_seconds())
+        return base * machine.trsv_p2p_tail_factor + sync
 
     raise ValueError(f"unknown strategy {opts.strategy!r}")
 
@@ -353,7 +351,7 @@ def ilu_time(
                 share * bytes_total / (machine.bandwidth(t) * eff_bw),
             ) * imb
             total += lvl + machine.barrier_seconds(t)
-        return total + machine.dispatch_seconds()
+        return total
 
     if opts.strategy == "p2p":
         util = _utilization(machine, opts, t)
@@ -364,8 +362,7 @@ def ilu_time(
             bytes_total / (machine.bandwidth(t) * eff_bw * util),
         )
         sync = opts.cross_deps * machine.p2p_seconds() / t
-        return (base * machine.ilu_p2p_tail_factor + sync
-                + machine.dispatch_seconds())
+        return base * machine.ilu_p2p_tail_factor + sync
 
     raise ValueError(f"unknown strategy {opts.strategy!r}")
 

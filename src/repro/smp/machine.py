@@ -21,7 +21,7 @@ EXPERIMENTS.md reports how well the calibrated model tracks each figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 __all__ = ["MachineModel", "XEON_E5_2690_V2", "STAMPEDE_E5_2680", "XEON_PHI_KNC"]
 
@@ -98,11 +98,6 @@ class MachineModel:
     #: extra factor-traffic fraction *per thread* without the compressed
     #: temporary buffer (the paper's algorithmic optimization)
     ilu_buffer_traffic_per_thread: float = 0.15
-    #: per parallel-section dispatch cost (fork/enqueue + result collection
-    #: round trip of a worker fleet).  The paper's OpenMP regions pay ~a
-    #: barrier; the process backends here pay pipe dispatch, which host
-    #: calibration measures.  0 keeps the analytic model's idealized view.
-    dispatch_ns: float = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -142,28 +137,6 @@ class MachineModel:
 
     def p2p_seconds(self) -> float:
         return self.p2p_sync_ns * 1e-9
-
-    def dispatch_seconds(self) -> float:
-        return self.dispatch_ns * 1e-9
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """All fields as JSON-ready scalars (calibration-file payload)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MachineModel":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored so newer
-        calibration files load on older models and vice versa."""
-        known = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
-        for f in fields(cls):
-            if f.name in kw and f.type in ("int", int):
-                kw[f.name] = int(kw[f.name])
-        return cls(**kw)
-
-    def with_overrides(self, **kw: float) -> "MachineModel":
-        return replace(self, **kw)
 
 
 #: The paper's single-node platform (one socket; the experiments pin to it).

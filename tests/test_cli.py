@@ -79,37 +79,49 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_bench_gates_and_history_are_gone(self):
-        """No shim behind the removed subcommand: ``smp/bench.py`` keeps the
-        two figure-test measurements, and with nothing writing
-        ``.bench_history.jsonl`` the tuner takes no history records."""
-        import inspect
-
+    def test_bench_gates_and_history_are_gone(self, capsys):
+        """No shim behind the removed subcommands: ``smp/bench.py`` keeps the
+        two figure-test measurements, and neither ``repro calibrate`` nor the
+        tuner package it fed survives."""
         import repro.smp.bench as smp_bench
-        from repro.tune import tune_solve
 
         for name in ("gate_failures", "rolling_gate_failures", "load_history",
                      "append_history", "run_scatter_kernels"):
             assert not hasattr(smp_bench, name)
-        assert "history" not in inspect.signature(tune_solve).parameters
-        for mod in ("repro.serve.bench", "repro.tune.bench"):
+        for mod in ("repro.serve.bench", "repro.tune", "repro.tune.bench"):
             with pytest.raises(ModuleNotFoundError):
                 __import__(mod)
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
-    def test_sparse_fleet_fields_are_gone(self):
+    def test_sparse_fleet_fields_are_gone(self, capsys):
         """No silent-ignore shim behind the removed flags either."""
+        from dataclasses import fields
+
         from repro.serve import ExecutionConfig
+        from repro.smp.machine import MachineModel
         from repro.solver import SolverOptions
-        from repro.tune import TunedConfig
 
         cmds = (["solve"], ["profile"], ["serve", "--socket", "s"])
         parsed = [build_parser().parse_args(argv) for argv in cmds]
         for flag in ("--sparse-backend", "--sparse-strategy", "--sparse-workers"):
             name = flag.lstrip("-").replace("-", "_")
             assert not any(hasattr(ns, name) for ns in parsed)
-            for cls in (SolverOptions, ExecutionConfig, TunedConfig):
+            for cls in (SolverOptions, ExecutionConfig):
                 with pytest.raises(TypeError):
                     cls(**{name: 2})
+        for argv in cmds:
+            for extra in (["--tune"], ["--calibration", "cal.json"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + extra)
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert "unrecognized arguments" in err and extra[0] in err
+        names = {f.name for f in fields(ExecutionConfig)}
+        assert not names & {"tune", "calibration"}
+        assert "dispatch_ns" not in {f.name for f in fields(MachineModel)}
 
 
 class TestCommands:

@@ -192,6 +192,7 @@ def test_warm_cache_hit_and_lru_eviction():
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["resident"] == 1
+        assert "tuned" not in stats["families"][0]
     finally:
         cache.close()
     with pytest.raises(RuntimeError, match="closed"):
