@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .state import FlowConfig, FlowField, freestream_state
-from .viscous import viscous_residual
 
 __all__ = [
     "wall_flux",
@@ -69,9 +68,9 @@ def add_boundary_closures(
 ) -> np.ndarray:
     """Add everything outside the interior edge loop to ``res``, in place.
 
-    Wall, symmetry, far field, then the viscous term when ``mu > 0`` —
-    the one statement order every residual path shares, which is what
-    keeps them bitwise equal to each other.
+    Wall, symmetry, then far field — the one statement order every
+    residual path shares, which is what keeps them bitwise equal to each
+    other.
     """
     res += wall_residual(field, q, "wall")
     res += wall_residual(field, q, "sym")
@@ -79,6 +78,4 @@ def add_boundary_closures(
         field, q, freestream_state(config), config.beta,
         scheme=config.dissipation,
     )
-    if config.mu > 0.0:
-        res += viscous_residual(field, q, config.mu, field.visc_coeffs)
     return res

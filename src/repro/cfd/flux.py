@@ -1,6 +1,6 @@
 """Edge-based flux kernel — the paper's primary compute hot spot (42%).
 
-Inviscid artificial-compressibility flux through a dual face with area
+Euler artificial-compressibility flux through a dual face with area
 vector ``S`` (pointing from vertex i to vertex j):
 
     F(q, S) = ( beta * Theta,

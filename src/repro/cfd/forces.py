@@ -1,6 +1,6 @@
 """Aerodynamic force integration over the wing surface.
 
-For the inviscid solver, the force on the body is the integral of pressure
+For the Euler solver, the force on the body is the integral of pressure
 over the wall: ``F = sum_wall p * S`` (the wall flux's momentum part).
 Coefficients are normalized by the dynamic pressure ``0.5 * u_inf^2`` and
 the projected planform area, with lift/drag resolved against the freestream

@@ -164,18 +164,6 @@ class JacobianAssembler:
                 q, q_inf, beta, self._corner_slots[tag], vals
             )
 
-        if config.mu > 0.0:
-            from .viscous import viscous_jacobian_blocks
-
-            d_diag, d_off = viscous_jacobian_blocks(
-                f, config.mu, f.visc_coeffs
-            )
-            diag0, ij, diag1, ji = self._slots
-            np.add.at(vals, diag0, d_diag)
-            np.add.at(vals, diag1, d_diag)
-            np.add.at(vals, ij, d_off)
-            np.add.at(vals, ji, d_off)
-
         return A
 
     def add_pseudo_time(self, A: BCSRMatrix, dt: np.ndarray) -> None:

@@ -39,9 +39,6 @@ class FlowConfig:
     #: upwind dissipation: "rusanov" (spectral radius) or "roe" (full
     #: characteristic matrix dissipation via the face eigen-system)
     dissipation: str = "rusanov"
-    #: dynamic viscosity; 0 = inviscid Euler (the paper's regime).  Nonzero
-    #: activates the Galerkin-style viscous fluxes of Eq. (1).
-    mu: float = 0.0
 
 
 def freestream_state(config: FlowConfig) -> np.ndarray:
@@ -75,7 +72,6 @@ class FlowField:
     sym_faces: np.ndarray = field(init=False)
     sym_vnormals: np.ndarray = field(init=False)
     lsq_inv: np.ndarray = field(init=False)  # per-vertex 3x3 LSQ pseudo-inv
-    _visc_coeffs: np.ndarray | None = field(default=None, repr=False)
     #: per-field kernel objects and corner arrays, keyed by name (built on
     #: first use)
     _plans: dict = field(init=False, default_factory=dict, repr=False)
@@ -157,15 +153,6 @@ class FlowField:
     @property
     def n_edges(self) -> int:
         return self.e0.shape[0]
-
-    @property
-    def visc_coeffs(self) -> np.ndarray:
-        """Per-edge viscous transmissibilities (lazy; see repro.cfd.viscous)."""
-        if self._visc_coeffs is None:
-            from .viscous import viscous_edge_coefficients
-
-            self._visc_coeffs = viscous_edge_coefficients(self)
-        return self._visc_coeffs
 
     def initial_state(self, config: FlowConfig) -> np.ndarray:
         """Uniform freestream initial state, ``(n_vertices, 4)``."""

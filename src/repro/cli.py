@@ -9,8 +9,6 @@ Commands
 ``scaling``     multi-node strong-scaling table (Fig 9-11)
 ``partition``   partition-quality study (natural / RCB / multilevel)
 ``top``         live per-rank/per-worker view of a running solve's metrics
-``serve``       persistent warm-fleet solver daemon on a local Unix socket
-``submit``      client of a running ``serve`` daemon (single cases, sweeps)
 
 Performance is measured by ``python3 bench/run.py`` (see
 ``bench/README.md``), not by a subcommand here.
@@ -136,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solve_args(sp)
     sp.add_argument("--json", action="store_true",
                     help="also print a machine-readable result line "
-                         "(full-precision forces; what `repro serve` "
-                         "responses are compared against)")
+                         "(full-precision forces)")
 
     sp = sub.add_parser(
         "profile",
@@ -162,71 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("partition", help="partition quality study")
     add_mesh_args(sp)
     sp.add_argument("--parts", type=int, default=20)
-
-    sp = sub.add_parser(
-        "serve",
-        help="persistent warm-fleet solver daemon on a local Unix socket",
-    )
-    sp.add_argument("--socket", required=True, metavar="PATH",
-                    help="Unix socket path to listen on")
-    sp.add_argument("--max-queue", type=int, default=8,
-                    help="admission-control queue depth "
-                         "(requests beyond it are rejected with 503)")
-    sp.add_argument("--deadline", type=float, default=None,
-                    metavar="SECONDS",
-                    help="default per-request deadline while queued "
-                         "(expired jobs are rejected with 408)")
-    sp.add_argument("--max-families", type=int, default=4,
-                    help="warm mesh families kept resident (LRU beyond)")
-    sp.add_argument("--solver-threads", type=int, default=1,
-                    help="concurrent solver threads (distinct families "
-                         "solve in parallel; one family solves serially)")
-    add_backend_args(sp)
-    sp.add_argument("--metrics-serve", type=int, default=None,
-                    metavar="PORT",
-                    help="serve live Prometheus text on "
-                         "http://127.0.0.1:PORT/metrics (0 = free port)")
-
-    sp = sub.add_parser(
-        "submit",
-        help="send solve requests to a running `repro serve` daemon",
-    )
-    sp.add_argument("--socket", required=True, metavar="PATH",
-                    help="Unix socket of the daemon")
-    add_mesh_args(sp)
-    sp.add_argument("--ilu", type=int, default=1, help="ILU fill level")
-    sp.add_argument("--subdomains", type=int, default=1)
-    sp.add_argument("--dist-ranks", type=int, default=0, metavar="N",
-                    help="solve on N forked rank processes in the daemon")
-    sp.add_argument("--dissipation", choices=["rusanov", "roe"],
-                    default="rusanov")
-    sp.add_argument("--aoa", type=float, default=3.0)
-    sp.add_argument("--beta", type=float, default=4.0,
-                    help="artificial compressibility (the Mach analogue)")
-    sp.add_argument("--max-steps", type=int, default=100)
-    sp.add_argument("--rtol", type=float, default=1e-6)
-    sp.add_argument("--sweep", action="append", default=[],
-                    metavar="FIELD=V1,V2,...",
-                    help="fan a parameter grid, e.g. --sweep aoa=0,2,4 "
-                         "--sweep beta=2,4 (repeatable); all combinations "
-                         "run as one batch over one warm family")
-    sp.add_argument("--no-batch", action="store_true",
-                    help="send sweep cases as individual solve requests "
-                         "instead of one batch")
-    sp.add_argument("--deadline", type=float, default=None,
-                    metavar="SECONDS",
-                    help="per-request queueing deadline")
-    sp.add_argument("--timeout", type=float, default=600.0,
-                    help="client socket timeout in seconds")
-    sp.add_argument("--json", action="store_true",
-                    help="print the raw response JSON")
-    sp.add_argument("--op",
-                    choices=["solve", "evaluate", "ping", "stats",
-                             "shutdown"],
-                    default="solve",
-                    help="request type (solve fans --sweep into a batch; "
-                         "evaluate runs one batched fused residual sweep "
-                         "over all cases, no solve)")
 
     sp = sub.add_parser("top", help="live view of a running solve's telemetry")
     sp.add_argument("--url", metavar="URL",
@@ -785,164 +717,6 @@ def cmd_top(args) -> int:
     return rc
 
 
-def cmd_serve(args) -> int:
-    """Run the warm-fleet solver daemon until SIGTERM/SIGINT (exit 0)."""
-    from .serve import ExecutionConfig, ServeDaemon
-
-    execution = ExecutionConfig(
-        edge_backend=args.backend,
-        workers=args.workers,
-        edge_strategy=args.edge_strategy,
-        partitioner=args.partitioner,
-    )
-    daemon = ServeDaemon(
-        args.socket,
-        execution=execution,
-        max_families=args.max_families,
-        max_queue=args.max_queue,
-        default_deadline_s=args.deadline,
-        solver_threads=args.solver_threads,
-        metrics_port=args.metrics_serve,
-    )
-    return daemon.run()
-
-
-def _parse_sweep(entries: list[str]) -> dict[str, list]:
-    """``["aoa=0,2,4", "beta=2,4"]`` -> ``{"aoa": [...], "beta": [...]}``."""
-    sweep: dict[str, list] = {}
-    for entry in entries:
-        name, _, raw = entry.partition("=")
-        name = name.strip()
-        if not _ or not name or not raw:
-            raise SystemExit(
-                f"repro submit: bad --sweep {entry!r} "
-                "(expected FIELD=V1,V2,...)"
-            )
-        values: list = []
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if name == "dissipation":
-                values.append(tok)
-            elif name == "max_steps":
-                values.append(int(tok))
-            else:
-                values.append(float(tok))
-        sweep[name] = values
-    return sweep
-
-
-def cmd_submit(args) -> int:
-    """Client of a running daemon; fans --sweep grids into one batch."""
-    import json
-
-    from .serve import ServeClient, ServeError, sweep_grid
-    from .serve.protocol import ProtocolError
-
-    family = {
-        "dataset": args.dataset, "scale": args.scale, "seed": args.seed,
-        "ordering": args.ordering, "ilu": args.ilu,
-        "subdomains": args.subdomains, "dist_ranks": args.dist_ranks,
-    }
-    base = {
-        "aoa": args.aoa, "beta": args.beta,
-        "dissipation": args.dissipation,
-        "max_steps": args.max_steps, "rtol": args.rtol,
-    }
-    try:
-        cases = [c.to_dict() for c in sweep_grid(base, _parse_sweep(args.sweep))]
-    except ProtocolError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with ServeClient(args.socket, timeout=args.timeout) as client:
-            if args.op == "ping":
-                print(json.dumps(client.ping()))
-                return 0
-            if args.op == "stats":
-                print(json.dumps(client.stats(), indent=2))
-                return 0
-            if args.op == "shutdown":
-                print(json.dumps(client.shutdown()))
-                return 0
-            if args.op == "evaluate":
-                responses = [client.evaluate(
-                    family=family, cases=cases, deadline_s=args.deadline
-                )]
-            elif len(cases) > 1 and not args.no_batch:
-                responses = [client.batch(
-                    family=family, cases=cases, deadline_s=args.deadline
-                )]
-            else:
-                responses = [
-                    client.solve(
-                        family=family, case=c, deadline_s=args.deadline
-                    )
-                    for c in cases
-                ]
-    except ServeError as exc:
-        print(f"repro submit: daemon rejected the request: {exc}",
-              file=sys.stderr)
-        return 1
-    except (OSError, ProtocolError) as exc:
-        print(f"repro submit: cannot reach daemon on {args.socket}: {exc}",
-              file=sys.stderr)
-        return 1
-
-    if args.json:
-        for resp in responses:
-            print(json.dumps(resp))
-        return 0
-    from .perf import format_table
-
-    results = [
-        r
-        for resp in responses
-        for r in (resp["results"] if "results" in resp else [resp["result"]])
-    ]
-    if args.op == "evaluate":
-        rows = [
-            [
-                r["case"].get("tag") or f"aoa={r['case']['aoa']:g}",
-                f"{r['residual_norm']:.6e}",
-                f"{r['residual_max']:.6e}",
-                f"{r['forces']['cl']:.6f}",
-                f"{r['forces']['cd']:.6f}",
-            ]
-            for r in results
-        ]
-        first = responses[0]
-        print(format_table(
-            ["case", "|R|", "max|R|", "CL", "CD"],
-            rows,
-            title=f"{args.dataset}: {len(results)} case(s) evaluated in "
-                  f"one batched sweep via {args.socket} "
-                  f"(plan cache {first['cache']}, "
-                  f"queue {first['span']['queue_seconds'] * 1e3:.0f} ms)",
-        ))
-        return 0
-    rows = [
-        [
-            r["case"].get("tag") or f"aoa={r['case']['aoa']:g}",
-            "yes" if r["converged"] else "no",
-            str(r["steps"]),
-            f"{r['final_residual']:.3e}",
-            f"{r['forces']['cl']:.6f}",
-            f"{r['forces']['cd']:.6f}",
-            f"{1e3 * r['wall_seconds']:.0f}",
-        ]
-        for r in results
-    ]
-    first = responses[0]
-    print(format_table(
-        ["case", "conv", "steps", "residual", "CL", "CD", "ms"],
-        rows,
-        title=f"{args.dataset}: {len(results)} case(s) via {args.socket} "
-              f"(plan cache {first['cache']}, "
-              f"queue {first['span']['queue_seconds'] * 1e3:.0f} ms)",
-    ))
-    return 0
-
-
 _COMMANDS = {
     "mesh-info": cmd_mesh_info,
     "solve": cmd_solve,
@@ -951,8 +725,6 @@ _COMMANDS = {
     "scaling": cmd_scaling,
     "partition": cmd_partition,
     "top": cmd_top,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
 }
 
 

@@ -94,8 +94,8 @@ class ShmTransport:
         halo_width: int = DEFAULT_HALO_WIDTH,
         red_width: int = DEFAULT_RED_WIDTH,
         timeout: float = 120.0,
-        telemetry: bool = True,
     ) -> None:
+        from ...obs.live.plane import TelemetryPlane
         from ...smp.shm import SharedArrayPool
 
         self.decomp = decomp
@@ -125,19 +125,14 @@ class ShmTransport:
         # telemetry plane: one metric row + event ring per rank, allocated
         # in the transport's own pool so the forked ranks inherit the
         # mappings and the leak-proofing covers the plane too
-        self.plane = None
-        if telemetry:
-            from ...obs.live.plane import TelemetryPlane
-
-            self.plane = TelemetryPlane(
-                {f"rank{r}": RANK_SLOTS for r in range(self.n_ranks)},
-                pool=self.pool,
-            )
+        self.plane = TelemetryPlane(
+            {f"rank{r}": RANK_SLOTS for r in range(self.n_ranks)},
+            pool=self.pool,
+        )
         self.spec = self.pool.export_spec()
 
     def close(self) -> None:
-        if self.plane is not None:
-            self.plane.close()
+        self.plane.close()
         self.pool.close()
 
 
@@ -196,11 +191,8 @@ class Communicator:
         # live telemetry: write through the fork-inherited plane arrays
         # (not the re-attached pool) so the single-producer row stays tied
         # to this rank regardless of the attach mode
-        self.telem = None
-        plane = getattr(transport, "plane", None)
-        if plane is not None:
-            self.telem = plane.writer(f"rank{self.rank}")
-            self.telem.hello()
+        self.telem = transport.plane.writer(f"rank{self.rank}")
+        self.telem.hello()
 
     # -- helpers -------------------------------------------------------
     @staticmethod
@@ -208,13 +200,6 @@ class Communicator:
         return [int(np.prod(a.shape[1:])) if a.ndim > 1 else 1 for a in arrays]
 
     def _acquire(self, sem, what: str) -> None:
-        if self.telem is None:
-            if not sem.acquire(timeout=self.timeout):
-                raise CommTimeout(
-                    f"rank {self.rank}: timed out after {self.timeout}s "
-                    f"waiting for {what}"
-                )
-            return
         # slice the wait so the heartbeat keeps pulsing while blocked: the
         # health monitor then sees a live-but-spinning rank, not a corpse
         deadline = time.monotonic() + self.timeout
@@ -280,8 +265,7 @@ class Communicator:
         self.recorder.add(
             "halo", t0, t1, messages=len(self.send_lists) + len(self.recv_lists)
         )
-        if self.telem is not None:
-            self.telem.add(exchanges=1.0, halo_seconds=t1 - t0)
+        self.telem.add(exchanges=1.0, halo_seconds=t1 - t0)
 
     def halo_exchange(self, arrays: Sequence[np.ndarray]) -> None:
         """Blocking exchange: refresh ghost slots of every array in one
@@ -317,8 +301,7 @@ class Communicator:
         self.n_allreduces += 1
         self.allreduce_seconds += t1 - t0
         self.recorder.add("allreduce", t0, t1, width=k, op=op, algo=self.algo)
-        if self.telem is not None:
-            self.telem.add(allreduces=1.0, allreduce_seconds=t1 - t0)
+        self.telem.add(allreduces=1.0, allreduce_seconds=t1 - t0)
         return float(out[0]) if np.ndim(values) == 0 else out
 
     def _allreduce_flat(self, vals, k, op):

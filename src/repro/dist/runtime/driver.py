@@ -91,8 +91,6 @@ def distributed_solve(
     seed: int = 0,
     allreduce_algo: str = "flat",
     timeout: float = 300.0,
-    telemetry: bool = True,
-    decomp: DomainDecomposition | None = None,
 ) -> DistSolveResult:
     """Steady solve on ``n_ranks`` forked rank processes.
 
@@ -100,26 +98,18 @@ def distributed_solve(
     to the outer tolerance (the Newton fixed point does not depend on the
     decomposition; only summation order differs along the way).  Spans and
     measured communication land in the active tracer/metrics.
-
-    ``decomp`` short-circuits the partition + decomposition build with a
-    prebuilt :class:`DomainDecomposition` over the same mesh — the serve
-    daemon's warm cache passes one so repeated distributed requests on a
-    mesh family pay the multilevel partition exactly once.
     """
     opts = opts or SolverOptions()
     nv = field.n_vertices
-    if decomp is None:
-        if labels is None:
-            if n_ranks > 1:
-                from ...partition.multilevel import partition_graph
+    if labels is None:
+        if n_ranks > 1:
+            from ...partition.multilevel import partition_graph
 
-                labels = partition_graph(
-                    field.mesh.edges, nv, n_ranks, seed=seed
-                )
-            else:
-                labels = np.zeros(nv, dtype=np.int64)
-        labels = np.asarray(labels)
-        decomp = DomainDecomposition(field.mesh.edges, labels)
+            labels = partition_graph(field.mesh.edges, nv, n_ranks, seed=seed)
+        else:
+            labels = np.zeros(nv, dtype=np.int64)
+    labels = np.asarray(labels)
+    decomp = DomainDecomposition(field.mesh.edges, labels)
     datas = build_rank_data(field, config, decomp, q0=q0)
 
     def program(comm):
@@ -135,7 +125,6 @@ def distributed_solve(
         red_width=_red_width_for(opts),
         allreduce_algo=allreduce_algo,
         timeout=timeout,
-        telemetry=telemetry,
     ) as rt:
         with tracer.span(
             "dist-solve", n_ranks=decomp.n_ranks, pipelined=pipelined,

@@ -109,10 +109,6 @@ def build_rank_data(
     rank's owned vertices, which is exactly the set the serial boundary
     kernels scatter into.
     """
-    if config.mu > 0.0:
-        raise NotImplementedError(
-            "viscous fluxes are not supported by the distributed runtime"
-        )
     if q0 is None:
         q0 = field.initial_state(config)
 
@@ -459,8 +455,6 @@ def rank_solve_steady(
 
     def publish(step: int, rnorm: float, cfl: float, iters: int) -> None:
         """Write this rank's solver-progress slots."""
-        if comm.telem is None:
-            return
         comm.telem.update(
             step=float(step),
             residual=float(rnorm),

@@ -97,7 +97,6 @@ class DistRuntime:
         red_width: int = 64,
         allreduce_algo: str = "flat",
         timeout: float = 300.0,
-        telemetry: bool = True,
     ) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
@@ -116,7 +115,6 @@ class DistRuntime:
             halo_width=halo_width,
             red_width=red_width,
             timeout=timeout,
-            telemetry=telemetry,
         )
         self._owner_pid = os.getpid()
         self._closed = False

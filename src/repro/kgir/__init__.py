@@ -27,8 +27,7 @@ This package is the one production implementation of that residual:
   :class:`~.sweeps.CornerSweeps`, the boundary closures of the residual
   and of the Jacobian as one corner loop per boundary tag.
 * :mod:`.programs` — :class:`ResidualProgram`, the serial sequence of
-  sweeps (single-state and trailing-axis batched multi-case evaluation),
-  which :func:`repro.cfd.residual.compute_residual` runs directly.
+  sweeps, which :func:`repro.cfd.residual.compute_residual` runs directly.
 
 Numerics contract: the compiled sweeps, the NumPy sweeps and the staged
 oracle kernels in :mod:`repro.cfd.gradient` / :mod:`repro.cfd.flux` are
@@ -45,6 +44,6 @@ IR and a fusion rewrite pass, whose one fusion — recon with min/max — is
 now simply how the recon sweep is written.)
 """
 
-from .programs import ResidualProgram, batched_residual, residual_program
+from .programs import ResidualProgram, residual_program
 
-__all__ = ["ResidualProgram", "residual_program", "batched_residual"]
+__all__ = ["ResidualProgram", "residual_program"]

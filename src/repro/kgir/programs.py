@@ -33,18 +33,17 @@ from ..obs.metrics import get_metrics
 from ..obs.span import kernel_span
 from .sweeps import field_sweeps, vertex_stage
 
-__all__ = ["ResidualProgram", "residual_program", "batched_residual"]
+__all__ = ["ResidualProgram", "residual_program"]
 
 
 class ResidualProgram:
     """The executable second-order residual of one field.
 
-    :meth:`run` evaluates one state, :meth:`run_batch` a trailing-axis
-    stack of states.  Both return fresh ``(res, grad, phi)`` arrays — the
-    full residual (interior program plus boundary closures) and the
-    reconstruction byproducts.  The stages up to the limiter report as one
-    ``grad`` kernel span, the flux stage and the closures as one ``flux``
-    span.
+    :meth:`run` evaluates one state and returns fresh ``(res, grad, phi)``
+    arrays — the full residual (interior program plus boundary closures)
+    and the reconstruction byproducts.  The stages up to the limiter
+    report as one ``grad`` kernel span, the flux stage and the closures as
+    one ``flux`` span.
     """
 
     def __init__(self, field: FlowField):
@@ -75,34 +74,7 @@ class ResidualProgram:
             get_metrics().counter("residual.native_evals").inc()
         return res, grad, phi
 
-    def run_batch(self, q_batch: np.ndarray, configs):
-        """Evaluate ``q_batch`` of shape ``(n_vertices, 4, n_cases)``: case
-        ``b`` is ``run(q_batch[..., b], configs[b])``, stacked back on the
-        trailing axis."""
-        if len(configs) != q_batch.shape[-1]:
-            raise ValueError("one FlowConfig per batched case required")
-        cases = [
-            self.run(np.ascontiguousarray(q_batch[..., b]), cfg)
-            for b, cfg in enumerate(configs)
-        ]
-        return tuple(np.stack(parts, axis=-1) for parts in zip(*cases))
-
 
 def residual_program(field: FlowField) -> ResidualProgram:
     """Cached :class:`ResidualProgram` for ``field``."""
     return field.plan("kgir.program", lambda: ResidualProgram(field))
-
-
-def batched_residual(field: FlowField, q_batch: np.ndarray, configs):
-    """Full residual (interior + boundary) for a trailing-axis case batch.
-
-    Returns ``(res, grad, phi)`` stacks of shape ``(nv, 4, B)``,
-    ``(nv, 4, 3, B)``, ``(nv, 4, B)``.  Case ``b`` is bitwise equal to the
-    serial ``compute_residual(field, q_batch[..., b], configs[b])``.
-    """
-    if not all(cfg.second_order for cfg in configs):
-        raise ValueError(
-            "batched_residual lowers the second-order pipeline; "
-            "first-order cases must go through compute_residual"
-        )
-    return residual_program(field).run_batch(q_batch, configs)

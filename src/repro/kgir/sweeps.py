@@ -23,8 +23,8 @@ several times slower.  :func:`edge_sweeps` is the one place that picks:
 compiled where the kernels load and the edge set can be passed as it is
 (int64 endpoints, C-contiguous float64 metrics, boolean masks), NumPy
 otherwise; ``compiled`` on the result says which.  Neither holds mutable
-state, so concurrent evaluations on one field (the serve daemon's solver
-threads; ``ctypes`` releases the GIL for the call) never share scratch.
+state, so concurrent evaluations on one field (threads over one field;
+``ctypes`` releases the GIL for the call) never share scratch.
 
 :class:`CornerSweeps` is the same idea for the boundary closures: one
 tag's flattened corners, validated once, with the closure flux

@@ -200,7 +200,7 @@ def wing_mesh(
 
     The planform mimics the ONERA M6 (taper ratio 0.56, ~30 degrees leading
     edge sweep); the section is an ellipse of relative ``thickness`` so the
-    O-grid closes smoothly at the trailing edge (an inviscid-friendly
+    O-grid closes smoothly at the trailing edge (an Euler-friendly
     simplification of the M6's sharp airfoil, documented in DESIGN.md).
 
     Topology per span station: ``n_around`` points wrap the section
@@ -419,12 +419,11 @@ def dataset_mesh(
     seed: int = 7,
     ordering: str = "natural",
 ) -> UnstructuredMesh:
-    """Named-dataset factory shared by the CLI and the serve daemon.
+    """Named-dataset factory behind the CLI's mesh arguments.
 
     ``dataset`` is ``mesh-c`` / ``mesh-d`` / ``wing``; ``ordering`` is
-    ``natural`` or ``rcm``.  Both entry points must build bit-identical
-    meshes for the same spec — the serve smoke test compares daemon-solved
-    forces against a one-shot ``repro solve`` at 1e-10.
+    ``natural`` or ``rcm``.  The same spec always builds the bit-identical
+    mesh (the generators are seeded).
     """
     if dataset == "mesh-c":
         mesh = mesh_c_prime(scale=scale, seed=seed)

@@ -104,16 +104,6 @@ def render_table(
         )
     gmres = samples.get(("repro_gmres_iterations_total", ()))
     extra = []
-    serve = procs.get("serve")
-    if serve is not None:
-        # a `repro serve` daemon's row: surface its admission/cache state
-        hits, misses = serve.get("cache_hits", 0), serve.get("cache_misses", 0)
-        extra.append(
-            f"serve q={int(serve.get('queue_depth', 0))}"
-            f" inflight={int(serve.get('in_flight', 0))}"
-            f" cache={int(hits)}h/{int(misses)}m"
-            f" rej={int(serve.get('rejected', 0))}"
-        )
     if gmres is not None:
         extra.append(f"gmres iters: {int(gmres)}")
     shm = samples.get(("repro_shm_bytes", ()))

@@ -410,10 +410,9 @@ class ProcessEdgeBackend:
     def fleet_stats(self) -> dict:
         """Reuse counters of this forked fleet, since fork.
 
-        ``rounds`` counts dispatch rounds (every kind); a warm fleet held
-        across solves keeps growing them, which is how the serve daemon's
-        ``stats`` — and the CI serve-smoke job — verify the fleet was
-        reused rather than reforked per request.
+        ``rounds`` counts dispatch rounds (every kind); a fleet held
+        across solves keeps growing them, which is how a caller verifies
+        the fleet was reused rather than reforked per solve.
         """
         return {
             "workers": self.n_workers,

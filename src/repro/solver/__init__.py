@@ -2,12 +2,7 @@
 
 from .gmres import GMRESResult, gmres
 from .jfnk import fd_jacobian_operator
-from .newton import (
-    SolveResult,
-    SolverOptions,
-    SteadySolverSession,
-    solve_steady,
-)
+from .newton import SolveResult, SolverOptions, solve_steady
 from .schwarz import AdditiveSchwarzILU, SubdomainILU
 
 __all__ = [
@@ -16,7 +11,6 @@ __all__ = [
     "fd_jacobian_operator",
     "SolveResult",
     "SolverOptions",
-    "SteadySolverSession",
     "solve_steady",
     "AdditiveSchwarzILU",
     "SubdomainILU",

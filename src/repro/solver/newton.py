@@ -33,7 +33,6 @@ from .schwarz import AdditiveSchwarzILU
 __all__ = [
     "SolverOptions",
     "SolveResult",
-    "SteadySolverSession",
     "solve_steady",
 ]
 
@@ -82,92 +81,6 @@ class SolveResult:
         return self.residual_history[-1]
 
 
-class SteadySolverSession:
-    """Warm, reusable solver context for repeated solves on one field.
-
-    Everything that depends only on the *structure* of the problem — the
-    Jacobian pattern and assembler workspaces, the BCSR matrix and the
-    additive-Schwarz subdomain split with its ILU symbolic plans — is
-    built once here and reused by every :meth:`solve`.
-    Only the state arrays and the :class:`FlowConfig` differ per case, so
-    an angle-of-attack / Mach sweep pays the setup exactly once (the serve
-    daemon's warm-cache story; the paper's setup-vs-solve cost split).
-
-    Numerics contract: :meth:`solve` is bitwise identical to a fresh
-    :func:`solve_steady` with the same options — the assembler overwrites
-    the matrix (``set_zero``) and the preconditioner refactorizes from the
-    current values on every Newton step, so no state leaks between cases.
-    Property-tested in ``tests/test_serve.py``.
-    """
-
-    def __init__(self, fld: FlowField, opts: SolverOptions | None = None):
-        opts = opts or SolverOptions()
-        self.field = fld
-        self.opts = opts
-        self.assembler = JacobianAssembler(fld)
-        self.A = self.assembler.new_matrix()
-        labels = opts.subdomain_labels
-        if labels is None and opts.n_subdomains > 1:
-            from ..partition.multilevel import partition_graph
-
-            labels = partition_graph(
-                fld.mesh.edges, fld.n_vertices, opts.n_subdomains
-            )
-        self.precond = AdditiveSchwarzILU(
-            self.A, labels=labels, overlap=opts.overlap,
-            fill_level=opts.ilu_fill,
-        )
-        self._closed = False
-
-    #: solver knobs safe to override per solve: none of them changes a
-    #: pattern, plan or partition, so the warm structures stay valid.
-    NONSTRUCTURAL = frozenset({
-        "cfl0", "cfl_max", "max_steps", "steady_rtol", "steady_atol",
-        "gmres_rtol", "gmres_restart", "gmres_maxiter", "max_update",
-        "matrix_free",
-    })
-
-    def solve(
-        self,
-        config: FlowConfig,
-        q0: np.ndarray | None = None,
-        callback: Callable[[int, float, float], None] | None = None,
-        **overrides,
-    ) -> SolveResult:
-        """One steady solve over the warm structures (see class docstring).
-
-        Keyword overrides are restricted to :attr:`NONSTRUCTURAL` solver
-        options (step caps, tolerances, CFL schedule) — anything structural
-        requires a new session.
-        """
-        if self._closed:
-            raise RuntimeError("solver session is closed")
-        opts = self.opts
-        if overrides:
-            bad = set(overrides) - self.NONSTRUCTURAL
-            if bad:
-                raise ValueError(
-                    f"structural option(s) {sorted(bad)} cannot be "
-                    "overridden on a warm session"
-                )
-            from dataclasses import replace
-
-            opts = replace(opts, **overrides)
-        return _solve_steady_impl(
-            self.field, config, opts, q0, callback, session=self
-        )
-
-    def close(self) -> None:
-        """Refuse further solves (idempotent)."""
-        self._closed = True
-
-    def __enter__(self) -> "SteadySolverSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def solve_steady(
     fld: FlowField,
     config: FlowConfig,
@@ -182,31 +95,31 @@ def solve_steady(
     ``jacobian``, ``ilu``, ``trsv`` inside the preconditioner, vector
     primitives from GMRES under their PETSc names).
 
-    One-shot wrapper over :class:`SteadySolverSession`; callers with many
-    structurally-identical cases should hold a session (or go through
-    ``repro serve``) to amortize the setup.
+    Everything that depends only on the structure of the problem — the
+    Jacobian pattern and assembler workspaces, the BCSR matrix and the
+    additive-Schwarz subdomain split with its ILU symbolic plans — is
+    built here, before the ``solve`` span opens; the loop then only
+    overwrites values (``set_zero`` + refactorization every Newton step).
     """
-    with SteadySolverSession(fld, opts) as session:
-        return session.solve(config, q0=q0, callback=callback)
+    opts = opts or SolverOptions()
+    assembler = JacobianAssembler(fld)
+    A = assembler.new_matrix()
+    labels = opts.subdomain_labels
+    if labels is None and opts.n_subdomains > 1:
+        from ..partition.multilevel import partition_graph
 
+        labels = partition_graph(
+            fld.mesh.edges, fld.n_vertices, opts.n_subdomains
+        )
+    precond = AdditiveSchwarzILU(
+        A, labels=labels, overlap=opts.overlap, fill_level=opts.ilu_fill,
+    )
 
-def _solve_steady_impl(
-    fld: FlowField,
-    config: FlowConfig,
-    opts: SolverOptions,
-    q0: np.ndarray | None,
-    callback: Callable[[int, float, float], None] | None,
-    session: SteadySolverSession,
-) -> SolveResult:
     tracer = get_tracer()
     metrics = get_metrics()
     nv = fld.n_vertices
 
     q = fld.initial_state(config) if q0 is None else q0.copy()
-
-    assembler = session.assembler
-    A = session.A
-    precond = session.precond
 
     def spatial_residual(u_flat: np.ndarray) -> np.ndarray:
         u = u_flat.reshape(nv, 4)

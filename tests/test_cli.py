@@ -58,7 +58,6 @@ class TestParser:
         [
             ["solve", "--sparse-backend=process"],
             ["profile", "--sparse-backend=process"],
-            ["serve", "--socket", "s", "--sparse-backend=process"],
         ],
         ids=" ".join,
     )
@@ -88,7 +87,7 @@ class TestParser:
         for name in ("gate_failures", "rolling_gate_failures", "load_history",
                      "append_history", "run_scatter_kernels"):
             assert not hasattr(smp_bench, name)
-        for mod in ("repro.serve.bench", "repro.tune", "repro.tune.bench"):
+        for mod in ("repro.tune", "repro.tune.bench"):
             with pytest.raises(ModuleNotFoundError):
                 __import__(mod)
         with pytest.raises(SystemExit) as exc:
@@ -100,18 +99,16 @@ class TestParser:
         """No silent-ignore shim behind the removed flags either."""
         from dataclasses import fields
 
-        from repro.serve import ExecutionConfig
         from repro.smp.machine import MachineModel
         from repro.solver import SolverOptions
 
-        cmds = (["solve"], ["profile"], ["serve", "--socket", "s"])
+        cmds = (["solve"], ["profile"])
         parsed = [build_parser().parse_args(argv) for argv in cmds]
         for flag in ("--sparse-backend", "--sparse-strategy", "--sparse-workers"):
             name = flag.lstrip("-").replace("-", "_")
             assert not any(hasattr(ns, name) for ns in parsed)
-            for cls in (SolverOptions, ExecutionConfig):
-                with pytest.raises(TypeError):
-                    cls(**{name: 2})
+            with pytest.raises(TypeError):
+                SolverOptions(**{name: 2})
         for argv in cmds:
             for extra in (["--tune"], ["--calibration", "cal.json"]):
                 with pytest.raises(SystemExit) as exc:
@@ -119,9 +116,38 @@ class TestParser:
                 assert exc.value.code == 2
                 err = capsys.readouterr().err
                 assert "unrecognized arguments" in err and extra[0] in err
-        names = {f.name for f in fields(ExecutionConfig)}
-        assert not names & {"tune", "calibration"}
         assert "dispatch_ns" not in {f.name for f in fields(MachineModel)}
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_daemon_subcommands_are_gone(self, command, capsys):
+        """One application, no daemon: no shim keeps ``serve`` / ``submit``."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--socket", "s"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_daemon_only_api_is_gone(self):
+        """What only the daemon set is gone with it: the package, the
+        warm session, the batched residual, the viscous term and the
+        never-unset keywords."""
+        import repro.kgir
+        import repro.solver
+        from repro.cfd import FlowConfig
+        from repro.dist.runtime import DistRuntime, ShmTransport, distributed_solve
+        from repro.kgir import ResidualProgram
+
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.serve")
+        with pytest.raises(TypeError):
+            FlowConfig(mu=0.1)
+        with pytest.raises(TypeError):
+            distributed_solve(None, FlowConfig(), decomp=object())
+        for call in (distributed_solve, DistRuntime, ShmTransport):
+            with pytest.raises(TypeError):
+                call(None, None, telemetry=False)
+        assert not hasattr(repro.solver, "SteadySolverSession")
+        assert not hasattr(repro.kgir, "batched_residual")
+        assert not hasattr(ResidualProgram, "run_batch")
 
 
 class TestCommands:

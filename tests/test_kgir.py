@@ -15,7 +15,7 @@ from repro.cfd import FlowConfig, FlowField, compute_residual
 from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
-from repro.kgir import batched_residual, residual_program
+from repro.kgir import residual_program
 from repro.mesh import dataset_mesh, wing_mesh
 from repro.smp import ProcessEdgeBackend, use_edge_backend
 
@@ -74,42 +74,6 @@ def test_program_bitwise_equals_oracle(kind, ordering, seed, aoa, scheme):
     assert np.array_equal(phi, phi0), "phi differs"
     # ... and it is what a plain compute_residual call runs
     assert np.array_equal(compute_residual(field, q, cfg), res0)
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    ordering=st.sampled_from(["natural", "rcm"]),
-    width=st.integers(1, 4),
-    seed=st.integers(0, 20),
-)
-def test_batched_residual_bitwise_per_case(ordering, width, seed):
-    """One trailing-axis batched sweep == each case's full residual."""
-    field = _field("wing", ordering)
-    configs = [
-        FlowConfig(
-            aoa_deg=float(b), beta=2.0 + b % 2,
-            dissipation="roe" if b % 2 else "rusanov",
-        )
-        for b in range(width)
-    ]
-    q_batch = np.stack(
-        [_state(field, cfg, seed + b) for b, cfg in enumerate(configs)],
-        axis=-1,
-    )
-    res, grad, phi = batched_residual(field, q_batch, configs)
-    assert res.shape == (field.n_vertices, 4, width)
-    for b, cfg in enumerate(configs):
-        qb = np.ascontiguousarray(q_batch[..., b])
-        assert np.array_equal(res[..., b], compute_residual(field, qb, cfg))
-        assert np.array_equal(res[..., b], _oracle(field, qb, cfg)[0])
-
-
-def test_batched_residual_rejects_first_order():
-    field = _field("wing", "natural")
-    cfg = FlowConfig(second_order=False)
-    q = field.initial_state(cfg)[..., None]
-    with pytest.raises(ValueError, match="second-order"):
-        batched_residual(field, q, [cfg])
 
 
 # ---------------------------------------------------------------------------

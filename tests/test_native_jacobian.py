@@ -212,8 +212,9 @@ def test_both_twins_reject_the_same_bad_slots(compiled):
 
 
 def test_concurrent_assemblies_into_separate_matrices_do_not_interfere():
-    """The serve daemon's solver threads each hold a session over one
-    cached field; ``ctypes`` drops the GIL for each sweep."""
+    """Guards ROADMAP item 2's thread backend: threads each assemble into
+    their own matrix over one cached field; ``ctypes`` drops the GIL for
+    each sweep."""
     field, _ = _fields("mesh-c", "natural")
     cfg = FlowConfig(aoa_deg=3.0)
     states = [_state(field, cfg, s) for s in range(4)]

@@ -453,8 +453,8 @@ def test_results_are_fresh_arrays():
 
 
 def test_concurrent_evaluations_on_one_field_do_not_interfere():
-    """The serve daemon's solver threads evaluate on one cached field and
-    ``ctypes`` drops the GIL for each sweep."""
+    """Guards ROADMAP item 2's thread backend: threads evaluate on one
+    cached field and ``ctypes`` drops the GIL for each sweep."""
     field, _ = _fields("mesh-c", "natural")
     cfg = FlowConfig(dissipation="roe")
     program = residual_program(field)

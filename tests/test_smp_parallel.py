@@ -27,8 +27,16 @@ from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.smp import ProcessEdgeBackend, SharedArrayPool, use_edge_backend
 from repro.smp.bench import run_dist_breakdown, run_flux_scaling
+from repro.solver import SolverOptions, solve_steady
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _shm_entries():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # non-Linux
+        return set()
 
 
 def _assert_unlinked(names):
@@ -263,6 +271,30 @@ class TestFailureContainment:
         assert be.closed and not be.handles(field)
         with pytest.raises(RuntimeError):
             be.flux_residual(q, 4.0)
+
+    def test_fleet_reused_across_solves_no_shm_leak(self, wing_setup):
+        """One fleet held across two solves keeps counting rounds, is never
+        reforked, gives the same bits both times, and leaves nothing in
+        ``/dev/shm`` after ``close()``."""
+        field, _ = wing_setup
+        cfg = FlowConfig(aoa_deg=2.0)
+        opts = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=0)
+        before = _shm_entries()
+        be = ProcessEdgeBackend(field, 2)
+        try:
+            with use_edge_backend(be):
+                first_solve = solve_steady(field, cfg, opts)
+                first = be.fleet_stats()
+                second_solve = solve_steady(field, cfg, opts)
+                second = be.fleet_stats()
+        finally:
+            be.close()
+        assert first["pipeline_rounds"] > 0
+        assert second["pipeline_rounds"] > first["pipeline_rounds"]
+        assert not second["closed"]
+        np.testing.assert_array_equal(second_solve.q, first_solve.q)
+        leaked = _shm_entries() - before
+        assert not leaked, f"leaked /dev/shm segments: {leaked}"
 
 
 @settings(max_examples=4, deadline=None)
