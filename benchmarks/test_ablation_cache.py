@@ -10,23 +10,25 @@ measured counterpart of the cost model's ``dram_bytes_per_edge``.
 
 import pytest
 
+from repro.mesh import mesh_c_prime
 from repro.ordering import rcm_relabel
 from repro.perf import format_table
 from repro.smp.cache import simulate_edge_loop
 
-from conftest import emit
+from conftest import SCALE, emit
 
 L1 = 32 * 1024
 L2 = 256 * 1024
 
 
 @pytest.mark.benchmark(group="ablation-cache")
-def test_ablation_cache_reuse(benchmark, mesh_c, capsys):
-    rcm = rcm_relabel(mesh_c)
+def test_ablation_cache_reuse(benchmark, capsys):
+    natural = mesh_c_prime(scale=SCALE, ordering="natural")
+    rcm = rcm_relabel(natural)
 
     def compute():
         out = {}
-        for order, mesh in (("natural", mesh_c), ("rcm", rcm)):
+        for order, mesh in (("natural", natural), ("rcm", rcm)):
             for layout in ("soa", "aos"):
                 s1 = simulate_edge_loop(mesh.edges, mesh.n_vertices, layout, L1)
                 s2 = simulate_edge_loop(mesh.edges, mesh.n_vertices, layout, L2)

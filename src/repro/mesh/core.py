@@ -72,6 +72,11 @@ def tet_volumes(coords: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", np.cross(d1, d2), d3) / 6.0
 
 
+# The six vertex pairs (a, b), a < b, of a tet's four corners.
+_PAIR_LO = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_HI = np.array([1, 2, 3, 2, 3, 3])
+
+
 def extract_edges(tets: np.ndarray, n_vertices: int) -> np.ndarray:
     """Unique undirected edges of a tet mesh, each stored as (lo, hi).
 
@@ -79,14 +84,22 @@ def extract_edges(tets: np.ndarray, n_vertices: int) -> np.ndarray:
     makes the "natural" edge order follow the vertex numbering — the ordering
     assumption behind the paper's natural-order partitioning baseline.
     """
-    pairs = tets[:, TET_EDGES_EVEN[:, :2]].reshape(-1, 2).astype(np.int64)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * np.int64(n_vertices) + hi
-    uniq = np.unique(keys)
-    edges = np.empty((uniq.shape[0], 2), dtype=np.int64)
-    edges[:, 0] = uniq // n_vertices
-    edges[:, 1] = uniq % n_vertices
+    # with each tet's vertices ascending, its six vertex pairs are (lo, hi)
+    ordered = np.sort(tets, axis=1)
+    keys = ordered[:, _PAIR_LO].astype(np.int64) * n_vertices
+    keys += ordered[:, _PAIR_HI]
+    return _edges_from_keys(keys.ravel(), n_vertices)
+
+
+def _edges_from_keys(keys: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Unique ``lo * n + hi`` keys, ascending, as an ``(n_edges, 2)`` edge
+    list.  Sorts ``keys`` in place and drops repeats: several times faster
+    than ``np.unique``."""
+    keys.sort()
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    edges = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.divmod(keys, n_vertices, out=(edges[:, 0], edges[:, 1]))
     return edges
 
 
@@ -98,14 +111,16 @@ def build_vertex_adjacency(
     Neighbor lists are sorted ascending, matching the layout PETSc's AIJ/BAIJ
     assembly produces and what RCM / the partitioner expect.
     """
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # both directions of every edge as one (src, dst) key: sorting the keys
+    # orders rows and their neighbor lists at once
+    lo = edges[:, 0].astype(np.int64)
+    hi = edges[:, 1].astype(np.int64)
+    keys = np.concatenate([lo * n_vertices + hi, hi * n_vertices + lo])
+    keys.sort()
     rowptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    rowptr[1:] = np.bincount(src, minlength=n_vertices)
+    rowptr[1:] = np.bincount(edges.ravel(), minlength=n_vertices)
     np.cumsum(rowptr, out=rowptr)
-    return rowptr, dst
+    return rowptr, keys % n_vertices
 
 
 @dataclass
@@ -305,20 +320,26 @@ class UnstructuredMesh:
 
         ``perm`` must be a permutation of ``range(n_vertices)``.  Used to
         apply RCM orderings or to scramble locality for ablation studies.
+        If this mesh's edges are already extracted, the new mesh's are
+        renamed from them instead of extracted again (the same array).
         """
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (self.n_vertices,):
             raise ValueError("perm must have one entry per vertex")
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n_vertices, dtype=np.int64)
         new_coords = np.empty_like(self.coords)
         new_coords[perm] = self.coords
+        edges = None
+        if self._edges is not None:
+            a, b = perm[self._edges[:, 0]], perm[self._edges[:, 1]]
+            keys = np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
+            edges = _edges_from_keys(keys, self.n_vertices)
         return UnstructuredMesh(
             coords=new_coords,
             tets=perm[self.tets],
             bfaces=perm[self.bfaces],
             btags=self.btags.copy(),
             name=self.name,
+            _edges=edges,
         )
 
     def total_volume(self) -> float:

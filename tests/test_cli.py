@@ -38,6 +38,20 @@ class TestParser:
         args = build_parser().parse_args(["scaling", "--nodes", "1", "8"])
         assert args.nodes == [1, 8]
 
+    @pytest.mark.parametrize(
+        "command", ["solve", "profile", "mesh-info", "speedup", "partition"]
+    )
+    def test_ordering_defaults_to_rcm(self, command):
+        assert build_parser().parse_args([command]).ordering == "rcm"
+        natural = build_parser().parse_args([command, "--ordering", "natural"])
+        assert natural.ordering == "natural"
+
+    def test_ordering_has_two_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--ordering", "frontal"])
+        assert exc.value.code == 2
+        assert "'natural', 'rcm'" in capsys.readouterr().err
+
     def test_backend_defaults(self):
         args = build_parser().parse_args(["solve"])
         assert args.backend == "serial"

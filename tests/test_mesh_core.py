@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.mesh import (
     UnstructuredMesh,
     box_mesh,
+    build_vertex_adjacency,
     closure_residual,
     delaunay_cloud_mesh,
     extract_edges,
@@ -160,6 +161,34 @@ class TestRelabeling:
         m = box_mesh((3, 3, 3))
         with pytest.raises(ValueError):
             m.relabeled(np.arange(5))
+
+    def test_relabel_leaves_unextracted_edges_lazy(self):
+        m = box_mesh((3, 3, 3))
+        assert m.relabeled(np.arange(m.n_vertices))._edges is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(20, 150), seed=st.integers(0, 50))
+def test_edges_and_adjacency_match_their_definitions(n, seed):
+    """The sort-based edge and adjacency builders against ``np.unique`` /
+    ``np.lexsort`` spelled out, and a relabeled mesh's renamed edges
+    against extracting them again."""
+    m = delaunay_cloud_mesh(n, seed=seed)
+    nv = m.n_vertices
+    pairs = m.tets[:, TET_EDGES_EVEN[:, :2]].reshape(-1, 2)
+    keys = np.unique(pairs.min(axis=1) * nv + pairs.max(axis=1))
+    np.testing.assert_array_equal(
+        extract_edges(m.tets, nv), np.stack([keys // nv, keys % nv], axis=1)
+    )
+    src = np.concatenate([m.edges[:, 0], m.edges[:, 1]])
+    dst = np.concatenate([m.edges[:, 1], m.edges[:, 0]])
+    rowptr, cols = build_vertex_adjacency(m.edges, nv)
+    np.testing.assert_array_equal(cols, dst[np.lexsort((dst, src))])
+    np.testing.assert_array_equal(rowptr, np.searchsorted(np.sort(src), np.arange(nv + 1)))
+
+    r = m.relabeled(np.random.default_rng(seed).permutation(nv))
+    assert r._edges is not None
+    np.testing.assert_array_equal(r.edges, extract_edges(r.tets, nv))
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for mesh generators, boundary tagging and persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.mesh import (
     TAG_SYMMETRY,
     TAG_WALL,
     box_mesh,
+    dataset_mesh,
     load_mesh,
     mesh_c_prime,
     mesh_d_prime,
@@ -16,6 +19,7 @@ from repro.mesh import (
     wing_mesh,
 )
 from repro.mesh.generator import boundary_faces_from_tets, structured_to_tets
+from repro.ordering import bandwidth, rcm_relabel
 
 
 class TestStructuredToTets:
@@ -126,6 +130,79 @@ class TestDatasets:
         small = mesh_c_prime(scale=0.05)
         big = mesh_c_prime(scale=0.2)
         assert big.n_vertices > small.n_vertices
+
+
+def assert_same_mesh(a, b):
+    for name in ("coords", "tets", "bfaces", "btags", "edges"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
+
+
+#: sha256 of tets + bfaces + btags (int64 bytes) of Mesh-C' x0.12 seed 7 in
+#: the generator's frontal order, as every release before RCM became the
+#: default built it
+NATURAL_C12_TOPOLOGY = (
+    "19a0bc72c002304f2699511327cda216185b236efae4b048d6ac942a4a193676"
+)
+
+
+class TestOrdering:
+    """Generated meshes are numbered by RCM unless asked for their natural
+    (frontal) order, and the RCM pass runs exactly once."""
+
+    @pytest.mark.parametrize("make", [mesh_c_prime, mesh_d_prime])
+    def test_default_is_rcm_of_the_natural_mesh(self, make):
+        natural = make(scale=0.03, ordering="natural")
+        assert_same_mesh(make(scale=0.03), rcm_relabel(natural))
+
+    def test_natural_is_the_frontal_order(self):
+        m = mesh_c_prime(scale=0.12, seed=7, ordering="natural")
+        digest = hashlib.sha256()
+        for a in (m.tets, m.bfaces, m.btags):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == NATURAL_C12_TOPOLOGY
+        # coordinates come from NumPy's trig, whose last bit may move with
+        # the host's SIMD: pin an index-weighted sum to a tolerance instead
+        np.testing.assert_allclose(
+            np.arange(1, m.n_vertices + 1) @ m.coords,
+            [3479206.9739108365, -9677.011555490146, 2831296.899904035],
+            rtol=1e-9,
+        )
+
+    def test_edge_bandwidth_halves(self):
+        assert bandwidth(mesh_c_prime(scale=0.12).edges) == 251
+        assert bandwidth(mesh_c_prime(scale=0.12, ordering="natural").edges) == 511
+
+    @pytest.mark.parametrize("ordering", ["natural", "rcm"])
+    @pytest.mark.parametrize("dataset", ["mesh-c", "mesh-d", "wing"])
+    def test_dataset_mesh_numbers_once(self, dataset, ordering):
+        got = dataset_mesh(dataset, scale=0.03, seed=5, ordering=ordering)
+        make = {"mesh-c": mesh_c_prime, "mesh-d": mesh_d_prime}.get(dataset)
+        if make is not None:
+            assert_same_mesh(got, make(scale=0.03, seed=5, ordering=ordering))
+        if ordering == "rcm":
+            natural = dataset_mesh(dataset, scale=0.03, seed=5, ordering="natural")
+            assert_same_mesh(got, rcm_relabel(natural))
+            # RCM is not idempotent: a second pass would renumber again
+            assert not np.array_equal(rcm_relabel(got).tets, got.tets)
+
+    def test_dataset_mesh_defaults_to_rcm(self):
+        assert_same_mesh(
+            dataset_mesh("mesh-c", scale=0.03),
+            dataset_mesh("mesh-c", scale=0.03, ordering="rcm"),
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda o: mesh_c_prime(scale=0.02, ordering=o),
+            lambda o: mesh_d_prime(scale=0.02, ordering=o),
+            lambda o: dataset_mesh("wing", scale=0.02, ordering=o),
+        ],
+        ids=["mesh_c_prime", "mesh_d_prime", "dataset_mesh"],
+    )
+    def test_unknown_ordering_raises(self, make):
+        with pytest.raises(ValueError, match="unknown ordering"):
+            make("frontal")
 
 
 class TestIO:

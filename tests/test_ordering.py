@@ -1,6 +1,7 @@
 """Tests for RCM, edge coloring and ordering metrics."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from repro.mesh import (
     box_mesh,
     build_vertex_adjacency,
     delaunay_cloud_mesh,
+    mesh_c_prime,
     validate_mesh,
     wing_mesh,
 )
@@ -24,11 +26,26 @@ from repro.ordering import (
     verify_edge_coloring,
 )
 from repro.ordering.coloring import _greedy_edge_coloring_reference
+from repro.ordering.rcm import _cuthill_mckee_reference, _peripheral_reference
 
 
 def path_graph(n):
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return build_vertex_adjacency(edges, n), edges
+
+
+def assert_matches_queue(rowptr, cols, root=None, start=0):
+    """The level-synchronous RCM returns the one-vertex-at-a-time queue's
+    arrays exactly."""
+    want = _cuthill_mckee_reference(rowptr, cols, root)
+    np.testing.assert_array_equal(cuthill_mckee(rowptr, cols, root), want)
+    np.testing.assert_array_equal(
+        reverse_cuthill_mckee(rowptr, cols, root), want[::-1]
+    )
+    n = rowptr.shape[0] - 1
+    assert pseudo_peripheral_vertex(rowptr, cols, start) == _peripheral_reference(
+        rowptr, cols, start, None, n
+    )
 
 
 class TestRCM:
@@ -153,6 +170,56 @@ def test_rcm_never_increases_bandwidth_much(n, seed):
     scrambled = m.relabeled(rng.permutation(m.n_vertices))
     r = rcm_relabel(scrambled)
     assert bandwidth(r.edges) <= bandwidth(scrambled.edges)
+
+
+@st.composite
+def edge_graphs(draw):
+    """A random edge list on ``n`` vertices: repeated edges, isolated
+    vertices and several components all occur."""
+    n = draw(st.integers(1, 60))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150
+    ))
+    edges = np.array([p for p in pairs if p[0] != p[1]], dtype=np.int64)
+    edges = edges.reshape(-1, 2)
+    rowptr, cols = build_vertex_adjacency(edges, n)
+    root = draw(st.none() | st.integers(0, n - 1))
+    return rowptr, cols, root, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_graphs())
+def test_rcm_equals_queue_on_edge_lists(graph):
+    assert_matches_queue(*graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(20, 150),
+    seed=st.integers(0, 50),
+    components=st.integers(1, 3),
+    isolated=st.integers(0, 4),
+    scramble=st.booleans(),
+    data=st.data(),
+)
+def test_rcm_equals_queue_on_meshes(n, seed, components, isolated, scramble, data):
+    """Disjoint copies of a random-cloud mesh plus isolated vertices, in
+    the mesh's own or a scrambled numbering, from a free or given root."""
+    m = delaunay_cloud_mesh(n, seed=seed)
+    nv = m.n_vertices
+    edges = np.concatenate([m.edges + c * nv for c in range(components)])
+    total = components * nv + isolated
+    if scramble:
+        edges = np.random.default_rng(seed).permutation(total)[edges]
+    rowptr, cols = build_vertex_adjacency(edges, total)
+    root = data.draw(st.none() | st.integers(0, total - 1))
+    assert_matches_queue(rowptr, cols, root, data.draw(st.integers(0, total - 1)))
+
+
+@pytest.mark.parametrize("scale", [0.12, 0.5])
+def test_rcm_equals_queue_on_mesh_c_prime(scale):
+    rowptr, cols = mesh_c_prime(scale=scale, seed=7, ordering="natural").adjacency
+    assert_matches_queue(rowptr, cols)
 
 
 @settings(max_examples=15, deadline=None)

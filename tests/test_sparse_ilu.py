@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro import native
 from repro.mesh import box_mesh, delaunay_cloud_mesh, mesh_c_prime
 from repro.obs import MetricsRegistry, use_metrics
-from repro.ordering import rcm_relabel
 from repro.sparse import (
     BCSRMatrix,
     TrsvWorkspace,
@@ -113,9 +112,9 @@ class TestCompiledSymbolic:
     @pytest.mark.parametrize("fill", [1, 2, 3])
     @pytest.mark.parametrize("rcm", [False, True], ids=["natural", "rcm"])
     def test_mesh_pattern(self, fill, rcm):
-        mesh = mesh_c_prime(scale=0.02, seed=7)
-        if rcm:
-            mesh = rcm_relabel(mesh)
+        mesh = mesh_c_prime(
+            scale=0.02, seed=7, ordering="rcm" if rcm else "natural"
+        )
         A = BCSRMatrix.from_mesh_edges(mesh.edges, mesh.n_vertices)
         (rp, c), n = _symbolic_paths(A.rowptr, A.cols, fill)
         assert n == 1
