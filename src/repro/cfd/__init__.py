@@ -4,7 +4,6 @@ from .boundary import farfield_residual, wall_flux, wall_residual
 from .compressible import (
     CompressibleConfig,
     CompressibleJacobian,
-    CompressibleResult,
     compressible_freestream,
     compressible_residual,
     euler_flux,
@@ -36,7 +35,6 @@ from .timestep import local_timestep, ser_cfl
 __all__ = [
     "CompressibleConfig",
     "CompressibleJacobian",
-    "CompressibleResult",
     "compressible_freestream",
     "compressible_residual",
     "euler_flux",

@@ -13,28 +13,33 @@ median-dual machinery, with
 * slip-wall / symmetry and characteristic far-field boundary conditions,
 * limited least-squares reconstruction (reusing the generic gradient and
   limiter kernels, which are variable-count agnostic),
-* a pseudo-transient Newton-Krylov-Schwarz driver on 5x5 BCSR blocks
-  (reusing the generic GMRES / JFNK / additive-Schwarz stack).
+* a density/pressure positivity check on each Newton update.
 
-The block machinery (BCSR, ILU, TRSV, Schwarz) is block-size generic, so
-the whole solver stack runs unchanged at ``b=5`` — exactly the paper's
-claim about the compressible regime.
+The steady solve is the incompressible one: the same pseudo-transient
+Newton loop (:func:`repro.solver.newton.pseudo_transient_solve`), GMRES,
+JFNK operator and additive-Schwarz ILU, given this module's residual,
+time step and 5x5 Jacobian through a :class:`~repro.solver.newton.
+FieldDiscretization` subclass.  The block machinery (BCSR, ILU, TRSV,
+Schwarz) is block-size generic, so the whole solver stack runs unchanged
+at ``b=5`` — exactly the paper's claim about the compressible regime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..perf.scatter import scatter_add
-from ..solver.gmres import gmres
-from ..solver.jfnk import fd_jacobian_operator
-from ..solver.schwarz import AdditiveSchwarzILU
+from ..solver.newton import (
+    FieldDiscretization,
+    SolveResult,
+    SolverOptions,
+    pseudo_transient_solve,
+)
 from ..sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from .gradient import lsq_gradients, venkat_limiter
 from .state import FlowField
-from .timestep import ser_cfl
 
 __all__ = [
     "NVARS_C",
@@ -48,8 +53,8 @@ __all__ = [
     "compressible_residual",
     "compressible_local_timestep",
     "CompressibleJacobian",
+    "COMPRESSIBLE_OPTIONS",
     "solve_compressible_steady",
-    "CompressibleResult",
 ]
 
 NVARS_C = 5
@@ -304,104 +309,43 @@ class CompressibleJacobian:
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-transient driver
+# Pseudo-transient solve
 # ---------------------------------------------------------------------------
-@dataclass
-class CompressibleResult:
-    """Convergence record of a compressible steady solve."""
+#: the compressible defaults: a gentler start than ``SolverOptions()``
+COMPRESSIBLE_OPTIONS = SolverOptions(cfl0=5.0, max_update=0.25)
 
-    q: np.ndarray
-    steps: int
-    linear_iterations: int
-    residual_history: list[float] = field(default_factory=list)
-    converged: bool = False
+
+class _CompressibleDiscretization(FieldDiscretization):
+    """The compressible physics on the in-process adapter."""
+
+    def __init__(
+        self, fld: FlowField, config: CompressibleConfig, opts: SolverOptions
+    ) -> None:
+        super().__init__(fld, config, opts, CompressibleJacobian(fld))
+
+    def residual(self, q: np.ndarray) -> np.ndarray:
+        return compressible_residual(self.fld, q, self.config)
+
+    def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
+        return compressible_local_timestep(self.fld, q, self.config, cfl)
+
+    def admissible(self, q: np.ndarray) -> bool:
+        """Density and pressure positive at every vertex."""
+        return bool(
+            q[:, 0].min() > 0.0 and _pressure(q, self.config.gamma).min() > 0.0
+        )
 
 
 def solve_compressible_steady(
     fld: FlowField,
     config: CompressibleConfig | None = None,
-    cfl0: float = 5.0,
-    cfl_max: float = 1e5,
-    max_steps: int = 100,
-    steady_rtol: float = 1e-6,
-    gmres_rtol: float = 1e-2,
-    ilu_fill: int = 0,
-    max_update: float = 0.25,
-) -> CompressibleResult:
-    """Pseudo-transient NKS solve of the compressible Euler equations.
-
-    Same algorithm as the incompressible driver, on 5x5 blocks; the
-    preconditioner stack (additive-Schwarz block-ILU, level-scheduled
-    TRSV) runs unchanged because it is block-size generic.
-    """
+    opts: SolverOptions | None = None,
+) -> SolveResult:
+    """Pseudo-transient NKS solve of the compressible Euler equations from
+    the freestream (``opts`` defaults to :data:`COMPRESSIBLE_OPTIONS`)."""
     config = config or CompressibleConfig()
-    nv = fld.n_vertices
-    q = np.tile(compressible_freestream(config), (nv, 1))
-
-    assembler = CompressibleJacobian(fld)
-    A = assembler.new_matrix()
-    precond = AdditiveSchwarzILU(A, fill_level=ilu_fill)
-
-    def spatial(u_flat: np.ndarray) -> np.ndarray:
-        return compressible_residual(
-            fld, u_flat.reshape(nv, NVARS_C), config
-        ).reshape(-1)
-
-    history: list[float] = []
-    total_linear = 0
-    converged = False
-    cfl = cfl0
-    r0 = None
-    step = 0
-    for step in range(1, max_steps + 1):
-        res = compressible_residual(fld, q, config)
-        rnorm = float(np.sqrt(np.mean(res * res)))
-        history.append(rnorm)
-        if r0 is None:
-            r0 = rnorm
-        if rnorm <= steady_rtol * r0:
-            converged = True
-            break
-        cfl = ser_cfl(cfl0, r0, rnorm, cfl_max=cfl_max, cfl_prev=cfl)
-        dt = compressible_local_timestep(fld, q, config, cfl)
-
-        assembler.assemble(q, config, out=A)
-        assembler.add_pseudo_time(A, dt)
-        precond.update(A)
-
-        diag = np.repeat(fld.volumes / dt, NVARS_C)
-        op = fd_jacobian_operator(
-            spatial, q.reshape(-1), r0=res.reshape(-1), diag=diag
-        )
-        result = gmres(
-            op,
-            -res.reshape(-1),
-            precond=precond.apply,
-            rtol=gmres_rtol,
-            restart=30,
-            maxiter=60,
-        )
-        total_linear += result.iterations
-
-        du = result.x.reshape(nv, NVARS_C)
-        m = np.abs(du).max()
-        scale = min(1.0, max_update / m) if m > 0 else 1.0
-        q_new = q + scale * du
-        # physicality guard: keep density and pressure positive
-        for _ in range(20):
-            if (
-                q_new[:, 0].min() > 0.0
-                and _pressure(q_new, config.gamma).min() > 0.0
-            ):
-                break
-            scale *= 0.5
-            q_new = q + scale * du
-        q = q_new
-
-    return CompressibleResult(
-        q=q,
-        steps=step,
-        linear_iterations=total_linear,
-        residual_history=history,
-        converged=converged,
+    opts = opts or COMPRESSIBLE_OPTIONS
+    q = np.tile(compressible_freestream(config), (fld.n_vertices, 1))
+    return pseudo_transient_solve(
+        _CompressibleDiscretization(fld, config, opts), q, opts
     )

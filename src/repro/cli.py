@@ -405,23 +405,34 @@ def _print_dist_breakdown(dres) -> None:
     )
 
 
-def _run_solve(args, obs=None):
+def _solver_options(args):
+    """The solve's ``SolverOptions``; a ``ValueError`` names a bad value."""
+    from .solver import SolverOptions
+
+    return SolverOptions(
+        max_steps=args.max_steps,
+        steady_rtol=args.rtol,
+        n_subdomains=args.subdomains,
+        ilu_fill=args.ilu,
+    )
+
+
+def _usage_error(args, exc: Exception) -> int:
+    print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_solve(args, opts, obs=None):
     from contextlib import nullcontext
 
     from .apps import Fun3dApp, OptimizationConfig
     from .cfd import FlowConfig
-    from .solver import SolverOptions
 
     mesh = _make_mesh(args)
     app = Fun3dApp(
         mesh,
         flow=FlowConfig(aoa_deg=args.aoa, dissipation=args.dissipation),
-        solver=SolverOptions(
-            max_steps=args.max_steps,
-            steady_rtol=args.rtol,
-            n_subdomains=args.subdomains,
-            ilu_fill=args.ilu,
-        ),
+        solver=opts,
     )
     if getattr(args, "dist_ranks", 0) > 0:
         print(
@@ -460,8 +471,12 @@ def cmd_solve(args) -> int:
     from .cfd import integrate_forces
 
     try:
+        opts = _solver_options(args)
+    except ValueError as exc:
+        return _usage_error(args, exc)
+    try:
         with _ObsSession(args) as obs:
-            app, res = _run_solve(args, obs)
+            app, res = _run_solve(args, opts, obs)
             mesh, s = app.mesh, res.solve
             print(
                 f"{mesh.name}: {mesh.n_vertices} vertices / "
@@ -530,19 +545,23 @@ def _print_recurrence_structure(app, fill: int) -> None:
 
 def cmd_profile(args) -> int:
     try:
+        opts = _solver_options(args)
+    except ValueError as exc:
+        return _usage_error(args, exc)
+    try:
         with _ObsSession(args) as obs:
-            return _cmd_profile_impl(args, obs)
+            return _cmd_profile_impl(args, opts, obs)
     except KeyboardInterrupt:
         print("interrupted — partial telemetry exports flushed",
               file=sys.stderr)
         return 130
 
 
-def _cmd_profile_impl(args, obs) -> int:
+def _cmd_profile_impl(args, opts, obs) -> int:
     from .obs import aggregate_spans
     from .perf import format_profile
 
-    app, res = _run_solve(args, obs)
+    app, res = _run_solve(args, opts, obs)
     tracer, s = res.trace, res.solve
     print(f"{app.mesh.name}: traced solve "
           f"(converged={s.converged} steps={s.steps} "

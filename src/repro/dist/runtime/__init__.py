@@ -10,7 +10,6 @@ from .comm import Communicator, CommTimeout, ShmTransport, SpanRecorder
 from .driver import DistSolveResult, distributed_solve
 from .program import (
     RankData,
-    RankSolveStats,
     build_rank_data,
     rank_residual,
     rank_solve_steady,
@@ -25,7 +24,6 @@ __all__ = [
     "DistRuntime",
     "RankResult",
     "RankData",
-    "RankSolveStats",
     "build_rank_data",
     "rank_residual",
     "rank_solve_steady",

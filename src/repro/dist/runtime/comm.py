@@ -17,7 +17,8 @@ Two-phase exchange (:meth:`Communicator.exchange_begin` /
 pack+post happens eagerly, the caller computes interior work, and only the
 unpack waits on neighbors.  Every exchange and collective records a
 ``rank<i>.halo`` / ``rank<i>.allreduce`` span with its measured wall
-interval, which the parent folds into the observability trace tree.
+interval, and the compute a halo window overlaps a ``rank<i>.interior``
+span, which the parent folds into the observability trace tree.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class Communicator:
         self.n_allreduces = 0
         self.halo_seconds = 0.0
         self.allreduce_seconds = 0.0
+        self.interior_seconds = 0.0
         self.bytes_sent = 0
         # live telemetry: write through the fork-inherited plane arrays
         # (not the re-attached pool) so the single-producer row stays tied
@@ -271,6 +273,13 @@ class Communicator:
         """Blocking exchange: refresh ghost slots of every array in one
         message per neighbor (arrays are packed side by side)."""
         self.exchange_end(self.exchange_begin(arrays), arrays)
+
+    def interior(self, t0: float, edges: int) -> None:
+        """Account the interior compute of a halo window, begun at ``t0``
+        and ending now (the work pipelined mode overlaps)."""
+        t1 = time.perf_counter()
+        self.interior_seconds += t1 - t0
+        self.recorder.add("interior", t0, t1, edges=edges)
 
     # -- collectives ---------------------------------------------------
     def allreduce(self, values, op: str = "sum"):
@@ -359,13 +368,15 @@ class Communicator:
 
     # -- accounting ----------------------------------------------------
     def stats(self) -> dict[str, float]:
-        """Measured communication totals for this rank."""
+        """Measured communication (and overlapped interior) totals for
+        this rank."""
         return {
             "exchanges": float(self.n_exchanges),
             "messages": float(self.n_messages),
             "allreduces": float(self.n_allreduces),
             "halo_seconds": self.halo_seconds,
             "allreduce_seconds": self.allreduce_seconds,
+            "interior_seconds": self.interior_seconds,
             "bytes_sent": float(self.bytes_sent),
         }
 

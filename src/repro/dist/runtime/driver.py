@@ -21,7 +21,7 @@ carry the critical-path (max-over-ranks) wall times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -137,22 +137,9 @@ def distributed_solve(
     for r, rr in enumerate(results):
         q[decomp.domains[r].owned] = rr.value.q
 
-    s0 = results[0].value
-    solve = SolveResult(
-        q=q,
-        steps=s0.steps,
-        linear_iterations=s0.linear_iterations,
-        residual_history=s0.residual_history,
-        cfl_history=s0.cfl_history,
-        converged=s0.converged,
-    )
-
-    rank_stats = []
-    for rr in results:
-        stats = dict(rr.comm_stats)
-        stats["interior_seconds"] = rr.value.interior_seconds
-        stats["elapsed"] = rr.value.elapsed
-        rank_stats.append(stats)
+    # every rank's record is the same but for its owned slice of q
+    solve = replace(results[0].value, q=q)
+    rank_stats = [dict(rr.comm_stats) for rr in results]
 
     # measured communication accounting (replaces the modeled counts the
     # serial gmres charges): real reductions, real pack/unpack walls

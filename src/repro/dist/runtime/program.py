@@ -16,10 +16,13 @@ arithmetic on local arrays:
   Jacobian (cut edges contribute their owned-side diagonal blocks), i.e.
   zero-overlap additive Schwarz with one subdomain per rank, applied with
   no communication.
-* **Newton/GMRES control flow** — replicated on every rank.  All global
-  scalars (residual norms, Hessenberg entries, CFL, update clips) come out
-  of deterministic allreduces, so every rank takes the same branches and
-  the distributed iteration is a single well-defined sequence.
+* **Newton/GMRES control flow** — the serial loop itself
+  (:func:`repro.solver.newton.pseudo_transient_solve` with
+  :func:`repro.solver.gmres.gmres`), replicated on every rank through this
+  module's adapter.  All global scalars (residual norms, Hessenberg
+  entries, CFL, update clips) come out of the communicator's deterministic
+  allreduces, so every rank takes the same branches and the distributed
+  iteration is a single well-defined sequence.
 
 Numerics contract: per-edge/per-face arithmetic is identical to the serial
 kernels (only summation order differs), and the converged steady state
@@ -30,17 +33,16 @@ matches the serial solver's to the outer tolerance — verified end-to-end in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...cfd.flux import edge_spectral_radius
 from ...cfd.jacobian import block_slots, edge_flux_jacobians
 from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
-from ...cfd.timestep import ser_cfl
 from ...kgir.sweeps import CornerSweeps, edge_sweeps, vertex_stage
 from ...perf.scatter import scatter_add
-from ...solver.newton import SolverOptions
+from ...solver.newton import SolveResult, SolverOptions, pseudo_transient_solve
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
 from ...sparse.trsv import TrsvWorkspace, trsv_solve
@@ -194,13 +196,6 @@ class _Workspace:
             tag: CornerSweeps(nl, *data.bcorners[tag], far=tag == "far")
             for tag in BOUNDARY_TAGS
         }
-        self.interior_seconds = 0.0
-
-
-def _interior_span(comm: Communicator, ws: _Workspace, t0: float, edges: int):
-    t1 = time.perf_counter()
-    ws.interior_seconds += t1 - t0
-    comm.recorder.add("interior", t0, t1, edges=edges)
 
 
 def _recon(ws: _Workspace, comm: Communicator, sl: slice):
@@ -284,7 +279,7 @@ def rank_residual(
             comm.halo_exchange(payload)
             t0 = time.perf_counter()
             interior_work()
-        _interior_span(comm, ws, t0, data.n_interior)
+        comm.interior(t0, data.n_interior)
 
     # ---- window 1: state exchange || interior reconstruction sweep ----
     if config.second_order:
@@ -395,28 +390,67 @@ class _RankJacobian:
 
         eye = np.eye(NVARS)
         vals[self._diag_idx] += (data.volumes / dt)[:, None, None] * eye
+        self._factor = None  # never two factors alive at once
         self._factor = ilu_factorize(self.matrix, self.plan)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        # no out=: dist_gmres stores the result in its flexible basis, so
-        # the solve must hand back a fresh array (work covers the scratch)
+        # no out=: every call returns a fresh array (work covers the
+        # scratch)
         z = trsv_solve(self._factor, r.reshape(-1, NVARS), work=self._tws)
         return z.reshape(r.shape)
 
 
-@dataclass
-class RankSolveStats:
-    """Per-rank outcome shipped back to the parent."""
+class _RankDiscretization:
+    """One rank's adapter of the Newton loop: the halo'd residual of its
+    owned vertices, their time steps and block-Jacobi ILU, its
+    communicator's reductions and its ``comm.telem`` row."""
 
-    q: np.ndarray
-    steps: int
-    linear_iterations: int
-    residual_history: list[float]
-    cfl_history: list[float]
-    converged: bool
-    interior_seconds: float
-    elapsed: float
-    extras: dict = dc_field(default_factory=dict)
+    def __init__(
+        self,
+        data: RankData,
+        comm: Communicator,
+        config: FlowConfig,
+        opts: SolverOptions,
+        pipelined: bool,
+    ) -> None:
+        self.data, self.comm, self.config = data, comm, config
+        self.pipelined = pipelined
+        self.ws = _Workspace(data)
+        self.jac = _RankJacobian(data, opts.ilu_fill)
+        self.volumes = data.volumes
+        self.allreduce = comm.allreduce
+
+    def residual(self, q: np.ndarray) -> np.ndarray:
+        self.ws.q[: self.data.n_owned] = q
+        return rank_residual(
+            self.data, self.comm, self.ws, self.config, self.pipelined
+        ).copy()
+
+    def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
+        # the loop asks right after the residual of q: the ghosts are fresh
+        return _local_timestep(self.data, self.ws, self.config, cfl)
+
+    def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
+        self.jac.update(self.ws, self.config, dt)
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        return self.jac.apply(v)
+
+    def publish(
+        self, step: int, rnorm: float, cfl: float, krylov_iters: int
+    ) -> None:
+        telem = self.comm.telem
+        telem.update(
+            step=float(step),
+            residual=float(rnorm),
+            cfl=float(cfl),
+            krylov_iters=float(krylov_iters),
+            interior_seconds=self.comm.interior_seconds,
+        )
+        telem.push_event("note", float(step), float(rnorm))
+
+    def admissible(self, q: np.ndarray) -> bool:
+        return True
 
 
 def rank_solve_steady(
@@ -425,104 +459,16 @@ def rank_solve_steady(
     config: FlowConfig,
     opts: SolverOptions,
     pipelined: bool = False,
-) -> RankSolveStats:
-    """One rank's pseudo-transient Newton loop (the distributed
-    counterpart of :func:`repro.solver.newton.solve_steady`).
-
-    Control flow is replicated: every global scalar is a deterministic
-    allreduce, so all ranks take identical branches.
-    """
-    from ...solver.distributed import dist_fd_operator, dist_gmres
-
-    t_start = time.perf_counter()
-    ws = _Workspace(data)
-    jac = _RankJacobian(data, opts.ilu_fill)
-    no = data.n_owned
-    n_unknowns = NVARS * data.n_global
-
-    def spatial_residual(u_flat: np.ndarray) -> np.ndarray:
-        ws.q[:no] = u_flat.reshape(no, NVARS)
-        return rank_residual(data, comm, ws, config, pipelined).reshape(-1)
-
-    history: list[float] = []
-    cfls: list[float] = []
-    total_linear = 0
-    converged = False
-    cfl = opts.cfl0
-    r0_norm = None
-    step = 0
-    q_owned = data.q0.copy()
-
-    def publish(step: int, rnorm: float, cfl: float, iters: int) -> None:
-        """Write this rank's solver-progress slots."""
-        comm.telem.update(
-            step=float(step),
-            residual=float(rnorm),
-            cfl=float(cfl),
-            krylov_iters=float(iters),
-            interior_seconds=ws.interior_seconds,
-        )
-        comm.telem.push_event("note", float(step), float(rnorm))
-
-    for step in range(1, opts.max_steps + 1):
-        ws.q[:no] = q_owned
-        res = rank_residual(data, comm, ws, config, pipelined).copy()
-        rnorm = float(
-            np.sqrt(comm.allreduce(float(np.sum(res * res))) / n_unknowns)
-        )
-        history.append(rnorm)
-        publish(step, rnorm, cfl, total_linear)
-        if r0_norm is None:
-            r0_norm = rnorm
-        if rnorm <= max(opts.steady_rtol * r0_norm, opts.steady_atol):
-            converged = True
-            break
-
-        cfl = ser_cfl(
-            opts.cfl0, r0_norm, rnorm, cfl_max=opts.cfl_max, cfl_prev=cfl
-        )
-        cfls.append(cfl)
-        dt = _local_timestep(data, ws, config, cfl)
-        jac.update(ws, config, dt)
-
-        diag = np.repeat(data.volumes / dt, NVARS)
-        if opts.matrix_free:
-            op = dist_fd_operator(
-                spatial_residual,
-                q_owned.reshape(-1),
-                comm,
-                n_unknowns,
-                r0=res.reshape(-1),
-                diag=diag,
-            )
-        else:
-            op = jac.matrix.matvec
-
-        result = dist_gmres(
-            op,
-            -res.reshape(-1),
-            comm,
-            precond=jac.apply,
-            rtol=opts.gmres_rtol,
-            restart=opts.gmres_restart,
-            maxiter=opts.gmres_maxiter,
-        )
-        total_linear += result.iterations
-
-        du = result.x.reshape(no, NVARS)
-        m_local = float(np.abs(du).max()) if du.size else 0.0
-        m = comm.allreduce(m_local, op="max")
-        scale = min(1.0, opts.max_update / m) if m > 0 else 1.0
-        q_owned += scale * du
-
-    publish(step, history[-1] if history else 0.0, cfl, total_linear)
-    return RankSolveStats(
-        q=q_owned,
-        steps=step,
-        linear_iterations=total_linear,
-        residual_history=history,
-        cfl_history=cfls,
-        converged=converged,
-        interior_seconds=ws.interior_seconds,
-        elapsed=time.perf_counter() - t_start,
+) -> SolveResult:
+    """One rank's share of a distributed steady solve: the serial Newton
+    loop over this rank's adapter.  Returns the owned slice's result; every
+    rank's record (steps, histories) is the same."""
+    disc = _RankDiscretization(data, comm, config, opts, pipelined)
+    result = pseudo_transient_solve(disc, data.q0.copy(), opts)
+    disc.publish(  # the final totals; the loop publishes before each step
+        result.steps,
+        result.final_residual,
+        result.cfl_history[-1] if result.cfl_history else opts.cfl0,
+        result.linear_iterations,
     )
+    return result

@@ -35,7 +35,7 @@ __all__ = ["DistRuntime", "RankResult"]
 class RankResult:
     """What one rank sends home: its program's return value, the spans it
     recorded (``rank<i>.halo`` / ``.interior`` / ``.allreduce``), and its
-    measured communication totals."""
+    measured communication totals plus the program's wall (``elapsed``)."""
 
     rank: int
     value: Any
@@ -56,8 +56,10 @@ def _rank_main(
     comm = None
     try:
         comm = Communicator(transport, rank, algo=algo)
+        t0 = time.perf_counter()
         value = program(comm)
-        conn.send((rank, value, comm.recorder.spans, comm.stats(), None))
+        stats = dict(comm.stats(), elapsed=time.perf_counter() - t0)
+        conn.send((rank, value, comm.recorder.spans, stats, None))
     except BaseException as exc:
         err = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         try:

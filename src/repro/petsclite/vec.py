@@ -14,6 +14,12 @@ bytes to the active :class:`~repro.perf.PerfRegistry` under its PETSc name.
 The shared-memory model later assigns these kernels a thread count of 1
 (native PETSc) or ``n_threads`` (our optimized replacements) to reproduce
 Fig. 11.
+
+The two reductions (``VecNorm``, ``VecMDot``) take an ``allreduce(values,
+op)``: a vector split across rank processes passes its communicator's,
+and the default, :func:`local_allreduce`, is the identity of a process
+that holds the whole vector.  That argument is the only difference between
+a serial and a distributed Krylov solve.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from ..perf.profile import get_registry
 
 __all__ = [
+    "local_allreduce",
     "vec_norm",
     "vec_dot",
     "vec_mdot",
@@ -38,10 +45,18 @@ __all__ = [
 _F8 = 8.0  # bytes per double
 
 
-def vec_norm(x: np.ndarray, name: str = "VecNorm") -> float:
-    """2-norm; one reduction (a global collective in the distributed case)."""
+def local_allreduce(values, op: str = "sum"):
+    """The reduction of one process: its values are already global."""
+    return values
+
+
+def vec_norm(
+    x: np.ndarray, name: str = "VecNorm", allreduce=local_allreduce
+) -> float:
+    """2-norm; one reduction (a global collective in the distributed case).
+    ``sqrt(x @ x)`` is what ``np.linalg.norm`` computes, to the bit."""
     get_registry().add(name, flops=2.0 * x.size, nbytes=_F8 * x.size)
-    return float(np.linalg.norm(x))
+    return float(np.sqrt(allreduce(float(x @ x))))
 
 
 def vec_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -55,11 +70,14 @@ def _rows(xs) -> np.ndarray:
     return xs if isinstance(xs, np.ndarray) else np.stack(xs)
 
 
-def vec_mdot(xs: list[np.ndarray] | np.ndarray, y: np.ndarray) -> np.ndarray:
+def vec_mdot(
+    xs: list[np.ndarray] | np.ndarray, y: np.ndarray, allreduce=local_allreduce
+) -> np.ndarray:
     """Multiple dot products against a common vector (VecMDot).
 
     ``xs`` is a list of vectors or a 2-D array of them, row by row.  GMRES
-    orthogonalization is built on this: one fused pass over y.
+    orthogonalization is built on this: one fused pass over y, and one
+    reduction of all the dots.
     """
     m = len(xs)
     get_registry().add(
@@ -67,7 +85,7 @@ def vec_mdot(xs: list[np.ndarray] | np.ndarray, y: np.ndarray) -> np.ndarray:
     )
     if m == 0:
         return np.zeros(0)
-    return np.asarray(_rows(xs) @ y)
+    return np.asarray(allreduce(_rows(xs) @ y))
 
 
 def vec_axpy(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:

@@ -57,6 +57,7 @@ import numpy as np
 
 from ..cfd.boundary import add_boundary_closures
 from ..kgir.sweeps import edge_sweeps, vertex_stage
+from ..obs.live.plane import TelemetryPlane
 from ..obs.live.recorder import crash_dump, reap_dead
 from ..obs.live.ring import STATE_BUSY, STATE_IDLE
 from ..obs.metrics import get_metrics
@@ -97,7 +98,7 @@ class _WorkerSpec:
     acc_rhs: np.ndarray | None = None
     acc_min: np.ndarray | None = None
     acc_max: np.ndarray | None = None
-    telem: Any = None  # TelemetryWriter | None
+    telem: Any = None  # this worker's TelemetryWriter
 
 
 def _targets(spec: _WorkerSpec, *folds) -> list[np.ndarray]:
@@ -166,8 +167,7 @@ _TASKS = {
 def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
     """Worker main: serve tasks off the duplex pipe until ``None`` arrives."""
     telem = spec.telem
-    if telem is not None:
-        telem.hello()
+    telem.hello()
     while True:
         try:
             task = conn.recv()
@@ -176,8 +176,7 @@ def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
         if task is None:
             break
         kind, seq = task[0], task[1]
-        if telem is not None:
-            telem.heartbeat(STATE_BUSY)
+        telem.heartbeat(STATE_BUSY)
         t0 = time.perf_counter()
         err = None
         try:
@@ -189,14 +188,13 @@ def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
             err = f"{type(exc).__name__}: {exc}"
         t1 = time.perf_counter()
         conn.send((wid, seq, t0, t1, err))
-        if telem is not None:
-            calls = {f"{_TASKS[kind][1]}_calls": 1.0} if kind in _TASKS else {}
-            telem.add(tasks=1.0, busy_seconds=t1 - t0, **calls)
-            if err is None:
-                telem.push_event("task_done", a=float(seq), b=t1 - t0)
-            else:
-                telem.push_event("task_error", a=float(seq))
-            telem.heartbeat(STATE_IDLE)
+        calls = {f"{_TASKS[kind][1]}_calls": 1.0} if kind in _TASKS else {}
+        telem.add(tasks=1.0, busy_seconds=t1 - t0, **calls)
+        if err is None:
+            telem.push_event("task_done", a=float(seq), b=t1 - t0)
+        else:
+            telem.push_event("task_error", a=float(seq))
+        telem.heartbeat(STATE_IDLE)
 
 
 class ProcessEdgeBackend:
@@ -215,11 +213,10 @@ class ProcessEdgeBackend:
         ``natural`` (contiguous chunks).  Ignored otherwise.
     timeout:
         seconds to wait for a worker round before declaring it dead.
-    telemetry:
-        allocate a live telemetry plane (default on): workers publish
-        heartbeat/state plus task and busy-time counters into shared
-        slots (:mod:`repro.obs.live`), readable from the parent while
-        the fleet runs.
+
+    Every fleet has a live telemetry plane: workers publish heartbeat/state
+    plus task and busy-time counters into shared slots
+    (:mod:`repro.obs.live`), readable from the parent while the fleet runs.
     """
 
     def __init__(
@@ -230,7 +227,6 @@ class ProcessEdgeBackend:
         partitioner: str = "metis",
         seed: int = 0,
         timeout: float = 120.0,
-        telemetry: bool = True,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -278,18 +274,12 @@ class ProcessEdgeBackend:
             self._acc_min = zeros("acc_min", (w, nv, 4))
             self._acc_max = zeros("acc_max", (w, nv, 4))
 
-        self._plane = None
-        writers: list[Any] = [None] * w
-        if telemetry:
-            from ..obs.live import TelemetryPlane
-
-            # plane arrays live in the backend pool: forked workers
-            # inherit the views, the leak tests cover the segments
-            self._plane = TelemetryPlane(
-                {f"edge.w{s}": EDGE_WORKER_SLOTS for s in range(w)},
-                pool=self._pool,
-            )
-            writers = [self._plane.writer(f"edge.w{s}") for s in range(w)]
+        # plane arrays live in the backend pool: forked workers inherit the
+        # views, the leak tests cover the segments
+        self._plane = TelemetryPlane(
+            {f"edge.w{s}": EDGE_WORKER_SLOTS for s in range(w)},
+            pool=self._pool,
+        )
 
         # --- edge partition (read-only, inherited by fork) ------------
         self.labels = None
@@ -356,7 +346,7 @@ class ProcessEdgeBackend:
                 lo=self._lo,
                 hi=self._hi,
                 eps2=self._eps2,
-                telem=writers[s],
+                telem=self._plane.writer(f"edge.w{s}"),
             )
             if strategy == "replicate":
                 spec.acc, spec.acc_rhs = self._acc[s], self._acc_rhs[s]
@@ -402,10 +392,6 @@ class ProcessEdgeBackend:
 
     def segment_names(self) -> dict[str, str]:
         return self._pool.segment_names()
-
-    def telemetry_plane(self):
-        """This fleet's live plane (None when telemetry is disabled)."""
-        return self._plane
 
     def fleet_stats(self) -> dict:
         """Reuse counters of this forked fleet, since fork.
@@ -611,8 +597,7 @@ class ProcessEdgeBackend:
                 conn.close()
             except Exception:
                 pass
-        if self._plane is not None:
-            self._plane.close()  # unregister before the pool unlinks
+        self._plane.close()  # unregister before the pool unlinks
         self._pool.close()
         try:
             atexit.unregister(self.close)

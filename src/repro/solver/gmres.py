@@ -8,6 +8,11 @@ Orthogonalization uses classical Gram-Schmidt expressed as one fused
 PETSc's GMRES produces, which the multi-node experiments count (the
 ``MPI_Allreduce`` per iteration that dominates at 256 nodes lives in
 ``VecMDot``/``VecNorm``).
+
+This is the only GMRES: rank processes run it on their owned slices by
+passing their communicator's ``allreduce`` (every dot and norm becomes one
+real reduction, and every rank sees the same Hessenberg entries, rotations
+and convergence decisions); one process passes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ import numpy as np
 from ..obs.live.plane import get_live_writer
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer
-from ..petsclite.vec import vec_copy, vec_maxpy, vec_mdot, vec_norm, vec_scale
+from ..petsclite.vec import (
+    local_allreduce,
+    vec_copy,
+    vec_maxpy,
+    vec_mdot,
+    vec_norm,
+    vec_scale,
+)
 
 __all__ = ["GMRESResult", "gmres"]
 
@@ -50,11 +62,14 @@ def gmres(
     atol: float = 0.0,
     restart: int = 30,
     maxiter: int = 300,
+    allreduce=local_allreduce,
 ) -> GMRESResult:
     """Solve ``op(x) = b`` with restarted FGMRES.
 
     ``precond`` applies the (right) preconditioner M^-1; None means identity.
     Convergence: ``||b - op(x)|| <= max(rtol * ||b||, atol)``.
+    ``allreduce(values, op)`` completes the dots and norms when each
+    process holds a slice of the vectors (see :mod:`repro.petsclite.vec`).
     """
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else x0.copy()
@@ -64,7 +79,7 @@ def gmres(
     # reduction in the distributed setting (the Fig. 10 MPI_Allreduce wall)
     allreduces = 1  # the ||b|| norm below
 
-    bnorm = vec_norm(b)
+    bnorm = vec_norm(b, allreduce=allreduce)
     if bnorm == 0.0:
         metrics.counter("gmres.allreduces").inc(allreduces)
         return GMRESResult(x=np.zeros(n), iterations=0, residual_norms=[0.0], converged=True)
@@ -76,7 +91,7 @@ def gmres(
 
     with get_tracer().span("gmres", restart=restart, rtol=rtol) as gm_span:
         converged, total_it, allreduces = _gmres_cycles(
-            op, b, M, x, tol, restart, maxiter, res_hist, allreduces
+            op, b, M, x, tol, restart, maxiter, res_hist, allreduces, allreduce
         )
         if gm_span is not None:
             gm_span.attrs["iterations"] = total_it
@@ -104,6 +119,7 @@ def _gmres_cycles(
     maxiter: int,
     res_hist: list[float],
     allreduces: int,
+    allreduce,
 ) -> tuple[bool, int, int]:
     """Restart cycles of :func:`gmres`; updates ``x`` in place."""
     live = get_live_writer()  # ambient telemetry row (set by the CLI)
@@ -112,7 +128,7 @@ def _gmres_cycles(
     converged = False
     while total_it < maxiter and not converged:
         r = b - op(x) if total_it else (vec_copy(b) if x0_zero else b - op(x))
-        beta = vec_norm(r)
+        beta = vec_norm(r, allreduce=allreduce)
         allreduces += 1
         res_hist.append(beta)
         if beta <= tol:
@@ -137,11 +153,11 @@ def _gmres_cycles(
             if w is z or w is vj:  # defend against aliasing operators
                 w = w.copy()
             # classical Gram-Schmidt: one fused MDot + MAXPY
-            h = vec_mdot(V[: j + 1], w)
+            h = vec_mdot(V[: j + 1], w, allreduce)
             vec_maxpy(w, -h, V[: j + 1])
             allreduces += 2  # the MDot and the norm below
             H[: j + 1, j] = h
-            H[j + 1, j] = vec_norm(w)
+            H[j + 1, j] = vec_norm(w, allreduce=allreduce)
             if H[j + 1, j] > 1e-14 * max(beta, 1.0):
                 V[j + 1] = vec_scale(w, 1.0 / H[j + 1, j])
             else:

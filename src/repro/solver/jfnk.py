@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..petsclite.vec import local_allreduce
+
 __all__ = ["fd_jacobian_operator"]
 
 
@@ -25,14 +27,18 @@ def fd_jacobian_operator(
     u: np.ndarray,
     r0: np.ndarray | None = None,
     diag: np.ndarray | None = None,
-    eps_base: float = None,  # type: ignore[assignment]
+    eps_base: float | None = None,
+    allreduce=local_allreduce,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Build ``v -> J v`` by one-sided finite differences around ``u``.
 
     ``residual_fn`` maps a flat state to a flat spatial residual.  ``diag``
     (flat, same size) is an exact diagonal term added analytically —
     the pseudo-time ``V/dt`` contribution, kept out of the FD for accuracy.
-    ``r0`` may pass a precomputed ``residual_fn(u)``.
+    ``r0`` may pass a precomputed ``residual_fn(u)``.  When each process
+    holds a slice of ``u`` (and ``residual_fn`` communicates), ``allreduce``
+    makes the norms and the length global, so ``eps`` is one number on
+    every process.
     """
     u = u.reshape(-1)
     if r0 is None:
@@ -40,13 +46,16 @@ def fd_jacobian_operator(
     r0 = r0.reshape(-1)
     if eps_base is None:
         eps_base = np.sqrt(np.finfo(float).eps)
-    u_scale = 1.0 + float(np.linalg.norm(u)) / np.sqrt(max(u.size, 1))
+    # one reduction: the state's squared norm and the global length
+    uu, n = allreduce(np.array([u @ u, u.size], dtype=np.float64))
+    u_scale = 1.0 + float(np.sqrt(uu)) / np.sqrt(max(n, 1.0))
+    sqrt_n = np.sqrt(n)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        vnorm = float(np.linalg.norm(v))
+        vnorm = float(np.sqrt(allreduce(float(v @ v))))
         if vnorm == 0.0:
             return np.zeros_like(v)
-        eps = eps_base * u_scale / vnorm * np.sqrt(v.size)
+        eps = eps_base * u_scale / vnorm * sqrt_n
         jv = (residual_fn(u + eps * v) - r0) / eps
         if diag is not None:
             jv = jv + diag * v

@@ -10,22 +10,30 @@ is an additive-Schwarz block-ILU of the *first-order* Jacobian.  The CFL
 grows by SER so the iteration transitions from pseudo-time marching to
 Newton's method; iteration and step counts come out as the Table I / II
 statistics.
+
+:func:`pseudo_transient_solve` is the only copy of that loop.  What differs
+between the places it runs is a :class:`Discretization` adapter: the
+incompressible field in this process (:class:`FieldDiscretization`, behind
+:func:`solve_steady`), one rank's owned slice
+(:func:`repro.dist.runtime.program.rank_solve_steady`) and the 5x5
+compressible field (:func:`repro.cfd.compressible.solve_compressible_steady`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 from ..cfd.jacobian import JacobianAssembler
-from ..cfd.residual import compute_residual, residual_norm
+from ..cfd.residual import compute_residual
 from ..cfd.state import FlowConfig, FlowField
 from ..cfd.timestep import local_timestep, ser_cfl
 from ..obs.live.plane import get_live_writer
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer, kernel_span
+from ..petsclite.vec import local_allreduce
 from .gmres import gmres
 from .jfnk import fd_jacobian_operator
 from .schwarz import AdditiveSchwarzILU
@@ -33,8 +41,14 @@ from .schwarz import AdditiveSchwarzILU
 __all__ = [
     "SolverOptions",
     "SolveResult",
+    "Discretization",
+    "FieldDiscretization",
+    "pseudo_transient_solve",
     "solve_steady",
 ]
+
+#: most step halvings the admissibility check may ask for in one step
+MAX_HALVINGS = 20
 
 
 @dataclass
@@ -54,11 +68,13 @@ class SolverOptions:
     subdomain_labels: np.ndarray | None = None
     overlap: int = 0
     max_update: float = 0.5  # clip |du| per step (robustness)
-    #: True (default): matrix-free JFNK products against the second-order
-    #: residual (the paper's configuration).  False: defect correction —
-    #: the assembled first-order Jacobian is the Krylov operator itself
-    #: (cheaper per iteration, first-order-limited convergence path).
-    matrix_free: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("max_steps", "gmres_restart", "gmres_maxiter"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}"
+                )
 
 
 @dataclass
@@ -81,6 +97,219 @@ class SolveResult:
         return self.residual_history[-1]
 
 
+class Discretization(Protocol):
+    """What :func:`pseudo_transient_solve` asks of a discretization.
+
+    States are ``(n, nvars)`` arrays of the unknowns this process holds.
+    ``allreduce(values, op)`` completes every global scalar (norms, dots,
+    the update clip); a process holding everything passes
+    :func:`~repro.petsclite.vec.local_allreduce`.
+    """
+
+    volumes: np.ndarray  # (n,) control volumes: the V of V/dt
+
+    def allreduce(self, values, op: str = "sum"): ...
+
+    def residual(self, q: np.ndarray) -> np.ndarray:
+        """Spatial residual ``f(q)``, a fresh ``(n, nvars)`` array."""
+
+    def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
+        """Local pseudo time steps ``(n,)`` at ``q``."""
+
+    def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
+        """Assemble ``V/dt + J_1(q)`` and factor it."""
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        """Apply the factored preconditioner to a flat vector."""
+
+    def publish(
+        self, step: int, rnorm: float, cfl: float, krylov_iters: int
+    ) -> None:
+        """Report progress to this process's live telemetry row."""
+
+    def admissible(self, q: np.ndarray) -> bool:
+        """False asks the loop to halve the step that produced ``q``."""
+
+
+def pseudo_transient_solve(
+    disc: Discretization,
+    q: np.ndarray,
+    opts: SolverOptions,
+    callback: Callable[[int, float, float], None] | None = None,
+) -> SolveResult:
+    """Drive ``disc`` from state ``q`` to steady state.
+
+    Opens the ``solve`` / ``newton-step`` spans, reports the preconditioner
+    applications as ``trsv`` kernel spans, and runs :func:`gmres` on the
+    matrix-free :func:`fd_jacobian_operator`, both with ``disc.allreduce``.
+    """
+    tracer = get_tracer()
+    metrics = get_metrics()
+    allreduce = disc.allreduce
+    shape = q.shape
+
+    def spatial_residual(u_flat: np.ndarray) -> np.ndarray:
+        return disc.residual(u_flat.reshape(shape)).reshape(-1)
+
+    def apply_pc(v: np.ndarray) -> np.ndarray:
+        with kernel_span("trsv"):
+            return disc.precondition(v)
+
+    history: list[float] = []
+    cfls: list[float] = []
+    total_linear = 0
+    converged = False
+    cfl = opts.cfl0
+    r0_norm = None
+
+    step = 0
+    with tracer.span(
+        "solve", n_vertices=shape[0], ilu_fill=opts.ilu_fill,
+        n_subdomains=opts.n_subdomains,
+    ):
+        for step in range(1, opts.max_steps + 1):
+            with tracer.span("newton-step", step=step):
+                res = disc.residual(q)
+                # RMS over every unknown: one reduction of (sum of squares,
+                # count); in one process this is bitwise residual_norm
+                ss, n = allreduce(
+                    np.array([np.sum(res * res), res.size], dtype=np.float64)
+                )
+                rnorm = float(np.sqrt(ss / n))
+                history.append(rnorm)
+                if r0_norm is None:
+                    r0_norm = rnorm
+                if callback:
+                    callback(step, rnorm, cfl)
+                tracer.event("residual", step=step, rnorm=rnorm, cfl=cfl)
+                metrics.gauge("newton.residual_norm").set(rnorm)
+                disc.publish(step, rnorm, cfl, total_linear)
+                if rnorm <= max(opts.steady_rtol * r0_norm, opts.steady_atol):
+                    converged = True
+                    break
+                metrics.counter("newton.steps").inc()
+
+                cfl = ser_cfl(
+                    opts.cfl0, r0_norm, rnorm, cfl_max=opts.cfl_max,
+                    cfl_prev=cfl,
+                )
+                cfls.append(cfl)
+                dt = disc.timestep(q, cfl)
+                disc.update_preconditioner(q, dt)
+
+                op = fd_jacobian_operator(
+                    spatial_residual, q.reshape(-1), r0=res.reshape(-1),
+                    diag=np.repeat(disc.volumes / dt, shape[1]),
+                    allreduce=allreduce,
+                )
+                result = gmres(
+                    op,
+                    -res.reshape(-1),
+                    precond=apply_pc,
+                    rtol=opts.gmres_rtol,
+                    restart=opts.gmres_restart,
+                    maxiter=opts.gmres_maxiter,
+                    allreduce=allreduce,
+                )
+                total_linear += result.iterations
+                metrics.histogram("newton.krylov_per_step").observe(
+                    result.iterations
+                )
+
+                du = result.x.reshape(shape)
+                # clip the update for robustness during the strongly
+                # nonlinear transient, then halve it while the
+                # discretization rejects the new state (the physicality
+                # checks of production codes)
+                m = allreduce(float(np.abs(du).max()) if du.size else 0.0, "max")
+                scale = min(1.0, opts.max_update / m) if m > 0 else 1.0
+                q_new = q + scale * du
+                for _ in range(MAX_HALVINGS):
+                    if disc.admissible(q_new):
+                        break
+                    scale *= 0.5
+                    q_new = q + scale * du
+                q = q_new
+
+    metrics.gauge("newton.final_residual").set(history[-1])
+    return SolveResult(
+        q=q,
+        steps=step,
+        linear_iterations=total_linear,
+        residual_history=history,
+        cfl_history=cfls,
+        converged=converged,
+    )
+
+
+class FieldDiscretization:
+    """The in-process adapter: a whole :class:`FlowField`, its first-order
+    Jacobian in one BCSR matrix under additive-Schwarz ILU, and the ambient
+    live telemetry row.
+
+    Everything that depends only on the structure of the problem — the
+    Jacobian pattern and assembler workspaces, the BCSR matrix and the
+    subdomain split with its ILU symbolic plans — is built here, before
+    the ``solve`` span opens; each Newton step only overwrites values.
+    Subclasses swap the physics (residual, time step, assembler) and the
+    admissibility check.
+    """
+
+    allreduce = staticmethod(local_allreduce)
+
+    def __init__(
+        self, fld: FlowField, config, opts: SolverOptions, assembler=None
+    ) -> None:
+        self.fld = fld
+        self.config = config
+        self.volumes = fld.volumes
+        self.assembler = assembler or JacobianAssembler(fld)
+        self.A = self.assembler.new_matrix()
+        labels = opts.subdomain_labels
+        if labels is None and opts.n_subdomains > 1:
+            from ..partition.multilevel import partition_graph
+
+            labels = partition_graph(
+                fld.mesh.edges, fld.n_vertices, opts.n_subdomains
+            )
+        self.precond = AdditiveSchwarzILU(
+            self.A, labels=labels, overlap=opts.overlap,
+            fill_level=opts.ilu_fill,
+        )
+        self.live = get_live_writer()  # ambient telemetry row (set by the CLI)
+
+    def residual(self, q: np.ndarray) -> np.ndarray:
+        return compute_residual(self.fld, q, self.config)
+
+    def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
+        return local_timestep(self.fld, q, self.config, cfl)
+
+    def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
+        with kernel_span("jacobian"):
+            self.assembler.assemble(q, self.config, out=self.A)
+            self.assembler.add_pseudo_time(self.A, dt)
+        with kernel_span("ilu"):
+            self.precond.update(self.A)
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        return self.precond.apply(v)
+
+    def publish(
+        self, step: int, rnorm: float, cfl: float, krylov_iters: int
+    ) -> None:
+        if self.live is not None:
+            self.live.update(
+                step=float(step),
+                residual=float(rnorm),
+                cfl=float(cfl),
+                krylov_iters=float(krylov_iters),
+            )
+            self.live.add(newton_steps=1.0)
+
+    def admissible(self, q: np.ndarray) -> bool:
+        return True
+
+
 def solve_steady(
     fld: FlowField,
     config: FlowConfig,
@@ -94,128 +323,8 @@ def solve_steady(
     kernel names (Flux+BC residual assembly under ``flux``/``grad``,
     ``jacobian``, ``ilu``, ``trsv`` inside the preconditioner, vector
     primitives from GMRES under their PETSc names).
-
-    Everything that depends only on the structure of the problem — the
-    Jacobian pattern and assembler workspaces, the BCSR matrix and the
-    additive-Schwarz subdomain split with its ILU symbolic plans — is
-    built here, before the ``solve`` span opens; the loop then only
-    overwrites values (``set_zero`` + refactorization every Newton step).
     """
     opts = opts or SolverOptions()
-    assembler = JacobianAssembler(fld)
-    A = assembler.new_matrix()
-    labels = opts.subdomain_labels
-    if labels is None and opts.n_subdomains > 1:
-        from ..partition.multilevel import partition_graph
-
-        labels = partition_graph(
-            fld.mesh.edges, fld.n_vertices, opts.n_subdomains
-        )
-    precond = AdditiveSchwarzILU(
-        A, labels=labels, overlap=opts.overlap, fill_level=opts.ilu_fill,
-    )
-
-    tracer = get_tracer()
-    metrics = get_metrics()
-    nv = fld.n_vertices
-
+    disc = FieldDiscretization(fld, config, opts)
     q = fld.initial_state(config) if q0 is None else q0.copy()
-
-    def spatial_residual(u_flat: np.ndarray) -> np.ndarray:
-        u = u_flat.reshape(nv, 4)
-        r = compute_residual(fld, u, config)
-        return r.reshape(-1)
-
-    history: list[float] = []
-    cfls: list[float] = []
-    total_linear = 0
-    converged = False
-    cfl = opts.cfl0
-    r0_norm = None
-    live = get_live_writer()  # ambient telemetry row (set by the CLI)
-
-    step = 0
-    with tracer.span(
-        "solve", n_vertices=nv, ilu_fill=opts.ilu_fill,
-        n_subdomains=opts.n_subdomains,
-    ):
-        for step in range(1, opts.max_steps + 1):
-            with tracer.span("newton-step", step=step):
-                res = compute_residual(fld, q, config)
-                rnorm = residual_norm(res)
-                history.append(rnorm)
-                if r0_norm is None:
-                    r0_norm = rnorm
-                if callback:
-                    callback(step, rnorm, cfl)
-                tracer.event("residual", step=step, rnorm=rnorm, cfl=cfl)
-                metrics.gauge("newton.residual_norm").set(rnorm)
-                if live is not None:
-                    live.update(
-                        step=float(step),
-                        residual=float(rnorm),
-                        cfl=float(cfl),
-                        krylov_iters=float(total_linear),
-                    )
-                    live.add(newton_steps=1.0)
-                if rnorm <= max(opts.steady_rtol * r0_norm, opts.steady_atol):
-                    converged = True
-                    break
-                metrics.counter("newton.steps").inc()
-
-                cfl = ser_cfl(
-                    opts.cfl0, r0_norm, rnorm, cfl_max=opts.cfl_max,
-                    cfl_prev=cfl,
-                )
-                cfls.append(cfl)
-                dt = local_timestep(fld, q, config, cfl)
-
-                with kernel_span("jacobian"):
-                    assembler.assemble(q, config, out=A)
-                    assembler.add_pseudo_time(A, dt)
-                with kernel_span("ilu"):
-                    precond.update(A)
-
-                diag = np.repeat(fld.volumes / dt, 4)
-                if opts.matrix_free:
-                    op = fd_jacobian_operator(
-                        spatial_residual, q.reshape(-1), r0=res.reshape(-1),
-                        diag=diag,
-                    )
-                else:
-                    op = A.matvec  # defect correction: first-order operator
-
-                def apply_pc(v: np.ndarray) -> np.ndarray:
-                    with kernel_span("trsv"):
-                        return precond.apply(v)
-
-                result = gmres(
-                    op,
-                    -res.reshape(-1),
-                    precond=apply_pc,
-                    rtol=opts.gmres_rtol,
-                    restart=opts.gmres_restart,
-                    maxiter=opts.gmres_maxiter,
-                )
-                total_linear += result.iterations
-                metrics.histogram("newton.krylov_per_step").observe(
-                    result.iterations
-                )
-
-                du = result.x.reshape(nv, 4)
-                # clip the update for robustness during the strongly
-                # nonlinear transient (acts like the physicality checks in
-                # production codes)
-                m = np.abs(du).max()
-                scale = min(1.0, opts.max_update / m) if m > 0 else 1.0
-                q += scale * du
-
-    metrics.gauge("newton.final_residual").set(history[-1] if history else 0.0)
-    return SolveResult(
-        q=q,
-        steps=step,
-        linear_iterations=total_linear,
-        residual_history=history,
-        cfl_history=cfls,
-        converged=converged,
-    )
+    return pseudo_transient_solve(disc, q, opts, callback)

@@ -142,6 +142,9 @@ class AdditiveSchwarzILU:
     def update(self, matrix: BCSRMatrix) -> None:
         """Refactor all subdomains from the current matrix values."""
         for s, sub in enumerate(self.subs):
+            # release the old factor first: with both alive, every Newton
+            # step would hold two factors at its memory peak
+            self._factors[s] = None
             rowptr, cols = sub.sub_pattern
             local = BCSRMatrix(
                 rowptr=rowptr, cols=cols, vals=matrix.vals[sub.gather]

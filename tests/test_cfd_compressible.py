@@ -1,5 +1,7 @@
 """Tests for the compressible Euler path (5x5 blocks)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cfd import FlowField
 from repro.cfd.compressible import (
+    COMPRESSIBLE_OPTIONS,
     GAMMA,
     NVARS_C,
     CompressibleConfig,
@@ -21,6 +24,8 @@ from repro.cfd.compressible import (
     solve_compressible_steady,
 )
 from repro.mesh import box_mesh, wing_mesh
+from repro.obs import Tracer, use_tracer
+from repro.solver import SolveResult, SolverOptions
 
 
 def perturbed_states(n, seed=0, amp=0.02):
@@ -143,7 +148,9 @@ class TestSteadySolve:
     def solution(self):
         fld = FlowField(wing_mesh(n_around=16, n_radial=5, n_span=4))
         cfg = CompressibleConfig(mach=0.5, aoa_deg=3.0)
-        res = solve_compressible_steady(fld, cfg, max_steps=60)
+        res = solve_compressible_steady(
+            fld, cfg, replace(COMPRESSIBLE_OPTIONS, max_steps=60)
+        )
         return fld, cfg, res
 
     def test_converges(self, solution):
@@ -170,11 +177,36 @@ class TestSteadySolve:
         rho_max = []
         for mach in (0.3, 0.6):
             res = solve_compressible_steady(
-                fld, CompressibleConfig(mach=mach), max_steps=60
+                fld, CompressibleConfig(mach=mach),
+                replace(COMPRESSIBLE_OPTIONS, max_steps=60),
             )
             assert res.converged
             rho_max.append(res.q[:, 0].max())
         assert rho_max[1] > rho_max[0]
+
+    def test_defaults_are_the_gentler_start(self):
+        assert COMPRESSIBLE_OPTIONS == SolverOptions(cfl0=5.0, max_update=0.25)
+
+    def test_runs_the_shared_newton_loop(self):
+        """The 5x5 solve is the incompressible loop: it returns the same
+        record and leaves the same span tree under a tracer."""
+        fld = FlowField(wing_mesh(n_around=12, n_radial=4, n_span=3))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            res = solve_compressible_steady(
+                fld, CompressibleConfig(),
+                replace(COMPRESSIBLE_OPTIONS, max_steps=4, steady_rtol=0.0),
+            )
+        assert isinstance(res, SolveResult)
+        assert res.steps == 4 and len(res.residual_history) == 4
+        # one SER CFL per step that solved, starting from the gentler cfl0
+        assert len(res.cfl_history) == 4
+        assert res.cfl_history[0] >= COMPRESSIBLE_OPTIONS.cfl0
+        names = {s.name for s in tracer.walk()}
+        assert {"solve", "newton-step", "gmres", "jacobian", "ilu", "trsv"} <= names
+        counts = tracer.kernel_counts()
+        assert counts["newton-step"] == counts["jacobian"] == counts["ilu"] == 4
+        assert counts["trsv"] >= res.linear_iterations
 
 
 @settings(max_examples=10, deadline=None)

@@ -132,6 +132,17 @@ class TestParser:
                 assert "unrecognized arguments" in err and extra[0] in err
         assert "dispatch_ns" not in {f.name for f in fields(MachineModel)}
 
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_max_steps_below_one_is_a_usage_error(self, command, steps, capsys):
+        """Regression: ``solve --max-steps 0`` used to end in an
+        ``IndexError`` traceback from the empty residual history."""
+        rc = main([command, "--scale", "0.02", "--max-steps", steps])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"repro {command}: error: max_steps must be at least 1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("command", ["serve", "submit"])
     def test_daemon_subcommands_are_gone(self, command, capsys):
         """One application, no daemon: no shim keeps ``serve`` / ``submit``."""
@@ -156,7 +167,9 @@ class TestParser:
             FlowConfig(mu=0.1)
         with pytest.raises(TypeError):
             distributed_solve(None, FlowConfig(), decomp=object())
-        for call in (distributed_solve, DistRuntime, ShmTransport):
+        from repro.smp import ProcessEdgeBackend
+
+        for call in (distributed_solve, DistRuntime, ShmTransport, ProcessEdgeBackend):
             with pytest.raises(TypeError):
                 call(None, None, telemetry=False)
         assert not hasattr(repro.solver, "SteadySolverSession")

@@ -34,7 +34,7 @@ from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.partition import partition_graph
 from repro.smp import SharedArrayPool
-from repro.solver import SolverOptions
+from repro.solver import SolverOptions, gmres
 from repro.solver.newton import solve_steady
 
 
@@ -230,6 +230,63 @@ class TestAllreduce:
             results = rt.run(program)
         for rr in results:
             np.testing.assert_array_equal(rr.value, tree_ref(0))
+
+
+class TestDistributedKrylov:
+    """``gmres`` on row slices, its reductions through a real communicator:
+    the serial solver with nothing but an ``allreduce`` swapped in."""
+
+    N = 48
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(self.N, self.N)) + 9.0 * np.eye(self.N)
+        assert not np.allclose(A, A.T)  # nonsymmetric
+        b = rng.normal(size=self.N)
+        dinv = 1.0 / np.diag(A)
+        serial = gmres(
+            lambda v: A @ v, b, precond=lambda v: dinv * v,
+            rtol=1e-10, restart=12, maxiter=200,
+        )
+        assert serial.converged and serial.iterations > 12  # restarts ran
+        return A, b, dinv, serial
+
+    @pytest.mark.parametrize("algo", ["flat", "tree"])
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_row_split_gmres_matches_serial(self, system, ranks, algo):
+        A, b, dinv, serial = system
+        rows = np.array_split(np.arange(self.N), ranks)
+        mesh, decomp = _decomp(n=60, seed=ranks, ranks=ranks)
+
+        def program(comm):
+            mine = rows[comm.rank]
+
+            def op(v):
+                # every rank's slice in place, zeros elsewhere: the sum is
+                # the whole vector, exactly
+                full = np.zeros(self.N)
+                full[mine] = v
+                return A[mine] @ comm.allreduce(full)
+
+            res = gmres(
+                op, b[mine], precond=lambda v: dinv[mine] * v,
+                rtol=1e-10, restart=12, maxiter=200,
+                allreduce=comm.allreduce,
+            )
+            return res.x, res.iterations, res.residual_norms, res.converged
+
+        with DistRuntime(decomp, allreduce_algo=algo, timeout=60) as rt:
+            results = [rr.value for rr in rt.run(program)]
+        x = np.concatenate([x for x, _, _, _ in results])
+        np.testing.assert_allclose(x, serial.x, rtol=0.0, atol=1e-12)
+        _, iters0, hist0, conv0 = results[0]
+        assert conv0
+        for _, iters, hist, conv in results[1:]:
+            # replicated control flow: the same reductions, bit for bit
+            assert iters == iters0 and conv == conv0
+            assert np.array_equal(np.array(hist), np.array(hist0))
+        np.testing.assert_allclose(hist0[0], serial.residual_norms[0], rtol=1e-14)
 
 
 @pytest.fixture(scope="module")

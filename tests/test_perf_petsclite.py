@@ -118,6 +118,30 @@ class TestVectorPrimitives:
             assert vec_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
         assert self.reg.records["VecNorm"].calls == 1
 
+    def test_norm_is_bitwise_numpy_norm(self):
+        """A solve's bits rest on this: ``sqrt(x @ x)`` and its reduced
+        form are exactly what ``np.linalg.norm`` returns."""
+        rng = np.random.default_rng(3)
+        with use_registry(self.reg):
+            for n in (1, 7, 96, 12_288):
+                x = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+                assert vec_norm(x) == float(np.linalg.norm(x))
+
+    def test_reductions_go_through_allreduce(self):
+        calls = []
+
+        def doubled(values, op="sum"):  # two identical processes
+            calls.append(op)
+            return 2 * values
+
+        x = np.array([3.0, 4.0])
+        with use_registry(self.reg):
+            assert vec_norm(x, allreduce=doubled) == pytest.approx(np.sqrt(50.0))
+            np.testing.assert_array_equal(
+                vec_mdot([x, 2 * x], x, allreduce=doubled), [50.0, 100.0]
+            )
+        assert calls == ["sum", "sum"]
+
     def test_dot(self):
         with use_registry(self.reg):
             assert vec_dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro.cfd import FlowConfig, FlowField, compute_residual, residual_norm
 from repro.mesh import box_mesh, wing_mesh
 from repro.solver import (
     AdditiveSchwarzILU,
@@ -237,6 +237,12 @@ class TestSteadySolve:
         assert res.converged
         assert res.final_residual < 1e-6 * res.initial_residual
 
+    def test_history_is_the_residual_norm_bitwise(self, wing_solution):
+        """The loop's reduced RMS is ``residual_norm`` to the bit."""
+        fld, cfg, res = wing_solution
+        r0 = compute_residual(fld, fld.initial_state(cfg), cfg)
+        assert res.initial_residual == residual_norm(r0)
+
     def test_velocity_divergence_small(self, wing_solution):
         # at steady state the artificial-compressibility continuity residual
         # (beta * net mass flux per CV) vanishes
@@ -291,45 +297,17 @@ def test_gmres_property(seed, cond):
     np.testing.assert_allclose(res.x, x, rtol=1e-6, atol=1e-7)
 
 
-class TestDefectCorrection:
-    def test_matrix_based_solve_converges_first_order(self):
-        # with a first-order residual the assembled operator is (nearly)
-        # the true Jacobian, so matrix-based Newton converges fast
-        mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)
-        fld = FlowField(mesh)
-        res = solve_steady(
-            fld, FlowConfig(second_order=False),
-            SolverOptions(max_steps=60, matrix_free=False),
-        )
-        assert res.converged
+class TestSolverOptions:
+    @pytest.mark.parametrize("name", ["max_steps", "gmres_restart", "gmres_maxiter"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, name, value):
+        """Regression: ``max_steps=0`` used to run no step and crash in
+        ``SolveResult.initial_residual`` on the empty history."""
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{name: value})
 
-    def test_same_steady_state_as_jfnk(self):
-        # both operators drive the same (first-order) nonlinear residual to
-        # zero, so the steady states agree to solver tolerance
-        mesh = wing_mesh(n_around=12, n_radial=4, n_span=3)
-        fld = FlowField(mesh)
-        cfg = FlowConfig(second_order=False)
-        r_mf = solve_steady(fld, cfg, SolverOptions(max_steps=80))
-        r_dc = solve_steady(
-            fld, cfg, SolverOptions(max_steps=80, matrix_free=False)
-        )
-        assert r_mf.converged and r_dc.converged
-        assert np.abs(r_mf.q - r_dc.q).max() < 1e-3
-
-    def test_defect_correction_slower_on_second_order(self):
-        # against the second-order residual the first-order operator is a
-        # defect-correction iteration: it reduces the residual but cannot
-        # match JFNK's Newton convergence
-        mesh = wing_mesh(n_around=12, n_radial=4, n_span=3)
-        fld = FlowField(mesh)
-        cfg = FlowConfig()
-        steps = 25
-        r_mf = solve_steady(
-            fld, cfg, SolverOptions(max_steps=steps, steady_rtol=0.0)
-        )
-        r_dc = solve_steady(
-            fld, cfg,
-            SolverOptions(max_steps=steps, steady_rtol=0.0, matrix_free=False),
-        )
-        assert r_dc.final_residual < r_dc.initial_residual  # still progresses
-        assert r_mf.final_residual < r_dc.final_residual  # JFNK wins
+    def test_defect_correction_operator_is_gone(self):
+        """JFNK is the only Krylov operator: no switch selects the
+        assembled first-order Jacobian instead."""
+        with pytest.raises(TypeError):
+            SolverOptions(matrix_free=False)
