@@ -1,6 +1,6 @@
 """Incompressible Euler physics: flux, gradients, Jacobian, BCs, timestep."""
 
-from .boundary import farfield_residual, wall_flux, wall_residual
+from .boundary import wall_flux
 from .compressible import (
     CompressibleConfig,
     CompressibleJacobian,
@@ -43,9 +43,7 @@ __all__ = [
     "solve_compressible_steady",
     "AeroForces",
     "integrate_forces",
-    "farfield_residual",
     "wall_flux",
-    "wall_residual",
     "edge_spectral_radius",
     "interior_flux_residual",
     "pointwise_flux",

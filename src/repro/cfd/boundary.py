@@ -15,14 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import FlowConfig, FlowField, freestream_state
+from .state import BOUNDARY_TAGS, FlowConfig, freestream_state
 
-__all__ = [
-    "wall_flux",
-    "wall_residual",
-    "farfield_residual",
-    "add_boundary_closures",
-]
+__all__ = ["wall_flux", "add_boundary_closures"]
 
 
 def wall_flux(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -32,50 +27,20 @@ def wall_flux(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def wall_residual(
-    field: FlowField, q: np.ndarray, which: str = "wall"
-) -> np.ndarray:
-    """Slip-wall (or symmetry) fluxes of all corners of tag ``which``,
-    accumulated from zero in the column-major corner order — the corner
-    sweep of :mod:`repro.kgir.sweeps` (compiled, or :func:`wall_flux`
-    written out with ``np.add.at``: the same bits)."""
-    # repro.kgir imports this module
-    from ..kgir.sweeps import field_corners
-
-    out = np.zeros_like(q)
-    field_corners(field, which).residual(q, None, 0.0, "rusanov", out)
-    return out
-
-
-def farfield_residual(
-    field: FlowField,
-    q: np.ndarray,
-    q_inf: np.ndarray,
-    beta: float,
-    scheme: str = "rusanov",
-) -> np.ndarray:
-    """Upwind far-field fluxes between interior states and the freestream,
-    accumulated from zero like :func:`wall_residual`."""
-    from ..kgir.sweeps import field_corners
-
-    out = np.zeros_like(q)
-    field_corners(field, "far").residual(q, q_inf, beta, scheme, out)
-    return out
-
-
 def add_boundary_closures(
-    field: FlowField, q: np.ndarray, config: FlowConfig, res: np.ndarray
+    corners, q: np.ndarray, config: FlowConfig, res: np.ndarray
 ) -> np.ndarray:
     """Add everything outside the interior edge loop to ``res``, in place.
 
-    Wall, symmetry, then far field — the one statement order every
-    residual path shares, which is what keeps them bitwise equal to each
-    other.
+    ``corners`` maps each boundary tag to the closure sweeps of the
+    caller's corners (:func:`repro.sweeps.sweeps.field_corners`, or a
+    rank's owned ones).  Wall, symmetry, then far field, each totalled from
+    zero in corner order and then added — the one statement order every
+    driver of the residual shares.
     """
-    res += wall_residual(field, q, "wall")
-    res += wall_residual(field, q, "sym")
-    res += farfield_residual(
-        field, q, freestream_state(config), config.beta,
-        scheme=config.dissipation,
-    )
+    q_inf = freestream_state(config)
+    for tag in BOUNDARY_TAGS:
+        total = np.zeros_like(q)
+        corners[tag].residual(q, q_inf, config.beta, config.dissipation, total)
+        res += total
     return res

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..smp.backend import get_edge_backend
 from .state import FlowField
 from .sums import dot3
 
@@ -101,7 +100,7 @@ def scatter_edge_flux(
     Flux leaves control volume ``e0`` (normal points e0 -> e1) and enters
     ``e1``.  This is the reference ``np.add.at`` statement sequence: the
     staged oracle (:func:`interior_flux_residual` with ``grad``) writes out
-    with it, and the flux sweeps of :mod:`repro.kgir.sweeps` equal it
+    with it, and the flux sweeps of :mod:`repro.sweeps.sweeps` equal it
     bitwise.
     """
     res = np.zeros((n_vertices, flux.shape[-1]))
@@ -118,37 +117,24 @@ def interior_flux_residual(
     limiter: np.ndarray | None = None,
     scheme: str = "rusanov",
 ) -> np.ndarray:
-    """Residual contribution of all interior dual faces.
+    """Residual contribution of all interior dual faces, in NumPy
+    statements: the flux step of the staged test oracle, both orders.
 
     First order when ``grad`` is None; otherwise states are reconstructed to
     the edge midpoint with the (optionally limited) gradients:
-    ``q_L = q[e0] + psi_0 * grad[e0] . (x_mid - x_0)``.
-
-    The first-order loop (``grad is None``, the preconditioner-side
-    residual) runs across the worker processes of an installed edge backend
-    (:func:`repro.smp.use_edge_backend`), agreeing with the sequential path
-    to round-off by the backend's contract; without one it is the flux
-    sweep of :mod:`repro.kgir.sweeps`, bitwise equal to the NumPy
-    statements below.  With ``grad`` the call is always those statements:
-    it is the last step of the staged oracle the production residual
-    program (:mod:`repro.kgir`) is tested against.
+    ``q_L = q[e0] + psi_0 * grad[e0] . (x_mid - x_0)``.  It never
+    dispatches: the production residual is the schedule of
+    :mod:`repro.sweeps` (:func:`repro.cfd.residual.compute_residual`),
+    whose flux sweeps equal these statements bitwise.
     """
-    if grad is None:
-        backend = get_edge_backend()
-        if backend is not None and backend.handles(field):
-            return backend.flux_residual(q, beta, scheme=scheme)
-        # repro.kgir imports this package (cfd.boundary, cfd.state)
-        from ..kgir.sweeps import field_sweeps
-
-        res = np.zeros(q.shape)
-        field_sweeps(field, q).flux(q, None, None, beta, scheme, res)
-        return res
-    dq0 = dot3(grad[field.e0], field.emid_d0[:, None, :])
-    dq1 = dot3(grad[field.e1], field.emid_d1[:, None, :])
-    if limiter is not None:
-        dq0 = dq0 * limiter[field.e0]
-        dq1 = dq1 * limiter[field.e1]
-    ql = q[field.e0] + dq0
-    qr = q[field.e1] + dq1
+    ql, qr = q[field.e0], q[field.e1]
+    if grad is not None:
+        dq0 = dot3(grad[field.e0], field.emid_d0[:, None, :])
+        dq1 = dot3(grad[field.e1], field.emid_d1[:, None, :])
+        if limiter is not None:
+            dq0 = dq0 * limiter[field.e0]
+            dq1 = dq1 * limiter[field.e1]
+        ql = ql + dq0
+        qr = qr + dq1
     flux = numerical_edge_flux(ql, qr, field.enormals, beta, scheme)
     return scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)

@@ -35,7 +35,7 @@ def lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     over edge-connected neighbors j, using the prefactored normal matrices
     in ``field.lsq_inv``.  Always sequential: together with
     :func:`venkat_limiter` this is the staged oracle the production
-    residual program (:mod:`repro.kgir`) is tested against.
+    residual schedule (:mod:`repro.sweeps`) is tested against.
     """
     dx = field.emid_d0 * 2.0  # x[e1] - x[e0]
     dq = q[field.e1] - q[field.e0]  # (ne, 4)

@@ -131,14 +131,14 @@ class JacobianAssembler:
         """Assemble the first-order spatial Jacobian ``df/dq`` at state ``q``.
 
         The edge blocks and the boundary blocks are the ``jacobian`` sweeps
-        of :mod:`repro.kgir.sweeps` — compiled where they can run, their
+        of :mod:`repro.sweeps.sweeps` — compiled where they can run, their
         NumPy twin (:func:`edge_flux_jacobians` written out with the
         reference ``np.add.at`` statements) otherwise, the same bits.  The
         pseudo-transient diagonal is added separately with
         :meth:`add_pseudo_time` so the spatial part can be reused.
         """
-        # repro.kgir imports this package (cfd.boundary, cfd.state)
-        from ..kgir.sweeps import field_corners, field_sweeps
+        # repro.sweeps imports this module
+        from ..sweeps.sweeps import field_corners, field_sweeps
 
         f = self.field
         beta = config.beta
@@ -159,10 +159,8 @@ class JacobianAssembler:
         # field: 0.5 A(q_i) + 0.5 lam I (the freestream side has no
         # dependence on the unknowns)
         q_inf = freestream_state(config)
-        for tag in BOUNDARY_TAGS:
-            field_corners(f, tag).jacobian(
-                q, q_inf, beta, self._corner_slots[tag], vals
-            )
+        for tag, corners in field_corners(f).items():
+            corners.jacobian(q, q_inf, beta, self._corner_slots[tag], vals)
 
         return A
 

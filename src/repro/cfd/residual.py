@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kgir.programs import residual_program
 from ..obs.metrics import get_metrics
-from ..obs.span import kernel_span
 from ..smp.backend import get_edge_backend
-from .boundary import add_boundary_closures
-from .flux import interior_flux_residual
+
+# the module, not its names: repro.sweeps imports this package
+from ..sweeps import schedule
 from .state import FlowConfig, FlowField
 
 __all__ = ["compute_residual", "residual_norm"]
@@ -30,34 +29,28 @@ def compute_residual(
 ) -> np.ndarray:
     """Spatial residual ``f(q)``, shape ``(n_vertices, 4)``.
 
-    The second-order residual is the sweep program of
-    :mod:`repro.kgir`: run in-process on the full edge set, or by the
-    installed edge backend's ``residual_pipeline`` on its workers.  Both
-    are bitwise equal to the staged kernels (``lsq_gradients`` ->
-    ``venkat_limiter`` -> ``interior_flux_residual`` + closures), which
-    remain as the test oracle.
+    The residual schedule of :mod:`repro.sweeps.schedule`, driven by the
+    installed edge backend on its workers when it handles ``field``, else
+    by the serial driver in this process; this is the one place that asks
+    :func:`~repro.smp.backend.get_edge_backend`.  Both are bitwise equal to
+    the staged kernels (``lsq_gradients`` -> ``venkat_limiter`` ->
+    ``interior_flux_residual`` + closures), which remain as the test
+    oracle.
 
     ``first_order=True`` skips reconstruction regardless of the config —
     used for the preconditioner-side discretization, which the paper keeps
     "lower-order, sparser and more diffusive".
 
-    Instrumentation: every path reports the reconstruction under one
-    ``grad`` kernel span and the flux + boundary sweep under one ``flux``
-    span (the paper's two edge-loop profile entries), to both the perf
-    registry and any active tracer.
+    Instrumentation: every driver reports the reconstruction under one
+    ``grad`` kernel span and the flux + boundary closures under one
+    ``flux`` span (the paper's two edge-loop profile entries), to both the
+    perf registry and any active tracer.
     """
     get_metrics().counter("residual.evals").inc()
-    if config.second_order and not first_order:
-        backend = get_edge_backend()
-        if backend is not None and backend.handles(field):
-            return backend.residual_pipeline(q, config)[0]
-        return residual_program(field).run(q, config)[0]
-    with kernel_span("flux"):
-        res = interior_flux_residual(
-            field, q, config.beta, scheme=config.dissipation
-        )
-        add_boundary_closures(field, q, config, res)
-    return res
+    backend = get_edge_backend()
+    if backend is not None and backend.handles(field):
+        return backend.residual(q, config, first_order)[0]
+    return schedule.serial_residual(field, q, config, first_order)[0]
 
 
 def residual_norm(res: np.ndarray) -> float:

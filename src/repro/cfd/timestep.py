@@ -15,32 +15,50 @@ from ..perf.scatter import scatter_add
 from .flux import edge_spectral_radius
 from .state import BOUNDARY_TAGS, FlowConfig, FlowField
 
-__all__ = ["local_timestep", "ser_cfl"]
+__all__ = ["local_timestep", "pseudo_timestep", "ser_cfl"]
 
 
 def local_timestep(
     field: FlowField, q: np.ndarray, config: FlowConfig, cfl: float
 ) -> np.ndarray:
-    """Per-vertex pseudo time step ``dt_i = CFL * V_i / sum lambda_f``.
+    """Per-vertex pseudo time step ``dt_i = CFL * V_i / sum lambda_f`` of
+    every vertex of ``field``: :func:`pseudo_timestep` over its edges and
+    boundary corners."""
+    corners = {tag: field.corner_scatter(tag) for tag in BOUNDARY_TAGS}
+    return pseudo_timestep(
+        q, field.e0, field.e1, field.enormals, corners, field.volumes,
+        field.n_vertices, config.beta, cfl,
+    )
 
-    The wave-speed sum runs over all dual faces of the control volume
-    (interior edges seen from both endpoints, plus boundary faces), in one
-    scatter from zero: ``e0``, ``e1``, then the corners tag by tag.
+
+def pseudo_timestep(
+    q: np.ndarray,
+    e0: np.ndarray,
+    e1: np.ndarray,
+    normals: np.ndarray,
+    corners,
+    volumes: np.ndarray,
+    n_rows: int,
+    beta: float,
+    cfl: float,
+) -> np.ndarray:
+    """``dt_i = CFL * V_i / sum lambda_f`` for the rows of ``volumes``.
+
+    The wave-speed sum runs over all dual faces of the control volume —
+    the edges ``(e0, e1)`` seen from both endpoints, plus the boundary
+    corners, ``corners[tag] = (vertices, normals)`` — in one scatter from
+    zero over ``n_rows`` rows of ``q``: ``e0``, ``e1``, then the corners tag
+    by tag.  The serial solve passes its field, a rank its local edges and
+    owned corners (ghost rows of ``q`` fresh).
     """
-    beta = config.beta
-    lam_e = edge_spectral_radius(
-        q[field.e0], q[field.e1], field.enormals, beta
-    )
-    idx, lam = [field.e0, field.e1], [lam_e, lam_e]
-    for which in BOUNDARY_TAGS:
-        verts, vnormals3 = field.corner_scatter(which)
+    lam_e = edge_spectral_radius(q[e0], q[e1], normals, beta)
+    idx, lam = [e0, e1], [lam_e, lam_e]
+    for tag in BOUNDARY_TAGS:
+        verts, vnormals = corners[tag]
         idx.append(verts)
-        lam.append(edge_spectral_radius(q[verts], q[verts], vnormals3, beta))
-    lam_sum = scatter_add(
-        np.concatenate(idx), np.concatenate(lam), field.n_vertices
-    )
-    lam_sum = np.maximum(lam_sum, 1e-30)
-    return cfl * field.volumes / lam_sum
+        lam.append(edge_spectral_radius(q[verts], q[verts], vnormals, beta))
+    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), n_rows)
+    return cfl * volumes / np.maximum(lam_sum[: volumes.shape[0]], 1e-30)
 
 
 def ser_cfl(

@@ -4,10 +4,10 @@ Each rank owns a contiguous slice of the global problem (its subdomain's
 owned vertices) plus one ghost layer, and replays the exact serial solver
 arithmetic on local arrays:
 
-* **residual** — the sweeps of :mod:`repro.kgir.sweeps` on the rank's own
-  slices: interior-edge fluxes and gradient contributions touch
-  only owned data and run *inside* the halo window; cut-edge contributions
-  (the edges the decomposition severed) wait for the ghosts.  Plain mode and
+* **residual** — the residual schedule of :mod:`repro.sweeps.schedule` on
+  the rank's own slices, as two parts: interior edges touch only owned data
+  and run *inside* each halo window (the exchange hook); cut edges (the
+  ones the decomposition severed) wait for the ghosts.  Plain mode and
   pipelined mode execute the identical interior-then-cut arithmetic — the
   only difference is whether the exchange blocks up front or overlaps the
   interior compute — so the two are bitwise-identical and only their span
@@ -37,15 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...cfd.flux import edge_spectral_radius
 from ...cfd.jacobian import block_slots, edge_flux_jacobians
 from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
-from ...kgir.sweeps import CornerSweeps, edge_sweeps, vertex_stage
-from ...perf.scatter import scatter_add
+from ...cfd.timestep import pseudo_timestep
 from ...solver.newton import SolveResult, SolverOptions, pseudo_transient_solve
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
 from ...sparse.trsv import TrsvWorkspace, trsv_solve
+from ...sweeps.schedule import Part, ResidualArrays, run_residual, sweep
+from ...sweeps.sweeps import CornerSweeps, edge_sweeps
 from .comm import Communicator
 
 __all__ = ["RankData", "build_rank_data", "rank_residual", "rank_solve_steady"]
@@ -172,78 +172,37 @@ class _Workspace:
     rank is one single-threaded process, so they are never shared).
 
     Also owns the rank's kernels: the sweeps over its local edges, writing
-    owned rows only, and the closure sweeps over its owned boundary
-    corners.
+    owned rows only, as the schedule's interior and cut parts, and the
+    closure sweeps over its owned boundary corners.
     """
 
     def __init__(self, data: RankData) -> None:
         nl, no = data.n_local, data.n_owned
-        self.q = np.zeros((nl, NVARS))
-        self.grad = np.zeros((nl, NVARS, 3))
-        self.limiter = np.ones((nl, NVARS))
-        self.rhs = np.zeros((nl, NVARS, 3))
-        self.res = np.zeros((nl, NVARS))
-        #: neighbor bounds of q, then (owned rows) the allowed jumps
-        self.qmin = np.zeros((nl, NVARS))
-        self.qmax = np.zeros((nl, NVARS))
-        self.eps2 = np.zeros(nl)
+        self.arrays = ResidualArrays(
+            q=np.zeros((nl, NVARS)),
+            res=np.zeros((nl, NVARS)),
+            rhs=np.zeros((nl, NVARS, 3)),
+            qmin=np.zeros((nl, NVARS)),
+            qmax=np.zeros((nl, NVARS)),
+            grad=np.zeros((nl, NVARS, 3)),
+            eps2=np.zeros(nl),
+            phi=np.ones((nl, NVARS)),
+        )
+        self.q = self.arrays.q
         self.q[:no] = data.q0
         self.sweeps = edge_sweeps(
             nl, data.e0, data.e1, data.normals, data.d0, data.d1,
             data.e0 < no, data.e1 < no,
         )
+        #: interior edges read owned rows only; cut edges read ghosts
+        self.parts = (
+            Part(self.sweeps, 0, data.n_interior),
+            Part(self.sweeps, data.n_interior, data.e0.shape[0], halo=True),
+        )
         self.corners = {
             tag: CornerSweeps(nl, *data.bcorners[tag], far=tag == "far")
             for tag in BOUNDARY_TAGS
         }
-
-
-def _recon(ws: _Workspace, comm: Communicator, sl: slice):
-    """Reconstruction sweep over the edges in ``sl``: one gather of ``q``
-    feeds the gradient-rhs accumulation and the neighbor min/max fold
-    (order-free exact, so the interior/cut split changes no bit)."""
-    t0 = time.perf_counter()
-    ws.sweeps.recon(ws.q, ws.rhs, ws.qmin, ws.qmax, sl.start, sl.stop)
-    comm.recorder.add(
-        "fuse.recon", t0, time.perf_counter(), edges=sl.stop - sl.start
-    )
-
-
-def _limit(data: RankData, ws: _Workspace, comm: Communicator, k: float):
-    """Per-vertex stage and limiter sweep for the owned vertices (neighbor
-    bounds saw the ghosts, so owned rows are exact; only owned rows have a
-    gradient before the second exchange)."""
-    no = data.n_owned
-    vertex_stage(
-        data.lsq_inv, ws.rhs, data.volumes, ws.q, k,
-        ws.grad, ws.eps2, ws.qmin, ws.qmax,
-    )
-    t0 = time.perf_counter()
-    ws.limiter[:no] = 1.0
-    ws.sweeps.limit(ws.grad, ws.qmax, ws.qmin, ws.eps2, ws.limiter)
-    comm.recorder.add(
-        "fuse.limit", t0, time.perf_counter(), edges=data.e0.shape[0]
-    )
-
-
-def _boundary_residual(
-    data: RankData, ws: _Workspace, config: FlowConfig
-) -> None:
-    """Owned-vertex boundary fluxes, accumulated corner by corner straight
-    into ``ws.res`` (the serial closures total each tag from zero first:
-    one of the summation-order differences of the numerics contract)."""
-    q_inf = freestream_state(config)
-    for corners in ws.corners.values():
-        corners.residual(ws.q, q_inf, config.beta, config.dissipation, ws.res)
-
-
-def _edge_flux(ws: _Workspace, sl: slice, config: FlowConfig) -> None:
-    """Flux of the edges in ``sl`` accumulated into the owned rows of
-    ``ws.res``."""
-    ws.sweeps.flux(
-        ws.q, ws.grad if config.second_order else None, ws.limiter,
-        config.beta, config.dissipation, ws.res, sl.start, sl.stop,
-    )
 
 
 def rank_residual(
@@ -253,23 +212,32 @@ def rank_residual(
     config: FlowConfig,
     pipelined: bool,
 ) -> np.ndarray:
-    """Distributed spatial residual of the owned vertices.
+    """Distributed spatial residual of the owned vertices: the residual
+    schedule over the interior and cut parts, with the halo window as its
+    exchange hook.
 
     ``ws.q[:n_owned]`` holds the owned state on entry; ghosts are refreshed
-    here.  Pipelined mode overlaps each halo window with the interior work
-    that window makes safe; plain mode runs the same interior/cut split
-    back-to-back, so both modes produce bit-identical residuals.  The
-    reconstruction and limiter sweeps leave ``fuse.recon`` / ``fuse.limit``
-    spans in the rank's trace.
+    here.  Pipelined mode overlaps each window's exchange with the interior
+    work it makes safe; plain mode completes the exchange first.  Both run
+    the identical arithmetic, so they produce bit-identical residuals.  The
+    recon and limit stages leave ``recon`` / ``limit`` spans in the rank's
+    trace.
     """
-    ii = slice(0, data.n_interior)
-    ic = slice(data.n_interior, data.e0.shape[0])
+    a = ws.arrays
+    beta, scheme, second_order = config.beta, config.dissipation, config.second_order
+
+    def run(stage, parts) -> None:
+        t0 = time.perf_counter()
+        for p in parts:
+            sweep(stage, p, a, beta, scheme, second_order)
+        if stage != "flux":
+            edges = sum(p.n_edges for p in parts)
+            comm.recorder.add(stage, t0, time.perf_counter(), edges=edges)
 
     def window(payload, interior_work) -> None:
-        """Run one halo window: pipelined overlaps ``interior_work`` with
-        the in-flight exchange (interior span nested inside the halo
-        span); plain completes the exchange first (disjoint spans).  Both
-        run the identical arithmetic."""
+        """One halo window: pipelined overlaps ``interior_work`` with the
+        in-flight exchange (interior span nested inside the halo span);
+        plain completes the exchange first (disjoint spans)."""
         if pipelined:
             token = comm.exchange_begin(payload)
             t0 = time.perf_counter()
@@ -281,50 +249,11 @@ def rank_residual(
             interior_work()
         comm.interior(t0, data.n_interior)
 
-    # ---- window 1: state exchange || interior reconstruction sweep ----
-    if config.second_order:
-        ws.rhs.fill(0.0)
-        ws.qmin[...] = ws.q
-        ws.qmax[...] = ws.q
-        # interior edges touch only owned q, so they run inside the window
-        window([ws.q], lambda: _recon(ws, comm, ii))
-        _recon(ws, comm, ic)  # cut-edge contributions (need ghost q)
-        _limit(data, ws, comm, config.limiter_k)
-        exchange_payload = [ws.grad, ws.limiter]
-    else:
-        # first order: the one exchange (state only) overlaps window 2
-        exchange_payload = [ws.q]
-
-    # ---- window 2: grad/limiter exchange || interior flux + boundary ----
-    ws.res.fill(0.0)
-
-    def flux_interior() -> None:
-        _edge_flux(ws, ii, config)
-        _boundary_residual(data, ws, config)
-
-    window(exchange_payload, flux_interior)
-    # cut-edge fluxes (ghost reconstruction now available)
-    _edge_flux(ws, ic, config)
-    return ws.res[: data.n_owned]
-
-
-def _local_timestep(
-    data: RankData, ws: _Workspace, config: FlowConfig, cfl: float
-) -> np.ndarray:
-    """Owned-vertex pseudo time steps (serial formula; ghosts are fresh
-    because this runs right after a residual evaluation on the same q)."""
-    q = ws.q
-    lam_e = edge_spectral_radius(
-        q[data.e0], q[data.e1], data.normals, config.beta
+    run_residual(
+        a, config, second_order, ws.parts, data.lsq_inv, data.volumes,
+        ws.corners, run=run, exchange=window,
     )
-    idx, lam = [data.e0, data.e1], [lam_e, lam_e]
-    for tag in BOUNDARY_TAGS:
-        verts, normals = data.bcorners[tag]
-        idx.append(verts)
-        lam.append(edge_spectral_radius(q[verts], q[verts], normals, config.beta))
-    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), data.n_local)
-    lam = np.maximum(lam_sum[: data.n_owned], 1e-30)
-    return cfl * data.volumes / lam
+    return a.res[: data.n_owned]
 
 
 class _RankJacobian:
@@ -428,7 +357,11 @@ class _RankDiscretization:
 
     def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
         # the loop asks right after the residual of q: the ghosts are fresh
-        return _local_timestep(self.data, self.ws, self.config, cfl)
+        d = self.data
+        return pseudo_timestep(
+            self.ws.q, d.e0, d.e1, d.normals, d.bcorners, d.volumes,
+            d.n_local, self.config.beta, cfl,
+        )
 
     def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
         self.jac.update(self.ws, self.config, dt)

@@ -3,7 +3,7 @@
 One C translation unit holds every kernel family — the ILU(k) symbolic
 phase and the block-4 ILU/TRSV recurrences of :mod:`repro.sparse`, and the
 edge and corner sweeps of the residual and of the first-order Jacobian
-(:mod:`repro.kgir.sweeps`).  The source ships as package data and
+(:mod:`repro.sweeps.sweeps`).  The source ships as package data and
 is compiled on first use with the system C compiler; the shared object is
 cached per user under a name that hashes the source and the build flags, so
 editing either rebuilds it.  Nothing is ever written next to the source or

@@ -242,7 +242,7 @@ void trsv4(int64_t n, const int64_t *rowptr, const int64_t *cols,
  * Edge sweeps of the second-order residual.
  *
  * The arithmetic below is the C spelling of the NumPy stage functions in
- * repro/kgir/stages.py (and repro/cfd/flux.py, repro/cfd/roe.py): every
+ * repro/sweeps/stages.py (and repro/cfd/flux.py, repro/cfd/roe.py): every
  * sum is written in the same explicit order, so compiled == NumPy
  * bitwise (tests/test_native_residual.py).  A change here must be made
  * there too.

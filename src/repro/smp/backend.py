@@ -1,10 +1,10 @@
 """Active edge-kernel backend registry.
 
-Installing a backend here reroutes the residual's edge loops —
-:func:`repro.cfd.residual.compute_residual` and the first-order
-:func:`repro.cfd.flux.interior_flux_residual` — to an alternate executor,
-today :class:`repro.smp.parallel.ProcessEdgeBackend`, without their
-callers changing signature.  Mirrors the
+Installing a backend here reroutes
+:func:`repro.cfd.residual.compute_residual`, the one reader of
+:func:`get_edge_backend`, to another driver of the residual schedule,
+today :class:`repro.smp.parallel.ProcessEdgeBackend`, without its callers
+changing signature.  Mirrors the
 ``use_registry``/``use_tracer`` contract from :mod:`repro.perf` /
 :mod:`repro.obs`: a stack, truncation-on-exit reentrancy, and a cheap
 ``None`` default when nothing is installed.
@@ -32,12 +32,11 @@ def use_edge_backend(backend):
 
     * ``handles(field) -> bool`` — callers fall back to their in-process
       path whenever it declines (different field, closed or broken fleet);
-    * ``flux_residual(q, beta, scheme=) -> res`` — the first-order interior
-      flux residual (the preconditioner-side discretization);
-    * ``residual_pipeline(q, config) -> (res, grad, phi)`` — the full
-      second-order residual, boundary closures included, reported as one
-      ``grad`` and one ``flux`` kernel span: the sweeps of
-      :mod:`repro.kgir.sweeps` on the backend's workers.
+    * ``residual(q, config, first_order) -> (res, grad, phi)`` — the
+      schedule of :mod:`repro.sweeps.schedule` on the backend's workers,
+      boundary closures included, reported as one ``grad`` (second order
+      only) and one ``flux`` kernel span; ``grad`` / ``phi`` are None at
+      first order.
     """
     depth = len(_stack)
     _stack.append(backend)

@@ -4,8 +4,9 @@ Everything else in ``benchmarks/`` prices strategies with the cost models
 of the paper's Xeon; the two functions here *time* the real thing so the
 model curves sit next to measured points:
 
-* :func:`run_flux_scaling` — the real :class:`ProcessEdgeBackend` against
-  the real sequential flux kernel, per strategy and worker count
+* :func:`run_flux_scaling` — the first-order residual (flux stage and
+  closures) on the real :class:`ProcessEdgeBackend` against the serial
+  driver's compiled one, per strategy and worker count
   (``benchmarks/test_fig6b_flux_scaling.py``);
 * :func:`run_dist_breakdown` — the halo / allreduce / interior split of a
   short forked-rank solve (``benchmarks/test_fig10_comm_overhead.py``).
@@ -96,7 +97,7 @@ def run_flux_scaling(
     beta: float = 4.0,
     seed: int = 7,
 ) -> dict:
-    """Sweep workers x strategies over the real flux edge loop.
+    """Sweep workers x strategies over the real first-order flux residual.
 
     Returns ``{"serial": {"wall_seconds"}, "results": [...]}`` with one
     result row per (strategy, workers) cell: ``wall_seconds`` (best of
@@ -104,15 +105,16 @@ def run_flux_scaling(
     (cut edges computed twice), ``max_abs_dev`` (vs the serial residual)
     and ``model_seconds`` (the paper-Xeon model's price, or ``None``).
     """
-    from ..cfd.flux import interior_flux_residual
-    from ..cfd.state import FlowField
+    from ..cfd.state import FlowConfig, FlowField
+    from ..sweeps.schedule import serial_residual
 
     field = FlowField(mesh)
     q = _bench_state(field, seed)
+    config = FlowConfig(beta=beta)
 
-    ref = interior_flux_residual(field, q, beta)
+    ref = serial_residual(field, q, config, first_order=True)[0]
     serial_wall = _time_call(
-        lambda: interior_flux_residual(field, q, beta), repeats
+        lambda: serial_residual(field, q, config, first_order=True), repeats
     )
 
     results = []
@@ -126,9 +128,12 @@ def run_flux_scaling(
                 partitioner=partitioner or "metis",
                 seed=seed,
             ) as be:
-                res = be.flux_residual(q, beta)  # warm-up + correctness
+                # warm-up + correctness
+                res = be.residual(q, config, first_order=True)[0]
                 dev = float(np.max(np.abs(res - ref)))
-                wall = _time_call(lambda: be.flux_residual(q, beta), repeats)
+                wall = _time_call(
+                    lambda: be.residual(q, config, first_order=True), repeats
+                )
                 redundant = float(be.redundant_edge_fraction)
             results.append({
                 "strategy": label,

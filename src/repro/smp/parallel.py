@@ -4,10 +4,11 @@ Everything else in :mod:`repro.smp` *prices* the paper's threading
 strategies with cost models; this module *runs* them.  A
 :class:`ProcessEdgeBackend` forks N worker processes that execute the
 residual's edge sweeps over ``multiprocessing.shared_memory`` arrays, one
-worker per simulated thread.  The per-edge arithmetic is the sweeps of
-:mod:`repro.kgir.sweeps` over the worker's edge chunk — the same kernels
-the serial program and the ranks run; what lives here is the *write-out
-adapter*, the paper's three edge-threading strategies (Section V.A):
+worker per simulated thread.  It is the fleet driver of the residual
+schedule (:mod:`repro.sweeps.schedule`): each worker holds one part, a
+stage is one dispatch round, and the per-vertex stage and the boundary
+closures run in the parent.  What lives here is the *write-out adapter*,
+the paper's three edge-threading strategies (Section V.A):
 
 ``locked``
     Natural-order edge split; every worker accumulates its chunk privately
@@ -17,9 +18,9 @@ adapter*, the paper's three edge-threading strategies (Section V.A):
     write-out phase serializes.
 ``replicate``
     Natural-order edge split with one private accumulator array per
-    worker; the parent reduces the ``(workers, nv, 4)`` slab at the end.
-    Zero redundant compute, but the write-out traffic (and the reduction)
-    scales with worker count — the classic replication trade.
+    worker; the parent reduces the ``(workers, nv, ...)`` slab after each
+    round.  Zero redundant compute, but the write-out traffic (and the
+    reduction) scales with worker count — the classic replication trade.
 ``owner``
     Vertex partition (``metis`` multilevel labels or ``natural``
     contiguous chunks); a worker processes every edge touching one of its
@@ -29,8 +30,8 @@ adapter*, the paper's three edge-threading strategies (Section V.A):
     paper's winning owner-only-writes scheme.
 
 Numerics contract: all three reproduce the sequential kernels to round-off
-(summation order may differ), property-tested in
-``tests/test_smp_parallel.py``.
+(summation order may differ), and owner-writes bit for bit,
+property-tested in ``tests/test_smp_parallel.py``.
 
 Implementation notes.  Workers are created with the ``fork`` start method:
 read-only structural data (edge endpoints, normals, partition index lists)
@@ -50,18 +51,17 @@ import multiprocessing as mp
 import multiprocessing.connection as mp_conn
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from ..cfd.boundary import add_boundary_closures
-from ..kgir.sweeps import edge_sweeps, vertex_stage
 from ..obs.live.plane import TelemetryPlane
 from ..obs.live.recorder import crash_dump, reap_dead
 from ..obs.live.ring import STATE_BUSY, STATE_IDLE
-from ..obs.metrics import get_metrics
-from ..obs.span import get_tracer, kernel_span
+from ..obs.span import get_tracer
+from ..sweeps.schedule import Part, ResidualArrays, owner_parts, run_residual, sweep
+from ..sweeps.sweeps import field_corners, field_sweeps
 from .shm import SharedArrayPool
 from .strategies import metis_thread_labels, natural_thread_labels
 
@@ -72,6 +72,20 @@ STRATEGIES = ("locked", "replicate", "owner")
 #: Telemetry slots every edge worker publishes (see repro.obs.live).
 EDGE_WORKER_SLOTS = ("tasks", "flux_calls", "grad_calls", "busy_seconds")
 
+#: stage -> (the kernel its worker spans and telemetry count report under,
+#: the arrays its sweep writes, each with the ufunc that folds a private
+#: accumulator into the shared array and that fold's identity)
+_STAGES = {
+    "recon": ("grad", (
+        ("rhs", np.add, 0.0),
+        ("qmin", np.minimum, np.inf),
+        ("qmax", np.maximum, -np.inf),
+    )),
+    "limit": ("grad", (("phi", np.minimum, np.inf),)),
+    "flux": ("flux", (("res", np.add, 0.0),)),
+}
+_WRITTEN = tuple(name for _, folds in _STAGES.values() for name, _, _ in folds)
+
 
 @dataclass
 class _WorkerSpec:
@@ -79,89 +93,34 @@ class _WorkerSpec:
 
     wid: int
     strategy: str
-    #: the sweeps over this worker's edge chunk (with the owner masks)
-    sweeps: Any
-    q: np.ndarray
-    grad: np.ndarray
-    limiter: np.ndarray
-    res: np.ndarray
-    rhs: np.ndarray
-    #: neighbor min/max of q while the recon round folds them; the parent
-    #: then overwrites both with the allowed jumps (bound - q) the limit
-    #: round gathers
-    lo: np.ndarray
-    hi: np.ndarray
-    eps2: np.ndarray
-    #: replicate / locked: this worker's private accumulators (replicate's
-    #: are rows of the shared slabs the parent reduces)
-    acc: np.ndarray | None = None
-    acc_rhs: np.ndarray | None = None
-    acc_min: np.ndarray | None = None
-    acc_max: np.ndarray | None = None
+    #: this worker's edges (with the owner masks)
+    part: Part
+    #: the shared arrays every stage reads (and owner-writes writes)
+    arrays: ResidualArrays
+    #: replicate / locked: this worker's private accumulator per written
+    #: array (replicate's are rows of the shared slabs the parent reduces)
+    private: dict[str, np.ndarray] | None = None
     telem: Any = None  # this worker's TelemetryWriter
 
 
-def _targets(spec: _WorkerSpec, *folds) -> list[np.ndarray]:
-    """The arrays one sweep of this worker writes.  Each fold is
-    ``(shared, private, ufunc, identity)``: owner-writes goes straight to
-    its disjoint owned rows of ``shared``; the other strategies accumulate
-    into ``private``, reset to the fold's identity."""
-    if spec.strategy == "owner":
-        return [shared for shared, _, _, _ in folds]
-    for _, private, _, identity in folds:
-        private.fill(identity)
-    return [private for _, private, _, _ in folds]
-
-
-def _publish(spec: _WorkerSpec, lock, *folds) -> None:
-    """Write-out of the private accumulators: ``locked`` folds them into
-    the shared arrays under the lock; ``replicate`` leaves its slab rows
-    for the parent to reduce."""
+def _run_stage(spec: _WorkerSpec, lock, stage, beta, scheme, second_order) -> None:
+    """One schedule stage over this worker's part.  Owner-writes sweeps
+    straight into its disjoint owned rows of the shared arrays; the other
+    strategies sweep into private accumulators reset to the fold's
+    identity, which ``locked`` then folds into the shared arrays under the
+    lock and ``replicate`` leaves for the parent to reduce."""
+    folds = _STAGES[stage][1]
+    a = spec.arrays
+    if spec.strategy != "owner":
+        for name, _, identity in folds:
+            spec.private[name].fill(identity)
+        a = replace(a, **{name: spec.private[name] for name, _, _ in folds})
+    sweep(stage, spec.part, a, beta, scheme, second_order)
     if spec.strategy == "locked":
         with lock:
-            for shared, private, ufunc, _ in folds:
-                ufunc(shared, private, out=shared)
-
-
-def _run_recon(spec: _WorkerSpec, lock) -> None:
-    """Reconstruction sweep: gradient-rhs accumulation plus the neighbor
-    min/max fold in one pass over this worker's edges (one gather of q)."""
-    folds = (
-        (spec.rhs, spec.acc_rhs, np.add, 0.0),
-        (spec.lo, spec.acc_min, np.minimum, np.inf),
-        (spec.hi, spec.acc_max, np.maximum, -np.inf),
-    )
-    rhs, lo, hi = _targets(spec, *folds)
-    spec.sweeps.recon(spec.q, rhs, lo, hi)
-    _publish(spec, lock, *folds)
-
-
-def _run_limit(spec: _WorkerSpec, lock) -> None:
-    """Limiter sweep: Venkat values per edge end, min-folded into the
-    ``limiter``."""
-    fold = (spec.limiter, spec.acc_min, np.minimum, np.inf)
-    (phi,) = _targets(spec, fold)
-    spec.sweeps.limit(spec.grad, spec.hi, spec.lo, spec.eps2, phi)
-    _publish(spec, lock, fold)
-
-
-def _run_flux(spec: _WorkerSpec, lock, beta, scheme, second_order) -> None:
-    fold = (spec.res, spec.acc, np.add, 0.0)
-    (res,) = _targets(spec, fold)
-    spec.sweeps.flux(
-        spec.q, spec.grad if second_order else None, spec.limiter,
-        beta, scheme, res,
-    )
-    _publish(spec, lock, fold)
-
-
-#: task kind -> (sweep, kernel it reports under: worker spans are named
-#: ``<kernel>.w<i>`` and the telemetry slot counting it ``<kernel>_calls``)
-_TASKS = {
-    "flux": (_run_flux, "flux"),
-    "recon": (_run_recon, "grad"),
-    "limit": (_run_limit, "grad"),
-}
+            for name, ufunc, _ in folds:
+                shared = getattr(spec.arrays, name)
+                ufunc(shared, spec.private[name], out=shared)
 
 
 def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
@@ -183,12 +142,12 @@ def _worker_loop(wid: int, spec: _WorkerSpec, conn, lock) -> None:
             if kind == "sleep":  # test/diagnostic hook
                 time.sleep(task[2])
             else:
-                _TASKS[kind][0](spec, lock, *task[2:])
+                _run_stage(spec, lock, kind, *task[2:])
         except Exception as exc:  # surfaced to the parent, never swallowed
             err = f"{type(exc).__name__}: {exc}"
         t1 = time.perf_counter()
         conn.send((wid, seq, t0, t1, err))
-        calls = {f"{_TASKS[kind][1]}_calls": 1.0} if kind in _TASKS else {}
+        calls = {f"{_STAGES[kind][0]}_calls": 1.0} if kind in _STAGES else {}
         telem.add(tasks=1.0, busy_seconds=t1 - t0, **calls)
         if err is None:
             telem.push_event("task_done", a=float(seq), b=t1 - t0)
@@ -250,8 +209,7 @@ class ProcessEdgeBackend:
         self._closed = False
         self._broken = False
         self._seq = 0
-        self._flux_rounds = 0
-        self._pipeline_rounds = 0
+        self._residuals = 0
 
         nv, ne = field.n_vertices, field.n_edges
         w = self.n_workers
@@ -259,20 +217,24 @@ class ProcessEdgeBackend:
         # --- shared (mutable across calls) state ----------------------
         self._pool = SharedArrayPool()
         zeros = self._pool.zeros
-        self._q = zeros("q", (nv, 4))
-        self._grad = zeros("grad", (nv, 4, 3))
-        self._limiter = zeros("limiter", (nv, 4))
-        self._res = zeros("res", (nv, 4))
-        self._rhs = zeros("rhs", (nv, 4, 3))
-        self._lo = zeros("lo", (nv, 4))
-        self._hi = zeros("hi", (nv, 4))
-        self._eps2 = zeros("eps2", (nv,))
-        self._acc = self._acc_rhs = self._acc_min = self._acc_max = None
+        self._arrays = ResidualArrays(
+            q=zeros("q", (nv, 4)),
+            res=zeros("res", (nv, 4)),
+            rhs=zeros("rhs", (nv, 4, 3)),
+            qmin=zeros("qmin", (nv, 4)),
+            qmax=zeros("qmax", (nv, 4)),
+            grad=zeros("grad", (nv, 4, 3)),
+            eps2=zeros("eps2", (nv,)),
+            phi=zeros("phi", (nv, 4)),
+        )
+        #: replicate: per written array, the (workers, ...) slab of the
+        #: workers' accumulators the parent reduces after each round
+        self._slabs = {}
         if strategy == "replicate":
-            self._acc = zeros("acc", (w, nv, 4))
-            self._acc_rhs = zeros("acc_rhs", (w, nv, 4, 3))
-            self._acc_min = zeros("acc_min", (w, nv, 4))
-            self._acc_max = zeros("acc_max", (w, nv, 4))
+            self._slabs = {
+                name: zeros(f"acc.{name}", (w, *getattr(self._arrays, name).shape))
+                for name in _WRITTEN
+            }
 
         # plane arrays live in the backend pool: forked workers inherit the
         # views, the leak tests cover the segments
@@ -281,10 +243,10 @@ class ProcessEdgeBackend:
             pool=self._pool,
         )
 
-        # --- edge partition (read-only, inherited by fork) ------------
+        # --- one part per worker (read-only, inherited by fork) --------
+        # Built before the fork: the workers inherit the loaded kernels
+        # instead of each racing a cold compile.
         self.labels = None
-        chunks: list[np.ndarray] = []
-        masks: list[tuple[np.ndarray, np.ndarray] | None] = []
         if strategy == "owner":
             edges = np.column_stack((field.e0, field.e1))
             self.labels = (
@@ -292,41 +254,16 @@ class ProcessEdgeBackend:
                 if partitioner == "metis"
                 else natural_thread_labels(nv, w)
             )
-            l0 = self.labels[field.e0]
-            l1 = self.labels[field.e1]
-            for s in range(w):
-                sel = np.where((l0 == s) | (l1 == s))[0]
-                chunks.append(sel)
-                masks.append((l0[sel] == s, l1[sel] == s))
+            self.parts = owner_parts(field, self.labels, w)
         else:
             bounds = np.linspace(0, ne, w + 1).astype(np.int64)
-            for s in range(w):
-                chunks.append(np.arange(bounds[s], bounds[s + 1]))
-                masks.append(None)
-        self._chunks = chunks
+            sweeps = field_sweeps(field)
+            self.parts = [
+                Part(sweeps, int(bounds[s]), int(bounds[s + 1])) for s in range(w)
+            ]
         self.redundant_edge_fraction = (
-            sum(c.shape[0] for c in chunks) - ne
+            sum(p.n_edges for p in self.parts) - ne
         ) / ne
-
-        # --- the sweeps over each chunk ---------------------------------
-        # Edge-indexed inputs are pre-gathered into contiguous per-worker
-        # copies (the backend is built once per field, then called every
-        # residual evaluation), so the hot loop streams its chunk without
-        # an extra index indirection: the paper's "edge data in streamed
-        # SoA order" layout point applied to the worker chunks.  Built
-        # before the fork: the workers inherit the loaded kernels instead
-        # of each racing a cold compile.
-        edge_arrays = (
-            field.e0, field.e1, field.enormals, field.emid_d0, field.emid_d1
-        )
-        sweeps = [
-            edge_sweeps(
-                nv, *(np.ascontiguousarray(a[sel]) for a in edge_arrays), *(m or ())
-            )
-            for sel, m in zip(chunks, masks)
-        ]
-        # every chunk has the field's dtypes and layout: all or none compiled
-        self._compiled = sweeps[0].compiled
 
         # --- worker processes -----------------------------------------
         ctx = mp.get_context("fork")
@@ -334,26 +271,22 @@ class ProcessEdgeBackend:
         self._conns = []
         self._workers = []
         for s in range(w):
+            private = None
+            if strategy == "replicate":
+                private = {name: slab[s] for name, slab in self._slabs.items()}
+            elif strategy == "locked":  # private after the fork
+                private = {
+                    name: np.empty_like(getattr(self._arrays, name))
+                    for name in _WRITTEN
+                }
             spec = _WorkerSpec(
                 wid=s,
                 strategy=strategy,
-                sweeps=sweeps[s],
-                q=self._q,
-                grad=self._grad,
-                limiter=self._limiter,
-                res=self._res,
-                rhs=self._rhs,
-                lo=self._lo,
-                hi=self._hi,
-                eps2=self._eps2,
+                part=self.parts[s],
+                arrays=self._arrays,
+                private=private,
                 telem=self._plane.writer(f"edge.w{s}"),
             )
-            if strategy == "replicate":
-                spec.acc, spec.acc_rhs = self._acc[s], self._acc_rhs[s]
-                spec.acc_min, spec.acc_max = self._acc_min[s], self._acc_max[s]
-            elif strategy == "locked":  # private after the fork
-                spec.acc, spec.acc_rhs = np.empty((nv, 4)), np.empty((nv, 4, 3))
-                spec.acc_min, spec.acc_max = np.empty((nv, 4)), np.empty((nv, 4))
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             p = ctx.Process(
                 target=_worker_loop,
@@ -384,7 +317,7 @@ class ProcessEdgeBackend:
         return self.strategy
 
     def edges_per_worker(self) -> np.ndarray:
-        return np.array([c.shape[0] for c in self._chunks], dtype=np.int64)
+        return np.array([p.n_edges for p in self.parts], dtype=np.int64)
 
     def handles(self, field) -> bool:
         """True iff this backend can run edge loops for ``field`` now."""
@@ -396,16 +329,16 @@ class ProcessEdgeBackend:
     def fleet_stats(self) -> dict:
         """Reuse counters of this forked fleet, since fork.
 
-        ``rounds`` counts dispatch rounds (every kind); a fleet held
-        across solves keeps growing them, which is how a caller verifies
-        the fleet was reused rather than reforked per solve.
+        ``rounds`` counts dispatch rounds (every kind) and ``residuals``
+        the evaluations; a fleet held across solves keeps growing them,
+        which is how a caller verifies the fleet was reused rather than
+        reforked per solve.
         """
         return {
             "workers": self.n_workers,
             "strategy": self.strategy_label,
             "rounds": self._seq,
-            "flux_rounds": self._flux_rounds,
-            "pipeline_rounds": self._pipeline_rounds,
+            "residuals": self._residuals,
             "closed": self._closed,
         }
 
@@ -485,88 +418,52 @@ class ProcessEdgeBackend:
                 results.append((wid, t0, t1))
                 del pending[wid]
         tracer = get_tracer()
-        if task[0] in _TASKS and tracer.active:
+        if task[0] in _STAGES and tracer.active:
             for wid, t0, t1 in results:
                 tracer.add_complete(
-                    f"{_TASKS[task[0]][1]}.w{wid}",
+                    f"{_STAGES[task[0]][0]}.w{wid}",
                     t0,
                     t1,
-                    edges=int(self._chunks[wid].shape[0]),
+                    edges=self.parts[wid].n_edges,
                     strategy=self.strategy_label,
                     stage=task[0],
                 )
 
     # ------------------------------------------------------------------
-    def flux_residual(
-        self, q: np.ndarray, beta: float, scheme: str = "rusanov"
-    ) -> np.ndarray:
-        """First-order interior flux residual, parallel counterpart of
-        :func:`repro.cfd.flux.interior_flux_residual` without gradients
-        (the preconditioner-side discretization)."""
-        self._require_usable()
-        self._q[...] = q
-        res = self._flux_round(float(beta), scheme, False)
-        get_metrics().counter("parallel.flux_calls").inc()
-        self._flux_rounds += 1
-        return res
+    def _round(self, stage: str, beta: float, scheme: str, second_order: bool):
+        """One schedule stage on every worker's part; under ``replicate``
+        the parent then folds the workers' slab rows into the shared
+        arrays."""
+        self._dispatch_collect((stage, beta, scheme, second_order))
+        if self._slabs:
+            for name, ufunc, _ in _STAGES[stage][1]:
+                shared = getattr(self._arrays, name)
+                ufunc(shared, ufunc.reduce(self._slabs[name], axis=0), out=shared)
 
-    def _flux_round(self, beta: float, scheme: str, second_order: bool):
-        replicate = self.strategy == "replicate"
-        if not replicate:
-            self._res.fill(0.0)
-        self._dispatch_collect(("flux", beta, scheme, second_order))
-        return self._acc.sum(axis=0) if replicate else self._res.copy()
+    def residual(self, q: np.ndarray, config, first_order: bool = False):
+        """The residual of ``q`` on the fleet: the schedule over the
+        workers' parts, one dispatch round per stage, with the per-vertex
+        stage and the boundary closures in the parent.
 
-    def residual_pipeline(self, q: np.ndarray, config):
-        """The second-order residual on the worker fleet.
-
-        Three dispatch rounds — ``recon`` (gradient rhs + neighbor
-        min/max), ``limit`` (Venkat values + scatter-min) and ``flux`` —
-        with the per-vertex :func:`~repro.kgir.sweeps.vertex_stage` and the
-        slab reductions in the parent between them, then the boundary
-        closures.  Returns the full ``(res, grad, phi)``; owner-writes is
-        bitwise equal to the serial program (min/max folds are order-free
-        exact, owned rows accumulate in serial order), replicate/locked
-        agree to round-off.
+        Returns fresh ``(res, grad, phi)`` (``grad`` / ``phi`` are None at
+        first order).  Owner-writes is bitwise equal to the serial driver
+        (min/max folds are exact, owned rows accumulate in serial order);
+        replicate/locked agree to round-off.
         """
         self._require_usable()
-        replicate = self.strategy == "replicate"
-        with kernel_span("grad"):
-            self._q[...] = q
-            self._lo[...] = q
-            self._hi[...] = q
-            if not replicate:
-                self._rhs.fill(0.0)
-            self._dispatch_collect(("recon",))
-            rhs = self._rhs
-            if replicate:
-                rhs = self._acc_rhs.sum(axis=0)
-                np.minimum(q, self._acc_min.min(axis=0), out=self._lo)
-                np.maximum(q, self._acc_max.max(axis=0), out=self._hi)
-            vertex_stage(
-                self._field.lsq_inv, rhs, self._field.volumes, self._q,
-                config.limiter_k, self._grad, self._eps2, self._lo, self._hi,
-            )
-            grad = self._grad.copy()
-            self._limiter.fill(1.0)
-            self._dispatch_collect(("limit",))
-            if replicate:
-                np.minimum(
-                    self._limiter,
-                    self._acc_min.min(axis=0),
-                    out=self._limiter,
-                )
-            phi = self._limiter.copy()
-        with kernel_span("flux"):
-            res = self._flux_round(
-                float(config.beta), config.dissipation, True
-            )
-            add_boundary_closures(self._field, q, config, res)
-        get_metrics().counter("parallel.pipeline_calls").inc()
-        if self._compiled:
-            get_metrics().counter("residual.native_evals").inc()
-        self._pipeline_rounds += 1
-        return res, grad, phi
+        second_order = config.second_order and not first_order
+        beta, scheme = float(config.beta), config.dissipation
+        field, a = self._field, self._arrays
+        a.q[...] = q
+        run_residual(
+            a, config, second_order, self.parts, field.lsq_inv, field.volumes,
+            field_corners(field),
+            run=lambda stage, _: self._round(stage, beta, scheme, second_order),
+        )
+        self._residuals += 1
+        if not second_order:
+            return a.res.copy(), None, None
+        return a.res.copy(), a.grad.copy(), a.phi.copy()
 
     def _debug_sleep(self, seconds: float) -> None:
         """Park every worker in a sleep task (test hook for mid-loop kills)."""

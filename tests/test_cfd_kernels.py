@@ -259,10 +259,11 @@ def test_freestream_preservation_property(beta, seed):
     q = np.tile(qconst, (field.n_vertices, 1))
     cfg = FlowConfig(beta=beta)
     # far-field BC must match the uniform state for exact preservation
-    from repro.cfd import boundary, flux
+    from repro.cfd import flux
+    from repro.sweeps.sweeps import field_corners
 
     res = flux.interior_flux_residual(field, q, beta)
-    res += boundary.farfield_residual(field, q, qconst, beta)
+    field_corners(field)["far"].residual(q, qconst, beta, "rusanov", res)
     assert residual_norm(res) < 1e-13
 
 

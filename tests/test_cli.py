@@ -155,11 +155,10 @@ class TestParser:
         """What only the daemon set is gone with it: the package, the
         warm session, the batched residual, the viscous term and the
         never-unset keywords."""
-        import repro.kgir
         import repro.solver
+        import repro.sweeps
         from repro.cfd import FlowConfig
         from repro.dist.runtime import DistRuntime, ShmTransport, distributed_solve
-        from repro.kgir import ResidualProgram
 
         with pytest.raises(ModuleNotFoundError):
             __import__("repro.serve")
@@ -173,8 +172,7 @@ class TestParser:
             with pytest.raises(TypeError):
                 call(None, None, telemetry=False)
         assert not hasattr(repro.solver, "SteadySolverSession")
-        assert not hasattr(repro.kgir, "batched_residual")
-        assert not hasattr(ResidualProgram, "run_batch")
+        assert not hasattr(repro.sweeps, "batched_residual")
 
 
 class TestCommands:

@@ -357,6 +357,7 @@ class TestDistributedSolve:
         from repro.cfd.boundary import add_boundary_closures
         from repro.cfd.flux import interior_flux_residual
         from repro.cfd.gradient import lsq_gradients, venkat_limiter
+        from repro.sweeps.sweeps import field_corners
         from repro.dist.runtime.program import (
             _Workspace,
             build_rank_data,
@@ -371,7 +372,7 @@ class TestDistributedSolve:
         grad = lsq_gradients(field, q)
         phi = venkat_limiter(field, q, grad, k=config.limiter_k)
         ref = add_boundary_closures(
-            field, q, config,
+            field_corners(field), q, config,
             interior_flux_residual(field, q, config.beta, grad, phi),
         )
 

@@ -20,7 +20,7 @@ import pytest
 from repro import native
 from repro.cfd import FlowConfig, FlowField, JacobianAssembler, compute_residual
 from repro.cfd.timestep import local_timestep
-from repro.kgir import residual_program
+from repro.sweeps import serial_residual
 from repro.mesh import mesh_c_prime
 from repro.sparse import build_ilu_plan, ilu_factorize, trsv_solve
 
@@ -80,13 +80,13 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
     calls = _Calls(lib)
     monkeypatch.setattr(native, "load_kernels", lambda: calls)
     field = FlowField(mesh)  # its sweeps bind the handle above
-    program, asm = residual_program(field), JacobianAssembler(field)
+    asm = JacobianAssembler(field)
     out = {}
     with np.errstate(all="ignore"):
         for scheme in ("rusanov", "roe"):
             cfg = FlowConfig(aoa_deg=3.0, dissipation=scheme)
             for name, q in _states(field, cfg).items():
-                res, grad, phi = program.run(q, cfg)
+                res, grad, phi = serial_residual(field, q, cfg)
                 out.update({
                     f"{scheme}/{name}/res": res,
                     f"{scheme}/{name}/grad": grad,

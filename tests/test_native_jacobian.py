@@ -29,7 +29,7 @@ from repro.cfd.boundary import add_boundary_closures, wall_flux
 from repro.cfd.flux import numerical_edge_flux
 from repro.cfd.jacobian import edge_flux_jacobians
 from repro.cfd.state import BOUNDARY_TAGS, freestream_state
-from repro.kgir import sweeps
+from repro.sweeps import sweeps
 from repro.mesh import mesh_c_prime
 from repro.obs import MetricsRegistry, use_metrics
 from repro.partition import partition_graph
@@ -112,7 +112,7 @@ def test_assemble_equals_the_reference_statements(kind, ordering, seed):
 @pytest.mark.parametrize("scheme", ["rusanov", "roe"])
 def test_closures_equal_the_reference_statements(scheme):
     """Each tag totalled from zero in corner order, then added: the
-    association serial, fleet parent and staged oracle share."""
+    association every driver and the staged oracle share."""
     f, _ = _fields("mesh-c", "natural")
     cfg = FlowConfig(aoa_deg=3.0, dissipation=scheme)
     q = _state(f, cfg, 5)
@@ -128,7 +128,8 @@ def test_closures_equal_the_reference_statements(scheme):
         total = np.zeros_like(q)
         np.add.at(total, verts, flux)
         want += total
-    assert np.array_equal(add_boundary_closures(f, q, cfg, res0.copy()), want)
+    got = add_boundary_closures(sweeps.field_corners(f), q, cfg, res0.copy())
+    assert np.array_equal(got, want)
 
 
 @compiled
@@ -261,14 +262,17 @@ def test_compiled_closures_equal_numpy_closures_bitwise(kind, ordering, seed, sc
     cfg = FlowConfig(aoa_deg=3.0, dissipation=scheme)
     q = _state(compiled_field, cfg, seed)
     res0 = np.random.default_rng(seed).normal(size=q.shape)
-    got = add_boundary_closures(compiled_field, q, cfg, res0.copy())
+    corners = sweeps.field_corners(compiled_field)
+    got = add_boundary_closures(corners, q, cfg, res0.copy())
     with numpy_residual():
-        want = add_boundary_closures(numpy_field, q, cfg, res0.copy())
+        want = add_boundary_closures(
+            sweeps.field_corners(numpy_field), q, cfg, res0.copy()
+        )
     assert np.array_equal(got, want)
     # a strided state takes the NumPy statements on the compiled field
     strided = np.repeat(q, 2, axis=0)[::2]
     assert np.array_equal(
-        add_boundary_closures(compiled_field, strided, cfg, res0.copy()), want
+        add_boundary_closures(corners, strided, cfg, res0.copy()), want
     )
 
 
@@ -276,8 +280,8 @@ def test_compiled_closures_equal_numpy_closures_bitwise(kind, ordering, seed, sc
 @pytest.mark.parametrize("scheme", ["rusanov", "roe"])
 @pytest.mark.parametrize("corners", [0, 57])
 def test_corner_sweeps_accumulate_in_place_like_the_statements(scheme, corners):
-    """The rank program's association: straight into a non-zero target,
-    corner by corner, repeated vertices and empty tags included."""
+    """Straight into a non-zero target, corner by corner, repeated
+    vertices and empty tags included."""
     rng = np.random.default_rng(corners + len(scheme))
     n_rows, beta = 23, 4.0
     verts = rng.integers(0, n_rows, size=corners)
@@ -325,9 +329,10 @@ def test_corner_sweeps_reject_bad_arguments():
 
 def test_every_tag_of_the_field_is_bound_once():
     field, _ = _fields("mesh-c", "natural")
-    for tag in BOUNDARY_TAGS:
-        corner = sweeps.field_corners(field, tag)
-        assert corner is sweeps.field_corners(field, tag)
+    corners = sweeps.field_corners(field)
+    assert corners is sweeps.field_corners(field)
+    assert tuple(corners) == BOUNDARY_TAGS
+    for tag, corner in corners.items():
         assert corner.n_corners == field.corner_scatter(tag)[0].shape[0]
 
 

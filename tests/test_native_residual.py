@@ -2,7 +2,7 @@
 
 The contract (DESIGN.md, "Residual kernels"): the compiled sweeps of
 ``repro/native/_kernels.c`` and their NumPy twin (the explicit-order stages
-of ``repro.kgir.stages`` written out with ``ufunc.at``) produce the same
+of ``repro.sweeps.stages`` written out with ``ufunc.at``) produce the same
 bits — for ``(res, grad, phi)``, Rusanov and Roe, first and second order,
 over any edge range and endpoint masks — in every execution mode, and the
 code picks between them from what it observes (kernels loadable, int64
@@ -35,7 +35,7 @@ from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.dist import DomainDecomposition
 from repro.dist.runtime import DistRuntime
 from repro.dist.runtime.program import _Workspace, build_rank_data, rank_residual
-from repro.kgir import residual_program, sweeps
+from repro.sweeps import serial_residual, sweeps
 from repro.mesh import dataset_mesh, wing_mesh
 from repro.obs import MetricsRegistry, use_metrics
 from repro.partition import partition_graph
@@ -103,7 +103,7 @@ def _evaluate(field: FlowField, q: np.ndarray, cfg: FlowConfig):
     """``(res, grad, phi)`` the way production evaluates it; first order has
     no reconstruction byproducts."""
     if cfg.second_order:
-        return residual_program(field).run(q, cfg)
+        return serial_residual(field, q, cfg)
     return (compute_residual(field, q, cfg),)
 
 
@@ -114,13 +114,14 @@ def _oracle(field: FlowField, q: np.ndarray, cfg: FlowConfig):
             q[field.e0], q[field.e1], field.enormals, cfg.beta, cfg.dissipation
         )
         res = scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)
-        return (add_boundary_closures(field, q, cfg, res),)
+        return (add_boundary_closures(sweeps.field_corners(field), q, cfg, res),)
     grad = lsq_gradients(field, q)
     phi = venkat_limiter(field, q, grad, k=cfg.limiter_k)
     res = interior_flux_residual(
         field, q, cfg.beta, grad, phi, scheme=cfg.dissipation
     )
-    return add_boundary_closures(field, q, cfg, res), grad, phi
+    corners = sweeps.field_corners(field)
+    return add_boundary_closures(corners, q, cfg, res), grad, phi
 
 
 def _native_evals(fn) -> tuple:
@@ -184,15 +185,17 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
     compiled_field, numpy_field = _fields("wing", "natural")
     cfg = FlowConfig()
     q = _state(compiled_field, cfg, 9)
-    program = residual_program(compiled_field)
-    want, n = _native_evals(lambda: program.run(q, cfg))
+    def program(state):
+        return serial_residual(compiled_field, state, cfg)
+
+    want, n = _native_evals(lambda: program(q))
     assert n == 1
 
     # a strided view and a Fortran-ordered copy hold the same values
     strided = np.repeat(q, 2, axis=0)[::2]
     assert not strided.flags.c_contiguous
     for other in (strided, np.asfortranarray(q)):
-        got, n = _native_evals(lambda: program.run(other, cfg))
+        got, n = _native_evals(lambda: program(other))
         assert n == 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert np.array_equal(
@@ -203,9 +206,9 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
     # float32 state: whatever the NumPy sweeps make of it, not a crash and
     # not a reinterpretation of the buffer
     q32 = q.astype(np.float32)
-    got, n = _native_evals(lambda: program.run(q32, cfg))
+    got, n = _native_evals(lambda: program(q32))
     with numpy_residual():
-        ref = residual_program(numpy_field).run(q32, cfg)
+        ref = serial_residual(numpy_field, q32, cfg)
     assert n == 0
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     assert np.allclose(got[0], want[0], atol=1e-4)
@@ -214,7 +217,7 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
     narrow = FlowField(compiled_field.mesh)
     narrow.e0, narrow.e1 = narrow.e0.astype(np.int32), narrow.e1.astype(np.int32)
     assert not sweeps.field_sweeps(narrow).compiled
-    got, n = _native_evals(lambda: residual_program(narrow).run(q, cfg))
+    got, n = _native_evals(lambda: serial_residual(narrow, q, cfg))
     assert n == 0
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -333,7 +336,7 @@ def _limiter_table():
 
 
 def test_limiter_table_reaches_the_cases_it_names():
-    from repro.kgir.stages import edge_projection, venkat_stage
+    from repro.sweeps.stages import edge_projection, venkat_stage
 
     grad, dmax, dmin, eps2 = _limiter_table()
     disp = np.tile([1.0, 0.0, 0.0], (len(grad), 1))
@@ -443,10 +446,9 @@ def test_out_of_range_endpoints_are_rejected_before_any_kernel_runs():
 def test_results_are_fresh_arrays():
     field, _ = _fields("wing", "natural")
     cfg = FlowConfig()
-    program = residual_program(field)
-    first = program.run(_state(field, cfg, 1), cfg)
+    first = serial_residual(field, _state(field, cfg, 1), cfg)
     kept = [a.copy() for a in first]
-    second = program.run(_state(field, cfg, 2), cfg)
+    second = serial_residual(field, _state(field, cfg, 2), cfg)
     for a in first:
         assert not any(np.shares_memory(a, b) for b in second)
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
@@ -457,16 +459,15 @@ def test_concurrent_evaluations_on_one_field_do_not_interfere():
     cached field and ``ctypes`` drops the GIL for each sweep."""
     field, _ = _fields("mesh-c", "natural")
     cfg = FlowConfig(dissipation="roe")
-    program = residual_program(field)
     states = [_state(field, cfg, s) for s in range(4)]
-    want = [program.run(q, cfg) for q in states]
+    want = [serial_residual(field, q, cfg) for q in states]
     failures: list = []
     start = threading.Barrier(len(states))
 
     def worker(i: int) -> None:
         start.wait(timeout=30)
         for _ in range(25):
-            got = program.run(states[i], cfg)
+            got = serial_residual(field, states[i], cfg)
             if not all(np.array_equal(a, b) for a, b in zip(got, want[i])):
                 failures.append(i)
 
@@ -492,7 +493,7 @@ def wing_case():
     field = FlowField(wing_mesh(n_around=16, n_radial=5, n_span=4))
     cfg = FlowConfig(aoa_deg=2.0, dissipation="roe")
     q = _state(field, cfg, 3)
-    return field, q, cfg, residual_program(field).run(q, cfg)
+    return field, q, cfg, serial_residual(field, q, cfg)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +506,7 @@ def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
     with ProcessEdgeBackend(
         field, n_workers=workers, strategy="owner", partitioner=partitioner
     ) as fleet:
-        got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+        got, n = _native_evals(lambda: fleet.residual(q, cfg))
         with use_edge_backend(fleet):
             got_first = compute_residual(field, q, cfg, first_order=True)
     assert n == 1  # the workers ran the compiled sweeps
@@ -518,7 +519,7 @@ def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
 def test_reordering_strategies_stay_within_roundoff(wing_case, strategy):
     field, q, cfg, want = wing_case
     with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
-        got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+        got, n = _native_evals(lambda: fleet.residual(q, cfg))
     assert n == 1
     assert np.max(np.abs(got[0] - want[0])) < 1e-10
     # min/max folds are exact in any order; grad sums are reordered
@@ -530,7 +531,7 @@ def test_fleet_without_kernels_equals_fleet_with_them(wing_case):
     field, q, cfg, want = wing_case
     with numpy_residual():
         with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
-            got, n = _native_evals(lambda: fleet.residual_pipeline(q, cfg))
+            got, n = _native_evals(lambda: fleet.residual(q, cfg))
     assert n == 0
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

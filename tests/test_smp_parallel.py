@@ -28,6 +28,7 @@ from repro.obs import Tracer, use_tracer
 from repro.smp import ProcessEdgeBackend, SharedArrayPool, use_edge_backend
 from repro.smp.bench import run_dist_breakdown, run_flux_scaling
 from repro.solver import SolverOptions, solve_steady
+from repro.sweeps.sweeps import field_corners
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -111,8 +112,9 @@ class TestSharedArrayPool:
         _assert_unlinked([name])
 
 
-def serial_flux(field, q, beta=4.0):
-    return interior_flux_residual(field, q, beta)
+def serial_first_order(field, q, cfg=None):
+    cfg = FlowConfig() if cfg is None else cfg
+    return compute_residual(field, q, cfg, first_order=True)
 
 
 class TestBackendEquivalence:
@@ -125,15 +127,17 @@ class TestBackendEquivalence:
         self, wing_setup, strategy, partitioner
     ):
         field, q = wing_setup
-        ref = serial_flux(field, q)
+        cfg = FlowConfig(beta=4.0)
+        ref = serial_first_order(field, q, cfg)
         gref = lsq_gradients(field, q)
         with ProcessEdgeBackend(
             field, 3, strategy=strategy, partitioner=partitioner
         ) as be:
             np.testing.assert_allclose(
-                be.flux_residual(q, 4.0), ref, rtol=1e-12, atol=1e-12
+                be.residual(q, cfg, first_order=True)[0], ref,
+                rtol=1e-12, atol=1e-12,
             )
-            _res, grad, _phi = be.residual_pipeline(q, FlowConfig(beta=4.0))
+            _res, grad, _phi = be.residual(q, cfg)
             np.testing.assert_allclose(grad, gref, rtol=1e-12, atol=1e-12)
 
     def test_second_order_and_roe_paths(self, wing_setup):
@@ -142,33 +146,35 @@ class TestBackendEquivalence:
         grad = lsq_gradients(field, q)
         lim = venkat_limiter(field, q, grad, k=cfg.limiter_k)
         ref2 = add_boundary_closures(
-            field, q, cfg, interior_flux_residual(field, q, 4.0, grad, lim)
+            field_corners(field), q, cfg,
+            interior_flux_residual(field, q, 4.0, grad, lim),
         )
-        ref_roe = interior_flux_residual(field, q, 4.0, scheme="roe")
+        roe = FlowConfig(beta=4.0, dissipation="roe")
+        ref_roe = serial_first_order(field, q, roe)
         with ProcessEdgeBackend(field, 2) as be:
-            res, _grad, phi = be.residual_pipeline(q, cfg)
+            res, _grad, phi = be.residual(q, cfg)
             np.testing.assert_allclose(res, ref2, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(phi, lim)
             np.testing.assert_allclose(
-                be.flux_residual(q, 4.0, scheme="roe"),
+                be.residual(q, roe, first_order=True)[0],
                 ref_roe, rtol=1e-12, atol=1e-12,
             )
 
     def test_kernel_dispatch_through_use_edge_backend(self, wing_setup):
         field, q = wing_setup
-        ref = serial_flux(field, q)
         cfg = FlowConfig(beta=4.0)
+        ref = serial_first_order(field, q, cfg)
         ref2 = compute_residual(field, q, cfg)
         with ProcessEdgeBackend(field, 2) as be, use_edge_backend(be):
             np.testing.assert_allclose(
-                interior_flux_residual(field, q, 4.0), ref,
+                compute_residual(field, q, cfg, first_order=True), ref,
                 rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
                 compute_residual(field, q, cfg), ref2, rtol=1e-12, atol=1e-12
             )
             stats = be.fleet_stats()
-            assert stats["flux_rounds"] == stats["pipeline_rounds"] == 1
+            assert stats["residuals"] == 2
             assert stats["rounds"] == 4  # flux + (recon, limit, flux)
         # outside the block the serial path is back and the backend is gone
         from repro.smp import get_edge_backend
@@ -182,8 +188,9 @@ class TestBackendEquivalence:
             assert not be.handles(other)
             rng = np.random.default_rng(0)
             qo = rng.normal(size=(other.n_vertices, 4))
-            res = interior_flux_residual(other, qo, 4.0)  # must not hang
+            res = serial_first_order(other, qo)  # must not hang
             assert res.shape == (other.n_vertices, 4)
+            assert be.fleet_stats()["rounds"] == 0
 
 
 class TestBackendStructure:
@@ -218,8 +225,8 @@ class TestBackendStructure:
         field, q = wing_setup
         tracer = Tracer()
         with ProcessEdgeBackend(field, 2) as be, use_tracer(tracer):
-            be.flux_residual(q, 4.0)
-            be.residual_pipeline(q, FlowConfig())
+            be.residual(q, FlowConfig(), first_order=True)
+            be.residual(q, FlowConfig())
         names = {s.name for s in tracer.walk()}
         assert {"flux.w0", "flux.w1", "grad.w0", "grad.w1"} <= names
         for s in tracer.walk():
@@ -235,10 +242,11 @@ class TestFailureContainment:
         names = list(be.segment_names().values())
         try:
             with pytest.raises(RuntimeError, match="worker .* failed"):
-                be.flux_residual(q, 4.0, scheme="no-such-scheme")
+                bad = FlowConfig(dissipation="no-such-scheme")
+                be.residual(q, bad, first_order=True)
             assert not be.handles(field)
             with pytest.raises(RuntimeError):
-                be.flux_residual(q, 4.0)
+                be.residual(q, FlowConfig(), first_order=True)
         finally:
             be.close()
         _assert_unlinked(names)
@@ -265,12 +273,12 @@ class TestFailureContainment:
     def test_close_is_idempotent_and_final(self, wing_setup):
         field, q = wing_setup
         be = ProcessEdgeBackend(field, 2)
-        be.flux_residual(q, 4.0)
+        be.residual(q, FlowConfig(), first_order=True)
         be.close()
         be.close()
         assert be.closed and not be.handles(field)
         with pytest.raises(RuntimeError):
-            be.flux_residual(q, 4.0)
+            be.residual(q, FlowConfig(), first_order=True)
 
     def test_fleet_reused_across_solves_no_shm_leak(self, wing_setup):
         """One fleet held across two solves keeps counting rounds, is never
@@ -289,8 +297,8 @@ class TestFailureContainment:
                 second = be.fleet_stats()
         finally:
             be.close()
-        assert first["pipeline_rounds"] > 0
-        assert second["pipeline_rounds"] > first["pipeline_rounds"]
+        assert first["residuals"] > 0
+        assert second["residuals"] > first["residuals"]
         assert not second["closed"]
         np.testing.assert_array_equal(second_solve.q, first_solve.q)
         leaked = _shm_entries() - before
@@ -306,15 +314,15 @@ class TestFailureContainment:
 )
 def test_process_strategy_equivalence_property(n, seed, workers, strategy):
     """Property (paper Section V.A): every process-parallel strategy
-    reproduces the sequential flux residual within 1e-12 on arbitrary
-    small meshes and worker counts 1-4."""
+    reproduces the sequential first-order residual within 1e-12 on
+    arbitrary small meshes and worker counts 1-4."""
     mesh = delaunay_cloud_mesh(n, seed=seed)
     field = FlowField(mesh)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(field.n_vertices, 4))
-    ref = interior_flux_residual(field, q, 4.0)
+    ref = serial_first_order(field, q)
     with ProcessEdgeBackend(field, workers, strategy=strategy) as be:
-        res = be.flux_residual(q, 4.0)
+        res = be.residual(q, FlowConfig(), first_order=True)[0]
     np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
 
 
