@@ -8,7 +8,6 @@ Commands
 ``speedup``     price a run under baseline + optimized configs (Fig 8a)
 ``scaling``     multi-node strong-scaling table (Fig 9-11)
 ``partition``   partition-quality study (natural / RCB / multilevel)
-``top``         live per-rank/per-worker view of a running solve's metrics
 
 Performance is measured by ``python3 bench/run.py`` (see
 ``bench/README.md``), not by a subcommand here.
@@ -22,12 +21,11 @@ sizes them (1.0 = full Mesh-C'/Mesh-D' analogues) and ``--ordering``
 numbers their vertices (``rcm`` by default, ``natural`` for the
 generator's own order).  ``solve``, ``profile``
 and ``scaling`` accept ``--trace-out`` (Chrome ``trace_event`` JSON for
-``chrome://tracing`` / Perfetto) and ``--metrics-out`` (JSONL event log);
-``solve`` and ``profile`` additionally accept ``--metrics-serve PORT``
-(live Prometheus endpoint while running), ``--metrics-prom`` (one-shot
-``.prom`` snapshot) and ``--trace-otlp`` (OTLP/JSON trace export), and
-install the flight recorder: a crash, SIGUSR1, or dead worker dumps a
-``flightrec-*.jsonl`` bundle with the fleet's last seconds of telemetry.
+``chrome://tracing`` / Perfetto) and ``--metrics-out`` (JSONL event log).
+``solve`` and ``profile`` write both on every exit path (SIGTERM and
+Ctrl-C exit 130 after flushing them) and install the flight recorder for
+the command's duration: a crash, SIGUSR1, or a dead worker or rank dumps a
+``flightrec-*.jsonl`` bundle with every worker's and rank's telemetry row.
 """
 
 from __future__ import annotations
@@ -76,17 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a Chrome trace_event JSON file")
         sp.add_argument("--metrics-out", metavar="PATH",
                         help="write a JSONL span/event/metrics log")
-        sp.add_argument("--metrics-serve", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live Prometheus text on "
-                             "http://127.0.0.1:PORT/metrics while running "
-                             "(0 = pick a free port)")
-        sp.add_argument("--metrics-prom", metavar="PATH",
-                        help="write a one-shot Prometheus text snapshot "
-                             "(.prom) at exit")
-        sp.add_argument("--trace-otlp", metavar="PATH",
-                        help="write the span tree as an OTLP/JSON trace "
-                             "export at exit")
 
     def add_backend_args(sp):
         sp.add_argument(
@@ -162,22 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_mesh_args(sp)
     sp.add_argument("--parts", type=int, default=20)
 
-    sp = sub.add_parser("top", help="live view of a running solve's telemetry")
-    sp.add_argument("--url", metavar="URL",
-                    help="Prometheus endpoint of the running solve "
-                         "(e.g. http://127.0.0.1:9100/metrics)")
-    sp.add_argument("--port", type=int, default=None,
-                    help="shorthand for --url http://127.0.0.1:PORT/metrics")
-    sp.add_argument("--interval", type=float, default=1.0,
-                    help="seconds between scrapes")
-    sp.add_argument("--iterations", type=int, default=None,
-                    help="frames to render (default: until the endpoint "
-                         "goes away)")
-    sp.add_argument("--plain", action="store_true",
-                    help="append frames instead of redrawing (logs/CI)")
-    sp.add_argument("spawn", nargs=argparse.REMAINDER, metavar="-- CMD",
-                    help="repro subcommand to launch and watch, e.g. "
-                         "`repro top -- solve --dist-ranks 4`")
     return p
 
 
@@ -219,20 +190,14 @@ def _write_obs(args, tracer, metrics) -> None:
 class _ObsSession:
     """Observability envelope of one ``solve``/``profile`` run.
 
-    Owns the tracer and metrics registry the run writes into, installs the
-    flight recorder (crash dumps + SIGUSR1 on-demand bundles), publishes
-    the solver loop's progress into a process-local telemetry plane, runs
-    the aggregator thread that folds every live plane into ``live.*``
-    gauges, and — with ``--metrics-serve`` — serves Prometheus text while
-    the solve is still running.  ``flush()`` writes every requested export
-    and runs on *all* exit paths, so a Ctrl-C or SIGTERM mid-solve still
-    leaves partial trace/metrics files behind (satellite requirement).
+    Owns the tracer and metrics registry the run writes into and, for the
+    command's duration, installs the flight recorder (crash dumps plus
+    SIGUSR1 on-demand bundles) and a SIGTERM handler that stops the run
+    like Ctrl-C.  ``flush()`` writes every requested export and runs on
+    *all* exit paths, so a Ctrl-C or SIGTERM mid-solve still leaves partial
+    trace/metrics files behind.  ``__exit__`` puts back the recorder and
+    the signal handlers it found.
     """
-
-    SOLVER_SLOTS = (
-        "step", "residual", "cfl", "krylov_iters", "newton_steps",
-        "gmres_iters",
-    )
 
     def __init__(self, args) -> None:
         from .obs import MetricsRegistry, Tracer
@@ -240,54 +205,30 @@ class _ObsSession:
         self.args = args
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.plane = None
-        self.server = None
-        self.agg = None
-        self._live_cm = None
         self._flushed = False
+        self._prev_recorder = None
+        self._prev_handlers: dict = {}
 
     def __enter__(self) -> "_ObsSession":
         import signal
 
-        from .obs.live import (
-            HealthMonitor,
-            MetricsServer,
-            TelemetryAggregator,
-            TelemetryPlane,
+        from .obs.live.recorder import (
+            FlightRecorder,
             install_flight_recorder,
-            prometheus_text,
-            use_live_writer,
+            install_signal_dump,
         )
-        from .obs.live.recorder import get_flight_recorder, install_signal_dump
 
-        install_flight_recorder()
+        def _term(signum, frame):  # SIGTERM flushes like Ctrl-C
+            raise KeyboardInterrupt
+
+        self._prev_recorder = install_flight_recorder(FlightRecorder())
         try:
-            install_signal_dump()  # SIGUSR1 -> on-demand bundle
-
-            def _term(signum, frame):  # SIGTERM flushes like Ctrl-C
-                raise KeyboardInterrupt
-
-            signal.signal(signal.SIGTERM, _term)
+            self._prev_handlers = install_signal_dump()  # SIGUSR1 -> bundle
+            self._prev_handlers[signal.SIGTERM] = signal.signal(
+                signal.SIGTERM, _term
+            )
         except (ValueError, OSError, AttributeError):
             pass  # non-main thread or platform without these signals
-        self.plane = TelemetryPlane({"solver": self.SOLVER_SLOTS}, shared=False)
-        writer = self.plane.writer("solver")
-        writer.hello()
-        self._live_cm = use_live_writer(writer)
-        self._live_cm.__enter__()
-        self.agg = TelemetryAggregator(
-            self.metrics,
-            recorder=get_flight_recorder(),
-            health=HealthMonitor(),
-        )
-        self.agg.start()
-        if getattr(self.args, "metrics_serve", None) is not None:
-            self.server = MetricsServer(
-                lambda: prometheus_text(self.metrics),
-                port=self.args.metrics_serve,
-            )
-            self.server.start()
-            print(f"live metrics: {self.server.url}")
         return self
 
     def flush(self) -> None:
@@ -298,25 +239,14 @@ class _ObsSession:
         every file again."""
         if self._flushed:
             return
-        args = self.args
-        _write_obs(args, self.tracer, self.metrics)
-        if getattr(args, "metrics_prom", None):
-            from .obs.live import write_prometheus
-
-            write_prometheus(args.metrics_prom, self.metrics)
-            print(f"wrote Prometheus snapshot: {args.metrics_prom}")
-        if getattr(args, "trace_otlp", None):
-            from .obs.live import write_otlp_trace
-
-            write_otlp_trace(self.tracer, args.trace_otlp)
-            print(f"wrote OTLP trace: {args.trace_otlp}")
+        _write_obs(self.args, self.tracer, self.metrics)
         self._flushed = True
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        from .obs.live.recorder import crash_dump
+        import signal
 
-        if self.agg is not None:
-            self.agg.stop()
+        from .obs.live.recorder import crash_dump, install_flight_recorder
+
         if exc_type is not None and not issubclass(
             exc_type, (KeyboardInterrupt, SystemExit)
         ):
@@ -329,12 +259,11 @@ class _ObsSession:
                 self.flush()
                 raise
         finally:
-            if self.server is not None:
-                self.server.stop()
-            if self._live_cm is not None:
-                self._live_cm.__exit__(None, None, None)
-            if self.plane is not None:
-                self.plane.close()
+            for signum, handler in self._prev_handlers.items():
+                signal.signal(
+                    signum, signal.SIG_DFL if handler is None else handler
+                )
+            install_flight_recorder(self._prev_recorder)
         return False
 
 
@@ -689,55 +618,6 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_top(args) -> int:
-    """Live terminal view of a running solve's Prometheus endpoint.
-
-    Attach with ``--url``/``--port``, or pass a repro subcommand after
-    ``--`` to launch it (``--metrics-serve`` appended on a free port) and
-    watch it until it exits.
-    """
-    from .obs.live.top import run_top
-
-    child = None
-    url = args.url
-    if url is None and args.port is not None:
-        url = f"http://127.0.0.1:{args.port}/metrics"
-    if url is None:
-        spawn = [a for a in args.spawn if a != "--"]
-        if not spawn:
-            print("top: give --url/--port or a command to launch "
-                  "(repro top -- solve ...)", file=sys.stderr)
-            return 2
-        import socket
-        import subprocess
-
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        child = subprocess.Popen(
-            [sys.executable, "-m", "repro", *spawn,
-             "--metrics-serve", str(port)]
-        )
-        url = f"http://127.0.0.1:{port}/metrics"
-    try:
-        rc = run_top(
-            url,
-            interval=args.interval,
-            iterations=args.iterations,
-            plain=args.plain,
-        )
-    except KeyboardInterrupt:
-        rc = 130
-    if child is not None:
-        try:
-            child_rc = child.wait(timeout=60.0)
-        except Exception:
-            child.terminate()
-            child_rc = child.wait(timeout=10.0)
-        return child_rc
-    return rc
-
-
 _COMMANDS = {
     "mesh-info": cmd_mesh_info,
     "solve": cmd_solve,
@@ -745,7 +625,6 @@ _COMMANDS = {
     "speedup": cmd_speedup,
     "scaling": cmd_scaling,
     "partition": cmd_partition,
-    "top": cmd_top,
 }
 
 

@@ -190,7 +190,7 @@ class Communicator:
         self.allreduce_seconds = 0.0
         self.interior_seconds = 0.0
         self.bytes_sent = 0
-        # live telemetry: write through the fork-inherited plane arrays
+        # telemetry row: write through the fork-inherited plane arrays
         # (not the re-attached pool) so the single-producer row stays tied
         # to this rank regardless of the attach mode
         self.telem = transport.plane.writer(f"rank{self.rank}")
@@ -202,8 +202,9 @@ class Communicator:
         return [int(np.prod(a.shape[1:])) if a.ndim > 1 else 1 for a in arrays]
 
     def _acquire(self, sem, what: str) -> None:
-        # slice the wait so the heartbeat keeps pulsing while blocked: the
-        # health monitor then sees a live-but-spinning rank, not a corpse
+        # slice the wait so the deadline is checked while blocked, and a
+        # crash bundle taken meanwhile shows this rank spinning (STATE_SPIN,
+        # a fresh heartbeat) rather than silent
         deadline = time.monotonic() + self.timeout
         while not sem.acquire(timeout=0.5):
             self.telem.heartbeat(STATE_SPIN)

@@ -1,4 +1,4 @@
-"""Observability subsystem: hierarchical tracing, metrics, and exporters.
+"""Observability subsystem: hierarchical tracing, metrics, exports, crash bundles.
 
 Three pieces, designed to sit *on top of* the flat kernel accounting in
 :mod:`repro.perf` rather than replace it:
@@ -13,10 +13,10 @@ Three pieces, designed to sit *on top of* the flat kernel accounting in
   residual norms, halo bytes, allreduce counts).
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` / Perfetto) and a lossless JSONL event log.
-* :mod:`~repro.obs.live` — the cross-process telemetry plane: seqlock
-  metric rings in shared memory written by live workers/ranks, the
-  health monitor, the flight recorder, Prometheus/OTLP exporters, and
-  the ``repro top`` view.
+* :mod:`~repro.obs.live` — crash forensics: seqlock metric rows and event
+  rings in shared memory written by edge workers and ranks, which the
+  flight recorder dumps (with the host fingerprint) when one of them dies,
+  the run raises, or SIGUSR1 arrives.
 
 Typical use::
 
@@ -38,16 +38,10 @@ from .export import (
 )
 from .live import (
     FlightRecorder,
-    HealthMonitor,
-    MetricsServer,
-    TelemetryAggregator,
     TelemetryPlane,
-    get_live_writer,
     host_fingerprint,
     install_flight_recorder,
     live_planes,
-    prometheus_text,
-    use_live_writer,
 )
 from .metrics import (
     Counter,
@@ -91,14 +85,8 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "FlightRecorder",
-    "HealthMonitor",
-    "MetricsServer",
-    "TelemetryAggregator",
     "TelemetryPlane",
-    "get_live_writer",
     "host_fingerprint",
     "install_flight_recorder",
     "live_planes",
-    "prometheus_text",
-    "use_live_writer",
 ]

@@ -1,27 +1,19 @@
 """Telemetry planes: per-process rings bundled over a shared pool.
 
 A :class:`TelemetryPlane` allocates the ctl/times/slots/events arrays of
-:mod:`.ring` for a set of named processes — either inside a
-:class:`~repro.smp.shm.SharedArrayPool` (cross-process: backends allocate
-the plane in the same pool as their work arrays, so forked workers inherit
-the views and the existing /dev/shm cleanup covers telemetry segments too)
-or as plain numpy arrays for in-process producers like the solver loop.
+:mod:`.ring` for a set of named processes inside a
+:class:`~repro.smp.shm.SharedArrayPool`: the fleet and the rank transport
+allocate their plane in the same pool as their work arrays, so forked
+workers and ranks inherit the views and the pool's /dev/shm cleanup covers
+the telemetry segments too.
 
-Planes self-register in a process-global registry; the Prometheus exporter,
-``repro top`` and the flight recorder all read whatever planes are live.
-The ambient-writer stack (:func:`use_live_writer` / :func:`get_live_writer`)
-mirrors ``use_metrics`` so deep solver code can publish without threading a
-writer through every signature.  The :class:`TelemetryAggregator` polls the
-registry into a ``MetricsRegistry`` (``live.*`` gauges) and feeds the health
-monitor and flight recorder.
+Open planes are listed in a process-global registry (:func:`live_planes`),
+which the flight recorder drains when it writes a crash bundle.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,97 +27,60 @@ from .ring import (
     TelemetryWriter,
 )
 
-__all__ = [
-    "DEFAULT_EVENTS",
-    "TelemetryPlane",
-    "TelemetryAggregator",
-    "register_plane",
-    "unregister_plane",
-    "live_planes",
-    "use_live_writer",
-    "get_live_writer",
-]
+__all__ = ["DEFAULT_EVENTS", "TelemetryPlane", "live_planes"]
 
-#: Event names shared by every plane (codes are indices into this tuple).
-DEFAULT_EVENTS = (
-    "task_done",
-    "task_error",
-    "worker_death",
-    "rank_error",
-    "health",
-    "note",
-)
+#: Event names of every plane (codes are indices into this tuple): edge
+#: workers push ``task_done`` / ``task_error``, ranks push a ``note`` per
+#: Newton step.
+DEFAULT_EVENTS = ("task_done", "task_error", "note")
+
+_planes: list["TelemetryPlane"] = []
+
+
+def live_planes() -> list["TelemetryPlane"]:
+    """The planes open in this process (a snapshot)."""
+    return list(_planes)
 
 
 class TelemetryPlane:
     """Ctl/slots/event arrays for a set of named processes.
 
     ``procs`` maps process name -> slot-name tuple (different processes may
-    expose different slots).  With ``pool`` set, arrays are allocated there
-    under ``tm.<proc>.*`` keys and the pool's owner handles unlinking; with
-    ``shared=True`` and no pool, the plane owns a private pool; otherwise
-    plain (process-local) numpy arrays back the rings.
+    expose different slots).  The arrays live in ``pool`` under
+    ``tm.<proc>.*`` keys; the pool's owner unlinks them.
     """
 
     def __init__(
-        self,
-        procs: Mapping[str, Sequence[str]],
-        capacity: int = 256,
-        events: Sequence[str] = DEFAULT_EVENTS,
-        pool=None,
-        shared: bool = True,
-        register: bool = True,
+        self, procs: Mapping[str, Sequence[str]], pool, capacity: int = 256
     ) -> None:
         self.procs = {n: tuple(s) for n, s in procs.items()}
-        self.capacity = int(capacity)
-        self.event_names = tuple(events)
-        self._owns_pool = False
         self._closed = False
-        if pool is None and shared:
-            from ...smp.shm import SharedArrayPool
-
-            pool = SharedArrayPool()
-            self._owns_pool = True
-        self._pool = pool
         self._arrays: dict[str, tuple[np.ndarray, ...]] = {}
         for name, slot_names in self.procs.items():
-            shapes = (
-                ("ctl", (CTL_WIDTH,), np.int64),
-                ("times", (TIME_WIDTH,), np.float64),
-                ("slots", (max(1, len(slot_names)),), np.float64),
-                ("ev", (self.capacity, EV_WIDTH), np.float64),
+            self._arrays[name] = (
+                pool.zeros(f"tm.{name}.ctl", (CTL_WIDTH,), np.int64),
+                pool.zeros(f"tm.{name}.times", (TIME_WIDTH,), np.float64),
+                pool.zeros(f"tm.{name}.slots", (max(1, len(slot_names)),)),
+                pool.zeros(f"tm.{name}.ev", (int(capacity), EV_WIDTH)),
             )
-            if pool is not None:
-                arrs = tuple(
-                    pool.zeros(f"tm.{name}.{part}", shape, dtype)
-                    for part, shape, dtype in shapes
-                )
-            else:
-                arrs = tuple(np.zeros(shape, dtype) for _, shape, dtype in shapes)
-            self._arrays[name] = arrs
         self._readers: dict[str, TelemetryReader] = {}
-        if register:
-            register_plane(self)
+        _planes.append(self)
 
-    # ------------------------------------------------------------------
     def writer(self, name: str) -> TelemetryWriter:
-        ctl, times, slots, ev = self._arrays[name]
         return TelemetryWriter(
-            name, self.procs[name], self.event_names, ctl, times, slots, ev
+            name, self.procs[name], DEFAULT_EVENTS, *self._arrays[name]
         )
 
     def reader(self, name: str) -> TelemetryReader:
         """Cached reader (its ring tail must persist across drains)."""
         r = self._readers.get(name)
         if r is None:
-            ctl, times, slots, ev = self._arrays[name]
             r = TelemetryReader(
-                name, self.procs[name], self.event_names, ctl, times, slots, ev
+                name, self.procs[name], DEFAULT_EVENTS, *self._arrays[name]
             )
             self._readers[name] = r
         return r
 
-    # ------------------------------------------------------------------
     def snapshot_all(self) -> dict[str, ProcSnapshot]:
         if self._closed:
             return {}
@@ -134,159 +89,16 @@ class TelemetryPlane:
     def drain_all(self) -> list[RingEvent]:
         if self._closed:
             return []
-        out: list[RingEvent] = []
-        for n in self.procs:
-            out.extend(self.reader(n).drain_events())
-        return out
+        return [ev for n in self.procs for ev in self.reader(n).drain_events()]
 
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Unregister; unlink segments only if the plane owns its pool."""
-        if self._closed:
-            return
-        self._closed = True
-        unregister_plane(self)
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
+        """Unregister (call before the pool unlinks the arrays)."""
+        if not self._closed:
+            self._closed = True
+            _planes.remove(self)
 
     def __enter__(self) -> "TelemetryPlane":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# process-global plane registry
-# ---------------------------------------------------------------------------
-_planes: list[TelemetryPlane] = []
-_planes_lock = threading.Lock()
-
-
-def register_plane(plane: TelemetryPlane) -> None:
-    with _planes_lock:
-        if plane not in _planes:
-            _planes.append(plane)
-
-
-def unregister_plane(plane: TelemetryPlane) -> None:
-    with _planes_lock:
-        if plane in _planes:
-            _planes.remove(plane)
-
-
-def live_planes() -> list[TelemetryPlane]:
-    with _planes_lock:
-        return list(_planes)
-
-
-# ---------------------------------------------------------------------------
-# ambient writer (mirrors use_metrics / use_tracer)
-# ---------------------------------------------------------------------------
-_writer_stack: list[TelemetryWriter] = []
-
-
-def get_live_writer() -> TelemetryWriter | None:
-    return _writer_stack[-1] if _writer_stack else None
-
-
-@contextmanager
-def use_live_writer(writer: TelemetryWriter) -> Iterator[TelemetryWriter]:
-    _writer_stack.append(writer)
-    depth = len(_writer_stack)
-    try:
-        yield writer
-    finally:
-        del _writer_stack[depth - 1 :]
-
-
-# ---------------------------------------------------------------------------
-# aggregator
-# ---------------------------------------------------------------------------
-class TelemetryAggregator:
-    """Polls live planes into a MetricsRegistry + health/flight pipeline.
-
-    ``poll_once`` is synchronous (tests, one-shot exports); ``start`` runs
-    it on a daemon thread every ``interval`` seconds.
-    """
-
-    def __init__(
-        self,
-        metrics=None,
-        recorder=None,
-        health=None,
-        interval: float = 1.0,
-        on_health: Callable | None = None,
-    ) -> None:
-        self.metrics = metrics
-        self.recorder = recorder
-        self.health = health
-        self.interval = float(interval)
-        self.on_health = on_health
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    def poll_once(self, planes=None, now: float | None = None):
-        now = time.monotonic() if now is None else now
-        snaps: dict[str, ProcSnapshot] = {}
-        events: list[RingEvent] = []
-        for plane in live_planes() if planes is None else planes:
-            snaps.update(plane.snapshot_all())
-            events.extend(plane.drain_all())
-        if self.metrics is not None:
-            for name, s in snaps.items():
-                if s.pid == 0:  # never said hello
-                    continue
-                for slot, val in s.slots.items():
-                    self.metrics.gauge(f"live.{name}.{slot}").set(val)
-                self.metrics.gauge(f"live.{name}.heartbeat_age").set(
-                    s.heartbeat_age(now)
-                )
-        if self.recorder is not None:
-            for ev in events:
-                self.recorder.record(
-                    "plane_event", proc=ev.proc, name=ev.name, ts=ev.ts,
-                    a=ev.a, b=ev.b,
-                )
-        health_events = []
-        if self.health is not None:
-            health_events = self.health.check(snaps, now=now)
-            for he in health_events:
-                if self.metrics is not None:
-                    self.metrics.counter(f"health.{he.kind}").inc()
-                if self.recorder is not None:
-                    self.recorder.record(
-                        "health", kind=he.kind, proc=he.proc, **he.detail
-                    )
-                if self.on_health is not None:
-                    self.on_health(he)
-        return snaps, events, health_events
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.poll_once()
-                except Exception:  # pragma: no cover - keep polling alive
-                    pass
-
-        self._thread = threading.Thread(
-            target=_loop, name="repro-telemetry-agg", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        try:
-            self.poll_once()  # final drain
-        except Exception:
-            pass

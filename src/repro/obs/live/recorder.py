@@ -1,17 +1,16 @@
-"""Flight recorder: rolling event buffer dumped as a JSONL bundle.
+"""Flight recorder: the crash bundle of a run that never reached its exports.
 
-Each process keeps a bounded deque of recent records (health findings,
-plane events, solver milestones).  On worker crash / SIGKILL-detected fleet
-death, unhandled exception, or SIGUSR1, :func:`crash_dump` writes a
-timestamped JSONL bundle — header with reason/host/dead-process list, then
-live-plane snapshots, drained ring events, the rolling records, recent
-tracer events and a metrics snapshot — so the last seconds before a death
-are inspectable even though the run never reached its exporters.
+On edge-worker or rank death, a fleet or rank timeout, an unhandled
+exception, or SIGUSR1, :func:`crash_dump` writes a timestamped JSONL
+bundle: a header with the reason, the host fingerprint and the dead
+processes, then every live plane's rows (heartbeat, state, slots) and the
+events still in its rings (the last ``capacity`` per process), the recent
+tracer events and a metrics snapshot.
 
 Dumping is opt-in per process: nothing is written unless a recorder has
 been installed (the CLI installs one for ``solve``/``profile``; tests
-install into a tmpdir).  Fleet backends call :func:`crash_dump` from their
-dead-worker branches.
+install into a tmpdir).  Fleet backends and the rank runtime call
+:func:`crash_dump` from their dead-process branches.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import os
 import signal
 import sys
 import time
-from collections import deque
 
 from ..export import _clean
 from .fingerprint import host_fingerprint
@@ -44,21 +42,9 @@ ENV_DIR = "REPRO_FLIGHTREC_DIR"
 
 
 class FlightRecorder:
-    def __init__(self, capacity: int = 4096, out_dir: str | None = None) -> None:
-        self.capacity = int(capacity)
+    def __init__(self, out_dir: str | None = None) -> None:
         self.out_dir = out_dir
-        self._records: deque[dict] = deque(maxlen=self.capacity)
 
-    # ------------------------------------------------------------------
-    def record(self, kind: str, **fields) -> None:
-        rec = {"type": kind, "ts": time.time()}
-        rec.update(_clean(fields))
-        self._records.append(rec)
-
-    def records(self) -> list[dict]:
-        return list(self._records)
-
-    # ------------------------------------------------------------------
     def _resolve_dir(self) -> str:
         out = (
             self.out_dir
@@ -95,7 +81,6 @@ class FlightRecorder:
             }
         ]
         lines.extend(self._plane_records())
-        lines.extend(self._records)
         lines.extend(self._obs_records())
         with open(path, "w", encoding="utf-8") as fh:
             for rec in lines:
@@ -166,12 +151,13 @@ _installed: FlightRecorder | None = None
 
 
 def install_flight_recorder(
-    recorder: FlightRecorder | None = None,
-) -> FlightRecorder:
-    """Enable crash dumps for this process (and future forks)."""
+    recorder: FlightRecorder | None,
+) -> FlightRecorder | None:
+    """Make ``recorder`` this process's (and future forks') crash recorder;
+    ``None`` switches dumping off.  Returns the recorder it replaces."""
     global _installed
-    _installed = recorder if recorder is not None else FlightRecorder()
-    return _installed
+    prev, _installed = _installed, recorder
+    return prev
 
 
 def get_flight_recorder() -> FlightRecorder | None:
@@ -209,11 +195,11 @@ def reap_dead(procs, timeout: float = 0.5) -> list[str]:
         time.sleep(0.01)
 
 
-def install_signal_dump(signums: tuple[int, ...] = (signal.SIGUSR1,)) -> None:
-    """Dump a bundle on demand (default SIGUSR1) without dying."""
+def install_signal_dump(signums: tuple[int, ...] = (signal.SIGUSR1,)) -> dict:
+    """Dump a bundle on demand (default SIGUSR1) without dying.  Returns
+    the handlers it replaced, by signal number, for the caller to restore."""
 
     def _handler(signum, frame):  # pragma: no cover - exercised via CI smoke
         crash_dump(f"signal-{signal.Signals(signum).name}")
 
-    for signum in signums:
-        signal.signal(signum, _handler)
+    return {signum: signal.signal(signum, _handler) for signum in signums}

@@ -173,9 +173,10 @@ class ProcessEdgeBackend:
     timeout:
         seconds to wait for a worker round before declaring it dead.
 
-    Every fleet has a live telemetry plane: workers publish heartbeat/state
+    Every fleet has a telemetry plane: workers publish heartbeat/state
     plus task and busy-time counters into shared slots
-    (:mod:`repro.obs.live`), readable from the parent while the fleet runs.
+    (:mod:`repro.obs.live`), which a crash bundle carries when a worker
+    dies or a round times out.
     """
 
     def __init__(

@@ -18,31 +18,11 @@ from __future__ import annotations
 
 import atexit
 import os
-import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["SharedArrayPool", "live_pools", "total_shm_bytes"]
-
-#: Every pool this process created or attached, for telemetry: the
-#: Prometheus exporter reports ``repro_shm_bytes`` from here.  WeakSet so
-#: the registry never extends a pool's lifetime.
-_pools: "weakref.WeakSet[SharedArrayPool]" = weakref.WeakSet()
-
-
-def live_pools() -> list["SharedArrayPool"]:
-    """Open pools owned by this process (snapshot, unordered)."""
-    return [
-        p
-        for p in _pools
-        if not p.closed and not p._attached and p._owner_pid == os.getpid()
-    ]
-
-
-def total_shm_bytes() -> int:
-    """Bytes currently allocated in /dev/shm by this process's pools."""
-    return sum(p.nbytes for p in live_pools())
+__all__ = ["SharedArrayPool"]
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -87,7 +67,6 @@ class SharedArrayPool:
         self._owner_pid = os.getpid()
         self._closed = False
         self._attached = False
-        _pools.add(self)
         atexit.register(self.close)
 
     @classmethod

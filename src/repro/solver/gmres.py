@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs.live.plane import get_live_writer
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer
 from ..petsclite.vec import (
@@ -122,7 +121,6 @@ def _gmres_cycles(
     allreduce,
 ) -> tuple[bool, int, int]:
     """Restart cycles of :func:`gmres`; updates ``x`` in place."""
-    live = get_live_writer()  # ambient telemetry row (set by the CLI)
     x0_zero = not x.any()
     total_it = 0
     converged = False
@@ -178,8 +176,6 @@ def _gmres_cycles(
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
             total_it += 1
-            if live is not None:
-                live.add(gmres_iters=1.0)
             j_done = j + 1
             res_hist.append(abs(g[j + 1]))
             if abs(g[j + 1]) <= tol:

@@ -30,7 +30,6 @@ from ..cfd.jacobian import JacobianAssembler
 from ..cfd.residual import compute_residual
 from ..cfd.state import FlowConfig, FlowField
 from ..cfd.timestep import local_timestep, ser_cfl
-from ..obs.live.plane import get_live_writer
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer, kernel_span
 from ..petsclite.vec import local_allreduce
@@ -125,7 +124,8 @@ class Discretization(Protocol):
     def publish(
         self, step: int, rnorm: float, cfl: float, krylov_iters: int
     ) -> None:
-        """Report progress to this process's live telemetry row."""
+        """Report progress to this process's telemetry row, if it has one
+        (a rank does: the crash bundle reads it)."""
 
     def admissible(self, q: np.ndarray) -> bool:
         """False asks the loop to halve the step that produced ``q``."""
@@ -244,8 +244,7 @@ def pseudo_transient_solve(
 
 class FieldDiscretization:
     """The in-process adapter: a whole :class:`FlowField`, its first-order
-    Jacobian in one BCSR matrix under additive-Schwarz ILU, and the ambient
-    live telemetry row.
+    Jacobian in one BCSR matrix under additive-Schwarz ILU.
 
     Everything that depends only on the structure of the problem — the
     Jacobian pattern and assembler workspaces, the BCSR matrix and the
@@ -276,7 +275,6 @@ class FieldDiscretization:
             self.A, labels=labels, overlap=opts.overlap,
             fill_level=opts.ilu_fill,
         )
-        self.live = get_live_writer()  # ambient telemetry row (set by the CLI)
 
     def residual(self, q: np.ndarray) -> np.ndarray:
         return compute_residual(self.fld, q, self.config)
@@ -297,14 +295,7 @@ class FieldDiscretization:
     def publish(
         self, step: int, rnorm: float, cfl: float, krylov_iters: int
     ) -> None:
-        if self.live is not None:
-            self.live.update(
-                step=float(step),
-                residual=float(rnorm),
-                cfl=float(cfl),
-                krylov_iters=float(krylov_iters),
-            )
-            self.live.add(newton_steps=1.0)
+        pass  # a serial solve has no telemetry row
 
     def admissible(self, q: np.ndarray) -> bool:
         return True

@@ -345,12 +345,13 @@ class TestObservability:
 
 class TestInterruptFlush:
     def test_sigterm_mid_solve_flushes_partial_exports(self, tmp_path):
-        """Regression: killing a solve mid-run must still write the partial
-        Prometheus snapshot and OTLP trace and exit 130, and the live
-        /metrics endpoint must serve solver series while the solve runs."""
+        """Regression: killing a distributed solve mid-run must still write
+        whole Chrome trace and JSONL exports and exit 130."""
+        from repro.obs import read_jsonl
+
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        prom = tmp_path / "partial.prom"
-        otlp = tmp_path / "partial-trace.json"
+        trace = tmp_path / "partial-trace.json"
+        log = tmp_path / "partial.jsonl"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(repo_root, "src")
         env["PYTHONUNBUFFERED"] = "1"
@@ -358,31 +359,26 @@ class TestInterruptFlush:
             [
                 sys.executable, "-m", "repro", "solve",
                 # a solve of several seconds: the signal, ~1 s in, must
-                # land while it is still stepping
-                "--scale", "0.15", "--max-steps", "500",
-                "--metrics-serve", "0",
-                "--metrics-prom", str(prom),
-                "--trace-otlp", str(otlp),
+                # land while the ranks are still stepping
+                "--scale", "0.15", "--max-steps", "500", "--dist-ranks", "2",
+                "--trace-out", str(trace),
+                "--metrics-out", str(log),
             ],
-            cwd=repo_root, env=env,
+            cwd=tmp_path, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            # the banner proves _ObsSession is up (handlers installed)
-            url = None
+            # the banner is printed inside _ObsSession (handlers installed)
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
+            banner = ""
+            while time.monotonic() < deadline and not banner:
                 line = proc.stdout.readline()
-                if line.startswith("live metrics:"):
-                    url = line.split()[-1]
+                if not line:
                     break
-            assert url, "solve never announced its /metrics endpoint"
-            from repro.obs.live.top import fetch_metrics
-
-            samples = fetch_metrics(url, timeout=10.0)
-            label = (("proc", "solver"),)
-            assert samples[("repro_live_up", label)] == 1.0
-            time.sleep(1.0)  # let a few Newton steps land in the trace
+                if line.startswith("distributed runtime:"):
+                    banner = line
+            assert banner, "solve never announced its ranks"
+            time.sleep(1.0)  # let the ranks take a few Newton steps
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=60)
         finally:
@@ -391,31 +387,29 @@ class TestInterruptFlush:
                 proc.communicate()
         assert proc.returncode == 130
         assert "interrupted — partial telemetry exports flushed" in err
-        # both exports exist and are valid despite the early death
-        text = prom.read_text()
-        assert 'repro_live_residual{proc="solver"}' in text
-        doc = json.loads(otlp.read_text())
-        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        assert any(s["name"] == "solve" for s in spans)
+        # both exports exist and are whole despite the early stop: the
+        # parent's open dist-solve span is closed into the trace
+        doc = json.loads(trace.read_text())
+        assert "dist-solve" in {e["name"] for e in doc["traceEvents"]}
+        roots, _, _ = read_jsonl(str(log))
+        assert [r.name for r in roots] == ["dist-solve"]
 
-    EXPORTS = ("trace.json", "log.jsonl", "snap.prom", "otlp.json")
+    EXPORTS = ("trace.json", "log.jsonl")
 
     def _session(self, tmp_path, monkeypatch):
-        """An ``_ObsSession`` (never entered: no handlers, no threads) with
-        one span and one counter to export, whose OTLP writer is
+        """An ``_ObsSession`` (never entered: no handlers installed) with
+        one span and one counter to export, whose JSONL writer is
         interrupted inside its temporary file on the first call."""
         import argparse
 
-        import repro.obs.live.exporters as exporters
+        import repro.obs.export as export
         from repro.cli import _ObsSession
 
-        trace, log, prom, otlp = (str(tmp_path / n) for n in self.EXPORTS)
-        session = _ObsSession(argparse.Namespace(
-            trace_out=trace, metrics_out=log, metrics_prom=prom, trace_otlp=otlp,
-        ))
+        trace, log = (str(tmp_path / n) for n in self.EXPORTS)
+        session = _ObsSession(argparse.Namespace(trace_out=trace, metrics_out=log))
         with session.tracer.span("solve"):
             session.metrics.counter("residual.evals").inc()
-        real, calls = exporters.otlp_trace, []
+        real, calls = export.jsonl_records, []
 
         def interrupted_once(*args, **kwargs):
             calls.append(1)
@@ -423,7 +417,7 @@ class TestInterruptFlush:
                 raise KeyboardInterrupt  # a SIGTERM landing mid-write
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(exporters, "otlp_trace", interrupted_once)
+        monkeypatch.setattr(export, "jsonl_records", interrupted_once)
         return session
 
     def _assert_exports_whole(self, tmp_path):
@@ -434,25 +428,17 @@ class TestInterruptFlush:
         assert [e["name"] for e in trace["traceEvents"]] == ["solve"]
         roots, _, rows = read_jsonl(str(tmp_path / "log.jsonl"))
         assert [r.name for r in roots] == ["solve"] and rows
-        for line in (tmp_path / "snap.prom").read_text().splitlines():
-            if not line.startswith("#"):
-                float(line.rsplit(" ", 1)[1])
-        doc = json.loads((tmp_path / "otlp.json").read_text())
-        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        assert [s["name"] for s in spans] == ["solve"]
 
     def test_interrupted_flush_leaves_no_partial_file(self, tmp_path, monkeypatch):
         """Regression: the flush used to mark itself done before writing, so
         an interrupt inside it left a truncated file that no later flush
         rewrote."""
         session = self._session(tmp_path, monkeypatch)
-        (tmp_path / "otlp.json").write_text('{"previous": "export"}')
+        (tmp_path / "log.jsonl").write_text('{"previous": "export"}\n')
         with pytest.raises(KeyboardInterrupt):
             session.flush()
         # the interrupted file kept its old contents; no temporary remains
-        assert json.loads((tmp_path / "otlp.json").read_text()) == {
-            "previous": "export"
-        }
+        assert (tmp_path / "log.jsonl").read_text() == '{"previous": "export"}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.EXPORTS)
         session.flush()
         self._assert_exports_whole(tmp_path)
@@ -464,3 +450,40 @@ class TestInterruptFlush:
         with pytest.raises(KeyboardInterrupt):  # still stops the command
             session.__exit__(None, None, None)
         self._assert_exports_whole(tmp_path)
+
+
+def test_solve_leaves_no_process_global_state(capsys):
+    """Regression: an in-process ``solve`` left its SIGTERM handler (raise
+    KeyboardInterrupt), its SIGUSR1 bundle dump and its flight recorder
+    installed after ``main`` returned."""
+    from repro.obs.live import get_flight_recorder
+
+    def state():
+        return (
+            signal.getsignal(signal.SIGTERM),
+            signal.getsignal(signal.SIGUSR1),
+            get_flight_recorder(),
+        )
+
+    before = state()
+    assert main(["solve", "--scale", "0.02", "--max-steps", "2"]) == 1
+    assert state() == before
+
+
+def test_live_plane_surface_is_gone(capsys):
+    """What watched a run while it ran is gone, with no shim: ``repro top``,
+    the Prometheus / OTLP exports and their modules."""
+    with pytest.raises(SystemExit) as exc:
+        main(["top"])
+    assert exc.value.code == 2
+    for command in ("solve", "profile", "scaling"):
+        for option in (
+            ["--metrics-serve", "0"], ["--metrics-prom", "x"], ["--trace-otlp", "x"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+    for module in ("top", "health", "exporters"):
+        with pytest.raises(ModuleNotFoundError):
+            __import__(f"repro.obs.live.{module}")

@@ -3,8 +3,10 @@
 ``scipy.sparse`` is not a runtime dependency of the solver: every write-out
 is ``np.add.at`` or ``repro.perf.scatter_add`` and every sparse kernel is
 the package's own BCSR code.  Loading it anyway costs ~0.1 s of import
-time and ~16 MB of resident memory on every run, so this is held as a
-count of loaded modules, in a fresh interpreter.
+time and ~16 MB of resident memory on every run.  Nor does anything serve
+or post telemetry over HTTP, so ``http.server``, ``ssl`` and ``email`` stay
+unloaded too.  Each is held as a count of loaded modules under its prefix,
+in a fresh interpreter.
 """
 
 import json
@@ -12,30 +14,44 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPT = """
 import json, sys
 
-def sparse_modules():
-    return sum(m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in sys.modules)
+prefix = sys.argv[1]
+
+def loaded():
+    return sum(m == prefix or m.startswith(prefix + ".") for m in sys.modules)
 
 import repro
-after_import = sparse_modules()
+after_import = loaded()
 from repro import FlowConfig, FlowField, mesh_c_prime
 from repro.solver import SolverOptions, solve_steady
 result = solve_steady(
     FlowField(mesh_c_prime(scale=0.02, seed=7)), FlowConfig(), SolverOptions(max_steps=100)
 )
-print(json.dumps([after_import, sparse_modules(), bool(result.converged)]))
+print(json.dumps([after_import, loaded(), bool(result.converged)]))
 """
 
 
-def test_import_and_serial_solve_do_not_load_scipy_sparse():
+def _loaded(prefix):
+    """Modules under ``prefix`` after ``import repro`` and after a x0.02 solve."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, prefix],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     ).stdout
     after_import, after_solve, converged = json.loads(out.splitlines()[-1])
     assert converged
-    assert (after_import, after_solve) == (0, 0)
+    return after_import, after_solve
+
+
+def test_import_and_serial_solve_do_not_load_scipy_sparse():
+    assert _loaded("scipy.sparse") == (0, 0)
+
+
+@pytest.mark.parametrize("prefix", ["http.server", "ssl", "email"])
+def test_import_and_serial_solve_do_not_load_network_stack(prefix):
+    assert _loaded(prefix) == (0, 0)
