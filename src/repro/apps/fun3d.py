@@ -9,20 +9,22 @@ counts and the machine cost models.
 Because every optimization is numerics-preserving, one solve yields the
 operation counts for **all** configurations at that ILU fill level; the
 profile/speedup methods re-price those counts under different configs.
+The counts are read off the run's own ``solve`` span (its kernel spans)
+and the ``vec.*`` counters it added to the metrics registry.
 That is how the benchmarks regenerate Figures 5 and 8 and Tables I and II
 in seconds instead of hours.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from ..cfd.state import FlowConfig, FlowField
 from ..obs.metrics import MetricsRegistry, use_metrics
-from ..obs.span import NullTracer, Tracer, use_tracer
+from ..obs.span import Span, Tracer, use_tracer
 from ..ordering import rcm_relabel
 from ..mesh.core import UnstructuredMesh
-from ..perf.profile import PerfRegistry, use_registry
 from ..smp.cost import (
     EdgeLoopOptions,
     edge_loop_time,
@@ -46,8 +48,11 @@ from .config import OptimizationConfig
 
 __all__ = ["Fun3dApp", "Fun3dRunResult"]
 
-#: kernels whose counts drive the modeled profile
-_EDGE_KERNELS = ("flux", "grad", "jacobian")
+
+def _vec_totals(metrics: MetricsRegistry) -> dict[str, float]:
+    return {
+        k: metrics.counter(k).value for k in ("vec.bytes", "vec.flops", "vec.calls")
+    }
 
 
 @dataclass
@@ -55,7 +60,6 @@ class Fun3dRunResult:
     """Numerics + measured counts + modeled per-kernel times of one run."""
 
     solve: SolveResult
-    registry: PerfRegistry
     counts: dict[str, int]
     profile: dict[str, float]  # kernel -> modeled seconds for the config
     config: OptimizationConfig
@@ -109,29 +113,27 @@ class Fun3dApp:
 
         Every run is traced: a fresh :class:`~repro.obs.Tracer` and
         :class:`~repro.obs.MetricsRegistry` (or the ones passed in) are
-        active for the solve, and the result carries both alongside the
-        flat registry.
+        active for the solve, and the result carries both.
         """
         config = config or OptimizationConfig.baseline()
-        opts = self.solver
         kw = {"ilu_fill": config.ilu_fill}
         if solver_overrides:
             kw.update(solver_overrides)
-        from dataclasses import replace
+        opts = replace(self.solver, **kw)
 
-        opts = replace(opts, **kw)
-
-        reg = PerfRegistry()
         tracer = tracer if tracer is not None else Tracer()
         metrics = metrics if metrics is not None else MetricsRegistry()
-        with use_registry(reg), use_tracer(tracer), use_metrics(metrics):
+        earlier = {id(s) for s in tracer.find("solve")}
+        vec0 = _vec_totals(metrics)
+        with use_tracer(tracer), use_metrics(metrics):
             solve = solve_steady(self.field, self.flow, opts)
+        (span,) = (s for s in tracer.find("solve") if id(s) not in earlier)
+        vec = {k: v - vec0[k] for k, v in _vec_totals(metrics).items()}
 
-        counts = self.operation_counts(reg, solve)
+        counts = self.operation_counts(span, vec, solve)
         profile = self.modeled_profile(counts, config)
         return Fun3dRunResult(
             solve=solve,
-            registry=reg,
             counts=counts,
             profile=profile,
             config=config,
@@ -141,67 +143,24 @@ class Fun3dApp:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def operation_counts(reg: PerfRegistry, solve: SolveResult) -> dict[str, int]:
-        """Kernel invocation counts measured during the solve."""
-
-        def calls(name: str) -> int:
-            return reg.records[name].calls if name in reg.records else 0
-
+    def operation_counts(
+        span: Span, vec: dict[str, float], solve: SolveResult
+    ) -> dict[str, int]:
+        """Operation counts of one solve: kernel invocations are the
+        kernel spans under its ``solve`` span, vector work the ``vec.*``
+        counter increments it made."""
+        calls = Counter(s.name for s in span.walk())
         return {
-            "residual_evals": calls("flux"),
-            "jacobian_assemblies": calls("jacobian"),
-            "ilu_factorizations": calls("ilu"),
-            "trsv_applies": calls("trsv"),
+            "residual_evals": calls["flux"],
+            "jacobian_assemblies": calls["jacobian"],
+            "ilu_factorizations": calls["ilu"],
+            "trsv_applies": calls["trsv"],
             "linear_iterations": solve.linear_iterations,
             "steps": solve.steps,
-            "vec_bytes": sum(
-                r.bytes for n, r in reg.records.items() if n.startswith("Vec")
-            ),
-            "vec_flops": sum(
-                r.flops for n, r in reg.records.items() if n.startswith("Vec")
-            ),
-            "vec_calls": sum(
-                r.calls for n, r in reg.records.items() if n.startswith("Vec")
-            ),
+            "vec_bytes": vec["vec.bytes"],
+            "vec_flops": vec["vec.flops"],
+            "vec_calls": int(vec["vec.calls"]),
         }
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def counts_from_trace(
-        tracer: Tracer | NullTracer, reg: PerfRegistry
-    ) -> dict[str, int]:
-        """Operation counts derived from the span tree.
-
-        The trace-first variant of :meth:`operation_counts`: kernel
-        invocation counts, Newton steps and Krylov iterations all come from
-        spans (``flux``/``jacobian``/``ilu``/``trsv`` leaves, ``newton-step``
-        and ``gmres`` structure spans with their ``iterations`` attribute).
-        Vector-primitive tallies have no spans — they stay registry-sourced.
-        For an instrumented solve this reproduces ``operation_counts``
-        exactly; the Fig. 5 benchmark asserts that reconciliation.
-        """
-        kc = tracer.kernel_counts()
-        counts = {
-            "residual_evals": kc.get("flux", 0),
-            "jacobian_assemblies": kc.get("jacobian", 0),
-            "ilu_factorizations": kc.get("ilu", 0),
-            "trsv_applies": kc.get("trsv", 0),
-            "linear_iterations": sum(
-                int(s.attrs.get("iterations", 0)) for s in tracer.find("gmres")
-            ),
-            "steps": kc.get("newton-step", 0),
-        }
-        for key, attr in (
-            ("vec_bytes", "bytes"),
-            ("vec_flops", "flops"),
-            ("vec_calls", "calls"),
-        ):
-            counts[key] = sum(
-                getattr(r, attr)
-                for n, r in reg.records.items()
-                if n.startswith("Vec")
-            )
-        return counts
 
     # ------------------------------------------------------------------
     def _edge_options(self, config: OptimizationConfig) -> EdgeLoopOptions:

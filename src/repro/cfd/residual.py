@@ -43,8 +43,8 @@ def compute_residual(
 
     Instrumentation: every driver reports the reconstruction under one
     ``grad`` kernel span and the flux + boundary closures under one
-    ``flux`` span (the paper's two edge-loop profile entries), to both the
-    perf registry and any active tracer.
+    ``flux`` span (the paper's two edge-loop profile entries) in the
+    active tracer.
     """
     get_metrics().counter("residual.evals").inc()
     backend = get_edge_backend()

@@ -47,6 +47,26 @@ def _version() -> str:
         return __version__
 
 
+def _at_least(kind, least, *, strict: bool = False):
+    """An argparse ``type=``: a ``kind`` value ``>= least`` (``> least``
+    when ``strict``), so a bad count is a usage error, not a traceback."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > least if strict else value >= least):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {least}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" text
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 1)
+_POSITIVE_FLOAT = _at_least(float, 0.0, strict=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -60,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mesh_args(sp):
         sp.add_argument("--dataset", choices=["mesh-c", "mesh-d", "wing"],
                         default="mesh-c")
-        sp.add_argument("--scale", type=float, default=0.12)
+        sp.add_argument("--scale", type=_POSITIVE_FLOAT, default=0.12)
         sp.add_argument("--seed", type=int, default=7)
         sp.add_argument(
             "--ordering", choices=["natural", "rcm"], default="rcm",
@@ -80,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend", choices=["serial", "process"], default="serial",
             help="edge-kernel executor: in-process NumPy or worker processes"
         )
-        sp.add_argument("--workers", type=int, default=2,
+        sp.add_argument("--workers", type=_POSITIVE_INT, default=2,
                         help="worker processes for --backend process")
         sp.add_argument(
             "--edge-strategy", choices=["locked", "replicate", "owner"],
@@ -92,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_dist_args(sp):
         sp.add_argument(
-            "--dist-ranks", type=int, default=0, metavar="N",
+            "--dist-ranks", type=_at_least(int, 0), default=0, metavar="N",
             help="run the solve on N forked rank processes with real "
                  "shared-memory halo exchange (0 = serial in-process)"
         )
@@ -133,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("speedup", help="modeled optimization speedups")
     add_mesh_args(sp)
-    sp.add_argument("--ilu", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=20)
+    sp.add_argument("--ilu", type=_at_least(int, 0), default=0)
+    sp.add_argument("--threads", type=_POSITIVE_INT, default=20)
 
     sp = sub.add_parser("scaling", help="multi-node strong scaling model")
     sp.add_argument("--workload", choices=["mesh-c", "mesh-d"],
                     default="mesh-d")
-    sp.add_argument("--nodes", type=int, nargs="+",
+    sp.add_argument("--nodes", type=_POSITIVE_INT, nargs="+",
                     default=[1, 4, 16, 64, 256])
     sp.add_argument("--pipelined", action="store_true",
                     help="model pipelined GMRES (future-work extension)")
@@ -147,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partition", help="partition quality study")
     add_mesh_args(sp)
-    sp.add_argument("--parts", type=int, default=20)
+    sp.add_argument("--parts", type=_POSITIVE_INT, default=20)
 
     return p
 
@@ -267,23 +287,6 @@ class _ObsSession:
         return False
 
 
-def _reconciliation(tracer, registry) -> float:
-    """Worst per-kernel relative deviation, span tree vs flat registry.
-
-    Only kernels that appear in both views are compared: Vec* primitives
-    report to the registry alone (they are too fine-grained to trace).
-    """
-    span_tot = tracer.kernel_totals()
-    return max(
-        (
-            abs(span_tot[k] - r.seconds) / r.seconds
-            for k, r in registry.records.items()
-            if r.seconds > 0 and k in span_tot
-        ),
-        default=0.0,
-    )
-
-
 def _run_dist_solve(args, app, obs=None):
     """N-rank distributed solve wrapped as a :class:`Fun3dRunResult`.
 
@@ -294,12 +297,10 @@ def _run_dist_solve(args, app, obs=None):
     from .apps import Fun3dRunResult, OptimizationConfig
     from .dist.runtime import distributed_solve
     from .obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-    from .perf import PerfRegistry, use_registry
 
-    reg = PerfRegistry()
     tracer = obs.tracer if obs is not None else Tracer()
     metrics = obs.metrics if obs is not None else MetricsRegistry()
-    with use_registry(reg), use_tracer(tracer), use_metrics(metrics):
+    with use_tracer(tracer), use_metrics(metrics):
         dres = distributed_solve(
             app.field,
             app.flow,
@@ -311,7 +312,6 @@ def _run_dist_solve(args, app, obs=None):
         )
     res = Fun3dRunResult(
         solve=dres.result,
-        registry=reg,
         counts={},
         profile={},
         config=OptimizationConfig.baseline(ilu_fill=args.ilu),
@@ -518,9 +518,6 @@ def _cmd_profile_impl(args, opts, obs) -> int:
                 f"(Fig 10 cost model, paper-scale "
                 f"{wl.name}): {100 * model.attrs['comm_fraction']:.1f}%"
             )
-    else:
-        print(f"span/registry reconciliation: max per-kernel deviation "
-              f"{100 * _reconciliation(tracer, res.registry):.3f}%")
     return 0 if s.converged else 1
 
 
@@ -634,6 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
+    if getattr(args, "pipelined", False) and getattr(args, "dist_ranks", 1) < 1:
+        parser.error(f"{args.command}: --pipelined requires --dist-ranks")
     return _COMMANDS[args.command](args)
 
 

@@ -6,7 +6,7 @@ exchanges (pack -> shm mailbox -> unpack), deterministic collectives, and a
 pipelined mode that overlaps interior compute with in-flight halo fills.
 """
 
-from .comm import Communicator, CommTimeout, ShmTransport, SpanRecorder
+from .comm import Communicator, CommTimeout, ShmTransport
 from .driver import DistSolveResult, distributed_solve
 from .program import (
     RankData,
@@ -20,7 +20,6 @@ __all__ = [
     "Communicator",
     "CommTimeout",
     "ShmTransport",
-    "SpanRecorder",
     "DistRuntime",
     "RankResult",
     "RankData",

@@ -15,24 +15,23 @@ broadcast back, trading two barriers for ``O(log P)`` point-to-point hops.
 Two-phase exchange (:meth:`Communicator.exchange_begin` /
 :meth:`~Communicator.exchange_end`) is the executable Fig 10 overlap: the
 pack+post happens eagerly, the caller computes interior work, and only the
-unpack waits on neighbors.  Every exchange and collective records a
+unpack waits on neighbors.  Every exchange and collective leaves a
 ``rank<i>.halo`` / ``rank<i>.allreduce`` span with its measured wall
-interval, and the compute a halo window overlaps a ``rank<i>.interior``
-span, which the parent folds into the observability trace tree.
+interval in the active tracer, and the compute a halo window overlaps a
+``rank<i>.interior`` span; the rank's tree travels home whole.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ...obs.live.ring import STATE_BUSY, STATE_SPIN
+from ...obs.span import get_tracer
 
 __all__ = [
-    "SpanRecorder",
     "ShmTransport",
     "Communicator",
     "CommTimeout",
@@ -63,19 +62,6 @@ RANK_SLOTS = (
 
 class CommTimeout(RuntimeError):
     """A blocking communicator operation exceeded its deadline."""
-
-
-@dataclass
-class SpanRecorder:
-    """Per-rank span log, shipped to the parent when the rank finishes."""
-
-    rank: int
-    spans: list[tuple[str, float, float, dict[str, Any]]] = dc_field(
-        default_factory=list
-    )
-
-    def add(self, name: str, t0: float, t1: float, **attrs: Any) -> None:
-        self.spans.append((f"rank{self.rank}.{name}", t0, t1, attrs))
 
 
 class ShmTransport:
@@ -164,7 +150,7 @@ class Communicator:
         dom = transport.decomp.domains[rank]
         self.send_lists = dom.send_lists
         self.recv_lists = dom.recv_lists
-        self.recorder = SpanRecorder(rank)
+        self._span_prefix = f"rank{self.rank}."
         # re-attach the shared segments by OS name: the fork-inherited
         # mappings would work, but attaching exercises the path a spawned
         # (non-fork) child would need and keeps the rank's view independent
@@ -265,8 +251,9 @@ class Communicator:
         t1 = time.perf_counter()
         self.n_exchanges += 1
         self.halo_seconds += t1 - t0
-        self.recorder.add(
-            "halo", t0, t1, messages=len(self.send_lists) + len(self.recv_lists)
+        get_tracer().add_complete(
+            self._span_prefix + "halo", t0, t1,
+            messages=len(self.send_lists) + len(self.recv_lists),
         )
         self.telem.add(exchanges=1.0, halo_seconds=t1 - t0)
 
@@ -280,7 +267,7 @@ class Communicator:
         and ending now (the work pipelined mode overlaps)."""
         t1 = time.perf_counter()
         self.interior_seconds += t1 - t0
-        self.recorder.add("interior", t0, t1, edges=edges)
+        get_tracer().add_complete(self._span_prefix + "interior", t0, t1, edges=edges)
 
     # -- collectives ---------------------------------------------------
     def allreduce(self, values, op: str = "sum"):
@@ -310,7 +297,9 @@ class Communicator:
         t1 = time.perf_counter()
         self.n_allreduces += 1
         self.allreduce_seconds += t1 - t0
-        self.recorder.add("allreduce", t0, t1, width=k, op=op, algo=self.algo)
+        get_tracer().add_complete(
+            self._span_prefix + "allreduce", t0, t1, width=k, op=op, algo=self.algo
+        )
         self.telem.add(allreduces=1.0, allreduce_seconds=t1 - t0)
         return float(out[0]) if np.ndim(values) == 0 else out
 

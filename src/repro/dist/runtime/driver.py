@@ -3,12 +3,16 @@
 :func:`distributed_solve` partitions the mesh, forks one rank process per
 subdomain through :class:`~.runtime.DistRuntime`, runs the replicated
 Newton program of :mod:`.program`, gathers the owned slices back into a
-global state, and folds every rank's recorded spans into the active
+global state, and grafts every rank's own span tree into the active
 observability trace as a ``dist-solve`` subtree::
 
     dist-solve
       rank0
-        rank0.halo  rank0.interior  rank0.allreduce  ...
+        solve
+          newton-step
+            grad  flux  jacobian  ilu  rank0.halo  rank0.interior  ...
+            gmres
+              trsv  flux  rank0.allreduce  ...
       rank1
         ...
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from ...cfd.state import FlowConfig, FlowField
 from ...obs.metrics import get_metrics
-from ...obs.span import Span, get_tracer
+from ...obs.span import get_tracer
 from ...solver.newton import SolveResult, SolverOptions
 from ..halo import DomainDecomposition
 from .program import GRAD_LIMITER_WIDTH, build_rank_data, rank_solve_steady
@@ -172,20 +176,15 @@ def distributed_solve(
 
 
 def _fold_rank_spans(tracer, decomp, results, pipelined: bool) -> None:
-    """Attach each rank's recorded spans as a ``rank<i>`` subtree."""
-    if not tracer.active:
-        return
+    """Graft each rank's span roots under a ``rank<i>`` node."""
     for rr in results:
         if not rr.spans:
             continue
-        t0 = min(s[1] for s in rr.spans)
-        t1 = max(s[2] for s in rr.spans)
         node = tracer.add_complete(
             f"rank{rr.rank}",
-            t0,
-            t1,
+            min(s.t0 for s in rr.spans),
+            max(s.t1 for s in rr.spans),
             pipelined=pipelined,
             n_owned=int(decomp.domains[rr.rank].n_owned),
         )
-        for name, s0, s1, attrs in rr.spans:
-            node.children.append(Span(name, t0=s0, t1=s1, attrs=dict(attrs)))
+        node.children.extend(rr.spans)

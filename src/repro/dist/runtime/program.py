@@ -40,6 +40,7 @@ import numpy as np
 from ...cfd.jacobian import block_slots, edge_flux_jacobians
 from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import pseudo_timestep
+from ...obs.span import get_tracer, kernel_span
 from ...solver.newton import SolveResult, SolverOptions, pseudo_transient_solve
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
 from ...sparse.ilu import build_ilu_plan, ilu_factorize
@@ -225,14 +226,17 @@ def rank_residual(
     """
     a = ws.arrays
     beta, scheme, second_order = config.beta, config.dissipation, config.second_order
+    tracer = get_tracer()
 
     def run(stage, parts) -> None:
         t0 = time.perf_counter()
         for p in parts:
             sweep(stage, p, a, beta, scheme, second_order)
         if stage != "flux":
-            edges = sum(p.n_edges for p in parts)
-            comm.recorder.add(stage, t0, time.perf_counter(), edges=edges)
+            tracer.add_complete(
+                f"rank{data.rank}.{stage}", t0, time.perf_counter(),
+                edges=sum(p.n_edges for p in parts),
+            )
 
     def window(payload, interior_work) -> None:
         """One halo window: pipelined overlaps ``interior_work`` with the
@@ -291,7 +295,7 @@ class _RankJacobian:
         self._data = data
         self._tws = TrsvWorkspace.for_plan(self.plan)
 
-    def update(
+    def assemble(
         self, ws: _Workspace, config: FlowConfig, dt: np.ndarray
     ) -> None:
         data, q = self._data, ws.q
@@ -319,6 +323,8 @@ class _RankJacobian:
 
         eye = np.eye(NVARS)
         vals[self._diag_idx] += (data.volumes / dt)[:, None, None] * eye
+
+    def factorize(self) -> None:
         self._factor = None  # never two factors alive at once
         self._factor = ilu_factorize(self.matrix, self.plan)
 
@@ -364,7 +370,10 @@ class _RankDiscretization:
         )
 
     def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
-        self.jac.update(self.ws, self.config, dt)
+        with kernel_span("jacobian"):
+            self.jac.assemble(self.ws, self.config, dt)
+        with kernel_span("ilu"):
+            self.jac.factorize()
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
         return self.jac.apply(v)

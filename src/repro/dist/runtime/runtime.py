@@ -4,13 +4,14 @@
 runtime (the message layer lives in :mod:`.comm`).  It forks one worker
 per :class:`~repro.dist.halo.DomainDecomposition` rank; each worker builds
 its :class:`~.comm.Communicator` endpoint, runs the caller's *rank
-program* (any callable ``program(comm) -> value``), and ships back its
-return value, recorded spans, and measured communication totals over a
-duplex pipe.  The parent supervises the fleet the same way
-``ProcessEdgeBackend`` does: sub-second liveness polls so a dead rank
-surfaces as a ``RuntimeError`` instead of a hang, terminate-then-kill
-teardown, and a single :class:`~repro.smp.shm.SharedArrayPool` cleanup
-path so no ``/dev/shm`` segment survives the run — even a crashed one.
+program* (any callable ``program(comm) -> value``) — under a tracer of its
+own when the parent is tracing — and ships back its return value, its span
+roots, and measured communication totals over a duplex pipe.  The parent
+supervises the fleet the same way ``ProcessEdgeBackend`` does: sub-second
+liveness polls so a dead rank surfaces as a ``RuntimeError`` instead of a
+hang, terminate-then-kill teardown, and a single
+:class:`~repro.smp.shm.SharedArrayPool` cleanup path so no ``/dev/shm``
+segment survives the run — even a crashed one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Any, Callable
 
 from ... import native
 from ...obs.live.recorder import crash_dump, reap_dead
+from ...obs.span import NullTracer, Span, Tracer, get_tracer, use_tracer
 from .comm import Communicator, ShmTransport
 
 __all__ = ["DistRuntime", "RankResult"]
@@ -33,15 +35,15 @@ __all__ = ["DistRuntime", "RankResult"]
 
 @dataclass
 class RankResult:
-    """What one rank sends home: its program's return value, the spans it
-    recorded (``rank<i>.halo`` / ``.interior`` / ``.allreduce``), and its
-    measured communication totals plus the program's wall (``elapsed``)."""
+    """What one rank sends home: its program's return value, the roots of
+    its span tree (``solve → newton-step → …`` with the ``rank<i>.halo`` /
+    ``.interior`` / ``.allreduce`` spans inside; empty when the parent was
+    not tracing), and its measured communication totals plus the program's
+    wall (``elapsed``)."""
 
     rank: int
     value: Any
-    spans: list[tuple[str, float, float, dict[str, Any]]] = dc_field(
-        default_factory=list
-    )
+    spans: list[Span] = dc_field(default_factory=list)
     comm_stats: dict[str, float] = dc_field(default_factory=dict)
 
 
@@ -56,10 +58,14 @@ def _rank_main(
     comm = None
     try:
         comm = Communicator(transport, rank, algo=algo)
+        # the inherited tracer is a copy nobody reads: when the parent
+        # traces, trace into a fresh one and send its roots home
+        tracer = Tracer() if get_tracer().active else NullTracer()
         t0 = time.perf_counter()
-        value = program(comm)
+        with use_tracer(tracer):
+            value = program(comm)
         stats = dict(comm.stats(), elapsed=time.perf_counter() - t0)
-        conn.send((rank, value, comm.recorder.spans, stats, None))
+        conn.send((rank, value, list(tracer.roots), stats, None))
     except BaseException as exc:
         err = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         try:

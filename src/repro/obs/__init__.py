@@ -1,16 +1,15 @@
 """Observability subsystem: hierarchical tracing, metrics, exports, crash bundles.
 
-Three pieces, designed to sit *on top of* the flat kernel accounting in
-:mod:`repro.perf` rather than replace it:
+The span tree is the one record of time and the metrics registry the one
+record of counts:
 
 * :mod:`~repro.obs.span` — a :class:`Tracer` producing nested span trees
   (``solve → newton-step → gmres → trsv``) with wall/model seconds and
-  flop/byte attributes; :func:`kernel_span` reports one timed interval to
-  both the span tree and the active ``PerfRegistry`` so the two views
-  reconcile exactly.
+  flop/byte attributes; :func:`kernel_span` attaches one timed leaf.  A
+  distributed solve grafts each rank's own tree under ``rank<i>``.
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms for solver behavior (Krylov iterations per Newton step,
-  residual norms, halo bytes, allreduce counts).
+  residual norms, halo bytes, allreduce counts, ``vec.*`` tallies).
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` / Perfetto) and a lossless JSONL event log.
 * :mod:`~repro.obs.live` — crash forensics: seqlock metric rows and event

@@ -7,9 +7,9 @@ iteration statistics and the Fig. 10 communication counts of the paper,
 collected live from the instrumented layers instead of recomputed after the
 fact.
 
-A :class:`MetricsRegistry` is swappable exactly like ``PerfRegistry``
-(``use_metrics`` / ``get_metrics``), with a process-global default so
-instrumentation never needs a guard.
+A :class:`MetricsRegistry` is swappable like the tracer (``use_metrics`` /
+``get_metrics``), with a process-global default so instrumentation never
+needs a guard.
 """
 
 from __future__ import annotations

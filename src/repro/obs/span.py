@@ -1,19 +1,16 @@
-"""Hierarchical spans: the tracing half of the observability layer.
+"""Hierarchical spans: the one record of where a run's time went.
 
-The flat :class:`~repro.perf.PerfRegistry` answers "how much time went into
-kernel X overall"; a span tree answers "where inside the solve did that time
-go" — the difference between Fig. 5's per-kernel pie and an execution
-profile that attributes TRSV seconds to the GMRES iteration of the Newton
-step that ran them.  A :class:`Tracer` keeps an explicit stack of open
-spans; ``tracer.span("newton-step")`` nests under whatever is open, and the
+A span tree answers "where inside the solve did the time go" — Fig. 5's
+per-kernel pie (:meth:`Tracer.kernel_totals`) and, below it, the
+attribution of TRSV seconds to the GMRES iteration of the Newton step that
+ran them.  A :class:`Tracer` keeps an explicit stack of open spans;
+``tracer.span("newton-step")`` nests under whatever is open, and the
 finished tree exports to Chrome ``trace_event`` JSON, JSONL, or the
 plain-text profile report in :mod:`repro.perf.report`.
 
-Kernel-level instrumentation goes through :func:`kernel_span`, which takes
-ONE clock reading and reports it to both the active registry and the active
-tracer — so the span tree and the registry reconcile exactly, and code
-instrumented this way keeps feeding ``PerfRegistry`` consumers unchanged
-when no tracer is installed (the default :class:`NullTracer` is a no-op).
+Kernel-level instrumentation goes through :func:`kernel_span`, which
+attaches one leaf span to the active tracer; with none installed (the
+default :class:`NullTracer`) it reads no clock at all.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
-
-from ..perf.profile import get_registry
 
 __all__ = [
     "Span",
@@ -168,9 +163,8 @@ class Tracer:
     def kernel_totals(self, *, model: bool = False) -> dict[str, float]:
         """Per-name summed seconds over the whole forest.
 
-        This is the span-tree analogue of ``PerfRegistry.total_seconds``
-        per kernel; for code instrumented with :func:`kernel_span` the two
-        agree exactly.
+        For code instrumented with :func:`kernel_span` this is the
+        per-kernel time of Fig. 5.
         """
         out: dict[str, float] = {}
         for s in self.walk():
@@ -241,31 +235,27 @@ def use_tracer(tracer: Tracer):
         yield tracer
     finally:
         # truncate instead of pop: restores the outer tracer even if inner
-        # code leaked pushes (same reentrancy contract as use_registry)
+        # code leaked pushes (same reentrancy contract as use_metrics)
         del _stack[depth:]
 
 
 @contextmanager
 def kernel_span(name: str, *, flops: float = 0.0, nbytes: float = 0.0, **attrs: Any):
-    """Time a kernel once; report to BOTH the registry and the tracer.
+    """Time a kernel as one leaf span under the active tracer's open span.
 
-    Drop-in replacement for ``get_registry().timer(name)`` at kernel call
-    sites: the registry sees exactly the same ``add(name, seconds=...)`` it
-    always did, and when a tracer is active the same interval lands in the
-    span tree — one ``perf_counter`` pair, so the two views reconcile
-    exactly.
+    One ``perf_counter`` pair per call, and none when no tracer is active.
     """
     tracer = get_tracer()
+    if not tracer.active:
+        yield
+        return
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        t1 = time.perf_counter()
-        get_registry().add(name, seconds=t1 - t0, flops=flops, nbytes=nbytes)
-        if tracer.active:
-            tracer.add_complete(
-                name, t0, t1, flops=flops, nbytes=nbytes, **attrs
-            )
+        tracer.add_complete(
+            name, t0, time.perf_counter(), flops=flops, nbytes=nbytes, **attrs
+        )
 
 
 def aggregate_spans(roots: list[Span] | tuple) -> list[Span]:

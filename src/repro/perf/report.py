@@ -62,7 +62,7 @@ def format_profile(
 
     ``roots`` are span-like nodes (``name``, ``seconds``, ``model_seconds``,
     ``children`` attributes — see :class:`repro.obs.Span`); this module only
-    duck-types them so ``repro.perf`` stays import-free of ``repro.obs``.
+    duck-types them, so it imports nothing from ``repro.obs``.
     Subtrees below ``min_share`` of the total are pruned from the listing.
     """
 

@@ -8,12 +8,12 @@ PETSc native functions" — and its multi-node Section VI.B.3 shows that the
 *lack of threading* in exactly these routines creates the hybrid version's
 Amdahl fraction.
 
-To study that, every vector primitive here goes through one choke point
-that (a) performs the NumPy operation and (b) reports call counts, flops and
-bytes to the active :class:`~repro.perf.PerfRegistry` under its PETSc name.
-The shared-memory model later assigns these kernels a thread count of 1
-(native PETSc) or ``n_threads`` (our optimized replacements) to reproduce
-Fig. 11.
+To study that, every vector primitive here (a) performs the NumPy
+operation and (b) adds its call, flops and bytes to the ``vec.calls`` /
+``vec.flops`` / ``vec.bytes`` counters of the active metrics registry
+(integers, so the totals are exact).  The shared-memory model later prices
+those totals with a thread count of 1 (native PETSc) or ``n_threads`` (our
+optimized replacements) to reproduce Fig. 11.
 
 The two reductions (``VecNorm``, ``VecMDot``) take an ``allreduce(values,
 op)``: a vector split across rank processes passes its communicator's,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.profile import get_registry
+from ..obs.metrics import get_metrics
 
 __all__ = [
     "local_allreduce",
@@ -42,7 +42,14 @@ __all__ = [
     "vec_set",
 ]
 
-_F8 = 8.0  # bytes per double
+_F8 = 8  # bytes per double
+
+
+def _tally(flops: int, nbytes: int) -> None:
+    m = get_metrics()
+    m.counter("vec.calls").inc()
+    m.counter("vec.flops").inc(flops)
+    m.counter("vec.bytes").inc(nbytes)
 
 
 def local_allreduce(values, op: str = "sum"):
@@ -50,17 +57,15 @@ def local_allreduce(values, op: str = "sum"):
     return values
 
 
-def vec_norm(
-    x: np.ndarray, name: str = "VecNorm", allreduce=local_allreduce
-) -> float:
+def vec_norm(x: np.ndarray, allreduce=local_allreduce) -> float:
     """2-norm; one reduction (a global collective in the distributed case).
     ``sqrt(x @ x)`` is what ``np.linalg.norm`` computes, to the bit."""
-    get_registry().add(name, flops=2.0 * x.size, nbytes=_F8 * x.size)
+    _tally(2 * x.size, _F8 * x.size)
     return float(np.sqrt(allreduce(float(x @ x))))
 
 
 def vec_dot(x: np.ndarray, y: np.ndarray) -> float:
-    get_registry().add("VecDot", flops=2.0 * x.size, nbytes=2 * _F8 * x.size)
+    _tally(2 * x.size, 2 * _F8 * x.size)
     return float(np.dot(x, y))
 
 
@@ -80,9 +85,7 @@ def vec_mdot(
     reduction of all the dots.
     """
     m = len(xs)
-    get_registry().add(
-        "VecMDot", flops=2.0 * m * y.size, nbytes=_F8 * (m + 1) * y.size
-    )
+    _tally(2 * m * y.size, _F8 * (m + 1) * y.size)
     if m == 0:
         return np.zeros(0)
     return np.asarray(allreduce(_rows(xs) @ y))
@@ -90,14 +93,14 @@ def vec_mdot(
 
 def vec_axpy(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
     """y += alpha * x (in place)."""
-    get_registry().add("VecAXPY", flops=2.0 * x.size, nbytes=3 * _F8 * x.size)
+    _tally(2 * x.size, 3 * _F8 * x.size)
     y += alpha * x
     return y
 
 
 def vec_aypx(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
     """y = alpha * y + x (in place)."""
-    get_registry().add("VecAYPX", flops=2.0 * x.size, nbytes=3 * _F8 * x.size)
+    _tally(2 * x.size, 3 * _F8 * x.size)
     y *= alpha
     y += x
     return y
@@ -105,7 +108,7 @@ def vec_aypx(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
 
 def vec_waxpy(w: np.ndarray, alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """w = alpha * x + y."""
-    get_registry().add("VecWAXPY", flops=2.0 * x.size, nbytes=3 * _F8 * x.size)
+    _tally(2 * x.size, 3 * _F8 * x.size)
     np.multiply(x, alpha, out=w)
     w += y
     return w
@@ -117,26 +120,24 @@ def vec_maxpy(
     """y += sum_k alphas[k] * xs[k] (fused multi-AXPY); ``xs`` as in
     :func:`vec_mdot`."""
     m = len(xs)
-    get_registry().add(
-        "VecMAXPY", flops=2.0 * m * y.size, nbytes=_F8 * (m + 2) * y.size
-    )
+    _tally(2 * m * y.size, _F8 * (m + 2) * y.size)
     if m:
         y += np.asarray(alphas) @ _rows(xs)
     return y
 
 
 def vec_scale(x: np.ndarray, alpha: float) -> np.ndarray:
-    get_registry().add("VecScale", flops=1.0 * x.size, nbytes=2 * _F8 * x.size)
+    _tally(x.size, 2 * _F8 * x.size)
     x *= alpha
     return x
 
 
 def vec_copy(x: np.ndarray) -> np.ndarray:
-    get_registry().add("VecCopy", nbytes=2 * _F8 * x.size)
+    _tally(0, 2 * _F8 * x.size)
     return x.copy()
 
 
 def vec_set(x: np.ndarray, alpha: float) -> np.ndarray:
-    get_registry().add("VecSet", nbytes=_F8 * x.size)
+    _tally(0, _F8 * x.size)
     x[:] = alpha
     return x

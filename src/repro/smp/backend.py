@@ -5,9 +5,9 @@ Installing a backend here reroutes
 :func:`get_edge_backend`, to another driver of the residual schedule,
 today :class:`repro.smp.parallel.ProcessEdgeBackend`, without its callers
 changing signature.  Mirrors the
-``use_registry``/``use_tracer`` contract from :mod:`repro.perf` /
-:mod:`repro.obs`: a stack, truncation-on-exit reentrancy, and a cheap
-``None`` default when nothing is installed.
+``use_tracer``/``use_metrics`` contract of :mod:`repro.obs`: a stack,
+truncation-on-exit reentrancy, and a cheap ``None`` default when nothing
+is installed.
 """
 
 from __future__ import annotations

@@ -425,7 +425,7 @@ class TestDistributedSolve:
 
 
 class TestSpans:
-    def _solve_spans(self, pipelined):
+    def _trace(self, pipelined):
         mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)
         tracer = Tracer()
         opts = SolverOptions(max_steps=3, steady_rtol=1e-14)
@@ -434,8 +434,11 @@ class TestSpans:
                 FlowField(mesh), FlowConfig(), opts, n_ranks=2,
                 pipelined=pipelined, seed=0,
             )
+        return tracer
+
+    def _solve_spans(self, pipelined):
         spans = {}
-        for s in tracer.walk():
+        for s in self._trace(pipelined).walk():
             spans.setdefault(s.name, []).append(s)
         return spans
 
@@ -470,6 +473,30 @@ class TestSpans:
                     assert i.t1 <= h.t0 or i.t0 >= h.t1, (
                         "plain mode must not overlap compute with exchange"
                     )
+
+    def test_rank_program_spans_come_home(self):
+        """Each rank's own tree (its Newton loop and kernels) is grafted
+        under ``rank<r>``, not left in the rank's copy of the tracer."""
+        (dist,) = self._trace(pipelined=False).find("dist-solve")
+        assert [c.name for c in dist.children] == ["rank0", "rank1"]
+        for node in dist.children:
+            (solve,) = node.children
+            assert solve.name == "solve"
+            assert any(
+                g.name == "gmres"
+                for step in solve.children if step.name == "newton-step"
+                for g in step.children
+            )
+            names = {s.name for s in node.walk()}
+            assert {"grad", "flux", "trsv", "jacobian", "ilu"} <= names
+            assert all(s.t1 >= s.t0 for s in node.walk())
+
+    def test_untraced_run_sends_no_spans(self):
+        mesh, decomp = _decomp(n=50, seed=2, ranks=2)
+        with DistRuntime(decomp, timeout=30) as rt:
+            results = rt.run(lambda comm: comm.allreduce(1.0))
+        assert [rr.value for rr in results] == [2.0, 2.0]
+        assert [rr.spans for rr in results] == [[], []]
 
 
 class TestFailureContainment:

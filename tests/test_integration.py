@@ -12,7 +12,7 @@ from repro import (
     wing_mesh,
 )
 from repro.cfd import FlowConfig, FlowField
-from repro.perf import PerfRegistry, use_registry
+from repro.obs import MetricsRegistry, use_metrics
 from repro.solver import solve_steady
 
 
@@ -56,13 +56,13 @@ class TestAppConsistency:
         assert sum(profile_opt.values()) < sum(profile_base.values())
 
     def test_registry_isolated_between_runs(self, app):
-        outer = PerfRegistry()
-        with use_registry(outer):
+        outer = MetricsRegistry()
+        with use_metrics(outer):
             res = app.run(OptimizationConfig.baseline(ilu_fill=0))
-        # the app ran in its own registry; outer only sees what leaked (none)
-        assert res.registry is not outer
-        assert res.registry.records  # populated
-        assert "flux" in res.registry.records
+        # the app ran in its own metrics; outer only sees what leaked (none)
+        assert res.metrics is not outer
+        assert res.metrics.counter("vec.calls").value == res.counts["vec_calls"] > 0
+        assert not any(name.startswith("vec.") for name in outer.counters)
 
 
 class TestSolverRobustness:

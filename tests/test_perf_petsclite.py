@@ -1,9 +1,10 @@
-"""Tests for the perf registry, report formatting and vector primitives."""
+"""Tests for report formatting and the vector primitives' counters."""
 
 import numpy as np
 import pytest
 
-from repro.perf import PerfRegistry, format_series, format_table, get_registry, use_registry
+from repro.obs import MetricsRegistry, use_metrics
+from repro.perf import format_series, format_table
 from repro.petsclite import (
     vec_axpy,
     vec_aypx,
@@ -18,111 +19,25 @@ from repro.petsclite import (
 )
 
 
-class TestPerfRegistry:
-    def test_timer_accumulates(self):
-        reg = PerfRegistry()
-        with reg.timer("k", flops=10):
-            pass
-        with reg.timer("k", flops=5):
-            pass
-        assert reg.records["k"].calls == 2
-        assert reg.records["k"].flops == 15
-        assert reg.records["k"].seconds >= 0
-
-    def test_fractions_sum_to_one(self):
-        reg = PerfRegistry()
-        reg.add("a", seconds=3.0)
-        reg.add("b", seconds=1.0)
-        fr = reg.fractions()
-        assert fr["a"] == pytest.approx(0.75)
-        assert sum(fr.values()) == pytest.approx(1.0)
-
-    def test_model_seconds_tracked_separately(self):
-        reg = PerfRegistry()
-        reg.add("a", seconds=1.0, model_seconds=5.0)
-        assert reg.total_seconds() == 1.0
-        assert reg.total_seconds(model=True) == 5.0
-
-    def test_report_contains_kernels(self):
-        reg = PerfRegistry()
-        reg.add("flux", seconds=2.0)
-        reg.add("trsv", seconds=1.0)
-        rep = reg.report()
-        assert "flux" in rep and "trsv" in rep and "TOTAL" in rep
-
-    def test_use_registry_scoping(self):
-        outer = get_registry()
-        inner = PerfRegistry()
-        with use_registry(inner):
-            assert get_registry() is inner
-            get_registry().add("x", seconds=1.0)
-        assert get_registry() is outer
-        assert "x" in inner.records
-
-    def test_merge(self):
-        a = PerfRegistry()
-        b = PerfRegistry()
-        a.add("k", seconds=1.0)
-        b.add("k", seconds=2.0)
-        a.merged_into(b)
-        assert b.records["k"].seconds == 3.0
-        assert b.records["k"].calls == 2
-
-    def test_clear(self):
-        reg = PerfRegistry()
-        reg.add("k", seconds=1.0)
-        reg.clear()
-        assert not reg.records
-
-    def test_use_registry_restores_on_exception(self):
-        """Regression: the previous registry must come back after a raise."""
-        outer = get_registry()
-        inner = PerfRegistry()
-        with pytest.raises(RuntimeError):
-            with use_registry(inner):
-                assert get_registry() is inner
-                raise RuntimeError("kernel blew up")
-        assert get_registry() is outer
-
-    def test_use_registry_reentrant_swaps(self):
-        """Regression: nested/leaked pushes must not corrupt the stack."""
-        from repro.perf import profile as perf_profile
-
-        outer = get_registry()
-        a, b, c = PerfRegistry(), PerfRegistry(), PerfRegistry()
-        with use_registry(a):
-            with use_registry(b):
-                # a buggy consumer pushes without ever popping
-                perf_profile._stack.append(c)
-                assert get_registry() is c
-            # exiting b truncates the leak too: a is active again
-            assert get_registry() is a
-        assert get_registry() is outer
-
-    def test_use_registry_nested_exception_unwinds_cleanly(self):
-        outer = get_registry()
-        a, b = PerfRegistry(), PerfRegistry()
-        with pytest.raises(ValueError):
-            with use_registry(a):
-                with use_registry(b):
-                    raise ValueError
-        assert get_registry() is outer
-
-
 class TestVectorPrimitives:
     def setup_method(self):
-        self.reg = PerfRegistry()
+        self.reg = MetricsRegistry()
+
+    def tallies(self):
+        return tuple(
+            self.reg.counter(f"vec.{k}").value for k in ("calls", "flops", "bytes")
+        )
 
     def test_norm(self):
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             assert vec_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-        assert self.reg.records["VecNorm"].calls == 1
+        assert self.tallies() == (1, 4, 16)
 
     def test_norm_is_bitwise_numpy_norm(self):
         """A solve's bits rest on this: ``sqrt(x @ x)`` and its reduced
         form are exactly what ``np.linalg.norm`` returns."""
         rng = np.random.default_rng(3)
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             for n in (1, 7, 96, 12_288):
                 x = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
                 assert vec_norm(x) == float(np.linalg.norm(x))
@@ -135,7 +50,7 @@ class TestVectorPrimitives:
             return 2 * values
 
         x = np.array([3.0, 4.0])
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             assert vec_norm(x, allreduce=doubled) == pytest.approx(np.sqrt(50.0))
             np.testing.assert_array_equal(
                 vec_mdot([x, 2 * x], x, allreduce=doubled), [50.0, 100.0]
@@ -143,49 +58,49 @@ class TestVectorPrimitives:
         assert calls == ["sum", "sum"]
 
     def test_dot(self):
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             assert vec_dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
     def test_mdot(self):
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         y = np.array([2.0, 3.0])
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             np.testing.assert_allclose(vec_mdot(xs, y), [2.0, 3.0])
-        assert self.reg.records["VecMDot"].calls == 1
+        assert self.tallies() == (1, 8, 48)
 
     def test_mdot_empty(self):
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             assert vec_mdot([], np.ones(3)).shape == (0,)
 
     def test_axpy_in_place(self):
         y = np.array([1.0, 1.0])
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             out = vec_axpy(y, 2.0, np.array([1.0, 2.0]))
         assert out is y
         np.testing.assert_allclose(y, [3.0, 5.0])
 
     def test_aypx(self):
         y = np.array([1.0, 2.0])
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             vec_aypx(y, 3.0, np.array([1.0, 1.0]))
         np.testing.assert_allclose(y, [4.0, 7.0])
 
     def test_waxpy(self):
         w = np.zeros(2)
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             vec_waxpy(w, 2.0, np.array([1.0, 2.0]), np.array([10.0, 10.0]))
         np.testing.assert_allclose(w, [12.0, 14.0])
 
     def test_maxpy(self):
         y = np.zeros(2)
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             vec_maxpy(y, np.array([2.0, 3.0]), xs)
         np.testing.assert_allclose(y, [2.0, 3.0])
 
     def test_scale_copy_set(self):
         x = np.array([1.0, 2.0])
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             vec_scale(x, 2.0)
             c = vec_copy(x)
             vec_set(x, 0.0)
@@ -193,9 +108,11 @@ class TestVectorPrimitives:
         np.testing.assert_allclose(x, 0.0)
 
     def test_flop_accounting(self):
-        with use_registry(self.reg):
+        with use_metrics(self.reg):
             vec_dot(np.ones(100), np.ones(100))
-        assert self.reg.records["VecDot"].flops == 200
+            vec_axpy(np.ones(100), 2.0, np.ones(100))
+            vec_copy(np.ones(100))
+        assert self.tallies() == (3, 400, 1600 + 2400 + 1600)
 
 
 class TestReportFormatting:
