@@ -8,8 +8,8 @@ almost linearly.
 
 Two tiers here (see DESIGN.md "Measured vs. modeled"): the model table
 prices the paper's 10-core Xeon; the measured table times the real
-process-parallel backend on this host and asserts the same strategy
-ordering the paper found.
+thread backend on this host and asserts the same strategy ordering the
+paper found.
 """
 
 import pytest
@@ -104,8 +104,9 @@ def test_fig6b_flux_strategy_scaling(benchmark, mesh_c, capsys):
 
 @pytest.mark.benchmark(group="fig6b")
 def test_fig6b_flux_strategy_scaling_measured(benchmark, mesh_c, capsys):
-    """Measured counterpart: the same strategies timed for real, as worker
-    processes over shared memory (model curves above, wall clock here)."""
+    """Measured counterpart: the same strategies timed for real, as a team
+    of threads over one field's arrays (model curves above, wall clock
+    here)."""
     doc = benchmark.pedantic(
         lambda: run_flux_scaling(
             mesh_c, workers=MEASURED_WORKERS, repeats=3
@@ -125,17 +126,17 @@ def test_fig6b_flux_strategy_scaling_measured(benchmark, mesh_c, capsys):
     emit(
         capsys,
         format_table(
-            ["strategy", "workers", "wall ms", "speedup", "redundant",
+            ["strategy", "threads", "wall ms", "speedup", "redundant",
              "model ms"],
             rows,
-            title="Fig 6b (measured): process-parallel flux kernel, "
+            title="Fig 6b (measured): thread-parallel flux kernel, "
             f"serial {1e3 * doc['serial']['wall_seconds']:.2f} ms",
         ),
     )
 
     by = {(r["strategy"], r["workers"]): r for r in doc["results"]}
     wmax = max(MEASURED_WORKERS)
-    # numerics are strategy-independent — for real, across processes
+    # numerics are strategy-independent — for real, across threads
     for r in doc["results"]:
         assert r["max_abs_dev"] <= 1e-12
     # the paper's headline ordering at full width: owner-only METIS writes

@@ -30,7 +30,7 @@ def compute_residual(
     """Spatial residual ``f(q)``, shape ``(n_vertices, 4)``.
 
     The residual schedule of :mod:`repro.sweeps.schedule`, driven by the
-    installed edge backend on its workers when it handles ``field``, else
+    installed edge backend on its threads when it handles ``field``, else
     by the serial driver in this process; this is the one place that asks
     :func:`~repro.smp.backend.get_edge_backend`.  Both are bitwise equal to
     the staged kernels (``lsq_gradients`` -> ``venkat_limiter`` ->

@@ -12,9 +12,9 @@ Commands
 Performance is measured by ``python3 bench/run.py`` (see
 ``bench/README.md``), not by a subcommand here.
 
-``solve`` and ``profile`` accept ``--backend process --workers N`` to run
-the flux/gradient edge loops across real worker processes over shared
-memory (``--edge-strategy`` picks locked / replicate / owner writes).
+``solve`` and ``profile`` accept ``--backend thread --workers N`` to run
+the flux/gradient edge loops on a team of N threads over the field's
+arrays (``--edge-strategy`` picks locked / replicate / owner writes).
 
 Every command works on the generated ONERA-M6-like datasets; ``--scale``
 sizes them (1.0 = full Mesh-C'/Mesh-D' analogues) and ``--ordering``
@@ -24,8 +24,8 @@ and ``scaling`` accept ``--trace-out`` (Chrome ``trace_event`` JSON for
 ``chrome://tracing`` / Perfetto) and ``--metrics-out`` (JSONL event log).
 ``solve`` and ``profile`` write both on every exit path (SIGTERM and
 Ctrl-C exit 130 after flushing them) and install the flight recorder for
-the command's duration: a crash, SIGUSR1, or a dead worker or rank dumps a
-``flightrec-*.jsonl`` bundle with every worker's and rank's telemetry row.
+the command's duration: a crash, SIGUSR1, or a dead rank dumps a
+``flightrec-*.jsonl`` bundle with every rank's telemetry row.
 """
 
 from __future__ import annotations
@@ -66,6 +66,34 @@ def _at_least(kind, least, *, strict: bool = False):
 _POSITIVE_INT = _at_least(int, 1)
 _POSITIVE_FLOAT = _at_least(float, 0.0, strict=True)
 
+#: what ``--workers`` / ``--edge-strategy`` / ``--partitioner`` mean when
+#: not given; given, each requires ``--backend thread``
+_EDGE_DEFAULTS = {"workers": 2, "edge_strategy": "owner", "partitioner": "metis"}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: after parsing, options that need another option
+    are usage errors (exit 2), never silently ignored, and the edge-thread
+    options take their defaults."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extra = super().parse_known_args(args, namespace)
+        if getattr(ns, "pipelined", False) and getattr(ns, "dist_ranks", 1) < 1:
+            self.error("--pipelined requires --dist-ranks")
+        if hasattr(ns, "backend"):
+            for name, default in _EDGE_DEFAULTS.items():
+                if getattr(ns, name) is None:
+                    setattr(ns, name, default)
+                elif ns.backend != "thread":
+                    flag = "--" + name.replace("_", "-")
+                    self.error(f"{flag} requires --backend thread")
+            if ns.backend == "thread" and ns.dist_ranks > 0:
+                self.error(
+                    "--backend thread does not run under --dist-ranks "
+                    "(threads under ranks are ROADMAP item 2(d))"
+                )
+        return ns, extra
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -75,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--version", action="version", version=f"%(prog)s {_version()}"
     )
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", parser_class=_CommandParser)
 
     def add_mesh_args(sp):
         sp.add_argument("--dataset", choices=["mesh-c", "mesh-d", "wing"],
@@ -97,18 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_args(sp):
         sp.add_argument(
-            "--backend", choices=["serial", "process"], default="serial",
-            help="edge-kernel executor: in-process NumPy or worker processes"
+            "--backend", choices=["serial", "thread"], default="serial",
+            help="edge-kernel executor: the calling thread alone, or a "
+                 "team of threads"
         )
-        sp.add_argument("--workers", type=_POSITIVE_INT, default=2,
-                        help="worker processes for --backend process")
+        sp.add_argument("--workers", type=_POSITIVE_INT,
+                        help="threads for --backend thread (default 2)")
         sp.add_argument(
             "--edge-strategy", choices=["locked", "replicate", "owner"],
-            default="owner", help="process-backend scatter strategy"
+            help="how the threads write out for --backend thread "
+                 "(default owner)"
         )
         sp.add_argument("--partitioner", choices=["metis", "natural"],
-                        default="metis",
-                        help="vertex ownership labels for the owner strategy")
+                        help="vertex ownership labels of the threads under "
+                             "the owner strategy (default metis)")
 
     def add_dist_args(sp):
         sp.add_argument(
@@ -371,10 +401,10 @@ def _run_solve(args, opts, obs=None):
         )
         return app, _run_dist_solve(args, app, obs)
     backend_cm = install_cm = nullcontext()
-    if getattr(args, "backend", "serial") == "process":
-        from .smp import ProcessEdgeBackend, use_edge_backend
+    if getattr(args, "backend", "serial") == "thread":
+        from .smp import ThreadEdgeBackend, use_edge_backend
 
-        backend_cm = ProcessEdgeBackend(
+        backend_cm = ThreadEdgeBackend(
             app.field,
             n_workers=args.workers,
             strategy=args.edge_strategy,
@@ -383,7 +413,7 @@ def _run_solve(args, opts, obs=None):
         )
         install_cm = use_edge_backend(backend_cm)
         print(
-            f"edge backend: process x{args.workers} "
+            f"edge backend: thread x{args.workers} "
             f"({backend_cm.strategy_label}, redundant edges "
             f"{100 * backend_cm.redundant_edge_fraction:.1f}%)"
         )
@@ -631,8 +661,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
-    if getattr(args, "pipelined", False) and getattr(args, "dist_ranks", 1) < 1:
-        parser.error(f"{args.command}: --pipelined requires --dist-ranks")
     return _COMMANDS[args.command](args)
 
 

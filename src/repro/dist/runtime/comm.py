@@ -69,7 +69,7 @@ class ShmTransport:
 
     Built once per distributed run from the decomposition's send lists; the
     forked ranks construct :class:`Communicator` views onto it.  All shared
-    segments live in one :class:`~repro.smp.shm.SharedArrayPool`, so the
+    segments live in one :class:`~.shm.SharedArrayPool`, so the
     existing leak-proofing (atexit, context manager, owner-only unlink)
     covers the runtime too.
     """
@@ -83,7 +83,7 @@ class ShmTransport:
         timeout: float = 120.0,
     ) -> None:
         from ...obs.live.plane import TelemetryPlane
-        from ...smp.shm import SharedArrayPool
+        from .shm import SharedArrayPool
 
         self.decomp = decomp
         self.n_ranks = decomp.n_ranks

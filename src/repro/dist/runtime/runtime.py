@@ -7,11 +7,13 @@ its :class:`~.comm.Communicator` endpoint, runs the caller's *rank
 program* (any callable ``program(comm) -> value``) — under a tracer of its
 own when the parent is tracing — and ships back its return value, its span
 roots, and measured communication totals over a duplex pipe.  The parent
-supervises the fleet the same way ``ProcessEdgeBackend`` does: sub-second
-liveness polls so a dead rank surfaces as a ``RuntimeError`` instead of a
-hang, terminate-then-kill teardown, and a single
-:class:`~repro.smp.shm.SharedArrayPool` cleanup path so no ``/dev/shm``
-segment survives the run — even a crashed one.
+supervises the ranks: sub-second liveness polls so a dead rank surfaces as
+a ``RuntimeError`` instead of a hang (with a flight-recorder bundle),
+terminate-then-kill teardown, and a single
+:class:`~.shm.SharedArrayPool` cleanup path so no ``/dev/shm`` segment
+survives the run — even a crashed one.  The ranks are the one
+multi-process mode: edge threading is :mod:`repro.smp.parallel`'s thread
+team, which needs neither fork nor ``/dev/shm``.
 """
 
 from __future__ import annotations

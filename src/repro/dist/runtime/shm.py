@@ -2,15 +2,16 @@
 
 ``multiprocessing.shared_memory`` segments live in ``/dev/shm`` (on Linux)
 and outlive the process that created them unless somebody calls
-``unlink()``.  A crashed run that allocated a few hundred MB of flow state
-per worker therefore leaks host memory until reboot — the classic failure
-mode of shm-based solvers.  :class:`SharedArrayPool` centralizes every
-allocation of the process backend so there is exactly one cleanup path,
-reached from all of: explicit ``close()``, ``with`` blocks, and an
-``atexit`` hook for interpreter shutdown after an uncaught exception.
+``unlink()``.  A crashed run that allocated its halo mailboxes and
+reduction scratch there therefore leaks host memory until reboot — the
+classic failure mode of shm-based solvers.  :class:`SharedArrayPool`
+centralizes every allocation of the rank runtime's transport so there is
+exactly one cleanup path, reached from all of: explicit ``close()``,
+``with`` blocks, and an ``atexit`` hook for interpreter shutdown after an
+uncaught exception.
 
 Only the *owning* process unlinks: the pool records its creator's PID and
-``close()`` is a no-op in forked children, so a worker exiting (or dying)
+``close()`` is a no-op in forked children, so a rank exiting (or dying)
 can never tear the segments out from under its siblings.
 """
 
@@ -57,7 +58,7 @@ class SharedArrayPool:
     caller-chosen name.  The pool owns the segments: ``close()`` unlinks
     them all (idempotent), and is registered with ``atexit`` so segments
     cannot leak past interpreter exit even when user code never reaches its
-    own cleanup.  Worker processes created by ``fork`` inherit the mappings
+    own cleanup.  Rank processes created by ``fork`` inherit the mappings
     and need no handles of their own.
     """
 
@@ -81,7 +82,7 @@ class SharedArrayPool:
         returned pool opens new handles onto the existing ``/dev/shm``
         entries; its ``close()`` only unmaps — it never unlinks, so an
         attached child (or its crash-teardown path) cannot destroy segments
-        the owner still uses.  Typical use: a worker process of the
+        the owner still uses.  Typical use: a rank process of the
         distributed runtime re-attaching the rank-shared arrays by name.
         """
         pool = cls()

@@ -19,10 +19,10 @@ to which of two NaN operands a NaN result carries.
 Where no compiler, no writable cache or no loadable object exists,
 :func:`load_kernels` warns once and returns ``None``; the callers
 (:func:`repro.sparse.fill.ilu_symbolic`, :func:`repro.sparse.ilu.ilu_factorize`,
-:func:`repro.sparse.trsv.trsv_solve`, the residual program, its fleet
-workers, the ranks and the Jacobian assembly) then run their NumPy
-kernels.  Call it before forking: the children inherit the loaded handle
-instead of each racing a cold compile.
+:func:`repro.sparse.trsv.trsv_solve`, the residual's sweeps on every
+driver — serial, edge threads, ranks — and the Jacobian assembly) then
+run their NumPy kernels.  Call it before forking ranks: the children
+inherit the loaded handle instead of each racing a cold compile.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ record of counts:
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` / Perfetto) and a lossless JSONL event log.
 * :mod:`~repro.obs.live` — crash forensics: seqlock metric rows and event
-  rings in shared memory written by edge workers and ranks, which the
-  flight recorder dumps (with the host fingerprint) when one of them dies,
-  the run raises, or SIGUSR1 arrives.
+  rings in shared memory written by the forked ranks, which the flight
+  recorder dumps (with the host fingerprint) when one of them dies, the
+  run raises, or SIGUSR1 arrives.
 
 Typical use::
 

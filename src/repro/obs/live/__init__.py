@@ -1,12 +1,13 @@
-"""Crash forensics for the forked edge workers and ranks.
+"""Crash forensics for the forked ranks.
 
-Each edge worker (``edge.w<i>``) and rank (``rank<r>``) writes a
-seqlock-guarded metric row and a bounded event ring (:mod:`.ring`) into a
-:class:`~.plane.TelemetryPlane` that lives in its fleet's or transport's
-shared-memory pool.  Nothing reads the rows while the run is healthy: when
-a process dies, a round times out, the parent raises, or SIGUSR1 arrives,
-the flight recorder (:mod:`.recorder`) writes them, with the host
-fingerprint (:mod:`.fingerprint`), into a ``flightrec-*.jsonl`` bundle.
+Each rank (``rank<r>``) writes a seqlock-guarded metric row and a bounded
+event ring (:mod:`.ring`) into a :class:`~.plane.TelemetryPlane` that
+lives in its transport's shared-memory pool.  Nothing reads the rows while
+the run is healthy: when a rank dies, a rank program times out, the parent
+raises, or SIGUSR1 arrives, the flight recorder (:mod:`.recorder`) writes
+them, with the host fingerprint (:mod:`.fingerprint`), into a
+``flightrec-*.jsonl`` bundle.  The edge threads need no row: a thread
+cannot die on its own, and its exception reaches the caller.
 """
 
 from .fingerprint import host_fingerprint

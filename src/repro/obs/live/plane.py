@@ -2,10 +2,10 @@
 
 A :class:`TelemetryPlane` allocates the ctl/times/slots/events arrays of
 :mod:`.ring` for a set of named processes inside a
-:class:`~repro.smp.shm.SharedArrayPool`: the fleet and the rank transport
-allocate their plane in the same pool as their work arrays, so forked
-workers and ranks inherit the views and the pool's /dev/shm cleanup covers
-the telemetry segments too.
+:class:`~repro.dist.runtime.shm.SharedArrayPool`: the rank transport
+allocates its plane in the same pool as its mailboxes, so the forked ranks
+inherit the views and the pool's /dev/shm cleanup covers the telemetry
+segments too.
 
 Open planes are listed in a process-global registry (:func:`live_planes`),
 which the flight recorder drains when it writes a crash bundle.
@@ -29,10 +29,9 @@ from .ring import (
 
 __all__ = ["DEFAULT_EVENTS", "TelemetryPlane", "live_planes"]
 
-#: Event names of every plane (codes are indices into this tuple): edge
-#: workers push ``task_done`` / ``task_error``, ranks push a ``note`` per
-#: Newton step.
-DEFAULT_EVENTS = ("task_done", "task_error", "note")
+#: Event names of every plane (codes are indices into this tuple): ranks
+#: push a ``note`` per Newton step.
+DEFAULT_EVENTS = ("note",)
 
 _planes: list["TelemetryPlane"] = []
 

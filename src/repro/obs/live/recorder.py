@@ -1,16 +1,16 @@
 """Flight recorder: the crash bundle of a run that never reached its exports.
 
-On edge-worker or rank death, a fleet or rank timeout, an unhandled
-exception, or SIGUSR1, :func:`crash_dump` writes a timestamped JSONL
-bundle: a header with the reason, the host fingerprint and the dead
-processes, then every live plane's rows (heartbeat, state, slots) and the
-events still in its rings (the last ``capacity`` per process), the recent
-tracer events and a metrics snapshot.
+On rank death, a rank timeout, an unhandled exception, or SIGUSR1,
+:func:`crash_dump` writes a timestamped JSONL bundle: a header with the
+reason, the host fingerprint and the dead processes, then every live
+plane's rows (heartbeat, state, slots) and the events still in its rings
+(the last ``capacity`` per process), the recent tracer events and a
+metrics snapshot.
 
 Dumping is opt-in per process: nothing is written unless a recorder has
 been installed (the CLI installs one for ``solve``/``profile``; tests
-install into a tmpdir).  Fleet backends and the rank runtime call
-:func:`crash_dump` from their dead-process branches.
+install into a tmpdir).  The rank runtime calls :func:`crash_dump` from
+its dead-process branches.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ records the writer might have overwritten in the meantime, so overruns drop
 events but never yield torn ones.
 
 All buffers are views into caller-provided numpy arrays, so the same code
-runs over ``/dev/shm`` segments (:class:`repro.smp.shm.SharedArrayPool`)
+runs over ``/dev/shm`` segments (:class:`repro.dist.runtime.shm.SharedArrayPool`)
 for cross-process planes or over ordinary arrays for in-process ones.
 Int64/float64 element stores are single aligned 8-byte writes under
 CPython, which is what the seqlock protocol relies on.

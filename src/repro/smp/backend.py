@@ -3,7 +3,7 @@
 Installing a backend here reroutes
 :func:`repro.cfd.residual.compute_residual`, the one reader of
 :func:`get_edge_backend`, to another driver of the residual schedule,
-today :class:`repro.smp.parallel.ProcessEdgeBackend`, without its callers
+today :class:`repro.smp.parallel.ThreadEdgeBackend`, without its callers
 changing signature.  Mirrors the
 ``use_tracer``/``use_metrics`` contract of :mod:`repro.obs`: a stack,
 truncation-on-exit reentrancy, and a cheap ``None`` default when nothing
@@ -31,9 +31,9 @@ def use_edge_backend(backend):
     A backend must provide:
 
     * ``handles(field) -> bool`` — callers fall back to their in-process
-      path whenever it declines (different field, closed or broken fleet);
+      path whenever it declines (different field, closed backend);
     * ``residual(q, config, first_order) -> (res, grad, phi)`` — the
-      schedule of :mod:`repro.sweeps.schedule` on the backend's workers,
+      schedule of :mod:`repro.sweeps.schedule` on the backend's threads,
       boundary closures included, reported as one ``grad`` (second order
       only) and one ``flux`` kernel span; ``grad`` / ``phi`` are None at
       first order.

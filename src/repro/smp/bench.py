@@ -5,8 +5,8 @@ of the paper's Xeon; the two functions here *time* the real thing so the
 model curves sit next to measured points:
 
 * :func:`run_flux_scaling` — the first-order residual (flux stage and
-  closures) on the real :class:`ProcessEdgeBackend` against the serial
-  driver's compiled one, per strategy and worker count
+  closures) on the real :class:`ThreadEdgeBackend` against the serial
+  driver's compiled one, per strategy and thread count
   (``benchmarks/test_fig6b_flux_scaling.py``);
 * :func:`run_dist_breakdown` — the halo / allreduce / interior split of a
   short forked-rank solve (``benchmarks/test_fig10_comm_overhead.py``).
@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import edge_loop_time, flux_kernel_work
 from .machine import XEON_E5_2690_V2
-from .parallel import ProcessEdgeBackend
+from .parallel import ThreadEdgeBackend
 from .strategies import (
     EdgeLoopExecutor,
     make_edge_loop_options,
@@ -66,7 +66,7 @@ def _model_seconds(mesh_edges, n_vertices, label: str, workers: int,
 
     ``locked`` maps to the model's ``atomic`` strategy, ``owner-*`` to the
     model's owner-writes ``replicate`` strategy with the matching labels.
-    The per-worker-accumulator ``replicate`` strategy has no counterpart in
+    The per-thread-accumulator ``replicate`` strategy has no counterpart in
     the paper's model set, so it gets no prediction.
     """
     strategy, partitioner = _split(label)
@@ -97,7 +97,7 @@ def run_flux_scaling(
     beta: float = 4.0,
     seed: int = 7,
 ) -> dict:
-    """Sweep workers x strategies over the real first-order flux residual.
+    """Sweep threads x strategies over the real first-order flux residual.
 
     Returns ``{"serial": {"wall_seconds"}, "results": [...]}`` with one
     result row per (strategy, workers) cell: ``wall_seconds`` (best of
@@ -121,7 +121,7 @@ def run_flux_scaling(
     for w in workers:
         for label in strategies:
             strategy, partitioner = _split(label)
-            with ProcessEdgeBackend(
+            with ThreadEdgeBackend(
                 field,
                 n_workers=w,
                 strategy=strategy,

@@ -24,7 +24,7 @@ This package is the one production implementation of that residual:
   closures of the residual and of the Jacobian as one corner loop per
   boundary tag.
 * :mod:`.schedule` — the stage sequence over a list of parts, written
-  once; serial execution, the process fleet (:mod:`repro.smp.parallel`)
+  once; serial execution, the edge threads (:mod:`repro.smp.parallel`)
   and the ranks (:mod:`repro.dist.runtime.program`) are its drivers and
   differ only in their parts, in how they run one stage and in the halo
   exchange between stages.

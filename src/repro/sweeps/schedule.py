@@ -25,9 +25,9 @@ The drivers:
 
 * **serial** (:func:`serial_residual`): one part, the field's full edge
   set, no hook;
-* **process fleet** (:meth:`repro.smp.parallel.ProcessEdgeBackend.residual`):
-  one part per worker, and ``run`` is one dispatch round followed by the
-  strategy's fold;
+* **edge threads** (:meth:`repro.smp.parallel.ThreadEdgeBackend.residual`):
+  one part per thread, and ``run`` is one handoff to the helper threads,
+  the caller's own part, one join and the strategy's fold;
 * **ranks** (:func:`repro.dist.runtime.program.rank_residual`): an
   interior and a cut part of the rank's local edges, and the hook is the
   halo window, plain or pipelined.

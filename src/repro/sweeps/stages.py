@@ -3,7 +3,7 @@
 NumPy functions of gathered per-edge arrays.  Their one caller is
 :mod:`repro.sweeps.sweeps`: :class:`~repro.sweeps.sweeps.NumpySweeps` gathers an
 edge range, runs them and writes out, and every execution mode (serial,
-process fleet, ranks) reaches them through it — only where the compiled
+edge threads, ranks) reaches them through it — only where the compiled
 sweeps cannot run (no C compiler, exotic array layouts).  Those compiled
 sweeps are this same arithmetic in C, and because every sum here is
 spelled out in one explicit order (:mod:`repro.cfd.sums` — none of NumPy's

@@ -10,7 +10,7 @@ only its write-out targets:
 
 * serial (:func:`repro.sweeps.schedule.serial_residual`): the field's full
   edge set, no masks;
-* process fleet (:mod:`repro.smp.parallel`): each worker's edge chunk with
+* edge threads (:mod:`repro.smp.parallel`): each thread's edge chunk with
   its ownership masks under owner-writes, else a range of the field's set;
 * ranks (:mod:`repro.dist.runtime.program`): the rank's local edges with
   owned-row masks, swept as an interior and a cut range.
@@ -24,8 +24,8 @@ several times slower.  :func:`edge_sweeps` is the one place that picks:
 compiled where the kernels load and the edge set can be passed as it is
 (int64 endpoints, C-contiguous float64 metrics, boolean masks), NumPy
 otherwise; ``compiled`` on the result says which.  Neither holds mutable
-state, so concurrent evaluations on one field (threads over one field;
-``ctypes`` releases the GIL for the call) never share scratch.
+state, so the edge threads' concurrent sweeps over one field (``ctypes``
+releases the GIL for the call) never share scratch.
 
 :class:`CornerSweeps` is the same idea for the boundary closures: one
 tag's flattened corners, validated once, with the closure flux
@@ -312,7 +312,7 @@ def edge_sweeps(
 ) -> EdgeSweeps | NumpySweeps:
     """The sweeps over the given edge set: :class:`EdgeSweeps` where the
     compiled path can take it as it is, else :class:`NumpySweeps`.  Call
-    before forking workers: they inherit the loaded kernels."""
+    before forking ranks: they inherit the loaded kernels."""
     edge_set = (n_rows, e0, e1, normals, d0, d1, w0, w1)
     lib = native.load_kernels()
     if (

@@ -144,8 +144,8 @@ class TestParser:
         assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
-        "solve --backend process --workers 0",
-        "profile --backend process --workers 0",
+        "solve --workers 0 --backend thread",
+        "profile --workers 0 --backend thread",
         "solve --ilu -1",
         "solve --scale -1",
         "partition --parts 0",
@@ -156,11 +156,20 @@ class TestParser:
         "solve --dist-ranks -1",
         "solve --pipelined",
         "profile --pipelined",
+        "solve --backend thread --dist-ranks 2",
+        "profile --backend thread --dist-ranks 2",
+        "solve --workers 3",
+        "solve --edge-strategy locked",
+        "solve --partitioner natural",
+        "profile --backend serial --edge-strategy replicate",
+        "solve --backend process",
     ])
     def test_bad_numeric_value_is_a_usage_error(self, argv, capsys):
         """Regression: each of these ended in a traceback, printed a
         speedup at 0 threads, or was silently accepted (``--subdomains 0``,
-        ``--dist-ranks -1``, ``--pipelined`` without ranks)."""
+        ``--dist-ranks -1``, ``--pipelined`` without ranks, the edge
+        backend under ranks, the edge-thread options without
+        ``--backend thread``).  There is no process backend any more."""
         args = argv.split()
         if args[0] != "scaling" and "--scale" not in args:
             args += ["--scale", "0.02"]
@@ -197,9 +206,9 @@ class TestParser:
             FlowConfig(mu=0.1)
         with pytest.raises(TypeError):
             distributed_solve(None, FlowConfig(), decomp=object())
-        from repro.smp import ProcessEdgeBackend
+        from repro.smp import ThreadEdgeBackend
 
-        for call in (distributed_solve, DistRuntime, ShmTransport, ProcessEdgeBackend):
+        for call in (distributed_solve, DistRuntime, ShmTransport, ThreadEdgeBackend):
             with pytest.raises(TypeError):
                 call(None, None, telemetry=False)
         assert not hasattr(repro.solver, "SteadySolverSession")
@@ -260,22 +269,22 @@ class TestProcessBackend:
         serial_out = capsys.readouterr().out
         rc2 = main([
             "solve", "--scale", "0.02", "--max-steps", "60",
-            "--backend", "process", "--workers", "2",
+            "--backend", "thread", "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert rc == 0 and rc2 == 0
-        assert "edge backend: process x2 (owner-metis" in out
+        assert "edge backend: thread x2 (owner-metis" in out
         # identical converged forces, line for line
         serial_forces = [ln for ln in serial_out.splitlines() if "CL=" in ln]
         forces = [ln for ln in out.splitlines() if "CL=" in ln]
         assert forces == serial_forces
 
     def test_solve_modes_print_identical_forces(self, capsys):
-        """Serial, process fleet and ranks run one residual definition."""
+        """Serial, edge threads and ranks run one residual definition."""
         forces = []
         for extra in (
             [],
-            ["--backend", "process", "--workers", "2"],
+            ["--backend", "thread", "--workers", "2"],
             ["--dist-ranks", "2"],
         ):
             rc = main(
@@ -289,7 +298,7 @@ class TestProcessBackend:
     def test_profile_process_backend_has_worker_spans(self, capsys):
         rc = main([
             "profile", "--scale", "0.02", "--max-steps", "60",
-            "--backend", "process", "--workers", "2",
+            "--backend", "thread", "--workers", "2",
             "--edge-strategy", "locked",
         ])
         out = capsys.readouterr().out

@@ -30,10 +30,10 @@ from repro.dist.runtime import (
     ShmTransport,
     distributed_solve,
 )
+from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.partition import partition_graph
-from repro.smp import SharedArrayPool
 from repro.solver import SolverOptions, gmres
 from repro.solver.newton import solve_steady
 

@@ -5,7 +5,9 @@ is ``np.add.at`` or ``repro.perf.scatter_add`` and every sparse kernel is
 the package's own BCSR code.  Loading it anyway costs ~0.1 s of import
 time and ~16 MB of resident memory on every run.  Nor does anything serve
 or post telemetry over HTTP, so ``http.server``, ``ssl`` and ``email`` stay
-unloaded too.  Each is held as a count of loaded modules under its prefix,
+unloaded too.  And the edge loop runs on threads, not forked processes:
+``multiprocessing`` (and its ``shared_memory``) is loaded only by the
+rank runtime.  Each is held as a count of loaded modules under its prefix,
 in a fresh interpreter.
 """
 
@@ -55,3 +57,7 @@ def test_import_and_serial_solve_do_not_load_scipy_sparse():
 @pytest.mark.parametrize("prefix", ["http.server", "ssl", "email"])
 def test_import_and_serial_solve_do_not_load_network_stack(prefix):
     assert _loaded(prefix) == (0, 0)
+
+
+def test_import_and_serial_solve_do_not_load_multiprocessing():
+    assert _loaded("multiprocessing") == (0, 0)

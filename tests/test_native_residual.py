@@ -39,7 +39,7 @@ from repro.sweeps import serial_residual, sweeps
 from repro.mesh import dataset_mesh, wing_mesh
 from repro.obs import MetricsRegistry, use_metrics
 from repro.partition import partition_graph
-from repro.smp import ProcessEdgeBackend, use_edge_backend
+from repro.smp import ThreadEdgeBackend, use_edge_backend
 from repro.solver import SolverOptions, solve_steady
 
 pytestmark = pytest.mark.skipif(
@@ -248,7 +248,7 @@ def test_numpy_twin_writes_the_same_bits_into_the_same_targets(
     seed, span, density, scheme, second_order
 ):
     """The interface itself — sub-ranges ``[lo, hi)`` and endpoint masks —
-    which fleets (masks) and ranks (masks and ranges) otherwise exercise
+    which edge threads (masks) and ranks (masks and ranges) otherwise exercise
     only through whole evaluations."""
     field, _ = _fields("wing", "natural")
     nv, ne = field.n_vertices, field.n_edges
@@ -486,7 +486,7 @@ def test_concurrent_evaluations_on_one_field_do_not_interfere():
 
 
 # ---------------------------------------------------------------------------
-# the process fleet and the ranks call the same sweeps
+# the edge threads and the ranks call the same sweeps
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def wing_case():
@@ -503,13 +503,13 @@ def wing_case():
 def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
     field, q, cfg, want = wing_case
     first = compute_residual(field, q, cfg, first_order=True)
-    with ProcessEdgeBackend(
+    with ThreadEdgeBackend(
         field, n_workers=workers, strategy="owner", partitioner=partitioner
     ) as fleet:
         got, n = _native_evals(lambda: fleet.residual(q, cfg))
         with use_edge_backend(fleet):
             got_first = compute_residual(field, q, cfg, first_order=True)
-    assert n == 1  # the workers ran the compiled sweeps
+    assert n == 1  # the threads ran the compiled sweeps
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert np.array_equal(got_first, first)
@@ -518,7 +518,7 @@ def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
 @pytest.mark.parametrize("strategy", ["replicate", "locked"])
 def test_reordering_strategies_stay_within_roundoff(wing_case, strategy):
     field, q, cfg, want = wing_case
-    with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
+    with ThreadEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
         got, n = _native_evals(lambda: fleet.residual(q, cfg))
     assert n == 1
     assert np.max(np.abs(got[0] - want[0])) < 1e-10
@@ -530,7 +530,7 @@ def test_reordering_strategies_stay_within_roundoff(wing_case, strategy):
 def test_fleet_without_kernels_equals_fleet_with_them(wing_case):
     field, q, cfg, want = wing_case
     with numpy_residual():
-        with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+        with ThreadEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
             got, n = _native_evals(lambda: fleet.residual(q, cfg))
     assert n == 0
     for a, b in zip(got, want):
@@ -606,7 +606,7 @@ def test_kernels_are_loaded_before_workers_and_ranks_fork(wing_case):
     field, q, cfg, _ = wing_case
     native.load_kernels.cache_clear()
     try:
-        with ProcessEdgeBackend(field, n_workers=2, strategy="owner"):
+        with ThreadEdgeBackend(field, n_workers=2, strategy="owner"):
             assert native.load_kernels.cache_info().currsize == 1
         native.load_kernels.cache_clear()
         labels = partition_graph(field.mesh.edges, field.n_vertices, 2, seed=0)

@@ -3,8 +3,8 @@
 Covers the seqlock ring protocol (untorn snapshots under a hammering
 writer thread, property-checked against a model), the bounded event ring's
 overrun accounting, cross-process visibility through a forked writer, and
-the flight recorder (including the SIGKILLed-worker regression: a dead
-edge worker must leave a schema-valid JSONL bundle naming the victim).
+the flight recorder (including the SIGKILLed-rank regression: a dead rank
+must leave a schema-valid JSONL bundle naming the victim).
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.obs.live import (
 from repro.obs.live.fingerprint import stable_host_key
 from repro.obs.live.recorder import FLIGHTREC_SCHEMA, crash_dump
 from repro.obs.live.ring import CTL_VER
-from repro.smp.shm import SharedArrayPool
+from repro.dist.runtime.shm import SharedArrayPool
 
 
 @contextmanager
@@ -126,7 +126,7 @@ class TestSeqlockRing:
             def child():
                 w.hello(STATE_BUSY)
                 w.add(tasks=3.0)
-                w.push_event("task_done", 3.0, 0.5)
+                w.push_event("note", 3.0, 0.5)
 
             p = mp.get_context("fork").Process(target=child)
             p.start()
@@ -137,7 +137,7 @@ class TestSeqlockRing:
             assert s.slots["tasks"] == 3.0
             assert s.state == STATE_BUSY
             (ev,) = plane.drain_all()
-            assert (ev.proc, ev.name, ev.a, ev.b) == ("w0", "task_done", 3.0, 0.5)
+            assert (ev.proc, ev.name, ev.a, ev.b) == ("w0", "note", 3.0, 0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,40 +240,6 @@ class TestFlightRecorder:
         # the rings are drained at dump time
         events = [r for r in by_type["plane_event"] if r["proc"] == "solver"]
         assert [(r["name"], r["a"]) for r in events] == [("note", 4.0)]
-
-    def test_sigkilled_edge_worker_leaves_bundle(
-        self, tmp_path, tmp_recorder
-    ):
-        """Regression (acceptance): SIGKILL a fleet worker mid-task; the
-        parent must dump a schema-valid JSONL bundle naming the dead worker
-        before raising."""
-        from repro.cfd import FlowField
-        from repro.mesh import wing_mesh
-        from repro.smp import ProcessEdgeBackend
-
-        field = FlowField(wing_mesh(n_around=16, n_radial=6, n_span=5))
-        be = ProcessEdgeBackend(field, 2)
-        victim = be._workers[0]
-        timer = threading.Timer(
-            0.2, os.kill, args=(victim.pid, signal.SIGKILL)
-        )
-        timer.start()
-        try:
-            with pytest.raises(RuntimeError, match="died|pipe"):
-                be._debug_sleep(3.0)
-        finally:
-            timer.cancel()
-            be.close()
-        bundles = sorted(tmp_path.glob("flightrec-*.jsonl"))
-        assert len(bundles) == 1
-        lines = [json.loads(ln) for ln in open(bundles[0], encoding="utf-8")]
-        header = lines[0]
-        assert header["schema"] == FLIGHTREC_SCHEMA
-        assert header["reason"].startswith("edge-worker-death")
-        assert victim.name in header["dead"]  # repro-edge-w0
-        # the bundle carries the fleet's last plane snapshots
-        procs = {r["proc"] for r in lines if r["type"] == "proc"}
-        assert {"edge.w0", "edge.w1"} <= procs
 
     def test_killed_rank_leaves_bundle(self, tmp_path, tmp_recorder):
         """SIGKILL a rank mid-program: the parent dumps one bundle naming

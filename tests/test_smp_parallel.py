@@ -1,16 +1,19 @@
-"""Tests for the process-parallel shared-memory edge-kernel backend.
+"""Tests for the thread-team edge-kernel backend.
 
 Covers the paper's ground rule (numerics identical to sequential for every
-strategy, now across real worker processes), the SharedArrayPool cleanup
-contract (context manager, atexit, crashed workers must not leak
-``/dev/shm`` segments), and the measured rows the figure tests consume.
+strategy, now across real threads), failure containment (an exception on
+any thread reaches the caller once every thread has finished, and the team
+stays usable), teardown (no helper thread outlives ``close()``), the
+measured rows the figure tests consume, and the cleanup contract of the
+``SharedArrayPool`` the rank runtime allocates its ``/dev/shm`` segments in
+(context manager, atexit).
 """
 
 import os
-import signal
 import subprocess
 import sys
 import threading
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -23,21 +26,16 @@ from repro.cfd import FlowConfig, FlowField, compute_residual
 from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
+from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
-from repro.smp import ProcessEdgeBackend, SharedArrayPool, use_edge_backend
+from repro.smp import ThreadEdgeBackend, use_edge_backend
 from repro.smp.bench import run_dist_breakdown, run_flux_scaling
 from repro.solver import SolverOptions, solve_steady
+from repro.sweeps.schedule import serial_residual
 from repro.sweeps.sweeps import field_corners
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
-def _shm_entries():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # non-Linux
-        return set()
 
 
 def _assert_unlinked(names):
@@ -95,7 +93,7 @@ class TestSharedArrayPool:
     def test_atexit_cleans_up_without_explicit_close(self):
         """A run that never reaches close() must still unlink at exit."""
         script = (
-            "from repro.smp import SharedArrayPool\n"
+            "from repro.dist.runtime.shm import SharedArrayPool\n"
             "pool = SharedArrayPool()\n"
             "pool.zeros('leaky', (1024,))\n"
             "print(pool.segment_names()['leaky'])\n"
@@ -130,7 +128,7 @@ class TestBackendEquivalence:
         cfg = FlowConfig(beta=4.0)
         ref = serial_first_order(field, q, cfg)
         gref = lsq_gradients(field, q)
-        with ProcessEdgeBackend(
+        with ThreadEdgeBackend(
             field, 3, strategy=strategy, partitioner=partitioner
         ) as be:
             np.testing.assert_allclose(
@@ -151,7 +149,7 @@ class TestBackendEquivalence:
         )
         roe = FlowConfig(beta=4.0, dissipation="roe")
         ref_roe = serial_first_order(field, q, roe)
-        with ProcessEdgeBackend(field, 2) as be:
+        with ThreadEdgeBackend(field, 2) as be:
             res, _grad, phi = be.residual(q, cfg)
             np.testing.assert_allclose(res, ref2, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(phi, lim)
@@ -165,7 +163,7 @@ class TestBackendEquivalence:
         cfg = FlowConfig(beta=4.0)
         ref = serial_first_order(field, q, cfg)
         ref2 = compute_residual(field, q, cfg)
-        with ProcessEdgeBackend(field, 2) as be, use_edge_backend(be):
+        with ThreadEdgeBackend(field, 2) as be, use_edge_backend(be):
             np.testing.assert_allclose(
                 compute_residual(field, q, cfg, first_order=True), ref,
                 rtol=1e-12, atol=1e-12,
@@ -184,7 +182,7 @@ class TestBackendEquivalence:
     def test_other_field_falls_back_to_serial(self, wing_setup):
         field, q = wing_setup
         other = FlowField(delaunay_cloud_mesh(60, seed=1))
-        with ProcessEdgeBackend(field, 2) as be, use_edge_backend(be):
+        with ThreadEdgeBackend(field, 2) as be, use_edge_backend(be):
             assert not be.handles(other)
             rng = np.random.default_rng(0)
             qo = rng.normal(size=(other.n_vertices, 4))
@@ -196,7 +194,7 @@ class TestBackendEquivalence:
 class TestBackendStructure:
     def test_owner_covers_all_edges_with_replication(self, wing_setup):
         field, _ = wing_setup
-        with ProcessEdgeBackend(field, 4, strategy="owner") as be:
+        with ThreadEdgeBackend(field, 4, strategy="owner") as be:
             per = be.edges_per_worker()
             assert per.sum() >= field.n_edges
             assert be.redundant_edge_fraction == pytest.approx(
@@ -208,23 +206,23 @@ class TestBackendStructure:
     def test_edge_split_strategies_have_no_redundancy(self, wing_setup):
         field, _ = wing_setup
         for strategy in ("locked", "replicate"):
-            with ProcessEdgeBackend(field, 4, strategy=strategy) as be:
+            with ThreadEdgeBackend(field, 4, strategy=strategy) as be:
                 assert be.edges_per_worker().sum() == field.n_edges
                 assert be.redundant_edge_fraction == 0.0
 
     def test_rejects_bad_arguments(self, wing_setup):
         field, _ = wing_setup
         with pytest.raises(ValueError):
-            ProcessEdgeBackend(field, 2, strategy="bogus")
+            ThreadEdgeBackend(field, 2, strategy="bogus")
         with pytest.raises(ValueError):
-            ProcessEdgeBackend(field, 2, partitioner="bogus")
+            ThreadEdgeBackend(field, 2, partitioner="bogus")
         with pytest.raises(ValueError):
-            ProcessEdgeBackend(field, 0)
+            ThreadEdgeBackend(field, 0)
 
     def test_worker_spans_reach_the_tracer(self, wing_setup):
         field, q = wing_setup
         tracer = Tracer()
-        with ProcessEdgeBackend(field, 2) as be, use_tracer(tracer):
+        with ThreadEdgeBackend(field, 2) as be, use_tracer(tracer):
             be.residual(q, FlowConfig(), first_order=True)
             be.residual(q, FlowConfig())
         names = {s.name for s in tracer.walk()}
@@ -235,44 +233,62 @@ class TestBackendStructure:
                 assert s.attrs["strategy"] == "owner-metis"
 
 
-class TestFailureContainment:
-    def test_worker_exception_surfaces_and_marks_broken(self, wing_setup):
-        field, q = wing_setup
-        be = ProcessEdgeBackend(field, 2)
-        names = list(be.segment_names().values())
-        try:
-            with pytest.raises(RuntimeError, match="worker .* failed"):
-                bad = FlowConfig(dissipation="no-such-scheme")
-                be.residual(q, bad, first_order=True)
-            assert not be.handles(field)
-            with pytest.raises(RuntimeError):
-                be.residual(q, FlowConfig(), first_order=True)
-        finally:
-            be.close()
-        _assert_unlinked(names)
+def _edge_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-edge-t")]
 
-    def test_killed_worker_mid_loop_does_not_leak_segments(self, wing_setup):
-        """Regression: SIGKILL a worker while it is inside the edge loop;
-        the parent must detect the death, and teardown must still unlink
-        every /dev/shm segment."""
-        field, _ = wing_setup
-        be = ProcessEdgeBackend(field, 2)
-        names = list(be.segment_names().values())
-        victim = be._workers[0].pid
-        timer = threading.Timer(0.2, os.kill, args=(victim, signal.SIGKILL))
-        timer.start()
-        try:
-            with pytest.raises(RuntimeError, match="died|pipe"):
-                be._debug_sleep(3.0)
-            assert not be.handles(field)
-        finally:
-            timer.cancel()
-            be.close()
-        _assert_unlinked(names)
+
+class TestFailureContainment:
+    def test_exception_raises_after_every_helper_joined(
+        self, wing_setup, monkeypatch
+    ):
+        """A bad dissipation fails the flux stage on every thread.  The
+        helpers are slowed down, so the caller's own part fails first; the
+        error must still reach the caller only once both helpers have
+        finished, and the team then gives the serial bits again."""
+        import repro.smp.parallel as parallel
+
+        field, q = wing_setup
+        finished = []
+        real_sweep = parallel.sweep
+
+        def slow_helpers(*args):
+            helper = threading.current_thread().name.startswith("repro-edge-t")
+            if helper:
+                time.sleep(0.2)
+            try:
+                real_sweep(*args)
+            finally:
+                if helper:
+                    finished.append(threading.current_thread().name)
+
+        with ThreadEdgeBackend(field, 3) as be:
+            monkeypatch.setattr(parallel, "sweep", slow_helpers)
+            with pytest.raises(RuntimeError, match="edge thread t0 failed"):
+                be.residual(q, FlowConfig(dissipation="no-such-scheme"))
+            # recon, limit and the failing flux stage, on both helpers
+            assert sorted(finished) == ["repro-edge-t1"] * 3 + ["repro-edge-t2"] * 3
+            monkeypatch.setattr(parallel, "sweep", real_sweep)
+            assert be.handles(field)
+            cfg = FlowConfig()
+            for got, want in zip(be.residual(q, cfg), serial_residual(field, q, cfg)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_close_joins_every_helper(self, wing_setup):
+        field, q = wing_setup
+        before = set(_edge_threads())
+        be = ThreadEdgeBackend(field, 3)
+        helpers = set(_edge_threads()) - before
+        assert sorted(t.name for t in helpers) == ["repro-edge-t1", "repro-edge-t2"]
+        assert all(t.daemon for t in helpers)
+        be.residual(q, FlowConfig(), first_order=True)
+        be.close()
+        assert not any(t.is_alive() for t in helpers)
+        be.close()  # a second close is a no-op
+        assert set(_edge_threads()) <= before
 
     def test_close_is_idempotent_and_final(self, wing_setup):
         field, q = wing_setup
-        be = ProcessEdgeBackend(field, 2)
+        be = ThreadEdgeBackend(field, 2)
         be.residual(q, FlowConfig(), first_order=True)
         be.close()
         be.close()
@@ -280,29 +296,21 @@ class TestFailureContainment:
         with pytest.raises(RuntimeError):
             be.residual(q, FlowConfig(), first_order=True)
 
-    def test_fleet_reused_across_solves_no_shm_leak(self, wing_setup):
-        """One fleet held across two solves keeps counting rounds, is never
-        reforked, gives the same bits both times, and leaves nothing in
-        ``/dev/shm`` after ``close()``."""
+    def test_fleet_reused_across_solves(self, wing_setup):
+        """One team held across two solves keeps counting rounds, is never
+        rebuilt, and gives the same bits both times."""
         field, _ = wing_setup
         cfg = FlowConfig(aoa_deg=2.0)
         opts = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=0)
-        before = _shm_entries()
-        be = ProcessEdgeBackend(field, 2)
-        try:
-            with use_edge_backend(be):
-                first_solve = solve_steady(field, cfg, opts)
-                first = be.fleet_stats()
-                second_solve = solve_steady(field, cfg, opts)
-                second = be.fleet_stats()
-        finally:
-            be.close()
+        with ThreadEdgeBackend(field, 2) as be, use_edge_backend(be):
+            first_solve = solve_steady(field, cfg, opts)
+            first = be.fleet_stats()
+            second_solve = solve_steady(field, cfg, opts)
+            second = be.fleet_stats()
         assert first["residuals"] > 0
         assert second["residuals"] > first["residuals"]
         assert not second["closed"]
         np.testing.assert_array_equal(second_solve.q, first_solve.q)
-        leaked = _shm_entries() - before
-        assert not leaked, f"leaked /dev/shm segments: {leaked}"
 
 
 @settings(max_examples=4, deadline=None)
@@ -313,17 +321,21 @@ class TestFailureContainment:
     strategy=st.sampled_from(["locked", "replicate", "owner"]),
 )
 def test_process_strategy_equivalence_property(n, seed, workers, strategy):
-    """Property (paper Section V.A): every process-parallel strategy
-    reproduces the sequential first-order residual within 1e-12 on
-    arbitrary small meshes and worker counts 1-4."""
+    """Property (paper Section V.A): every thread-parallel strategy
+    reproduces the sequential first-order residual on arbitrary small
+    meshes and thread counts 1-4 — owner-writes bit for bit, locked and
+    replicate within 1e-12."""
     mesh = delaunay_cloud_mesh(n, seed=seed)
     field = FlowField(mesh)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(field.n_vertices, 4))
     ref = serial_first_order(field, q)
-    with ProcessEdgeBackend(field, workers, strategy=strategy) as be:
+    with ThreadEdgeBackend(field, workers, strategy=strategy) as be:
         res = be.residual(q, FlowConfig(), first_order=True)[0]
-    np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+    if strategy == "owner":
+        np.testing.assert_array_equal(res, ref)
+    else:
+        np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestFigureMeasurements:

@@ -434,10 +434,10 @@ class TestExecutionModes:
         return field, config, opts, solve_steady(field, config, opts)
 
     def test_process_edge_backend_solve_is_bitwise_serial(self, case):
-        from repro.smp import ProcessEdgeBackend, use_edge_backend
+        from repro.smp import ThreadEdgeBackend, use_edge_backend
 
         field, config, opts, serial = case
-        with ProcessEdgeBackend(field, 2, strategy="owner") as be:
+        with ThreadEdgeBackend(field, 2, strategy="owner") as be:
             with use_edge_backend(be):
                 res = solve_steady(field, config, opts)
         assert res.steps == serial.steps

@@ -2,7 +2,7 @@
 
 The contract under test: the schedule — the one production path of the
 residual — is **bitwise identical** to the staged gradient/limiter/flux
-oracle across meshes, vertex orderings, serial and process execution, and
+oracle across meshes, vertex orderings, serial and threaded execution, and
 any split of the edges into owner-masked parts.
 """
 
@@ -16,7 +16,7 @@ from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.mesh import dataset_mesh, wing_mesh
-from repro.smp import ProcessEdgeBackend, metis_thread_labels, use_edge_backend
+from repro.smp import ThreadEdgeBackend, metis_thread_labels, use_edge_backend
 from repro.sweeps import ResidualArrays, owner_parts, run_residual, serial_residual
 from repro.sweeps.sweeps import field_corners
 
@@ -88,8 +88,8 @@ def test_serial_schedule_bitwise_equals_oracle(kind, ordering, seed, aoa, scheme
 )
 def test_owner_parts_change_no_bits(kind, ordering, seed, k, scheme, second_order):
     """The schedule over ``k`` owner-masked parts of one field, run in this
-    process with the METIS masks ``ProcessEdgeBackend`` builds, writes the
-    bytes of its one-part run: what a thread driver relies on."""
+    thread with the METIS masks ``ThreadEdgeBackend`` builds, writes the
+    bytes of its one-part run: what the thread driver relies on."""
     field = _field(kind, ordering)
     cfg = FlowConfig(dissipation=scheme, second_order=second_order)
     q = _state(field, cfg, seed)
@@ -107,7 +107,7 @@ def test_owner_parts_change_no_bits(kind, ordering, seed, k, scheme, second_orde
 
 
 # ---------------------------------------------------------------------------
-# backend hook: serial and process execution
+# backend hook: serial and threaded execution
 # ---------------------------------------------------------------------------
 
 
@@ -136,13 +136,13 @@ def test_serial_driver_reports_one_grad_and_one_flux_span(wing_setup):
 
 def test_owner_fleet_schedule_bitwise(wing_setup):
     """Owner-writes keeps the reference accumulation order per vertex, so
-    the schedule over worker processes stays bitwise-exact."""
+    the schedule over a thread team stays bitwise-exact."""
     from repro.obs import Tracer, use_tracer
 
     field, q, cfg = wing_setup
     ref, gref, pref = _oracle(field, q, cfg)
     tracer = Tracer()
-    with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+    with ThreadEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
         with use_edge_backend(fleet), use_tracer(tracer):
             got = compute_residual(field, q, cfg)
         res, grad, phi = fleet.residual(q, cfg)
@@ -159,10 +159,10 @@ def test_owner_fleet_schedule_bitwise(wing_setup):
 @pytest.mark.parametrize("strategy", ["replicate", "locked"])
 def test_reordering_fleet_strategies_within_roundoff(wing_setup, strategy):
     """Replicated/locked accumulation reorders the additive folds, so the
-    fleet promises round-off agreement there, not bitwise."""
+    team promises round-off agreement there, not bitwise."""
     field, q, cfg = wing_setup
     ref = _oracle(field, q, cfg)[0]
-    with ProcessEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
+    with ThreadEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
         with use_edge_backend(fleet):
             got = compute_residual(field, q, cfg)
     assert np.max(np.abs(got - ref)) < 1e-10
@@ -171,14 +171,14 @@ def test_reordering_fleet_strategies_within_roundoff(wing_setup, strategy):
 def test_first_order_runs_the_flux_stage_only(wing_setup):
     """The preconditioner-side first-order residual is the schedule's flux
     stage and closures: serially the staged first-order flux bit for bit,
-    on a fleet one dispatch round."""
+    on a thread team one handoff round."""
     field, q, cfg = wing_setup
     ref = add_boundary_closures(
         field_corners(field), q, cfg,
         interior_flux_residual(field, q, cfg.beta, scheme=cfg.dissipation),
     )
     assert np.array_equal(compute_residual(field, q, cfg, first_order=True), ref)
-    with ProcessEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
+    with ThreadEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
         with use_edge_backend(fleet):
             got = compute_residual(field, q, cfg, first_order=True)
         stats = fleet.fleet_stats()
