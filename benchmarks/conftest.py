@@ -45,9 +45,17 @@ def mesh_d():
     return mesh_d_prime(scale=SCALE * 0.5, ordering="natural")
 
 
+#: the paper's fixed Krylov forcing: the tables and figures price iteration
+#: counts the paper measured against a fixed linear tolerance, so they pin
+#: it instead of running the solver's default Eisenstat-Walker forcing
+PAPER_FORCING = 1e-2
+
+
 @pytest.fixture(scope="session")
 def app_c(mesh_c):
-    return Fun3dApp(mesh_c, solver=SolverOptions(max_steps=80))
+    return Fun3dApp(
+        mesh_c, solver=SolverOptions(max_steps=80, gmres_rtol=PAPER_FORCING)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from repro.perf import format_table
 from repro.smp import XEON_E5_2690_V2, EdgeLoopOptions, edge_loop_time, flux_kernel_work
 from repro.solver import SolverOptions, solve_steady
 
-from conftest import SCALE, emit
+from conftest import PAPER_FORCING, SCALE, emit
 
 
 @pytest.mark.benchmark(group="ablation-rcm")
@@ -68,7 +68,10 @@ def test_ablation_gmres_restart(benchmark, capsys):
         for restart in (5, 10, 30):
             res = solve_steady(
                 fld, cfg,
-                SolverOptions(max_steps=60, gmres_restart=restart),
+                SolverOptions(
+                    max_steps=60, gmres_restart=restart,
+                    gmres_rtol=PAPER_FORCING,
+                ),
             )
             out[restart] = (res.converged, res.linear_iterations, res.steps)
         return out

@@ -12,6 +12,8 @@ thread backend on this host and asserts the same strategy ordering the
 paper found.
 """
 
+from statistics import median
+
 import pytest
 
 from repro.perf import format_series, format_table
@@ -24,7 +26,7 @@ from repro.smp import (
     metis_thread_labels,
     natural_thread_labels,
 )
-from repro.smp.bench import run_flux_scaling
+from repro.smp.bench import run_flux_scaling, run_paired_flux
 
 from conftest import emit
 
@@ -140,11 +142,12 @@ def test_fig6b_flux_strategy_scaling_measured(benchmark, mesh_c, capsys):
     for r in doc["results"]:
         assert r["max_abs_dev"] <= 1e-12
     # the paper's headline ordering at full width: owner-only METIS writes
-    # beat the lock-guarded (atomics stand-in) scatter
-    assert (
-        by[("owner-metis", wmax)]["wall_seconds"]
-        < by[("locked", wmax)]["wall_seconds"]
-    )
+    # beat the lock-guarded (atomics stand-in) scatter.  Timed in pairs
+    # that alternate which strategy runs first: two bests taken seconds
+    # apart compare the host's load as much as the strategies, which differ
+    # by ~5% on a 2-cpu host (EXPERIMENTS.md, "Fig 6b measured, paired")
+    pairs = run_paired_flux(mesh_c, "owner-metis", "locked", wmax)
+    assert median(owner / locked for owner, locked in pairs) < 1.0
     # METIS partitions waste far less redundant compute than natural chunks
     assert (
         by[("owner-metis", wmax)]["redundant_edge_fraction"]

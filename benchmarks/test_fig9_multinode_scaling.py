@@ -15,7 +15,7 @@ from repro.dist import MESH_D_PAPER, MultiNodeModel, NodeConfig
 from repro.perf import format_series
 from repro.solver import SolverOptions, solve_steady
 
-from conftest import emit
+from conftest import PAPER_FORCING, emit
 
 NODES = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -62,7 +62,7 @@ def test_fig9_strong_scaling(benchmark, mesh_c, capsys):
     for k in (1, 8, 32):
         res = solve_steady(
             fld, cfg,
-            SolverOptions(max_steps=80, n_subdomains=k, gmres_rtol=1e-2),
+            SolverOptions(max_steps=80, n_subdomains=k, gmres_rtol=PAPER_FORCING),
         )
         assert res.converged
         its.append(res.linear_iterations)

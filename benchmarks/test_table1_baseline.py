@@ -23,11 +23,13 @@ from repro.apps import Fun3dApp, OptimizationConfig
 from repro.perf import format_table
 from repro.solver import SolverOptions
 
-from conftest import emit
+from conftest import PAPER_FORCING, emit
 
 
 def _solve(mesh):
-    app = Fun3dApp(mesh, solver=SolverOptions(max_steps=120))
+    app = Fun3dApp(
+        mesh, solver=SolverOptions(max_steps=120, gmres_rtol=PAPER_FORCING)
+    )
     res = app.run(OptimizationConfig.baseline(ilu_fill=1))
     return app, res
 

@@ -164,8 +164,9 @@ class MetricsRegistry:
                 f"{'histogram':<28}{'count':>8}{'mean':>10}{'min':>8}{'max':>8}"
             )
             for name, h in sorted(self.histograms.items()):
-                lo = f"{h.min:g}" if h.count else "-"
-                hi = f"{h.max:g}" if h.count else "-"
+                # 3 digits keep a fraction (a forcing term) inside its column
+                lo = f"{h.min:.3g}" if h.count else "-"
+                hi = f"{h.max:.3g}" if h.count else "-"
                 lines.append(
                     f"{name:<28}{h.count:>8}{h.mean:>10.3g}{lo:>8}{hi:>8}"
                 )

@@ -7,7 +7,9 @@ model curves sit next to measured points:
 * :func:`run_flux_scaling` — the first-order residual (flux stage and
   closures) on the real :class:`ThreadEdgeBackend` against the serial
   driver's compiled one, per strategy and thread count
-  (``benchmarks/test_fig6b_flux_scaling.py``);
+  (``benchmarks/test_fig6b_flux_scaling.py``), and
+  :func:`run_paired_flux`, the paired timing its strategy ordering is
+  asserted on;
 * :func:`run_dist_breakdown` — the halo / allreduce / interior split of a
   short forked-rank solve (``benchmarks/test_fig10_comm_overhead.py``).
 
@@ -31,7 +33,12 @@ from .strategies import (
     natural_thread_labels,
 )
 
-__all__ = ["DEFAULT_STRATEGIES", "run_flux_scaling", "run_dist_breakdown"]
+__all__ = [
+    "DEFAULT_STRATEGIES",
+    "run_flux_scaling",
+    "run_paired_flux",
+    "run_dist_breakdown",
+]
 
 DEFAULT_STRATEGIES = ("locked", "replicate", "owner-natural", "owner-metis")
 
@@ -48,6 +55,17 @@ def _bench_state(field, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q = np.tile(np.array([0.0, 1.0, 0.05, 0.0]), (field.n_vertices, 1))
     return q + 0.05 * rng.normal(size=q.shape)
+
+
+def _backend(field, label: str, workers: int, seed: int) -> ThreadEdgeBackend:
+    strategy, partitioner = _split(label)
+    return ThreadEdgeBackend(
+        field,
+        n_workers=workers,
+        strategy=strategy,
+        partitioner=partitioner or "metis",
+        seed=seed,
+    )
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -120,14 +138,7 @@ def run_flux_scaling(
     results = []
     for w in workers:
         for label in strategies:
-            strategy, partitioner = _split(label)
-            with ThreadEdgeBackend(
-                field,
-                n_workers=w,
-                strategy=strategy,
-                partitioner=partitioner or "metis",
-                seed=seed,
-            ) as be:
+            with _backend(field, label, w, seed) as be:
                 # warm-up + correctness
                 res = be.residual(q, config, first_order=True)[0]
                 dev = float(np.max(np.abs(res - ref)))
@@ -147,6 +158,50 @@ def run_flux_scaling(
                 ),
             })
     return {"serial": {"wall_seconds": serial_wall}, "results": results}
+
+
+def run_paired_flux(
+    mesh,
+    first: str,
+    second: str,
+    workers: int,
+    pairs: int = 101,
+    repeats: int = 3,
+    beta: float = 4.0,
+    seed: int = 7,
+) -> list[tuple[float, float]]:
+    """``(first_wall, second_wall)``: the best of ``repeats`` first-order
+    residuals on each of two warm thread backends, back to back, ``pairs``
+    times.
+
+    The order alternates pair by pair, so a load spike or a cache the
+    other strategy warmed falls on each side equally often; compare the
+    strategies by the median over pairs, not by two separate bests.
+    """
+    from ..cfd.state import FlowConfig, FlowField
+
+    field = FlowField(mesh)
+    q = _bench_state(field, seed)
+    config = FlowConfig(beta=beta)
+    with _backend(field, first, workers, seed) as a, \
+            _backend(field, second, workers, seed) as b:
+
+        def wall(be) -> float:
+            return _time_call(
+                lambda: be.residual(q, config, first_order=True), repeats
+            )
+
+        wall(a), wall(b)  # warm-up
+        out = []
+        for i in range(pairs):
+            if i % 2 == 0:
+                wa = wall(a)
+                wb = wall(b)
+            else:
+                wb = wall(b)
+                wa = wall(a)
+            out.append((wa, wb))
+    return out
 
 
 def run_dist_breakdown(

@@ -57,7 +57,7 @@ def gmres(
     b: np.ndarray,
     precond: Operator | None = None,
     x0: np.ndarray | None = None,
-    rtol: float = 1e-5,
+    rtol: float | None = 1e-5,
     atol: float = 0.0,
     restart: int = 30,
     maxiter: int = 300,
@@ -67,9 +67,17 @@ def gmres(
 
     ``precond`` applies the (right) preconditioner M^-1; None means identity.
     Convergence: ``||b - op(x)|| <= max(rtol * ||b||, atol)``.
+    ``rtol=None`` solves to the first Newton step's forcing,
+    :data:`repro.solver.newton.ETA_MAX`: the benchmark's layer replay
+    (``bench/replay.py``) passes the solver options' linear tolerance
+    straight through, and None (Eisenstat-Walker forcing) is its default.
     ``allreduce(values, op)`` completes the dots and norms when each
     process holds a slice of the vectors (see :mod:`repro.petsclite.vec`).
     """
+    if rtol is None:
+        from .newton import ETA_MAX  # newton imports this module
+
+        rtol = ETA_MAX
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else x0.copy()
     M = precond if precond is not None else lambda v: v

@@ -11,6 +11,14 @@ grows by SER so the iteration transitions from pseudo-time marching to
 Newton's method; iteration and step counts come out as the Table I / II
 statistics.
 
+Each linear solve stops at a relative tolerance, the forcing term eta_k.
+By default eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci.
+Comput. 17(1), 1996; PETSc's ``-snes_ksp_ew``) with the safeguards of
+Kelley's ``nsoli`` (:func:`ew_forcing`): loose while the outer residual
+falls slowly, tight once Newton converges fast, never tighter than the
+steady stopping test needs.  ``SolverOptions(gmres_rtol=1e-2)`` fixes
+eta_k instead, the paper's forcing.
+
 :func:`pseudo_transient_solve` is the only copy of that loop.  What differs
 between the places it runs is a :class:`Discretization` adapter: the
 incompressible field in this process (:class:`FieldDiscretization`, behind
@@ -44,10 +52,25 @@ __all__ = [
     "FieldDiscretization",
     "pseudo_transient_solve",
     "solve_steady",
+    "ew_forcing",
 ]
 
 #: most step halvings the admissibility check may ask for in one step
 MAX_HALVINGS = 20
+
+# Eisenstat-Walker choice 2: eta_k = EW_GAMMA * (|f_k| / |f_k-1|)^EW_ALPHA.
+# PETSc's defaults (eta_max 0.9, gamma 1, alpha 1.618) take ~2.5x the
+# Newton steps on Mesh-C' (EXPERIMENTS.md, "Inexact-Newton forcing").
+#: the first step's forcing and the cap on every later one
+ETA_MAX = 0.3
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+#: the safeguard keeps eta from collapsing once gamma*eta_prev^alpha exceeds this
+EW_SAFEGUARD = 0.1
+#: eta never asks for more than this share of the steady stopping test
+OVERSOLVE = 0.5
+#: bucket edges of the ``newton.forcing`` histogram
+FORCING_EDGES = (1e-3, 1e-2, 3e-2, 0.1, 0.3)
 
 
 @dataclass
@@ -59,7 +82,7 @@ class SolverOptions:
     max_steps: int = 100
     steady_rtol: float = 1e-6  # outer convergence: ||f|| / ||f_0||
     steady_atol: float = 1e-12
-    gmres_rtol: float = 1e-2
+    gmres_rtol: float | None = None  # None: Eisenstat-Walker forcing
     gmres_restart: int = 30
     gmres_maxiter: int = 60
     ilu_fill: int = 0
@@ -77,6 +100,10 @@ class SolverOptions:
                 raise ValueError(
                     f"{name} must be at least {least}, got {getattr(self, name)}"
                 )
+        if self.gmres_rtol is not None and not 0.0 < self.gmres_rtol < 1.0:
+            raise ValueError(
+                f"gmres_rtol must be None or in (0, 1), got {self.gmres_rtol}"
+            )
 
 
 @dataclass
@@ -89,6 +116,7 @@ class SolveResult:
     residual_history: list[float] = field(default_factory=list)
     cfl_history: list[float] = field(default_factory=list)
     converged: bool = False
+    forcing_history: list[float] = field(default_factory=list)  # eta per GMRES
 
     @property
     def initial_residual(self) -> float:
@@ -134,6 +162,25 @@ class Discretization(Protocol):
         """False asks the loop to halve the step that produced ``q``."""
 
 
+def ew_forcing(
+    rnorm: float, rnorm_prev: float | None, eta_prev: float, target: float
+) -> float:
+    """Eisenstat-Walker choice 2 forcing term for the step at ``rnorm``.
+
+    ``rnorm_prev`` / ``eta_prev`` are the previous step's residual norm and
+    forcing (``rnorm_prev=None`` on the first step, which takes
+    :data:`ETA_MAX`); ``target`` is the steady stopping test's norm.
+    """
+    if rnorm_prev is None:
+        return ETA_MAX
+    eta = EW_GAMMA * (rnorm / rnorm_prev) ** EW_ALPHA
+    guard = EW_GAMMA * eta_prev**EW_ALPHA
+    if guard > EW_SAFEGUARD:
+        eta = max(eta, guard)
+    eta = min(eta, ETA_MAX)
+    return max(eta, OVERSOLVE * target / rnorm)
+
+
 def pseudo_transient_solve(
     disc: Discretization,
     q: np.ndarray,
@@ -160,6 +207,7 @@ def pseudo_transient_solve(
 
     history: list[float] = []
     cfls: list[float] = []
+    etas: list[float] = []
     total_linear = 0
     converged = False
     cfl = opts.cfl0
@@ -171,7 +219,7 @@ def pseudo_transient_solve(
         n_subdomains=opts.n_subdomains,
     ):
         for step in range(1, opts.max_steps + 1):
-            with tracer.span("newton-step", step=step):
+            with tracer.span("newton-step", step=step) as step_span:
                 res = disc.residual(q)
                 # RMS over every unknown: one reduction of (sum of squares,
                 # count); in one process this is bitwise residual_norm
@@ -182,12 +230,13 @@ def pseudo_transient_solve(
                 history.append(rnorm)
                 if r0_norm is None:
                     r0_norm = rnorm
+                    target = max(opts.steady_rtol * r0_norm, opts.steady_atol)
                 if callback:
                     callback(step, rnorm, cfl)
                 tracer.event("residual", step=step, rnorm=rnorm, cfl=cfl)
                 metrics.gauge("newton.residual_norm").set(rnorm)
                 disc.publish(step, rnorm, cfl, total_linear)
-                if rnorm <= max(opts.steady_rtol * r0_norm, opts.steady_atol):
+                if rnorm <= target:
                     converged = True
                     break
                 metrics.counter("newton.steps").inc()
@@ -200,6 +249,19 @@ def pseudo_transient_solve(
                 dt = disc.timestep(q, cfl)
                 disc.update_preconditioner(q, dt)
 
+                # every rank holds the same reduced norms, so takes the same eta
+                if opts.gmres_rtol is not None:
+                    eta = opts.gmres_rtol
+                else:
+                    eta = ew_forcing(
+                        rnorm, history[-2] if len(history) > 1 else None,
+                        etas[-1] if etas else ETA_MAX, target,
+                    )
+                etas.append(eta)
+                if step_span is not None:
+                    step_span.attrs["eta"] = eta
+                metrics.histogram("newton.forcing", FORCING_EDGES).observe(eta)
+
                 op = fd_jacobian_operator(
                     spatial_residual, q.reshape(-1), r0=res.reshape(-1),
                     diag=np.repeat(disc.volumes / dt, shape[1]),
@@ -209,7 +271,7 @@ def pseudo_transient_solve(
                     op,
                     -res.reshape(-1),
                     precond=apply_pc,
-                    rtol=opts.gmres_rtol,
+                    rtol=eta,
                     restart=opts.gmres_restart,
                     maxiter=opts.gmres_maxiter,
                     allreduce=allreduce,
@@ -242,6 +304,7 @@ def pseudo_transient_solve(
         residual_history=history,
         cfl_history=cfls,
         converged=converged,
+        forcing_history=etas,
     )
 
 

@@ -393,6 +393,18 @@ class TestSolverIntegration:
         assert m.counter("gmres.allreduces").value > 2 * res.solve.linear_iterations
         assert m.gauge("newton.final_residual").value == res.solve.final_residual
 
+    def test_forcing_telemetry(self, run):
+        """One forcing term per linear solve: in the result, on its
+        ``newton-step`` span, as the ``rtol`` of the ``gmres`` span under
+        it and in the ``newton.forcing`` histogram."""
+        _, res = run
+        etas = res.solve.forcing_history
+        assert len(etas) == res.solve.steps - 1
+        solved = [s for s in res.trace.find("newton-step") if "eta" in s.attrs]
+        assert [s.attrs["eta"] for s in solved] == etas
+        assert [next(s.find("gmres")).attrs["rtol"] for s in solved] == etas
+        assert res.metrics.histogram("newton.forcing").count == len(etas)
+
     def test_halo_metrics(self):
         import numpy as np
 

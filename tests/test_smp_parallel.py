@@ -30,7 +30,11 @@ from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.smp import ThreadEdgeBackend, use_edge_backend
-from repro.smp.bench import run_dist_breakdown, run_flux_scaling
+from repro.smp.bench import (
+    run_dist_breakdown,
+    run_flux_scaling,
+    run_paired_flux,
+)
 from repro.solver import SolverOptions, solve_steady
 from repro.sweeps.schedule import serial_residual
 from repro.sweeps.sweeps import field_corners
@@ -361,6 +365,14 @@ class TestFigureMeasurements:
                 doc["serial"]["wall_seconds"] / r["wall_seconds"]
             )
             assert r["max_abs_dev"] <= 1e-12
+
+    def test_paired_flux_walls(self):
+        mesh = delaunay_cloud_mesh(150, seed=2)
+        pairs = run_paired_flux(
+            mesh, "owner-metis", "locked", workers=2, pairs=3, repeats=1
+        )
+        assert len(pairs) == 3
+        assert all(a > 0 and b > 0 for a, b in pairs)
 
     def test_run_dist_breakdown_smoke(self):
         mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)

@@ -1,5 +1,7 @@
 """Tests for GMRES, JFNK, additive Schwarz and the steady Newton driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from repro.solver import (
     gmres,
     solve_steady,
 )
-from repro.sparse import BCSRMatrix
+from repro.solver.newton import ETA_MAX, ew_forcing
+from repro.sparse import BCSRMatrix, native_kernels_available
 
 
 def random_system(n=40, seed=0, cond=10.0):
@@ -297,6 +300,59 @@ def test_gmres_property(seed, cond):
     np.testing.assert_allclose(res.x, x, rtol=1e-6, atol=1e-7)
 
 
+class TestForcing:
+    """Eisenstat-Walker choice 2, by table: ``ew_forcing(rnorm, rnorm_prev,
+    eta_prev, target)``.  A ``target`` of 1e-12 keeps the oversolve floor
+    out of the way of the other cases."""
+
+    @pytest.mark.parametrize(
+        "case, args, eta",
+        [
+            ("first step", (1.0, None, ETA_MAX, 1e-12), 0.3),
+            # gamma (|f_k| / |f_k-1|)^2; the guard 0.9 * 0.01^2 <= 0.1 idles
+            ("quadratic decrease", (0.1, 1.0, 0.01, 1e-12), 0.9 * 0.1**2),
+            # a large eta_prev (here from the floor) keeps eta from
+            # collapsing: max(0.009, 0.9 * 0.5^2)
+            ("safeguard", (0.1, 1.0, 0.5, 1e-12), 0.9 * 0.5**2),
+            ("cap at eta_max", (0.9, 1.0, 0.3, 1e-12), 0.3),
+            # 0.5 * target / |f_k| beats 0.9 * 0.01^2 ...
+            ("oversolve floor", (1e-8, 1e-6, 0.01, 4e-9), 0.2),
+            # ... and is applied after the cap
+            ("floor above the cap", (1e-8, 1e-6, 0.01, 9e-9), 0.45),
+        ],
+    )
+    def test_table(self, case, args, eta):
+        assert ew_forcing(*args) == pytest.approx(eta, rel=1e-12), case
+
+    @pytest.fixture(scope="class")
+    def wing(self):
+        mesh = wing_mesh(n_around=16, n_radial=5, n_span=4)
+        return FlowField(mesh), FlowConfig()
+
+    def test_fixed_forcing_keeps_the_papers_solve(self, wing):
+        """``gmres_rtol=1e-2`` is the solver before adaptive forcing: the
+        counts, and with the compiled kernels the ``q`` bytes, pinned from
+        it (the NumPy ILU / TRSV fallback agrees to 1e-12 only)."""
+        fld, cfg = wing
+        res = solve_steady(fld, cfg, SolverOptions(max_steps=40, gmres_rtol=1e-2))
+        assert res.converged
+        assert (res.steps, res.linear_iterations) == (10, 165)
+        assert res.forcing_history == [1e-2] * (res.steps - 1)
+        if native_kernels_available():
+            assert hashlib.sha256(res.q.tobytes()).hexdigest() == (
+                "f092e7f8e9ea6eb8777f29103e0463772ae3bcd19acf8841258a669718bb252c"
+            )
+
+    def test_default_forcing_does_less_krylov_work(self, wing):
+        fld, cfg = wing
+        res = solve_steady(fld, cfg, SolverOptions(max_steps=40))
+        assert res.converged
+        assert res.linear_iterations < 165
+        etas = res.forcing_history
+        assert len(etas) == res.steps - 1 and etas[0] == ETA_MAX
+        assert all(0.0 < eta < 0.5 for eta in etas)
+
+
 class TestSolverOptions:
     @pytest.mark.parametrize("name", ["max_steps", "gmres_restart", "gmres_maxiter"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -305,6 +361,17 @@ class TestSolverOptions:
         ``SolveResult.initial_residual`` on the empty history."""
         with pytest.raises(ValueError, match=name):
             SolverOptions(**{name: value})
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-2, 1.0, 2.0, float("nan")])
+    def test_meaningless_gmres_rtol_rejected(self, rtol):
+        """Regression: ``gmres_rtol=0`` used to run every linear solve to
+        ``gmres_maxiter``, silently."""
+        with pytest.raises(ValueError, match="gmres_rtol"):
+            SolverOptions(gmres_rtol=rtol)
+
+    @pytest.mark.parametrize("rtol", [None, 1e-2, 0.5])
+    def test_gmres_rtol_accepted(self, rtol):
+        assert SolverOptions(gmres_rtol=rtol).gmres_rtol == rtol
 
     def test_defect_correction_operator_is_gone(self):
         """JFNK is the only Krylov operator: no switch selects the
