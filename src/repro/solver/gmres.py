@@ -132,6 +132,12 @@ def _gmres_cycles(
     x0_zero = not x.any()
     total_it = 0
     converged = False
+    # one allocation per solve, sliced by row: the fused MDot / MAXPY read
+    # the basis in place, and every restart cycle reuses it (a second
+    # cycle allocating its own would raise the solve's memory peak)
+    rows = min(restart, maxiter)
+    V = np.empty((rows + 1, b.shape[0]), dtype=b.dtype)  # orthonormal basis
+    Z = np.empty((rows, b.shape[0]), dtype=b.dtype)  # preconditioned (flexible)
     while total_it < maxiter and not converged:
         r = b - op(x) if total_it else (vec_copy(b) if x0_zero else b - op(x))
         beta = vec_norm(r, allreduce=allreduce)
@@ -141,10 +147,6 @@ def _gmres_cycles(
             converged = True
             break
         m = min(restart, maxiter - total_it)
-        # one allocation per cycle, sliced by row: the fused MDot / MAXPY
-        # read the basis in place instead of stacking a list of vectors
-        V = np.empty((m + 1, r.shape[0]), dtype=r.dtype)  # orthonormal basis
-        Z = np.empty((m, r.shape[0]), dtype=r.dtype)  # preconditioned (flexible)
         V[0] = vec_scale(r, 1.0 / beta)
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)

@@ -146,9 +146,10 @@ class AdditiveSchwarzILU:
             # step would hold two factors at its memory peak
             self._factors[s] = None
             rowptr, cols = sub.sub_pattern
-            local = BCSRMatrix(
-                rowptr=rowptr, cols=cols, vals=matrix.vals[sub.gather]
-            )
+            # one subdomain in order gathers every block in place: skip
+            # the copy (the factorization scatters its own)
+            vals = matrix.vals if self._identity else matrix.vals[sub.gather]
+            local = BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
             self._factors[s] = ilu_factorize(local, sub.plan)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
