@@ -1,16 +1,6 @@
 """Incompressible Euler physics: flux, gradients, Jacobian, BCs, timestep."""
 
 from .boundary import wall_flux
-from .compressible import (
-    CompressibleConfig,
-    CompressibleJacobian,
-    compressible_freestream,
-    compressible_residual,
-    euler_flux,
-    euler_flux_jacobian,
-    rusanov_euler_flux,
-    solve_compressible_steady,
-)
 from .forces import AeroForces, integrate_forces
 from .flux import (
     edge_spectral_radius,
@@ -33,14 +23,6 @@ from .state import NVARS, FlowConfig, FlowField, freestream_state
 from .timestep import local_timestep, ser_cfl
 
 __all__ = [
-    "CompressibleConfig",
-    "CompressibleJacobian",
-    "compressible_freestream",
-    "compressible_residual",
-    "euler_flux",
-    "euler_flux_jacobian",
-    "rusanov_euler_flux",
-    "solve_compressible_steady",
     "AeroForces",
     "integrate_forces",
     "wall_flux",

@@ -31,6 +31,7 @@ the command's duration: a crash, SIGUSR1, or a dead rank dumps a
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -48,11 +49,13 @@ def _version() -> str:
 
 
 def _at_least(kind, least, *, strict: bool = False):
-    """An argparse ``type=``: a ``kind`` value ``>= least`` (``> least``
+    """An argparse ``type=``: a finite ``kind`` value ``>= least`` (``> least``
     when ``strict``), so a bad count is a usage error, not a traceback."""
 
     def parse(text: str):
         value = kind(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value > least if strict else value >= least):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {least}, got {text}"
@@ -65,6 +68,7 @@ def _at_least(kind, least, *, strict: bool = False):
 
 _POSITIVE_INT = _at_least(int, 1)
 _POSITIVE_FLOAT = _at_least(float, 0.0, strict=True)
+_FINITE_FLOAT = _at_least(float, -math.inf)
 
 #: what ``--workers`` / ``--edge-strategy`` / ``--partitioner`` mean when
 #: not given; given, each requires ``--backend thread``
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dataset", choices=["mesh-c", "mesh-d", "wing"],
                         default="mesh-c")
         sp.add_argument("--scale", type=_POSITIVE_FLOAT, default=0.12)
-        sp.add_argument("--seed", type=int, default=7)
+        sp.add_argument("--seed", type=_at_least(int, 0), default=7)
         sp.add_argument(
             "--ordering", choices=["natural", "rcm"], default="rcm",
             help="vertex numbering: RCM (default; the paper's Section V.A "
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--subdomains", type=int, default=1)
         sp.add_argument("--dissipation", choices=["rusanov", "roe"],
                         default="rusanov")
-        sp.add_argument("--aoa", type=float, default=3.0)
+        sp.add_argument("--aoa", type=_FINITE_FLOAT, default=3.0)
         sp.add_argument("--max-steps", type=int, default=100)
         sp.add_argument("--rtol", type=float, default=1e-6)
         add_backend_args(sp)

@@ -391,9 +391,6 @@ class _RankDiscretization:
         )
         telem.push_event("note", float(step), float(rnorm))
 
-    def admissible(self, q: np.ndarray) -> bool:
-        return True
-
 
 def rank_solve_steady(
     data: RankData,

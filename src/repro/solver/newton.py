@@ -23,11 +23,10 @@ steady stopping test needs.  ``SolverOptions(gmres_rtol=1e-2)`` fixes
 eta_k instead, the paper's forcing.
 
 :func:`pseudo_transient_solve` is the only copy of that loop.  What differs
-between the places it runs is a :class:`Discretization` adapter: the
-incompressible field in this process (:class:`FieldDiscretization`, behind
-:func:`solve_steady`), one rank's owned slice
-(:func:`repro.dist.runtime.program.rank_solve_steady`) and the 5x5
-compressible field (:func:`repro.cfd.compressible.solve_compressible_steady`).
+between the places it runs is a :class:`Discretization` adapter: the whole
+field in this process (:class:`FieldDiscretization`, behind
+:func:`solve_steady`) and one rank's owned slice
+(:func:`repro.dist.runtime.program.rank_solve_steady`).
 """
 
 from __future__ import annotations
@@ -59,12 +58,13 @@ __all__ = [
     "ew_forcing",
 ]
 
-#: most step halvings the admissibility check may ask for in one step
-MAX_HALVINGS = 20
 #: the CFL's extra factor per step that lowered the residual; SER without
 #: it takes ~2.5x the Newton steps on Mesh-C' (EXPERIMENTS.md,
 #: "Pseudo-transient continuation")
 CFL_INCREMENT = 10.0
+#: the largest |du| of one step; a longer update is scaled down to it, for
+#: robustness during the strongly nonlinear transient
+MAX_UPDATE = 0.5
 
 # Eisenstat-Walker choice 2: eta_k = EW_GAMMA * (|f_k| / |f_k-1|)^EW_ALPHA.
 # PETSc's defaults (eta_max 0.9, gamma 1, alpha 1.618) take ~2.5x the
@@ -97,7 +97,6 @@ class SolverOptions:
     n_subdomains: int = 1
     subdomain_labels: np.ndarray | None = None
     overlap: int = 0
-    max_update: float = 0.5  # clip |du| per step (robustness)
 
     def __post_init__(self) -> None:
         for name, least in (
@@ -116,7 +115,6 @@ class SolverOptions:
         for name, ok, what in (
             ("cfl0", 0.0 < self.cfl0 < math.inf, "finite and positive"),
             ("cfl_max", self.cfl0 <= self.cfl_max, "at least cfl0"),
-            ("max_update", self.max_update > 0.0, "positive"),
             ("steady_rtol", self.steady_rtol >= 0.0, "non-negative"),
             ("steady_atol", self.steady_atol >= 0.0, "non-negative"),
         ):
@@ -175,9 +173,6 @@ class Discretization(Protocol):
     ) -> None:
         """Report progress to this process's telemetry row, if it has one
         (a rank does: the crash bundle reads it)."""
-
-    def admissible(self, q: np.ndarray) -> bool:
-        """False asks the loop to halve the step that produced ``q``."""
 
 
 def ew_forcing(
@@ -301,19 +296,9 @@ def pseudo_transient_solve(
                 )
 
                 du = result.x.reshape(shape)
-                # clip the update for robustness during the strongly
-                # nonlinear transient, then halve it while the
-                # discretization rejects the new state (the physicality
-                # checks of production codes)
                 m = allreduce(float(np.abs(du).max()) if du.size else 0.0, "max")
-                scale = min(1.0, opts.max_update / m) if m > 0 else 1.0
-                q_new = q + scale * du
-                for _ in range(MAX_HALVINGS):
-                    if disc.admissible(q_new):
-                        break
-                    scale *= 0.5
-                    q_new = q + scale * du
-                q = q_new
+                scale = min(1.0, MAX_UPDATE / m) if m > 0 else 1.0
+                q = q + scale * du
 
     metrics.gauge("newton.final_residual").set(history[-1])
     return SolveResult(
@@ -335,19 +320,17 @@ class FieldDiscretization:
     Jacobian pattern and assembler workspaces, the BCSR matrix and the
     subdomain split with its ILU symbolic plans — is built here, before
     the ``solve`` span opens; each Newton step only overwrites values.
-    Subclasses swap the physics (residual, time step, assembler) and the
-    admissibility check.
     """
 
     allreduce = staticmethod(local_allreduce)
 
     def __init__(
-        self, fld: FlowField, config, opts: SolverOptions, assembler=None
+        self, fld: FlowField, config: FlowConfig, opts: SolverOptions
     ) -> None:
         self.fld = fld
         self.config = config
         self.volumes = fld.volumes
-        self.assembler = assembler or JacobianAssembler(fld)
+        self.assembler = JacobianAssembler(fld)
         self.A = self.assembler.new_matrix()
         labels = opts.subdomain_labels
         if labels is None and opts.n_subdomains > 1:
@@ -381,9 +364,6 @@ class FieldDiscretization:
         self, step: int, rnorm: float, cfl: float, krylov_iters: int
     ) -> None:
         pass  # a serial solve has no telemetry row
-
-    def admissible(self, q: np.ndarray) -> bool:
-        return True
 
 
 def solve_steady(

@@ -163,13 +163,19 @@ class TestParser:
         "solve --partitioner natural",
         "profile --backend serial --edge-strategy replicate",
         "solve --backend process",
+        "solve --seed -1",
+        "mesh-info --seed -1",
+        "solve --aoa nan",
+        "solve --aoa inf",
+        "mesh-info --scale inf",
     ])
     def test_bad_numeric_value_is_a_usage_error(self, argv, capsys):
         """Regression: each of these ended in a traceback, printed a
         speedup at 0 threads, or was silently accepted (``--subdomains 0``,
         ``--dist-ranks -1``, ``--pipelined`` without ranks, the edge
         backend under ranks, the edge-thread options without
-        ``--backend thread``).  There is no process backend any more."""
+        ``--backend thread``), or ran every step to a NaN (``--aoa nan``).
+        There is no process backend any more."""
         args = argv.split()
         if args[0] != "scaling" and "--scale" not in args:
             args += ["--scale", "0.02"]
