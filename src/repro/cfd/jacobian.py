@@ -127,14 +127,17 @@ class JacobianAssembler:
         q: np.ndarray,
         config: FlowConfig,
         out: BCSRMatrix | None = None,
+        team=None,
     ) -> BCSRMatrix:
         """Assemble the first-order spatial Jacobian ``df/dq`` at state ``q``.
 
         The edge blocks and the boundary blocks are the ``jacobian`` sweeps
         of :mod:`repro.sweeps.sweeps` — compiled where they can run, their
         NumPy twin (:func:`edge_flux_jacobians` written out with the
-        reference ``np.add.at`` statements) otherwise, the same bits.  The
-        pseudo-transient diagonal is added separately with
+        reference ``np.add.at`` statements) otherwise, the same bits.  With
+        a ``team`` (a :class:`~repro.smp.parallel.ThreadEdgeBackend`) the
+        edge blocks run on its threads where it can take them, the same
+        bits again.  The pseudo-transient diagonal is added separately with
         :meth:`add_pseudo_time` so the spatial part can be reused.
         """
         # repro.sweeps imports this module
@@ -149,7 +152,8 @@ class JacobianAssembler:
         # dF/dq_i and dF/dq_j of F = 0.5 (F_i + F_j) - 0.5 lam (q_j - q_i);
         # residual of e0 gains +F, residual of e1 gains -F
         sweeps = field_sweeps(f, q, vals)
-        sweeps.jacobian(q, beta, self._slots, vals)
+        if team is None or not team.jacobian(q, beta, self._slots, vals):
+            sweeps.jacobian(q, beta, self._slots, vals)
         met = get_metrics()
         met.counter("jacobian.assemblies").inc()
         if sweeps.compiled:

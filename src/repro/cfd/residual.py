@@ -31,11 +31,11 @@ def compute_residual(
 
     The residual schedule of :mod:`repro.sweeps.schedule`, driven by the
     installed edge backend on its threads when it handles ``field``, else
-    by the serial driver in this process; this is the one place that asks
-    :func:`~repro.smp.backend.get_edge_backend`.  Both are bitwise equal to
-    the staged kernels (``lsq_gradients`` -> ``venkat_limiter`` ->
-    ``interior_flux_residual`` + closures), which remain as the test
-    oracle.
+    by the serial driver in this process; this is the residual's one place
+    that asks :func:`~repro.smp.backend.get_edge_backend`.  Both are
+    bitwise equal to the staged kernels (``lsq_gradients`` ->
+    ``venkat_limiter`` -> ``interior_flux_residual`` + closures), which
+    remain as the test oracle.
 
     ``first_order=True`` skips reconstruction regardless of the config —
     used for the preconditioner-side discretization, which the paper keeps

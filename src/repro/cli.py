@@ -380,18 +380,36 @@ def _solver_options(args):
     )
 
 
+def _check_part_counts(args, n_vertices: int) -> None:
+    """A ``ValueError`` for a part count the mesh has too few vertices
+    for: every part of a vertex partition needs one."""
+    counts = [("--subdomains", args.subdomains), ("--dist-ranks", args.dist_ranks)]
+    if args.backend == "thread":
+        counts.append(("--workers", args.workers))
+    for flag, k in counts:
+        if k > n_vertices:
+            raise ValueError(f"{flag} {k} exceeds the mesh's {n_vertices} vertices")
+
+
+def _prepare(args):
+    """The solve's options and mesh; a ``ValueError`` names a bad value."""
+    opts = _solver_options(args)
+    mesh = _make_mesh(args)
+    _check_part_counts(args, mesh.n_vertices)
+    return opts, mesh
+
+
 def _usage_error(args, exc: Exception) -> int:
     print(f"repro {args.command}: error: {exc}", file=sys.stderr)
     return 2
 
 
-def _run_solve(args, opts, obs=None):
+def _run_solve(args, opts, mesh, obs=None):
     from contextlib import nullcontext
 
     from .apps import Fun3dApp, OptimizationConfig
     from .cfd import FlowConfig
 
-    mesh = _make_mesh(args)
     app = Fun3dApp(
         mesh,
         flow=FlowConfig(aoa_deg=args.aoa, dissipation=args.dissipation),
@@ -434,12 +452,12 @@ def cmd_solve(args) -> int:
     from .cfd import integrate_forces
 
     try:
-        opts = _solver_options(args)
+        opts, mesh = _prepare(args)
     except ValueError as exc:
         return _usage_error(args, exc)
     try:
         with _ObsSession(args) as obs:
-            app, res = _run_solve(args, opts, obs)
+            app, res = _run_solve(args, opts, mesh, obs)
             mesh, s = app.mesh, res.solve
             print(
                 f"{mesh.name}: {mesh.n_vertices} vertices / "
@@ -508,23 +526,23 @@ def _print_recurrence_structure(app, fill: int) -> None:
 
 def cmd_profile(args) -> int:
     try:
-        opts = _solver_options(args)
+        opts, mesh = _prepare(args)
     except ValueError as exc:
         return _usage_error(args, exc)
     try:
         with _ObsSession(args) as obs:
-            return _cmd_profile_impl(args, opts, obs)
+            return _cmd_profile_impl(args, opts, mesh, obs)
     except KeyboardInterrupt:
         print("interrupted — partial telemetry exports flushed",
               file=sys.stderr)
         return 130
 
 
-def _cmd_profile_impl(args, opts, obs) -> int:
+def _cmd_profile_impl(args, opts, mesh, obs) -> int:
     from .obs import aggregate_spans
     from .perf import format_profile
 
-    app, res = _run_solve(args, opts, obs)
+    app, res = _run_solve(args, opts, mesh, obs)
     tracer, s = res.trace, res.solve
     print(f"{app.mesh.name}: traced solve "
           f"(converged={s.converged} steps={s.steps} "
@@ -627,6 +645,10 @@ def cmd_partition(args) -> int:
 
     mesh = _make_mesh(args)
     k = args.parts
+    if k > mesh.n_vertices:
+        return _usage_error(args, ValueError(
+            f"--parts {k} exceeds the mesh's {mesh.n_vertices} vertices"
+        ))
     rows = []
     for name, labels in (
         ("natural", natural_partition(mesh.n_vertices, k)),

@@ -3,7 +3,9 @@
 One C translation unit holds every kernel family — the ILU(k) symbolic
 phase and the block-4 ILU/TRSV recurrences of :mod:`repro.sparse`, and the
 edge and corner sweeps of the residual and of the first-order Jacobian
-(:mod:`repro.sweeps.sweeps`).  The source ships as package data and
+(:mod:`repro.sweeps.sweeps`) — and the edge-thread team that runs the
+edge sweeps and the ILU factorization on several threads
+(:mod:`repro.smp.parallel`).  The source ships as package data and
 is compiled on first use with the system C compiler; the shared object is
 cached per user under a name that hashes the source and the build flags, so
 editing either rebuilds it.  Nothing is ever written next to the source or
@@ -133,9 +135,19 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ("flux_sweep", [i64, i64, *[ptr] * 10, f64, i64, ptr, ptr]),
         ("jacobian_sweep", [i64, i64, *[ptr] * 10, f64, ptr]),
         ("boundary_sweep", [i64, *[ptr] * 4, f64, i64, ptr, ptr, ptr]),
+        # the edge-thread team of repro.smp.parallel
+        ("team_serve", [ptr, i64]),
+        ("team_sweep", [ptr, i64, *[ptr] * 7, f64, i64, ptr]),
+        ("team_jacobian", [ptr, i64, *[ptr] * 5, f64, ptr]),
+        ("team_stop", [ptr]),
+        ("team_free", [ptr]),
     ):
         entry = getattr(lib, entry_name)
         entry.argtypes, entry.restype = argtypes, None
+    lib.team_create.argtypes = [i64, i64, i64, i64, ptr, ptr]
+    lib.team_create.restype = ptr
+    lib.team_ilu4.argtypes = [ptr, i64, ptr, ptr, ptr, i64, *[ptr] * 6]
+    lib.team_ilu4.restype = i64
     return lib
 
 

@@ -1,4 +1,5 @@
-/* The package's compiled kernels, one translation unit, three families:
+/* The package's compiled kernels, one translation unit: three kernel
+ * families and the thread team that runs them:
  *
  *   ilu_symbolic / ilu4 / trsv4
  *                  the ILU(k) level-of-fill pattern, then the block-4
@@ -9,7 +10,10 @@
  *                  the edge sweeps of the second-order residual;
  *   jacobian_sweep / boundary_sweep
  *                  the first-order Jacobian's edge blocks and the boundary
- *                  closures of both (corner loops), end of this file.
+ *                  closures of both (corner loops);
+ *   team_*         the edge-thread team that runs the edge sweeps, the
+ *                  Jacobian sweep and ilu4's rows on several threads, end
+ *                  of this file.
  *
  * Built by repro/native/__init__.py with
  *     cc -O3 -ffp-contract=off -shared -fPIC
@@ -148,42 +152,52 @@ int64_t ilu_symbolic(int64_t n, const int64_t *rowptr, const int64_t *cols,
     return nnz;
 }
 
+/* One row of the IKJ block ILU, in place: row i of vals becomes its L
+ * blocks (unit lower, diagonal implied) and U blocks, and diag_inv[i] the
+ * inverted diagonal block of U.  Reads only rows k < i of its lower part,
+ * which must be final.  pos is an n-entry scratch, all -1 on entry and on
+ * return.  Returns 1 when the diagonal block is singular. */
+static int ilu_row(int64_t i, const int64_t *rowptr, const int64_t *cols,
+                   const int64_t *diag_idx, double *vals, double *diag_inv,
+                   int64_t *pos)
+{
+    const int64_t lo = rowptr[i], hi = rowptr[i + 1], d = diag_idx[i];
+    for (int64_t p = lo; p < hi; p++)
+        pos[cols[p]] = p;
+    for (int64_t p = lo; p < d; p++) {
+        const int64_t k = cols[p];
+        double L[BB], upd[BB];
+        gemm(L, vals + p * BB, diag_inv + k * BB);
+        for (int e = 0; e < BB; e++)
+            vals[p * BB + e] = L[e];
+        /* A_ij -= L_ik U_kj for j in (row k beyond k) ∩ row i */
+        for (int64_t q = diag_idx[k] + 1; q < rowptr[k + 1]; q++) {
+            const int64_t t = pos[cols[q]];
+            if (t < 0)
+                continue;
+            gemm(upd, L, vals + q * BB);
+            for (int e = 0; e < BB; e++)
+                vals[t * BB + e] -= upd[e];
+        }
+    }
+    const int singular = inv4(vals + d * BB, diag_inv + i * BB);
+    for (int64_t p = lo; p < hi; p++)
+        pos[cols[p]] = -1;
+    return singular;
+}
+
 /* Row-by-row IKJ block ILU in place on the factor pattern.  vals holds the
  * matrix scattered into the pattern (fill entries zero) and leaves as L
- * (unit lower, diagonal implied) and U; diag_inv receives the inverted
- * diagonal blocks of U.  pos is an n-entry scratch, all -1 on entry and
- * again on every return.  Returns -1, or the row of a singular diagonal
- * block. */
+ * and U; diag_inv receives the inverted diagonal blocks of U.  pos is an
+ * n-entry scratch, all -1 on entry and again on every return.  Returns -1,
+ * or the row of a singular diagonal block. */
 int64_t ilu4(int64_t n, const int64_t *rowptr, const int64_t *cols,
              const int64_t *diag_idx, double *vals, double *diag_inv,
              int64_t *pos)
 {
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t lo = rowptr[i], hi = rowptr[i + 1], d = diag_idx[i];
-        for (int64_t p = lo; p < hi; p++)
-            pos[cols[p]] = p;
-        for (int64_t p = lo; p < d; p++) {
-            const int64_t k = cols[p];
-            double L[BB], upd[BB];
-            gemm(L, vals + p * BB, diag_inv + k * BB);
-            for (int e = 0; e < BB; e++)
-                vals[p * BB + e] = L[e];
-            /* A_ij -= L_ik U_kj for j in (row k beyond k) ∩ row i */
-            for (int64_t q = diag_idx[k] + 1; q < rowptr[k + 1]; q++) {
-                const int64_t t = pos[cols[q]];
-                if (t < 0)
-                    continue;
-                gemm(upd, L, vals + q * BB);
-                for (int e = 0; e < BB; e++)
-                    vals[t * BB + e] -= upd[e];
-            }
-        }
-        const int singular = inv4(vals + d * BB, diag_inv + i * BB);
-        for (int64_t p = lo; p < hi; p++)
-            pos[cols[p]] = -1;
-        if (singular)
+    for (int64_t i = 0; i < n; i++)
+        if (ilu_row(i, rowptr, cols, diag_idx, vals, diag_inv, pos))
             return i;
-    }
     return -1;
 }
 
@@ -693,4 +707,477 @@ void boundary_sweep(int64_t n, const int64_t *verts, const double *normals,
                 vals[slots[c] * BB + k] += blk[k];
         }
     }
+}
+
+
+/* ------------------------------------------------------------------------
+ * The edge-thread team: one persistent set of threads that runs the
+ * residual's edge stages, the first-order Jacobian sweep and the numeric
+ * ILU factorization above, each as one call from the owning thread.
+ *
+ * A job is a sequence of phases of n_threads tasks each: the parts of an
+ * edge stage (one phase), or the row shares of one forward level of the
+ * ILU.  Thread 0 is the caller: a team_* call publishes the job and
+ * claims tasks with the helpers until the last phase is done.  Helpers
+ * are threads the caller created, each sitting in team_serve(t, s) for
+ * the team's life; they never leave C between jobs.  A task goes to
+ * whichever thread claims it first, so no thread ever waits for a given
+ * other one: a helper that is late (asleep, descheduled) leaves its task
+ * to the others.  An idle thread, and one that waits for the last tasks
+ * of a phase, spins for TEAM_SPIN_NS (zero when the team has more
+ * threads than CPUs to run them), yielding its CPU as it goes, then
+ * sleeps on the team's condition variable.  Every task writes rows no
+ * other task writes (owner-writes, ILU rows) or its part's own private
+ * accumulators (locked, replicate), so a row sees the same updates in the
+ * same order as the serial kernel: the team computes the serial bits.
+ *
+ * The entries check nothing: repro/smp/parallel.py validates every
+ * argument before it calls one.
+ */
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
+#include <stdlib.h>
+#include <time.h>
+
+/* How long an idle thread spins before it sleeps.  It has to outlast the
+ * caller's serial work between two team jobs (the preconditioner solve
+ * and the Krylov vector work between two residuals: ~1 ms on Mesh-C'
+ * x0.12, ~4 ms at x0.5): a helper that sleeps pays a wake-up and a fresh
+ * placement by the scheduler at the next job.  On a 2-vCPU host, 1 to
+ * 30 ms gave the same solve time at x0.12 and 10 ms the best median. */
+#define TEAM_SPIN_NS 10000000
+
+enum { JOB_RECON = 1, JOB_LIMIT, JOB_FLUX, JOB_JACOBIAN, JOB_ILU };
+enum { FOLD_OWNER, FOLD_LOCKED, FOLD_REPLICATE };
+
+/* The claim word when no job has a task left to claim; else it is the
+ * phase in the high half and the next task in the low half. */
+#define WORK_IDLE INT64_MAX
+#define TASK_MASK 0xffffffff
+
+/* One part of an edge job: edges [lo, hi) of an edge set with optional
+ * write masks, the flux sweep's (hi - lo) x NV scratch, for the locked
+ * and replicate folds private accumulators of n_rows rows, and for
+ * owner-writes the write masks of its Jacobian sweep over the job's full
+ * edge set. */
+typedef struct {
+    int64_t lo, hi;
+    const int64_t *e0, *e1;
+    const double *normals, *d0, *d1;
+    const uint8_t *w0, *w1;
+    double *flux;
+    double *rhs, *qmin, *qmax, *phi, *res;
+    const uint8_t *jw0, *jw1;
+} team_part;
+
+enum { PART_FIELDS = 17 }; /* int64 words per part passed to team_create */
+
+typedef struct {
+    int64_t kind, n_phases;
+    /* residual stages (the shared arrays) and the Jacobian */
+    const double *q, *grad, *eps2;
+    double *rhs, *qmin, *qmax, *phi, *res, *vals;
+    double beta;
+    int64_t roe;
+    /* the Jacobian's edge set and its (4, n_edges) block slots */
+    int64_t n_edges;
+    const int64_t *e0, *e1, *slots;
+    const double *normals;
+    /* ILU: the factor pattern, its forward levels with the running work
+     * of their rows, one pos row per thread */
+    int64_t n;
+    const int64_t *rowptr, *cols, *diag_idx, *level_ptr, *level_rows, *work;
+    double *lu, *diag_inv;
+    int64_t *pos;
+} team_job;
+
+typedef struct {
+    int64_t n_threads, n_rows, fold, spin_ns;
+    team_part *parts;
+    /* per part (per thread for the ILU): start and end of its last task */
+    double *stamps;
+    team_job job;
+    _Atomic int64_t epoch, claim, done, stop, sleepers, singular;
+    pthread_mutex_t mu, fold_mu;
+    pthread_cond_t cv;
+} team_t;
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* CLOCK_MONOTONIC in seconds: the clock of Python's time.perf_counter. */
+static double now_s(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+static inline void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+/* Return once *word != seen: spin for the team's budget, then sleep.
+ * The spin yields its CPU every 64 looks, so a spinner never keeps a
+ * thread that has work (this team's or another process's) off a CPU it
+ * shares.  A sleeper is counted before its last look at the word, and
+ * team_wake looks at the count after the change (both sequentially
+ * consistent), so either the sleeper sees the change or the waker sees
+ * the sleeper. */
+static void team_wait(team_t *t, _Atomic int64_t *word, int64_t seen)
+{
+    if (atomic_load_explicit(word, memory_order_acquire) != seen)
+        return;
+    if (t->spin_ns > 0) {
+        const int64_t deadline = now_ns() + t->spin_ns;
+        for (unsigned i = 1;; i++) {
+            cpu_relax();
+            if (atomic_load_explicit(word, memory_order_acquire) != seen)
+                return;
+            if (i % 64 == 0) {
+                if (now_ns() > deadline)
+                    break;
+                sched_yield();
+            }
+        }
+    }
+    pthread_mutex_lock(&t->mu);
+    atomic_fetch_add(&t->sleepers, 1);
+    while (atomic_load(word) == seen)
+        pthread_cond_wait(&t->cv, &t->mu);
+    atomic_fetch_sub(&t->sleepers, 1);
+    pthread_mutex_unlock(&t->mu);
+}
+
+/* Wake the sleepers of team_wait after changing a word they watch. */
+static void team_wake(team_t *t)
+{
+    if (atomic_load(&t->sleepers) > 0) {
+        pthread_mutex_lock(&t->mu);
+        pthread_cond_broadcast(&t->cv);
+        pthread_mutex_unlock(&t->mu);
+    }
+}
+
+static void fill(double *a, int64_t n, double v)
+{
+    for (int64_t i = 0; i < n; i++)
+        a[i] = v;
+}
+
+/* The locked strategy's fold of a private accumulator into the shared
+ * array: op 0 adds, 1 min-folds, 2 max-folds (np.add / np.minimum /
+ * np.maximum). */
+static void fold(double *out, const double *a, int64_t n, int op)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = op == 0 ? out[i] + a[i]
+                 : op == 1 ? min_nan(out[i], a[i]) : max_nan(out[i], a[i]);
+}
+
+/* One residual stage or the Jacobian sweep over part s.  Owner-writes
+ * sweeps straight into the shared arrays, which the caller has set to
+ * their start values.  The other folds sweep into the part's private
+ * accumulators reset to the fold's identity, which locked folds into the
+ * shared arrays under the fold mutex and replicate leaves for the caller
+ * to reduce. */
+static void edge_part(team_t *t, int64_t s)
+{
+    const team_job *j = &t->job;
+    const team_part *p = t->parts + s;
+    const int own = t->fold == FOLD_OWNER, locked = t->fold == FOLD_LOCKED;
+    const int64_t n = t->n_rows * NV;
+    switch (j->kind) {
+    case JOB_RECON: {
+        double *rhs = own ? j->rhs : p->rhs, *qmin = own ? j->qmin : p->qmin;
+        double *qmax = own ? j->qmax : p->qmax;
+        if (!own) {
+            fill(rhs, n * ND, 0.0);
+            fill(qmin, n, INFINITY);
+            fill(qmax, n, -INFINITY);
+        }
+        recon_sweep(p->lo, p->hi, p->e0, p->e1, p->d0, p->w0, p->w1, j->q,
+                    rhs, qmin, qmax);
+        if (locked) {
+            pthread_mutex_lock(&t->fold_mu);
+            fold(j->rhs, rhs, n * ND, 0);
+            fold(j->qmin, qmin, n, 1);
+            fold(j->qmax, qmax, n, 2);
+            pthread_mutex_unlock(&t->fold_mu);
+        }
+        break;
+    }
+    case JOB_LIMIT: {
+        double *phi = own ? j->phi : p->phi;
+        if (!own)
+            fill(phi, n, INFINITY);
+        limit_sweep(p->lo, p->hi, p->e0, p->e1, p->d0, p->d1, p->w0, p->w1,
+                    j->grad, j->qmax, j->qmin, j->eps2, phi);
+        if (locked) {
+            pthread_mutex_lock(&t->fold_mu);
+            fold(j->phi, phi, n, 1);
+            pthread_mutex_unlock(&t->fold_mu);
+        }
+        break;
+    }
+    case JOB_FLUX: {
+        double *res = own ? j->res : p->res;
+        if (!own)
+            fill(res, n, 0.0);
+        flux_sweep(p->lo, p->hi, p->e0, p->e1, p->normals, p->d0, p->d1,
+                   p->w0, p->w1, j->q, j->grad, j->grad ? j->phi : 0, j->beta,
+                   j->roe, p->flux, res);
+        if (locked) {
+            pthread_mutex_lock(&t->fold_mu);
+            fold(j->res, res, n, 0);
+            pthread_mutex_unlock(&t->fold_mu);
+        }
+        break;
+    }
+    case JOB_JACOBIAN: {
+        const int64_t m = j->n_edges, *sl = j->slots;
+        jacobian_sweep(0, m, j->e0, j->e1, j->normals, p->jw0, p->jw1, sl,
+                       sl + m, sl + 2 * m, sl + 3 * m, j->q, j->beta,
+                       j->vals);
+        break;
+    }
+    }
+}
+
+/* The first r in [a, b] whose running work work[r] - work[a] reaches
+ * the share s / nt of the level [a, b): nondecreasing in s, a at s = 0
+ * and b at s = nt, so the shares of the nt threads tile the level. */
+static int64_t share_start(const int64_t *work, int64_t a, int64_t b,
+                           int64_t s, int64_t nt)
+{
+    const int64_t base = work[a];
+    const double goal = (double)(work[b] - base) * (double)s / (double)nt;
+    while (a < b) {
+        const int64_t m = a + (b - a) / 2;
+        if ((double)(work[m] - base) < goal)
+            a = m + 1;
+        else
+            b = m;
+    }
+    return a;
+}
+
+/* Share s of ILU level l: a contiguous slice of the level's rows holding
+ * about 1 / n_threads of its work.  Rows of one level depend only on rows
+ * of earlier levels, so each row reads final rows and computes what the
+ * row-by-row ilu4 computes.  A singular block is noted and the
+ * factorization runs to the end. */
+static void ilu_share(team_t *t, int64_t l, int64_t s, int64_t *pos)
+{
+    const team_job *j = &t->job;
+    const int64_t a = j->level_ptr[l], b = j->level_ptr[l + 1];
+    const int64_t hi = share_start(j->work, a, b, s + 1, t->n_threads);
+    for (int64_t r = share_start(j->work, a, b, s, t->n_threads); r < hi; r++)
+        if (ilu_row(j->level_rows[r], j->rowptr, j->cols, j->diag_idx,
+                    j->lu, j->diag_inv, pos))
+            atomic_store(&t->singular, 1);
+}
+
+/* Task k of phase ph, run by thread s.  Stamps: an edge part's own, or
+ * thread s's first and last ILU share. */
+static void run_task(team_t *t, int64_t s, int64_t ph, int64_t k)
+{
+    const team_job *j = &t->job;
+    const double t0 = now_s();
+    if (j->kind == JOB_ILU) {
+        ilu_share(t, ph, k, j->pos + s * j->n);
+        if (t->stamps[2 * s] == 0.0)
+            t->stamps[2 * s] = t0;
+        t->stamps[2 * s + 1] = now_s();
+    } else {
+        edge_part(t, k);
+        t->stamps[2 * k] = t0;
+        t->stamps[2 * k + 1] = now_s();
+    }
+}
+
+/* Claim and run tasks of the published job until none is left, and
+ * return once its last phase is done.  The thread that finishes a phase's
+ * last task opens the next phase.  A claim is a compare-and-swap on the
+ * whole word, and a job's fields are read only after one succeeds, so a
+ * thread still holding an old job's word can only ever claim a task of
+ * the job that is published. */
+static void run_tasks(team_t *t, int64_t s)
+{
+    for (;;) {
+        int64_t w = atomic_load(&t->claim);
+        if (w == WORK_IDLE)
+            return;
+        if ((w & TASK_MASK) >= t->n_threads) { /* the phase's last tasks run */
+            team_wait(t, &t->claim, w);
+            continue;
+        }
+        if (!atomic_compare_exchange_weak(&t->claim, &w, w + 1))
+            continue;
+        const int64_t ph = w >> 32;
+        run_task(t, s, ph, w & TASK_MASK);
+        if (atomic_fetch_add(&t->done, 1) == t->n_threads - 1) {
+            atomic_store(&t->done, 0);
+            atomic_store(&t->claim, ph + 1 < t->job.n_phases ? (ph + 1) << 32
+                                                             : WORK_IDLE);
+            team_wake(t);
+        }
+    }
+}
+
+/* Run the job in t->job: publish it, then claim its tasks with the
+ * helpers until its last phase is done. */
+static void team_run(team_t *t)
+{
+    memset(t->stamps, 0, 2 * t->n_threads * sizeof(double));
+    atomic_store(&t->done, 0);
+    atomic_store(&t->claim, t->job.n_phases > 0 ? 0 : WORK_IDLE);
+    atomic_fetch_add(&t->epoch, 1);
+    team_wake(t);
+    run_tasks(t, 0);
+}
+
+/* A team of n_threads (the caller included) over edge parts given as
+ * n_threads rows of PART_FIELDS int64 words (lo, hi, then the addresses
+ * of e0, e1, normals, d0, d1, w0, w1, flux, rhs, qmin, qmax, phi, res,
+ * jw0, jw1; 0 for an absent one), writing vertex arrays of n_rows rows.
+ * fold is a FOLD_* strategy; spin 0 sets the spin budget to zero.
+ * stamps (2 per thread) receives the
+ * CLOCK_MONOTONIC start and end of each edge part, or of each thread's
+ * ILU shares (0 for a thread that ran none).  NULL when out of memory. */
+team_t *team_create(int64_t n_threads, int64_t n_rows, int64_t fold,
+                    int64_t spin, const int64_t *parts, double *stamps)
+{
+    team_t *t = calloc(1, sizeof *t);
+    if (!t || !(t->parts = calloc(n_threads, sizeof *t->parts))) {
+        free(t);
+        return 0;
+    }
+    t->n_threads = n_threads;
+    t->n_rows = n_rows;
+    t->fold = fold;
+    t->spin_ns = spin ? TEAM_SPIN_NS : 0;
+    t->stamps = stamps;
+    for (int64_t s = 0; s < n_threads; s++) {
+        const int64_t *a = parts + s * PART_FIELDS;
+        team_part *p = t->parts + s;
+        p->lo = a[0];
+        p->hi = a[1];
+        p->e0 = (const int64_t *)(intptr_t)a[2];
+        p->e1 = (const int64_t *)(intptr_t)a[3];
+        p->normals = (const double *)(intptr_t)a[4];
+        p->d0 = (const double *)(intptr_t)a[5];
+        p->d1 = (const double *)(intptr_t)a[6];
+        p->w0 = (const uint8_t *)(intptr_t)a[7];
+        p->w1 = (const uint8_t *)(intptr_t)a[8];
+        p->flux = (double *)(intptr_t)a[9];
+        p->rhs = (double *)(intptr_t)a[10];
+        p->qmin = (double *)(intptr_t)a[11];
+        p->qmax = (double *)(intptr_t)a[12];
+        p->phi = (double *)(intptr_t)a[13];
+        p->res = (double *)(intptr_t)a[14];
+        p->jw0 = (const uint8_t *)(intptr_t)a[15];
+        p->jw1 = (const uint8_t *)(intptr_t)a[16];
+    }
+    atomic_init(&t->claim, WORK_IDLE);
+    pthread_mutex_init(&t->mu, 0);
+    pthread_mutex_init(&t->fold_mu, 0);
+    pthread_cond_init(&t->cv, 0);
+    return t;
+}
+
+/* Helper s's life (1 <= s < n_threads): wait for a job to be published,
+ * claim its tasks with the others; return once the team is stopped. */
+void team_serve(team_t *t, int64_t s)
+{
+    for (int64_t seen = 0;;) {
+        team_wait(t, &t->epoch, seen);
+        seen = atomic_load(&t->epoch);
+        if (atomic_load(&t->stop))
+            return;
+        run_tasks(t, s);
+    }
+}
+
+/* One residual stage (1 recon, 2 limit, 3 flux) on every part, over the
+ * shared arrays of repro.sweeps.schedule.ResidualArrays; grad NULL is the
+ * first-order flux. */
+void team_sweep(team_t *t, int64_t stage, const double *q, double *rhs,
+                double *qmin, double *qmax, const double *grad,
+                const double *eps2, double *phi, double beta, int64_t roe,
+                double *res)
+{
+    t->job = (team_job){
+        .kind = stage, .n_phases = 1, .q = q, .rhs = rhs, .qmin = qmin,
+        .qmax = qmax, .grad = grad, .eps2 = eps2, .phi = phi, .beta = beta,
+        .roe = roe, .res = res,
+    };
+    team_run(t);
+}
+
+/* The first-order Jacobian's edge blocks of edges e0 / e1 / normals
+ * with block slots (4, n_edges), added into vals: every part sweeps the
+ * whole edge set and writes the ends its Jacobian masks jw0 / jw1 mark. */
+void team_jacobian(team_t *t, int64_t n_edges, const int64_t *e0,
+                   const int64_t *e1, const double *normals,
+                   const int64_t *slots, const double *q, double beta,
+                   double *vals)
+{
+    t->job = (team_job){
+        .kind = JOB_JACOBIAN, .n_phases = 1, .n_edges = n_edges, .e0 = e0,
+        .e1 = e1, .normals = normals, .slots = slots, .q = q, .beta = beta,
+        .vals = vals,
+    };
+    team_run(t);
+}
+
+/* ilu4 level by level on the team: the rows of level l are
+ * level_rows[level_ptr[l] .. level_ptr[l+1]), and work[r] is the work of
+ * the rows before position r (n + 1 entries); pos holds an n-entry
+ * scratch per thread, all -1.  Returns 1 when a diagonal block was
+ * singular (the factors are then garbage past it; ilu4 names the row),
+ * else 0. */
+int64_t team_ilu4(team_t *t, int64_t n, const int64_t *rowptr,
+                  const int64_t *cols, const int64_t *diag_idx,
+                  int64_t n_levels, const int64_t *level_ptr,
+                  const int64_t *level_rows, const int64_t *work,
+                  double *vals, double *diag_inv, int64_t *pos)
+{
+    t->job = (team_job){
+        .kind = JOB_ILU, .n_phases = n_levels, .n = n, .rowptr = rowptr,
+        .cols = cols, .diag_idx = diag_idx, .level_ptr = level_ptr,
+        .level_rows = level_rows, .work = work, .lu = vals,
+        .diag_inv = diag_inv, .pos = pos,
+    };
+    atomic_store(&t->singular, 0);
+    team_run(t);
+    return atomic_load(&t->singular);
+}
+
+/* Stop the team: every helper returns from team_serve. */
+void team_stop(team_t *t)
+{
+    atomic_store(&t->stop, 1);
+    atomic_fetch_add(&t->epoch, 1);
+    team_wake(t);
+}
+
+/* Release a stopped team whose helpers have all returned. */
+void team_free(team_t *t)
+{
+    pthread_cond_destroy(&t->cv);
+    pthread_mutex_destroy(&t->mu);
+    pthread_mutex_destroy(&t->fold_mu);
+    free(t->parts);
+    free(t);
 }

@@ -40,10 +40,15 @@ def partition_graph(
 
     Returns ``labels`` with ``labels[v]`` in ``[0, n_parts)``.  Balance is
     measured in ``vwgt`` (default: unit weights); the objective is the
-    weighted edge cut.
+    weighted edge cut.  Every part gets a vertex, so ``n_parts`` may not
+    exceed ``n_vertices`` (``ValueError``).
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
+    if n_parts > n_vertices:
+        raise ValueError(
+            f"cannot split {n_vertices} vertices into {n_parts} parts"
+        )
     labels = np.zeros(n_vertices, dtype=np.int64)
     if n_parts == 1 or n_vertices == 0:
         return labels

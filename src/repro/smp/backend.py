@@ -1,10 +1,12 @@
 """Active edge-kernel backend registry.
 
 Installing a backend here reroutes
-:func:`repro.cfd.residual.compute_residual`, the one reader of
-:func:`get_edge_backend`, to another driver of the residual schedule,
-today :class:`repro.smp.parallel.ThreadEdgeBackend`, without its callers
-changing signature.  Mirrors the
+:func:`repro.cfd.residual.compute_residual` to another driver of the
+residual schedule, today :class:`repro.smp.parallel.ThreadEdgeBackend`,
+and the Jacobian assembly and ILU factorization of
+:meth:`repro.solver.newton.FieldDiscretization.update_preconditioner`
+onto its threads, without their callers changing signature; those two
+are the readers of :func:`get_edge_backend`.  Mirrors the
 ``use_tracer``/``use_metrics`` contract of :mod:`repro.obs`: a stack,
 truncation-on-exit reentrancy, and a cheap ``None`` default when nothing
 is installed.
@@ -36,7 +38,11 @@ def use_edge_backend(backend):
       schedule of :mod:`repro.sweeps.schedule` on the backend's threads,
       boundary closures included, reported as one ``grad`` (second order
       only) and one ``flux`` kernel span; ``grad`` / ``phi`` are None at
-      first order.
+      first order;
+    * ``jacobian(q, beta, slots, vals) -> bool`` and
+      ``factorize(plan, vals, diag_inv) -> bool`` — the Jacobian's edge
+      blocks and the numeric ILU on the threads, False where the backend
+      declines (the caller then runs its serial kernel).
     """
     depth = len(_stack)
     _stack.append(backend)

@@ -3,20 +3,35 @@
 Everything else in :mod:`repro.smp` *prices* the paper's threading
 strategies with cost models; this module *runs* them.  A
 :class:`ThreadEdgeBackend` is a team of N threads over one field, the
-paper's OpenMP edge loop: the calling thread runs part 0 and ``N - 1``
-daemon helper threads (``repro-edge-t<i>``) run the others.  It is the
-thread driver of the residual schedule (:mod:`repro.sweeps.schedule`):
-each thread holds one part, a stage is one handoff and one join, and the
-per-vertex stage and the boundary closures run in the caller.  The
-compiled sweeps are ``ctypes`` calls, which release the GIL for their
-length, so the parts of a stage run at the same time.  What lives here is
-the *write-out adapter*, the paper's three edge-threading strategies
-(Section V.A):
+paper's OpenMP edge loop: the calling thread and ``N - 1`` daemon helper
+threads (``repro-edge-t<i>``) share N parts.  The team lives in C
+(``team_*`` in ``repro/native/_kernels.c``): each helper's Python thread
+calls the C serve loop once and stays there, without the GIL, until
+:meth:`~ThreadEdgeBackend.close`.  A job is one ``ctypes`` call in the
+caller that publishes it and returns once it is done; the caller and the
+helpers claim its tasks (the parts, or the row shares of one ILU level)
+from one counter, so a helper that is late leaves its task to the others
+and the caller never waits on a given thread.  An idle thread spins for a
+fixed time (the C constant ``TEAM_SPIN_NS``, yielding its CPU as it goes;
+none when the team has more threads than this process may run on CPUs),
+then sleeps.  Three kernels run on the team:
+
+* the residual's three edge stages (``recon``, ``limit``, ``flux``): it is
+  the thread driver of the residual schedule (:mod:`repro.sweeps.schedule`)
+  and the per-vertex stage and the boundary closures run in the caller;
+* the first-order Jacobian's edge blocks, on the owner-writes parts
+  (:meth:`~ThreadEdgeBackend.jacobian`);
+* the numeric ILU factorization, level by level, each level's shares
+  done before the next level's are claimed
+  (:meth:`~ThreadEdgeBackend.factorize`).
+
+What lives here is the *write-out adapter*, the paper's three
+edge-threading strategies (Section V.A):
 
 ``locked``
     Natural-order edge split; every thread accumulates its chunk privately
     (compute outside the lock) and adds the result into the one shared
-    array under a lock.  This is the stand-in for "basic partitioning with
+    array under a mutex.  This is the stand-in for "basic partitioning with
     atomics": the compute phase parallelizes, the write-out phase
     serializes.
 ``replicate``
@@ -34,18 +49,23 @@ the *write-out adapter*, the paper's three edge-threading strategies
 
 Numerics contract: all three reproduce the sequential kernels to round-off
 (summation order may differ), and owner-writes bit for bit,
-property-tested in ``tests/test_smp_parallel.py``.
+property-tested in ``tests/test_smp_parallel.py``; the team's Jacobian and
+ILU factors are the serial bytes.
 
-Each part is timed on its own thread; after the join the intervals are
-attached to the active :mod:`repro.obs` tracer as ``flux.w<i>`` /
-``grad.w<i>`` spans (the reconstruction and limiter stages both report as
-``grad``).  An exception on any thread is re-raised in the caller as a
-``RuntimeError`` once every thread of the stage has finished, so no helper
-is still writing into the arrays when it arrives.
+Every argument is checked in the caller before a job is published, so a
+bad scheme or shape raises there while no helper runs.  Each task is
+stamped in C with ``CLOCK_MONOTONIC`` (the clock of ``perf_counter``); the
+stamps become ``grad.w<i>`` / ``flux.w<i>`` / ``jacobian.w<i>`` spans of
+part ``i`` and ``ilu.w<i>`` spans of thread ``i`` (``w0`` the caller) in
+the active :mod:`repro.obs` tracer (the reconstruction and limiter stages
+both report as ``grad``).  Without compiled kernels the parts run in the
+caller, in order, with the same bits, and the helpers park until
+``close()``.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import replace
@@ -53,36 +73,46 @@ from typing import Any
 
 import numpy as np
 
+from .. import native
+from ..native import is_native
 from ..obs.span import get_tracer
 from ..sweeps.schedule import Part, ResidualArrays, owner_parts, run_residual, sweep
-from ..sweeps.sweeps import field_corners, field_sweeps
+from ..sweeps.sweeps import EdgeSweeps, _roe, field_corners, field_sweeps
 from .strategies import metis_thread_labels, natural_thread_labels
 
 __all__ = ["ThreadEdgeBackend", "STRATEGIES"]
 
 STRATEGIES = ("locked", "replicate", "owner")
 
-#: stage -> (the kernel its per-thread spans report under, the arrays its
-#: sweep writes, each with the ufunc that folds a private accumulator into
-#: the shared array and that fold's identity)
+#: strategy -> the C team's fold
+_FOLDS = {"owner": 0, "locked": 1, "replicate": 2}
+
+#: stage -> (its job in the C team, the kernel its per-part spans report
+#: under, the arrays its sweep writes, each with the ufunc that folds a
+#: private accumulator into the shared array and that fold's identity)
 _STAGES = {
-    "recon": ("grad", (
+    "recon": (1, "grad", (
         ("rhs", np.add, 0.0),
         ("qmin", np.minimum, np.inf),
         ("qmax", np.maximum, -np.inf),
     )),
-    "limit": ("grad", (("phi", np.minimum, np.inf),)),
-    "flux": ("flux", (("res", np.add, 0.0),)),
+    "limit": (2, "grad", (("phi", np.minimum, np.inf),)),
+    "flux": (3, "flux", (("res", np.add, 0.0),)),
 }
 
+#: the private accumulators of a locked / replicate part, in the C team's
+#: order, with their shapes per vertex
+_PRIVATE = {"rhs": (4, 3), "qmin": (4,), "qmax": (4,), "phi": (4,), "res": (4,)}
 
-def _run_stage(strategy, part, a, private, lock, stage, beta, scheme, second_order):
-    """One schedule stage over one part.  Owner-writes sweeps straight into
-    its disjoint owned rows of the shared arrays ``a``; the other
-    strategies sweep into the part's private accumulators reset to the
-    fold's identity, which ``locked`` then folds into ``a`` under the lock
-    and ``replicate`` leaves for the caller to reduce."""
-    folds = _STAGES[stage][1]
+
+def _run_stage(strategy, part, a, private, stage, beta, scheme, second_order):
+    """One schedule stage over one part in the caller: the fallback of the
+    C team, with its arithmetic.  Owner-writes sweeps straight into its
+    disjoint owned rows of the shared arrays ``a``; the other strategies
+    sweep into the part's private accumulators reset to the fold's
+    identity, which ``locked`` then folds into ``a`` and ``replicate``
+    leaves for the caller to reduce."""
+    folds = _STAGES[stage][2]
     shared = a
     if strategy != "owner":
         for name, _, identity in folds:
@@ -90,48 +120,18 @@ def _run_stage(strategy, part, a, private, lock, stage, beta, scheme, second_ord
         a = replace(a, **{name: private[name] for name, _, _ in folds})
     sweep(stage, part, a, beta, scheme, second_order)
     if strategy == "locked":
-        with lock:
-            for name, ufunc, _ in folds:
-                out = getattr(shared, name)
-                ufunc(out, private[name], out=out)
+        for name, ufunc, _ in folds:
+            out = getattr(shared, name)
+            ufunc(out, private[name], out=out)
 
 
-def _timed(task):
-    """``(t0, t1, exception or None)`` of one part's task."""
-    t0 = time.perf_counter()
-    try:
-        task()
-    except Exception as exc:  # re-raised in the caller after the join
-        return t0, time.perf_counter(), exc
-    return t0, time.perf_counter(), None
-
-
-class _Helper:
-    """One helper thread and its handoff: the caller stores ``task`` and
-    sets ``go``; the helper runs it, stores ``result`` and sets ``done``.
-    ``task=None`` stops the thread.  Holds no reference to the backend
-    between stages, so an unclosed backend can still be collected."""
-
-    def __init__(self, name: str) -> None:
-        self.go, self.done = threading.Event(), threading.Event()
-        self.task = self.result = None
-        self.thread = threading.Thread(target=self._serve, name=name, daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self.go.wait()
-            self.go.clear()
-            task, self.task = self.task, None
-            if task is None:
-                return
-            self.result = _timed(task)
-            task = None  # the task closes over the backend: drop it now
-            self.done.set()
+def _addr(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.ctypes.data
 
 
 class ThreadEdgeBackend:
-    """Thread-team executor of the residual's edge sweeps on one field.
+    """Thread-team executor of the residual's edge sweeps, the Jacobian's
+    edge blocks and the ILU factorization on one field.
 
     Parameters
     ----------
@@ -147,8 +147,7 @@ class ThreadEdgeBackend:
     seed:
         seed of the ``metis`` labels.
 
-    Calls on one backend are serialised; a backend stays usable after a
-    part raised (the next evaluation re-initialises every array).
+    Calls on one backend are serialised.
     """
 
     def __init__(
@@ -172,9 +171,9 @@ class ThreadEdgeBackend:
         self.strategy = strategy
         self.partitioner = partitioner if strategy == "owner" else None
         self._closed = False
-        self._rounds = self._residuals = 0
+        self._pid = os.getpid()
+        self._rounds = self._residuals = self._jacobians = self._factorizations = 0
         self._call_lock = threading.Lock()
-        self._fold_lock = threading.Lock()
 
         nv, ne = field.n_vertices, field.n_edges
         self.labels = None
@@ -199,22 +198,73 @@ class ThreadEdgeBackend:
         # replicate / locked: every thread's private accumulator per written
         # array; replicate's are rows of (threads, ...) slabs the caller
         # reduces after each stage
-        shapes = {
-            "rhs": (nv, 4, 3), "qmin": (nv, 4), "qmax": (nv, 4),
-            "phi": (nv, 4), "res": (nv, 4),
-        }
         self._slabs = {}
         self._private = [None] * w
         if strategy == "replicate":
-            self._slabs = {n: np.empty((w, *shape)) for n, shape in shapes.items()}
+            self._slabs = {
+                n: np.empty((w, nv, *shape)) for n, shape in _PRIVATE.items()
+            }
             self._private = [
                 {n: slab[s] for n, slab in self._slabs.items()} for s in range(w)
             ]
         elif strategy == "locked":
             self._private = [
-                {n: np.empty(shape) for n, shape in shapes.items()} for _ in range(w)
+                {n: np.empty((nv, *shape)) for n, shape in _PRIVATE.items()}
+                for _ in range(w)
             ]
-        self._helpers = [_Helper(f"repro-edge-t{s}") for s in range(1, w)]
+        self._lib = native.load_kernels()
+        self._team = None
+        if self._lib is not None and all(p.sweeps.compiled for p in self.parts):
+            self._team = self._make_team(w, nv)
+            target = self._lib.team_serve
+            args = [(self._team, s) for s in range(1, w)]
+        else:  # the parts run in the caller: nothing for a helper to do
+            self._parked = threading.Semaphore(0)
+            target, args = self._parked.acquire, [()] * (w - 1)
+        self._helpers = [
+            threading.Thread(
+                target=target, args=a, name=f"repro-edge-t{s}", daemon=True
+            )
+            for s, a in enumerate(args, 1)
+        ]
+        for t in self._helpers:
+            t.start()
+
+    def _make_team(self, w: int, nv: int) -> int:
+        """The C team over this backend's parts: its handle."""
+        self._stamps = np.zeros((w, 2))
+        self._flux_scratch = [np.empty((p.n_edges, 4)) for p in self.parts]
+        # owner-writes: each part's Jacobian sweep runs over the field's
+        # whole edge set and writes the block rows of its own vertices
+        field, labels = self._field, self.labels
+        self._jacobian_masks = [
+            (None, None) if labels is None
+            else (labels[field.e0] == s, labels[field.e1] == s)
+            for s in range(w)
+        ]
+        table = np.array([
+            [
+                p.lo, p.lo + p.n_edges, *p.sweeps.addresses, scratch.ctypes.data,
+                *(priv[n].ctypes.data if priv else 0 for n in _PRIVATE),
+                *(_addr(m) or 0 for m in masks),
+            ]
+            for p, scratch, priv, masks in zip(
+                self.parts, self._flux_scratch, self._private, self._jacobian_masks
+            )
+        ], dtype=np.int64)
+        # spinning on a CPU the other threads need would only delay them
+        cpus = (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        spin = w <= cpus
+        team = self._lib.team_create(
+            w, nv, _FOLDS[self.strategy], spin, table.ctypes.data,
+            self._stamps.ctypes.data,
+        )
+        if not team:
+            raise MemoryError("cannot allocate the edge-thread team")
+        return team
 
     # ------------------------------------------------------------------
     @property
@@ -236,72 +286,80 @@ class ThreadEdgeBackend:
         return np.array([p.n_edges for p in self.parts], dtype=np.int64)
 
     def handles(self, field) -> bool:
-        """True iff this backend can run edge loops for ``field`` now."""
-        return field is self._field and not self._closed
+        """True iff this backend can run edge loops for ``field`` now (a
+        forked child has none of the parent's threads)."""
+        return (
+            field is self._field and not self._closed
+            and os.getpid() == self._pid
+        )
 
     def fleet_stats(self) -> dict:
         """Reuse counters of this team since it was built.
 
-        ``rounds`` counts stages (one handoff and one join each) and
-        ``residuals`` the evaluations; a team held across solves keeps
-        growing them, which is how a caller verifies it was reused rather
-        than rebuilt per solve.
+        ``rounds`` counts residual stages and ``residuals`` the
+        evaluations; ``jacobians`` and ``factorizations`` count the Jacobian
+        sweeps and ILU factorizations the team ran.  A team held across
+        solves keeps growing them, which is how a caller verifies it was
+        reused rather than rebuilt per solve.
         """
         return {
             "workers": self.n_workers,
             "strategy": self.strategy_label,
             "rounds": self._rounds,
             "residuals": self._residuals,
+            "jacobians": self._jacobians,
+            "factorizations": self._factorizations,
             "closed": self._closed,
         }
 
     # ------------------------------------------------------------------
-    def _round(self, a, stage: str, beta: float, scheme: str, second_order: bool):
-        """One schedule stage on every thread's part; under ``replicate``
-        the caller then folds the threads' slab rows into ``a``."""
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("backend is closed")
 
-        def task(s):
-            return lambda: _run_stage(
-                self.strategy, self.parts[s], a, self._private[s],
-                self._fold_lock, stage, beta, scheme, second_order,
-            )
-
-        for s, h in enumerate(self._helpers, 1):
-            h.done.clear()
-            h.task = task(s)
-            h.go.set()
-        try:
-            results = [_timed(task(0))]
-        finally:  # even on Ctrl-C: no helper may still be running
-            for h in self._helpers:
-                h.done.wait()
-        for h in self._helpers:
-            results.append(h.result)
-            h.result = None
-        self._rounds += 1
-        for s, (_, _, exc) in enumerate(results):
-            if exc is not None:
-                raise RuntimeError(
-                    f"edge thread t{s} failed: {type(exc).__name__}: {exc}"
-                ) from exc
+    def _trace(self, kernel: str, stamps, **attrs) -> None:
+        """One ``<kernel>.w<i>`` span per part of an edge kernel, with the
+        part's edge count, or per thread that ran ILU shares."""
         tracer = get_tracer()
         if tracer.active:
-            for s, (t0, t1, _) in enumerate(results):
+            for s, (t0, t1) in enumerate(stamps):
+                if not t1:
+                    continue
+                if kernel != "ilu":
+                    attrs["edges"] = self.parts[s].n_edges
                 tracer.add_complete(
-                    f"{_STAGES[stage][0]}.w{s}", t0, t1,
-                    edges=self.parts[s].n_edges,
-                    strategy=self.strategy_label,
-                    stage=stage,
+                    f"{kernel}.w{s}", float(t0), float(t1),
+                    strategy=self.strategy_label, **attrs,
                 )
+
+    def _round(self, a, addrs, stage, beta, scheme, roe, second_order):
+        """One schedule stage on every thread's part; under ``replicate``
+        the caller then folds the threads' slab rows into ``a``.  ``addrs``
+        are the addresses of ``a``'s arrays, in the C team's order."""
+        job, kernel, folds = _STAGES[stage]
+        if self._team is not None:
+            self._lib.team_sweep(self._team, job, *addrs[:7], beta, roe, addrs[7])
+            stamps = self._stamps
+        else:
+            stamps = np.empty((self.n_workers, 2))
+            for s, part in enumerate(self.parts):
+                stamps[s, 0] = time.perf_counter()
+                _run_stage(
+                    self.strategy, part, a, self._private[s], stage, beta,
+                    scheme, second_order,
+                )
+                stamps[s, 1] = time.perf_counter()
+        self._rounds += 1
+        self._trace(kernel, stamps, stage=stage)
         if self._slabs:
-            for name, ufunc, _ in _STAGES[stage][1]:
+            for name, ufunc, _ in folds:
                 out = getattr(a, name)
                 ufunc(out, ufunc.reduce(self._slabs[name], axis=0), out=out)
 
     def residual(self, q: np.ndarray, config, first_order: bool = False):
         """The residual of ``q`` on the team: the schedule over the threads'
-        parts, one handoff and one join per stage, with the per-vertex stage
-        and the boundary closures in the caller.
+        parts, one team job per stage, with the per-vertex stage and the
+        boundary closures in the caller.
 
         Returns fresh ``(res, grad, phi)`` (``grad`` / ``phi`` are None at
         first order).  Owner-writes is bitwise equal to the serial driver
@@ -310,35 +368,106 @@ class ThreadEdgeBackend:
         """
         second_order = config.second_order and not first_order
         beta, scheme = float(config.beta), config.dissipation
+        roe = _roe(scheme)
+        nv = self._field.n_vertices
+        q = np.ascontiguousarray(q, dtype=np.float64)
+        if q.shape != (nv, 4):
+            raise ValueError(f"state must be ({nv}, 4), got {q.shape}")
+        field = self._field
         with self._call_lock:
-            if self._closed:
-                raise RuntimeError("backend is closed")
-            a = ResidualArrays.empty(
-                np.ascontiguousarray(q, dtype=np.float64), second_order
-            )
-            field = self._field
+            self._check_open()
+            a = ResidualArrays.empty(q, second_order)
+            addrs = [
+                _addr(x) for x in
+                (a.q, a.rhs, a.qmin, a.qmax, a.grad, a.eps2, a.phi, a.res)
+            ]
             run_residual(
                 a, config, second_order, self.parts, field.lsq_inv,
                 field.volumes, field_corners(field),
                 run=lambda stage, _: self._round(
-                    a, stage, beta, scheme, second_order
+                    a, addrs, stage, beta, scheme, roe, second_order
                 ),
             )
             self._residuals += 1
         return a.res, a.grad, a.phi
 
+    def jacobian(self, q: np.ndarray, beta: float, slots, vals) -> bool:
+        """Add the first-order Jacobian's edge blocks at ``q`` into the BCSR
+        values ``vals`` on the team, owner-writes: what ``jacobian`` of the
+        field's full sweeps does with the field's ``(4, edges)`` block
+        ``slots``, and the same bytes (each thread writes the block rows of
+        its own vertices).  False, having done nothing, where the team
+        cannot: no compiled team, a strategy other than ``owner``, or
+        arrays the kernels cannot take as they are."""
+        sweeps = field_sweeps(self._field)
+        if (
+            self._team is None or self.strategy != "owner"
+            or not isinstance(sweeps, EdgeSweeps)
+            or not sweeps.takes(q, vals) or not is_native(slots, np.int64)
+            or slots.shape[1:] != (sweeps.n_edges,)
+        ):
+            return False
+        EdgeSweeps._slots(slots, sweeps.n_edges, vals)
+        e0, e1, normals = sweeps.addresses[:3]
+        with self._call_lock:
+            self._check_open()
+            self._lib.team_jacobian(
+                self._team, sweeps.n_edges, e0, e1, normals, slots.ctypes.data,
+                q.ctypes.data, float(beta), vals.ctypes.data,
+            )
+            self._jacobians += 1
+            self._trace("jacobian", self._stamps)
+        return True
+
+    def factorize(self, plan, vals: np.ndarray, diag_inv: np.ndarray) -> bool:
+        """Block ILU of ``plan``'s pattern in place on the team, level by
+        level: ``vals`` (the matrix scattered into the factor pattern)
+        becomes L and U and ``diag_inv`` the inverted diagonal blocks, the
+        bytes of the serial sweep.  False where the team cannot (no
+        compiled team) or a diagonal block is singular; ``vals`` is then
+        undefined."""
+        if self._team is None:
+            return False
+        level_ptr, level_rows, work = plan.level_order
+        n = plan.n
+        if not (
+            plan.b == 4 and vals.shape == (plan.factor_nnzb, 4, 4)
+            and diag_inv.shape == (n, 4, 4) and is_native(vals)
+            and is_native(diag_inv)
+        ):
+            raise ValueError("factor arrays do not match the plan")
+        pos = np.full((self.n_workers, n), -1, dtype=np.int64)
+        with self._call_lock:
+            self._check_open()
+            singular = self._lib.team_ilu4(
+                self._team, n, plan.rowptr.ctypes.data, plan.cols.ctypes.data,
+                plan.diag_idx.ctypes.data, level_ptr.shape[0] - 1,
+                level_ptr.ctypes.data, level_rows.ctypes.data, work.ctypes.data,
+                vals.ctypes.data, diag_inv.ctypes.data, pos.ctypes.data,
+            )
+            self._factorizations += 1
+            self._trace("ilu", self._stamps)
+        return not singular
+
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop and join the helper threads.  Idempotent."""
+        """Stop and join the helper threads.  Idempotent; in a forked
+        child, which has none of them, it only marks the backend closed."""
         with self._call_lock:
             if self._closed:
                 return
             self._closed = True
-            for h in self._helpers:
-                h.task = None
-                h.go.set()
-            for h in self._helpers:
-                h.thread.join()
+            if os.getpid() != self._pid:
+                return
+            if self._team is not None:
+                self._lib.team_stop(self._team)
+            elif self._helpers:
+                self._parked.release(len(self._helpers))
+            for t in self._helpers:
+                t.join()
+            if self._team is not None:
+                self._lib.team_free(self._team)
+                self._team = None
 
     def __enter__(self) -> "ThreadEdgeBackend":
         return self

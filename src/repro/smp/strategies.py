@@ -178,12 +178,18 @@ def make_edge_loop_options(
 def metis_thread_labels(
     edges: np.ndarray, n_vertices: int, n_threads: int, seed: int = 0
 ) -> np.ndarray:
-    """Vertex -> thread assignment via the multilevel partitioner."""
+    """Vertex -> thread assignment via the multilevel partitioner
+    (``ValueError`` for more threads than vertices)."""
     return partition_graph(edges, n_vertices, n_threads, seed=seed)
 
 
 def natural_thread_labels(n_vertices: int, n_threads: int) -> np.ndarray:
-    """Vertex -> thread assignment by contiguous natural-order chunks."""
+    """Vertex -> thread assignment by contiguous natural-order chunks
+    (``ValueError`` for more threads than vertices)."""
+    if n_threads > n_vertices:
+        raise ValueError(
+            f"cannot split {n_vertices} vertices among {n_threads} threads"
+        )
     return natural_partition(n_vertices, n_threads)
 
 

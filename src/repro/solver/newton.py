@@ -44,6 +44,7 @@ from ..cfd.timestep import local_timestep, ser_cfl
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer, kernel_span
 from ..petsclite.vec import local_allreduce
+from ..smp.backend import get_edge_backend
 from .gmres import gmres
 from .jfnk import fd_jacobian_operator
 from .schwarz import AdditiveSchwarzILU
@@ -351,11 +352,14 @@ class FieldDiscretization:
         return local_timestep(self.fld, q, self.config, cfl)
 
     def update_preconditioner(self, q: np.ndarray, dt: np.ndarray) -> None:
+        # the installed edge threads assemble and factor too
+        backend = get_edge_backend()
+        team = backend if backend is not None and backend.handles(self.fld) else None
         with kernel_span("jacobian"):
-            self.assembler.assemble(q, self.config, out=self.A)
+            self.assembler.assemble(q, self.config, out=self.A, team=team)
             self.assembler.add_pseudo_time(self.A, dt)
         with kernel_span("ilu"):
-            self.precond.update(self.A)
+            self.precond.update(self.A, team=team)
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
         return self.precond.apply(v)

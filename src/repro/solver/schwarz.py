@@ -139,8 +139,9 @@ class AdditiveSchwarzILU:
             gather=gather_a,
         )
 
-    def update(self, matrix: BCSRMatrix) -> None:
-        """Refactor all subdomains from the current matrix values."""
+    def update(self, matrix: BCSRMatrix, team=None) -> None:
+        """Refactor all subdomains from the current matrix values (on
+        ``team``'s threads when given one, see :func:`ilu_factorize`)."""
         for s, sub in enumerate(self.subs):
             # release the old factor first: with both alive, every Newton
             # step would hold two factors at its memory peak
@@ -150,7 +151,7 @@ class AdditiveSchwarzILU:
             # the copy (the factorization scatters its own)
             vals = matrix.vals if self._identity else matrix.vals[sub.gather]
             local = BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
-            self._factors[s] = ilu_factorize(local, sub.plan)
+            self._factors[s] = ilu_factorize(local, sub.plan, team)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """z = M^-1 r (restricted additive Schwarz combination).

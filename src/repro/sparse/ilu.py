@@ -130,6 +130,31 @@ class ILUPlan:
         )
 
     @cached_property
+    def level_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ptr, rows, work)``: the forward levels flattened, level
+        ``l``'s rows at ``rows[ptr[l]:ptr[l + 1]]``, and ``work[r]`` the
+        block products of the rows before position ``r`` (int64, for the
+        thread team's level-scheduled factorization to split each level
+        into equal shares)."""
+        levels = self.schedule.levels
+        ptr = np.zeros(len(levels) + 1, dtype=np.int64)
+        np.cumsum([lvl.shape[0] for lvl in levels], out=ptr[1:])
+        rows = np.ascontiguousarray(
+            np.concatenate(levels) if levels else np.zeros(0), dtype=np.int64
+        )
+        # row i's IKJ work: per lower block (i, k) one product for L_ik and
+        # one per block of row k's upper part
+        row = np.repeat(np.arange(self.n), np.diff(self.rowptr))
+        lower = np.arange(self.factor_nnzb) < self.diag_idx[row]
+        upper = self.rowptr[1:] - self.diag_idx - 1
+        per_row = 1 + np.bincount(
+            row[lower], weights=1 + upper[self.cols[lower]], minlength=self.n
+        ).astype(np.int64)
+        work = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(per_row[rows], out=work[1:])
+        return ptr, rows, work
+
+    @cached_property
     def steps(self) -> list[list[_StepBatch]]:
         """Numeric-factorization step batches, per forward level."""
         return _build_steps(self)
@@ -274,13 +299,15 @@ def build_ilu_plan(
     )
 
 
-def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
+def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan, team=None) -> ILUFactor:
     """Numeric block ILU factorization following ``plan``.
 
     The factored values overwrite a scattered copy of the matrix; diagonal
     blocks are inverted and stored (multiplicative application in TRSV).
     Runs the compiled row-by-row sweep when it can (``b == 4``, float64,
-    kernels loadable), else the level-scheduled NumPy kernel
+    kernels loadable) — level by level on ``team``'s threads when given
+    one (a :class:`~repro.smp.parallel.ThreadEdgeBackend`), the same
+    bytes — else the level-scheduled NumPy kernel
     :func:`ilu_factorize_levels`.  The compiled factors agree with the
     level-scheduled ones to 1e-12 relative, not bitwise.
     """
@@ -293,7 +320,7 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     if plan.b == 4 and matrix.vals.dtype == np.float64:
         lib = native.load_kernels()
         if lib is not None:
-            return _factorize_native(lib, matrix, plan)
+            return _factorize_native(lib, matrix, plan, team)
     return ilu_factorize_levels(matrix, plan)
 
 
@@ -338,9 +365,14 @@ def _scattered(matrix: BCSRMatrix, plan: ILUPlan) -> np.ndarray:
     return vals
 
 
-def _factorize_native(lib, matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
+def _factorize_native(lib, matrix: BCSRMatrix, plan: ILUPlan, team) -> ILUFactor:
     vals = _scattered(matrix, plan)
     diag_inv = np.empty((plan.n, 4, 4))
+    if team is not None:
+        if team.factorize(plan, vals, diag_inv):
+            return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+        # no team to run on, or a singular block: the serial sweep names it
+        vals = _scattered(matrix, plan)
     pos = np.full(plan.n, -1, dtype=np.int64)
     bad = lib.ilu4(
         plan.n,

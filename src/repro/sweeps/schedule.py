@@ -26,8 +26,9 @@ The drivers:
 * **serial** (:func:`serial_residual`): one part, the field's full edge
   set, no hook;
 * **edge threads** (:meth:`repro.smp.parallel.ThreadEdgeBackend.residual`):
-  one part per thread, and ``run`` is one handoff to the helper threads,
-  the caller's own part, one join and the strategy's fold;
+  one part per thread, and ``run`` is one call into the C team, which runs
+  every thread's part (the caller's included) and returns once all are
+  done, then the strategy's fold;
 * **ranks** (:func:`repro.dist.runtime.program.rank_residual`): an
   interior and a cut part of the rank's local edges, and the hook is the
   halo window, plain or pipelined.

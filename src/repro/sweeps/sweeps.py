@@ -153,6 +153,12 @@ class EdgeSweeps(_EdgeSet):
         self._d = (_ptr(d0, ne, 3), _ptr(d1, ne, 3))
         self._w = tuple(None if w is None else w.ctypes.data for w in (w0, w1))
 
+    @property
+    def addresses(self) -> tuple[int, ...]:
+        """``e0, e1, normals, d0, d1, w0, w1`` as the kernels read them (0
+        for an absent mask): what the C team binds a part to."""
+        return (*self._e, self._normals, *self._d, *(w or 0 for w in self._w))
+
     def takes(self, q: np.ndarray, *targets: np.ndarray) -> bool:
         """``q`` is a state array these sweeps can read, and ``targets``
         arrays they can write, as they are."""

@@ -168,6 +168,10 @@ class TestParser:
         "solve --aoa nan",
         "solve --aoa inf",
         "mesh-info --scale inf",
+        "partition --parts 5000",
+        "solve --subdomains 5000",
+        "solve --backend thread --workers 5000",
+        "solve --dist-ranks 5000",
     ])
     def test_bad_numeric_value_is_a_usage_error(self, argv, capsys):
         """Regression: each of these ended in a traceback, printed a

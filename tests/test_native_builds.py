@@ -5,8 +5,10 @@ vectorize, with ``-ffp-contract=off`` and without ``-march`` or any
 fast-math flag, so it may not contract, reassociate or drop NaN handling.
 Then the optimiser can change how fast the arithmetic runs but never its
 result.  These tests hold the flags to that and check the result against
-an ``-O0`` build of the same source: every one of the nine entries, on
-clean and NaN/Inf-poisoned inputs, byte for byte (a NaN by position).
+an ``-O0`` build of the same source: every one of the sixteen entries
+(nine kernels and the seven of the edge-thread team, which runs them on
+two threads), on clean and NaN/Inf-poisoned inputs, byte for byte (a NaN
+by position).
 """
 
 import ctypes
@@ -22,10 +24,14 @@ from repro.cfd import FlowConfig, FlowField, JacobianAssembler, compute_residual
 from repro.cfd.timestep import local_timestep
 from repro.sweeps import serial_residual
 from repro.mesh import mesh_c_prime
+from repro.smp.parallel import STRATEGIES, ThreadEdgeBackend
 from repro.sparse import build_ilu_plan, ilu_factorize, trsv_solve
 
 ENTRIES = set(
-    re.findall(r"^(?:void|int64_t) (\w+)\(", native._SOURCE.read_text(), flags=re.M)
+    re.findall(
+        r"^(?:void|int64_t|team_t \*)\s*(\w+)\(", native._SOURCE.read_text(),
+        flags=re.M,
+    )
 )
 UNSAFE = (
     "-ffast-math",
@@ -75,8 +81,10 @@ def _states(field: FlowField, cfg: FlowConfig) -> dict:
 
 
 def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
-    """Every array the nine entries write on ``mesh``, run through the
-    package's own callers with ``lib`` as the loaded kernels."""
+    """Every array the entries write on ``mesh``, run through the
+    package's own callers with ``lib`` as the loaded kernels: serially, and
+    on a 2-thread team of each strategy (owner-writes also assembles the
+    Jacobian and factors the ILU on it)."""
     calls = _Calls(lib)
     monkeypatch.setattr(native, "load_kernels", lambda: calls)
     field = FlowField(mesh)  # its sweeps bind the handle above
@@ -96,20 +104,40 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
                     ),
                     f"{name}/jacobian": asm.assemble(q, cfg).vals,
                 })
+        for strategy in STRATEGIES:
+            with ThreadEdgeBackend(field, 2, strategy=strategy) as team:
+                for scheme in ("rusanov", "roe"):
+                    cfg = FlowConfig(aoa_deg=3.0, dissipation=scheme)
+                    for name, q in _states(field, cfg).items():
+                        key = f"{strategy}/{scheme}/{name}"
+                        res, grad, phi = team.residual(q, cfg)
+                        out.update({
+                            f"{key}/res": res,
+                            f"{key}/grad": grad,
+                            f"{key}/phi": phi,
+                            f"{key}/first": team.residual(q, cfg, True)[0],
+                        })
         cfg = FlowConfig(aoa_deg=3.0)
         q = _states(field, cfg)["clean"]
         A = asm.assemble(q, cfg)
         asm.add_pseudo_time(A, local_timestep(field, q, cfg, 50.0))
         rhs = np.random.default_rng(3).normal(size=(field.n_vertices, 4))
-        for fill in (0, 1):
-            plan = build_ilu_plan(asm.rowptr, asm.cols, fill_level=fill)
-            factor = ilu_factorize(A, plan)
-            out.update({
-                f"ilu{fill}/pattern": plan.cols,
-                f"ilu{fill}/factor": factor.vals,
-                f"ilu{fill}/diag_inv": factor.diag_inv,
-                f"ilu{fill}/solve": trsv_solve(factor, rhs),
-            })
+        with ThreadEdgeBackend(field, 2) as team:
+            out["team/jacobian"] = asm.assemble(q, cfg, team=team).vals
+            for fill in (0, 1):
+                plan = build_ilu_plan(asm.rowptr, asm.cols, fill_level=fill)
+                factor = ilu_factorize(A, plan)
+                on_team = ilu_factorize(A, plan, team)
+                out.update({
+                    f"ilu{fill}/pattern": plan.cols,
+                    f"ilu{fill}/factor": factor.vals,
+                    f"ilu{fill}/diag_inv": factor.diag_inv,
+                    f"ilu{fill}/solve": trsv_solve(factor, rhs),
+                    f"ilu{fill}/team_factor": on_team.vals,
+                    f"ilu{fill}/team_diag_inv": on_team.diag_inv,
+                })
+            stats = team.fleet_stats()
+        assert (stats["jacobians"], stats["factorizations"]) == (1, 2)
     monkeypatch.undo()
     return out, calls.called
 
@@ -135,7 +163,7 @@ def test_unoptimised_build_computes_the_same_bits(monkeypatch, tmp_path):
     mesh = mesh_c_prime(scale=0.02, seed=7)
     shipped, shipped_calls = _outputs(native.load_kernels(), monkeypatch, mesh)
     built, built_calls = _outputs(unoptimised, monkeypatch, mesh)
-    assert len(ENTRIES) == 9
+    assert len(ENTRIES) == 16
     assert shipped_calls == built_calls == ENTRIES
     assert shipped.keys() == built.keys()
     assert np.isnan(shipped["roe/poisoned/res"]).any()

@@ -1,9 +1,9 @@
 """Tests for the thread-team edge-kernel backend.
 
 Covers the paper's ground rule (numerics identical to sequential for every
-strategy, now across real threads), failure containment (an exception on
-any thread reaches the caller once every thread has finished, and the team
-stays usable), teardown (no helper thread outlives ``close()``), the
+strategy, now across real threads), failure containment (a bad argument
+raises in the caller before any thread runs, and the team stays usable),
+teardown (no helper thread outlives ``close()``), the
 measured rows the figure tests consume, and the cleanup contract of the
 ``SharedArrayPool`` the rank runtime allocates its ``/dev/shm`` segments in
 (context manager, atexit).
@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -22,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cfd import FlowConfig, FlowField, compute_residual
+from repro import native
+from repro.cfd import (
+    FlowConfig,
+    FlowField,
+    JacobianAssembler,
+    compute_residual,
+    local_timestep,
+)
 from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
@@ -36,6 +42,7 @@ from repro.smp.bench import (
     run_paired_flux,
 )
 from repro.solver import SolverOptions, solve_steady
+from repro.sparse import build_ilu_plan, ilu_factorize
 from repro.sweeps.schedule import serial_residual
 from repro.sweeps.sweeps import field_corners
 
@@ -242,36 +249,15 @@ def _edge_threads():
 
 
 class TestFailureContainment:
-    def test_exception_raises_after_every_helper_joined(
-        self, wing_setup, monkeypatch
-    ):
-        """A bad dissipation fails the flux stage on every thread.  The
-        helpers are slowed down, so the caller's own part fails first; the
-        error must still reach the caller only once both helpers have
-        finished, and the team then gives the serial bits again."""
-        import repro.smp.parallel as parallel
-
+    def test_exception_raises_after_every_helper_joined(self, wing_setup):
+        """A bad dissipation raises ``ValueError`` in the caller before any
+        stage is dispatched, so it arrives while no helper runs, and the
+        team then gives the serial bits again."""
         field, q = wing_setup
-        finished = []
-        real_sweep = parallel.sweep
-
-        def slow_helpers(*args):
-            helper = threading.current_thread().name.startswith("repro-edge-t")
-            if helper:
-                time.sleep(0.2)
-            try:
-                real_sweep(*args)
-            finally:
-                if helper:
-                    finished.append(threading.current_thread().name)
-
         with ThreadEdgeBackend(field, 3) as be:
-            monkeypatch.setattr(parallel, "sweep", slow_helpers)
-            with pytest.raises(RuntimeError, match="edge thread t0 failed"):
+            with pytest.raises(ValueError, match="unknown dissipation scheme"):
                 be.residual(q, FlowConfig(dissipation="no-such-scheme"))
-            # recon, limit and the failing flux stage, on both helpers
-            assert sorted(finished) == ["repro-edge-t1"] * 3 + ["repro-edge-t2"] * 3
-            monkeypatch.setattr(parallel, "sweep", real_sweep)
+            assert be.fleet_stats()["rounds"] == 0
             assert be.handles(field)
             cfg = FlowConfig()
             for got, want in zip(be.residual(q, cfg), serial_residual(field, q, cfg)):
@@ -289,6 +275,28 @@ class TestFailureContainment:
         assert not any(t.is_alive() for t in helpers)
         be.close()  # a second close is a no-op
         assert set(_edge_threads()) <= before
+
+    def test_forked_child_leaves_the_parents_team_alone(self, wing_setup):
+        """A forked child has none of the helper threads: the backend
+        declines its field there, and close() returns at once instead of
+        stopping (or waiting for) the parent's team, which keeps working."""
+        field, q = wing_setup
+        cfg = FlowConfig()
+        with ThreadEdgeBackend(field, 2) as be:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    declined = not be.handles(field)
+                    be.close()
+                    code = 0 if declined and be.closed else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+            assert be.handles(field)
+            for got, want in zip(be.residual(q, cfg), serial_residual(field, q, cfg)):
+                np.testing.assert_array_equal(got, want)
 
     def test_close_is_idempotent_and_final(self, wing_setup):
         field, q = wing_setup
@@ -340,6 +348,107 @@ def test_process_strategy_equivalence_property(n, seed, workers, strategy):
         np.testing.assert_array_equal(res, ref)
     else:
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+
+
+def _preconditioner_case(field, seed):
+    """A perturbed state and its Jacobian with the pseudo-time diagonal."""
+    cfg = FlowConfig()
+    rng = np.random.default_rng(seed)
+    q = field.initial_state(cfg) + 0.1 * rng.normal(size=(field.n_vertices, 4))
+    return q, cfg, local_timestep(field, q, cfg, 10.0)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    n=st.integers(50, 90),
+    seed=st.integers(0, 20),
+    workers=st.integers(1, 4),
+    fill=st.integers(0, 1),
+)
+def test_team_jacobian_and_ilu_equal_serial_property(n, seed, workers, fill):
+    """Property: the team's owner-writes Jacobian assembly and its
+    level-scheduled ILU factorization write the serial bytes for thread
+    counts 1-4 (each block row and each factor row sees its updates in
+    the serial order)."""
+    field = FlowField(delaunay_cloud_mesh(n, seed=seed))
+    q, cfg, dt = _preconditioner_case(field, seed)
+    asm = JacobianAssembler(field)
+    want = asm.assemble(q, cfg)
+    asm.add_pseudo_time(want, dt)
+    plan = build_ilu_plan(asm.rowptr, asm.cols, fill_level=fill)
+    ref = ilu_factorize(want, plan)
+    with ThreadEdgeBackend(field, workers) as be:
+        got = asm.assemble(q, cfg, team=be)
+        asm.add_pseudo_time(got, dt)
+        factor = ilu_factorize(got, plan, team=be)
+        stats = be.fleet_stats()
+    assert got.vals.tobytes() == want.vals.tobytes()
+    assert factor.vals.tobytes() == ref.vals.tobytes()
+    assert factor.diag_inv.tobytes() == ref.diag_inv.tobytes()
+    if native.native_kernels_available():  # else nothing runs on the team
+        assert (stats["jacobians"], stats["factorizations"]) == (1, 1)
+
+
+class TestTeamPreconditioner:
+    def test_solve_runs_jacobian_and_ilu_on_the_team(self, wing_setup):
+        """Every Newton step assembles and factors on an installed team,
+        with ``jacobian.w<i>`` / ``ilu.w<i>`` spans per thread."""
+        field, _ = wing_setup
+        opts = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=1)
+        tracer = Tracer()
+        with ThreadEdgeBackend(field, 2) as be, use_edge_backend(be):
+            with use_tracer(tracer):
+                res = solve_steady(field, FlowConfig(), opts)
+            stats = be.fleet_stats()
+        np.testing.assert_array_equal(res.q, solve_steady(field, FlowConfig(), opts).q)
+        if not native.native_kernels_available():
+            assert stats["jacobians"] == stats["factorizations"] == 0
+            return
+        counts = tracer.kernel_counts()
+        assert stats["jacobians"] == stats["factorizations"] == counts["jacobian"]
+        # a span per part for the edge blocks, per thread that took a level
+        # share for the ILU (a late helper may leave all of them to the caller)
+        assert counts["jacobian.w0"] == counts["jacobian.w1"] == counts["jacobian"]
+        shares = [counts.get(f"ilu.w{s}", 0) for s in range(2)]
+        assert max(shares) <= counts["ilu"] <= sum(shares)
+
+    def test_more_threads_than_cpus_give_the_serial_bytes(self, wing_setup):
+        """Stress: eight threads on a host with fewer CPUs (no spinning,
+        helpers asleep or descheduled while others claim their tasks) still
+        run every task once and give the serial solve's bytes, twice."""
+        field, _ = wing_setup
+        opts = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=1)
+        want = solve_steady(field, FlowConfig(), opts).q
+        with ThreadEdgeBackend(field, 8) as be, use_edge_backend(be):
+            for _ in range(2):
+                got = solve_steady(field, FlowConfig(), opts).q
+                assert got.tobytes() == want.tobytes()
+
+    def test_singular_block_is_named_as_in_serial(self, wing_setup):
+        field, q = wing_setup
+        asm = JacobianAssembler(field)
+        A = asm.assemble(q, FlowConfig())
+        A.vals[A.rowptr[7]:A.rowptr[8]] = 0.0  # row 7's pivot is exactly 0
+        plan = build_ilu_plan(asm.rowptr, asm.cols, fill_level=1)
+        with pytest.raises(np.linalg.LinAlgError) as serial:
+            ilu_factorize(A, plan)
+        with ThreadEdgeBackend(field, 3) as be:
+            with pytest.raises(np.linalg.LinAlgError) as team:
+                ilu_factorize(A, plan, team=be)
+        assert str(team.value) == str(serial.value)
+
+    def test_locked_and_replicate_assemble_in_the_caller(self, wing_setup):
+        """The edge-split strategies write shared block rows from every
+        thread, so their Jacobian stays serial: the same bytes, no team
+        round."""
+        field, q = wing_setup
+        asm = JacobianAssembler(field)
+        want = asm.assemble(q, FlowConfig())
+        for strategy in ("locked", "replicate"):
+            with ThreadEdgeBackend(field, 2, strategy=strategy) as be:
+                got = asm.assemble(q, FlowConfig(), team=be)
+                assert be.fleet_stats()["jacobians"] == 0
+            assert got.vals.tobytes() == want.vals.tobytes()
 
 
 class TestFigureMeasurements:
