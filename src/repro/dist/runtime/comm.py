@@ -28,14 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ...obs.live.ring import STATE_BUSY, STATE_SPIN
 from ...obs.span import get_tracer
+from .telemetry import STATE_BUSY, STATE_SPIN, RankRows
 
 __all__ = [
     "ShmTransport",
     "Communicator",
     "CommTimeout",
-    "RANK_SLOTS",
 ]
 
 #: doubles per vertex a halo mailbox can carry in one message (state q is 4,
@@ -43,21 +42,6 @@ __all__ = [
 DEFAULT_HALO_WIDTH = 16
 #: scalar slots per rank in the reduction scratch (>= GMRES restart + 1)
 DEFAULT_RED_WIDTH = 64
-
-#: metric slots of one rank's telemetry row: solver progress
-#: (written by the rank program) plus communication totals (written by the
-#: communicator itself)
-RANK_SLOTS = (
-    "step",
-    "residual",
-    "cfl",
-    "krylov_iters",
-    "exchanges",
-    "allreduces",
-    "halo_seconds",
-    "allreduce_seconds",
-    "interior_seconds",
-)
 
 
 class CommTimeout(RuntimeError):
@@ -82,7 +66,6 @@ class ShmTransport:
         red_width: int = DEFAULT_RED_WIDTH,
         timeout: float = 120.0,
     ) -> None:
-        from ...obs.live.plane import TelemetryPlane
         from .shm import SharedArrayPool
 
         self.decomp = decomp
@@ -109,17 +92,14 @@ class ShmTransport:
         self.up = [ctx.Semaphore(0) for _ in range(self.n_ranks)]
         self.down = [ctx.Semaphore(0) for _ in range(self.n_ranks)]
         self.barrier = ctx.Barrier(self.n_ranks)
-        # telemetry plane: one metric row + event ring per rank, allocated
-        # in the transport's own pool so the forked ranks inherit the
-        # mappings and the leak-proofing covers the plane too
-        self.plane = TelemetryPlane(
-            {f"rank{r}": RANK_SLOTS for r in range(self.n_ranks)},
-            pool=self.pool,
-        )
+        # one crash-forensics row per rank, in the transport's own pool so
+        # the forked ranks inherit the mappings and the leak-proofing
+        # covers the rows too
+        self.rows = RankRows(self.n_ranks, self.pool)
         self.spec = self.pool.export_spec()
 
     def close(self) -> None:
-        self.plane.close()
+        self.rows.close()
         self.pool.close()
 
 
@@ -176,10 +156,10 @@ class Communicator:
         self.allreduce_seconds = 0.0
         self.interior_seconds = 0.0
         self.bytes_sent = 0
-        # telemetry row: write through the fork-inherited plane arrays
-        # (not the re-attached pool) so the single-producer row stays tied
-        # to this rank regardless of the attach mode
-        self.telem = transport.plane.writer(f"rank{self.rank}")
+        # crash-forensics row: write through the fork-inherited arrays (not
+        # the re-attached pool) so the single-writer row stays tied to this
+        # rank regardless of the attach mode
+        self.telem = transport.rows.writer(self.rank)
         self.telem.hello()
 
     # -- helpers -------------------------------------------------------
@@ -255,7 +235,6 @@ class Communicator:
             self._span_prefix + "halo", t0, t1,
             messages=len(self.send_lists) + len(self.recv_lists),
         )
-        self.telem.add(exchanges=1.0, halo_seconds=t1 - t0)
 
     def halo_exchange(self, arrays: Sequence[np.ndarray]) -> None:
         """Blocking exchange: refresh ghost slots of every array in one
@@ -300,7 +279,6 @@ class Communicator:
         get_tracer().add_complete(
             self._span_prefix + "allreduce", t0, t1, width=k, op=op, algo=self.algo
         )
-        self.telem.add(allreduces=1.0, allreduce_seconds=t1 - t0)
         return float(out[0]) if np.ndim(values) == 0 else out
 
     def _allreduce_flat(self, vals, k, op):

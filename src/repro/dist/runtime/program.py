@@ -337,8 +337,8 @@ class _RankJacobian:
 
 class _RankDiscretization:
     """One rank's adapter of the Newton loop: the halo'd residual of its
-    owned vertices, their time steps and block-Jacobi ILU, its
-    communicator's reductions and its ``comm.telem`` row."""
+    owned vertices, their time steps and block-Jacobi ILU, and its
+    communicator's reductions."""
 
     def __init__(
         self,
@@ -378,19 +378,6 @@ class _RankDiscretization:
     def precondition(self, v: np.ndarray) -> np.ndarray:
         return self.jac.apply(v)
 
-    def publish(
-        self, step: int, rnorm: float, cfl: float, krylov_iters: int
-    ) -> None:
-        telem = self.comm.telem
-        telem.update(
-            step=float(step),
-            residual=float(rnorm),
-            cfl=float(cfl),
-            krylov_iters=float(krylov_iters),
-            interior_seconds=self.comm.interior_seconds,
-        )
-        telem.push_event("note", float(step), float(rnorm))
-
 
 def rank_solve_steady(
     data: RankData,
@@ -403,11 +390,9 @@ def rank_solve_steady(
     loop over this rank's adapter.  Returns the owned slice's result; every
     rank's record (steps, histories) is the same."""
     disc = _RankDiscretization(data, comm, config, opts, pipelined)
-    result = pseudo_transient_solve(disc, data.q0.copy(), opts)
-    disc.publish(  # the final totals; the loop publishes before each step
-        result.steps,
-        result.final_residual,
-        result.cfl_history[-1] if result.cfl_history else opts.cfl0,
-        result.linear_iterations,
-    )
-    return result
+
+    def progress(step: int, rnorm: float, cfl: float) -> None:
+        # this rank's crash-forensics row, once per Newton step
+        comm.telem.update(step=step, residual=rnorm, cfl=cfl, **comm.stats())
+
+    return pseudo_transient_solve(disc, data.q0.copy(), opts, callback=progress)

@@ -7,9 +7,9 @@ its :class:`~.comm.Communicator` endpoint, runs the caller's *rank
 program* (any callable ``program(comm) -> value``) — under a tracer of its
 own when the parent is tracing — and ships back its return value, its span
 roots, and measured communication totals over a duplex pipe.  The parent
-supervises the ranks: sub-second liveness polls so a dead rank surfaces as
-a ``RuntimeError`` instead of a hang (with a flight-recorder bundle),
-terminate-then-kill teardown, and a single
+supervises the ranks: sub-second liveness polls so a dead (or raising)
+rank surfaces as a ``RuntimeError`` instead of a hang (with a
+flight-recorder bundle), terminate-then-kill teardown, and a single
 :class:`~.shm.SharedArrayPool` cleanup path so no ``/dev/shm`` segment
 survives the run — even a crashed one.  The ranks are the one
 multi-process mode: edge threading is :mod:`repro.smp.parallel`'s thread
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
 from ... import native
-from ...obs.live.recorder import crash_dump, reap_dead
+from ...obs.live.recorder import crash_dump
 from ...obs.span import NullTracer, Span, Tracer, get_tracer, use_tracer
 from .comm import Communicator, ShmTransport
 
@@ -80,6 +80,22 @@ def _rank_main(
                 comm.close()
             except Exception:
                 pass
+
+
+def reap_dead(procs, timeout: float = 0.5) -> list[str]:
+    """Names of processes that are no longer alive, for a crash dump.
+
+    A SIGKILLed child's pipe EOF can reach the parent *before* the child is
+    reapable through ``waitpid`` (fd teardown precedes exit notification),
+    so a bare ``is_alive()`` sweep right after the EOF may name nobody.
+    Poll briefly until at least one corpse shows up or ``timeout`` passes.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        dead = [p.name for p in procs if not p.is_alive()]
+        if dead or time.monotonic() > deadline:
+            return dead
+        time.sleep(0.01)
 
 
 class DistRuntime:
@@ -205,6 +221,9 @@ class DistRuntime:
                         "rank process died mid-run (pipe closed)"
                     ) from None
                 if err is not None:
+                    # dump here: the rows close with the runtime, before
+                    # any caller's unhandled-exception dump runs
+                    crash_dump("rank-error", dead=(self._procs[rank].name,))
                     raise RuntimeError(f"rank {rank} failed: {err}")
                 out[rank] = RankResult(rank, value, spans, stats)
                 del pending[rank]

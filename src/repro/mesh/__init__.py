@@ -19,7 +19,6 @@ from .generator import (
 )
 from .io import load_mesh, save_mesh
 from .quality import MeshReport, closure_residual, validate_mesh
-from .refine import refine_mesh
 
 __all__ = [
     "TAG_FARFIELD",
@@ -38,7 +37,6 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "MeshReport",
-    "refine_mesh",
     "closure_residual",
     "validate_mesh",
 ]

@@ -12,10 +12,10 @@ record of counts:
   residual norms, halo bytes, allreduce counts, ``vec.*`` tallies).
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` / Perfetto) and a lossless JSONL event log.
-* :mod:`~repro.obs.live` — crash forensics: seqlock metric rows and event
-  rings in shared memory written by the forked ranks, which the flight
-  recorder dumps (with the host fingerprint) when one of them dies, the
-  run raises, or SIGUSR1 arrives.
+* :mod:`~repro.obs.live` — crash forensics: the flight recorder, which
+  dumps the forked ranks' rows (one per rank, in shared memory) with the
+  host fingerprint when a rank dies or raises, the run raises, or SIGUSR1
+  arrives.
 
 Typical use::
 
@@ -35,13 +35,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .live import (
-    FlightRecorder,
-    TelemetryPlane,
-    host_fingerprint,
-    install_flight_recorder,
-    live_planes,
-)
+from .live import FlightRecorder, host_fingerprint, install_flight_recorder
 from .metrics import (
     Counter,
     Gauge,
@@ -84,8 +78,6 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "FlightRecorder",
-    "TelemetryPlane",
     "host_fingerprint",
     "install_flight_recorder",
-    "live_planes",
 ]

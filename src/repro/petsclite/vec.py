@@ -31,15 +31,10 @@ from ..obs.metrics import get_metrics
 __all__ = [
     "local_allreduce",
     "vec_norm",
-    "vec_dot",
     "vec_mdot",
-    "vec_axpy",
-    "vec_aypx",
-    "vec_waxpy",
     "vec_maxpy",
     "vec_scale",
     "vec_copy",
-    "vec_set",
 ]
 
 _F8 = 8  # bytes per double
@@ -64,11 +59,6 @@ def vec_norm(x: np.ndarray, allreduce=local_allreduce) -> float:
     return float(np.sqrt(allreduce(float(x @ x))))
 
 
-def vec_dot(x: np.ndarray, y: np.ndarray) -> float:
-    _tally(2 * x.size, 2 * _F8 * x.size)
-    return float(np.dot(x, y))
-
-
 def _rows(xs) -> np.ndarray:
     """``xs`` as the rows of one matrix: a 2-D array as it is (a row slice
     of a preallocated basis costs no copy), a list stacked."""
@@ -89,29 +79,6 @@ def vec_mdot(
     if m == 0:
         return np.zeros(0)
     return np.asarray(allreduce(_rows(xs) @ y))
-
-
-def vec_axpy(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """y += alpha * x (in place)."""
-    _tally(2 * x.size, 3 * _F8 * x.size)
-    y += alpha * x
-    return y
-
-
-def vec_aypx(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """y = alpha * y + x (in place)."""
-    _tally(2 * x.size, 3 * _F8 * x.size)
-    y *= alpha
-    y += x
-    return y
-
-
-def vec_waxpy(w: np.ndarray, alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w = alpha * x + y."""
-    _tally(2 * x.size, 3 * _F8 * x.size)
-    np.multiply(x, alpha, out=w)
-    w += y
-    return w
 
 
 def vec_maxpy(
@@ -135,9 +102,3 @@ def vec_scale(x: np.ndarray, alpha: float) -> np.ndarray:
 def vec_copy(x: np.ndarray) -> np.ndarray:
     _tally(0, 2 * _F8 * x.size)
     return x.copy()
-
-
-def vec_set(x: np.ndarray, alpha: float) -> np.ndarray:
-    _tally(0, _F8 * x.size)
-    x[:] = alpha
-    return x

@@ -169,12 +169,6 @@ class Discretization(Protocol):
     def precondition(self, v: np.ndarray) -> np.ndarray:
         """Apply the factored preconditioner to a flat vector."""
 
-    def publish(
-        self, step: int, rnorm: float, cfl: float, krylov_iters: int
-    ) -> None:
-        """Report progress to this process's telemetry row, if it has one
-        (a rank does: the crash bundle reads it)."""
-
 
 def ew_forcing(
     rnorm: float, rnorm_prev: float | None, eta_prev: float, target: float
@@ -249,7 +243,6 @@ def pseudo_transient_solve(
                     callback(step, rnorm, cfl)
                 tracer.event("residual", step=step, rnorm=rnorm, cfl=cfl)
                 metrics.gauge("newton.residual_norm").set(rnorm)
-                disc.publish(step, rnorm, cfl, total_linear)
                 if rnorm <= target:
                     converged = True
                     break
@@ -363,11 +356,6 @@ class FieldDiscretization:
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
         return self.precond.apply(v)
-
-    def publish(
-        self, step: int, rnorm: float, cfl: float, krylov_iters: int
-    ) -> None:
-        pass  # a serial solve has no telemetry row
 
 
 def solve_steady(

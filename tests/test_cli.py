@@ -521,7 +521,8 @@ def test_solve_leaves_no_process_global_state(capsys):
 
 def test_live_plane_surface_is_gone(capsys):
     """What watched a run while it ran is gone, with no shim: ``repro top``,
-    the Prometheus / OTLP exports and their modules."""
+    the Prometheus / OTLP exports and their modules, and the event rings
+    and plane registry the rank rows replaced."""
     with pytest.raises(SystemExit) as exc:
         main(["top"])
     assert exc.value.code == 2
@@ -533,6 +534,6 @@ def test_live_plane_surface_is_gone(capsys):
                 main([command, *option])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
-    for module in ("top", "health", "exporters"):
+    for module in ("top", "health", "exporters", "ring", "plane"):
         with pytest.raises(ModuleNotFoundError):
             __import__(f"repro.obs.live.{module}")

@@ -1,87 +1,6 @@
-"""Tests for uniform tet refinement and the host STREAM measurement."""
+"""Tests for the host STREAM measurement."""
 
-import numpy as np
-import pytest
-
-from repro.cfd import FlowField, lsq_gradients
-from repro.mesh import (
-    TAG_WALL,
-    box_mesh,
-    refine_mesh,
-    validate_mesh,
-    wing_mesh,
-)
 from repro.perf import measure_stream_triad
-
-
-class TestRefine:
-    @pytest.fixture(scope="class")
-    def pair(self):
-        m = wing_mesh(n_around=14, n_radial=5, n_span=4)
-        return m, refine_mesh(m)
-
-    def test_counts(self, pair):
-        m, r = pair
-        assert r.n_tets == 8 * m.n_tets
-        assert r.n_bfaces == 4 * m.n_bfaces
-        assert r.n_vertices == m.n_vertices + m.n_edges
-
-    def test_valid(self, pair):
-        _, r = pair
-        assert validate_mesh(r).ok
-
-    def test_volume_preserved(self, pair):
-        m, r = pair
-        assert r.total_volume() == pytest.approx(m.total_volume(), rel=1e-12)
-
-    def test_tags_inherited(self, pair):
-        m, r = pair
-        for tag in np.unique(m.btags):
-            assert (r.btags == tag).sum() == 4 * (m.btags == tag).sum()
-
-    def test_wall_surface_area_preserved(self, pair):
-        m, r = pair
-        a0 = np.linalg.norm(
-            m.bface_normals[m.btags == TAG_WALL], axis=1
-        ).sum()
-        a1 = np.linalg.norm(
-            r.bface_normals[r.btags == TAG_WALL], axis=1
-        ).sum()
-        assert a1 == pytest.approx(a0, rel=1e-12)
-
-    def test_original_vertices_unmoved(self, pair):
-        m, r = pair
-        np.testing.assert_allclose(r.coords[: m.n_vertices], m.coords)
-
-    def test_twice_refinable(self):
-        m = box_mesh((3, 3, 3))
-        r2 = refine_mesh(refine_mesh(m))
-        assert r2.n_tets == 64 * m.n_tets
-        assert validate_mesh(r2).ok
-
-    def test_gradient_error_shrinks_under_refinement(self):
-        # LSQ gradient error of a quadratic field converges at O(h) on
-        # irregular stencils.  The unrefined structured box's stencils are
-        # point-symmetric (coincidentally exact), so the convergence test
-        # compares refinement levels 2 and 3, where the octahedron-split
-        # vertices have genuinely irregular neighborhoods.
-        m = refine_mesh(refine_mesh(box_mesh((4, 4, 4))))
-        r = refine_mesh(m)
-        errs = []
-        for mesh in (m, r):
-            fld = FlowField(mesh)
-            x = mesh.coords
-            phi = x[:, 0] ** 2 + x[:, 1] * x[:, 2]
-            exact = np.stack(
-                [2 * x[:, 0], x[:, 2], x[:, 1]], axis=1
-            )
-            q = np.tile(phi[:, None], (1, 4))
-            g = lsq_gradients(fld, q)[:, 0, :]
-            # interior vertices only (boundary LSQ stencils are one-sided)
-            interior = np.ones(mesh.n_vertices, dtype=bool)
-            interior[mesh.bfaces.ravel()] = False
-            errs.append(np.abs(g[interior] - exact[interior]).max())
-        assert errs[1] < 0.6 * errs[0]
 
 
 class TestStream:

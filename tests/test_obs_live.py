@@ -1,10 +1,10 @@
-"""Tests for the crash-forensics plane (repro.obs.live).
+"""Tests for the crash forensics: rank rows and the flight recorder.
 
-Covers the seqlock ring protocol (untorn snapshots under a hammering
-writer thread, property-checked against a model), the bounded event ring's
-overrun accounting, cross-process visibility through a forked writer, and
-the flight recorder (including the SIGKILLed-rank regression: a dead rank
-must leave a schema-valid JSONL bundle naming the victim).
+Covers the rank rows' seqlock (untorn snapshots under a hammering writer
+thread, property-checked against a model), cross-process visibility
+through a forked writer, and the flight recorder (including the
+SIGKILLed-rank and raising-rank regressions: a failed rank must leave a
+schema-valid JSONL bundle naming it, with every rank's row).
 """
 
 import json
@@ -19,34 +19,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.live import (
-    STATE_BUSY,
-    FlightRecorder,
-    TelemetryPlane,
-    host_fingerprint,
-    install_flight_recorder,
-    live_planes,
-)
+from repro.dist.runtime.shm import SharedArrayPool
+from repro.dist.runtime.telemetry import CTL_VER, STATE_BUSY, RankRows
+from repro.obs.live import FlightRecorder, host_fingerprint, install_flight_recorder
 from repro.obs.live.fingerprint import stable_host_key
 from repro.obs.live.recorder import FLIGHTREC_SCHEMA, crash_dump
-from repro.obs.live.ring import CTL_VER
-from repro.dist.runtime.shm import SharedArrayPool
 
 
 @contextmanager
-def shm_plane(procs, capacity=8):
-    """A plane in its own shared pool; both are gone on exit."""
-    with SharedArrayPool() as pool, TelemetryPlane(
-        procs, pool=pool, capacity=capacity
-    ) as plane:
-        yield plane
+def shm_rows(n_ranks=1):
+    """Rank rows in their own shared pool; both are gone on exit."""
+    with SharedArrayPool() as pool:
+        rows = RankRows(n_ranks, pool)
+        try:
+            yield rows
+        finally:
+            rows.close()
 
 
 @pytest.fixture
-def local_plane():
-    """One plane with one three-slot row."""
-    with shm_plane({"solver": ("a", "b", "residual")}) as plane:
-        yield plane
+def local_rows():
+    with shm_rows() as rows:
+        yield rows
 
 
 @pytest.fixture
@@ -58,39 +52,64 @@ def tmp_recorder(tmp_path):
     install_flight_recorder(prev)
 
 
+def two_rank_runtime():
+    from repro.dist import DomainDecomposition
+    from repro.dist.runtime import DistRuntime
+    from repro.mesh import delaunay_cloud_mesh
+    from repro.partition import partition_graph
+
+    mesh = delaunay_cloud_mesh(60, seed=1)
+    labels = partition_graph(mesh.edges, mesh.n_vertices, 2, seed=1)
+    return DistRuntime(DomainDecomposition(mesh.edges, labels), timeout=30)
+
+
+def load(path):
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(ln) for ln in fh]
+
+
+def read_bundles(tmp_path):
+    return [load(path) for path in sorted(tmp_path.glob("flightrec-*.jsonl"))]
+
+
+def rank_rows(lines):
+    return {r["proc"]: r for r in lines if r["type"] == "proc"}
+
+
 class TestSeqlockRing:
-    def test_update_add_snapshot(self, local_plane):
-        w = local_plane.writer("solver")
+    def test_update_snapshot(self, local_rows):
+        w = local_rows.writer(0)
         w.hello()
-        w.update(a=1.5, residual=1e-3)
-        w.add(a=0.5, b=2.0)
-        s = local_plane.reader("solver").snapshot()
-        assert s.ok
-        assert s.pid == os.getpid()
-        assert s.slots == {"a": 2.0, "b": 2.0, "residual": 1e-3}
-        assert s.hb >= 3  # hello + one per mutation
+        w.update(step=3, residual=1e-3)
+        w.update(step=4)
+        slots, ok = local_rows.snapshot(0)
+        assert ok
+        assert (slots["step"], slots["residual"], slots["cfl"]) == (4.0, 1e-3, 0.0)
+        (rec,) = local_rows.records()
+        assert rec["pid"] == os.getpid() and rec["state"] == "idle"
+        assert 0.0 <= rec["heartbeat_age"] <= rec["uptime"] < 60.0
 
-    def test_unknown_slots_are_ignored(self, local_plane):
-        w = local_plane.writer("solver")
-        w.update(bogus=1.0, a=3.0)
-        w.add(nope=5.0)
-        s = local_plane.reader("solver").snapshot()
-        assert s.ok and s.slots["a"] == 3.0
+    def test_unknown_slots_are_ignored(self, local_rows):
+        w = local_rows.writer(0)
+        w.update(bogus=1.0, step=3.0)
+        slots, ok = local_rows.snapshot(0)
+        assert ok and slots["step"] == 3.0 and "bogus" not in slots
 
-    def test_snapshot_reports_wedged_writer(self, local_plane):
-        """An odd version that never settles must come back ok=False."""
-        w = local_plane.writer("solver")
-        w.update(a=7.0)
-        w._ctl[CTL_VER] += 1  # simulate a writer dying mid-update
-        s = local_plane.reader("solver").snapshot(retries=4)
-        assert not s.ok
-        w._ctl[CTL_VER] += 1  # settle; reads recover
-        assert local_plane.reader("solver").snapshot().ok
+    def test_snapshot_reports_wedged_writer(self, local_rows):
+        """An odd version that never settles must come back not ok."""
+        w = local_rows.writer(0)
+        w.update(step=7.0)
+        local_rows.ctl[0, CTL_VER] += 1  # simulate a writer dying mid-update
+        slots, ok = local_rows.snapshot(0, retries=4)
+        assert not ok and slots["step"] == 7.0
+        assert local_rows.records()[0]["settled"] is False
+        local_rows.ctl[0, CTL_VER] += 1  # settle; reads recover
+        assert local_rows.snapshot(0)[1]
 
-    def test_hammering_writer_never_tears_a_snapshot(self, local_plane):
-        """Seqlock invariant: every ok snapshot sees b == 2a even while a
-        writer thread updates both slots as fast as it can."""
-        w = local_plane.writer("solver")
+    def test_hammering_writer_never_tears_a_snapshot(self, local_rows):
+        """Seqlock invariant: every settled snapshot sees residual == 2 step
+        even while a writer thread updates both slots as fast as it can."""
+        w = local_rows.writer(0)
         w.hello()
         stop = threading.Event()
 
@@ -98,18 +117,17 @@ class TestSeqlockRing:
             k = 0.0
             while not stop.is_set():
                 k += 1.0
-                w.update(a=k, b=2.0 * k)
+                w.update(step=k, residual=2.0 * k)
 
         t = threading.Thread(target=hammer, daemon=True)
         t.start()
         try:
-            reader = local_plane.reader("solver")
             checked = 0
             for _ in range(3000):
-                s = reader.snapshot()
-                if s.ok:
+                slots, ok = local_rows.snapshot(0)
+                if ok:
                     checked += 1
-                    assert s.slots["b"] == 2.0 * s.slots["a"]
+                    assert slots["residual"] == 2.0 * slots["step"]
         finally:
             stop.set()
             t.join(timeout=5.0)
@@ -117,97 +135,51 @@ class TestSeqlockRing:
 
     def test_forked_writer_is_visible_to_parent(self):
         """The cross-process path: a forked child writes through inherited
-        views into the shared pool; the parent snapshots and drains it."""
+        views into the shared pool; the parent reads its row."""
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("needs fork")
-        with shm_plane({"w0": ("tasks",)}) as plane:
-            w = plane.writer("w0")
+        with shm_rows(2) as rows:
+            w = rows.writer(1)
 
             def child():
-                w.hello(STATE_BUSY)
-                w.add(tasks=3.0)
-                w.push_event("note", 3.0, 0.5)
+                w.hello()
+                w.heartbeat(STATE_BUSY)
+                w.update(step=3.0, residual=0.5)
 
             p = mp.get_context("fork").Process(target=child)
             p.start()
             p.join(timeout=30)
             assert p.exitcode == 0
-            s = plane.reader("w0").snapshot()
-            assert s.ok and s.pid == p.pid and s.pid != os.getpid()
-            assert s.slots["tasks"] == 3.0
-            assert s.state == STATE_BUSY
-            (ev,) = plane.drain_all()
-            assert (ev.proc, ev.name, ev.a, ev.b) == ("w0", "note", 3.0, 0.5)
+            unborn, busy = rows.records()
+            assert unborn["pid"] == 0 and unborn["state"] == "init"
+            assert unborn["uptime"] == unborn["heartbeat_age"] == 0.0
+            assert busy["proc"] == "rank1" and busy["settled"]
+            assert busy["pid"] == p.pid != os.getpid()
+            assert busy["state"] == "busy"
+            assert (busy["slots"]["step"], busy["slots"]["residual"]) == (3.0, 0.5)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     ops=st.lists(
-        st.tuples(
-            st.sampled_from(["update", "add"]),
-            st.dictionaries(
-                st.sampled_from(["a", "b", "residual", "junk"]),
-                st.floats(-1e6, 1e6, allow_nan=False),
-                max_size=4,
-            ),
+        st.dictionaries(
+            st.sampled_from(["step", "residual", "cfl", "junk"]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+            max_size=4,
         ),
         max_size=20,
     )
 )
 def test_slot_ops_match_model_property(ops):
-    """Property: any interleaving of update/add calls leaves the slots
-    exactly where a dict model says, and every quiescent snapshot is ok."""
-    slots = ("a", "b", "residual")
-    with shm_plane({"p": slots}) as plane:
-        w = plane.writer("p")
-        model = dict.fromkeys(slots, 0.0)
-        for kind, values in ops:
-            getattr(w, kind)(**values)
-            for k, v in values.items():
-                if k in model:
-                    model[k] = v if kind == "update" else model[k] + v
-            s = plane.reader("p").snapshot()
-            assert s.ok and s.slots == model
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    capacity=st.integers(2, 16),
-    bursts=st.lists(st.integers(0, 40), max_size=6),
-)
-def test_event_ring_overrun_accounting_property(capacity, bursts):
-    """Property: across arbitrary push bursts, each drain returns exactly
-    the newest min(burst, capacity) records in order and the reader's
-    ``dropped`` counter accounts for every overwritten one."""
-    with shm_plane({"p": ("x",)}, capacity=capacity) as plane:
-        w = plane.writer("p")
-        reader = plane.reader("p")
-        pushed = 0
-        expected_dropped = 0
-        for burst in bursts:
-            for _ in range(burst):
-                w.push_event("note", float(pushed))
-                pushed += 1
-            got = reader.drain_events()
-            expected_dropped += max(0, burst - capacity)
-            keep = min(burst, capacity)
-            assert [ev.a for ev in got] == [
-                float(v) for v in range(pushed - keep, pushed)
-            ]
-            assert reader.dropped == expected_dropped
-        assert reader.drain_events() == []
-
-
-class TestPlaneAndAggregator:
-    def test_registry_lifecycle(self):
-        with SharedArrayPool() as pool:
-            plane = TelemetryPlane({"p": ("a",)}, pool=pool)
-            try:
-                assert plane in live_planes()
-            finally:
-                plane.close()
-            assert plane not in live_planes()
-            assert plane.snapshot_all() == {}  # closed planes read empty
+    """Property: any sequence of writes leaves the slots exactly where a
+    dict model says, and every quiescent snapshot is settled."""
+    with shm_rows() as rows:
+        w = rows.writer(0)
+        model = dict.fromkeys(rows.snapshot(0)[0], 0.0)
+        for values in ops:
+            w.update(**values)
+            model.update((k, v) for k, v in values.items() if k in model)
+            assert rows.snapshot(0) == (model, True)
 
 
 class TestFlightRecorder:
@@ -218,43 +190,39 @@ class TestFlightRecorder:
         finally:
             install_flight_recorder(prev)
 
-    def test_dump_bundle_schema(self, tmp_path, tmp_recorder, local_plane):
-        w = local_plane.writer("solver")
+    def test_dump_bundle_schema(self, tmp_path, tmp_recorder, local_rows):
+        w = local_rows.writer(0)
         w.hello()
         w.update(residual=3e-5)
-        w.push_event("note", 4.0)
         path = tmp_recorder.dump("unit-test", dead=("w9",))
         assert os.path.dirname(path) == str(tmp_path)
-        lines = [json.loads(ln) for ln in open(path, encoding="utf-8")]
+        lines = load(path)
         header = lines[0]
         assert header["type"] == "flightrec_header"
         assert header["schema"] == FLIGHTREC_SCHEMA
         assert header["reason"] == "unit-test"
         assert header["dead"] == ["w9"]
         assert header["host"]["cpu_count"] == os.cpu_count()
-        by_type = {}
-        for rec in lines:
-            by_type.setdefault(rec["type"], []).append(rec)
-        procs = {r["proc"]: r for r in by_type["proc"]}
-        assert procs["solver"]["slots"]["residual"] == 3e-5
-        # the rings are drained at dump time
-        events = [r for r in by_type["plane_event"] if r["proc"] == "solver"]
-        assert [(r["name"], r["a"]) for r in events] == [("note", 4.0)]
+        assert rank_rows(lines)["rank0"]["slots"]["residual"] == 3e-5
+
+    def test_only_open_rows_reach_a_bundle(self, tmp_recorder):
+        with SharedArrayPool() as pool:
+            rows = RankRows(2, pool)
+            try:
+                path = tmp_recorder.dump("open")
+                assert set(rank_rows(load(path))) == {"rank0", "rank1"}
+            finally:
+                rows.close()
+            path = tmp_recorder.dump("closed")
+            assert rank_rows(load(path)) == {}
 
     def test_killed_rank_leaves_bundle(self, tmp_path, tmp_recorder):
         """SIGKILL a rank mid-program: the parent dumps one bundle naming
-        the dead rank, with both ranks' rows and their drained events."""
-        from repro.dist import DomainDecomposition
-        from repro.dist.runtime import DistRuntime
-        from repro.mesh import delaunay_cloud_mesh
-        from repro.partition import partition_graph
-
-        mesh = delaunay_cloud_mesh(60, seed=1)
-        labels = partition_graph(mesh.edges, mesh.n_vertices, 2, seed=1)
-        rt = DistRuntime(DomainDecomposition(mesh.edges, labels), timeout=30)
+        the dead rank, with both ranks' rows and their ``step`` slots."""
+        rt = two_rank_runtime()
 
         def program(comm):
-            comm.telem.push_event("note", float(comm.rank))
+            comm.telem.update(step=comm.rank + 1.0)
             comm.barrier()
             if comm.rank == 0:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -265,20 +233,43 @@ class TestFlightRecorder:
                 rt.run(program)
         finally:
             rt.close()
-        bundles = sorted(tmp_path.glob("flightrec-*.jsonl"))
-        assert len(bundles) == 1
-        lines = [json.loads(ln) for ln in open(bundles[0], encoding="utf-8")]
+        (lines,) = read_bundles(tmp_path)
         header = lines[0]
         assert header["schema"] == FLIGHTREC_SCHEMA
         assert header["reason"].startswith("rank-death")
         assert header["dead"] == ["repro-rank0"]
-        procs = {r["proc"] for r in lines if r["type"] == "proc"}
-        assert {"rank0", "rank1"} <= procs
-        notes = {
-            r["proc"]: r["a"] for r in lines
-            if r["type"] == "plane_event" and r["proc"].startswith("rank")
+        rows = rank_rows(lines)
+        assert {r: rows[r]["slots"]["step"] for r in rows} == {
+            "rank0": 1.0, "rank1": 2.0
         }
-        assert notes == {"rank0": 0.0, "rank1": 1.0}
+        assert all(row["pid"] > 0 for row in rows.values())
+
+    def test_raising_rank_leaves_bundle_with_rows(self, tmp_path, tmp_recorder):
+        """Regression: a rank that raised left no rows in any bundle (the
+        only dump came from the caller, after the runtime had closed them).
+        The parent now dumps ``rank-error`` while they are open; the
+        caller's own dump after the ``with`` does not overwrite it."""
+
+        def program(comm):
+            comm.telem.update(step=comm.rank + 1.0)
+            comm.barrier()
+            if comm.rank == 0:
+                raise ValueError("rank 0 gives up")
+
+        with pytest.raises(RuntimeError, match="rank 0 failed: ValueError"):
+            with two_rank_runtime() as rt:
+                rt.run(program)
+        crash_dump("unhandled-RuntimeError")  # as the CLI's session does
+        bundles = read_bundles(tmp_path)
+        (lines,) = [b for b in bundles if b[0]["reason"] == "rank-error"]
+        assert lines[0]["dead"] == ["repro-rank0"]
+        rows = rank_rows(lines)
+        assert set(rows) == {"rank0", "rank1"}
+        assert {r: rows[r]["slots"]["step"] for r in rows} == {
+            "rank0": 1.0, "rank1": 2.0
+        }
+        assert all(row["pid"] > 0 for row in rows.values())
+        assert len(bundles) == 2  # and the caller's, without rows
 
 
 class TestFingerprint:

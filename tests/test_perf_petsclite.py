@@ -5,18 +5,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, use_metrics
 from repro.perf import format_series, format_table
-from repro.petsclite import (
-    vec_axpy,
-    vec_aypx,
-    vec_copy,
-    vec_dot,
-    vec_maxpy,
-    vec_mdot,
-    vec_norm,
-    vec_scale,
-    vec_set,
-    vec_waxpy,
-)
+from repro.petsclite import vec_copy, vec_maxpy, vec_mdot, vec_norm, vec_scale
 
 
 class TestVectorPrimitives:
@@ -57,10 +46,6 @@ class TestVectorPrimitives:
             )
         assert calls == ["sum", "sum"]
 
-    def test_dot(self):
-        with use_metrics(self.reg):
-            assert vec_dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
     def test_mdot(self):
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         y = np.array([2.0, 3.0])
@@ -72,25 +57,6 @@ class TestVectorPrimitives:
         with use_metrics(self.reg):
             assert vec_mdot([], np.ones(3)).shape == (0,)
 
-    def test_axpy_in_place(self):
-        y = np.array([1.0, 1.0])
-        with use_metrics(self.reg):
-            out = vec_axpy(y, 2.0, np.array([1.0, 2.0]))
-        assert out is y
-        np.testing.assert_allclose(y, [3.0, 5.0])
-
-    def test_aypx(self):
-        y = np.array([1.0, 2.0])
-        with use_metrics(self.reg):
-            vec_aypx(y, 3.0, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(y, [4.0, 7.0])
-
-    def test_waxpy(self):
-        w = np.zeros(2)
-        with use_metrics(self.reg):
-            vec_waxpy(w, 2.0, np.array([1.0, 2.0]), np.array([10.0, 10.0]))
-        np.testing.assert_allclose(w, [12.0, 14.0])
-
     def test_maxpy(self):
         y = np.zeros(2)
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -99,20 +65,30 @@ class TestVectorPrimitives:
         np.testing.assert_allclose(y, [2.0, 3.0])
 
     def test_scale_copy_set(self):
+        """Scale in place, copy out; the copy is a new array (no set
+        primitive: GMRES zero-fills its own buffers)."""
         x = np.array([1.0, 2.0])
         with use_metrics(self.reg):
-            vec_scale(x, 2.0)
+            out = vec_scale(x, 2.0)
             c = vec_copy(x)
-            vec_set(x, 0.0)
+        assert out is x and c is not x
         np.testing.assert_allclose(c, [2.0, 4.0])
-        np.testing.assert_allclose(x, 0.0)
+        assert self.tallies() == (2, 2, 32 + 32)
 
     def test_flop_accounting(self):
+        """Every primitive GMRES calls adds its flops and bytes."""
+        x, xs = np.ones(100), np.ones((3, 100))
         with use_metrics(self.reg):
-            vec_dot(np.ones(100), np.ones(100))
-            vec_axpy(np.ones(100), 2.0, np.ones(100))
-            vec_copy(np.ones(100))
-        assert self.tallies() == (3, 400, 1600 + 2400 + 1600)
+            vec_norm(x)
+            vec_mdot(xs, x)
+            vec_maxpy(x, np.ones(3), xs)
+            vec_scale(x, 2.0)
+            vec_copy(x)
+        assert self.tallies() == (
+            5,
+            200 + 600 + 600 + 100 + 0,
+            800 + 3200 + 4000 + 1600 + 1600,
+        )
 
 
 class TestReportFormatting:
