@@ -14,10 +14,9 @@ import pytest
 from repro.perf import format_table
 from repro.smp import (
     XEON_E5_2690_V2,
-    EdgeLoopExecutor,
-    EdgeLoopOptions,
     edge_loop_time,
     flux_kernel_work,
+    make_edge_loop_options,
     metis_thread_labels,
 )
 
@@ -29,8 +28,6 @@ def test_ablation_layout_simd_prefetch_grid(benchmark, mesh_c, capsys):
     mach = XEON_E5_2690_V2
     work = flux_kernel_work(mesh_c.n_edges)
     labels = metis_thread_labels(mesh_c.edges, mesh_c.n_vertices, 20, seed=1)
-    ex = EdgeLoopExecutor(mesh_c.edges, mesh_c.n_vertices, 20, "replicate", labels)
-    ept = ex.edges_per_thread()
 
     def compute():
         out = {}
@@ -38,16 +35,9 @@ def test_ablation_layout_simd_prefetch_grid(benchmark, mesh_c, capsys):
             ("soa", "aos"), (False, True), (False, True)
         ):
             out[(layout, simd, pf)] = edge_loop_time(
-                mach,
-                work,
-                EdgeLoopOptions(
-                    n_threads=20,
-                    strategy="replicate",
-                    layout=layout,
-                    simd=simd,
-                    prefetch=pf,
-                    rcm=True,
-                    edges_per_thread=ept,
+                mach, work, make_edge_loop_options(
+                    mesh_c.edges, mesh_c.n_vertices, 20, "owner", labels,
+                    layout=layout, simd=simd, prefetch=pf, rcm=True,
                 ),
             )
         return out

@@ -10,8 +10,9 @@ the real replication overhead of both partitioners on our mesh.
 
 import pytest
 
+from repro.partition import replication_overhead
 from repro.perf import format_series
-from repro.smp import EdgeLoopExecutor, metis_thread_labels, natural_thread_labels
+from repro.smp import metis_thread_labels, natural_thread_labels
 
 from conftest import emit
 
@@ -23,14 +24,11 @@ def test_ablation_replication_overhead(benchmark, mesh_c, capsys):
     def compute():
         nat, met = [], []
         for t in THREADS:
-            exn = EdgeLoopExecutor(
-                mesh_c.edges, mesh_c.n_vertices, t, "replicate",
-                natural_thread_labels(mesh_c.n_vertices, t))
-            exm = EdgeLoopExecutor(
-                mesh_c.edges, mesh_c.n_vertices, t, "replicate",
-                metis_thread_labels(mesh_c.edges, mesh_c.n_vertices, t, seed=1))
-            nat.append(exn.replication())
-            met.append(exm.replication())
+            nat.append(replication_overhead(
+                mesh_c.edges, natural_thread_labels(mesh_c.n_vertices, t)))
+            met.append(replication_overhead(
+                mesh_c.edges,
+                metis_thread_labels(mesh_c.edges, mesh_c.n_vertices, t, seed=1)))
         return nat, met
 
     nat, met = benchmark.pedantic(compute, rounds=1, iterations=1)

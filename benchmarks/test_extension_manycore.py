@@ -10,14 +10,15 @@ replication overhead on our mesh.
 
 import pytest
 
+from repro.partition import replication_overhead
 from repro.perf import format_table
 from repro.smp import (
     XEON_E5_2690_V2,
     XEON_PHI_KNC,
-    EdgeLoopExecutor,
     EdgeLoopOptions,
     edge_loop_time,
     flux_kernel_work,
+    make_edge_loop_options,
     metis_thread_labels,
 )
 
@@ -34,24 +35,14 @@ def test_extension_manycore_projection(benchmark, mesh_c, capsys):
             labels = metis_thread_labels(
                 mesh_c.edges, mesh_c.n_vertices, t, seed=1
             )
-            ex = EdgeLoopExecutor(
-                mesh_c.edges, mesh_c.n_vertices, t, "replicate", labels
-            )
             seq = edge_loop_time(mach, work, EdgeLoopOptions(n_threads=1))
-            opt = edge_loop_time(
-                mach,
-                work,
-                EdgeLoopOptions(
-                    n_threads=t,
-                    strategy="replicate",
-                    layout="aos",
-                    simd=True,
-                    prefetch=True,
-                    rcm=True,
-                    edges_per_thread=ex.edges_per_thread(),
-                ),
+            opt = edge_loop_time(mach, work, make_edge_loop_options(
+                mesh_c.edges, mesh_c.n_vertices, t, "owner", labels,
+                layout="aos", simd=True, prefetch=True, rcm=True,
+            ))
+            out[mach.name] = (
+                t, seq / opt, replication_overhead(mesh_c.edges, labels)
             )
-            out[mach.name] = (t, seq / opt, ex.replication())
         return out
 
     out = benchmark.pedantic(compute, rounds=1, iterations=1)

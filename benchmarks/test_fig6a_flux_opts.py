@@ -21,10 +21,10 @@ from repro.ordering import reverse_cuthill_mckee
 from repro.perf import format_table
 from repro.smp import (
     XEON_E5_2690_V2,
-    EdgeLoopExecutor,
     EdgeLoopOptions,
     edge_loop_time,
     flux_kernel_work,
+    make_edge_loop_options,
     metis_thread_labels,
 )
 from repro.solver import AdditiveSchwarzILU, SolverOptions, solve_steady
@@ -41,25 +41,12 @@ def _cumulative_times(mesh):
     work = flux_kernel_work(mesh.n_edges)
     base = edge_loop_time(mach, work, EdgeLoopOptions(n_threads=1))
     labels = metis_thread_labels(mesh.edges, mesh.n_vertices, N_THREADS, seed=1)
-    ex = EdgeLoopExecutor(
-        mesh.edges, mesh.n_vertices, N_THREADS, "replicate", labels
-    )
-    ept = ex.edges_per_thread()
 
     def t(layout, simd, pf):
-        return edge_loop_time(
-            mach,
-            work,
-            EdgeLoopOptions(
-                n_threads=N_THREADS,
-                strategy="replicate",
-                layout=layout,
-                simd=simd,
-                prefetch=pf,
-                rcm=True,
-                edges_per_thread=ept,
-            ),
-        )
+        return edge_loop_time(mach, work, make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, N_THREADS, "owner", labels,
+            layout=layout, simd=simd, prefetch=pf, rcm=True,
+        ))
 
     return {
         "base (sequential)": base,

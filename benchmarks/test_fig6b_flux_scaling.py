@@ -16,10 +16,10 @@ from statistics import median
 
 import pytest
 
+from repro.partition import replication_overhead
 from repro.perf import format_series, format_table
 from repro.smp import (
     XEON_E5_2690_V2,
-    EdgeLoopExecutor,
     edge_loop_time,
     flux_kernel_work,
     make_edge_loop_options,
@@ -37,36 +37,36 @@ MEASURED_WORKERS = (1, 2, 4)
 def _scaling_series(mesh):
     mach = XEON_E5_2690_V2
     work = flux_kernel_work(mesh.n_edges)
-    seq_ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 1, "sequential")
+    edges, nv = mesh.edges, mesh.n_vertices
     base = edge_loop_time(
-        mach, work, make_edge_loop_options(seq_ex, layout="soa", simd=False,
-                                           prefetch=False, rcm=False)
+        mach, work, make_edge_loop_options(
+            edges, nv, 1, "sequential", layout="soa", simd=False,
+            prefetch=False, rcm=False,
+        )
+    )
+    seq = edge_loop_time(
+        mach, work, make_edge_loop_options(edges, nv, 1, "sequential")
     )
 
-    series = {"atomics": [], "replication (natural)": [], "METIS": []}
+    series = {"atomic": [], "owner-natural": [], "owner-metis": []}
     repl = {}
     for c in CORES:
         if c == 1:
             for k in series:
-                ex = seq_ex
-                t = edge_loop_time(mach, work, make_edge_loop_options(ex))
-                series[k].append(base / t)
+                series[k].append(base / seq)
             continue
-        ex_a = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, c, "atomic")
-        ex_n = EdgeLoopExecutor(
-            mesh.edges, mesh.n_vertices, c, "replicate",
-            natural_thread_labels(mesh.n_vertices, c))
-        ex_m = EdgeLoopExecutor(
-            mesh.edges, mesh.n_vertices, c, "replicate",
-            metis_thread_labels(mesh.edges, mesh.n_vertices, c, seed=1))
-        for k, ex in (
-            ("atomics", ex_a),
-            ("replication (natural)", ex_n),
-            ("METIS", ex_m),
+        nat = natural_thread_labels(nv, c)
+        met = metis_thread_labels(edges, nv, c, seed=1)
+        for k, strategy, labels in (
+            ("atomic", "atomic", None),
+            ("owner-natural", "owner", nat),
+            ("owner-metis", "owner", met),
         ):
-            t = edge_loop_time(mach, work, make_edge_loop_options(ex))
+            t = edge_loop_time(mach, work, make_edge_loop_options(
+                edges, nv, c, strategy, labels
+            ))
             series[k].append(base / t)
-        repl[c] = (ex_n.replication(), ex_m.replication())
+        repl[c] = (replication_overhead(edges, nat), replication_overhead(edges, met))
     return series, repl
 
 
@@ -94,12 +94,12 @@ def test_fig6b_flux_strategy_scaling(benchmark, mesh_c, capsys):
     # shapes: METIS fastest at every core count; atomics slowest at scale;
     # all three scale with cores
     for i in range(1, len(CORES)):
-        assert series["METIS"][i] >= series["replication (natural)"][i]
-        assert series["METIS"][i] > series["atomics"][i]
-        assert series["METIS"][i] > series["METIS"][i - 1]
+        assert series["owner-metis"][i] >= series["owner-natural"][i]
+        assert series["owner-metis"][i] > series["atomic"][i]
+        assert series["owner-metis"][i] > series["owner-metis"][i - 1]
         # atomics keep scaling until they hit the bandwidth roofline, then
         # flatten; allow the plateau
-        assert series["atomics"][i] > 0.93 * series["atomics"][i - 1]
+        assert series["atomic"][i] > 0.93 * series["atomic"][i - 1]
     # natural-order replication wastes much more work than METIS
     assert rn > 2.5 * rm
 
@@ -120,8 +120,7 @@ def test_fig6b_flux_strategy_scaling_measured(benchmark, mesh_c, capsys):
             r["strategy"], str(r["workers"]),
             f"{1e3 * r['wall_seconds']:.2f}", f"{r['speedup']:.2f}x",
             f"{100 * r['redundant_edge_fraction']:.1f}%",
-            "-" if r["model_seconds"] is None
-            else f"{1e3 * r['model_seconds']:.2f}",
+            f"{1e3 * r['model_seconds']:.2f}",
         ]
         for r in doc["results"]
     ]

@@ -1,30 +1,32 @@
 #!/usr/bin/env python3
 """Kernel tuning study: edge-loop threading strategies and data layouts.
 
-Reproduces the paper's Section V.A exploration interactively: compares the
-three threading strategies (atomics / natural replication / METIS) and the
-layout/SIMD/prefetch space for the flux kernel on a Mesh-C'-like wing, and
-verifies that every strategy produces numerics identical to the sequential
-kernel.
+Reproduces the paper's Section V.A exploration interactively: runs the
+first-order flux residual on a real thread team under each write-out
+strategy (``locked``, the stand-in for atomics, and owner-writes on natural
+and METIS labels) and checks it against the sequential kernel, then prices
+the three strategies (atomic / owner-natural / owner-metis) and the
+layout/SIMD/prefetch space for the flux kernel on a Mesh-C'-like wing with
+the paper-Xeon cost model.
 
 Run:  python examples/kernel_tuning.py
 """
 
 import numpy as np
 
-from repro.cfd import FlowConfig, FlowField, rusanov_edge_flux, scatter_edge_flux
+from repro.cfd import FlowConfig, FlowField
 from repro.mesh import mesh_c_prime
 from repro.perf import format_series, format_table
 from repro.smp import (
     XEON_E5_2690_V2,
-    EdgeLoopExecutor,
-    EdgeLoopOptions,
+    ThreadEdgeBackend,
     edge_loop_time,
     flux_kernel_work,
     make_edge_loop_options,
     metis_thread_labels,
     natural_thread_labels,
 )
+from repro.sweeps import serial_residual
 
 
 def main() -> None:
@@ -32,74 +34,61 @@ def main() -> None:
     field = FlowField(mesh)
     mach = XEON_E5_2690_V2
     work = flux_kernel_work(mesh.n_edges)
+    edges, nv = mesh.edges, mesh.n_vertices
     print(f"{mesh.name}: {mesh.n_edges} edges\n")
 
-    # --- 1. numerics equivalence across strategies ----------------------
+    # --- 1. numerics equivalence across strategies, on real threads -----
     rng = np.random.default_rng(0)
-    q = field.initial_state(FlowConfig()) + 0.05 * rng.normal(
-        size=(field.n_vertices, 4)
-    )
-
-    def compute(eidx):
-        return rusanov_edge_flux(
-            q[field.e0[eidx]], q[field.e1[eidx]], field.enormals[eidx], 4.0
-        )
-
-    flux = rusanov_edge_flux(q[field.e0], q[field.e1], field.enormals, 4.0)
-    ref = scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)
+    config = FlowConfig()
+    q = field.initial_state(config) + 0.05 * rng.normal(size=(nv, 4))
+    ref = serial_residual(field, q, config, first_order=True)[0]
     t = 8
-    for name, strategy, labels in (
-        ("atomics", "atomic", None),
-        ("replication/natural", "replicate",
-         natural_thread_labels(mesh.n_vertices, t)),
-        ("replication/METIS", "replicate",
-         metis_thread_labels(mesh.edges, mesh.n_vertices, t, seed=1)),
+    for name, strategy, partitioner in (
+        ("locked", "locked", "metis"),
+        ("owner-natural", "owner", "natural"),
+        ("owner-metis", "owner", "metis"),
     ):
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, t, strategy, labels)
-        res = ex.execute(compute)
+        with ThreadEdgeBackend(field, t, strategy, partitioner, seed=1) as team:
+            res = team.residual(q, config, first_order=True)[0]
+            repl = team.redundant_edge_fraction
         err = np.abs(res - ref).max()
-        repl = ex.replication()
         print(f"  {name:<22} max |diff| vs sequential = {err:.2e}  "
               f"redundant compute +{100 * repl:.1f}%")
     print()
 
     # --- 2. strategy scaling (Fig 6b style) -----------------------------
     cores = [1, 2, 4, 8, 10]
-    seq = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 1, "sequential")
     base = edge_loop_time(mach, work, make_edge_loop_options(
-        seq, layout="soa", simd=False, prefetch=False, rcm=False))
-    series = {"atomics": [], "natural": [], "METIS": []}
+        edges, nv, 1, "sequential", layout="soa", simd=False, prefetch=False,
+        rcm=False))
+    series = {"atomic": [], "owner-natural": [], "owner-metis": []}
     for c in cores:
         if c == 1:
             for k in series:
                 series[k].append(1.0)
             continue
         for k, strat, lab in (
-            ("atomics", "atomic", None),
-            ("natural", "replicate", natural_thread_labels(mesh.n_vertices, c)),
-            ("METIS", "replicate",
-             metis_thread_labels(mesh.edges, mesh.n_vertices, c, seed=1)),
+            ("atomic", "atomic", None),
+            ("owner-natural", "owner", natural_thread_labels(nv, c)),
+            ("owner-metis", "owner", metis_thread_labels(edges, nv, c, seed=1)),
         ):
-            ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, c, strat, lab)
-            series[k].append(
-                base / edge_loop_time(mach, work, make_edge_loop_options(ex))
-            )
+            series[k].append(base / edge_loop_time(
+                mach, work, make_edge_loop_options(edges, nv, c, strat, lab)
+            ))
     fmt = {k: [f"{v:.1f}x" for v in vals] for k, vals in series.items()}
     print(format_series("cores", cores, fmt,
                         title="flux kernel speedup by strategy (modeled)"))
     print()
 
     # --- 3. layout / SIMD / prefetch (Fig 6a style) ----------------------
-    labels = metis_thread_labels(mesh.edges, mesh.n_vertices, 20, seed=1)
-    ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 20, "replicate", labels)
+    labels = metis_thread_labels(edges, nv, 20, seed=1)
     rows = []
     for layout in ("soa", "aos"):
         for simd in (False, True):
             for pf in (False, True):
-                tt = edge_loop_time(mach, work, EdgeLoopOptions(
-                    n_threads=20, strategy="replicate", layout=layout,
-                    simd=simd, prefetch=pf, rcm=True,
-                    edges_per_thread=ex.edges_per_thread()))
+                tt = edge_loop_time(mach, work, make_edge_loop_options(
+                    edges, nv, 20, "owner", labels, layout=layout, simd=simd,
+                    prefetch=pf, rcm=True))
                 rows.append([layout, simd, pf, f"{base / tt:.1f}x"])
     print(format_table(["layout", "simd", "prefetch", "speedup vs seq base"],
                        rows, title="layout/SIMD/prefetch grid at 20 threads"))

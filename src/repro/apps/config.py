@@ -22,8 +22,8 @@ class OptimizationConfig:
     """One configuration of the shared-memory optimization space."""
 
     n_threads: int = 1
-    edge_strategy: str = "sequential"  # sequential | atomic | replicate
-    thread_partitioner: str = "metis"  # natural | metis (for replicate)
+    edge_strategy: str = "sequential"  # sequential | atomic | owner | coloring
+    thread_partitioner: str = "metis"  # natural | metis (for owner)
     layout: str = "soa"  # soa | aos
     simd: bool = False
     prefetch: bool = False
@@ -45,7 +45,7 @@ class OptimizationConfig:
         """All shared-memory optimizations on (paper Section VI.A)."""
         return cls(
             n_threads=n_threads,
-            edge_strategy="replicate",
+            edge_strategy="owner",
             thread_partitioner="metis",
             layout="aos",
             simd=True,
@@ -64,7 +64,7 @@ class OptimizationConfig:
         if self.n_threads == 1:
             return "baseline"
         bits = [f"{self.n_threads}t", self.edge_strategy]
-        if self.edge_strategy == "replicate":
+        if self.edge_strategy == "owner":
             bits.append(self.thread_partitioner)
         bits.append(self.layout)
         if self.simd:

@@ -36,7 +36,7 @@ from ..smp.cost import (
     vector_op_time,
 )
 from ..smp.strategies import (
-    EdgeLoopExecutor,
+    make_edge_loop_options,
     metis_thread_labels,
     natural_thread_labels,
     tri_solve_options_from_plan,
@@ -164,39 +164,20 @@ class Fun3dApp:
 
     # ------------------------------------------------------------------
     def _edge_options(self, config: OptimizationConfig) -> EdgeLoopOptions:
-        t = config.n_threads
-        if t <= 1 or config.edge_strategy == "sequential":
-            return EdgeLoopOptions(
-                n_threads=1,
-                strategy="sequential",
-                layout=config.layout,
-                simd=config.simd,
-                prefetch=config.prefetch,
-                rcm=config.rcm,
-            )
-        if config.edge_strategy == "replicate":
+        t, strategy = config.n_threads, config.edge_strategy
+        if t <= 1 or strategy == "sequential":
+            t, strategy = 1, "sequential"
+        labels = None
+        if strategy == "owner":
             labels = (
                 metis_thread_labels(self.mesh.edges, self.mesh.n_vertices, t)
                 if config.thread_partitioner == "metis"
                 else natural_thread_labels(self.mesh.n_vertices, t)
             )
-            ex = EdgeLoopExecutor(
-                self.mesh.edges, self.mesh.n_vertices, t, "replicate", labels
-            )
-            per = ex.edges_per_thread()
-        else:
-            ex = EdgeLoopExecutor(
-                self.mesh.edges, self.mesh.n_vertices, t, config.edge_strategy
-            )
-            per = ex.edges_per_thread()
-        return EdgeLoopOptions(
-            n_threads=t,
-            strategy=config.edge_strategy,
-            layout=config.layout,
-            simd=config.simd,
-            prefetch=config.prefetch,
+        return make_edge_loop_options(
+            self.mesh.edges, self.mesh.n_vertices, t, strategy, labels,
+            layout=config.layout, simd=config.simd, prefetch=config.prefetch,
             rcm=config.rcm,
-            edges_per_thread=per,
         )
 
     def modeled_profile(

@@ -14,7 +14,9 @@ Performance is measured by ``python3 bench/run.py`` (see
 
 ``solve`` and ``profile`` accept ``--backend thread --workers N`` to run
 the flux/gradient edge loops on a team of N threads over the field's
-arrays (``--edge-strategy`` picks locked / replicate / owner writes).
+arrays (``--edge-strategy`` picks ``owner`` writes, the default, with
+``--partitioner metis`` or ``natural`` labels, or ``locked``, the
+measured stand-in for the paper's atomics).
 
 Every command works on the generated ONERA-M6-like datasets; ``--scale``
 sizes them (1.0 = full Mesh-C'/Mesh-D' analogues) and ``--ordering``
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=_POSITIVE_INT,
                         help="threads for --backend thread (default 2)")
         sp.add_argument(
-            "--edge-strategy", choices=["locked", "replicate", "owner"],
+            "--edge-strategy", choices=["locked", "owner"],
             help="how the threads write out for --backend thread "
                  "(default owner)"
         )

@@ -1,17 +1,13 @@
-"""Domain decomposition with ghost vertices and verified halo exchange.
+"""Domain decomposition with ghost vertices and halo index lists.
 
 The distributed solver assigns each vertex to one rank; each rank stores its
 owned vertices plus one layer of *ghost* copies of off-rank neighbors.  The
 edge-based kernels then run on purely local arrays, and a VecScatter-style
 halo exchange refreshes the ghosts — "local communication to complete the
-edges cut by the domain decomposition" (paper Section III.A).
-
-Because the whole simulation lives in one address space, the exchange could
-be faked; instead :class:`DomainDecomposition` genuinely packs per-rank send
-buffers from owner data and unpacks into each rank's ghost slots, and the
-tests verify the result against direct global indexing.  The structure also
-yields the communication *counts* (neighbors, bytes) the network model
-charges for.
+edges cut by the domain decomposition" (paper Section III.A).  The exchange
+itself runs between the forked ranks (:mod:`repro.dist.runtime.comm`); this
+module builds what it moves: per neighbor, the local rows a rank sends and
+the ghost slots it receives into.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ class LocalDomain:
     rank: int
     owned: np.ndarray  # global ids of owned vertices
     ghosts: np.ndarray  # global ids of ghost vertices (ascending rank order)
-    local_of_global: dict[int, int] = field(repr=False, default_factory=dict)
     #: per-neighbor (rank, local indices to send, local ghost slots to recv)
     send_lists: dict[int, np.ndarray] = field(default_factory=dict)
     recv_lists: dict[int, np.ndarray] = field(default_factory=dict)
@@ -51,22 +46,13 @@ class LocalDomain:
     def n_local(self) -> int:
         return self.owned.shape[0] + self.ghosts.shape[0]
 
-    def neighbor_ranks(self) -> list[int]:
-        return sorted(self.send_lists)
-
-    def send_bytes(self, nvars: int = 4) -> np.ndarray:
-        """Bytes sent to each neighbor in one exchange."""
-        return np.array(
-            [self.send_lists[r].shape[0] * nvars * 8.0 for r in self.neighbor_ranks()]
-        )
-
 
 class DomainDecomposition:
     """Build per-rank local domains from a vertex partition.
 
     Edges incident to a rank's owned vertices are assigned to that rank
-    (owner-computes with replicated cut edges, matching the shared-memory
-    replication strategy one level up the hierarchy).
+    (owner-computes with cut edges on both sides, the owner-writes
+    strategy one level up the hierarchy).
     """
 
     def __init__(self, edges: np.ndarray, labels: np.ndarray) -> None:
@@ -80,6 +66,9 @@ class DomainDecomposition:
         nv = self.labels.shape[0]
         e0, e1 = self.edges[:, 0], self.edges[:, 1]
         l0, l1 = self.labels[e0], self.labels[e1]
+        # global vertex -> local index of the rank being built (read only
+        # at that rank's own vertices)
+        remap = np.empty(nv, dtype=np.int64)
         for r in range(self.n_ranks):
             owned = np.where(self.labels == r)[0]
             # edges this rank processes: any endpoint owned
@@ -88,16 +77,10 @@ class DomainDecomposition:
             # ghost vertices: off-rank endpoints of those edges
             other = np.concatenate([re0[l0[sel] != r], re1[l1[sel] != r]])
             ghosts = np.unique(other)
-            local_ids = np.concatenate([owned, ghosts])
-            lookup = {int(g): i for i, g in enumerate(local_ids)}
-            dom = LocalDomain(
-                rank=r, owned=owned, ghosts=ghosts, local_of_global=lookup
-            )
-            remap = np.vectorize(lookup.__getitem__, otypes=[np.int64])
-            if re0.size:
-                dom.local_edges = np.stack([remap(re0), remap(re1)], axis=1)
-            else:
-                dom.local_edges = np.zeros((0, 2), dtype=np.int64)
+            remap[owned] = np.arange(owned.shape[0])
+            remap[ghosts] = owned.shape[0] + np.arange(ghosts.shape[0])
+            dom = LocalDomain(rank=r, owned=owned, ghosts=ghosts)
+            dom.local_edges = np.stack([remap[re0], remap[re1]], axis=1)
             dom.edge_ids = np.where(sel)[0]
             # recv lists grouped by owner rank
             if ghosts.size:
@@ -108,20 +91,17 @@ class DomainDecomposition:
                         owned.shape[0] + np.where(sel_nb)[0]
                     )
             self.domains.append(dom)
-        # send lists mirror the neighbors' recv lists
+        # send lists mirror the neighbors' recv lists: a ghost's owner
+        # sends the row of its owned vertex, whose local index is its
+        # position in the (ascending) owned ids
         for dom in self.domains:
             for nb, slots in dom.recv_lists.items():
-                ghost_globals = (
-                    np.concatenate([dom.owned, dom.ghosts])[slots]
-                )
                 nb_dom = self.domains[nb]
-                send_local = np.array(
-                    [nb_dom.local_of_global[int(g)] for g in ghost_globals],
-                    dtype=np.int64,
+                nb_dom.send_lists[dom.rank] = np.searchsorted(
+                    nb_dom.owned, dom.ghosts[slots - dom.n_owned]
                 )
-                nb_dom.send_lists[dom.rank] = send_local
-        # replicated cut edges: each cut edge is processed by both endpoint
-        # ranks (the paper's owner-computes replication overhead)
+        # cut edges: each is processed by both endpoint ranks (the paper's
+        # owner-computes redundant-compute overhead)
         n_global = max(int(self.edges.shape[0]), 1)
         n_local = sum(int(d.local_edges.shape[0]) for d in self.domains)
         met = get_metrics()
@@ -129,57 +109,3 @@ class DomainDecomposition:
             (n_local - self.edges.shape[0]) / n_global
         )
         met.gauge("halo.n_ranks").set(self.n_ranks)
-
-    # ------------------------------------------------------------------
-    def scatter(self, global_field: np.ndarray) -> list[np.ndarray]:
-        """Distribute a global per-vertex array into per-rank local arrays
-        (owned values filled, ghosts zeroed)."""
-        out = []
-        for dom in self.domains:
-            shape = (dom.n_local,) + global_field.shape[1:]
-            local = np.zeros(shape, dtype=global_field.dtype)
-            local[: dom.n_owned] = global_field[dom.owned]
-            out.append(local)
-        return out
-
-    def halo_exchange(self, locals_: list[np.ndarray]) -> None:
-        """Refresh every rank's ghost entries by packing/unpacking buffers.
-
-        This is the real VecScatter dance: each rank packs its owned values
-        destined for each neighbor; buffers are 'transmitted' and unpacked
-        into the neighbor's ghost slots.
-        """
-        buffers: dict[tuple[int, int], np.ndarray] = {}
-        nbytes = 0
-        for dom in self.domains:
-            for nb, send_idx in dom.send_lists.items():
-                buf = locals_[dom.rank][send_idx].copy()
-                buffers[(dom.rank, nb)] = buf
-                nbytes += buf.nbytes
-        for dom in self.domains:
-            for nb, slots in dom.recv_lists.items():
-                locals_[dom.rank][slots] = buffers[(nb, dom.rank)]
-        met = get_metrics()
-        met.counter("halo.exchanges").inc()
-        met.counter("halo.messages").inc(len(buffers))
-        met.counter("halo.bytes").inc(nbytes)
-
-    def gather(self, locals_: list[np.ndarray], nv: int) -> np.ndarray:
-        """Assemble owned values back into a global array."""
-        shape = (nv,) + locals_[0].shape[1:]
-        out = np.zeros(shape, dtype=locals_[0].dtype)
-        for dom in self.domains:
-            out[dom.owned] = locals_[dom.rank][: dom.n_owned]
-        return out
-
-    # ------------------------------------------------------------------
-    def comm_stats(self, nvars: int = 4) -> dict[str, float]:
-        """Aggregate exchange statistics for the network cost model."""
-        nbrs = [len(d.send_lists) for d in self.domains]
-        byts = [float(d.send_bytes(nvars).sum()) for d in self.domains]
-        return {
-            "max_neighbors": float(max(nbrs) if nbrs else 0),
-            "avg_neighbors": float(np.mean(nbrs) if nbrs else 0),
-            "max_send_bytes": float(max(byts) if byts else 0),
-            "total_send_bytes": float(sum(byts)),
-        }

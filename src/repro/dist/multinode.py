@@ -162,7 +162,7 @@ class MultiNodeModel:
         cfg = self.config
         if cfg.threaded_kernels:
             t = cfg.threads_per_rank
-            strategy = "replicate"
+            strategy = "owner"
         else:
             t, strategy = 1, "sequential"
         return dict(
@@ -176,7 +176,7 @@ class MultiNodeModel:
 
     def _edge_time(self, work) -> float:
         opts = EdgeLoopOptions(**self._edge_opts())
-        if opts.strategy == "replicate":
+        if opts.strategy == "owner":
             # thread-level replication within the rank (METIS-quality)
             per = np.full(
                 opts.n_threads,

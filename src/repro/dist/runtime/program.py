@@ -42,9 +42,8 @@ from ...cfd.state import BOUNDARY_TAGS, NVARS, FlowConfig, freestream_state
 from ...cfd.timestep import pseudo_timestep
 from ...obs.span import get_tracer, kernel_span
 from ...solver.newton import SolveResult, SolverOptions, pseudo_transient_solve
+from ...solver.schwarz import AdditiveSchwarzILU
 from ...sparse.bcsr import BCSRMatrix, bcsr_pattern_from_edges
-from ...sparse.ilu import build_ilu_plan, ilu_factorize
-from ...sparse.trsv import TrsvWorkspace, trsv_solve
 from ...sweeps.schedule import Part, ResidualArrays, run_residual, sweep
 from ...sweeps.sweeps import CornerSweeps, edge_sweeps
 from .comm import Communicator
@@ -261,7 +260,8 @@ def rank_residual(
 
 
 class _RankJacobian:
-    """First-order Jacobian of the rank's owned-by-owned block + ILU.
+    """First-order Jacobian of the rank's owned-by-owned block and its
+    one-subdomain ILU preconditioner (``pc``).
 
     The pattern comes from the interior (owned-owned) edges; cut edges
     land only on their owned endpoint's diagonal block.  This equals the
@@ -288,12 +288,8 @@ class _RankJacobian:
             tag: diag[data.bcorners[tag][0]] for tag in BOUNDARY_TAGS
         }
         self.matrix = BCSRMatrix.from_pattern(self.rowptr, self.cols, NVARS)
-        self.plan = build_ilu_plan(
-            self.rowptr, self.cols, b=NVARS, fill_level=fill_level
-        )
-        self._factor = None
+        self.pc = AdditiveSchwarzILU(self.matrix, fill_level=fill_level)
         self._data = data
-        self._tws = TrsvWorkspace.for_plan(self.plan)
 
     def assemble(
         self, ws: _Workspace, config: FlowConfig, dt: np.ndarray
@@ -323,16 +319,6 @@ class _RankJacobian:
 
         eye = np.eye(NVARS)
         vals[self._diag_idx] += (data.volumes / dt)[:, None, None] * eye
-
-    def factorize(self) -> None:
-        self._factor = None  # never two factors alive at once
-        self._factor = ilu_factorize(self.matrix, self.plan)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        # no out=: every call returns a fresh array (work covers the
-        # scratch)
-        z = trsv_solve(self._factor, r.reshape(-1, NVARS), work=self._tws)
-        return z.reshape(r.shape)
 
 
 class _RankDiscretization:
@@ -373,10 +359,10 @@ class _RankDiscretization:
         with kernel_span("jacobian"):
             self.jac.assemble(self.ws, self.config, dt)
         with kernel_span("ilu"):
-            self.jac.factorize()
+            self.jac.pc.update(self.jac.matrix)
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
-        return self.jac.apply(v)
+        return self.jac.pc.apply(v)
 
 
 def rank_solve_steady(

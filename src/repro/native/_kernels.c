@@ -728,7 +728,7 @@ void boundary_sweep(int64_t n, const int64_t *verts, const double *normals,
  * threads than CPUs to run them), yielding its CPU as it goes, then
  * sleeps on the team's condition variable.  Every task writes rows no
  * other task writes (owner-writes, ILU rows) or its part's own private
- * accumulators (locked, replicate), so a row sees the same updates in the
+ * accumulators (locked), so a row sees the same updates in the
  * same order as the serial kernel: the team computes the serial bits.
  *
  * The entries check nothing: repro/smp/parallel.py validates every
@@ -749,7 +749,7 @@ void boundary_sweep(int64_t n, const int64_t *verts, const double *normals,
 #define TEAM_SPIN_NS 10000000
 
 enum { JOB_RECON = 1, JOB_LIMIT, JOB_FLUX, JOB_JACOBIAN, JOB_ILU };
-enum { FOLD_OWNER, FOLD_LOCKED, FOLD_REPLICATE };
+enum { FOLD_OWNER, FOLD_LOCKED };
 
 /* The claim word when no job has a task left to claim; else it is the
  * phase in the high half and the next task in the low half. */
@@ -758,7 +758,7 @@ enum { FOLD_OWNER, FOLD_LOCKED, FOLD_REPLICATE };
 
 /* One part of an edge job: edges [lo, hi) of an edge set with optional
  * write masks, the flux sweep's (hi - lo) x NV scratch, for the locked
- * and replicate folds private accumulators of n_rows rows, and for
+ * fold private accumulators of n_rows rows, and for
  * owner-writes the write masks of its Jacobian sweep over the job's full
  * edge set. */
 typedef struct {
@@ -887,15 +887,14 @@ static void fold(double *out, const double *a, int64_t n, int op)
 
 /* One residual stage or the Jacobian sweep over part s.  Owner-writes
  * sweeps straight into the shared arrays, which the caller has set to
- * their start values.  The other folds sweep into the part's private
- * accumulators reset to the fold's identity, which locked folds into the
- * shared arrays under the fold mutex and replicate leaves for the caller
- * to reduce. */
+ * their start values.  Locked sweeps into the part's private accumulators
+ * reset to the fold's identity and folds them into the shared arrays
+ * under the fold mutex. */
 static void edge_part(team_t *t, int64_t s)
 {
     const team_job *j = &t->job;
     const team_part *p = t->parts + s;
-    const int own = t->fold == FOLD_OWNER, locked = t->fold == FOLD_LOCKED;
+    const int own = t->fold == FOLD_OWNER;
     const int64_t n = t->n_rows * NV;
     switch (j->kind) {
     case JOB_RECON: {
@@ -908,7 +907,7 @@ static void edge_part(team_t *t, int64_t s)
         }
         recon_sweep(p->lo, p->hi, p->e0, p->e1, p->d0, p->w0, p->w1, j->q,
                     rhs, qmin, qmax);
-        if (locked) {
+        if (!own) {
             pthread_mutex_lock(&t->fold_mu);
             fold(j->rhs, rhs, n * ND, 0);
             fold(j->qmin, qmin, n, 1);
@@ -923,7 +922,7 @@ static void edge_part(team_t *t, int64_t s)
             fill(phi, n, INFINITY);
         limit_sweep(p->lo, p->hi, p->e0, p->e1, p->d0, p->d1, p->w0, p->w1,
                     j->grad, j->qmax, j->qmin, j->eps2, phi);
-        if (locked) {
+        if (!own) {
             pthread_mutex_lock(&t->fold_mu);
             fold(j->phi, phi, n, 1);
             pthread_mutex_unlock(&t->fold_mu);
@@ -937,7 +936,7 @@ static void edge_part(team_t *t, int64_t s)
         flux_sweep(p->lo, p->hi, p->e0, p->e1, p->normals, p->d0, p->d1,
                    p->w0, p->w1, j->q, j->grad, j->grad ? j->phi : 0, j->beta,
                    j->roe, p->flux, res);
-        if (locked) {
+        if (!own) {
             pthread_mutex_lock(&t->fold_mu);
             fold(j->res, res, n, 0);
             pthread_mutex_unlock(&t->fold_mu);

@@ -5,7 +5,7 @@ record of counts:
 
 * :mod:`~repro.obs.span` — a :class:`Tracer` producing nested span trees
   (``solve → newton-step → gmres → trsv``) with wall/model seconds and
-  flop/byte attributes; :func:`kernel_span` attaches one timed leaf.  A
+  flop/byte attributes; :func:`kernel_span` opens one timed kernel span.  A
   distributed solve grafts each rank's own tree under ``rank<i>``.
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms for solver behavior (Krylov iterations per Newton step,

@@ -9,8 +9,8 @@ finished tree exports to Chrome ``trace_event`` JSON, JSONL, or the
 plain-text profile report in :mod:`repro.perf.report`.
 
 Kernel-level instrumentation goes through :func:`kernel_span`, which
-attaches one leaf span to the active tracer; with none installed (the
-default :class:`NullTracer`) it reads no clock at all.
+opens one span on the active tracer for the kernel's duration; with none
+installed (the default :class:`NullTracer`) it reads no clock at all.
 """
 
 from __future__ import annotations
@@ -241,21 +241,18 @@ def use_tracer(tracer: Tracer):
 
 @contextmanager
 def kernel_span(name: str, *, flops: float = 0.0, nbytes: float = 0.0, **attrs: Any):
-    """Time a kernel as one leaf span under the active tracer's open span.
+    """Time a kernel as a span under the active tracer's open span.
 
-    One ``perf_counter`` pair per call, and none when no tracer is active.
+    The span is open while the block runs, so spans added inside it (a
+    thread team's ``<kernel>.w<i>`` parts, a rank's stages) nest under
+    it.  One clock pair per call, and none when no tracer is active.
     """
     tracer = get_tracer()
     if not tracer.active:
         yield
         return
-    t0 = time.perf_counter()
-    try:
+    with tracer.span(name, flops=flops, nbytes=nbytes, **attrs):
         yield
-    finally:
-        tracer.add_complete(
-            name, t0, time.perf_counter(), flops=flops, nbytes=nbytes, **attrs
-        )
 
 
 def aggregate_spans(roots: list[Span] | tuple) -> list[Span]:

@@ -1,7 +1,7 @@
 """Shared-memory machine model, cost models and executable thread strategies.
 
-Two execution tiers live here: the *simulated* strategies + cost models
-priced on the paper's hardware (``cost``/``machine``/``strategies``), and
+Two tiers live here: the cost models priced on the paper's hardware
+(``cost``/``machine``, with structural inputs from ``strategies``), and
 the *measured* thread backend (``backend``/``parallel``) that really runs
 the edge kernels on a team of threads over one field's arrays (``bench``
 times it for the Fig 6b measured row).
@@ -27,7 +27,6 @@ from .cost import (
 from .machine import STAMPEDE_E5_2680, XEON_E5_2690_V2, XEON_PHI_KNC, MachineModel
 from .parallel import STRATEGIES, ThreadEdgeBackend
 from .strategies import (
-    EdgeLoopExecutor,
     make_edge_loop_options,
     metis_thread_labels,
     natural_thread_labels,
@@ -53,7 +52,6 @@ __all__ = [
     "XEON_E5_2690_V2",
     "XEON_PHI_KNC",
     "MachineModel",
-    "EdgeLoopExecutor",
     "make_edge_loop_options",
     "metis_thread_labels",
     "natural_thread_labels",

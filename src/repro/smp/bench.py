@@ -27,7 +27,6 @@ from .cost import edge_loop_time, flux_kernel_work
 from .machine import XEON_E5_2690_V2
 from .parallel import ThreadEdgeBackend
 from .strategies import (
-    EdgeLoopExecutor,
     make_edge_loop_options,
     metis_thread_labels,
     natural_thread_labels,
@@ -40,7 +39,7 @@ __all__ = [
     "run_dist_breakdown",
 ]
 
-DEFAULT_STRATEGIES = ("locked", "replicate", "owner-natural", "owner-metis")
+DEFAULT_STRATEGIES = ("locked", "owner-natural", "owner-metis")
 
 
 def _split(label: str) -> tuple[str, str | None]:
@@ -79,32 +78,26 @@ def _time_call(fn, repeats: int) -> float:
 
 
 def _model_seconds(mesh_edges, n_vertices, label: str, workers: int,
-                   seed: int) -> float | None:
+                   seed: int) -> float:
     """The paper-Xeon cost model's price for one measured configuration.
 
     ``locked`` maps to the model's ``atomic`` strategy, ``owner-*`` to the
-    model's owner-writes ``replicate`` strategy with the matching labels.
-    The per-thread-accumulator ``replicate`` strategy has no counterpart in
-    the paper's model set, so it gets no prediction.
+    model's ``owner`` strategy with the team's labels.
     """
     strategy, partitioner = _split(label)
+    labels = None
     if workers <= 1:
-        ex = EdgeLoopExecutor(mesh_edges, n_vertices, 1, "sequential")
+        strategy = "sequential"
     elif strategy == "locked":
-        ex = EdgeLoopExecutor(mesh_edges, n_vertices, workers, "atomic")
-    elif strategy == "owner":
-        labels = (
-            metis_thread_labels(mesh_edges, n_vertices, workers, seed=seed)
-            if partitioner == "metis"
-            else natural_thread_labels(n_vertices, workers)
-        )
-        ex = EdgeLoopExecutor(
-            mesh_edges, n_vertices, workers, "replicate", labels
-        )
+        strategy = "atomic"
+    elif partitioner == "metis":
+        labels = metis_thread_labels(mesh_edges, n_vertices, workers, seed=seed)
     else:
-        return None
+        labels = natural_thread_labels(n_vertices, workers)
     work = flux_kernel_work(mesh_edges.shape[0])
-    return edge_loop_time(XEON_E5_2690_V2, work, make_edge_loop_options(ex))
+    return edge_loop_time(XEON_E5_2690_V2, work, make_edge_loop_options(
+        mesh_edges, n_vertices, workers, strategy, labels
+    ))
 
 
 def run_flux_scaling(
@@ -121,7 +114,7 @@ def run_flux_scaling(
     result row per (strategy, workers) cell: ``wall_seconds`` (best of
     ``repeats``), ``speedup`` (serial / this wall), ``redundant_edge_fraction``
     (cut edges computed twice), ``max_abs_dev`` (vs the serial residual)
-    and ``model_seconds`` (the paper-Xeon model's price, or ``None``).
+    and ``model_seconds`` (the paper-Xeon model's price).
     """
     from ..cfd.state import FlowConfig, FlowField
     from ..sweeps.schedule import serial_residual

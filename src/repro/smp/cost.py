@@ -112,7 +112,7 @@ class EdgeLoopOptions:
     """How an edge loop is executed (the paper's optimization space)."""
 
     n_threads: int = 1
-    strategy: str = "sequential"  # sequential | atomic | replicate | coloring
+    strategy: str = "sequential"  # sequential | atomic | owner | coloring
     layout: str = "soa"  # soa | aos
     simd: bool = False
     prefetch: bool = False

@@ -25,7 +25,7 @@ then sleeps.  Three kernels run on the team:
   done before the next level's are claimed
   (:meth:`~ThreadEdgeBackend.factorize`).
 
-What lives here is the *write-out adapter*, the paper's three
+What lives here is the *write-out adapter* of the paper's
 edge-threading strategies (Section V.A):
 
 ``locked``
@@ -34,21 +34,16 @@ edge-threading strategies (Section V.A):
     array under a mutex.  This is the stand-in for "basic partitioning with
     atomics": the compute phase parallelizes, the write-out phase
     serializes.
-``replicate``
-    Natural-order edge split with one private accumulator array per
-    thread; the caller reduces the ``(threads, nv, ...)`` slab after each
-    stage.  Zero redundant compute, but the write-out traffic (and the
-    reduction) scales with thread count — the classic replication trade.
 ``owner``
     Vertex partition (``metis`` multilevel labels or ``natural``
     contiguous chunks); a thread processes every edge touching one of its
     vertices but writes only the endpoints it owns, so threads write
     disjoint rows of the shared residual with no synchronization at all.
     Cut edges are computed twice (``redundant_edge_fraction``) — the
-    paper's winning owner-only-writes scheme.
+    paper's owner-writes scheme, natural and METIS.
 
-Numerics contract: all three reproduce the sequential kernels to round-off
-(summation order may differ), and owner-writes bit for bit,
+Numerics contract: ``locked`` reproduces the sequential kernels to
+round-off (summation order may differ), and owner-writes bit for bit,
 property-tested in ``tests/test_smp_parallel.py``; the team's Jacobian and
 ILU factors are the serial bytes.
 
@@ -82,14 +77,15 @@ from .strategies import metis_thread_labels, natural_thread_labels
 
 __all__ = ["ThreadEdgeBackend", "STRATEGIES"]
 
-STRATEGIES = ("locked", "replicate", "owner")
+STRATEGIES = ("locked", "owner")
 
 #: strategy -> the C team's fold
-_FOLDS = {"owner": 0, "locked": 1, "replicate": 2}
+_FOLDS = {"owner": 0, "locked": 1}
 
 #: stage -> (its job in the C team, the kernel its per-part spans report
 #: under, the arrays its sweep writes, each with the ufunc that folds a
-#: private accumulator into the shared array and that fold's identity)
+#: locked part's private accumulator into the shared array and that
+#: fold's identity)
 _STAGES = {
     "recon": (1, "grad", (
         ("rhs", np.add, 0.0),
@@ -100,29 +96,28 @@ _STAGES = {
     "flux": (3, "flux", (("res", np.add, 0.0),)),
 }
 
-#: the private accumulators of a locked / replicate part, in the C team's
-#: order, with their shapes per vertex
+#: the private accumulators of a locked part, in the C team's order, with
+#: their shapes per vertex
 _PRIVATE = {"rhs": (4, 3), "qmin": (4,), "qmax": (4,), "phi": (4,), "res": (4,)}
 
 
 def _run_stage(strategy, part, a, private, stage, beta, scheme, second_order):
     """One schedule stage over one part in the caller: the fallback of the
     C team, with its arithmetic.  Owner-writes sweeps straight into its
-    disjoint owned rows of the shared arrays ``a``; the other strategies
-    sweep into the part's private accumulators reset to the fold's
-    identity, which ``locked`` then folds into ``a`` and ``replicate``
-    leaves for the caller to reduce."""
+    disjoint owned rows of the shared arrays ``a``; ``locked`` sweeps into
+    the part's private accumulators reset to the fold's identity and folds
+    them into ``a``."""
+    if strategy == "owner":
+        sweep(stage, part, a, beta, scheme, second_order)
+        return
     folds = _STAGES[stage][2]
-    shared = a
-    if strategy != "owner":
-        for name, _, identity in folds:
-            private[name].fill(identity)
-        a = replace(a, **{name: private[name] for name, _, _ in folds})
-    sweep(stage, part, a, beta, scheme, second_order)
-    if strategy == "locked":
-        for name, ufunc, _ in folds:
-            out = getattr(shared, name)
-            ufunc(out, private[name], out=out)
+    for name, _, identity in folds:
+        private[name].fill(identity)
+    sweep(stage, part, replace(a, **{n: private[n] for n, _, _ in folds}),
+          beta, scheme, second_order)
+    for name, ufunc, _ in folds:
+        out = getattr(a, name)
+        ufunc(out, private[name], out=out)
 
 
 def _addr(a: np.ndarray | None) -> int | None:
@@ -140,7 +135,7 @@ class ThreadEdgeBackend:
     n_workers:
         thread count, the calling thread included (the paper's "threads").
     strategy:
-        ``locked`` | ``replicate`` | ``owner`` (see module docstring).
+        ``locked`` | ``owner`` (see module docstring).
     partitioner:
         vertex labeling for ``owner``: ``metis`` (multilevel) or
         ``natural`` (contiguous chunks).  Ignored otherwise.
@@ -195,23 +190,12 @@ class ThreadEdgeBackend:
             sum(p.n_edges for p in self.parts) - ne
         ) / ne
 
-        # replicate / locked: every thread's private accumulator per written
-        # array; replicate's are rows of (threads, ...) slabs the caller
-        # reduces after each stage
-        self._slabs = {}
-        self._private = [None] * w
-        if strategy == "replicate":
-            self._slabs = {
-                n: np.empty((w, nv, *shape)) for n, shape in _PRIVATE.items()
-            }
-            self._private = [
-                {n: slab[s] for n, slab in self._slabs.items()} for s in range(w)
-            ]
-        elif strategy == "locked":
-            self._private = [
-                {n: np.empty((nv, *shape)) for n, shape in _PRIVATE.items()}
-                for _ in range(w)
-            ]
+        # locked: every thread's private accumulator per written array
+        self._private = [
+            {n: np.empty((nv, *shape)) for n, shape in _PRIVATE.items()}
+            if strategy == "locked" else None
+            for _ in range(w)
+        ]
         self._lib = native.load_kernels()
         self._team = None
         if self._lib is not None and all(p.sweeps.compiled for p in self.parts):
@@ -277,7 +261,7 @@ class ThreadEdgeBackend:
 
     @property
     def strategy_label(self) -> str:
-        """``locked`` / ``replicate`` / ``owner-metis`` / ``owner-natural``."""
+        """``locked`` / ``owner-metis`` / ``owner-natural``."""
         if self.strategy == "owner":
             return f"owner-{self.partitioner}"
         return self.strategy
@@ -333,10 +317,9 @@ class ThreadEdgeBackend:
                 )
 
     def _round(self, a, addrs, stage, beta, scheme, roe, second_order):
-        """One schedule stage on every thread's part; under ``replicate``
-        the caller then folds the threads' slab rows into ``a``.  ``addrs``
-        are the addresses of ``a``'s arrays, in the C team's order."""
-        job, kernel, folds = _STAGES[stage]
+        """One schedule stage on every thread's part.  ``addrs`` are the
+        addresses of ``a``'s arrays, in the C team's order."""
+        job, kernel, _ = _STAGES[stage]
         if self._team is not None:
             self._lib.team_sweep(self._team, job, *addrs[:7], beta, roe, addrs[7])
             stamps = self._stamps
@@ -351,10 +334,6 @@ class ThreadEdgeBackend:
                 stamps[s, 1] = time.perf_counter()
         self._rounds += 1
         self._trace(kernel, stamps, stage=stage)
-        if self._slabs:
-            for name, ufunc, _ in folds:
-                out = getattr(a, name)
-                ufunc(out, ufunc.reduce(self._slabs[name], axis=0), out=out)
 
     def residual(self, q: np.ndarray, config, first_order: bool = False):
         """The residual of ``q`` on the team: the schedule over the threads'
@@ -364,7 +343,7 @@ class ThreadEdgeBackend:
         Returns fresh ``(res, grad, phi)`` (``grad`` / ``phi`` are None at
         first order).  Owner-writes is bitwise equal to the serial driver
         (min/max folds are exact, owned rows accumulate in serial order);
-        replicate/locked agree to round-off.
+        locked agrees to round-off.
         """
         second_order = config.second_order and not first_order
         beta, scheme = float(config.beta), config.dissipation

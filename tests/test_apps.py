@@ -25,7 +25,7 @@ class TestOptimizationConfig:
         c = OptimizationConfig.optimized()
         assert c.n_threads == 20
         assert c.simd and c.prefetch and c.rcm
-        assert c.edge_strategy == "replicate"
+        assert c.edge_strategy == "owner"
         assert c.tri_strategy == "p2p"
 
     def test_with_updates(self):

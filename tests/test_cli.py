@@ -161,7 +161,7 @@ class TestParser:
         "solve --workers 3",
         "solve --edge-strategy locked",
         "solve --partitioner natural",
-        "profile --backend serial --edge-strategy replicate",
+        "profile --backend serial --edge-strategy locked",
         "solve --backend process",
         "solve --seed -1",
         "mesh-info --seed -1",
@@ -395,7 +395,9 @@ class TestObservability:
 class TestInterruptFlush:
     def test_sigterm_mid_solve_flushes_partial_exports(self, tmp_path):
         """Regression: killing a distributed solve mid-run must still write
-        whole Chrome trace and JSONL exports and exit 130."""
+        whole Chrome trace and JSONL exports and exit 130.  The signal goes
+        once flight-recorder bundles show both ranks stepping, to ranks
+        stopped where they are, so the solve cannot finish first."""
         from repro.obs import read_jsonl
 
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -407,8 +409,6 @@ class TestInterruptFlush:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "solve",
-                # a solve of several seconds: the signal, ~1 s in, must
-                # land while the ranks are still stepping
                 "--scale", "0.15", "--max-steps", "500", "--dist-ranks", "2",
                 "--trace-out", str(trace),
                 "--metrics-out", str(log),
@@ -416,6 +416,7 @@ class TestInterruptFlush:
             cwd=tmp_path, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
+        ranks = []
         try:
             # the banner is printed inside _ObsSession (handlers installed)
             deadline = time.monotonic() + 60
@@ -427,10 +428,35 @@ class TestInterruptFlush:
                 if line.startswith("distributed runtime:"):
                     banner = line
             assert banner, "solve never announced its ranks"
-            time.sleep(1.0)  # let the ranks take a few Newton steps
+            # SIGUSR1 bundles until both ranks' rows show a Newton step
+            while time.monotonic() < deadline and not ranks:
+                proc.send_signal(signal.SIGUSR1)
+                line = proc.stderr.readline()
+                while line and not line.startswith("flight recorder bundle:"):
+                    line = proc.stderr.readline()
+                assert line, "solve exited before its ranks stepped"
+                with open(line.split(":", 1)[1].strip()) as fh:
+                    rows = [json.loads(ln) for ln in fh]
+                stepping = {
+                    r["proc"]: r["pid"] for r in rows
+                    if r["type"] == "proc" and r["pid"]
+                    and r["slots"]["step"] >= 1
+                }
+                if {"rank0", "rank1"} <= set(stepping):
+                    ranks = [stepping["rank0"], stepping["rank1"]]
+            assert ranks, "the ranks never reported a Newton step"
+            # freeze the ranks mid-solve: they cannot converge before the
+            # SIGTERM lands (the runtime's teardown kills stopped ranks)
+            for pid in ranks:
+                os.kill(pid, signal.SIGSTOP)
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=60)
         finally:
+            for pid in ranks:
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()

@@ -474,6 +474,24 @@ class TestSpans:
                         "plain mode must not overlap compute with exchange"
                     )
 
+    def test_rank_stages_nest_under_their_kernel_span(self):
+        """A rank's reconstruction / limiter stages and its halo windows
+        are children of the ``grad`` / ``flux`` kernel span they run in,
+        and lie inside it."""
+        tracer = self._trace(pipelined=False)
+        parents = {id(c): s for s in tracer.walk() for c in s.children}
+        kinds = {"recon": {"grad"}, "limit": {"grad"},
+                 "halo": {"grad", "flux"}, "interior": {"grad", "flux"}}
+        seen = 0
+        for s in tracer.walk():
+            kind = s.name.split(".")[-1]
+            if s.name.startswith("rank") and kind in kinds:
+                parent = parents[id(s)]
+                assert parent.name in kinds[kind], (s.name, parent.name)
+                assert parent.t0 <= s.t0 <= s.t1 <= parent.t1
+                seen += 1
+        assert seen
+
     def test_rank_program_spans_come_home(self):
         """Each rank's own tree (its Newton loop and kernels) is grafted
         under ``rank<r>``, not left in the rank's copy of the tracer."""

@@ -515,7 +515,7 @@ def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
     assert np.array_equal(got_first, first)
 
 
-@pytest.mark.parametrize("strategy", ["replicate", "locked"])
+@pytest.mark.parametrize("strategy", ["locked"])
 def test_reordering_strategies_stay_within_roundoff(wing_case, strategy):
     field, q, cfg, want = wing_case
     with ThreadEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:

@@ -414,11 +414,7 @@ class TestSolverIntegration:
         labels = np.array([0, 0, 1, 1])
         m = MetricsRegistry()
         with use_metrics(m):
-            dd = DomainDecomposition(edges, labels)
-            locals_ = dd.scatter(np.arange(4.0))
-            dd.halo_exchange(locals_)
-        assert m.counter("halo.exchanges").value == 1
-        assert m.counter("halo.bytes").value > 0
+            DomainDecomposition(edges, labels)
         assert m.gauge("halo.redundant_edge_fraction").value > 0
 
     def test_multinode_trace_breakdown(self):

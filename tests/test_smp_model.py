@@ -65,22 +65,22 @@ class TestEdgeLoopModel:
 
     def test_threads_speed_up(self):
         seq = self._time(n_threads=1)
-        par = self._time(n_threads=10, strategy="replicate",
+        par = self._time(n_threads=10, strategy="owner",
                          edges_per_thread=np.full(10, 10_000))
         assert par < seq / 5
 
     def test_aos_beats_soa(self):
-        kw = dict(n_threads=10, strategy="replicate",
+        kw = dict(n_threads=10, strategy="owner",
                   edges_per_thread=np.full(10, 10_000), rcm=True)
         assert self._time(layout="aos", **kw) < self._time(layout="soa", **kw)
 
     def test_simd_beats_scalar(self):
-        kw = dict(n_threads=10, strategy="replicate", layout="aos",
+        kw = dict(n_threads=10, strategy="owner", layout="aos",
                   edges_per_thread=np.full(10, 10_000), rcm=True)
         assert self._time(simd=True, **kw) < self._time(simd=False, **kw)
 
     def test_prefetch_helps(self):
-        kw = dict(n_threads=10, strategy="replicate", layout="aos",
+        kw = dict(n_threads=10, strategy="owner", layout="aos",
                   simd=True, edges_per_thread=np.full(10, 10_000), rcm=True)
         assert self._time(prefetch=True, **kw) < self._time(prefetch=False, **kw)
 
@@ -91,20 +91,20 @@ class TestEdgeLoopModel:
     def test_atomics_slower_than_clean_partition(self):
         kw = dict(n_threads=10, layout="aos", simd=True, prefetch=True, rcm=True)
         atomic = self._time(strategy="atomic", **kw)
-        clean = self._time(strategy="replicate",
+        clean = self._time(strategy="owner",
                            edges_per_thread=np.full(10, 10_000), **kw)
         assert atomic > clean
 
     def test_replication_costs_time(self):
         kw = dict(n_threads=10, layout="aos", simd=True, prefetch=True, rcm=True,
-                  strategy="replicate")
+                  strategy="owner")
         balanced = self._time(edges_per_thread=np.full(10, 10_000), **kw)
         replicated = self._time(edges_per_thread=np.full(10, 15_000), **kw)
         assert replicated > balanced
 
     def test_imbalance_costs_time(self):
         kw = dict(n_threads=10, layout="aos", simd=True, prefetch=True, rcm=True,
-                  strategy="replicate")
+                  strategy="owner")
         balanced = self._time(edges_per_thread=np.full(10, 10_000), **kw)
         skewed_counts = np.full(10, 8_000)
         skewed_counts[0] = 28_000  # same total
@@ -120,19 +120,17 @@ class TestPaperCalibration:
         return mesh_c_prime(scale=0.4)
 
     def test_flux_cumulative_ratios(self, meshc):
-        from repro.smp import EdgeLoopExecutor, metis_thread_labels
+        from repro.smp import make_edge_loop_options, metis_thread_labels
 
         mach = XEON_E5_2690_V2
         work = flux_kernel_work(meshc.n_edges)
         base = edge_loop_time(mach, work, EdgeLoopOptions(n_threads=1))
         labels = metis_thread_labels(meshc.edges, meshc.n_vertices, 20, seed=1)
-        ex = EdgeLoopExecutor(meshc.edges, meshc.n_vertices, 20, "replicate", labels)
-        ept = ex.edges_per_thread()
 
         def t(layout, simd, pf):
-            return edge_loop_time(mach, work, EdgeLoopOptions(
-                n_threads=20, strategy="replicate", layout=layout,
-                simd=simd, prefetch=pf, rcm=True, edges_per_thread=ept))
+            return edge_loop_time(mach, work, make_edge_loop_options(
+                meshc.edges, meshc.n_vertices, 20, "owner", labels,
+                layout=layout, simd=simd, prefetch=pf, rcm=True))
 
         thr = t("soa", False, False)
         aos = t("aos", False, False)

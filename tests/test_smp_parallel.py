@@ -35,7 +35,14 @@ from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
-from repro.smp import ThreadEdgeBackend, use_edge_backend
+from repro.partition import replication_overhead
+from repro.smp import (
+    ThreadEdgeBackend,
+    make_edge_loop_options,
+    metis_thread_labels,
+    natural_thread_labels,
+    use_edge_backend,
+)
 from repro.smp.bench import (
     run_dist_breakdown,
     run_flux_scaling,
@@ -129,8 +136,7 @@ def serial_first_order(field, q, cfg=None):
 class TestBackendEquivalence:
     @pytest.mark.parametrize(
         "strategy,partitioner",
-        [("locked", "metis"), ("replicate", "metis"),
-         ("owner", "natural"), ("owner", "metis")],
+        [("locked", "metis"), ("owner", "natural"), ("owner", "metis")],
     )
     def test_flux_and_gradients_match_serial(
         self, wing_setup, strategy, partitioner
@@ -214,12 +220,31 @@ class TestBackendStructure:
             assert be.redundant_edge_fraction > 0.0
             assert be.strategy_label == "owner-metis"
 
+    @pytest.mark.parametrize("partitioner", ["natural", "metis"])
+    def test_model_prices_the_teams_parts(self, wing_setup, partitioner):
+        """The cost model's owner-writes edge counts and redundant fraction
+        are those of the parts the team runs, at every width."""
+        field, _ = wing_setup
+        edges, nv, seed = field.mesh.edges, field.n_vertices, 3
+        for w in range(1, 5):
+            labels = (
+                metis_thread_labels(edges, nv, w, seed=seed)
+                if partitioner == "metis" else natural_thread_labels(nv, w)
+            )
+            opts = make_edge_loop_options(edges, nv, w, "owner", labels)
+            with ThreadEdgeBackend(field, w, "owner", partitioner, seed) as be:
+                np.testing.assert_array_equal(
+                    opts.edges_per_thread, be.edges_per_worker()
+                )
+                assert replication_overhead(edges, labels) == pytest.approx(
+                    be.redundant_edge_fraction, abs=1e-15
+                )
+
     def test_edge_split_strategies_have_no_redundancy(self, wing_setup):
         field, _ = wing_setup
-        for strategy in ("locked", "replicate"):
-            with ThreadEdgeBackend(field, 4, strategy=strategy) as be:
-                assert be.edges_per_worker().sum() == field.n_edges
-                assert be.redundant_edge_fraction == 0.0
+        with ThreadEdgeBackend(field, 4, strategy="locked") as be:
+            assert be.edges_per_worker().sum() == field.n_edges
+            assert be.redundant_edge_fraction == 0.0
 
     def test_rejects_bad_arguments(self, wing_setup):
         field, _ = wing_setup
@@ -242,6 +267,26 @@ class TestBackendStructure:
             assert s.seconds > 0.0
             if s.name not in ("grad", "flux"):  # the parent's kernel spans
                 assert s.attrs["strategy"] == "owner-metis"
+
+    def test_worker_spans_nest_under_their_kernel_span(self, wing_setup):
+        """Each part's ``<k>.w<i>`` span is a child of a ``<k>`` kernel
+        span and lies inside it, so per-kernel shares do not count a
+        team's time twice."""
+        field, q = wing_setup
+        tracer = Tracer()
+        with ThreadEdgeBackend(field, 2) as be, use_tracer(tracer):
+            with tracer.span("solve"):
+                be.residual(q, FlowConfig())
+                be.residual(q, FlowConfig(), first_order=True)
+        parents = {
+            id(c): s for s in tracer.walk() for c in s.children
+        }
+        workers = [s for s in tracer.walk() if ".w" in s.name]
+        assert len(workers) == 2 * (2 + 1 + 1)  # recon, limit, flux; flux
+        for s in workers:
+            parent = parents[id(s)]
+            assert parent.name == s.name.split(".w")[0]
+            assert parent.t0 <= s.t0 <= s.t1 <= parent.t1
 
 
 def _edge_threads():
@@ -330,13 +375,13 @@ class TestFailureContainment:
     n=st.integers(50, 90),
     seed=st.integers(0, 20),
     workers=st.integers(1, 4),
-    strategy=st.sampled_from(["locked", "replicate", "owner"]),
+    strategy=st.sampled_from(["locked", "owner"]),
 )
 def test_process_strategy_equivalence_property(n, seed, workers, strategy):
     """Property (paper Section V.A): every thread-parallel strategy
     reproduces the sequential first-order residual on arbitrary small
-    meshes and thread counts 1-4 — owner-writes bit for bit, locked and
-    replicate within 1e-12."""
+    meshes and thread counts 1-4 — owner-writes bit for bit, locked
+    within 1e-12."""
     mesh = delaunay_cloud_mesh(n, seed=seed)
     field = FlowField(mesh)
     rng = np.random.default_rng(seed)
@@ -437,18 +482,17 @@ class TestTeamPreconditioner:
                 ilu_factorize(A, plan, team=be)
         assert str(team.value) == str(serial.value)
 
-    def test_locked_and_replicate_assemble_in_the_caller(self, wing_setup):
-        """The edge-split strategies write shared block rows from every
-        thread, so their Jacobian stays serial: the same bytes, no team
+    def test_locked_assembles_in_the_caller(self, wing_setup):
+        """The edge-split strategy writes shared block rows from every
+        thread, so its Jacobian stays serial: the same bytes, no team
         round."""
         field, q = wing_setup
         asm = JacobianAssembler(field)
         want = asm.assemble(q, FlowConfig())
-        for strategy in ("locked", "replicate"):
-            with ThreadEdgeBackend(field, 2, strategy=strategy) as be:
-                got = asm.assemble(q, FlowConfig(), team=be)
-                assert be.fleet_stats()["jacobians"] == 0
-            assert got.vals.tobytes() == want.vals.tobytes()
+        with ThreadEdgeBackend(field, 2, strategy="locked") as be:
+            got = asm.assemble(q, FlowConfig(), team=be)
+            assert be.fleet_stats()["jacobians"] == 0
+        assert got.vals.tobytes() == want.vals.tobytes()
 
 
 class TestFigureMeasurements:

@@ -1,4 +1,5 @@
-"""Tests for executable threading strategies: numerics must not change."""
+"""Tests for the edge-loop strategies: the per-thread edge sets the cost
+model prices, and the numerics of the strategies that run them."""
 
 import numpy as np
 import pytest
@@ -7,21 +8,15 @@ from hypothesis import strategies as st
 
 from repro.cfd import FlowConfig, FlowField, rusanov_edge_flux, scatter_edge_flux
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
+from repro.ordering import color_groups, greedy_edge_coloring
+from repro.partition import edges_per_part, replication_overhead
 from repro.smp import (
-    EdgeLoopExecutor,
+    ThreadEdgeBackend,
     make_edge_loop_options,
     metis_thread_labels,
     natural_thread_labels,
 )
-
-
-def flux_compute(field, q, beta):
-    def compute(eidx):
-        return rusanov_edge_flux(
-            q[field.e0[eidx]], q[field.e1[eidx]], field.enormals[eidx], beta
-        )
-
-    return compute
+from repro.sweeps import serial_residual
 
 
 @pytest.fixture(scope="module")
@@ -40,103 +35,119 @@ def sequential_reference(field, q, beta=4.0):
     return scatter_edge_flux(flux, field.e0, field.e1, field.n_vertices)
 
 
+def team_residual(field, q, n_workers, strategy, partitioner="metis", seed=0):
+    """The first-order residual on a real thread team, and the serial one."""
+    config = FlowConfig(beta=4.0)
+    with ThreadEdgeBackend(field, n_workers, strategy, partitioner, seed) as be:
+        res = be.residual(q, config, first_order=True)[0]
+    return res, serial_residual(field, q, config, first_order=True)[0]
+
+
 class TestExecutorStructure:
+    """The per-thread edge counts each strategy hands the model."""
+
     def test_sequential_single_list(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 1, "sequential")
-        assert len(ex._thread_edges) == 1
-        assert ex.edges_per_thread()[0] == mesh.n_edges
+        labels = np.zeros(mesh.n_vertices, dtype=np.int64)
+        for strategy in ("atomic", "coloring", "owner"):
+            opts = make_edge_loop_options(
+                mesh.edges, mesh.n_vertices, 1, strategy, labels
+            )
+            np.testing.assert_array_equal(opts.edges_per_thread, [mesh.n_edges])
 
     def test_atomic_partitions_edges(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "atomic")
-        assert ex.edges_per_thread().sum() == mesh.n_edges
+        per = make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, 4, "atomic"
+        ).edges_per_thread
+        assert per.shape == (4,) and per.sum() == mesh.n_edges
+        assert per.max() - per.min() <= 1
 
     def test_replicate_covers_all_edges(self, wing_setup):
+        # owner-writes replicates the cut edges: each part counts every edge
+        # with an endpoint it owns, so cut edges are counted exactly twice
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 4)
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "replicate", labels)
-        covered = np.zeros(mesh.n_edges, dtype=int)
-        for eidx in ex._thread_edges:
-            covered[eidx] += 1
-        assert covered.min() >= 1  # every edge processed at least once
-        # cut edges processed exactly twice
+        per = make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, 4, "owner", labels
+        ).edges_per_thread
         l0 = labels[mesh.edges[:, 0]]
         l1 = labels[mesh.edges[:, 1]]
-        np.testing.assert_array_equal(covered, 1 + (l0 != l1))
+        np.testing.assert_array_equal(
+            per, [np.count_nonzero((l0 == s) | (l1 == s)) for s in range(4)]
+        )
+        assert per.sum() == mesh.n_edges + np.count_nonzero(l0 != l1)
 
     def test_replication_fraction_matches_metric(self, wing_setup):
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 8)
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 8, "replicate", labels)
-        extra = ex.edges_per_thread().sum() - mesh.n_edges
-        assert extra / mesh.n_edges == pytest.approx(ex.replication())
+        per = make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, 8, "owner", labels
+        ).edges_per_thread
+        extra = per.sum() - mesh.n_edges
+        assert extra / mesh.n_edges == pytest.approx(
+            replication_overhead(mesh.edges, labels)
+        )
 
     def test_metis_less_replication_than_natural(self, wing_setup):
         mesh, _, _ = wing_setup
-        nat = EdgeLoopExecutor(
-            mesh.edges, mesh.n_vertices, 8, "replicate",
-            natural_thread_labels(mesh.n_vertices, 8))
-        met = EdgeLoopExecutor(
-            mesh.edges, mesh.n_vertices, 8, "replicate",
-            metis_thread_labels(mesh.edges, mesh.n_vertices, 8, seed=2))
-        assert met.replication() < nat.replication()
+        nat = natural_thread_labels(mesh.n_vertices, 8)
+        met = metis_thread_labels(mesh.edges, mesh.n_vertices, 8, seed=2)
+        assert replication_overhead(mesh.edges, met) < replication_overhead(
+            mesh.edges, nat
+        )
 
     def test_replicate_requires_labels(self, wing_setup):
+        # owner-writes needs the vertex labels whose cut edges it replicates
         mesh, _, _ = wing_setup
         with pytest.raises(ValueError):
-            EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "replicate")
+            make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "owner")
 
     def test_unknown_strategy(self, wing_setup):
         mesh, _, _ = wing_setup
         with pytest.raises(ValueError):
-            EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "bogus")
+            make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "bogus")
 
 
 class TestNumericalEquivalence:
     """The paper's ground rule: every strategy reproduces the sequential
-    result (up to floating-point summation order)."""
+    result (up to floating-point summation order), here on the thread
+    team that runs them."""
 
     def test_atomic_matches_sequential(self, wing_setup):
+        # locked: the team's stand-in for the paper's atomics
         _, field, q = wing_setup
-        ref = sequential_reference(field, q)
-        ex = EdgeLoopExecutor(field.mesh.edges, field.n_vertices, 7, "atomic")
-        res = ex.execute(flux_compute(field, q, 4.0))
+        res, ref = team_residual(field, q, 7, "locked")
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
 
     def test_natural_replication_matches(self, wing_setup):
         _, field, q = wing_setup
-        ref = sequential_reference(field, q)
-        labels = natural_thread_labels(field.n_vertices, 6)
-        ex = EdgeLoopExecutor(
-            field.mesh.edges, field.n_vertices, 6, "replicate", labels)
-        res = ex.execute(flux_compute(field, q, 4.0))
-        np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+        res, ref = team_residual(field, q, 6, "owner", "natural")
+        np.testing.assert_array_equal(res, ref)
 
     def test_metis_replication_matches(self, wing_setup):
         _, field, q = wing_setup
-        ref = sequential_reference(field, q)
-        labels = metis_thread_labels(field.mesh.edges, field.n_vertices, 6, seed=3)
-        ex = EdgeLoopExecutor(
-            field.mesh.edges, field.n_vertices, 6, "replicate", labels)
-        res = ex.execute(flux_compute(field, q, 4.0))
-        np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+        res, ref = team_residual(field, q, 6, "owner", "metis", seed=3)
+        np.testing.assert_array_equal(res, ref)
 
 
 class TestOptionsBuilder:
     def test_options_carry_structure(self, wing_setup):
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 4)
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "replicate", labels)
-        opts = make_edge_loop_options(ex, layout="aos", simd=True)
+        opts = make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, 4, "owner", labels, layout="aos",
+            simd=True,
+        )
         assert opts.n_threads == 4
-        assert opts.strategy == "replicate"
-        np.testing.assert_array_equal(opts.edges_per_thread, ex.edges_per_thread())
+        assert opts.strategy == "owner"
+        np.testing.assert_array_equal(
+            opts.edges_per_thread, edges_per_part(mesh.edges, labels, 4)
+        )
 
     def test_sequential_options_no_counts(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 1, "sequential")
-        opts = make_edge_loop_options(ex)
+        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 1, "sequential")
         assert opts.edges_per_thread is None
 
 
@@ -145,62 +156,72 @@ class TestOptionsBuilder:
     n=st.integers(50, 120),
     seed=st.integers(0, 30),
     t=st.sampled_from([2, 3, 5, 8]),
-    strategy=st.sampled_from(["atomic", "replicate"]),
+    strategy=st.sampled_from(["atomic", "owner"]),
 )
 def test_strategy_equivalence_property(n, seed, t, strategy):
-    """Property: all strategies reproduce the sequential edge-loop result on
-    arbitrary meshes, thread counts and states."""
+    """Property: on arbitrary meshes and thread counts, the model's
+    per-thread edge counts are the parts the team runs (``atomic`` priced
+    on the team's ``locked`` edge split), and the team reproduces the
+    sequential result."""
     mesh = delaunay_cloud_mesh(n, seed=seed)
     field = FlowField(mesh)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(field.n_vertices, 4))
-    ref = sequential_reference(field, q)
-    labels = (
-        natural_thread_labels(field.n_vertices, t)
-        if strategy == "replicate"
-        else None
-    )
-    ex = EdgeLoopExecutor(mesh.edges, field.n_vertices, t, strategy, labels)
-    res = ex.execute(flux_compute(field, q, 4.0))
+    team = "locked" if strategy == "atomic" else "owner"
+    labels = natural_thread_labels(field.n_vertices, t)
+    opts = make_edge_loop_options(mesh.edges, field.n_vertices, t, strategy, labels)
+    with ThreadEdgeBackend(field, t, team, "natural") as be:
+        np.testing.assert_array_equal(opts.edges_per_thread, be.edges_per_worker())
+        res = be.residual(q, FlowConfig(), first_order=True)[0]
+    ref = serial_residual(field, q, FlowConfig(), first_order=True)[0]
     np.testing.assert_allclose(res, ref, rtol=1e-11, atol=1e-11)
 
 
 class TestColoringStrategy:
     def test_coloring_matches_sequential(self, wing_setup):
+        # color by color, each color's edges scatter without conflicts
         _, field, q = wing_setup
         ref = sequential_reference(field, q)
-        ex = EdgeLoopExecutor(field.mesh.edges, field.n_vertices, 6, "coloring")
-        res = ex.execute(flux_compute(field, q, 4.0))
+        res = np.zeros_like(ref)
+        for group in color_groups(greedy_edge_coloring(field.mesh.edges, field.n_vertices)):
+            flux = rusanov_edge_flux(
+                q[field.e0[group]], q[field.e1[group]], field.enormals[group], 4.0
+            )
+            res[field.e0[group]] += flux
+            res[field.e1[group]] -= flux
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
 
     def test_coloring_covers_all_edges_once(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "coloring")
-        covered = np.zeros(mesh.n_edges, dtype=int)
-        for eidx in ex._thread_edges:
-            covered[eidx] += 1
-        assert np.all(covered == 1)
+        groups = color_groups(greedy_edge_coloring(mesh.edges, mesh.n_vertices))
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(groups)), np.arange(mesh.n_edges)
+        )
+        for group in groups:  # conflict-free: no vertex twice in a color
+            ends = mesh.edges[group].ravel()
+            assert np.unique(ends).shape == ends.shape
 
     def test_coloring_counts_colors(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "coloring")
-        assert ex.n_colors >= 14  # >= max vertex degree of a tet mesh
+        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "coloring")
+        assert opts.n_colors >= 14  # >= max vertex degree of a tet mesh
 
     def test_coloring_options_carry_colors(self, wing_setup):
         mesh, _, _ = wing_setup
-        ex = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 4, "coloring")
-        opts = make_edge_loop_options(ex)
-        assert opts.n_colors == ex.n_colors
+        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "coloring")
+        groups = color_groups(greedy_edge_coloring(mesh.edges, mesh.n_vertices))
+        assert opts.n_colors == len(groups)
+        assert opts.edges_per_thread.sum() == mesh.n_edges
 
     def test_coloring_modeled_slower_than_metis(self, wing_setup):
         from repro.smp import XEON_E5_2690_V2, edge_loop_time, flux_kernel_work
 
         mesh, _, _ = wing_setup
         work = flux_kernel_work(mesh.n_edges)
-        ex_c = EdgeLoopExecutor(mesh.edges, mesh.n_vertices, 8, "coloring")
-        ex_m = EdgeLoopExecutor(
-            mesh.edges, mesh.n_vertices, 8, "replicate",
+        opts_c = make_edge_loop_options(mesh.edges, mesh.n_vertices, 8, "coloring")
+        opts_m = make_edge_loop_options(
+            mesh.edges, mesh.n_vertices, 8, "owner",
             metis_thread_labels(mesh.edges, mesh.n_vertices, 8, seed=0))
-        tc = edge_loop_time(XEON_E5_2690_V2, work, make_edge_loop_options(ex_c))
-        tm = edge_loop_time(XEON_E5_2690_V2, work, make_edge_loop_options(ex_m))
+        tc = edge_loop_time(XEON_E5_2690_V2, work, opts_c)
+        tm = edge_loop_time(XEON_E5_2690_V2, work, opts_m)
         assert tm < tc

@@ -156,10 +156,10 @@ def test_owner_fleet_schedule_bitwise(wing_setup):
     assert counts["grad.w0"] == 2 and counts["flux.w0"] == 1  # recon+limit
 
 
-@pytest.mark.parametrize("strategy", ["replicate", "locked"])
+@pytest.mark.parametrize("strategy", ["locked"])
 def test_reordering_fleet_strategies_within_roundoff(wing_setup, strategy):
-    """Replicated/locked accumulation reorders the additive folds, so the
-    team promises round-off agreement there, not bitwise."""
+    """Locked accumulation reorders the additive folds, so the team
+    promises round-off agreement there, not bitwise."""
     field, q, cfg = wing_setup
     ref = _oracle(field, q, cfg)[0]
     with ThreadEdgeBackend(field, n_workers=2, strategy=strategy) as fleet:
