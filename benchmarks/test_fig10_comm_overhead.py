@@ -111,8 +111,7 @@ def test_fig10_measured_crosscheck(benchmark, capsys):
     mesh = wing_mesh(n_around=16, n_radial=5, n_span=4)
 
     def measure():
-        return run_dist_breakdown(mesh, n_ranks=4, pipelined=True,
-                                  max_steps=3)
+        return run_dist_breakdown(mesh, n_ranks=4, max_steps=3)
 
     measured = benchmark.pedantic(measure, rounds=1, iterations=1)
 

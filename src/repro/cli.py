@@ -16,7 +16,11 @@ Performance is measured by ``python3 bench/run.py`` (see
 the flux/gradient edge loops on a team of N threads over the field's
 arrays (``--edge-strategy`` picks ``owner`` writes, the default, with
 ``--partitioner metis`` or ``natural`` labels, or ``locked``, the
-measured stand-in for the paper's atomics).
+measured stand-in for the paper's atomics).  They accept ``--dist-ranks
+N`` to run the solve on N forked rank processes instead: one blocking
+shared-memory halo exchange per window and a ``--allreduce flat`` or
+``tree`` collective.  Each rank is one subdomain of the block
+preconditioner, so ``--subdomains`` does not combine with it.
 
 Every command works on the generated ONERA-M6-like datasets; ``--scale``
 sizes them (1.0 = full Mesh-C'/Mesh-D' analogues) and ``--ordering``
@@ -84,8 +88,11 @@ class _CommandParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         ns, extra = super().parse_known_args(args, namespace)
-        if getattr(ns, "pipelined", False) and getattr(ns, "dist_ranks", 1) < 1:
-            self.error("--pipelined requires --dist-ranks")
+        if getattr(ns, "subdomains", 1) > 1 and getattr(ns, "dist_ranks", 0) > 0:
+            self.error(
+                "--subdomains does not apply under --dist-ranks "
+                "(each rank is one subdomain)"
+            )
         if hasattr(ns, "backend"):
             for name, default in _EDGE_DEFAULTS.items():
                 if getattr(ns, name) is None:
@@ -152,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run the solve on N forked rank processes with real "
                  "shared-memory halo exchange (0 = serial in-process)"
         )
-        sp.add_argument("--pipelined", action="store_true",
-                        help="overlap interior compute with halo fills "
-                             "(requires --dist-ranks)")
         sp.add_argument("--allreduce", choices=["flat", "tree"],
                         default="flat",
                         help="collective algorithm for --dist-ranks")
@@ -342,7 +346,6 @@ def _run_dist_solve(args, app, obs=None):
             app.flow,
             app.solver,
             n_ranks=args.dist_ranks,
-            pipelined=args.pipelined,
             seed=args.seed,
             allreduce_algo=args.allreduce,
         )
@@ -360,9 +363,8 @@ def _run_dist_solve(args, app, obs=None):
 
 def _print_dist_breakdown(dres) -> None:
     bd = dres.comm_breakdown()
-    mode = "pipelined" if dres.pipelined else "plain"
     print(
-        f"measured {dres.n_ranks}-rank breakdown ({mode}, critical path): "
+        f"measured {dres.n_ranks}-rank breakdown (critical path): "
         f"halo {100 * bd['halo_fraction']:.1f}% "
         f"allreduce {100 * bd['allreduce_fraction']:.1f}% "
         f"(comm {100 * bd['comm_fraction']:.1f}% of "
@@ -420,8 +422,7 @@ def _run_solve(args, opts, mesh, obs=None):
     if getattr(args, "dist_ranks", 0) > 0:
         print(
             f"distributed runtime: {args.dist_ranks} rank processes "
-            f"({'pipelined' if args.pipelined else 'plain'} halo exchange, "
-            f"{args.allreduce} allreduce)"
+            f"({args.allreduce} allreduce)"
         )
         return app, _run_dist_solve(args, app, obs)
     backend_cm = install_cm = nullcontext()

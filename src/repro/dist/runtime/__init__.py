@@ -1,9 +1,9 @@
 """Process-rank distributed runtime: the executable Fig 9-11 layer.
 
 An MPI-like runtime where each :class:`~repro.dist.halo.DomainDecomposition`
-subdomain runs in its own forked process over shared memory — real halo
-exchanges (pack -> shm mailbox -> unpack), deterministic collectives, and a
-pipelined mode that overlaps interior compute with in-flight halo fills.
+subdomain runs in its own forked process over shared memory — real
+blocking halo exchanges (pack -> shm mailbox -> unpack) and deterministic
+collectives, on the shared mappings every rank inherits through ``fork``.
 """
 
 from .comm import Communicator, CommTimeout, ShmTransport

@@ -12,13 +12,11 @@ result — the determinism MPI_Allreduce only promises per run, made
 unconditional); the tree algorithm runs a binomial gather to rank 0 and a
 broadcast back, trading two barriers for ``O(log P)`` point-to-point hops.
 
-Two-phase exchange (:meth:`Communicator.exchange_begin` /
-:meth:`~Communicator.exchange_end`) is the executable Fig 10 overlap: the
-pack+post happens eagerly, the caller computes interior work, and only the
-unpack waits on neighbors.  Every exchange and collective leaves a
-``rank<i>.halo`` / ``rank<i>.allreduce`` span with its measured wall
-interval in the active tracer, and the compute a halo window overlaps a
-``rank<i>.interior`` span; the rank's tree travels home whole.
+Every exchange and collective leaves a ``rank<i>.halo`` /
+``rank<i>.allreduce`` span with its measured wall interval in the active
+tracer, and the local compute each halo window runs once its ghosts have
+landed a disjoint ``rank<i>.interior`` span; the rank's tree travels home
+whole.
 """
 
 from __future__ import annotations
@@ -37,11 +35,12 @@ __all__ = [
     "CommTimeout",
 ]
 
-#: doubles per vertex a halo mailbox can carry in one message (state q is 4,
-#: gradients 12, gradient+limiter 16)
-DEFAULT_HALO_WIDTH = 16
-#: scalar slots per rank in the reduction scratch (>= GMRES restart + 1)
-DEFAULT_RED_WIDTH = 64
+#: doubles per vertex a halo mailbox carries in one message: the widest
+#: payload, 12 gradient + 4 limiter doubles (state q is 4)
+HALO_WIDTH = 16
+#: fewest scalar slots per rank in the reduction scratch (a GMRES restart
+#: above ``RED_WIDTH - 2`` widens it)
+RED_WIDTH = 64
 
 
 class CommTimeout(RuntimeError):
@@ -62,15 +61,13 @@ class ShmTransport:
         self,
         decomp,
         ctx,
-        halo_width: int = DEFAULT_HALO_WIDTH,
-        red_width: int = DEFAULT_RED_WIDTH,
+        red_width: int = RED_WIDTH,
         timeout: float = 120.0,
     ) -> None:
         from .shm import SharedArrayPool
 
         self.decomp = decomp
         self.n_ranks = decomp.n_ranks
-        self.halo_width = int(halo_width)
         self.red_width = int(red_width)
         self.timeout = float(timeout)
         self.pool = SharedArrayPool()
@@ -83,7 +80,7 @@ class ShmTransport:
                 key = (dom.rank, dst)
                 self.pool.zeros(
                     f"hb.{key[0]}.{key[1]}",
-                    (max(1, send_idx.shape[0]), self.halo_width),
+                    (max(1, send_idx.shape[0]), HALO_WIDTH),
                 )
                 # free starts at 1 (mailbox empty), full at 0
                 self.sems[key] = (ctx.Semaphore(0), ctx.Semaphore(1))
@@ -96,7 +93,6 @@ class ShmTransport:
         # the forked ranks inherit the mappings and the leak-proofing
         # covers the rows too
         self.rows = RankRows(self.n_ranks, self.pool)
-        self.spec = self.pool.export_spec()
 
     def close(self) -> None:
         self.rows.close()
@@ -104,10 +100,10 @@ class ShmTransport:
 
 
 class Communicator:
-    """One rank's endpoint of the transport (constructed inside the rank).
+    """One rank's endpoint of the transport (constructed inside the rank,
+    on the shared mappings it inherits through ``fork``).
 
-    Provides ``halo_exchange`` (blocking), the two-phase
-    ``exchange_begin``/``exchange_end`` pair, ``allreduce`` over ``sum`` /
+    Provides the blocking ``halo_exchange``, ``allreduce`` over ``sum`` /
     ``max`` / ``min`` with the ``flat`` or ``tree`` algorithm, and
     ``barrier``.  All blocking waits share one timeout so a dead sibling
     turns into a :class:`CommTimeout` instead of a hang.
@@ -118,7 +114,6 @@ class Communicator:
         transport: ShmTransport,
         rank: int,
         algo: str = "flat",
-        attach: bool = True,
     ) -> None:
         if algo not in ("flat", "tree"):
             raise ValueError(f"unknown allreduce algorithm {algo!r}")
@@ -131,22 +126,13 @@ class Communicator:
         self.send_lists = dom.send_lists
         self.recv_lists = dom.recv_lists
         self._span_prefix = f"rank{self.rank}."
-        # re-attach the shared segments by OS name: the fork-inherited
-        # mappings would work, but attaching exercises the path a spawned
-        # (non-fork) child would need and keeps the rank's view independent
-        # of the parent pool object's lifecycle
-        if attach:
-            self._pool = transport.pool.__class__.attach(transport.spec)
-        else:
-            self._pool = transport.pool
-        self._red = self._pool.array("red")
+        pool = transport.pool
+        self._red = pool.array("red")
         self._send_bufs = {
-            dst: self._pool.array(f"hb.{rank}.{dst}")
-            for dst in self.send_lists
+            dst: pool.array(f"hb.{rank}.{dst}") for dst in self.send_lists
         }
         self._recv_bufs = {
-            src: self._pool.array(f"hb.{src}.{rank}")
-            for src in self.recv_lists
+            src: pool.array(f"hb.{src}.{rank}") for src in self.recv_lists
         }
         # measured communication accounting
         self.n_exchanges = 0
@@ -156,9 +142,7 @@ class Communicator:
         self.allreduce_seconds = 0.0
         self.interior_seconds = 0.0
         self.bytes_sent = 0
-        # crash-forensics row: write through the fork-inherited arrays (not
-        # the re-attached pool) so the single-writer row stays tied to this
-        # rank regardless of the attach mode
+        # this rank's crash-forensics row (single writer)
         self.telem = transport.rows.writer(self.rank)
         self.telem.hello()
 
@@ -182,19 +166,19 @@ class Communicator:
         self.telem.heartbeat(STATE_BUSY)
 
     # -- halo exchange -------------------------------------------------
-    def exchange_begin(self, arrays: Sequence[np.ndarray]) -> tuple:
-        """Pack owned values into every neighbor's mailbox and post them.
+    def halo_exchange(self, arrays: Sequence[np.ndarray]) -> None:
+        """Blocking exchange: refresh ghost slots of every array in one
+        message per neighbor (arrays are packed side by side).
 
-        Returns a token for :meth:`exchange_end`.  Between the two calls
-        the caller is free to compute on data that does not depend on
-        ghosts — that window is the pipelined overlap.
+        Packs the owned values into every neighbor's mailbox, posts them,
+        then waits for every neighbor's message and unpacks it.
         """
         widths = self._widths(arrays)
         total = sum(widths)
-        if total > self._t.halo_width:
+        if total > HALO_WIDTH:
             raise ValueError(
                 f"payload of {total} doubles/vertex exceeds mailbox "
-                f"width {self._t.halo_width}"
+                f"width {HALO_WIDTH}"
             )
         t0 = time.perf_counter()
         for dst in sorted(self.send_lists):
@@ -211,11 +195,6 @@ class Communicator:
             full.release()
             self.n_messages += 1
             self.bytes_sent += send_idx.shape[0] * total * 8
-        return (t0, tuple(widths))
-
-    def exchange_end(self, token: tuple, arrays: Sequence[np.ndarray]) -> None:
-        """Wait for every neighbor's message and unpack into ghost slots."""
-        t0, widths = token
         for src in sorted(self.recv_lists):
             slots = self.recv_lists[src]
             buf = self._recv_bufs[src]
@@ -236,14 +215,9 @@ class Communicator:
             messages=len(self.send_lists) + len(self.recv_lists),
         )
 
-    def halo_exchange(self, arrays: Sequence[np.ndarray]) -> None:
-        """Blocking exchange: refresh ghost slots of every array in one
-        message per neighbor (arrays are packed side by side)."""
-        self.exchange_end(self.exchange_begin(arrays), arrays)
-
     def interior(self, t0: float, edges: int) -> None:
-        """Account the interior compute of a halo window, begun at ``t0``
-        and ending now (the work pipelined mode overlaps)."""
+        """Account the interior compute of a halo window: the local work
+        begun at ``t0``, after the ghosts landed, and ending now."""
         t1 = time.perf_counter()
         self.interior_seconds += t1 - t0
         get_tracer().add_complete(self._span_prefix + "interior", t0, t1, edges=edges)
@@ -336,8 +310,8 @@ class Communicator:
 
     # -- accounting ----------------------------------------------------
     def stats(self) -> dict[str, float]:
-        """Measured communication (and overlapped interior) totals for
-        this rank."""
+        """Measured communication (and interior compute) totals for this
+        rank."""
         return {
             "exchanges": float(self.n_exchanges),
             "messages": float(self.n_messages),
@@ -347,7 +321,3 @@ class Communicator:
             "interior_seconds": self.interior_seconds,
             "bytes_sent": float(self.bytes_sent),
         }
-
-    def close(self) -> None:
-        if self._pool is not self._t.pool:
-            self._pool.close()

@@ -34,7 +34,8 @@ from ...obs.metrics import get_metrics
 from ...obs.span import get_tracer
 from ...solver.newton import SolveResult, SolverOptions
 from ..halo import DomainDecomposition
-from .program import GRAD_LIMITER_WIDTH, build_rank_data, rank_solve_steady
+from .comm import RED_WIDTH
+from .program import build_rank_data, rank_solve_steady
 from .runtime import DistRuntime
 
 __all__ = ["DistSolveResult", "distributed_solve"]
@@ -46,7 +47,6 @@ class DistSolveResult:
 
     result: SolveResult
     n_ranks: int
-    pipelined: bool
     labels: np.ndarray
     #: per-rank measured totals: halo/allreduce seconds and counts,
     #: interior-compute seconds, end-to-end elapsed
@@ -76,12 +76,11 @@ def _red_width_for(opts: SolverOptions) -> int:
     """Reduction-scratch width sized to the GMRES restart.
 
     Classical Gram-Schmidt batches one allreduce of width ``j + 1`` per
-    inner iteration (``j < restart``), so restarts above the old fixed
-    scratch of 64 slots hit the red-slot ceiling; size the scratch to the
-    restart (plus slack for the norm fusions) and never below the
-    historical default.
+    inner iteration (``j < restart``), so restarts above ``RED_WIDTH - 2``
+    would hit the red-slot ceiling; size the scratch to the restart (plus
+    slack for the norm fusions) and never below ``RED_WIDTH``.
     """
-    return max(64, int(opts.gmres_restart) + 2)
+    return max(RED_WIDTH, int(opts.gmres_restart) + 2)
 
 
 def distributed_solve(
@@ -89,7 +88,6 @@ def distributed_solve(
     config: FlowConfig,
     opts: SolverOptions | None = None,
     n_ranks: int = 2,
-    pipelined: bool = False,
     labels: np.ndarray | None = None,
     q0: np.ndarray | None = None,
     seed: int = 0,
@@ -102,8 +100,22 @@ def distributed_solve(
     to the outer tolerance (the Newton fixed point does not depend on the
     decomposition; only summation order differs along the way).  Spans and
     measured communication land in the active tracer/metrics.
+
+    Each rank is one zero-overlap subdomain of the block preconditioner, so
+    ``opts`` asking for more subdomains, its own subdomain labels or
+    overlap is a ``ValueError`` rather than silently ignored.
     """
     opts = opts or SolverOptions()
+    for name, asked in (
+        ("n_subdomains", opts.n_subdomains > 1),
+        ("subdomain_labels", opts.subdomain_labels is not None),
+        ("overlap", opts.overlap > 0),
+    ):
+        if asked:
+            raise ValueError(
+                f"distributed_solve runs one zero-overlap subdomain per "
+                f"rank; SolverOptions.{name} is not supported"
+            )
     nv = field.n_vertices
     if labels is None:
         if n_ranks > 1:
@@ -117,25 +129,21 @@ def distributed_solve(
     datas = build_rank_data(field, config, decomp, q0=q0)
 
     def program(comm):
-        return rank_solve_steady(
-            datas[comm.rank], comm, config, opts, pipelined=pipelined
-        )
+        return rank_solve_steady(datas[comm.rank], comm, config, opts)
 
     tracer = get_tracer()
     met = get_metrics()
     with DistRuntime(
         decomp,
-        halo_width=GRAD_LIMITER_WIDTH,
         red_width=_red_width_for(opts),
         allreduce_algo=allreduce_algo,
         timeout=timeout,
     ) as rt:
         with tracer.span(
-            "dist-solve", n_ranks=decomp.n_ranks, pipelined=pipelined,
-            allreduce_algo=allreduce_algo,
+            "dist-solve", n_ranks=decomp.n_ranks, allreduce_algo=allreduce_algo
         ):
             results = rt.run(program)
-            _fold_rank_spans(tracer, decomp, results, pipelined)
+            _fold_rank_spans(tracer, decomp, results)
 
     q = np.zeros((nv, 4))
     for r, rr in enumerate(results):
@@ -169,13 +177,12 @@ def distributed_solve(
     return DistSolveResult(
         result=solve,
         n_ranks=decomp.n_ranks,
-        pipelined=pipelined,
         labels=labels,
         rank_stats=rank_stats,
     )
 
 
-def _fold_rank_spans(tracer, decomp, results, pipelined: bool) -> None:
+def _fold_rank_spans(tracer, decomp, results) -> None:
     """Graft each rank's span roots under a ``rank<i>`` node."""
     for rr in results:
         if not rr.spans:
@@ -184,7 +191,6 @@ def _fold_rank_spans(tracer, decomp, results, pipelined: bool) -> None:
             f"rank{rr.rank}",
             min(s.t0 for s in rr.spans),
             max(s.t1 for s in rr.spans),
-            pipelined=pipelined,
             n_owned=int(decomp.domains[rr.rank].n_owned),
         )
         node.children.extend(rr.spans)

@@ -6,12 +6,9 @@ arithmetic on local arrays:
 
 * **residual** — the residual schedule of :mod:`repro.sweeps.schedule` on
   the rank's own slices, as two parts: interior edges touch only owned data
-  and run *inside* each halo window (the exchange hook); cut edges (the
-  ones the decomposition severed) wait for the ghosts.  Plain mode and
-  pipelined mode execute the identical interior-then-cut arithmetic — the
-  only difference is whether the exchange blocks up front or overlaps the
-  interior compute — so the two are bitwise-identical and only their span
-  layout differs (the Fig 10 overlap, observable in the trace).
+  and run in each halo window once its blocking exchange has landed the
+  ghosts (the exchange hook); cut edges (the ones the decomposition
+  severed) follow.  The halo and interior spans of a window are disjoint.
 * **preconditioner** — block-ILU of the rank's owned-by-owned first-order
   Jacobian (cut edges contribute their owned-side diagonal blocks), i.e.
   zero-overlap additive Schwarz with one subdomain per rank, applied with
@@ -49,9 +46,6 @@ from ...sweeps.sweeps import CornerSweeps, edge_sweeps
 from .comm import Communicator
 
 __all__ = ["RankData", "build_rank_data", "rank_residual", "rank_solve_steady"]
-
-#: widest halo payload: 12 gradient + 4 limiter doubles per vertex
-GRAD_LIMITER_WIDTH = 16
 
 
 @dataclass
@@ -210,18 +204,14 @@ def rank_residual(
     comm: Communicator,
     ws: _Workspace,
     config: FlowConfig,
-    pipelined: bool,
 ) -> np.ndarray:
     """Distributed spatial residual of the owned vertices: the residual
     schedule over the interior and cut parts, with the halo window as its
     exchange hook.
 
     ``ws.q[:n_owned]`` holds the owned state on entry; ghosts are refreshed
-    here.  Pipelined mode overlaps each window's exchange with the interior
-    work it makes safe; plain mode completes the exchange first.  Both run
-    the identical arithmetic, so they produce bit-identical residuals.  The
-    recon and limit stages leave ``recon`` / ``limit`` spans in the rank's
-    trace.
+    here.  The recon and limit stages leave ``recon`` / ``limit`` spans in
+    the rank's trace.
     """
     a = ws.arrays
     beta, scheme, second_order = config.beta, config.dissipation, config.second_order
@@ -238,18 +228,11 @@ def rank_residual(
             )
 
     def window(payload, interior_work) -> None:
-        """One halo window: pipelined overlaps ``interior_work`` with the
-        in-flight exchange (interior span nested inside the halo span);
-        plain completes the exchange first (disjoint spans)."""
-        if pipelined:
-            token = comm.exchange_begin(payload)
-            t0 = time.perf_counter()
-            interior_work()
-            comm.exchange_end(token, payload)
-        else:
-            comm.halo_exchange(payload)
-            t0 = time.perf_counter()
-            interior_work()
+        """One halo window: the blocking exchange, then the interior work
+        (disjoint ``halo`` and ``interior`` spans)."""
+        comm.halo_exchange(payload)
+        t0 = time.perf_counter()
+        interior_work()
         comm.interior(t0, data.n_interior)
 
     run_residual(
@@ -332,10 +315,8 @@ class _RankDiscretization:
         comm: Communicator,
         config: FlowConfig,
         opts: SolverOptions,
-        pipelined: bool,
     ) -> None:
         self.data, self.comm, self.config = data, comm, config
-        self.pipelined = pipelined
         self.ws = _Workspace(data)
         self.jac = _RankJacobian(data, opts.ilu_fill)
         self.volumes = data.volumes
@@ -343,9 +324,7 @@ class _RankDiscretization:
 
     def residual(self, q: np.ndarray) -> np.ndarray:
         self.ws.q[: self.data.n_owned] = q
-        return rank_residual(
-            self.data, self.comm, self.ws, self.config, self.pipelined
-        ).copy()
+        return rank_residual(self.data, self.comm, self.ws, self.config).copy()
 
     def timestep(self, q: np.ndarray, cfl: float) -> np.ndarray:
         # the loop asks right after the residual of q: the ghosts are fresh
@@ -370,12 +349,11 @@ def rank_solve_steady(
     comm: Communicator,
     config: FlowConfig,
     opts: SolverOptions,
-    pipelined: bool = False,
 ) -> SolveResult:
     """One rank's share of a distributed steady solve: the serial Newton
     loop over this rank's adapter.  Returns the owned slice's result; every
     rank's record (steps, histories) is the same."""
-    disc = _RankDiscretization(data, comm, config, opts, pipelined)
+    disc = _RankDiscretization(data, comm, config, opts)
 
     def progress(step: int, rnorm: float, cfl: float) -> None:
         # this rank's crash-forensics row, once per Newton step

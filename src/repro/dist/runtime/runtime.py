@@ -30,7 +30,7 @@ from typing import Any, Callable
 from ... import native
 from ...obs.live.recorder import crash_dump
 from ...obs.span import NullTracer, Span, Tracer, get_tracer, use_tracer
-from .comm import Communicator, ShmTransport
+from .comm import RED_WIDTH, Communicator, ShmTransport
 
 __all__ = ["DistRuntime", "RankResult"]
 
@@ -57,7 +57,6 @@ def _rank_main(
     conn,
 ) -> None:
     """Worker entry point (runs in the forked child)."""
-    comm = None
     try:
         comm = Communicator(transport, rank, algo=algo)
         # the inherited tracer is a copy nobody reads: when the parent
@@ -74,12 +73,6 @@ def _rank_main(
             conn.send((rank, None, [], {}, err))
         except Exception:
             pass
-    finally:
-        if comm is not None:
-            try:
-                comm.close()
-            except Exception:
-                pass
 
 
 def reap_dead(procs, timeout: float = 0.5) -> list[str]:
@@ -106,9 +99,9 @@ class DistRuntime:
     decomp:
         the :class:`~repro.dist.halo.DomainDecomposition` whose subdomains
         become ranks (one process each).
-    halo_width:
-        doubles per vertex a halo message can carry (16 covers the
-        gradient+limiter exchange, the widest in the solver).
+    red_width:
+        scalar slots per rank in the reduction scratch (the GMRES restart
+        sets it).
     allreduce_algo:
         ``flat`` (slot array + two barriers) or ``tree`` (binomial).
     timeout:
@@ -119,8 +112,7 @@ class DistRuntime:
     def __init__(
         self,
         decomp,
-        halo_width: int = 16,
-        red_width: int = 64,
+        red_width: int = RED_WIDTH,
         allreduce_algo: str = "flat",
         timeout: float = 300.0,
     ) -> None:
@@ -138,7 +130,6 @@ class DistRuntime:
         self.transport = ShmTransport(
             decomp,
             self._ctx,
-            halo_width=halo_width,
             red_width=red_width,
             timeout=timeout,
         )

@@ -26,31 +26,6 @@ import numpy as np
 __all__ = ["SharedArrayPool"]
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Open an existing segment by OS name without tracker side effects.
-
-    Attaching must never let *this* process's ``resource_tracker`` claim the
-    segment: the tracker would unlink it at interpreter shutdown, tearing a
-    still-live mapping out from under the owning process (the well-known
-    CPython gh-82300 hazard).  Python 3.13 grew ``track=False`` for exactly
-    this; on older versions the registration is undone by hand.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python <= 3.12: no track parameter
-        # suppress (rather than undo) the registration: an unregister
-        # message would race with other attached processes sharing the
-        # tracker and spam KeyErrors in the tracker process
-        from multiprocessing import resource_tracker
-
-        orig = resource_tracker.register
-        resource_tracker.register = lambda *a, **kw: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig
-
-
 class SharedArrayPool:
     """Allocator of named shared-memory NumPy arrays.
 
@@ -67,44 +42,7 @@ class SharedArrayPool:
         self._arrays: dict[str, np.ndarray] = {}
         self._owner_pid = os.getpid()
         self._closed = False
-        self._attached = False
         atexit.register(self.close)
-
-    @classmethod
-    def attach(
-        cls,
-        name_map: dict[str, tuple[str, tuple[int, ...], np.dtype | str]],
-    ) -> "SharedArrayPool":
-        """Attach to segments another process created, without ownership.
-
-        ``name_map`` maps pool key -> ``(os_segment_name, shape, dtype)``
-        (the owning side produces it with :meth:`export_spec`).  The
-        returned pool opens new handles onto the existing ``/dev/shm``
-        entries; its ``close()`` only unmaps — it never unlinks, so an
-        attached child (or its crash-teardown path) cannot destroy segments
-        the owner still uses.  Typical use: a rank process of the
-        distributed runtime re-attaching the rank-shared arrays by name.
-        """
-        pool = cls()
-        pool._attached = True
-        try:
-            for key, (name, shape, dtype) in name_map.items():
-                seg = _attach_segment(name)
-                pool._segments[key] = seg
-                pool._arrays[key] = np.ndarray(
-                    tuple(shape), dtype=np.dtype(dtype), buffer=seg.buf
-                )
-        except BaseException:
-            pool.close()
-            raise
-        return pool
-
-    def export_spec(self) -> dict[str, tuple[str, tuple[int, ...], str]]:
-        """Attachment spec for :meth:`attach`: key -> (name, shape, dtype)."""
-        return {
-            k: (seg.name, self._arrays[k].shape, self._arrays[k].dtype.str)
-            for k, seg in self._segments.items()
-        }
 
     # ------------------------------------------------------------------
     def zeros(
@@ -113,8 +51,6 @@ class SharedArrayPool:
         """Allocate a zero-filled shared array under ``key``."""
         if self._closed:
             raise RuntimeError("SharedArrayPool is closed")
-        if self._attached:
-            raise RuntimeError("attached pools cannot allocate new segments")
         if key in self._segments:
             raise ValueError(f"array {key!r} already allocated")
         dt = np.dtype(dtype)
@@ -156,20 +92,17 @@ class SharedArrayPool:
         Unlink (removing the ``/dev/shm`` entry — the part that can leak)
         always runs; unmapping is best-effort because NumPy views handed
         out earlier may still hold exported buffers.  Those mappings are
-        reclaimed by the OS at process exit either way.  Attached pools
-        (:meth:`attach`) never unlink: they close only their own mappings
-        and leave the segments to the owner.
+        reclaimed by the OS at process exit either way.
         """
         if self._closed or os.getpid() != self._owner_pid:
             return
         self._closed = True
         self._arrays.clear()
         for seg in self._segments.values():
-            if not self._attached:
-                try:
-                    seg.unlink()
-                except FileNotFoundError:
-                    pass
+            try:
+                seg.unlink()
+            except FileNotFoundError:
+                pass
             try:
                 seg.close()
             except BufferError:

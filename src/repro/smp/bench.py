@@ -200,7 +200,6 @@ def run_paired_flux(
 def run_dist_breakdown(
     mesh,
     n_ranks: int = 4,
-    pipelined: bool = True,
     max_steps: int = 3,
     seed: int = 7,
 ) -> dict:
@@ -223,12 +222,10 @@ def run_dist_breakdown(
         FlowConfig(),
         opts,
         n_ranks=n_ranks,
-        pipelined=pipelined,
         seed=seed,
     )
     return {
         "n_ranks": int(dres.n_ranks),
-        "pipelined": bool(pipelined),
         "steps": int(dres.result.steps),
         **dres.comm_breakdown(),
     }

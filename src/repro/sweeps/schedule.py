@@ -19,7 +19,7 @@ out.  A driver hands it
 * **run(stage, parts)** — how one stage runs over parts; by default one
   :func:`sweep` per part, in this process;
 * **exchange(arrays, work)** — optional: refresh the ghost rows of
-  ``arrays`` while running ``work``, the stage's share that reads none.
+  ``arrays`` and run ``work``, the stage's share that reads none.
 
 The drivers:
 
@@ -31,7 +31,7 @@ The drivers:
   done, then the strategy's fold;
 * **ranks** (:func:`repro.dist.runtime.program.rank_residual`): an
   interior and a cut part of the rank's local edges, and the hook is the
-  halo window, plain or pipelined.
+  halo window: the blocking exchange, then the interior part.
 
 Owner-masked parts (:func:`owner_parts`) change no bit: every written row
 sees its edges in the serial order, and the additive write-out is

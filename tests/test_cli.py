@@ -156,6 +156,7 @@ class TestParser:
         "solve --dist-ranks -1",
         "solve --pipelined",
         "profile --pipelined",
+        "solve --dist-ranks 2 --subdomains 4",
         "solve --backend thread --dist-ranks 2",
         "profile --backend thread --dist-ranks 2",
         "solve --workers 3",
@@ -176,10 +177,11 @@ class TestParser:
     def test_bad_numeric_value_is_a_usage_error(self, argv, capsys):
         """Regression: each of these ended in a traceback, printed a
         speedup at 0 threads, or was silently accepted (``--subdomains 0``,
-        ``--dist-ranks -1``, ``--pipelined`` without ranks, the edge
+        ``--dist-ranks -1``, ``--subdomains`` under ranks, the edge
         backend under ranks, the edge-thread options without
         ``--backend thread``), or ran every step to a NaN (``--aoa nan``).
-        There is no process backend any more."""
+        There is no process backend and no pipelined halo mode any
+        more."""
         args = argv.split()
         if args[0] != "scaling" and "--scale" not in args:
             args += ["--scale", "0.02"]

@@ -3,11 +3,10 @@
 Covers the communicator's correctness contracts (cross-process halo ghosts
 identical to direct global indexing, deterministic collectives), the
 solver-level equivalence the runtime promises (an N-rank NKS solve matches
-the serial one to the outer tolerance; plain and pipelined modes are
-bitwise identical), the observability story (per-rank halo / interior /
-allreduce spans folded into the trace, with real overlap in pipelined
-mode), and failure containment (a SIGKILLed rank surfaces as an error and
-no ``/dev/shm`` segment survives).
+the serial one to the outer tolerance), the observability story (per-rank
+halo / interior / allreduce spans folded into the trace, each halo window's
+spans disjoint), and failure containment (a SIGKILLed rank surfaces as an
+error and no ``/dev/shm`` segment survives).
 """
 
 import multiprocessing as mp
@@ -30,7 +29,6 @@ from repro.dist.runtime import (
     ShmTransport,
     distributed_solve,
 )
-from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.partition import partition_graph
@@ -39,7 +37,7 @@ from repro.solver.newton import solve_steady
 
 
 def _assert_unlinked(names):
-    """Every OS-level segment name must be gone (attach must fail)."""
+    """Every OS-level segment name must be gone (opening it must fail)."""
     for name in names:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -51,46 +49,6 @@ def _decomp(n=60, seed=0, ranks=2):
     return mesh, DomainDecomposition(mesh.edges, labels)
 
 
-class TestSharedArrayPoolAttach:
-    def test_attach_shares_memory_without_ownership(self):
-        with SharedArrayPool() as owner:
-            a = owner.zeros("a", (4, 3))
-            a[1, 2] = 7.0
-            attached = SharedArrayPool.attach(owner.export_spec())
-            try:
-                view = attached.array("a")
-                assert view[1, 2] == 7.0
-                view[0, 0] = -1.0
-                assert a[0, 0] == -1.0  # same physical pages
-                with pytest.raises(RuntimeError):
-                    attached.zeros("b", (2,))  # attached pools don't allocate
-            finally:
-                attached.close()
-            # the attached close must NOT have unlinked the owner's segment
-            name = owner.segment_names()["a"]
-            shared_memory.SharedMemory(name=name).close()
-
-    def test_attached_close_is_idempotent(self):
-        """Regression: closing an attached pool twice (or after the owner)
-        must be a silent no-op, never a double-unlink."""
-        owner = SharedArrayPool()
-        owner.zeros("x", (8,))
-        names = list(owner.segment_names().values())
-        attached = SharedArrayPool.attach(owner.export_spec())
-        attached.close()
-        attached.close()
-        assert attached.closed
-        owner.close()
-        attached.close()  # after the owner unlinked: still a no-op
-        _assert_unlinked(names)
-
-    def test_attach_unknown_segment_raises_cleanly(self):
-        with pytest.raises(FileNotFoundError):
-            SharedArrayPool.attach(
-                {"ghost": ("psm_no_such_segment", (4,), "<f8")}
-            )
-
-
 class TestCommunicatorLocal:
     """Single-rank communicator semantics (no fork needed)."""
 
@@ -100,7 +58,7 @@ class TestCommunicatorLocal:
 
         mesh, decomp = _decomp(ranks=1)
         transport = ShmTransport(decomp, mp.get_context("fork"))
-        comm = Communicator(transport, 0, attach=False)
+        comm = Communicator(transport, 0)
         yield comm
         transport.close()
 
@@ -119,7 +77,7 @@ class TestCommunicatorLocal:
         with pytest.raises(ValueError, match="op"):
             comm.allreduce(1.0, op="prod")
         with pytest.raises(ValueError, match="algorithm"):
-            Communicator(comm._t, 0, algo="butterfly", attach=False)
+            Communicator(comm._t, 0, algo="butterfly")
 
 
 @settings(max_examples=5, deadline=None)
@@ -291,47 +249,34 @@ class TestDistributedKrylov:
 
 @pytest.fixture(scope="module")
 def wing_solve():
-    """Serial reference plus 4-rank plain/pipelined solves, solved once."""
+    """Serial reference plus a 4-rank solve, solved once."""
     mesh = wing_mesh(n_around=16, n_radial=5, n_span=4)
     field = FlowField(mesh)
     config = FlowConfig()
     opts = SolverOptions(max_steps=40, steady_rtol=1e-11, steady_atol=1e-13)
     serial = solve_steady(field, config, opts)
-    out = {"serial": serial, "mesh": mesh}
-    for pipelined in (False, True):
-        out["pipelined" if pipelined else "plain"] = distributed_solve(
-            field, config, opts, n_ranks=4, pipelined=pipelined, seed=0
-        )
-    return out
+    dist = distributed_solve(field, config, opts, n_ranks=4, seed=0)
+    return {"serial": serial, "mesh": mesh, "dist": dist}
 
 
 class TestDistributedSolve:
-    @pytest.mark.parametrize("mode", ["plain", "pipelined"])
-    def test_four_ranks_match_serial(self, wing_solve, mode):
-        serial, dres = wing_solve["serial"], wing_solve[mode]
+    def test_four_ranks_match_serial(self, wing_solve):
+        serial, dres = wing_solve["serial"], wing_solve["dist"]
         assert serial.converged and dres.result.converged
         assert dres.result.steps == serial.steps
         assert np.max(np.abs(dres.result.q - serial.q)) <= 1e-10
 
-    def test_plain_and_pipelined_bitwise_identical(self, wing_solve):
-        """Overlap reorders time, never arithmetic: both modes run the
-        identical interior-then-cut accumulation order."""
-        qa = wing_solve["plain"].result.q
-        qb = wing_solve["pipelined"].result.q
-        assert np.array_equal(qa, qb)
-
     def test_measured_breakdown_is_populated(self, wing_solve):
-        for mode in ("plain", "pipelined"):
-            bd = wing_solve[mode].comm_breakdown()
-            assert 0.0 < bd["halo_seconds"] < bd["elapsed_seconds"]
-            assert 0.0 < bd["allreduce_seconds"] < bd["elapsed_seconds"]
-            assert 0.0 < bd["comm_fraction"] < 1.0
-            stats = wing_solve[mode].rank_stats
-            assert len(stats) == 4
-            assert all(s["exchanges"] > 0 for s in stats)
-            assert all(s["allreduces"] > 0 for s in stats)
-            # replicated control flow: every rank runs the same reductions
-            assert len({s["allreduces"] for s in stats}) == 1
+        bd = wing_solve["dist"].comm_breakdown()
+        assert 0.0 < bd["halo_seconds"] < bd["elapsed_seconds"]
+        assert 0.0 < bd["allreduce_seconds"] < bd["elapsed_seconds"]
+        assert 0.0 < bd["comm_fraction"] < 1.0
+        stats = wing_solve["dist"].rank_stats
+        assert len(stats) == 4
+        assert all(s["exchanges"] > 0 for s in stats)
+        assert all(s["allreduces"] > 0 for s in stats)
+        # replicated control flow: every rank runs the same reductions
+        assert len({s["allreduces"] for s in stats}) == 1
 
     def test_tree_allreduce_matches_serial_too(self, wing_solve):
         mesh, serial = wing_solve["mesh"], wing_solve["serial"]
@@ -340,7 +285,7 @@ class TestDistributedSolve:
         )
         dres = distributed_solve(
             FlowField(mesh), FlowConfig(), opts, n_ranks=3,
-            pipelined=True, seed=0, allreduce_algo="tree",
+            seed=0, allreduce_algo="tree",
         )
         assert np.max(np.abs(dres.result.q - serial.q)) <= 1e-10
 
@@ -352,8 +297,8 @@ class TestDistributedSolve:
 
     def test_rank_residual_matches_staged_oracle(self, wing_solve):
         """The rank program runs the shared stage arithmetic on its own
-        slices: plain == pipelined bitwise, and the owned rows agree with
-        the serial staged kernels (only summation order differs)."""
+        slices: the owned rows agree with the serial staged kernels (only
+        summation order differs)."""
         from repro.cfd.boundary import add_boundary_closures
         from repro.cfd.flux import interior_flux_residual
         from repro.cfd.gradient import lsq_gradients, venkat_limiter
@@ -384,19 +329,27 @@ class TestDistributedSolve:
 
         def program(comm):
             data = datas[comm.rank]
-            return [
-                rank_residual(
-                    data, comm, _Workspace(data), config, pipelined
-                ).copy()
-                for pipelined in (False, True)
-            ]
+            return rank_residual(data, comm, _Workspace(data), config).copy()
 
         with DistRuntime(decomp, timeout=60) as rt:
             results = rt.run(program)
         for dom, rr in zip(decomp.domains, results):
-            plain, pipelined = rr.value
-            assert np.array_equal(plain, pipelined)
-            assert np.max(np.abs(plain - ref[dom.owned])) <= 1e-10
+            assert np.max(np.abs(rr.value - ref[dom.owned])) <= 1e-10
+
+    @pytest.mark.parametrize("option", [
+        {"n_subdomains": 4},
+        {"subdomain_labels": np.zeros(4, dtype=np.int64)},
+        {"overlap": 1},
+    ])
+    def test_subdomain_options_rejected(self, option):
+        """Regression: each rank is one zero-overlap subdomain, and the
+        ranks used to ignore the options that ask for another split."""
+        mesh = delaunay_cloud_mesh(40, seed=0)
+        with pytest.raises(ValueError, match=next(iter(option))):
+            distributed_solve(
+                FlowField(mesh), FlowConfig(), SolverOptions(**option),
+                n_ranks=2,
+            )
 
     def test_red_width_follows_gmres_restart(self):
         """Regression: deep GMRES restarts used to hit the fixed 64-slot
@@ -425,25 +378,24 @@ class TestDistributedSolve:
 
 
 class TestSpans:
-    def _trace(self, pipelined):
+    def _trace(self):
         mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)
         tracer = Tracer()
         opts = SolverOptions(max_steps=3, steady_rtol=1e-14)
         with use_tracer(tracer):
             distributed_solve(
-                FlowField(mesh), FlowConfig(), opts, n_ranks=2,
-                pipelined=pipelined, seed=0,
+                FlowField(mesh), FlowConfig(), opts, n_ranks=2, seed=0,
             )
         return tracer
 
-    def _solve_spans(self, pipelined):
+    def _solve_spans(self):
         spans = {}
-        for s in self._trace(pipelined).walk():
+        for s in self._trace().walk():
             spans.setdefault(s.name, []).append(s)
         return spans
 
     def test_rank_spans_fold_into_trace(self):
-        spans = self._solve_spans(pipelined=True)
+        spans = self._solve_spans()
         assert "dist-solve" in spans
         for r in range(2):
             assert f"rank{r}" in spans
@@ -453,32 +405,21 @@ class TestSpans:
             for s in lst:
                 assert s.t1 >= s.t0
 
-    def test_pipelined_interior_overlaps_halo_window(self):
-        """The acceptance criterion: with overlap on, some interior span
-        starts before its rank's enclosing halo span ends."""
-        spans = self._solve_spans(pipelined=True)
-        overlapped = 0
-        for r in range(2):
-            for h in spans[f"rank{r}.halo"]:
-                for i in spans[f"rank{r}.interior"]:
-                    if h.t0 <= i.t0 and i.t0 < h.t1:
-                        overlapped += 1
-        assert overlapped > 0
-
     def test_plain_interior_disjoint_from_halo(self):
-        spans = self._solve_spans(pipelined=False)
+        """The interior of a halo window runs after its ghosts land."""
+        spans = self._solve_spans()
         for r in range(2):
             for h in spans[f"rank{r}.halo"]:
                 for i in spans[f"rank{r}.interior"]:
                     assert i.t1 <= h.t0 or i.t0 >= h.t1, (
-                        "plain mode must not overlap compute with exchange"
+                        "a window's compute must not overlap its exchange"
                     )
 
     def test_rank_stages_nest_under_their_kernel_span(self):
         """A rank's reconstruction / limiter stages and its halo windows
         are children of the ``grad`` / ``flux`` kernel span they run in,
         and lie inside it."""
-        tracer = self._trace(pipelined=False)
+        tracer = self._trace()
         parents = {id(c): s for s in tracer.walk() for c in s.children}
         kinds = {"recon": {"grad"}, "limit": {"grad"},
                  "halo": {"grad", "flux"}, "interior": {"grad", "flux"}}
@@ -495,7 +436,7 @@ class TestSpans:
     def test_rank_program_spans_come_home(self):
         """Each rank's own tree (its Newton loop and kernels) is grafted
         under ``rank<r>``, not left in the rank's copy of the tracer."""
-        (dist,) = self._trace(pipelined=False).find("dist-solve")
+        (dist,) = self._trace().find("dist-solve")
         assert [c.name for c in dist.children] == ["rank0", "rank1"]
         for node in dist.children:
             (solve,) = node.children

@@ -548,10 +548,7 @@ def test_rank_residual_compiled_equals_numpy_bitwise(wing_case, second_order):
     def program(comm):
         data = datas[comm.rank]
         ws = _Workspace(data)
-        return ws.sweeps.compiled, [
-            rank_residual(data, comm, ws, cfg, pipelined).copy()
-            for pipelined in (False, True)
-        ]
+        return ws.sweeps.compiled, rank_residual(data, comm, ws, cfg).copy()
 
     def run():
         with DistRuntime(decomp, timeout=60) as rt:
@@ -563,9 +560,8 @@ def test_rank_residual_compiled_equals_numpy_bitwise(wing_case, second_order):
     serial = compute_residual(field, q, cfg)
     for dom, (c_native, c), (r_native, r) in zip(decomp.domains, compiled, reference):
         assert c_native and not r_native
-        assert np.array_equal(c[0], c[1])  # plain == pipelined
-        assert np.array_equal(c[0], r[0])
-        assert np.max(np.abs(c[0] - serial[dom.owned])) <= 1e-10
+        assert np.array_equal(c, r)
+        assert np.max(np.abs(c - serial[dom.owned])) <= 1e-10
 
 
 def test_steady_solve_without_residual_kernels_is_bit_identical():
