@@ -34,7 +34,7 @@ import numpy as np
 
 from .flux import pointwise_flux
 from .jacobian import analytic_flux_jacobian
-from .sums import dot3, dot4, matmul4
+from .sums import dot3, dot4, matmul
 
 __all__ = ["abs_flux_jacobian", "characteristic_edge_flux"]
 
@@ -65,9 +65,9 @@ def abs_flux_jacobian(
     Bi = A - b[:, None, None] * _EYE4
     Di = A - d[:, None, None] * _EYE4
 
-    BD = matmul4(Bi, Di)
-    AD = matmul4(Ai, Di)
-    AB = matmul4(Ai, Bi)
+    BD = matmul(Bi, Di)
+    AD = matmul(Ai, Di)
+    AB = matmul(Ai, Bi)
 
     c2 = (c_safe * c_safe)[:, None, None]
     absA = (

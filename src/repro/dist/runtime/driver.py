@@ -53,14 +53,14 @@ class DistSolveResult:
     rank_stats: list[dict] = dc_field(default_factory=list)
 
     def comm_breakdown(self) -> dict[str, float]:
-        """Critical-path (max over ranks) comm/compute decomposition —
-        the measured counterpart of the Fig 10 model's halo vs. allreduce
-        shares."""
-        halo = max(s["halo_seconds"] for s in self.rank_stats)
-        allred = max(s["allreduce_seconds"] for s in self.rank_stats)
-        interior = max(s["interior_seconds"] for s in self.rank_stats)
-        elapsed = max(s["elapsed"] for s in self.rank_stats)
-        elapsed = max(elapsed, 1e-30)
+        """Comm/compute decomposition of the critical rank — the one with
+        the largest ``elapsed``, every number its own, so the fractions are
+        one rank's shares — the measured counterpart of the Fig 10 model's
+        halo vs. allreduce shares."""
+        s = max(self.rank_stats, key=lambda s: s["elapsed"])
+        halo, allred = s["halo_seconds"], s["allreduce_seconds"]
+        interior = s["interior_seconds"]
+        elapsed = max(s["elapsed"], 1e-30)
         return {
             "halo_seconds": halo,
             "allreduce_seconds": allred,

@@ -50,7 +50,9 @@ static void gemm(double *C, const double *X, const double *Y)
 
 /* inv = A^-1 by Gauss-Jordan with partial pivoting; 1 when a pivot is
  * exactly zero (singular).  NaN/Inf never compare equal to zero, so they
- * propagate into the result as they do through LAPACK. */
+ * propagate into the result.  repro/sparse/ilu.py::_gauss_jordan is the
+ * batched NumPy spelling of this order (and repro/cfd/sums.py::matmul of
+ * gemm's). */
 static int inv4(const double *A, double *inv)
 {
     double M[B][2 * B];
@@ -202,9 +204,10 @@ int64_t ilu4(int64_t n, const int64_t *rowptr, const int64_t *cols,
 }
 
 /* acc -= sum_p vals[p] x[cols[p]] over blocks p0 .. p1-1, each product as
- * four column axpys (y0 first): the explicit order of
- * trsv_solve_sequential, which trsv4 reproduces bitwise.  The accumulator
- * lives in four scalars so it stays in registers across the row. */
+ * four column axpys (y0 first): the one explicit order of TRSV, which
+ * trsv_solve_sequential and trsv_solve_levels (repro/sparse/trsv.py)
+ * compute too, bit for bit.  The accumulator lives in four scalars so it
+ * stays in registers across the row. */
 static inline void row_sweep(double *acc, const double *vals,
                              const int64_t *cols, const double *x,
                              int64_t p0, int64_t p1)

@@ -54,8 +54,7 @@ stamps become ``grad.w<i>`` / ``flux.w<i>`` / ``jacobian.w<i>`` spans of
 part ``i`` and ``ilu.w<i>`` spans of thread ``i`` (``w0`` the caller) in
 the active :mod:`repro.obs` tracer (the reconstruction and limiter stages
 both report as ``grad``).  Without compiled kernels the parts run in the
-caller, in order, with the same bits, and the helpers park until
-``close()``.
+caller, in order, with the same bits, and no helper thread is started.
 """
 
 from __future__ import annotations
@@ -198,19 +197,17 @@ class ThreadEdgeBackend:
         ]
         self._lib = native.load_kernels()
         self._team = None
+        self._helpers = []
+        # without a compiled team the parts run in the caller: no helpers
         if self._lib is not None and all(p.sweeps.compiled for p in self.parts):
             self._team = self._make_team(w, nv)
-            target = self._lib.team_serve
-            args = [(self._team, s) for s in range(1, w)]
-        else:  # the parts run in the caller: nothing for a helper to do
-            self._parked = threading.Semaphore(0)
-            target, args = self._parked.acquire, [()] * (w - 1)
-        self._helpers = [
-            threading.Thread(
-                target=target, args=a, name=f"repro-edge-t{s}", daemon=True
-            )
-            for s, a in enumerate(args, 1)
-        ]
+            self._helpers = [
+                threading.Thread(
+                    target=self._lib.team_serve, args=(self._team, s),
+                    name=f"repro-edge-t{s}", daemon=True,
+                )
+                for s in range(1, w)
+            ]
         for t in self._helpers:
             t.start()
 
@@ -440,11 +437,8 @@ class ThreadEdgeBackend:
                 return
             if self._team is not None:
                 self._lib.team_stop(self._team)
-            elif self._helpers:
-                self._parked.release(len(self._helpers))
-            for t in self._helpers:
-                t.join()
-            if self._team is not None:
+                for t in self._helpers:
+                    t.join()
                 self._lib.team_free(self._team)
                 self._team = None
 

@@ -119,9 +119,11 @@ def tri_solve_options_from_plan(
     fwd_w = plan.schedule.widths()
     bwd_w = plan.schedule_back.widths()
     widths = np.concatenate([fwd_w, bwd_w])
+    lower = plan.diag_idx - plan.rowptr[:-1]
+    upper = plan.rowptr[1:] - plan.diag_idx - 1
     blocks = np.array(
-        [lp.pair_blk.shape[0] for lp in plan.fwd_pairs]
-        + [lp.pair_blk.shape[0] for lp in plan.bwd_pairs],
+        [lower[rows].sum() for rows in plan.schedule.levels]
+        + [upper[rows].sum() for rows in plan.schedule_back.levels],
         dtype=np.int64,
     )
     cross = 0

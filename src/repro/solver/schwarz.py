@@ -21,7 +21,7 @@ import numpy as np
 
 from ..sparse.bcsr import BCSRMatrix
 from ..sparse.ilu import ILUPlan, build_ilu_plan, ilu_factorize
-from ..sparse.trsv import TrsvWorkspace, trsv_solve
+from ..sparse.trsv import trsv_solve
 
 __all__ = ["SubdomainILU", "AdditiveSchwarzILU"]
 
@@ -95,9 +95,6 @@ class AdditiveSchwarzILU:
             sub = self._build_subdomain(matrix, owned, local)
             self.subs.append(sub)
         self._factors = [None] * self.n_subdomains
-        # per-subdomain scratch, reused across Krylov iterations (the solve
-        # runs every GMRES iteration; allocating there dominated profiles)
-        self._work = [TrsvWorkspace.for_plan(s.plan) for s in self.subs]
         # one subdomain covering every row in order: apply() needs neither
         # the gather into local numbering nor the owned-rows scatter
         self._identity = self.n_subdomains == 1 and np.array_equal(
@@ -164,7 +161,7 @@ class AdditiveSchwarzILU:
             # np.empty, not empty_like: the output must be C-contiguous
             # whatever the layout of r
             out = np.empty(r.shape, dtype=r.dtype)
-            return trsv_solve(self._factors[0], r, out=out, work=self._work[0])
+            return trsv_solve(self._factors[0], r, out=out)
         flat = r.ndim == 1
         rb = r.reshape(self.n, self.b)
         z = np.zeros_like(rb)
@@ -173,8 +170,6 @@ class AdditiveSchwarzILU:
             if factor is None:
                 raise RuntimeError("preconditioner not updated")
             local_r = rb[sub.local_rows]
-            local_z = trsv_solve(
-                factor, local_r, out=self._local_z[s], work=self._work[s]
-            )
+            local_z = trsv_solve(factor, local_r, out=self._local_z[s])
             z[sub.local_rows[sub.owned_mask]] = local_z[sub.owned_mask]
         return z.reshape(-1) if flat else z

@@ -1,4 +1,9 @@
-"""Block sparse linear algebra: BCSR, ILU(k), TRSV, level scheduling, P2P."""
+"""Block sparse linear algebra: BCSR, ILU(k), TRSV, level scheduling, P2P.
+
+ILU and TRSV each run the compiled sweep of ``_kernels.c`` or, without
+it, a level-scheduled NumPy kernel that spells out the sweep's
+floating-point order: both paths give the same bits.
+"""
 
 from ..native import native_kernels_available
 from .bcsr import BCSRMatrix, bcsr_pattern_from_edges
@@ -23,7 +28,6 @@ from .p2p import (
     sparsify_transitive,
 )
 from .trsv import (
-    TrsvWorkspace,
     trsv_solve,
     trsv_solve_levels,
     trsv_solve_sequential,
@@ -47,7 +51,6 @@ __all__ = [
     "build_dependency_graph",
     "cross_thread_syncs",
     "sparsify_transitive",
-    "TrsvWorkspace",
     "trsv_solve",
     "trsv_solve_levels",
     "trsv_solve_sequential",

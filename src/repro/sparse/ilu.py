@@ -8,12 +8,14 @@ pseudo-time step, TRSV every Krylov iteration), so, exactly like PETSc does
 
 * **symbolic phase** (:func:`build_ilu_plan`, once per sparsity pattern):
   computes the fill pattern and the dependency level schedule; on first
-  access also *flat index arrays* for every batched block operation of
-  the level-scheduled numeric phase, so that it runs as a short sequence
-  of large ``einsum`` calls instead of per-row Python loops.
+  access also the *flat index arrays* of the level-scheduled kernels
+  (every batched block operation of the numeric phase, and the per-level
+  position tables of the triangular solves).
 * **numeric phase** (:func:`ilu_factorize`): one call into the compiled
   row-by-row sweep of ``_kernels.c`` (block size 4), else the
-  level-scheduled batched block arithmetic (:func:`ilu_factorize_levels`).
+  level-scheduled batched block arithmetic (:func:`ilu_factorize_levels`),
+  which spells out the compiled sweep's floating-point order and computes
+  the same bits.
 
 Storage follows the paper: factors overwrite a copy of the matrix in BCSR;
 diagonal blocks are inverted once inside the factorization and stored
@@ -28,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .. import native
+from ..cfd.sums import matmul
 from ..obs.metrics import get_metrics
 from .bcsr import BCSRMatrix
 from .fill import ilu_symbolic
@@ -58,25 +61,13 @@ class _StepBatch:
 
 
 @dataclass
-class _LevelPairs:
-    """Flattened (row, block, col) triples of one level's off-diagonal part,
-    used by the vectorized triangular solves."""
-
-    rows: np.ndarray  # level's rows
-    pair_row: np.ndarray  # row index per off-diagonal block
-    pair_blk: np.ndarray  # block value index
-    pair_col: np.ndarray  # column (the already-solved unknown)
-    pair_slot: np.ndarray  # position of pair_row within rows (local slot)
-
-
-@dataclass
 class ILUPlan:
     """Symbolic factorization plan for a fixed sparsity pattern.
 
     The pattern arrays and the forward schedule are built eagerly; the
-    per-level batch structures that only the level-scheduled kernels and
-    the cost model read (``schedule_back``, ``steps``, ``fwd_pairs``,
-    ``bwd_pairs``) are built on first access.
+    per-level structures that only the level-scheduled kernels and the
+    cost model read (``schedule_back``, ``steps``, ``fwd_positions``,
+    ``bwd_positions``) are built on first access.
     """
 
     n: int
@@ -160,18 +151,18 @@ class ILUPlan:
         return _build_steps(self)
 
     @cached_property
-    def fwd_pairs(self) -> list[_LevelPairs]:
-        """Forward-sweep (strictly lower) pair lists, per forward level."""
-        lo, hi = self.rowptr[:-1], self.diag_idx
-        return [_level_pairs(self, rows, lo, hi) for rows in self.schedule.levels]
+    def fwd_positions(self) -> list[tuple]:
+        """Forward-sweep (strictly lower) position table, per forward level."""
+        return _position_table(
+            self.schedule.levels, self.rowptr[:-1], self.diag_idx, self.b
+        )
 
     @cached_property
-    def bwd_pairs(self) -> list[_LevelPairs]:
-        """Backward-sweep (strictly upper) pair lists, per backward level."""
-        lo, hi = self.diag_idx + 1, self.rowptr[1:]
-        return [
-            _level_pairs(self, rows, lo, hi) for rows in self.schedule_back.levels
-        ]
+    def bwd_positions(self) -> list[tuple]:
+        """Backward-sweep (strictly upper) position table, per backward level."""
+        return _position_table(
+            self.schedule_back.levels, self.diag_idx + 1, self.rowptr[1:], self.b
+        )
 
     # work accounting used by the machine model
     def factor_block_ops(self) -> int:
@@ -198,25 +189,23 @@ class ILUFactor:
     diag_inv: np.ndarray  # (n, b, b)
 
 
-def _level_pairs(
-    plan: ILUPlan, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> _LevelPairs:
-    """Pair list of one level: blocks ``lo[i] .. hi[i]-1`` of each row,
-    rows ascending, blocks in row order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = hi[rows] - lo[rows]
-    pair_row = np.repeat(rows, counts)
-    offset = np.arange(pair_row.shape[0]) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    pair_blk = np.repeat(lo[rows], counts) + offset
-    return _LevelPairs(
-        rows=rows,
-        pair_row=pair_row,
-        pair_blk=pair_blk,
-        pair_col=plan.cols[pair_blk],
-        pair_slot=np.repeat(np.arange(rows.shape[0]), counts),
-    )
+def _position_table(
+    levels: list[np.ndarray], lo: np.ndarray, hi: np.ndarray, b: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]:
+    """``(rows, blocks, at, slot, depth)`` per level over blocks ``lo[i] ..
+    hi[i]-1`` of each row: the level's rows, their blocks in row order, and
+    for the block at position ``q`` of its row the row's ``slot`` in
+    ``rows`` and ``at = 1 + q * b``, where its ``b`` column products sit in
+    the solve's ``depth``-deep subtraction stack."""
+    table = []
+    for rows in levels:
+        counts = hi[rows] - lo[rows]
+        slot = np.repeat(np.arange(rows.shape[0]), counts)
+        q = np.arange(slot.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        blocks = np.repeat(lo[rows], counts) + q
+        depth = 1 + b * int(counts.max(initial=0))
+        table.append((rows, blocks, 1 + q * b, slot, depth))
+    return table
 
 
 def _build_steps(plan: ILUPlan) -> list[list[_StepBatch]]:
@@ -308,8 +297,7 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan, team=None) -> ILUFactor:
     kernels loadable) — level by level on ``team``'s threads when given
     one (a :class:`~repro.smp.parallel.ThreadEdgeBackend`), the same
     bytes — else the level-scheduled NumPy kernel
-    :func:`ilu_factorize_levels`.  The compiled factors agree with the
-    level-scheduled ones to 1e-12 relative, not bitwise.
+    :func:`ilu_factorize_levels`, the same bits.
     """
     if matrix.vals.shape[1] != plan.b:
         raise ValueError("block size mismatch between matrix and plan")
@@ -326,37 +314,69 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan, team=None) -> ILUFactor:
 
 def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     """Level-scheduled NumPy factorization: the portable fallback of
-    :func:`ilu_factorize` and the declared-tolerance (1e-12) reference of
-    the compiled sweep.
+    :func:`ilu_factorize`, the same bits as the compiled sweep.
 
     Row updates run level by level; within a level, position-p batches are
-    sequential but each batch is one set of batched block multiplies.
+    sequential but each batch is one set of batched block multiplies, each
+    in the compiled ``gemm``'s order (``cfd.sums.matmul``), and each
+    level's diagonal blocks are inverted as ``inv4`` does.  A singular
+    diagonal block raises ``LinAlgError`` naming the lowest such row, the
+    one ``ilu4`` names.
     """
     if matrix.vals.shape[1] != plan.b:
         raise ValueError("block size mismatch between matrix and plan")
     vals = _scattered(matrix, plan)
     diag_inv = np.zeros((plan.n, plan.b, plan.b))
+    bad = plan.n
 
-    for rows, level_steps in zip(plan.schedule.levels, plan.steps):
-        for sb in level_steps:
-            if sb.lik_idx.shape[0] == 0:
-                continue
-            lik = np.einsum(
-                "nij,njk->nik", vals[sb.lik_idx], diag_inv[sb.krow]
-            )
-            vals[sb.lik_idx] = lik
-            if sb.t_dest.shape[0]:
-                upd = np.einsum(
-                    "nij,njk->nik", lik[sb.t_entry], vals[sb.t_ukj]
-                )
-                # destinations are unique within a batch (one row can only
-                # be touched via its own (i,k) pair, and each pair hits
-                # distinct columns), so in-place subtract is exact.
-                vals[sb.t_dest] -= upd
-        dblocks = vals[plan.diag_idx[rows]]
-        diag_inv[rows] = np.linalg.inv(dblocks)
-
+    # a singular block leaves garbage (inf, NaN) in the rows below it, as
+    # it does in the compiled sweep; the error is raised once all are done
+    with np.errstate(all="ignore"):
+        for rows, level_steps in zip(plan.schedule.levels, plan.steps):
+            for sb in level_steps:
+                if sb.lik_idx.shape[0] == 0:
+                    continue
+                lik = matmul(vals[sb.lik_idx], diag_inv[sb.krow])
+                vals[sb.lik_idx] = lik
+                if sb.t_dest.shape[0]:
+                    # destinations are unique within a batch (one row can
+                    # only be touched via its own (i,k) pair, and each pair
+                    # hits distinct columns), so in-place subtract is exact.
+                    vals[sb.t_dest] -= matmul(lik[sb.t_entry], vals[sb.t_ukj])
+            diag_inv[rows], singular = _gauss_jordan(vals[plan.diag_idx[rows]])
+            if singular.any():
+                bad = min(bad, int(rows[singular].min()))
+    if bad < plan.n:
+        raise np.linalg.LinAlgError(f"Singular diagonal block in row {bad}")
     return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+
+
+def _gauss_jordan(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched inverse of ``(m, b, b)`` blocks as ``inv4`` computes it:
+    Gauss-Jordan on ``[A | I]``, the pivot the first row of largest
+    magnitude by strict ``>`` (so a NaN candidate never displaces the
+    diagonal, and a NaN diagonal is kept).  Also returns the mask of blocks
+    with an exactly zero pivot, whose inverse is garbage."""
+    m, b = a.shape[0], a.shape[1]
+    M = np.concatenate((a, np.broadcast_to(np.eye(b), a.shape)), axis=2)
+    at = np.arange(m)
+    singular = np.zeros(m, dtype=bool)
+    for k in range(b):
+        piv = np.full(m, k)
+        best = np.abs(M[:, k, k])
+        for r in range(k + 1, b):
+            cand = np.abs(M[:, r, k])
+            better = cand > best
+            best = np.where(better, cand, best)
+            piv[better] = r
+        singular |= best == 0.0
+        top = M[at, piv]
+        M[at, piv] = M[:, k]
+        M[:, k] = top
+        M[:, k] /= top[:, k : k + 1]
+        others = [r for r in range(b) if r != k]
+        M[:, others] -= M[:, others, k : k + 1] * M[:, None, k, :]
+    return M[:, :, b:], singular
 
 
 def _scattered(matrix: BCSRMatrix, plan: ILUPlan) -> np.ndarray:

@@ -6,57 +6,34 @@ block the kernel is a 4x4 matrix times 4-vector multiply with streaming
 access and no reuse across blocks, which is why the paper measures it
 reaching 94% of STREAM bandwidth.
 
-Three implementations:
+Three implementations, one floating-point order: every block product is
+``b`` column axpys ``acc -= V[:, j] * y[j]`` (``j`` ascending, blocks in row
+order, never ``@``), and the inverted diagonal is applied as row sums
+``D[:, 0] * acc[0] + D[:, 1] * acc[1] + ...``, left to right.  All three
+give the same bits:
 
 * :func:`trsv_solve` — what callers use: one call into the compiled sweep
   of ``_kernels.c`` (block size 4, float64), else the level kernel.
-* :func:`trsv_solve_levels` — level-scheduled and fully vectorized (one
-  gather / einsum / scatter per wavefront): the portable fallback and the
-  declared-tolerance reference of the compiled sweep.
-* :func:`trsv_solve_sequential` — the plain row loop with every block
-  product spelled out as four column axpys, so its floating-point order is
-  explicit.  The compiled sweep equals it bitwise; the level kernel agrees
-  with both to 1e-12 relative.
+* :func:`trsv_solve_levels` — level-scheduled, each wavefront's products
+  at once and their subtraction as one ordered fold: the portable
+  fallback.
+* :func:`trsv_solve_sequential` — the plain row loop, the reference the
+  other two are tested against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import native
 from ..obs.metrics import get_metrics
-from ..perf.scatter import scatter_add
-from .ilu import ILUFactor, ILUPlan
+from .ilu import ILUFactor
 
 __all__ = [
-    "TrsvWorkspace",
     "trsv_solve",
     "trsv_solve_levels",
     "trsv_solve_sequential",
 ]
-
-
-@dataclass
-class TrsvWorkspace:
-    """Reusable scratch for the level-scheduled solve.
-
-    The solve runs every Krylov iteration; a workspace pins its two
-    ``(n, b)`` vectors once.  Never holds the *result* — callers own that
-    (Krylov methods keep each preconditioned vector in the flexible basis).
-    The compiled sweep works in place in the output and ignores it.
-    """
-
-    y: np.ndarray  # (n, b) forward-substitution result
-    x: np.ndarray  # (n, b) backward-substitution result
-
-    @classmethod
-    def for_plan(cls, plan: ILUPlan) -> "TrsvWorkspace":
-        return cls(y=np.zeros((plan.n, plan.b)), x=np.zeros((plan.n, plan.b)))
-
-    def fits(self, plan: ILUPlan) -> bool:
-        return self.y.shape == (plan.n, plan.b)
 
 
 def _native_ready(a: np.ndarray, size: int) -> bool:
@@ -68,14 +45,12 @@ def trsv_solve(
     factor: ILUFactor,
     rhs: np.ndarray,
     out: np.ndarray | None = None,
-    work: TrsvWorkspace | None = None,
 ) -> np.ndarray:
     """Solve ``L U x = rhs``.
 
     ``rhs`` may be ``(n, b)`` or flat ``(n*b,)``; the result matches.
-    ``out`` (same shape as ``rhs``) receives the solution when given —
-    otherwise a fresh array is returned.  ``work`` supplies reusable
-    scratch (:class:`TrsvWorkspace`) to the level-scheduled path.
+    ``out`` (same shape as ``rhs``, and it may be ``rhs``) receives the
+    solution when given — otherwise a fresh array is returned.
 
     Runs the compiled sweep when it can (``b == 4``, C-contiguous float64
     operands, kernels loadable), else :func:`trsv_solve_levels`.
@@ -107,62 +82,62 @@ def trsv_solve(
                 x.ctypes.data,
             )
             return x
-    return trsv_solve_levels(factor, rhs, out=out, work=work)
+    return trsv_solve_levels(factor, rhs, out=out)
 
 
 def trsv_solve_levels(
-    factor: ILUFactor,
-    rhs: np.ndarray,
-    out: np.ndarray | None = None,
-    work: TrsvWorkspace | None = None,
+    factor: ILUFactor, rhs: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Level-scheduled batched solve (same arguments as :func:`trsv_solve`)."""
+    """Level-scheduled solve (same arguments as :func:`trsv_solve`), in
+    place in the output as the compiled sweep works, one wavefront at a
+    time (``plan.fwd_positions`` / ``bwd_positions``).
+
+    Each row's column axpys ``acc -= V[:, j] * y[j]`` are one left fold:
+    the level's products, all computed at once, are stacked behind
+    ``acc`` in the row's block order (``+0.0`` where a row has fewer
+    blocks, which subtracts exactly nothing) and ``np.subtract.reduce``
+    takes them off in that order.
+    """
     plan = factor.plan
-    flat = rhs.ndim == 1
-    b = rhs.reshape(plan.n, plan.b)
-    vals, diag_inv = factor.vals, factor.diag_inv
-    if work is None or not work.fits(plan):
-        work = TrsvWorkspace.for_plan(plan)
-    y, x = work.y, work.x
+    n, b = plan.n, plan.b
+    vals, diag_inv, cols = factor.vals, factor.diag_inv, plan.cols
+    src = rhs.reshape(n, b)
+    x = np.empty((n, b), np.result_type(src, vals)) if out is None else out.reshape(n, b)
+    lanes = np.arange(b)
 
-    # forward: y_i = b_i - sum_k L_ik y_k (pair-slot accumulation is one
-    # scatter_add per level, bitwise the np.add.at reference)
-    for lp in plan.fwd_pairs:
-        if lp.pair_blk.shape[0]:
-            contrib = np.einsum(
-                "nij,nj->ni", vals[lp.pair_blk], y[lp.pair_col]
-            )
-            acc = scatter_add(lp.pair_slot, contrib, lp.rows.shape[0])
-            y[lp.rows] = b[lp.rows] - acc
-        else:
-            y[lp.rows] = b[lp.rows]
+    def minus_blocks(acc, blocks, at, slot, depth):
+        stack = np.zeros((depth, *acc.shape), x.dtype)
+        stack[0] = acc
+        products = vals[blocks] * x[cols[blocks], None, :]
+        stack[at[:, None] + lanes, slot[:, None]] = products.transpose(0, 2, 1)
+        return np.subtract.reduce(stack, axis=0)
 
-    # backward: x_i = inv(U_ii) (y_i - sum_{j>i} U_ij x_j)
-    for lp in plan.bwd_pairs:
-        rows = lp.rows
-        if lp.pair_blk.shape[0]:
-            contrib = np.einsum(
-                "nij,nj->ni", vals[lp.pair_blk], x[lp.pair_col]
-            )
-            acc = scatter_add(lp.pair_slot, contrib, rows.shape[0])
-            x[rows] = np.einsum(
-                "nij,nj->ni", diag_inv[rows], y[rows] - acc
-            )
-        else:
-            x[rows] = np.einsum("nij,nj->ni", diag_inv[rows], y[rows])
+    # forward: y_i = b_i - sum_k L_ik y_k
+    for rows, *table in plan.fwd_positions:
+        x[rows] = minus_blocks(src[rows], *table)
+
+    # backward: x_i = inv(U_ii) (y_i - sum_{j>i} U_ij x_j), the inverse
+    # applied as row sums, left to right
+    for rows, *table in plan.bwd_positions:
+        acc = minus_blocks(x[rows], *table)
+        D = diag_inv[rows]
+        xi = D[:, :, 0] * acc[:, :1]
+        for j in range(1, b):
+            xi += D[:, :, j] * acc[:, j : j + 1]
+        x[rows] = xi
 
     if out is not None:
-        np.copyto(out.reshape(plan.n, plan.b), x)
         return out
-    return x.reshape(-1).copy() if flat else x.copy()
+    return x.reshape(-1) if rhs.ndim == 1 else x
 
 
 def trsv_solve_sequential(factor: ILUFactor, rhs: np.ndarray) -> np.ndarray:
     """Plain sequential forward/backward substitution (reference).
 
-    Each block product is four column axpys in block-row order rather than
+    Each block product is ``b`` column axpys in block-row order rather than
     ``@``, which would hand the summation order to BLAS: this is the
-    explicit order the compiled sweep reproduces bitwise.
+    explicit order the compiled sweep and the level kernel reproduce
+    bitwise.
     """
     plan = factor.plan
     flat = rhs.ndim == 1

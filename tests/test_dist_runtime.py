@@ -26,6 +26,7 @@ from repro.dist import DomainDecomposition
 from repro.dist.runtime import (
     Communicator,
     DistRuntime,
+    DistSolveResult,
     ShmTransport,
     distributed_solve,
 )
@@ -277,6 +278,24 @@ class TestDistributedSolve:
         assert all(s["allreduces"] > 0 for s in stats)
         # replicated control flow: every rank runs the same reductions
         assert len({s["allreduces"] for s in stats}) == 1
+
+    def test_breakdown_is_the_critical_ranks_own(self):
+        """Every number comes from the rank with the largest elapsed, so
+        the comm fraction is a share one rank really spent; per-key maxima
+        from different ranks would add up to 0.9 here."""
+        stats = [
+            {"halo_seconds": 0.5, "allreduce_seconds": 0.1,
+             "interior_seconds": 0.3, "elapsed": 1.0},
+            {"halo_seconds": 0.1, "allreduce_seconds": 0.4,
+             "interior_seconds": 0.7, "elapsed": 1.25},
+        ]
+        dres = DistSolveResult(
+            result=None, n_ranks=2, labels=np.zeros(2), rank_stats=stats
+        )
+        bd = dres.comm_breakdown()
+        assert (bd["halo_seconds"], bd["allreduce_seconds"]) == (0.1, 0.4)
+        assert (bd["interior_seconds"], bd["elapsed_seconds"]) == (0.7, 1.25)
+        assert bd["comm_fraction"] == 0.5 / 1.25
 
     def test_tree_allreduce_matches_serial_too(self, wing_solve):
         mesh, serial = wing_solve["mesh"], wing_solve["serial"]

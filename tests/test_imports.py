@@ -8,7 +8,8 @@ or post telemetry over HTTP, so ``http.server``, ``ssl`` and ``email`` stay
 unloaded too.  And the edge loop runs on threads, not forked processes:
 ``multiprocessing`` (and its ``shared_memory``) is loaded only by the
 rank runtime.  Each is held as a count of loaded modules under its prefix,
-in a fresh interpreter.
+in a fresh interpreter.  And every module DESIGN.md's per-experiment index
+names imports.
 """
 
 import json
@@ -61,3 +62,18 @@ def test_import_and_serial_solve_do_not_load_network_stack(prefix):
 
 def test_import_and_serial_solve_do_not_load_multiprocessing():
     assert _loaded("multiprocessing") == (0, 0)
+
+
+def test_every_module_the_design_index_names_imports():
+    """DESIGN.md's per-experiment index points a reader at the modules
+    that implement each figure; every one it names must exist."""
+    import importlib
+    import re
+    from pathlib import Path
+
+    design = (Path(__file__).parents[1] / "DESIGN.md").read_text()
+    index = design.split("## Per-experiment index", 1)[1].split("\n## ", 1)[0]
+    names = sorted(set(re.findall(r"`(repro(?:\.\w+)*)`", index)))
+    assert len(names) > 10, names
+    for name in names:
+        importlib.import_module(name)

@@ -313,7 +313,13 @@ class TestFailureContainment:
         before = set(_edge_threads())
         be = ThreadEdgeBackend(field, 3)
         helpers = set(_edge_threads()) - before
-        assert sorted(t.name for t in helpers) == ["repro-edge-t1", "repro-edge-t2"]
+        # without compiled kernels the parts run in the caller: no helpers
+        expected = (
+            ["repro-edge-t1", "repro-edge-t2"]
+            if native.load_kernels() is not None
+            else []
+        )
+        assert sorted(t.name for t in helpers) == expected
         assert all(t.daemon for t in helpers)
         be.residual(q, FlowConfig(), first_order=True)
         be.close()

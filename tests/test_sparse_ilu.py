@@ -10,7 +10,6 @@ from repro.mesh import box_mesh, delaunay_cloud_mesh, mesh_c_prime
 from repro.obs import MetricsRegistry, use_metrics
 from repro.sparse import (
     BCSRMatrix,
-    TrsvWorkspace,
     available_parallelism,
     build_ilu_plan,
     build_levels,
@@ -330,24 +329,19 @@ def kernels(request):
 
 
 class TestSolveArguments:
-    """The ``out=`` / ``work=`` / flat-``rhs`` contract both paths share."""
+    """The ``out=`` / flat-``rhs`` contract both paths share."""
 
-    def test_workspace_and_out_paths_match_plain_solve(
-        self, block4_problem, kernels
-    ):
+    def test_work_keyword_is_refused(self, block4_problem, kernels):
+        """Both paths work in place in the output: there is no scratch to
+        hand in, and ``out`` may be ``rhs`` itself."""
         factorize, solve = kernels
         matrix, plan, rhs = block4_problem
         factor = factorize(matrix, plan)
-        ref = solve(factor, rhs)
-        work = TrsvWorkspace.for_plan(plan)
-        assert work.fits(plan)
-        out = np.empty_like(rhs)
-        assert solve(factor, rhs, out=out, work=work) is out
-        np.testing.assert_array_equal(out, ref)
-        # the workspace is scratch only: reusing it must not change results
-        np.testing.assert_array_equal(
-            solve(factor, 3.0 * rhs, work=work), solve(factor, 3.0 * rhs)
-        )
+        with pytest.raises(TypeError):
+            solve(factor, rhs, work=np.empty_like(rhs))
+        inplace = rhs.copy()
+        assert solve(factor, inplace, out=inplace) is inplace
+        np.testing.assert_array_equal(inplace, solve(factor, rhs))
 
     def test_out_and_flat_rhs(self, block4_problem, kernels):
         factorize, solve = kernels
@@ -365,14 +359,13 @@ class TestSolveArguments:
         self, block4_problem, kernels
     ):
         """Krylov callers keep each preconditioned vector: a later solve
-        through the same workspace must never mutate an earlier result."""
+        must never mutate an earlier result (no scratch outlives a call)."""
         factorize, solve = kernels
         matrix, plan, rhs = block4_problem
         factor = factorize(matrix, plan)
-        work = TrsvWorkspace.for_plan(plan)
-        x1 = solve(factor, rhs, work=work)
+        x1 = solve(factor, rhs)
         snap = x1.copy()
-        solve(factor, 2.0 * rhs, work=work)
+        solve(factor, 2.0 * rhs)
         np.testing.assert_array_equal(x1, snap)
 
 

@@ -2,10 +2,11 @@
 
 The contract under test (DESIGN.md, "Sparse kernels"):
 
-* compiled TRSV == explicit-order sequential reference, bitwise;
-* compiled factor and solve within 1e-12 relative of the level kernels;
+* compiled ILU (serial and on the thread team) == level-scheduled NumPy
+  ILU, and compiled TRSV == level TRSV == explicit-order sequential
+  reference, all bitwise, NaN / Inf and the named singular row included;
 * without a loadable kernel the level kernels run, warning once, and a
-  solve takes the same steps and iterations;
+  solve gives the same bytes, steps and iterations;
 * building and loading never writes into the source tree or the cwd.
 """
 
@@ -26,7 +27,6 @@ from repro.ordering import rcm_relabel
 from repro.solver import AdditiveSchwarzILU, SolverOptions, solve_steady
 from repro.sparse import (
     BCSRMatrix,
-    TrsvWorkspace,
     bcsr_pattern_from_edges,
     build_ilu_plan,
     ilu_factorize,
@@ -40,7 +40,6 @@ from repro.sparse import (
 compiled = pytest.mark.skipif(
     not native_kernels_available(), reason="no C compiler / kernel not loadable"
 )
-RTOL = 1e-12
 
 
 def _trsv_matrix(mesh, seed: int, b: int = 4):
@@ -67,8 +66,27 @@ def _problem(mesh, seed=3, fill=0):
     return matrix, plan, rhs
 
 
-def _rel(a, b):
-    return np.abs(a - b).max() / np.abs(b).max()
+def _same_bytes(*arrays):
+    """Every array holds the first one's bytes (signed zeros and which
+    entries are NaN or Inf count)."""
+    return all(a.tobytes() == arrays[0].tobytes() for a in arrays[1:])
+
+
+def _same_entries(a, b):
+    """Bitwise equal, except that a NaN only has to meet a NaN: which NaN
+    an operation on two NaN operands returns is not fixed."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bytes(a[~nan], b[~nan])
+
+
+@pytest.fixture(scope="module")
+def team():
+    """A 2-thread team; its factorization runs any plan's pattern."""
+    from repro.smp import ThreadEdgeBackend
+
+    field = FlowField(wing_mesh(n_around=12, n_radial=5, n_span=4))
+    with ThreadEdgeBackend(field, 2) as be:
+        yield be
 
 
 @pytest.fixture(scope="module")
@@ -92,20 +110,38 @@ def no_kernels(monkeypatch):
     fill=st.sampled_from([0, 1]),
     rcm=st.booleans(),
 )
-def test_compiled_contract_property(n, seed, fill, rcm):
+def test_compiled_contract_property(team, n, seed, fill, rcm):
     mesh = delaunay_cloud_mesh(n, seed=seed)
     if rcm:
         mesh = rcm_relabel(mesh)
     matrix, plan, rhs = _problem(mesh, seed=seed, fill=fill)
     factor = ilu_factorize(matrix, plan)
+    threaded = ilu_factorize(matrix, plan, team)
     levels = ilu_factorize_levels(matrix, plan)
-    assert _rel(factor.vals, levels.vals) <= RTOL
-    assert _rel(factor.diag_inv, levels.diag_inv) <= RTOL
+    assert _same_bytes(factor.vals, threaded.vals, levels.vals)
+    assert _same_bytes(factor.diag_inv, threaded.diag_inv, levels.diag_inv)
 
     x = trsv_solve(factor, rhs)
-    np.testing.assert_array_equal(x, trsv_solve_sequential(factor, rhs))
-    assert _rel(x, trsv_solve_levels(factor, rhs)) <= RTOL
-    assert _rel(x, trsv_solve_levels(levels, rhs)) <= RTOL
+    assert _same_bytes(
+        x, trsv_solve_levels(factor, rhs), trsv_solve_sequential(factor, rhs)
+    )
+
+
+@pytest.mark.parametrize("b", [2, 3, 4])
+def test_level_solve_is_the_sequential_order(b):
+    """The level kernel reproduces the sequential reference at every
+    block size, not only the compiled sweep's 4."""
+    mesh = rcm_relabel(delaunay_cloud_mesh(70, seed=b))
+    matrix = _trsv_matrix(mesh, seed=b, b=b)
+    plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=b, fill_level=1)
+    factor = ilu_factorize_levels(matrix, plan)
+    rhs = np.random.default_rng(b).normal(size=(plan.n, b))
+    rhs[::7] = -0.0  # signed zeros must survive both orders alike
+    x = trsv_solve_levels(factor, rhs)
+    assert _same_bytes(x, trsv_solve_sequential(factor, rhs))
+    inplace = rhs.copy()
+    assert trsv_solve_levels(factor, inplace, out=inplace) is inplace
+    assert _same_bytes(inplace, x)
 
 
 @compiled
@@ -117,9 +153,10 @@ class TestCompiledSolveShapes:
         assert ref.shape == rhs.shape and ref is not rhs
 
         out = np.empty_like(rhs)
-        work = TrsvWorkspace.for_plan(plan)
-        assert trsv_solve(factor, rhs, out=out, work=work) is out
+        assert trsv_solve(factor, rhs, out=out) is out
         np.testing.assert_array_equal(out, ref)
+        with pytest.raises(TypeError):
+            trsv_solve(factor, rhs, work=np.empty_like(rhs))
 
         flat = trsv_solve(factor, rhs.reshape(-1))
         assert flat.shape == (plan.n * 4,)
@@ -176,21 +213,29 @@ class TestCompiledSolveShapes:
 @compiled
 class TestFailurePaths:
     def test_singular_block_raises_and_next_factorization_is_clean(
-        self, wing_problem
+        self, wing_problem, team
     ):
         matrix, plan, rhs = wing_problem
-        row = plan.n // 2
+        # two singular rows: the deepest one, and a later row of an earlier
+        # level, which the level kernel meets first; both paths name the
+        # lower row, where the row-by-row sweep stops
+        level = plan.schedule.level_of
+        row = int(np.argmax(level))
+        later = np.flatnonzero(level[row + 1 :] < level[row])[0] + row + 1
         bad = BCSRMatrix(matrix.rowptr, matrix.cols, matrix.vals.copy())
-        lo, hi = bad.rowptr[row], bad.rowptr[row + 1]
-        bad.vals[lo:hi] = 0.0  # whole block row zero: its pivot block stays 0
-        with pytest.raises(np.linalg.LinAlgError):
-            ilu_factorize(bad, plan)
-        with pytest.raises(np.linalg.LinAlgError):
-            ilu_factorize_levels(bad, plan)
+        for r in (row, later):
+            # whole block row zero: its pivot block stays 0
+            bad.vals[bad.rowptr[r] : bad.rowptr[r + 1]] = 0.0
+        named = f"Singular diagonal block in row {row}$"
+        for factorize in (ilu_factorize, ilu_factorize_levels):
+            with pytest.raises(np.linalg.LinAlgError, match=named):
+                factorize(bad, plan)
+        with pytest.raises(np.linalg.LinAlgError, match=named):
+            ilu_factorize(bad, plan, team)
         good = ilu_factorize(matrix, plan)
-        assert _rel(good.vals, ilu_factorize_levels(matrix, plan).vals) <= RTOL
+        assert _same_bytes(good.vals, ilu_factorize_levels(matrix, plan).vals)
 
-    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     def test_nan_inf_propagate_without_raising(self, wing_problem, poison):
         matrix, plan, rhs = wing_problem
         bad = BCSRMatrix(matrix.rowptr, matrix.cols, matrix.vals.copy())
@@ -199,12 +244,13 @@ class TestFailurePaths:
             got = ilu_factorize(bad, plan)
             ref = ilu_factorize_levels(bad, plan)
             x = trsv_solve(got, rhs)
+            x_levels = trsv_solve_levels(ref, rhs)
         assert not np.isfinite(got.diag_inv).all()
-        assert not np.isfinite(ref.diag_inv).all()
         assert not np.isfinite(x).all()
-        # rows factored before the poisoned one are untouched
-        first = plan.diag_idx[0]
-        np.testing.assert_allclose(got.vals[first], ref.vals[first], rtol=RTOL)
+        # the same NaN and Inf entries, every finite entry bitwise
+        assert _same_entries(got.vals, ref.vals)
+        assert _same_entries(got.diag_inv, ref.diag_inv)
+        assert _same_entries(x, x_levels)
 
 
 @compiled
@@ -337,39 +383,41 @@ class TestFallbackSolve:
 
     @compiled
     def test_steady_solve_same_steps_and_iterations(self, monkeypatch):
-        field = FlowField(mesh_c_prime(scale=0.03, seed=7))
+        """Residual, Jacobian, symbolic phase, ILU and TRSV all compute the
+        compiled bits without the kernels: the whole solve is the same."""
+        mesh = mesh_c_prime(scale=0.03, seed=7)
         config = FlowConfig(aoa_deg=3.0)
         opts = SolverOptions(max_steps=100, steady_rtol=1e-6, ilu_fill=1)
-        fast = solve_steady(field, config, opts)
+        fast = solve_steady(FlowField(mesh), config, opts)
         monkeypatch.setattr(native, "load_kernels", lambda: None)
-        slow = solve_steady(field, config, opts)
+        slow = solve_steady(FlowField(mesh), config, opts)
         assert fast.converged and slow.converged
         assert (fast.steps, fast.linear_iterations) == (
             slow.steps, slow.linear_iterations
         )
-        np.testing.assert_allclose(fast.q, slow.q, rtol=1e-8, atol=1e-10)
+        assert _same_bytes(fast.q, slow.q)
 
 
 class TestLazyPlan:
     def test_level_structures_are_built_on_first_access(self, wing_problem):
         matrix, _, rhs = wing_problem
         plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=4, fill_level=1)
-        lazy = ("steps", "fwd_pairs", "bwd_pairs", "schedule_back")
+        lazy = ("steps", "fwd_positions", "bwd_positions", "schedule_back")
         assert not any(name in vars(plan) for name in lazy)
-        work = TrsvWorkspace.for_plan(plan)
         assert plan.solve_block_ops() == plan.factor_nnzb
         if native_kernels_available():
-            trsv_solve(ilu_factorize(matrix, plan), rhs, work=work)
+            trsv_solve(ilu_factorize(matrix, plan), rhs)
             assert not any(name in vars(plan) for name in lazy)
-        trsv_solve_levels(ilu_factorize_levels(matrix, plan), rhs, work=work)
+        trsv_solve_levels(ilu_factorize_levels(matrix, plan), rhs)
         assert all(name in vars(plan) for name in lazy)
-        # the accounting the cost model reads
+        # every strictly lower / upper block at exactly one position
         lower = int((plan.diag_idx - plan.rowptr[:-1]).sum())
-        assert sum(lp.pair_blk.shape[0] for lp in plan.fwd_pairs) == lower
-        assert (
-            sum(lp.pair_blk.shape[0] for lp in plan.bwd_pairs)
-            == plan.factor_nnzb - lower - plan.n
-        )
+        for table, count in (
+            (plan.fwd_positions, lower),
+            (plan.bwd_positions, plan.factor_nnzb - lower - plan.n),
+        ):
+            blocks = np.concatenate([level[1] for level in table])
+            assert np.unique(blocks).shape == blocks.shape == (count,)
         assert plan.factor_block_ops() > plan.factor_nnzb
 
     def test_inconsistent_pattern_is_rejected(self, wing_problem):
