@@ -93,34 +93,51 @@ def block_slots(
     return diag, slots
 
 
+def _pattern(f: FlowField) -> tuple:
+    """``(rowptr, cols, diag, slots, corner_slots)`` of the first-order
+    Jacobian on ``f``."""
+    rowptr, cols = bcsr_pattern_from_edges(f.mesh.edges, f.n_vertices)
+    diag, slots = block_slots(rowptr, cols, f.e0, f.e1)
+    # boundary corners land on diagonal blocks, one block per corner
+    corner_slots = {tag: diag[f.corner_scatter(tag)[0]] for tag in BOUNDARY_TAGS}
+    return rowptr, cols, diag, slots, corner_slots
+
+
 @dataclass
 class JacobianAssembler:
     """Assembles the first-order Jacobian for a fixed mesh/pattern.
 
-    Precomputes, once per mesh, the slots mapping each edge to its four
-    blocks (and each boundary corner to its diagonal block) in the BCSR
-    value array — the analogue of the paper's static access information.
+    The BCSR pattern, its diagonal and the slots mapping each edge to its
+    four blocks (and each boundary corner to its diagonal block) in the
+    value array — the analogue of the paper's static access information —
+    are built once per field (cached under ``jacobian.pattern`` by
+    :meth:`~repro.cfd.state.FlowField.plan`): an assembler on a field that
+    had one before builds nothing.
     """
 
     field: FlowField
     rowptr: np.ndarray = dc_field(init=False)
     cols: np.ndarray = dc_field(init=False)
+    #: per row: its diagonal block
+    _diag: np.ndarray = dc_field(init=False)
     #: per edge: diagonal of e0, (e0, e1), diagonal of e1, (e1, e0)
     _slots: np.ndarray = dc_field(init=False)
     _corner_slots: dict = dc_field(init=False)
 
     def __post_init__(self) -> None:
         f = self.field
-        nv = f.n_vertices
-        self.rowptr, self.cols = bcsr_pattern_from_edges(f.mesh.edges, nv)
-        diag, self._slots = block_slots(self.rowptr, self.cols, f.e0, f.e1)
-        # boundary corners land on diagonal blocks, one block per corner
-        self._corner_slots = {
-            tag: diag[f.corner_scatter(tag)[0]] for tag in BOUNDARY_TAGS
-        }
+        self.rowptr, self.cols, self._diag, self._slots, self._corner_slots = (
+            f.plan("jacobian.pattern", lambda: _pattern(f))
+        )
 
     def new_matrix(self) -> BCSRMatrix:
-        return BCSRMatrix.from_pattern(self.rowptr, self.cols, NVARS)
+        """A zero matrix on the pattern, its diagonal index handed over."""
+        return BCSRMatrix(
+            rowptr=self.rowptr,
+            cols=self.cols,
+            vals=np.zeros((self.cols.shape[0], NVARS, NVARS)),
+            _diag_idx=self._diag,
+        )
 
     def assemble(
         self,

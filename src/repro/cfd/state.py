@@ -72,8 +72,8 @@ class FlowField:
     sym_faces: np.ndarray = field(init=False)
     sym_vnormals: np.ndarray = field(init=False)
     lsq_inv: np.ndarray = field(init=False)  # per-vertex 3x3 LSQ pseudo-inv
-    #: per-field kernel objects and corner arrays, keyed by name (built on
-    #: first use)
+    #: per-field kernel objects and index structures, keyed by
+    #: :meth:`plan` (built on first use)
     _plans: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,9 +121,11 @@ class FlowField:
             self.n_vertices,
         )
 
-    def plan(self, key: str, builder):
-        """The per-field object cached under ``key`` (sweeps, programs,
-        corner arrays), built by ``builder()`` on first use."""
+    def plan(self, key, builder):
+        """The per-field object cached under the hashable ``key`` (sweeps,
+        corner arrays, the Jacobian pattern, Schwarz plans), built by
+        ``builder()`` on first use.  Only structure is cached here, never
+        an array a solve writes."""
         p = self._plans.get(key)
         if p is None:
             p = self._plans[key] = builder()

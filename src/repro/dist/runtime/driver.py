@@ -20,7 +20,8 @@ so ``repro profile --dist-ranks N`` shows the *measured* comm/compute
 breakdown next to the Fig 9-11 cost model's.  Measured totals also feed
 the metrics registry: ``gmres.allreduces`` counts real reductions, and
 ``dist.halo_seconds`` / ``dist.allreduce_seconds`` / ``dist.interior_seconds``
-carry the critical-path (max-over-ranks) wall times.
+carry the wall times of the critical rank, the one with the largest
+``elapsed`` (:func:`critical_rank`), all three that one rank's own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from .comm import RED_WIDTH
 from .program import build_rank_data, rank_solve_steady
 from .runtime import DistRuntime
 
-__all__ = ["DistSolveResult", "distributed_solve"]
+__all__ = ["DistSolveResult", "critical_rank", "distributed_solve"]
+
+
+def critical_rank(rank_stats: list[dict]) -> dict:
+    """The measured totals of the rank with the largest ``elapsed``: the
+    one rank whose numbers make up the critical path."""
+    return max(rank_stats, key=lambda s: s["elapsed"])
 
 
 @dataclass
@@ -57,7 +64,7 @@ class DistSolveResult:
         the largest ``elapsed``, every number its own, so the fractions are
         one rank's shares — the measured counterpart of the Fig 10 model's
         halo vs. allreduce shares."""
-        s = max(self.rank_stats, key=lambda s: s["elapsed"])
+        s = critical_rank(self.rank_stats)
         halo, allred = s["halo_seconds"], s["allreduce_seconds"]
         interior = s["interior_seconds"]
         elapsed = max(s["elapsed"], 1e-30)
@@ -163,15 +170,9 @@ def distributed_solve(
     met.counter("halo.bytes").inc(
         int(sum(s["bytes_sent"] for s in rank_stats))
     )
-    met.gauge("dist.halo_seconds").set(
-        max(s["halo_seconds"] for s in rank_stats)
-    )
-    met.gauge("dist.allreduce_seconds").set(
-        max(s["allreduce_seconds"] for s in rank_stats)
-    )
-    met.gauge("dist.interior_seconds").set(
-        max(s["interior_seconds"] for s in rank_stats)
-    )
+    crit = critical_rank(rank_stats)
+    for key in ("halo_seconds", "allreduce_seconds", "interior_seconds"):
+        met.gauge(f"dist.{key}").set(crit[key])
     met.gauge("dist.n_ranks").set(decomp.n_ranks)
 
     return DistSolveResult(

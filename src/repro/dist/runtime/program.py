@@ -261,7 +261,6 @@ class _RankJacobian:
         diag, self._slots = block_slots(
             self.rowptr, self.cols, data.int_e0, data.int_e1
         )
-        self._diag_idx = diag
         self._cut_sel0 = np.where(data.cut_e0 < no)[0]
         self._cut_sel1 = np.where(data.cut_e1 < no)[0]
         #: the diagonal slot of each cut edge's owned endpoint
@@ -270,7 +269,10 @@ class _RankJacobian:
         self._corner_slots = {
             tag: diag[data.bcorners[tag][0]] for tag in BOUNDARY_TAGS
         }
-        self.matrix = BCSRMatrix.from_pattern(self.rowptr, self.cols, NVARS)
+        self.matrix = BCSRMatrix(
+            rowptr=self.rowptr, cols=self.cols,
+            vals=np.zeros((self.cols.shape[0], NVARS, NVARS)), _diag_idx=diag,
+        )
         self.pc = AdditiveSchwarzILU(self.matrix, fill_level=fill_level)
         self._data = data
 
@@ -301,7 +303,7 @@ class _RankJacobian:
             corners.jacobian(q, q_inf, beta, self._corner_slots[tag], vals)
 
         eye = np.eye(NVARS)
-        vals[self._diag_idx] += (data.volumes / dt)[:, None, None] * eye
+        vals[self.matrix.diag_idx] += (data.volumes / dt)[:, None, None] * eye
 
 
 class _RankDiscretization:

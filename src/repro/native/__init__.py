@@ -1,7 +1,8 @@
 """Build, cache and load the package's compiled kernels (``_kernels.c``).
 
 One C translation unit holds every kernel family — the ILU(k) symbolic
-phase and the block-4 ILU/TRSV recurrences of :mod:`repro.sparse`, and the
+phase, the block-4 ILU/TRSV recurrences and the dependency depths of their
+level schedules (:mod:`repro.sparse`), and the
 edge and corner sweeps of the residual and of the first-order Jacobian
 (:mod:`repro.sweeps.sweeps`) — and the edge-thread team that runs the
 edge sweeps and the ILU factorization on several threads
@@ -21,7 +22,8 @@ to which of two NaN operands a NaN result carries.
 Where no compiler, no writable cache or no loadable object exists,
 :func:`load_kernels` warns once and returns ``None``; the callers
 (:func:`repro.sparse.fill.ilu_symbolic`, :func:`repro.sparse.ilu.ilu_factorize`,
-:func:`repro.sparse.trsv.trsv_solve`, the residual's sweeps on every
+:func:`repro.sparse.trsv.trsv_solve`,
+:func:`repro.sparse.levels.level_schedule`, the residual's sweeps on every
 driver — serial, edge threads, ranks — and the Jacobian assembly) then
 run their NumPy kernels.  Call it before forking ranks: the children
 inherit the loaded handle instead of each racing a cold compile.
@@ -129,6 +131,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.ilu_symbolic.restype = i64
     for entry_name, argtypes in (
         ("trsv4", [i64, *[ptr] * 7]),
+        ("dep_depth", [i64, ptr, ptr, ptr, ptr, i64, ptr]),
         ("recon_sweep", [i64, i64, *[ptr] * 9]),
         ("vertex_stage", [i64, ptr, ptr, ptr, ptr, f64, *[ptr] * 4]),
         ("limit_sweep", [i64, i64, *[ptr] * 11]),
@@ -144,7 +147,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ):
         entry = getattr(lib, entry_name)
         entry.argtypes, entry.restype = argtypes, None
-    lib.team_create.argtypes = [i64, i64, i64, i64, ptr, ptr]
+    lib.team_create.argtypes = [i64, i64, i64, i64, *[ptr] * 4]
     lib.team_create.restype = ptr
     lib.team_ilu4.argtypes = [ptr, i64, ptr, ptr, ptr, i64, *[ptr] * 6]
     lib.team_ilu4.restype = i64
@@ -153,8 +156,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 @functools.lru_cache(maxsize=1)
 def load_kernels() -> ctypes.CDLL | None:
-    """The compiled kernels (``ilu_symbolic``, ``ilu4``, ``trsv4`` and the
-    edge and corner sweeps), built on first use; ``None`` — after one
+    """The compiled kernels (``ilu_symbolic``, ``ilu4``, ``trsv4``,
+    ``dep_depth`` and the edge and corner sweeps), built on first use; ``None`` — after one
     warning — when they cannot be built or loaded."""
     try:
         return _load()

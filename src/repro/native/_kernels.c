@@ -1,11 +1,12 @@
 /* The package's compiled kernels, one translation unit: three kernel
  * families and the thread team that runs them:
  *
- *   ilu_symbolic / ilu4 / trsv4
+ *   ilu_symbolic / ilu4 / trsv4 / dep_depth
  *                  the ILU(k) level-of-fill pattern, then the block-4
  *                  factorization and triangular solve over BCSR factors:
  *                  one call per recurrence instead of one NumPy dispatch
- *                  per wavefront (or one Python dict merge per row);
+ *                  per wavefront (or one Python dict merge per row); and
+ *                  the dependency depth that gives the level schedules;
  *   recon_sweep / vertex_stage / limit_sweep / flux_sweep
  *                  the edge sweeps of the second-order residual;
  *   jacobian_sweep / boundary_sweep
@@ -251,6 +252,28 @@ void trsv4(int64_t n, const int64_t *rowptr, const int64_t *cols,
                 s += D[r * B + j] * acc[j];
             x[i * B + r] = s;
         }
+    }
+}
+
+/* Dependency depth over a triangular sorted-CSR pattern in one pass: row
+ * i depends on the rows cols[lo[i]] .. cols[hi[i]-1], all visited before
+ * it (the lower rows when forward, ascending; the upper rows when
+ * backward, descending), and
+ *     depth[i] = w[i] + max(depth[j] over those rows), 0 for none,
+ * with w[i] = 1 when w is NULL.  At w = 1 depth - 1 is the level of
+ * repro/sparse/levels.py::level_schedule; with per-row flops it is the
+ * longest path of available_parallelism.  w must be non-negative. */
+void dep_depth(int64_t n, const int64_t *lo, const int64_t *hi,
+               const int64_t *cols, const double *w, int64_t backward,
+               double *depth)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t i = backward ? n - 1 - k : k;
+        double m = 0.0;
+        for (int64_t p = lo[i]; p < hi[i]; p++)
+            if (depth[cols[p]] > m)
+                m = depth[cols[p]];
+        depth[i] = (w ? w[i] : 1.0) + m;
     }
 }
 
@@ -800,6 +823,9 @@ typedef struct {
     team_part *parts;
     /* per part (per thread for the ILU): start and end of its last task */
     double *stamps;
+    /* per part: the thread that ran it in the last edge job; per thread:
+     * the tasks it has run since the team was created */
+    int64_t *ran_by, *tasks;
     team_job job;
     _Atomic int64_t epoch, claim, done, stop, sleepers, singular;
     pthread_mutex_t mu, fold_mu;
@@ -991,11 +1017,13 @@ static void ilu_share(team_t *t, int64_t l, int64_t s, int64_t *pos)
 }
 
 /* Task k of phase ph, run by thread s.  Stamps: an edge part's own, or
- * thread s's first and last ILU share. */
+ * thread s's first and last ILU share.  Every thread counts its own
+ * tasks; an edge part records the thread that ran it. */
 static void run_task(team_t *t, int64_t s, int64_t ph, int64_t k)
 {
     const team_job *j = &t->job;
     const double t0 = now_s();
+    t->tasks[s]++;
     if (j->kind == JOB_ILU) {
         ilu_share(t, ph, k, j->pos + s * j->n);
         if (t->stamps[2 * s] == 0.0)
@@ -1003,6 +1031,7 @@ static void run_task(team_t *t, int64_t s, int64_t ph, int64_t k)
         t->stamps[2 * s + 1] = now_s();
     } else {
         edge_part(t, k);
+        t->ran_by[k] = s;
         t->stamps[2 * k] = t0;
         t->stamps[2 * k + 1] = now_s();
     }
@@ -1056,9 +1085,12 @@ static void team_run(team_t *t)
  * fold is a FOLD_* strategy; spin 0 sets the spin budget to zero.
  * stamps (2 per thread) receives the
  * CLOCK_MONOTONIC start and end of each edge part, or of each thread's
- * ILU shares (0 for a thread that ran none).  NULL when out of memory. */
+ * ILU shares (0 for a thread that ran none); ran_by (1 per part) the
+ * thread that ran each edge part; tasks (1 per thread, zero on entry) the
+ * running count of each thread's tasks.  NULL when out of memory. */
 team_t *team_create(int64_t n_threads, int64_t n_rows, int64_t fold,
-                    int64_t spin, const int64_t *parts, double *stamps)
+                    int64_t spin, const int64_t *parts, double *stamps,
+                    int64_t *ran_by, int64_t *tasks)
 {
     team_t *t = calloc(1, sizeof *t);
     if (!t || !(t->parts = calloc(n_threads, sizeof *t->parts))) {
@@ -1070,6 +1102,8 @@ team_t *team_create(int64_t n_threads, int64_t n_rows, int64_t fold,
     t->fold = fold;
     t->spin_ns = spin ? TEAM_SPIN_NS : 0;
     t->stamps = stamps;
+    t->ran_by = ran_by;
+    t->tasks = tasks;
     for (int64_t s = 0; s < n_threads; s++) {
         const int64_t *a = parts + s * PART_FIELDS;
         team_part *p = t->parts + s;

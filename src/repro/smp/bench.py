@@ -206,8 +206,9 @@ def run_dist_breakdown(
     """Measured comm/compute breakdown of a short distributed solve.
 
     Runs ``max_steps`` Newton steps of the rank runtime and returns the
-    critical-path (max over ranks) halo / allreduce / interior seconds and
-    fractions — the measured data point next to the Fig 10 model.
+    critical rank's (largest ``elapsed``) halo / allreduce / interior
+    seconds and fractions — the measured data point next to the Fig 10
+    model.
     """
     from ..cfd.state import FlowConfig, FlowField
     from ..dist.runtime import distributed_solve

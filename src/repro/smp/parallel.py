@@ -53,8 +53,11 @@ stamped in C with ``CLOCK_MONOTONIC`` (the clock of ``perf_counter``); the
 stamps become ``grad.w<i>`` / ``flux.w<i>`` / ``jacobian.w<i>`` spans of
 part ``i`` and ``ilu.w<i>`` spans of thread ``i`` (``w0`` the caller) in
 the active :mod:`repro.obs` tracer (the reconstruction and limiter stages
-both report as ``grad``).  Without compiled kernels the parts run in the
-caller, in order, with the same bits, and no helper thread is started.
+both report as ``grad``); each span's ``thread`` attribute is the thread
+that ran it, which for a part is whichever thread claimed it, and
+``fleet_stats()["tasks"]`` counts each thread's tasks.  Without compiled
+kernels the parts run in the caller, in order, with the same bits, and no
+helper thread is started.
 """
 
 from __future__ import annotations
@@ -195,6 +198,11 @@ class ThreadEdgeBackend:
             if strategy == "locked" else None
             for _ in range(w)
         ]
+        # per thread: the tasks it ran; per part: the thread that ran it
+        # last (written by the C team, or here when the parts run in the
+        # caller)
+        self._tasks = np.zeros(w, dtype=np.int64)
+        self._ran_by = np.zeros(w, dtype=np.int64)
         self._lib = native.load_kernels()
         self._team = None
         self._helpers = []
@@ -241,7 +249,8 @@ class ThreadEdgeBackend:
         spin = w <= cpus
         team = self._lib.team_create(
             w, nv, _FOLDS[self.strategy], spin, table.ctypes.data,
-            self._stamps.ctypes.data,
+            self._stamps.ctypes.data, self._ran_by.ctypes.data,
+            self._tasks.ctypes.data,
         )
         if not team:
             raise MemoryError("cannot allocate the edge-thread team")
@@ -279,7 +288,10 @@ class ThreadEdgeBackend:
 
         ``rounds`` counts residual stages and ``residuals`` the
         evaluations; ``jacobians`` and ``factorizations`` count the Jacobian
-        sweeps and ILU factorizations the team ran.  A team held across
+        sweeps and ILU factorizations the team ran.  ``tasks[i]`` counts
+        the tasks thread ``i`` ran (``0`` the caller): one per part of
+        every stage and Jacobian sweep, and one per level share of every
+        factorization, whichever thread claimed it.  A team held across
         solves keeps growing them, which is how a caller verifies it was
         reused rather than rebuilt per solve.
         """
@@ -290,6 +302,7 @@ class ThreadEdgeBackend:
             "residuals": self._residuals,
             "jacobians": self._jacobians,
             "factorizations": self._factorizations,
+            "tasks": self._tasks.tolist(),
             "closed": self._closed,
         }
 
@@ -300,7 +313,8 @@ class ThreadEdgeBackend:
 
     def _trace(self, kernel: str, stamps, **attrs) -> None:
         """One ``<kernel>.w<i>`` span per part of an edge kernel, with the
-        part's edge count, or per thread that ran ILU shares."""
+        part's edge count and the ``thread`` that ran it, or per thread
+        that ran ILU shares."""
         tracer = get_tracer()
         if tracer.active:
             for s, (t0, t1) in enumerate(stamps):
@@ -308,6 +322,7 @@ class ThreadEdgeBackend:
                     continue
                 if kernel != "ilu":
                     attrs["edges"] = self.parts[s].n_edges
+                attrs["thread"] = s if kernel == "ilu" else int(self._ran_by[s])
                 tracer.add_complete(
                     f"{kernel}.w{s}", float(t0), float(t1),
                     strategy=self.strategy_label, **attrs,
@@ -329,6 +344,7 @@ class ThreadEdgeBackend:
                     scheme, second_order,
                 )
                 stamps[s, 1] = time.perf_counter()
+            self._tasks[0] += len(self.parts)
         self._rounds += 1
         self._trace(kernel, stamps, stage=stage)
 

@@ -47,7 +47,7 @@ from ..petsclite.vec import local_allreduce
 from ..smp.backend import get_edge_backend
 from .gmres import gmres
 from .jfnk import fd_jacobian_operator
-from .schwarz import AdditiveSchwarzILU
+from .schwarz import AdditiveSchwarzILU, SchwarzPlan
 
 __all__ = [
     "SolverOptions",
@@ -310,10 +310,16 @@ class FieldDiscretization:
     """The in-process adapter: a whole :class:`FlowField`, its first-order
     Jacobian in one BCSR matrix under additive-Schwarz ILU.
 
-    Everything that depends only on the structure of the problem — the
-    Jacobian pattern and assembler workspaces, the BCSR matrix and the
-    subdomain split with its ILU symbolic plans — is built here, before
-    the ``solve`` span opens; each Newton step only overwrites values.
+    What depends only on the mesh and the solve's structural options is
+    built once per field and cached there (:meth:`FlowField.plan`): the
+    Jacobian pattern with its block slots and diagonal index
+    (:class:`~repro.cfd.jacobian.JacobianAssembler`), and, per
+    ``ilu_fill`` / subdomain split / ``overlap``, the split with every
+    subdomain's ILU symbolic plan (:class:`~.schwarz.SchwarzPlan`).  Only
+    index arrays are cached.  A discretization allocates its own value
+    arrays — the matrix here, the factors and the solve scratch in its
+    preconditioner — which end with it; each Newton step only overwrites
+    them.
     """
 
     allreduce = staticmethod(local_allreduce)
@@ -326,17 +332,7 @@ class FieldDiscretization:
         self.volumes = fld.volumes
         self.assembler = JacobianAssembler(fld)
         self.A = self.assembler.new_matrix()
-        labels = opts.subdomain_labels
-        if labels is None and opts.n_subdomains > 1:
-            from ..partition.multilevel import partition_graph
-
-            labels = partition_graph(
-                fld.mesh.edges, fld.n_vertices, opts.n_subdomains
-            )
-        self.precond = AdditiveSchwarzILU(
-            self.A, labels=labels, overlap=opts.overlap,
-            fill_level=opts.ilu_fill,
-        )
+        self.precond = AdditiveSchwarzILU(self.A, plan=_schwarz_plan(fld, self.A, opts))
 
     def residual(self, q: np.ndarray) -> np.ndarray:
         return compute_residual(self.fld, q, self.config)
@@ -358,6 +354,29 @@ class FieldDiscretization:
         return self.precond.apply(v)
 
 
+def _schwarz_plan(fld: FlowField, A, opts: SolverOptions) -> SchwarzPlan:
+    """The field's Schwarz plan for ``opts``' structural options, built on
+    first use."""
+    labels = opts.subdomain_labels
+    if labels is not None:
+        labels = np.asarray(labels)
+        split = ("labels", labels.dtype.str, labels.shape, labels.tobytes())
+    else:
+        split = ("n_subdomains", opts.n_subdomains)
+
+    def build() -> SchwarzPlan:
+        lab = labels
+        if lab is None and opts.n_subdomains > 1:
+            from ..partition.multilevel import partition_graph
+
+            lab = partition_graph(fld.mesh.edges, fld.n_vertices, opts.n_subdomains)
+        return SchwarzPlan.build(
+            A.rowptr, A.cols, A.b, lab, opts.overlap, opts.ilu_fill
+        )
+
+    return fld.plan(("schwarz", opts.ilu_fill, split, opts.overlap), build)
+
+
 def solve_steady(
     fld: FlowField,
     config: FlowConfig,
@@ -366,6 +385,12 @@ def solve_steady(
     callback: Callable[[int, float, float], None] | None = None,
 ) -> SolveResult:
     """Drive the flow to steady state; returns the state and statistics.
+
+    The structure of the solve (the Jacobian pattern, the subdomain split
+    and the ILU symbolic plans) is built on the first solve of ``fld``
+    with these structural options and reused by every later one, which
+    pays only for its Newton steps; the result is the same bytes either
+    way (:class:`FieldDiscretization`).
 
     All hot kernels leave spans in the active tracer under the paper's
     kernel names (Flux+BC residual assembly under ``flux``/``grad``,

@@ -97,15 +97,23 @@ class BCSRMatrix:
 
     @property
     def diag_idx(self) -> np.ndarray:
-        """Index into ``vals`` of each row's diagonal block."""
+        """Index into ``vals`` of each row's diagonal block.
+
+        Block keys ``row * n + col`` ascend over a sorted pattern, so one
+        ``searchsorted`` finds every diagonal; a row without one raises
+        ``ValueError`` naming the lowest such row."""
         if self._diag_idx is None:
-            idx = np.empty(self.n_brows, dtype=np.int64)
-            for i in range(self.n_brows):
-                lo, hi = self.rowptr[i], self.rowptr[i + 1]
-                j = np.searchsorted(self.cols[lo:hi], i)
-                if j == hi - lo or self.cols[lo + j] != i:
-                    raise ValueError(f"row {i} has no diagonal block")
-                idx[i] = lo + j
+            n = self.n_brows
+            rows = np.arange(n, dtype=np.int64)
+            keys = np.repeat(rows, np.diff(self.rowptr)) * n + self.cols
+            diag = rows * (n + 1)
+            idx = np.searchsorted(keys, diag)
+            found = idx < keys.shape[0]
+            found[found] = keys[idx[found]] == diag[found]
+            if not found.all():
+                raise ValueError(
+                    f"row {int(np.argmin(found))} has no diagonal block"
+                )
             self._diag_idx = idx
         return self._diag_idx
 
@@ -178,11 +186,8 @@ class BCSRMatrix:
     # ------------------------------------------------------------------
     def lower_counts(self) -> np.ndarray:
         """Number of strictly-lower blocks per row (cols sorted => prefix)."""
-        counts = np.empty(self.n_brows, dtype=np.int64)
-        for i in range(self.n_brows):
-            lo, hi = self.rowptr[i], self.rowptr[i + 1]
-            counts[i] = np.searchsorted(self.cols[lo:hi], i)
-        return counts
+        rows = np.repeat(np.arange(self.n_brows), np.diff(self.rowptr))
+        return np.bincount(rows[self.cols < rows], minlength=self.n_brows)
 
     def __repr__(self) -> str:  # noqa: D105
         return (

@@ -7,7 +7,8 @@ pseudo-time step, TRSV every Krylov iteration), so, exactly like PETSc does
 [Smith & Zhang 2011], we split the work:
 
 * **symbolic phase** (:func:`build_ilu_plan`, once per sparsity pattern):
-  computes the fill pattern and the dependency level schedule; on first
+  computes the fill pattern and the dependency level schedule (the fill
+  merge and the levels each one compiled pass); on first
   access also the *flat index arrays* of the level-scheduled kernels
   (every batched block operation of the numeric phase, and the per-level
   position tables of the triangular solves).
@@ -34,7 +35,7 @@ from ..cfd.sums import matmul
 from ..obs.metrics import get_metrics
 from .bcsr import BCSRMatrix
 from .fill import ilu_symbolic
-from .levels import LevelSchedule, build_levels
+from .levels import LevelSchedule, level_schedule
 
 __all__ = [
     "ILUPlan",
@@ -106,18 +107,8 @@ class ILUPlan:
     def schedule_back(self) -> LevelSchedule:
         """Backward (upper) dependency levels: row i depends on the rows
         j > i of its upper part."""
-        n, rowptr, cols, diag_idx = self.n, self.rowptr, self.cols, self.diag_idx
-        level_back = np.zeros(n, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            upper = cols[diag_idx[i] + 1 : rowptr[i + 1]]
-            if upper.shape[0]:
-                level_back[i] = level_back[upper].max() + 1
-        order = np.argsort(level_back, kind="stable")
-        nb_lv = int(level_back.max()) + 1 if n else 0
-        bounds = np.searchsorted(level_back[order], np.arange(nb_lv + 1))
-        return LevelSchedule(
-            level_of=level_back,
-            levels=[order[bounds[l] : bounds[l + 1]] for l in range(nb_lv)],
+        return level_schedule(
+            self.diag_idx + 1, self.rowptr[1:], self.cols, backward=True
         )
 
     @cached_property
@@ -284,7 +275,7 @@ def build_ilu_plan(
         cols=f_cols,
         diag_idx=diag_idx,
         orig_map=orig_map,
-        schedule=build_levels(f_rowptr, f_cols),
+        schedule=level_schedule(f_rowptr[:-1], diag_idx, f_cols),
     )
 
 

@@ -297,6 +297,66 @@ class TestDistributedSolve:
         assert (bd["interior_seconds"], bd["elapsed_seconds"]) == (0.7, 1.25)
         assert bd["comm_fraction"] == 0.5 / 1.25
 
+    def test_gauges_are_the_critical_ranks_own(self, monkeypatch):
+        """``distributed_solve``'s ``dist.*_seconds`` gauges come from the
+        rank with the largest elapsed, as ``comm_breakdown`` does; here
+        each key's maximum is another rank's, and none is the critical
+        rank's.  The ranks are a stand-in runtime: no process starts."""
+        from repro.dist.runtime import driver
+        from repro.dist.runtime.runtime import RankResult
+        from repro.obs import MetricsRegistry, use_metrics
+        from repro.solver.newton import SolveResult
+
+        keys = ("halo_seconds", "allreduce_seconds", "interior_seconds", "elapsed")
+        stats = [
+            dict(zip(keys, row)) for row in (
+                (0.5, 0.1, 0.3, 1.0),
+                (0.1, 0.4, 0.2, 0.9),
+                (0.2, 0.2, 0.6, 1.2),
+                (0.15, 0.25, 0.45, 1.5),
+            )
+        ]
+
+        class StandInRuntime:
+            def __init__(self, decomp, **_):
+                self.decomp = decomp
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def run(self, program):
+                return [
+                    RankResult(
+                        rank=r,
+                        value=SolveResult(
+                            q=np.zeros((d.n_owned, 4)), steps=1,
+                            linear_iterations=0, residual_history=[1.0],
+                        ),
+                        comm_stats={
+                            **stats[r], "allreduces": 0, "exchanges": 0,
+                            "messages": 0, "bytes_sent": 0,
+                        },
+                    )
+                    for r, d in enumerate(self.decomp.domains)
+                ]
+
+        monkeypatch.setattr(driver, "DistRuntime", StandInRuntime)
+        mesh = wing_mesh(n_around=12, n_radial=4, n_span=3)
+        labels = (4 * np.arange(mesh.n_vertices)) // mesh.n_vertices
+        met = MetricsRegistry()
+        with use_metrics(met):
+            dres = distributed_solve(
+                FlowField(mesh), FlowConfig(), n_ranks=4, labels=labels
+            )
+        got = [met.gauge(f"dist.{k}").value for k in keys[:3]]
+        assert got == [0.15, 0.25, 0.45]
+        bd = dres.comm_breakdown()
+        assert got == [bd["halo_seconds"], bd["allreduce_seconds"],
+                       bd["interior_seconds"]]
+
     def test_tree_allreduce_matches_serial_too(self, wing_solve):
         mesh, serial = wing_solve["mesh"], wing_solve["serial"]
         opts = SolverOptions(

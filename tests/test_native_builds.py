@@ -5,8 +5,8 @@ vectorize, with ``-ffp-contract=off`` and without ``-march`` or any
 fast-math flag, so it may not contract, reassociate or drop NaN handling.
 Then the optimiser can change how fast the arithmetic runs but never its
 result.  These tests hold the flags to that and check the result against
-an ``-O0`` build of the same source: every one of the sixteen entries
-(nine kernels and the seven of the edge-thread team, which runs them on
+an ``-O0`` build of the same source: every one of the seventeen entries
+(ten kernels and the seven of the edge-thread team, which runs them on
 two threads), on clean and NaN/Inf-poisoned inputs, byte for byte (a NaN
 by position).
 """
@@ -25,7 +25,8 @@ from repro.cfd.timestep import local_timestep
 from repro.sweeps import serial_residual
 from repro.mesh import mesh_c_prime
 from repro.smp.parallel import STRATEGIES, ThreadEdgeBackend
-from repro.sparse import build_ilu_plan, ilu_factorize, trsv_solve
+from repro.sparse import build_ilu_plan, ilu_factorize, row_flops, trsv_solve
+from repro.sparse.levels import _lower_split, dependency_depth
 
 ENTRIES = set(
     re.findall(
@@ -135,6 +136,12 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
                     f"ilu{fill}/solve": trsv_solve(factor, rhs),
                     f"ilu{fill}/team_factor": on_team.vals,
                     f"ilu{fill}/team_diag_inv": on_team.diag_inv,
+                    f"ilu{fill}/levels": plan.schedule.level_of,
+                    f"ilu{fill}/levels_back": plan.schedule_back.level_of,
+                    f"ilu{fill}/path": dependency_depth(
+                        *_lower_split(plan.rowptr, plan.cols), plan.cols,
+                        weights=row_flops(plan.rowptr, plan.cols),
+                    ),
                 })
             stats = team.fleet_stats()
         assert (stats["jacobians"], stats["factorizations"]) == (1, 2)
@@ -163,7 +170,7 @@ def test_unoptimised_build_computes_the_same_bits(monkeypatch, tmp_path):
     mesh = mesh_c_prime(scale=0.02, seed=7)
     shipped, shipped_calls = _outputs(native.load_kernels(), monkeypatch, mesh)
     built, built_calls = _outputs(unoptimised, monkeypatch, mesh)
-    assert len(ENTRIES) == 16
+    assert len(ENTRIES) == 17
     assert shipped_calls == built_calls == ENTRIES
     assert shipped.keys() == built.keys()
     assert np.isnan(shipped["roe/poisoned/res"]).any()

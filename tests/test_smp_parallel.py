@@ -463,6 +463,38 @@ class TestTeamPreconditioner:
         shares = [counts.get(f"ilu.w{s}", 0) for s in range(2)]
         assert max(shares) <= counts["ilu"] <= sum(shares)
 
+    @pytest.mark.parametrize("strategy", ["owner", "locked"])
+    def test_every_task_is_counted_once_on_a_thread_of_the_team(
+        self, wing_setup, strategy
+    ):
+        """``tasks`` counts each thread's tasks: one per part of every
+        stage and team Jacobian sweep, one per level share of every
+        factorization, whichever thread claimed it; every ``<k>.w<i>``
+        span names a thread of the team.  Structure only: no wall time."""
+        from repro.solver.newton import FieldDiscretization
+
+        field, _ = wing_setup
+        opts = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=1)
+        w = 2
+        tracer = Tracer()
+        with ThreadEdgeBackend(field, w, strategy=strategy) as be:
+            with use_edge_backend(be), use_tracer(tracer):
+                solve_steady(field, FlowConfig(), opts)
+            stats = be.fleet_stats()
+        plan = FieldDiscretization(field, FlowConfig(), opts).precond.subs[0].plan
+        assert len(stats["tasks"]) == w and min(stats["tasks"]) >= 0
+        assert sum(stats["tasks"]) == (
+            w * (stats["rounds"] + stats["jacobians"])
+            + w * plan.schedule.n_levels * stats["factorizations"]
+        )
+        assert stats["rounds"] > 0
+        workers = [s for s in tracer.walk() if ".w" in s.name]
+        assert workers
+        for s in workers:
+            assert s.attrs["thread"] in range(w)
+            if s.name.startswith("ilu."):
+                assert s.name == f"ilu.w{s.attrs['thread']}"
+
     def test_more_threads_than_cpus_give_the_serial_bytes(self, wing_setup):
         """Stress: eight threads on a host with fewer CPUs (no spinning,
         helpers asleep or descheduled while others claim their tasks) still

@@ -1,6 +1,7 @@
 """Tests for GMRES, JFNK, additive Schwarz and the steady Newton driver."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.solver import (
     newton,
     solve_steady,
 )
-from repro.solver.newton import ETA_MAX, ew_forcing
+from repro.solver.newton import ETA_MAX, FieldDiscretization, ew_forcing
 from repro.sparse import BCSRMatrix, native_kernels_available
 
 
@@ -292,6 +293,90 @@ class TestSteadySolve:
             fld, cfg, SolverOptions(max_steps=50, n_subdomains=4)
         )
         assert res.converged
+
+
+class TestStructureOncePerField:
+    """The Jacobian pattern, the subdomain split and every subdomain's ILU
+    symbolic plan are built on a field's first solve with given structural
+    options and reused by every later one; the values are each solve's."""
+
+    MESH = dict(n_around=16, n_radial=5, n_span=4)
+    OPTS = SolverOptions(max_steps=3, steady_rtol=1e-3, ilu_fill=1)
+
+    @staticmethod
+    def _solve(fld, opts, threads, met=None):
+        from repro.obs import MetricsRegistry, use_metrics
+        from repro.smp import ThreadEdgeBackend, use_edge_backend
+
+        with use_metrics(met or MetricsRegistry()):
+            if threads == 1:
+                return solve_steady(fld, FlowConfig(), opts)
+            with ThreadEdgeBackend(fld, threads) as be, use_edge_backend(be):
+                return solve_steady(fld, FlowConfig(), opts)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_second_solve_builds_nothing_and_gives_a_fresh_fields_bytes(
+        self, threads
+    ):
+        from repro.obs import MetricsRegistry
+
+        mesh = wing_mesh(**self.MESH)
+        fld = FlowField(mesh)
+        first, again = MetricsRegistry(), MetricsRegistry()
+        q1 = self._solve(fld, self.OPTS, threads, first).q
+        q2 = self._solve(fld, self.OPTS, threads, again).q
+        fresh = self._solve(FlowField(mesh), self.OPTS, threads).q
+        assert again.counter("ilu.native_symbolic").value == 0
+        assert first.counter("ilu.native_symbolic").value == (
+            1 if native_kernels_available() else 0
+        )
+        assert q2.tobytes() == fresh.tobytes() == q1.tobytes()
+
+    def test_only_index_arrays_are_shared(self):
+        fld = FlowField(wing_mesh(**self.MESH))
+        cfg = FlowConfig()
+        a = FieldDiscretization(fld, cfg, self.OPTS)
+        b = FieldDiscretization(fld, cfg, self.OPTS)
+        assert a.precond.plan is b.precond.plan
+        assert a.assembler._slots is b.assembler._slots
+        assert a.A.cols is b.A.cols and a.A.diag_idx is b.A.diag_idx
+        assert not np.shares_memory(a.A.vals, b.A.vals)
+        q = fld.initial_state(cfg)
+        a.update_preconditioner(q, np.ones(fld.n_vertices))
+        assert a.precond._factors[0] is not None
+        assert b.precond._factors == [None]
+        assert not b.A.vals.any()
+
+    @pytest.mark.parametrize("base,other", [
+        ({}, {"ilu_fill": 0}),
+        ({}, {"n_subdomains": 2}),
+        ({"n_subdomains": 2}, {"n_subdomains": 3}),
+        ({"subdomain_labels": "halves"}, {"subdomain_labels": "thirds"}),
+        ({"n_subdomains": 2}, {"n_subdomains": 2, "overlap": 1}),
+    ])
+    def test_each_structural_option_gets_its_own_structure(self, base, other):
+        mesh = wing_mesh(**self.MESH)
+        n = mesh.n_vertices
+        named = {
+            "halves": (np.arange(n) >= n // 2).astype(np.int64),
+            "thirds": (3 * np.arange(n)) // n,
+        }
+
+        def opts(change):
+            change = {
+                k: named[v] if isinstance(v, str) else v for k, v in change.items()
+            }
+            return replace(self.OPTS, **change)
+
+        fld = FlowField(mesh)
+        self._solve(fld, opts(base), 1)
+        cached = dict(fld._plans)
+        got = self._solve(fld, opts(other), 1).q
+        added = [k for k in fld._plans if k not in cached]
+        assert len(added) == 1 and added[0][0] == "schwarz"
+        assert all(fld._plans[k] is v for k, v in cached.items())
+        want = self._solve(FlowField(mesh), opts(other), 1).q
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=8, deadline=None)

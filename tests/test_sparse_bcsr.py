@@ -128,6 +128,54 @@ class TestBCSRMatrix:
         with pytest.raises(ValueError):
             _ = A.diag_idx
 
+    def test_missing_diagonal_names_the_lowest_row(self):
+        """Rows 3 and 5 of a 7-row pattern lack their diagonal; so does
+        the last row of a second one: the error names the lowest."""
+        dense = np.eye(7, dtype=bool)
+        dense[3, 3] = dense[5, 5] = False
+        dense[3, 2] = dense[5, 6] = True
+        for drop, want in ((dense, 3), (np.eye(4, dtype=bool)[[0, 1, 2, 0]], 3)):
+            rowptr, cols = _sorted_pattern(drop)
+            A = BCSRMatrix(
+                rowptr=rowptr, cols=cols, vals=np.zeros((cols.shape[0], 2, 2))
+            )
+            with pytest.raises(ValueError, match=f"^row {want} has no diagonal"):
+                _ = A.diag_idx
+
+
+def _sorted_pattern(dense):
+    rows, cols = np.nonzero(dense)  # row-major: sorted within rows
+    rowptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=rowptr[1:])
+    return rowptr, cols.astype(np.int64)
+
+
+def _diag_idx_loop(rowptr, cols):
+    """The row loop the vectorized ``diag_idx`` replaced."""
+    idx = np.empty(rowptr.shape[0] - 1, dtype=np.int64)
+    for i in range(idx.shape[0]):
+        lo, hi = rowptr[i], rowptr[i + 1]
+        j = np.searchsorted(cols[lo:hi], i)
+        assert j < hi - lo and cols[lo + j] == i
+        idx[i] = lo + j
+    return idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.floats(0.0, 0.6),
+    seed=st.integers(0, 10_000),
+)
+def test_diag_idx_equals_the_row_loop(n, density, seed):
+    rng = np.random.default_rng(seed)
+    dense = rng.random((n, n)) < density
+    np.fill_diagonal(dense, True)
+    rowptr, cols = _sorted_pattern(dense)
+    A = BCSRMatrix(rowptr=rowptr, cols=cols, vals=np.zeros((cols.shape[0], 1, 1)))
+    np.testing.assert_array_equal(A.diag_idx, _diag_idx_loop(rowptr, cols))
+    assert A.lower_counts().tolist() == np.tril(dense, -1).sum(axis=1).tolist()
+
 
 @settings(max_examples=15, deadline=None)
 @given(

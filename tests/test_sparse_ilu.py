@@ -1,5 +1,7 @@
 """Tests for ILU(k) symbolic/numeric factorization and triangular solves."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.sparse import (
     trsv_solve_sequential,
 )
 from repro.sparse.fill import _symbolic_native, ilu_symbolic_python
+from repro.sparse.levels import row_flops
 
 
 def random_spd_bcsr(mesh, b=4, seed=0, shift=8.0):
@@ -430,6 +433,224 @@ class TestLevels:
         par0 = available_parallelism(A.rowptr, A.cols)
         par1 = available_parallelism(rp1, c1)
         assert par1 < par0
+
+
+# ---------------------------------------------------------------------------
+# the row loops the compiled dependency pass replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+def _levels_loop(rowptr, cols):
+    n = rowptr.shape[0] - 1
+    level_of = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        row = cols[rowptr[i] : rowptr[i + 1]]
+        nlower = np.searchsorted(row, i)
+        if nlower:
+            level_of[i] = level_of[row[:nlower]].max() + 1
+    return level_of
+
+
+def _levels_back_loop(rowptr, cols, diag_idx):
+    n = rowptr.shape[0] - 1
+    level_back = np.zeros(n, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        upper = cols[diag_idx[i] + 1 : rowptr[i + 1]]
+        if upper.shape[0]:
+            level_back[i] = level_back[upper].max() + 1
+    return level_back
+
+
+def _row_flops_loop(rowptr, cols, b=4):
+    n = rowptr.shape[0] - 1
+    flops = np.empty(n)
+    for i in range(n):
+        lo, hi = rowptr[i], rowptr[i + 1]
+        nlower = np.searchsorted(cols[lo:hi], i)
+        flops[i] = 2.0 * b**3 * (nlower * max(hi - lo - 1, 1) + 1)
+    return flops
+
+
+def _parallelism_loop(rowptr, cols, b=4):
+    n = rowptr.shape[0] - 1
+    if n == 0:
+        return 1.0
+    flops = _row_flops_loop(rowptr, cols, b)
+    path = np.zeros(n)
+    for i in range(n):
+        row = cols[rowptr[i] : rowptr[i + 1]]
+        nlower = np.searchsorted(row, i)
+        longest = path[row[:nlower]].max() if nlower else 0.0
+        path[i] = flops[i] + longest
+    return float(flops.sum() / path.max())
+
+
+def _sorted_pattern(dense):
+    rows, cols = np.nonzero(dense)  # row-major: sorted within rows
+    n = dense.shape[0]
+    rowptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=rowptr[1:])
+    return rowptr, cols.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=1)
+def _named_patterns() -> dict:
+    """n = 0, diagonal-only, dense lower, and the ILU(0) / ILU(1) factor
+    patterns of Mesh-C' x0.12."""
+    out = {
+        "empty": _sorted_pattern(np.zeros((0, 0), dtype=bool)),
+        "diagonal": _sorted_pattern(np.eye(9, dtype=bool)),
+        "dense-lower": _sorted_pattern(np.tril(np.ones((9, 9), dtype=bool))),
+    }
+    mesh = mesh_c_prime(scale=0.12, seed=7)
+    A = BCSRMatrix.from_mesh_edges(mesh.edges, mesh.n_vertices)
+    for fill in (0, 1):
+        plan = build_ilu_plan(A.rowptr, A.cols, fill_level=fill)
+        out[f"c12-ilu{fill}"] = (plan.rowptr, plan.cols)
+    return out
+
+
+def _kernels_off(call):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(native, "load_kernels", lambda: None)
+        return call()
+
+
+class TestCompiledLevels:
+    """Forward and backward levels and the available-parallelism path come
+    from one compiled pass (``dep_depth``), and equal the row loops they
+    replaced; without the kernels the loop of ``levels.py`` runs."""
+
+    @staticmethod
+    def _check(rowptr, cols):
+        n = rowptr.shape[0] - 1
+        fwd = _levels_loop(rowptr, cols)
+        for run in (lambda f: f(), lambda f: _kernels_off(f)):
+            sched = run(lambda: build_levels(rowptr, cols))
+            np.testing.assert_array_equal(sched.level_of, fwd)
+            assert sched.level_of.dtype == np.int64
+            assert sum(lvl.shape[0] for lvl in sched.levels) == n
+            for l, rows in enumerate(sched.levels):
+                np.testing.assert_array_equal(rows, np.flatnonzero(fwd == l))
+            np.testing.assert_array_equal(
+                run(lambda: row_flops(rowptr, cols)), _row_flops_loop(rowptr, cols)
+            )
+            assert run(lambda: available_parallelism(rowptr, cols)) == (
+                _parallelism_loop(rowptr, cols)
+            )
+
+    @staticmethod
+    def _check_plan(plan):
+        back = _levels_back_loop(plan.rowptr, plan.cols, plan.diag_idx)
+        fwd = _levels_loop(plan.rowptr, plan.cols)
+        np.testing.assert_array_equal(plan.schedule.level_of, fwd)
+        np.testing.assert_array_equal(plan.schedule_back.level_of, back)
+        off = _kernels_off(
+            lambda: build_ilu_plan(plan.rowptr, plan.cols, fill_level=0),
+        )
+        np.testing.assert_array_equal(off.schedule.level_of, fwd)
+        np.testing.assert_array_equal(
+            _kernels_off(lambda: off.schedule_back.level_of), back
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["empty", "diagonal", "dense-lower", "c12-ilu0", "c12-ilu1"]
+    )
+    def test_named_patterns(self, name):
+        rowptr, cols = _named_patterns()[name]
+        self._check(rowptr, cols)
+        n = rowptr.shape[0] - 1
+        if name == "dense-lower":
+            assert build_levels(rowptr, cols).n_levels == n
+        if name in ("diagonal", "empty"):
+            assert build_levels(rowptr, cols).n_levels == min(n, 1)
+        if n:
+            self._check_plan(build_ilu_plan(rowptr, cols))
+
+    @pytest.mark.skipif(
+        not native_kernels_available(), reason="compiled kernels unavailable"
+    )
+    def test_every_build_takes_the_compiled_pass(self):
+        """Forward and backward levels and the parallelism path each run
+        ``dep_depth``; no row loop of ``levels.py`` runs."""
+        from repro.sparse import levels
+
+        lib, called = native.load_kernels(), []
+
+        class Recording:
+            def __getattr__(self, name):
+                called.append(name)
+                return getattr(lib, name)
+
+        def loop(*_):
+            raise AssertionError("the row loop ran")
+
+        rowptr, cols = _named_patterns()["c12-ilu1"]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(native, "load_kernels", Recording)
+            m.setattr(levels, "_depth_python", loop)
+            plan = build_ilu_plan(rowptr, cols)
+            assert plan.schedule_back.n_levels > 1
+            available_parallelism(rowptr, cols)
+        assert called.count("dep_depth") == 3
+
+    def test_out_of_range_pattern_is_refused_before_the_pass(self):
+        from repro.sparse.levels import dependency_depth
+
+        lo, hi, cols = np.array([0, 1]), np.array([1, 2]), np.array([1, 0])
+        dependency_depth(lo, hi, cols)
+        for bad in (
+            (lo, hi, np.array([1, 2])),  # a column past the last row
+            (lo, np.array([1, 3]), cols),  # a range past the columns
+            (np.array([1, 1]), np.array([0, 2]), cols),  # lo > hi
+            (lo, hi[:1], cols),
+        ):
+            for run in (lambda f: f(), _kernels_off):
+                with pytest.raises(ValueError, match="out of range"):
+                    run(lambda: dependency_depth(*bad))
+        with pytest.raises(ValueError, match="out of range"):
+            dependency_depth(lo, hi, cols, weights=np.ones(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 0.6),
+        seed=st.integers(0, 10_000),
+    )
+    def test_random_sorted_patterns(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, n)) < density
+        np.fill_diagonal(dense, True)
+        rowptr, cols = _sorted_pattern(dense)
+        self._check(rowptr, cols)
+        self._check_plan(build_ilu_plan(rowptr, cols))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        density=st.floats(0.0, 0.6),
+        seed=st.integers(0, 10_000),
+    )
+    def test_weighted_depth_equals_the_loop(self, n, density, seed):
+        """Per-row weights (the available-parallelism path) through the
+        compiled pass give the loop's numbers bit for bit, both ways."""
+        from repro.sparse.levels import _depth_python, dependency_depth
+
+        rng = np.random.default_rng(seed)
+        dense = np.tril(rng.random((n, n)) < density, -1)
+        lower_rp, lower_c = _sorted_pattern(dense)
+        upper_rp, upper_c = _sorted_pattern(dense.T)
+        w = rng.random(n) * 10.0
+        for rp, c, backward in (
+            (lower_rp, lower_c, False), (upper_rp, upper_c, True),
+        ):
+            want = _depth_python(rp[:-1], rp[1:], c, w, backward)
+            got = dependency_depth(rp[:-1], rp[1:], c, weights=w, backward=backward)
+            assert got.tobytes() == want.tobytes()
+            off = _kernels_off(
+                lambda: dependency_depth(
+                    rp[:-1], rp[1:], c, weights=w, backward=backward
+                )
+            )
+            assert off.tobytes() == want.tobytes()
 
 
 @settings(max_examples=10, deadline=None)
