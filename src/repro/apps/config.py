@@ -22,7 +22,7 @@ class OptimizationConfig:
     """One configuration of the shared-memory optimization space."""
 
     n_threads: int = 1
-    edge_strategy: str = "sequential"  # sequential | atomic | owner | coloring
+    edge_strategy: str = "sequential"  # sequential | atomic | owner
     thread_partitioner: str = "metis"  # natural | metis (for owner)
     layout: str = "soa"  # soa | aos
     simd: bool = False

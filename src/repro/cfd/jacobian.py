@@ -77,26 +77,34 @@ def block_slots(
     array of the sorted BCSR pattern ``(rowptr, cols)``: ``(diag, slots)``
     with ``diag[v]`` the diagonal block of row ``v`` and ``slots[:, e]``
     edge ``e``'s four — diagonal of ``e0``, ``(e0, e1)``, diagonal of
-    ``e1``, ``(e1, e0)`` (the layout the ``jacobian`` sweeps take)."""
+    ``e1``, ``(e1, e0)`` (the layout the ``jacobian`` sweeps take).  An
+    endpoint past the pattern's rows is a ghost: its blocks get slot -1,
+    which the sweeps skip."""
     n = rowptr.shape[0] - 1
     # block keys are sorted (rows ascending, cols sorted within rows), so
     # block lookup is a single vectorized searchsorted
     rows = np.arange(n, dtype=np.int64)
     keys = np.repeat(rows, np.diff(rowptr)) * np.int64(n) + cols
     diag = np.searchsorted(keys, rows * n + rows)
+    ghost0, ghost1 = e0 >= n, e1 >= n
+    ghost_diag = np.append(diag, -1)  # every ghost row's diagonal: -1
     slots = np.stack([
-        diag[e0],
+        ghost_diag[np.minimum(e0, n)],
         np.searchsorted(keys, e0 * np.int64(n) + e1),
-        diag[e1],
+        ghost_diag[np.minimum(e1, n)],
         np.searchsorted(keys, e1 * np.int64(n) + e0),
     ])
+    slots[1:4:2, ghost0 | ghost1] = -1
     return diag, slots
 
 
 def _pattern(f: FlowField) -> tuple:
     """``(rowptr, cols, diag, slots, corner_slots)`` of the first-order
-    Jacobian on ``f``."""
-    rowptr, cols = bcsr_pattern_from_edges(f.mesh.edges, f.n_vertices)
+    Jacobian on ``f``'s owned rows and columns: the interior edges' pattern
+    (on a subdomain, the zero-overlap Schwarz block of its rows)."""
+    ni = f.n_interior
+    interior = np.column_stack([f.e0[:ni], f.e1[:ni]])
+    rowptr, cols = bcsr_pattern_from_edges(interior, f.n_owned)
     diag, slots = block_slots(rowptr, cols, f.e0, f.e1)
     # boundary corners land on diagonal blocks, one block per corner
     corner_slots = {tag: diag[f.corner_scatter(tag)[0]] for tag in BOUNDARY_TAGS}
@@ -167,10 +175,14 @@ class JacobianAssembler:
         vals = A.vals
 
         # dF/dq_i and dF/dq_j of F = 0.5 (F_i + F_j) - 0.5 lam (q_j - q_i);
-        # residual of e0 gains +F, residual of e1 gains -F
+        # residual of e0 gains +F, residual of e1 gains -F.  The interior
+        # edges, then the cut ones (a subdomain's; none on a mesh): a sweep
+        # adds every e0 end before it subtracts any e1 end, so one call
+        # over both would reorder the sum on a diagonal block
         sweeps = field_sweeps(f, q, vals)
         if team is None or not team.jacobian(q, beta, self._slots, vals):
-            sweeps.jacobian(q, beta, self._slots, vals)
+            sweeps.jacobian(q, beta, self._slots, vals, 0, f.n_interior)
+            sweeps.jacobian(q, beta, self._slots, vals, f.n_interior)
         met = get_metrics()
         met.counter("jacobian.assemblies").inc()
         if sweeps.compiled:

@@ -56,9 +56,12 @@ class FlowField:
     Attributes mirror the data structures discussed in the paper's
     "Data structures" optimization: edge arrays are SoA (streamed in edge
     order), vertex arrays are AoS rows of 4 states (gathered per edge).
+    A rank's field is the same object over its subdomain
+    (:meth:`subdomain`): ghost rows after the owned ones, cut edges after
+    the interior ones.
     """
 
-    mesh: UnstructuredMesh
+    mesh: UnstructuredMesh | None
     e0: np.ndarray = field(init=False)
     e1: np.ndarray = field(init=False)
     enormals: np.ndarray = field(init=False)
@@ -72,18 +75,31 @@ class FlowField:
     sym_faces: np.ndarray = field(init=False)
     sym_vnormals: np.ndarray = field(init=False)
     lsq_inv: np.ndarray = field(init=False)  # per-vertex 3x3 LSQ pseudo-inv
+    #: rows of the vertex arrays: the mesh's vertices, or a subdomain's
+    #: owned vertices and then its ghosts
+    n_vertices: int = field(init=False)
+    #: rows ``[0, n_owned)`` are the field's own: they have the volumes,
+    #: LSQ matrices and boundary corners, and the residual, time steps and
+    #: Jacobian rows are theirs; ghost rows are read, never written
+    n_owned: int = field(init=False)
+    #: edges ``[0, n_interior)`` have both ends owned; the rest are cut
+    n_interior: int = field(init=False)
     #: per-field kernel objects and index structures, keyed by
     #: :meth:`plan` (built on first use)
     _plans: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         mesh = self.mesh
+        if mesh is None:  # a subdomain: :meth:`subdomain` fills it in
+            return
+        self.n_vertices = self.n_owned = mesh.n_vertices
         self.e0 = np.ascontiguousarray(mesh.edges[:, 0])
         self.e1 = np.ascontiguousarray(mesh.edges[:, 1])
         self.enormals = np.ascontiguousarray(mesh.edge_normals)
         mid = 0.5 * (mesh.coords[self.e0] + mesh.coords[self.e1])
         self.emid_d0 = mid - mesh.coords[self.e0]
         self.emid_d1 = mid - mesh.coords[self.e1]
+        self.n_interior = self.e0.shape[0]
         self.volumes = mesh.volumes
 
         def faces_for(tag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +164,36 @@ class FlowField:
 
         return self.plan(f"corner.{which}", build)
 
-    @property
-    def n_vertices(self) -> int:
-        return self.mesh.n_vertices
+    def subdomain(self, dom) -> FlowField:
+        """The field of one rank's subdomain ``dom`` (a
+        :class:`~repro.dist.halo.LocalDomain`), which every in-process
+        kernel runs on as it is.
+
+        Rows are the owned vertices, then the ghosts.  Edges are the local
+        ones, interior first, then the cut edges, each class in the global
+        edge order and orientation, so every edge computes the serial
+        bits.  Volumes, LSQ matrices and boundary corners are those of the
+        owned vertices: the rows the serial kernels would write.
+        """
+        le, no = dom.local_edges, dom.n_owned
+        interior = (le[:, 0] < no) & (le[:, 1] < no)
+        order = np.concatenate([np.where(interior)[0], np.where(~interior)[0]])
+        ge = dom.edge_ids[order]
+        sub = FlowField(None)
+        sub.n_vertices, sub.n_owned = dom.n_local, no
+        sub.n_interior = int(interior.sum())
+        sub.e0, sub.e1 = le[order, 0], le[order, 1]
+        sub.enormals, sub.emid_d0, sub.emid_d1 = (
+            a[ge] for a in (self.enormals, self.emid_d0, self.emid_d1)
+        )
+        sub.volumes, sub.lsq_inv = self.volumes[dom.owned], self.lsq_inv[dom.owned]
+        local = np.full(self.n_vertices, -1, dtype=np.int64)
+        local[dom.owned] = np.arange(no)
+        for tag in BOUNDARY_TAGS:
+            verts, normals = self.corner_scatter(tag)
+            sel = local[verts] >= 0
+            sub._plans[f"corner.{tag}"] = (local[verts[sel]], normals[sel])
+        return sub
 
     @property
     def n_edges(self) -> int:

@@ -20,49 +20,30 @@ from ..perf.scatter import scatter_add
 from .flux import edge_spectral_radius
 from .state import BOUNDARY_TAGS, FlowConfig, FlowField
 
-__all__ = ["local_timestep", "pseudo_timestep", "ser_cfl"]
+__all__ = ["local_timestep", "ser_cfl"]
 
 
 def local_timestep(
     field: FlowField, q: np.ndarray, config: FlowConfig, cfl: float
 ) -> np.ndarray:
     """Per-vertex pseudo time step ``dt_i = CFL * V_i / sum lambda_f`` of
-    every vertex of ``field``: :func:`pseudo_timestep` over its edges and
-    boundary corners."""
-    corners = {tag: field.corner_scatter(tag) for tag in BOUNDARY_TAGS}
-    return pseudo_timestep(
-        q, field.e0, field.e1, field.enormals, corners, field.volumes,
-        field.n_vertices, config.beta, cfl,
-    )
-
-
-def pseudo_timestep(
-    q: np.ndarray,
-    e0: np.ndarray,
-    e1: np.ndarray,
-    normals: np.ndarray,
-    corners,
-    volumes: np.ndarray,
-    n_rows: int,
-    beta: float,
-    cfl: float,
-) -> np.ndarray:
-    """``dt_i = CFL * V_i / sum lambda_f`` for the rows of ``volumes``.
+    the owned vertices of ``field``.
 
     The wave-speed sum runs over all dual faces of the control volume —
-    the edges ``(e0, e1)`` seen from both endpoints, plus the boundary
-    corners, ``corners[tag] = (vertices, normals)`` — in one scatter from
-    zero over ``n_rows`` rows of ``q``: ``e0``, ``e1``, then the corners tag
-    by tag.  The serial solve passes its field, a rank its local edges and
-    owned corners (ghost rows of ``q`` fresh).
+    the edges seen from both endpoints, plus the boundary corners — in one
+    scatter from zero over the field's rows of ``q``: ``e0``, ``e1``, then
+    the corners tag by tag.  On a subdomain field the ghost rows of ``q``
+    must be fresh.
     """
-    lam_e = edge_spectral_radius(q[e0], q[e1], normals, beta)
+    e0, e1, beta = field.e0, field.e1, config.beta
+    lam_e = edge_spectral_radius(q[e0], q[e1], field.enormals, beta)
     idx, lam = [e0, e1], [lam_e, lam_e]
     for tag in BOUNDARY_TAGS:
-        verts, vnormals = corners[tag]
+        verts, vnormals = field.corner_scatter(tag)
         idx.append(verts)
         lam.append(edge_spectral_radius(q[verts], q[verts], vnormals, beta))
-    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), n_rows)
+    lam_sum = scatter_add(np.concatenate(idx), np.concatenate(lam), field.n_vertices)
+    volumes = field.volumes
     return cfl * volumes / np.maximum(lam_sum[: volumes.shape[0]], 1e-30)
 
 

@@ -8,12 +8,7 @@ collectives, on the shared mappings every rank inherits through ``fork``.
 
 from .comm import Communicator, CommTimeout, ShmTransport
 from .driver import DistSolveResult, distributed_solve
-from .program import (
-    RankData,
-    build_rank_data,
-    rank_residual,
-    rank_solve_steady,
-)
+from .program import rank_fields, rank_residual, rank_solve_steady
 from .runtime import DistRuntime, RankResult
 
 __all__ = [
@@ -22,8 +17,7 @@ __all__ = [
     "ShmTransport",
     "DistRuntime",
     "RankResult",
-    "RankData",
-    "build_rank_data",
+    "rank_fields",
     "rank_residual",
     "rank_solve_steady",
     "DistSolveResult",

@@ -34,9 +34,8 @@ from ...cfd.state import FlowConfig, FlowField
 from ...obs.metrics import get_metrics
 from ...obs.span import get_tracer
 from ...solver.newton import SolveResult, SolverOptions
-from ..halo import DomainDecomposition
 from .comm import RED_WIDTH
-from .program import build_rank_data, rank_solve_steady
+from .program import rank_fields, rank_solve_steady
 from .runtime import DistRuntime
 
 __all__ = ["DistSolveResult", "critical_rank", "distributed_solve"]
@@ -110,7 +109,10 @@ def distributed_solve(
 
     Each rank is one zero-overlap subdomain of the block preconditioner, so
     ``opts`` asking for more subdomains, its own subdomain labels or
-    overlap is a ``ValueError`` rather than silently ignored.
+    overlap is a ``ValueError`` rather than silently ignored.  The
+    decomposition and the ranks' subdomain fields with their structure are
+    built on the first solve of ``field`` with these labels and reused by
+    every later one (:func:`~.program.rank_fields`).
     """
     opts = opts or SolverOptions()
     for name, asked in (
@@ -132,11 +134,13 @@ def distributed_solve(
         else:
             labels = np.zeros(nv, dtype=np.int64)
     labels = np.asarray(labels)
-    decomp = DomainDecomposition(field.mesh.edges, labels)
-    datas = build_rank_data(field, config, decomp, q0=q0)
+    decomp, fields = rank_fields(field, labels, opts)
+    if q0 is None:
+        q0 = field.initial_state(config)
 
     def program(comm):
-        return rank_solve_steady(datas[comm.rank], comm, config, opts)
+        owned = decomp.domains[comm.rank].owned
+        return rank_solve_steady(fields[comm.rank], comm, config, opts, q0[owned])
 
     tracer = get_tracer()
     met = get_metrics()

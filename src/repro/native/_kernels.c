@@ -645,7 +645,9 @@ static inline void half_jacobian(const double *q, const double *s,
  * reference np.add.at / np.subtract.at statements of NumpySweeps.jacobian:
  *     vals[slot_d0] += dFdqi;  vals[slot_ij] += dFdqj    (row e0)
  *     vals[slot_d1] -= dFdqj;  vals[slot_ji] -= dFdqi    (row e1)
- * A row's slots are written where its end of the edge is a written end.
+ * A row's slots are written where its end of the edge is a written end,
+ * except a slot of -1: a block outside the pattern, such as a subdomain's
+ * coupling to a ghost column.
  * Only the diagonal blocks receive more than one term, and they receive
  * them term-major like every additive sweep: the first pass adds the e0
  * terms in edge order (and both off-diagonal blocks, one term each, while
@@ -668,21 +670,26 @@ void jacobian_sweep(int64_t lo, int64_t hi, const int64_t *e0,
         double dfi[BB], dfj[BB];
         half_jacobian(ql, s, beta, lam, 0, dfi);
         if (at0) {
-            double *diag = vals + slot_d0[e] * BB, *off = vals + slot_ij[e] * BB;
             half_jacobian(qr, s, beta, lam, 1, dfj);
-            for (int k = 0; k < BB; k++)
-                diag[k] += dfi[k];
-            for (int k = 0; k < BB; k++)
-                off[k] += dfj[k];
+            if (slot_d0[e] >= 0) {
+                double *diag = vals + slot_d0[e] * BB;
+                for (int k = 0; k < BB; k++)
+                    diag[k] += dfi[k];
+            }
+            if (slot_ij[e] >= 0) {
+                double *off = vals + slot_ij[e] * BB;
+                for (int k = 0; k < BB; k++)
+                    off[k] += dfj[k];
+            }
         }
-        if (at1) {
+        if (at1 && slot_ji[e] >= 0) {
             double *off = vals + slot_ji[e] * BB;
             for (int k = 0; k < BB; k++)
                 off[k] -= dfi[k];
         }
     }
     for (int64_t e = lo; e < hi; e++) {
-        if (!writes(w1, e))
+        if (!writes(w1, e) || slot_d1[e] < 0)
             continue;
         const double *ql = q + e0[e] * NV, *qr = q + e1[e] * NV;
         const double *s = normals + e * ND;

@@ -112,7 +112,7 @@ class EdgeLoopOptions:
     """How an edge loop is executed (the paper's optimization space)."""
 
     n_threads: int = 1
-    strategy: str = "sequential"  # sequential | atomic | owner | coloring
+    strategy: str = "sequential"  # sequential | atomic | owner
     layout: str = "soa"  # soa | aos
     simd: bool = False
     prefetch: bool = False
@@ -122,8 +122,6 @@ class EdgeLoopOptions:
     edges_per_thread: np.ndarray | None = None
     #: atomic updates per edge (2 endpoints x 4 variables)
     atomics_per_edge: float = 8.0
-    #: number of colors for the coloring strategy (one barrier per color)
-    n_colors: int = 0
 
 
 def _edge_cycles(
@@ -143,8 +141,6 @@ def _edge_cycles(
         lat *= machine.simd_gather_factor
     if opts.prefetch:
         lat *= machine.prefetch_stall_factor
-    if opts.strategy == "coloring":
-        lat *= machine.coloring_stall_factor
     stall = loads * lat
     cycles = compute + stall
     if opts.strategy == "atomic":
@@ -183,9 +179,7 @@ def edge_loop_time(
     mem_time = total_edges * work.dram_bytes_per_edge / machine.bandwidth(t)
     time = max(compute_time, mem_time)
     if t > 1:
-        # coloring pays one barrier per color; other strategies one per sweep
-        n_barriers = max(opts.n_colors, 1) if opts.strategy == "coloring" else 1
-        time += n_barriers * machine.barrier_seconds(t)
+        time += machine.barrier_seconds(t)
     return time
 
 

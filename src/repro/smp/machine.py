@@ -65,11 +65,6 @@ class MachineModel:
     #: (out-of-order cores: ~0.10; in-order many-core: much higher because
     #: SMT is the latency-hiding mechanism)
     smt_yield: float = 0.10
-    #: coloring destroys spatial locality among concurrently processed
-    #: edges (the paper's reason for rejecting it): edges of one color are
-    #: scattered across the mesh, so both the streaming edge data and the
-    #: vertex gathers lose cache/prefetcher friendliness
-    coloring_stall_factor: float = 1.9
     #: threads need ~this many times their count in dependency-graph
     #: parallelism before a recurrence reaches its bandwidth bound
     #: (calibrated to Table II: ILU-1 with 60x parallelism runs its solves

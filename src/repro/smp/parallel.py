@@ -399,7 +399,7 @@ class ThreadEdgeBackend:
             or slots.shape[1:] != (sweeps.n_edges,)
         ):
             return False
-        EdgeSweeps._slots(slots, sweeps.n_edges, vals)
+        EdgeSweeps._slots(slots, 0, sweeps.n_edges, vals)
         e0, e1, normals = sweeps.addresses[:3]
         with self._call_lock:
             self._check_open()

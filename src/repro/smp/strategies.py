@@ -16,8 +16,6 @@ Edge-loop strategies (paper Section V.A):
   computed twice.
 * ``owner`` + METIS labels — "METIS based partitioning": same owner-only
   writes with multilevel-partitioned vertices.
-* ``coloring``    — conflict-free edge colors, each split among threads
-  between barriers (the alternative the paper rejects).
 
 Triangular-solve strategies (paper Section V.B): ``level`` (barriers) and
 ``p2p`` (sparsified point-to-point synchronization).
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ordering.coloring import color_groups, greedy_edge_coloring
 from ..partition.metrics import edges_per_part
 from ..partition.multilevel import partition_graph
 from ..partition.simple import natural_partition
@@ -55,32 +52,28 @@ def make_edge_loop_options(
 ) -> EdgeLoopOptions:
     """Cost-model options of one edge-loop strategy on ``edges``.
 
-    ``strategy`` is ``sequential`` | ``atomic`` | ``coloring`` | ``owner``.
-    Per-thread edge counts: ``owner`` prices the owner-writes partition of
-    vertex ``labels`` (cut edges in both parts, as the team's owner parts);
-    ``atomic`` and ``coloring`` an even split of the edge list, and
-    ``coloring`` also its greedy color count (one barrier per color).
+    ``strategy`` is ``sequential`` | ``atomic`` | ``owner``.  Per-thread
+    edge counts: ``owner`` prices the owner-writes partition of vertex
+    ``labels`` (cut edges in both parts, as the team's owner parts);
+    ``atomic`` an even split of the edge list.
     """
     if strategy == "sequential":
         return EdgeLoopOptions(
             n_threads=n_threads, strategy=strategy, layout=layout, simd=simd,
             prefetch=prefetch, rcm=rcm,
         )
-    n_colors = 0
     if strategy == "owner":
         if labels is None:
             raise ValueError("owner strategy needs vertex labels")
         per = edges_per_part(edges, labels, n_threads)
-    elif strategy in ("atomic", "coloring"):
+    elif strategy == "atomic":
         ne = edges.shape[0]
         per = np.diff(np.linspace(0, ne, n_threads + 1).astype(np.int64))
-        if strategy == "coloring" and n_threads > 1:
-            n_colors = len(color_groups(greedy_edge_coloring(edges, n_vertices)))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return EdgeLoopOptions(
         n_threads=n_threads, strategy=strategy, layout=layout, simd=simd,
-        prefetch=prefetch, rcm=rcm, edges_per_thread=per, n_colors=n_colors,
+        prefetch=prefetch, rcm=rcm, edges_per_thread=per,
     )
 
 

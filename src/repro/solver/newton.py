@@ -22,11 +22,12 @@ falls slowly, tight once Newton converges fast, never tighter than the
 steady stopping test needs.  ``SolverOptions(gmres_rtol=1e-2)`` fixes
 eta_k instead, the paper's forcing.
 
-:func:`pseudo_transient_solve` is the only copy of that loop.  What differs
-between the places it runs is a :class:`Discretization` adapter: the whole
-field in this process (:class:`FieldDiscretization`, behind
-:func:`solve_steady`) and one rank's owned slice
-(:func:`repro.dist.runtime.program.rank_solve_steady`).
+:func:`pseudo_transient_solve` is the only copy of that loop, and
+:class:`FieldDiscretization` the only discretization it drives: over a
+whole field in this process (behind :func:`solve_steady`), and on each
+rank over the field of its subdomain, where an adapter
+(:func:`repro.dist.runtime.program.rank_solve_steady`) swaps in only the
+halo'd residual and the communicator's reductions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..cfd.jacobian import JacobianAssembler
 from ..cfd.residual import compute_residual
-from ..cfd.state import FlowConfig, FlowField
+from ..cfd.state import NVARS, FlowConfig, FlowField
 from ..cfd.timestep import local_timestep, ser_cfl
 from ..obs.metrics import get_metrics
 from ..obs.span import get_tracer, kernel_span
@@ -332,7 +333,7 @@ class FieldDiscretization:
         self.volumes = fld.volumes
         self.assembler = JacobianAssembler(fld)
         self.A = self.assembler.new_matrix()
-        self.precond = AdditiveSchwarzILU(self.A, plan=_schwarz_plan(fld, self.A, opts))
+        self.precond = AdditiveSchwarzILU(self.A, plan=_schwarz_plan(fld, opts))
 
     def residual(self, q: np.ndarray) -> np.ndarray:
         return compute_residual(self.fld, q, self.config)
@@ -354,9 +355,9 @@ class FieldDiscretization:
         return self.precond.apply(v)
 
 
-def _schwarz_plan(fld: FlowField, A, opts: SolverOptions) -> SchwarzPlan:
-    """The field's Schwarz plan for ``opts``' structural options, built on
-    first use."""
+def _schwarz_plan(fld: FlowField, opts: SolverOptions) -> SchwarzPlan:
+    """The field's Schwarz plan for ``opts``' structural options over its
+    Jacobian pattern, both built on first use."""
     labels = opts.subdomain_labels
     if labels is not None:
         labels = np.asarray(labels)
@@ -370,8 +371,9 @@ def _schwarz_plan(fld: FlowField, A, opts: SolverOptions) -> SchwarzPlan:
             from ..partition.multilevel import partition_graph
 
             lab = partition_graph(fld.mesh.edges, fld.n_vertices, opts.n_subdomains)
+        A = JacobianAssembler(fld)
         return SchwarzPlan.build(
-            A.rowptr, A.cols, A.b, lab, opts.overlap, opts.ilu_fill
+            A.rowptr, A.cols, NVARS, lab, opts.overlap, opts.ilu_fill
         )
 
     return fld.plan(("schwarz", opts.ilu_fill, split, opts.overlap), build)

@@ -30,7 +30,8 @@ The drivers:
   every thread's part (the caller's included) and returns once all are
   done, then the strategy's fold;
 * **ranks** (:func:`repro.dist.runtime.program.rank_residual`): an
-  interior and a cut part of the rank's local edges, and the hook is the
+  interior and a cut part of the sweeps of the rank's subdomain field
+  (:meth:`~repro.cfd.state.FlowField.subdomain`), and the hook is the
   halo window: the blocking exchange, then the interior part.
 
 Owner-masked parts (:func:`owner_parts`) change no bit: every written row

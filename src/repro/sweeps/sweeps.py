@@ -12,8 +12,9 @@ only its write-out targets:
   edge set, no masks;
 * edge threads (:mod:`repro.smp.parallel`): each thread's edge chunk with
   its ownership masks under owner-writes, else a range of the field's set;
-* ranks (:mod:`repro.dist.runtime.program`): the rank's local edges with
-  owned-row masks, swept as an interior and a cut range.
+* ranks (:mod:`repro.dist.runtime.program`): :func:`field_sweeps` of the
+  rank's subdomain field, its local edges with owned-row masks, swept as
+  an interior and a cut range.
 
 :class:`EdgeSweeps` is the ``ctypes`` side of ``repro/native/_kernels.c``,
 the C spelling of the stage arithmetic in :mod:`repro.sweeps.stages`;
@@ -123,16 +124,19 @@ class _EdgeSet:
         return lo, hi
 
     @staticmethod
-    def _slots(slots, hi, vals) -> None:
-        """Check the ``(4, >= hi)`` block slots of a Jacobian sweep against
-        the ``(nnzb, 4, 4)`` value array they index."""
+    def _slots(slots, lo, hi, vals) -> None:
+        """Check the ``(4, >= hi)`` block slots of a Jacobian sweep over
+        edges ``[lo, hi)`` against the ``(nnzb, 4, 4)`` value array they
+        index: the slots of those edges, the only ones it reads."""
         _rows(vals, 0, 4, 4)
         if slots.ndim != 2 or slots.shape[0] != 4 or slots.shape[1] < hi:
             raise ValueError(
                 f"Jacobian sweep needs (4, >= {hi}) block slots, "
                 f"got {slots.shape}"
             )
-        if slots.size and (slots.min() < 0 or slots.max() >= vals.shape[0]):
+        # -1: a block outside the pattern (a ghost row or column), skipped
+        read = slots[:, lo:hi]
+        if read.size and (read.min() < -1 or read.max() >= vals.shape[0]):
             raise ValueError("block slots out of range")
 
 
@@ -216,9 +220,10 @@ class EdgeSweeps(_EdgeSet):
         the BCSR value array ``vals``.  ``slots[:, e]`` are edge ``e``'s
         four block positions — diagonal of ``e0``, ``(e0, e1)``, diagonal
         of ``e1``, ``(e1, e0)``; row ``e0``'s two are written where ``e0``
-        is a written end, row ``e1``'s two where ``e1`` is."""
+        is a written end, row ``e1``'s two where ``e1`` is, and a block of
+        slot -1 is not written."""
         lo, hi = self._range(lo, hi)
-        self._slots(slots, hi, vals)
+        self._slots(slots, lo, hi, vals)
         if not is_native(slots, np.int64):
             raise ValueError("compiled sweep needs C-contiguous int64 slots")
         self._lib.jacobian_sweep(
@@ -303,14 +308,19 @@ class NumpySweeps(_EdgeSet):
         self, q, beta: float, slots, vals, lo: int = 0, hi: int | None = None
     ) -> None:
         lo, hi = self._range(lo, hi)
-        self._slots(slots, hi, vals)
+        self._slots(slots, lo, hi, vals)
         (e0, _, w0), (e1, _, w1) = self._slices(lo, hi)
         dfi, dfj = edge_flux_jacobians(q[e0], q[e1], self._normals[lo:hi], beta)
         diag0, ij, diag1, ji = slots[:, lo:hi]
-        np.add.at(vals, diag0[w0], dfi[w0])
-        np.add.at(vals, ij[w0], dfj[w0])
-        np.subtract.at(vals, diag1[w1], dfj[w1])
-        np.subtract.at(vals, ji[w1], dfi[w1])
+        # the blocks of written ends, but for those of slot -1
+        k0, kij, k1, kji = (
+            at >= 0 if w is ... else w & (at >= 0)
+            for at, w in ((diag0, w0), (ij, w0), (diag1, w1), (ji, w1))
+        )
+        np.add.at(vals, diag0[k0], dfi[k0])
+        np.add.at(vals, ij[kij], dfj[kij])
+        np.subtract.at(vals, diag1[k1], dfj[k1])
+        np.subtract.at(vals, ji[kji], dfi[kji])
 
 
 def edge_sweeps(
@@ -334,21 +344,23 @@ def edge_sweeps(
 def field_sweeps(
     field, q: np.ndarray | None = None, *targets: np.ndarray
 ) -> EdgeSweeps | NumpySweeps:
-    """The sweeps over ``field``'s full edge set, no masks (built once per
-    field; they hold no per-evaluation state).  With ``q`` (and the
+    """The sweeps over ``field``'s full edge set, writing its owned rows
+    (no masks on a whole mesh; built once per field, they hold no
+    per-evaluation state).  With ``q`` (and the
     caller's ``targets``), the ones that can take those arrays as they
     are: the NumPy twin for a strided or float32 array the compiled sweeps
     cannot."""
+    e0, e1, no = field.e0, field.e1, field.n_owned
+    # a subdomain's sweeps write only its owned rows
+    masks = (None, None) if no == field.n_vertices else (e0 < no, e1 < no)
     edge_set = (
-        field.n_vertices, field.e0, field.e1, field.enormals,
-        field.emid_d0, field.emid_d1,
+        field.n_vertices, e0, e1, field.enormals, field.emid_d0, field.emid_d1,
+        *masks,
     )
     sweeps = field.plan("sweeps.edges", lambda: edge_sweeps(*edge_set))
     if q is None or sweeps.takes(q, *targets):
         return sweeps
-    return field.plan(
-        "sweeps.edges.numpy", lambda: NumpySweeps(*edge_set, None, None)
-    )
+    return field.plan("sweeps.edges.numpy", lambda: NumpySweeps(*edge_set))
 
 
 class CornerSweeps:

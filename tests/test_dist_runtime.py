@@ -29,6 +29,8 @@ from repro.dist.runtime import (
     DistSolveResult,
     ShmTransport,
     distributed_solve,
+    rank_fields,
+    rank_residual,
 )
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
@@ -267,6 +269,91 @@ class TestDistributedSolve:
         assert dres.result.steps == serial.steps
         assert np.max(np.abs(dres.result.q - serial.q)) <= 1e-10
 
+    @pytest.mark.parametrize("ilu_fill", [0, 1])
+    def test_ranks_equal_in_process_block_jacobi(self, wing_solve, ilu_fill):
+        """The oracle of the rank program: 2 ranks are the in-process solve
+        with the same labels as zero-overlap Schwarz subdomains — the same
+        steps and Krylov iterations, and ``q`` equal but for the summation
+        order of the residual and the Jacobian."""
+        mesh = wing_solve["mesh"]
+        labels = partition_graph(mesh.edges, mesh.n_vertices, 2, seed=0)
+        opts = SolverOptions(ilu_fill=ilu_fill)
+        ref = solve_steady(
+            FlowField(mesh), FlowConfig(),
+            SolverOptions(ilu_fill=ilu_fill, subdomain_labels=labels, overlap=0),
+        )
+        got = distributed_solve(
+            FlowField(mesh), FlowConfig(), opts, labels=labels
+        ).result
+        assert ref.converged and got.converged
+        assert (got.steps, got.linear_iterations) == (
+            ref.steps, ref.linear_iterations
+        )
+        assert np.max(np.abs(got.q - ref.q)) <= 1e-10
+
+    def test_rank_field_jacobian_is_the_owned_block_of_the_global_one(
+        self, wing_solve
+    ):
+        """A rank field's first-order Jacobian has the pattern of the owned
+        rows and columns of the whole field's at the same state, and its
+        values but for the summation order (a cut edge adds only the
+        owned end's diagonal block)."""
+        from repro.cfd import JacobianAssembler
+
+        field, config = FlowField(wing_solve["mesh"]), FlowConfig()
+        nv = field.n_vertices
+        q = field.initial_state(config) + 0.05 * np.random.default_rng(4).normal(
+            size=(nv, 4)
+        )
+        whole = JacobianAssembler(field).assemble(q, config)
+        rows = np.repeat(np.arange(nv), np.diff(whole.rowptr))
+        labels = partition_graph(field.mesh.edges, nv, 3, seed=0)
+        decomp, subs = rank_fields(field, labels, SolverOptions())
+        for dom, sub in zip(decomp.domains, subs):
+            A = JacobianAssembler(sub).assemble(
+                np.concatenate([q[dom.owned], q[dom.ghosts]]), config
+            )
+            local = np.full(nv, -1)
+            local[dom.owned] = np.arange(dom.n_owned)
+            # owned ids ascend, so the restriction keeps the sorted order
+            keep = (local[rows] >= 0) & (local[whole.cols] >= 0)
+            np.testing.assert_array_equal(
+                np.repeat(np.arange(dom.n_owned), np.diff(A.rowptr)),
+                local[rows[keep]],
+            )
+            np.testing.assert_array_equal(A.cols, local[whole.cols[keep]])
+            want = whole.vals[keep]
+            assert np.max(np.abs(A.vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_second_solve_builds_no_structure(self, monkeypatch):
+        """The decomposition, the rank fields, their Jacobian patterns and
+        ILU plans are built on a field's first solve with some labels; a
+        second solve with equal labels builds none of them, in the parent
+        or in a rank (the ranks inherit the patched modules), and gives the
+        same bytes."""
+        import repro.cfd.jacobian
+        import repro.dist.halo
+        import repro.solver.schwarz
+
+        mesh = wing_mesh(n_around=12, n_radial=4, n_span=3)
+        field, config = FlowField(mesh), FlowConfig()
+        labels = partition_graph(mesh.edges, mesh.n_vertices, 2, seed=0)
+        opts = SolverOptions(max_steps=3, ilu_fill=1)
+        first = distributed_solve(field, config, opts, labels=labels).result
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a second solve rebuilt the structure")
+
+        monkeypatch.setattr(repro.dist.halo.DomainDecomposition, "_build", rebuilt)
+        monkeypatch.setattr(FlowField, "subdomain", rebuilt)
+        monkeypatch.setattr(repro.cfd.jacobian, "bcsr_pattern_from_edges", rebuilt)
+        monkeypatch.setattr(repro.solver.schwarz, "build_ilu_plan", rebuilt)
+        second = distributed_solve(field, config, opts, labels=labels.copy()).result
+        assert (second.steps, second.linear_iterations) == (
+            first.steps, first.linear_iterations
+        )
+        assert second.q.tobytes() == first.q.tobytes()
+
     def test_measured_breakdown_is_populated(self, wing_solve):
         bd = wing_solve["dist"].comm_breakdown()
         assert 0.0 < bd["halo_seconds"] < bd["elapsed_seconds"]
@@ -375,18 +462,14 @@ class TestDistributedSolve:
         assert leaked == []
 
     def test_rank_residual_matches_staged_oracle(self, wing_solve):
-        """The rank program runs the shared stage arithmetic on its own
-        slices: the owned rows agree with the serial staged kernels (only
-        summation order differs)."""
+        """The rank program runs the shared stage arithmetic on its
+        subdomain field: the owned rows agree with the serial staged
+        kernels (only summation order differs)."""
         from repro.cfd.boundary import add_boundary_closures
         from repro.cfd.flux import interior_flux_residual
         from repro.cfd.gradient import lsq_gradients, venkat_limiter
+        from repro.sweeps import ResidualArrays
         from repro.sweeps.sweeps import field_corners
-        from repro.dist.runtime.program import (
-            _Workspace,
-            build_rank_data,
-            rank_residual,
-        )
 
         field, config = FlowField(wing_solve["mesh"]), FlowConfig()
         rng = np.random.default_rng(11)
@@ -403,12 +486,13 @@ class TestDistributedSolve:
         labels = partition_graph(
             field.mesh.edges, field.n_vertices, 3, seed=0
         )
-        decomp = DomainDecomposition(field.mesh.edges, labels)
-        datas = build_rank_data(field, config, decomp, q0=q)
+        decomp, subs = rank_fields(field, labels, SolverOptions())
 
         def program(comm):
-            data = datas[comm.rank]
-            return rank_residual(data, comm, _Workspace(data), config).copy()
+            sub = subs[comm.rank]
+            a = ResidualArrays.empty(np.zeros((sub.n_vertices, 4)), True)
+            a.q[: sub.n_owned] = q[decomp.domains[comm.rank].owned]
+            return rank_residual(sub, comm, a, config).copy()
 
         with DistRuntime(decomp, timeout=60) as rt:
             results = rt.run(program)

@@ -138,8 +138,14 @@ def test_closures_equal_the_reference_statements(scheme):
     seed=st.integers(0, 10_000),
     span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     density=st.sampled_from([None, 0.0, 0.3, 0.9, 1.0]),
+    skipped=st.sampled_from([0.0, 0.3, 1.0]),
 )
-def test_numpy_twin_adds_the_same_bits_over_ranges_and_masks(seed, span, density):
+def test_numpy_twin_adds_the_same_bits_over_ranges_and_masks(
+    seed, span, density, skipped
+):
+    """Over any range and masks, and with slot -1 (a subdomain's block in
+    a ghost row or column) on a share of the blocks: both twins skip
+    exactly those, as if they went to a spare block."""
     field, _ = _fields("wing", "natural")
     ne = field.n_edges
     rng = np.random.default_rng(seed)
@@ -150,8 +156,9 @@ def test_numpy_twin_adds_the_same_bits_over_ranges_and_masks(seed, span, density
     lo, hi = sorted(int(f * ne) for f in span)
     cfg = FlowConfig()
     q = _state(field, cfg, seed)
-    slots = JacobianAssembler(field)._slots
+    slots = JacobianAssembler(field)._slots.copy()
     nnzb = int(slots.max()) + 1
+    slots[rng.random(slots.shape) < skipped] = -1
     vals0 = rng.normal(size=(nnzb, 4, 4))  # a sweep adds to what is there
     written = []
     for compiled in (True, False):
@@ -161,7 +168,12 @@ def test_numpy_twin_adds_the_same_bits_over_ranges_and_masks(seed, span, density
         )
         written.append(vals)
     assert np.array_equal(*written)
-    if density == 0.0 or lo == hi:
+    spare = np.concatenate([vals0, np.zeros((1, 4, 4))])
+    _build(False, *_edge_set(field, *masks)).jacobian(
+        q, cfg.beta, np.where(slots < 0, nnzb, slots), spare, lo, hi
+    )
+    assert np.array_equal(written[0], spare[:nnzb])
+    if density == 0.0 or lo == hi or skipped == 1.0:
         assert np.array_equal(written[0], vals0)
 
 
@@ -203,6 +215,10 @@ def test_both_twins_reject_the_same_bad_slots(compiled):
         sw.jacobian(q, 4.0, slots[:3], vals)
     with pytest.raises(ValueError, match="block slots"):
         sw.jacobian(q, 4.0, slots[:, :-1], vals)
+    below = slots.copy()
+    below[1, 0] = -2  # -1 is the one slot below zero a sweep skips
+    with pytest.raises(ValueError, match="block slots out of range"):
+        sw.jacobian(q, 4.0, below, vals)
     with pytest.raises(ValueError, match="out of range"):
         sw.jacobian(q, 4.0, slots, vals[:-1])
     with pytest.raises(ValueError, match="at least"):

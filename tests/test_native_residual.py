@@ -33,9 +33,8 @@ from repro.cfd.flux import (
 )
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
 from repro.dist import DomainDecomposition
-from repro.dist.runtime import DistRuntime
-from repro.dist.runtime.program import _Workspace, build_rank_data, rank_residual
-from repro.sweeps import serial_residual, sweeps
+from repro.dist.runtime import DistRuntime, rank_fields, rank_residual
+from repro.sweeps import ResidualArrays, serial_residual, sweeps
 from repro.mesh import dataset_mesh, wing_mesh
 from repro.obs import MetricsRegistry, use_metrics
 from repro.partition import partition_graph
@@ -542,21 +541,25 @@ def test_rank_residual_compiled_equals_numpy_bitwise(wing_case, second_order):
     field, q, _, _ = wing_case
     cfg = FlowConfig(dissipation="roe", second_order=second_order)
     labels = partition_graph(field.mesh.edges, field.n_vertices, 2, seed=0)
-    decomp = DomainDecomposition(field.mesh.edges, labels)
-    datas = build_rank_data(field, cfg, decomp, q0=q)
-
-    def program(comm):
-        data = datas[comm.rank]
-        ws = _Workspace(data)
-        return ws.sweeps.compiled, rank_residual(data, comm, ws, cfg).copy()
 
     def run():
-        with DistRuntime(decomp, timeout=60) as rt:
-            return [rr.value for rr in rt.run(program)]
+        # rank fields of a field of their own: their sweeps are built here,
+        # seeing this call's kernels, and the ranks inherit them
+        decomp, subs = rank_fields(FlowField(field.mesh), labels, SolverOptions())
 
-    compiled = run()
-    with numpy_residual():  # forked ranks inherit the patched module
-        reference = run()
+        def program(comm):
+            sub = subs[comm.rank]
+            a = ResidualArrays.empty(np.zeros((sub.n_vertices, 4)), second_order)
+            a.q[: sub.n_owned] = q[decomp.domains[comm.rank].owned]
+            compiled = sweeps.field_sweeps(sub).compiled
+            return compiled, rank_residual(sub, comm, a, cfg).copy()
+
+        with DistRuntime(decomp, timeout=60) as rt:
+            return decomp, [rr.value for rr in rt.run(program)]
+
+    decomp, compiled = run()
+    with numpy_residual():
+        _, reference = run()
     serial = compute_residual(field, q, cfg)
     for dom, (c_native, c), (r_native, r) in zip(decomp.domains, compiled, reference):
         assert c_native and not r_native

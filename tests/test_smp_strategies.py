@@ -49,7 +49,7 @@ class TestExecutorStructure:
     def test_sequential_single_list(self, wing_setup):
         mesh, _, _ = wing_setup
         labels = np.zeros(mesh.n_vertices, dtype=np.int64)
-        for strategy in ("atomic", "coloring", "owner"):
+        for strategy in ("atomic", "owner"):
             opts = make_edge_loop_options(
                 mesh.edges, mesh.n_vertices, 1, strategy, labels
             )
@@ -200,28 +200,3 @@ class TestColoringStrategy:
         for group in groups:  # conflict-free: no vertex twice in a color
             ends = mesh.edges[group].ravel()
             assert np.unique(ends).shape == ends.shape
-
-    def test_coloring_counts_colors(self, wing_setup):
-        mesh, _, _ = wing_setup
-        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "coloring")
-        assert opts.n_colors >= 14  # >= max vertex degree of a tet mesh
-
-    def test_coloring_options_carry_colors(self, wing_setup):
-        mesh, _, _ = wing_setup
-        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "coloring")
-        groups = color_groups(greedy_edge_coloring(mesh.edges, mesh.n_vertices))
-        assert opts.n_colors == len(groups)
-        assert opts.edges_per_thread.sum() == mesh.n_edges
-
-    def test_coloring_modeled_slower_than_metis(self, wing_setup):
-        from repro.smp import XEON_E5_2690_V2, edge_loop_time, flux_kernel_work
-
-        mesh, _, _ = wing_setup
-        work = flux_kernel_work(mesh.n_edges)
-        opts_c = make_edge_loop_options(mesh.edges, mesh.n_vertices, 8, "coloring")
-        opts_m = make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, 8, "owner",
-            metis_thread_labels(mesh.edges, mesh.n_vertices, 8, seed=0))
-        tc = edge_loop_time(XEON_E5_2690_V2, work, opts_c)
-        tm = edge_loop_time(XEON_E5_2690_V2, work, opts_m)
-        assert tm < tc
