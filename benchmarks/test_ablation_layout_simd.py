@@ -36,7 +36,7 @@ def test_ablation_layout_simd_prefetch_grid(benchmark, mesh_c, capsys):
         ):
             out[(layout, simd, pf)] = edge_loop_time(
                 mach, work, make_edge_loop_options(
-                    mesh_c.edges, mesh_c.n_vertices, 20, "owner", labels,
+                    mesh_c.edges, 20, "owner", labels,
                     layout=layout, simd=simd, prefetch=pf, rcm=True,
                 ),
             )

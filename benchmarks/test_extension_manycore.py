@@ -37,7 +37,7 @@ def test_extension_manycore_projection(benchmark, mesh_c, capsys):
             )
             seq = edge_loop_time(mach, work, EdgeLoopOptions(n_threads=1))
             opt = edge_loop_time(mach, work, make_edge_loop_options(
-                mesh_c.edges, mesh_c.n_vertices, t, "owner", labels,
+                mesh_c.edges, t, "owner", labels,
                 layout="aos", simd=True, prefetch=True, rcm=True,
             ))
             out[mach.name] = (

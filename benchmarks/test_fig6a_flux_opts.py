@@ -44,7 +44,7 @@ def _cumulative_times(mesh):
 
     def t(layout, simd, pf):
         return edge_loop_time(mach, work, make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, N_THREADS, "owner", labels,
+            mesh.edges, N_THREADS, "owner", labels,
             layout=layout, simd=simd, prefetch=pf, rcm=True,
         ))
 

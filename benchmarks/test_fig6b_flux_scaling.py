@@ -40,12 +40,12 @@ def _scaling_series(mesh):
     edges, nv = mesh.edges, mesh.n_vertices
     base = edge_loop_time(
         mach, work, make_edge_loop_options(
-            edges, nv, 1, "sequential", layout="soa", simd=False,
+            edges, 1, "sequential", layout="soa", simd=False,
             prefetch=False, rcm=False,
         )
     )
     seq = edge_loop_time(
-        mach, work, make_edge_loop_options(edges, nv, 1, "sequential")
+        mach, work, make_edge_loop_options(edges, 1, "sequential")
     )
 
     series = {"atomic": [], "owner-natural": [], "owner-metis": []}
@@ -63,7 +63,7 @@ def _scaling_series(mesh):
             ("owner-metis", "owner", met),
         ):
             t = edge_loop_time(mach, work, make_edge_loop_options(
-                edges, nv, c, strategy, labels
+                edges, c, strategy, labels
             ))
             series[k].append(base / t)
         repl[c] = (replication_overhead(edges, nat), replication_overhead(edges, met))

@@ -39,9 +39,9 @@ def main() -> None:
 
     # --- 1. numerics equivalence across strategies, on real threads -----
     rng = np.random.default_rng(0)
-    config = FlowConfig()
+    config = FlowConfig(second_order=False)
     q = field.initial_state(config) + 0.05 * rng.normal(size=(nv, 4))
-    ref = serial_residual(field, q, config, first_order=True)[0]
+    ref = serial_residual(field, q, config)[0]
     t = 8
     for name, strategy, partitioner in (
         ("locked", "locked", "metis"),
@@ -49,7 +49,7 @@ def main() -> None:
         ("owner-metis", "owner", "metis"),
     ):
         with ThreadEdgeBackend(field, t, strategy, partitioner, seed=1) as team:
-            res = team.residual(q, config, first_order=True)[0]
+            res = team.residual(q, config)[0]
             repl = team.redundant_edge_fraction
         err = np.abs(res - ref).max()
         print(f"  {name:<22} max |diff| vs sequential = {err:.2e}  "
@@ -59,7 +59,7 @@ def main() -> None:
     # --- 2. strategy scaling (Fig 6b style) -----------------------------
     cores = [1, 2, 4, 8, 10]
     base = edge_loop_time(mach, work, make_edge_loop_options(
-        edges, nv, 1, "sequential", layout="soa", simd=False, prefetch=False,
+        edges, 1, "sequential", layout="soa", simd=False, prefetch=False,
         rcm=False))
     series = {"atomic": [], "owner-natural": [], "owner-metis": []}
     for c in cores:
@@ -73,7 +73,7 @@ def main() -> None:
             ("owner-metis", "owner", metis_thread_labels(edges, nv, c, seed=1)),
         ):
             series[k].append(base / edge_loop_time(
-                mach, work, make_edge_loop_options(edges, nv, c, strat, lab)
+                mach, work, make_edge_loop_options(edges, c, strat, lab)
             ))
     fmt = {k: [f"{v:.1f}x" for v in vals] for k, vals in series.items()}
     print(format_series("cores", cores, fmt,
@@ -87,7 +87,7 @@ def main() -> None:
         for simd in (False, True):
             for pf in (False, True):
                 tt = edge_loop_time(mach, work, make_edge_loop_options(
-                    edges, nv, 20, "owner", labels, layout=layout, simd=simd,
+                    edges, 20, "owner", labels, layout=layout, simd=simd,
                     prefetch=pf, rcm=True))
                 rows.append([layout, simd, pf, f"{base / tt:.1f}x"])
     print(format_table(["layout", "simd", "prefetch", "speedup vs seq base"],

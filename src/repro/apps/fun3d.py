@@ -1,10 +1,11 @@
 """The full PETSc-FUN3D-like application driver.
 
-:class:`Fun3dApp` ties the whole stack together: mesh (optionally RCM
-reordered), flow field, pseudo-transient Newton-Krylov-Schwarz solve, and —
-after the numerics finish — a *modeled* per-kernel time profile for the
-selected :class:`OptimizationConfig` built from the measured operation
-counts and the machine cost models.
+:class:`Fun3dApp` ties the whole stack together: mesh, flow field,
+pseudo-transient Newton-Krylov-Schwarz solve, and — after the numerics
+finish — a *modeled* per-kernel time profile for the selected
+:class:`OptimizationConfig` built from the measured operation counts and
+the machine cost models.  The model prices the ILU plan the solve itself
+cached on the field (:meth:`Fun3dApp.ilu_plan`).
 
 Because every optimization is numerics-preserving, one solve yields the
 operation counts for **all** configurations at that ILU fill level; the
@@ -23,7 +24,6 @@ from dataclasses import dataclass, replace
 from ..cfd.state import FlowConfig, FlowField
 from ..obs.metrics import MetricsRegistry, use_metrics
 from ..obs.span import Span, Tracer, use_tracer
-from ..ordering import rcm_relabel
 from ..mesh.core import UnstructuredMesh
 from ..smp.cost import (
     EdgeLoopOptions,
@@ -41,9 +41,8 @@ from ..smp.strategies import (
     natural_thread_labels,
     tri_solve_options_from_plan,
 )
-from ..solver.newton import SolveResult, SolverOptions, solve_steady
-from ..sparse.bcsr import bcsr_pattern_from_edges
-from ..sparse.ilu import build_ilu_plan
+from ..solver.newton import SolveResult, SolverOptions, _schwarz_plan, solve_steady
+from ..sparse.ilu import ILUPlan
 from .config import OptimizationConfig
 
 __all__ = ["Fun3dApp", "Fun3dRunResult"]
@@ -83,23 +82,21 @@ class Fun3dApp:
         mesh: UnstructuredMesh,
         flow: FlowConfig | None = None,
         solver: SolverOptions | None = None,
-        apply_rcm: bool = False,
     ) -> None:
-        self.mesh = rcm_relabel(mesh) if apply_rcm else mesh
+        self.mesh = mesh
         self.flow = flow or FlowConfig()
         self.solver = solver or SolverOptions()
         self.field = FlowField(self.mesh)
-        self._plans: dict[int, object] = {}
 
     # ------------------------------------------------------------------
-    def ilu_plan(self, fill: int):
-        """ILU plan of the Jacobian pattern at the given fill (cached)."""
-        if fill not in self._plans:
-            rowptr, cols = bcsr_pattern_from_edges(
-                self.mesh.edges, self.mesh.n_vertices
-            )
-            self._plans[fill] = build_ilu_plan(rowptr, cols, 4, fill)
-        return self._plans[fill]
+    def ilu_plan(self, fill: int) -> ILUPlan:
+        """The whole-mesh ILU(``fill``) plan of the Jacobian pattern: the
+        one :func:`~repro.solver.newton.solve_steady` caches on the field
+        for a one-subdomain solve at that fill, built there on first use."""
+        opts = replace(
+            self.solver, ilu_fill=fill, n_subdomains=1, subdomain_labels=None
+        )
+        return _schwarz_plan(self.field, opts).subs[0].plan
 
     # ------------------------------------------------------------------
     def run(
@@ -175,7 +172,7 @@ class Fun3dApp:
                 else natural_thread_labels(self.mesh.n_vertices, t)
             )
         return make_edge_loop_options(
-            self.mesh.edges, self.mesh.n_vertices, t, strategy, labels,
+            self.mesh.edges, t, strategy, labels,
             layout=config.layout, simd=config.simd, prefetch=config.prefetch,
             rcm=config.rcm,
         )

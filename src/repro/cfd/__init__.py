@@ -10,12 +10,7 @@ from .flux import (
     rusanov_edge_flux,
     scatter_edge_flux,
 )
-from .gradient import (
-    green_gauss_gradients,
-    lsq_gradients,
-    venkat_limiter,
-    weighted_lsq_gradients,
-)
+from .gradient import lsq_gradients, venkat_limiter
 from .roe import abs_flux_jacobian, characteristic_edge_flux
 from .jacobian import JacobianAssembler, analytic_flux_jacobian
 from .residual import compute_residual, residual_norm
@@ -35,8 +30,6 @@ __all__ = [
     "characteristic_edge_flux",
     "scatter_edge_flux",
     "lsq_gradients",
-    "green_gauss_gradients",
-    "weighted_lsq_gradients",
     "venkat_limiter",
     "JacobianAssembler",
     "analytic_flux_jacobian",

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.scatter import scatter_add
 from .state import FlowField
 from .sums import dot3
 
 __all__ = [
     "lsq_gradients",
-    "weighted_lsq_gradients",
-    "green_gauss_gradients",
     "venkat_limiter",
 ]
 
@@ -42,57 +39,6 @@ def lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
     rhs_contrib = dq[:, :, None] * dx[:, None, :]  # (ne, 4, 3)
     rhs = field.edge_sum(rhs_contrib)
     return dot3(field.lsq_inv[:, None, :, :], rhs[:, :, None, :])
-
-
-def weighted_lsq_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
-    """Inverse-distance-weighted least-squares gradients.
-
-    FUN3D's reconstruction offers both unweighted and 1/|dx|-weighted
-    least squares; weighting improves robustness on highly stretched
-    meshes (boundary-layer cells) by keeping far neighbors from dominating
-    the fit.  Still exact for linear fields.  The weighted normal matrices
-    are not prefactored in :class:`FlowField` (this variant is off the
-    default path), so they are built per call.
-    """
-    dx = field.emid_d0 * 2.0
-    w = 1.0 / np.maximum(np.linalg.norm(dx, axis=1), 1e-300)
-    outer = np.einsum("n,ni,nj->nij", w, dx, dx)
-    m = field.edge_sum(outer)
-    tr = np.trace(m, axis1=1, axis2=2)
-    m += (1e-12 * np.maximum(tr, 1e-30))[:, None, None] * np.eye(3)
-    minv = np.linalg.inv(m)
-
-    dq = q[field.e1] - q[field.e0]
-    rhs_contrib = w[:, None, None] * dq[:, :, None] * dx[:, None, :]
-    rhs = field.edge_sum(rhs_contrib)
-    return np.einsum("nij,nvj->nvi", minv, rhs)
-
-
-def green_gauss_gradients(field: FlowField, q: np.ndarray) -> np.ndarray:
-    """Green-Gauss gradients on the median dual (edge midpoint rule).
-
-    ``V_i grad(q)_i ~= sum_j S_ij (q_i + q_j)/2 + boundary closure``.
-    Exact for linear fields at *interior* vertices (the classical
-    median-dual property, see the mesh tests); at boundary vertices the
-    midpoint-rule piece errors do not cancel, which is why the default
-    reconstruction kernel is least squares.  Provided for diagnostics and
-    cross-checks.
-    """
-    mid = 0.5 * (q[field.e0] + q[field.e1])  # (ne, nvar)
-    contrib = mid[:, :, None] * field.enormals[:, None, :]
-    idx, vals = [field.e0, field.e1], [contrib, -contrib]
-    for which, faces in (
-        ("wall", field.wall_faces),
-        ("sym", field.sym_faces),
-        ("far", field.far_faces),
-    ):
-        verts, vnormals3 = field.corner_scatter(which)
-        fc = q[faces].mean(axis=1)  # (nf, nvar)
-        fc3 = np.concatenate([fc] * 3, axis=0)  # per corner, c-major
-        idx.append(verts)
-        vals.append(fc3[:, :, None] * vnormals3[:, None, :])
-    acc = scatter_add(np.concatenate(idx), np.concatenate(vals), field.n_vertices)
-    return acc / field.volumes[:, None, None]
 
 
 def venkat_limiter(

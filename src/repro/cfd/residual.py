@@ -25,7 +25,6 @@ def compute_residual(
     field: FlowField,
     q: np.ndarray,
     config: FlowConfig,
-    first_order: bool = False,
 ) -> np.ndarray:
     """Spatial residual ``f(q)``, shape ``(n_vertices, 4)``.
 
@@ -37,9 +36,9 @@ def compute_residual(
     ``venkat_limiter`` -> ``interior_flux_residual`` + closures), which
     remain as the test oracle.
 
-    ``first_order=True`` skips reconstruction regardless of the config —
-    used for the preconditioner-side discretization, which the paper keeps
-    "lower-order, sparser and more diffusive".
+    ``config.second_order`` says the order: a first-order residual (the
+    paper keeps the preconditioner-side discretization "lower-order,
+    sparser and more diffusive") is ``replace(config, second_order=False)``.
 
     Instrumentation: every driver reports the reconstruction under one
     ``grad`` kernel span and the flux + boundary closures under one
@@ -49,8 +48,8 @@ def compute_residual(
     get_metrics().counter("residual.evals").inc()
     backend = get_edge_backend()
     if backend is not None and backend.handles(field):
-        return backend.residual(q, config, first_order)[0]
-    return schedule.serial_residual(field, q, config, first_order)[0]
+        return backend.residual(q, config)[0]
+    return schedule.serial_residual(field, q, config)[0]
 
 
 def residual_norm(res: np.ndarray) -> float:

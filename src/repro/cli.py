@@ -3,9 +3,15 @@
 Commands
 --------
 ``mesh-info``   generate a dataset, validate it, print structural stats
-``solve``       run the steady solver, print convergence/forces/profile
+``solve``       run the steady solver, print convergence and forces
 ``profile``     traced solve: span-tree profile + metrics (+ exports)
 ``speedup``     price a run under baseline + optimized configs (Fig 8a)
+
+``solve`` and ``profile`` print only what the run measured (steps,
+Krylov iterations, residuals, forces, the span tree, the metrics, the
+ranks' measured breakdown) and the structure of the ILU plans the solve
+built; the machine model prices nothing there.  Modeled seconds of the
+paper's Xeon come from ``speedup`` and ``scaling`` alone.
 ``scaling``     multi-node strong-scaling table (Fig 9-11)
 ``partition``   partition-quality study (natural / RCB / multilevel)
 
@@ -327,40 +333,6 @@ class _ObsSession:
         return False
 
 
-def _run_dist_solve(args, app, obs=None):
-    """N-rank distributed solve wrapped as a :class:`Fun3dRunResult`.
-
-    The modeled per-kernel profile does not apply (ranks measure their own
-    walls), so ``counts``/``profile`` are empty and the result instead
-    carries a ``dist`` attribute with the measured communication story.
-    """
-    from .apps import Fun3dRunResult, OptimizationConfig
-    from .dist.runtime import distributed_solve
-    from .obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-
-    tracer = obs.tracer if obs is not None else Tracer()
-    metrics = obs.metrics if obs is not None else MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        dres = distributed_solve(
-            app.field,
-            app.flow,
-            app.solver,
-            n_ranks=args.dist_ranks,
-            seed=args.seed,
-            allreduce_algo=args.allreduce,
-        )
-    res = Fun3dRunResult(
-        solve=dres.result,
-        counts={},
-        profile={},
-        config=OptimizationConfig.baseline(ilu_fill=args.ilu),
-        trace=tracer,
-        metrics=metrics,
-    )
-    res.dist = dres
-    return res
-
-
 def _print_dist_breakdown(dres) -> None:
     bd = dres.comm_breakdown()
     print(
@@ -408,47 +380,53 @@ def _usage_error(args, exc: Exception) -> int:
     return 2
 
 
-def _run_solve(args, opts, mesh, obs=None):
+def _run_solve(args, opts, mesh, obs):
+    """The measured solve under ``obs``' tracer and metrics:
+    :func:`~repro.solver.newton.solve_steady` in process (on a team of
+    edge threads with ``--backend thread``), or
+    :func:`~repro.dist.runtime.distributed_solve` on ``--dist-ranks``
+    ranks.  Returns the field, the flow config, the ``SolveResult`` and
+    the ``DistSolveResult`` (None in process)."""
     from contextlib import nullcontext
 
-    from .apps import Fun3dApp, OptimizationConfig
-    from .cfd import FlowConfig
+    from .cfd import FlowConfig, FlowField
+    from .obs import use_metrics, use_tracer
+    from .solver import solve_steady
 
-    app = Fun3dApp(
-        mesh,
-        flow=FlowConfig(aoa_deg=args.aoa, dissipation=args.dissipation),
-        solver=opts,
-    )
-    if getattr(args, "dist_ranks", 0) > 0:
-        print(
-            f"distributed runtime: {args.dist_ranks} rank processes "
-            f"({args.allreduce} allreduce)"
-        )
-        return app, _run_dist_solve(args, app, obs)
-    backend_cm = install_cm = nullcontext()
-    if getattr(args, "backend", "serial") == "thread":
-        from .smp import ThreadEdgeBackend, use_edge_backend
+    field = FlowField(mesh)
+    flow = FlowConfig(aoa_deg=args.aoa, dissipation=args.dissipation)
+    with use_tracer(obs.tracer), use_metrics(obs.metrics):
+        if args.dist_ranks > 0:
+            from .dist.runtime import distributed_solve
 
-        backend_cm = ThreadEdgeBackend(
-            app.field,
-            n_workers=args.workers,
-            strategy=args.edge_strategy,
-            partitioner=args.partitioner,
-            seed=args.seed,
-        )
-        install_cm = use_edge_backend(backend_cm)
-        print(
-            f"edge backend: thread x{args.workers} "
-            f"({backend_cm.strategy_label}, redundant edges "
-            f"{100 * backend_cm.redundant_edge_fraction:.1f}%)"
-        )
-    with backend_cm, install_cm:
-        res = app.run(
-            OptimizationConfig.baseline(ilu_fill=args.ilu),
-            tracer=obs.tracer if obs is not None else None,
-            metrics=obs.metrics if obs is not None else None,
-        )
-    return app, res
+            print(
+                f"distributed runtime: {args.dist_ranks} rank processes "
+                f"({args.allreduce} allreduce)"
+            )
+            dres = distributed_solve(
+                field, flow, opts, n_ranks=args.dist_ranks, seed=args.seed,
+                allreduce_algo=args.allreduce,
+            )
+            return field, flow, dres.result, dres
+        backend_cm = install_cm = nullcontext()
+        if args.backend == "thread":
+            from .smp import ThreadEdgeBackend, use_edge_backend
+
+            backend_cm = ThreadEdgeBackend(
+                field,
+                n_workers=args.workers,
+                strategy=args.edge_strategy,
+                partitioner=args.partitioner,
+                seed=args.seed,
+            )
+            install_cm = use_edge_backend(backend_cm)
+            print(
+                f"edge backend: thread x{args.workers} "
+                f"({backend_cm.strategy_label}, redundant edges "
+                f"{100 * backend_cm.redundant_edge_fraction:.1f}%)"
+            )
+        with backend_cm, install_cm:
+            return field, flow, solve_steady(field, flow, opts), None
 
 
 def cmd_solve(args) -> int:
@@ -460,8 +438,7 @@ def cmd_solve(args) -> int:
         return _usage_error(args, exc)
     try:
         with _ObsSession(args) as obs:
-            app, res = _run_solve(args, opts, mesh, obs)
-            mesh, s = app.mesh, res.solve
+            field, flow, s, dres = _run_solve(args, opts, mesh, obs)
             print(
                 f"{mesh.name}: {mesh.n_vertices} vertices / "
                 f"{mesh.n_edges} edges"
@@ -471,9 +448,9 @@ def cmd_solve(args) -> int:
                 f"krylov={s.linear_iterations} "
                 f"residual {s.initial_residual:.3e} -> {s.final_residual:.3e}"
             )
-            forces = integrate_forces(app.field, s.q, app.flow)
+            forces = integrate_forces(field, s.q, flow)
             print(f"CL={forces.cl:.4f} CD={forces.cd:.4f}")
-            if getattr(args, "json", False):
+            if args.json:
                 import json
 
                 print(json.dumps({
@@ -486,14 +463,8 @@ def cmd_solve(args) -> int:
                         "cl": float(forces.cl), "cd": float(forces.cd)
                     },
                 }))
-            if getattr(res, "dist", None) is not None:
-                _print_dist_breakdown(res.dist)
-            if res.profile:
-                print("baseline profile:")
-                for name, frac in sorted(
-                    res.fractions().items(), key=lambda kv: -kv[1]
-                ):
-                    print(f"  {name:<9} {100 * frac:5.1f}%")
+            if dres is not None:
+                _print_dist_breakdown(dres)
             return 0 if s.converged else 1
     except KeyboardInterrupt:
         print("interrupted — partial telemetry exports flushed",
@@ -501,8 +472,10 @@ def cmd_solve(args) -> int:
         return 130
 
 
-def _print_recurrence_structure(app, fill: int) -> None:
-    """Table II companion: ILU/TRSV dependency-graph parallelism stats.
+def _print_recurrence_structure(field, opts, dres) -> None:
+    """Table II companion: ILU/TRSV dependency-graph parallelism stats of
+    the ILU plans the solve cached on its field (:meth:`FlowField.plan`),
+    one per subdomain, or per rank under ``--dist-ranks``.
 
     ``available_parallelism`` is the paper's metric (total work over
     critical-path work); ``max_level_width`` caps how many threads a
@@ -510,21 +483,29 @@ def _print_recurrence_structure(app, fill: int) -> None:
     histogram shows how much of the schedule sits in levels too narrow to
     share.
     """
+    from .solver.newton import _schwarz_plan
     from .sparse import available_parallelism
 
-    plan = app.ilu_plan(fill)
-    par = available_parallelism(plan.rowptr, plan.cols, b=plan.b)
-    print(f"ILU({fill}) recurrence structure (Table II):")
-    print(f"  available parallelism {par:.0f}x")
-    for name, sched in (("forward", plan.schedule),
-                        ("backward", plan.schedule_back)):
-        hist = " ".join(
-            f"[{lo}-{hi}]x{cnt}" for lo, hi, cnt in sched.width_histogram()
-        )
-        print(
-            f"  {name:<8} {len(sched.levels)} levels, max width "
-            f"{sched.max_level_width}; widths {hist}"
-        )
+    what, fields = "subdomain", [field]
+    if dres is not None:
+        from .dist.runtime.program import rank_fields
+
+        what, fields = "rank", rank_fields(field, dres.labels, opts)[1]
+    plans = [sub.plan for f in fields for sub in _schwarz_plan(f, opts).subs]
+    for i, plan in enumerate(plans):
+        where = f", {what} {i} of {len(plans)}" if len(plans) > 1 else ""
+        par = available_parallelism(plan.rowptr, plan.cols, b=plan.b)
+        print(f"ILU({plan.fill_level}) recurrence structure (Table II{where}):")
+        print(f"  available parallelism {par:.0f}x")
+        for name, sched in (("forward", plan.schedule),
+                            ("backward", plan.schedule_back)):
+            hist = " ".join(
+                f"[{lo}-{hi}]x{cnt}" for lo, hi, cnt in sched.width_histogram()
+            )
+            print(
+                f"  {name:<8} {len(sched.levels)} levels, max width "
+                f"{sched.max_level_width}; widths {hist}"
+            )
 
 
 def cmd_profile(args) -> int:
@@ -545,34 +526,23 @@ def _cmd_profile_impl(args, opts, mesh, obs) -> int:
     from .obs import aggregate_spans
     from .perf import format_profile
 
-    app, res = _run_solve(args, opts, mesh, obs)
-    tracer, s = res.trace, res.solve
-    print(f"{app.mesh.name}: traced solve "
+    field, _, s, dres = _run_solve(args, opts, mesh, obs)
+    print(f"{mesh.name}: traced solve "
           f"(converged={s.converged} steps={s.steps} "
           f"krylov={s.linear_iterations})")
     print()
     print(format_profile(
-        aggregate_spans(tracer.roots),
+        aggregate_spans(obs.tracer.roots),
         title="span-tree profile (wall seconds of this Python run, "
               "same-name spans folded)",
     ))
     print()
-    print(res.metrics.report())
+    print(obs.metrics.report())
     print()
-    _print_recurrence_structure(app, args.ilu)
-    print()
-    if getattr(res, "dist", None) is not None:
-        _print_dist_breakdown(res.dist)
-        if args.dataset in ("mesh-c", "mesh-d"):
-            from .dist import MESH_C_PAPER, MESH_D_PAPER, MultiNodeModel
-
-            wl = MESH_C_PAPER if args.dataset == "mesh-c" else MESH_D_PAPER
-            model = MultiNodeModel(wl).trace_breakdown(args.dist_ranks)
-            print(
-                f"modeled comm fraction at {args.dist_ranks} nodes "
-                f"(Fig 10 cost model, paper-scale "
-                f"{wl.name}): {100 * model.attrs['comm_fraction']:.1f}%"
-            )
+    _print_recurrence_structure(field, opts, dres)
+    if dres is not None:
+        print()
+        _print_dist_breakdown(dres)
     return 0 if s.converged else 1
 
 

@@ -17,8 +17,9 @@ observability trace as a ``dist-solve`` subtree::
         ...
 
 so ``repro profile --dist-ranks N`` shows the *measured* comm/compute
-breakdown next to the Fig 9-11 cost model's.  Measured totals also feed
-the metrics registry: ``gmres.allreduces`` counts real reductions, and
+breakdown (the Fig 9-11 cost model's is ``repro scaling``'s).  Measured
+totals also feed the metrics registry: ``gmres.allreduces`` counts real
+reductions, and
 ``dist.halo_seconds`` / ``dist.allreduce_seconds`` / ``dist.interior_seconds``
 carry the wall times of the critical rank, the one with the largest
 ``elapsed`` (:func:`critical_rank`), all three that one rank's own.

@@ -119,7 +119,7 @@ def rank_residual(
         comm.interior(t0, fld.n_interior)
 
     run_residual(
-        a, config, second_order, parts, fld.lsq_inv, fld.volumes,
+        a, config, parts, fld.lsq_inv, fld.volumes,
         field_corners(fld), run=run, exchange=window,
     )
     return a.res[: fld.n_owned]

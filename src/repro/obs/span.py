@@ -149,10 +149,6 @@ class Tracer:
         self.events.append(TraceEvent(name, ts=self.clock(), attrs=dict(attrs)))
 
     # ------------------------------------------------------------------
-    def total_seconds(self) -> float:
-        """Sum of root-level span durations."""
-        return sum(s.seconds for s in self.roots)
-
     def walk(self) -> Iterator[Span]:
         for r in self.roots:
             yield from r.walk()
@@ -200,9 +196,6 @@ class NullTracer:
 
     def event(self, name: str, **attrs: Any) -> None:
         return None
-
-    def total_seconds(self) -> float:
-        return 0.0
 
     def walk(self) -> Iterator[Span]:
         return iter(())

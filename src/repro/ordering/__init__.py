@@ -1,13 +1,10 @@
-"""Vertex/edge ordering algorithms (RCM, edge coloring, locality metrics)."""
+"""Vertex ordering: RCM (the paper's Section V.A locality pass) and the
+locality metrics that measure it."""
 
-from .coloring import color_groups, greedy_edge_coloring, verify_edge_coloring
 from .metrics import bandwidth, edge_span, ordering_report, profile
 from .rcm import cuthill_mckee, pseudo_peripheral_vertex, reverse_cuthill_mckee
 
 __all__ = [
-    "color_groups",
-    "greedy_edge_coloring",
-    "verify_edge_coloring",
     "bandwidth",
     "edge_span",
     "ordering_report",

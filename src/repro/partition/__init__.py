@@ -10,7 +10,7 @@ from .metrics import (
     replication_overhead,
 )
 from .multilevel import multilevel_bisect, partition_graph
-from .simple import coordinate_partition, natural_partition, spectral_partition
+from .simple import coordinate_partition, natural_partition
 
 __all__ = [
     "Graph",
@@ -26,5 +26,4 @@ __all__ = [
     "partition_graph",
     "coordinate_partition",
     "natural_partition",
-    "spectral_partition",
 ]

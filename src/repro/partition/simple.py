@@ -6,8 +6,6 @@
 * Recursive coordinate bisection — a cheap geometric partitioner, used for
   comparison and as the seed partitioner in the distributed layer when a
   mesh (with coordinates) is available.
-* Spectral bisection — Fiedler-vector recursive bisection, the classical
-  high-quality (but slow) reference; practical only for small graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import numpy as np
 __all__ = [
     "natural_partition",
     "coordinate_partition",
-    "spectral_partition",
 ]
 
 
@@ -63,64 +60,3 @@ def _rcb(
     left, right = ids[order[:split]], ids[order[split:]]
     _rcb(coords, left, labels, first, k1)
     _rcb(coords, right, labels, first + k1, k - k1)
-
-
-def spectral_partition(
-    edges: np.ndarray, n_vertices: int, n_parts: int, seed: int = 0
-) -> np.ndarray:
-    """Recursive spectral bisection via the Fiedler vector.
-
-    Uses scipy's Lanczos on the graph Laplacian.  Quadratic-ish cost; meant
-    for graphs up to a few thousand vertices (tests, small studies).
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    labels = np.zeros(n_vertices, dtype=np.int64)
-
-    def bisect(ids: np.ndarray, sub_edges: np.ndarray, first: int, k: int) -> None:
-        if k == 1 or ids.size <= 1:
-            labels[ids] = first
-            return
-        k1 = k // 2
-        n = ids.size
-        if sub_edges.shape[0] == 0:
-            # no edges: arbitrary balanced split
-            half = int(round(n * k1 / k))
-            bisect(ids[:half], sub_edges, first, k1)
-            bisect(ids[half:], sub_edges, first + k1, k - k1)
-            return
-        rows = np.concatenate([sub_edges[:, 0], sub_edges[:, 1]])
-        cls_ = np.concatenate([sub_edges[:, 1], sub_edges[:, 0]])
-        data = np.ones(rows.shape[0])
-        adj = sp.csr_matrix((data, (rows, cls_)), shape=(n, n))
-        lap = sp.csgraph.laplacian(adj)
-        try:
-            _, vecs = spla.eigsh(
-                lap.asfptype(),
-                k=2,
-                sigma=-1e-8,
-                which="LM",
-                v0=np.ones(n) / np.sqrt(n),
-            )
-            fiedler = vecs[:, 1]
-        except Exception:
-            rng = np.random.default_rng(seed)
-            fiedler = rng.normal(size=n)
-        order = np.argsort(fiedler, kind="stable")
-        split = int(round(n * k1 / k))
-        in_left = np.zeros(n, dtype=bool)
-        in_left[order[:split]] = True
-        remap = -np.ones(n, dtype=np.int64)
-        remap[order[:split]] = np.arange(split)
-        left_edges = sub_edges[in_left[sub_edges[:, 0]] & in_left[sub_edges[:, 1]]]
-        left_edges = remap[left_edges]
-        remap_r = -np.ones(n, dtype=np.int64)
-        remap_r[order[split:]] = np.arange(n - split)
-        right_mask = ~in_left[sub_edges[:, 0]] & ~in_left[sub_edges[:, 1]]
-        right_edges = remap_r[sub_edges[right_mask]]
-        bisect(ids[order[:split]], left_edges, first, k1)
-        bisect(ids[order[split:]], right_edges, first + k1, k - k1)
-
-    bisect(np.arange(n_vertices, dtype=np.int64), np.asarray(edges), 0, n_parts)
-    return labels

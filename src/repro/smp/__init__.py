@@ -22,7 +22,6 @@ from .cost import (
     jacobian_kernel_work,
     trsv_time,
     vector_op_time,
-    vertex_loop_time,
 )
 from .machine import STAMPEDE_E5_2680, XEON_E5_2690_V2, XEON_PHI_KNC, MachineModel
 from .parallel import STRATEGIES, ThreadEdgeBackend
@@ -47,7 +46,6 @@ __all__ = [
     "jacobian_kernel_work",
     "trsv_time",
     "vector_op_time",
-    "vertex_loop_time",
     "STAMPEDE_E5_2680",
     "XEON_E5_2690_V2",
     "XEON_PHI_KNC",

@@ -34,7 +34,7 @@ def use_edge_backend(backend):
 
     * ``handles(field) -> bool`` — callers fall back to their in-process
       path whenever it declines (different field, closed backend);
-    * ``residual(q, config, first_order) -> (res, grad, phi)`` — the
+    * ``residual(q, config) -> (res, grad, phi)`` — the
       schedule of :mod:`repro.sweeps.schedule` on the backend's threads,
       boundary closures included, reported as one ``grad`` (second order
       only) and one ``flux`` kernel span; ``grad`` / ``phi`` are None at

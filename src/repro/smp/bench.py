@@ -96,7 +96,7 @@ def _model_seconds(mesh_edges, n_vertices, label: str, workers: int,
         labels = natural_thread_labels(n_vertices, workers)
     work = flux_kernel_work(mesh_edges.shape[0])
     return edge_loop_time(XEON_E5_2690_V2, work, make_edge_loop_options(
-        mesh_edges, n_vertices, workers, strategy, labels
+        mesh_edges, workers, strategy, labels
     ))
 
 
@@ -121,23 +121,19 @@ def run_flux_scaling(
 
     field = FlowField(mesh)
     q = _bench_state(field, seed)
-    config = FlowConfig(beta=beta)
+    config = FlowConfig(beta=beta, second_order=False)
 
-    ref = serial_residual(field, q, config, first_order=True)[0]
-    serial_wall = _time_call(
-        lambda: serial_residual(field, q, config, first_order=True), repeats
-    )
+    ref = serial_residual(field, q, config)[0]
+    serial_wall = _time_call(lambda: serial_residual(field, q, config), repeats)
 
     results = []
     for w in workers:
         for label in strategies:
             with _backend(field, label, w, seed) as be:
                 # warm-up + correctness
-                res = be.residual(q, config, first_order=True)[0]
+                res = be.residual(q, config)[0]
                 dev = float(np.max(np.abs(res - ref)))
-                wall = _time_call(
-                    lambda: be.residual(q, config, first_order=True), repeats
-                )
+                wall = _time_call(lambda: be.residual(q, config), repeats)
                 redundant = float(be.redundant_edge_fraction)
             results.append({
                 "strategy": label,
@@ -175,14 +171,12 @@ def run_paired_flux(
 
     field = FlowField(mesh)
     q = _bench_state(field, seed)
-    config = FlowConfig(beta=beta)
+    config = FlowConfig(beta=beta, second_order=False)
     with _backend(field, first, workers, seed) as a, \
             _backend(field, second, workers, seed) as b:
 
         def wall(be) -> float:
-            return _time_call(
-                lambda: be.residual(q, config, first_order=True), repeats
-            )
+            return _time_call(lambda: be.residual(q, config), repeats)
 
         wall(a), wall(b)  # warm-up
         out = []

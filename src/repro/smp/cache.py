@@ -27,14 +27,6 @@ class CacheStats:
     accesses: int
     misses: int
 
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.misses / max(self.accesses, 1)
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / max(self.accesses, 1)
-
 
 class CacheSim:
     """Set-associative LRU cache over 64-byte lines."""

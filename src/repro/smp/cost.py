@@ -38,7 +38,6 @@ __all__ = [
     "TriSolveOptions",
     "trsv_time",
     "ilu_time",
-    "vertex_loop_time",
     "vector_op_time",
 ]
 
@@ -362,22 +361,8 @@ def ilu_time(
 
 
 # ---------------------------------------------------------------------------
-# Vertex loops and vector primitives
+# Vector primitives
 # ---------------------------------------------------------------------------
-def vertex_loop_time(
-    machine: MachineModel, n_vertices: int, bytes_per_vertex: float,
-    flops_per_vertex: float, n_threads: int
-) -> float:
-    """Streaming vertex update (state updates, DAXPY-like): pure roofline."""
-    t = max(n_threads, 1)
-    compute = n_vertices * flops_per_vertex / machine.flop_rate(t, simd=True)
-    mem = n_vertices * bytes_per_vertex / machine.bandwidth(t)
-    time = max(compute, mem)
-    if t > 1:
-        time += machine.barrier_seconds(t)
-    return time
-
-
 def vector_op_time(
     machine: MachineModel, nbytes: float, flops: float, n_threads: int
 ) -> float:

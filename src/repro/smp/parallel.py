@@ -348,7 +348,7 @@ class ThreadEdgeBackend:
         self._rounds += 1
         self._trace(kernel, stamps, stage=stage)
 
-    def residual(self, q: np.ndarray, config, first_order: bool = False):
+    def residual(self, q: np.ndarray, config):
         """The residual of ``q`` on the team: the schedule over the threads'
         parts, one team job per stage, with the per-vertex stage and the
         boundary closures in the caller.
@@ -358,7 +358,7 @@ class ThreadEdgeBackend:
         (min/max folds are exact, owned rows accumulate in serial order);
         locked agrees to round-off.
         """
-        second_order = config.second_order and not first_order
+        second_order = config.second_order
         beta, scheme = float(config.beta), config.dissipation
         roe = _roe(scheme)
         nv = self._field.n_vertices
@@ -374,7 +374,7 @@ class ThreadEdgeBackend:
                 (a.q, a.rhs, a.qmin, a.qmax, a.grad, a.eps2, a.phi, a.res)
             ]
             run_residual(
-                a, config, second_order, self.parts, field.lsq_inv,
+                a, config, self.parts, field.lsq_inv,
                 field.volumes, field_corners(field),
                 run=lambda stage, _: self._round(
                     a, addrs, stage, beta, scheme, roe, second_order

@@ -40,7 +40,6 @@ __all__ = [
 
 def make_edge_loop_options(
     edges: np.ndarray,
-    n_vertices: int,
     n_threads: int,
     strategy: str,
     labels: np.ndarray | None = None,

@@ -135,7 +135,6 @@ def sweep(
 def run_residual(
     a: ResidualArrays,
     config,
-    second_order: bool,
     parts,
     lsq_inv: np.ndarray,
     volumes: np.ndarray,
@@ -143,8 +142,8 @@ def run_residual(
     run=None,
     exchange=None,
 ) -> None:
-    """Evaluate the residual of ``a.q`` into ``a.res`` (and at second
-    order ``a.grad`` / ``a.phi``).
+    """Evaluate the residual of ``a.q`` into ``a.res`` (and, when
+    ``config.second_order``, ``a.grad`` / ``a.phi``).
 
     ``lsq_inv`` / ``volumes`` hold the rows the vertex stage computes;
     ``corners`` maps each boundary tag to the driver's closure sweeps.
@@ -152,7 +151,7 @@ def run_residual(
     that needs no ghost row, or a driver without a hook, runs every part
     in one ``run`` call.
     """
-    beta, scheme = config.beta, config.dissipation
+    beta, scheme, second_order = config.beta, config.dissipation, config.second_order
     if run is None:
         def run(name, ps):
             for p in ps:
@@ -195,14 +194,13 @@ def run_residual(
         get_metrics().counter("residual.native_evals").inc()
 
 
-def serial_residual(field, q: np.ndarray, config, first_order: bool = False):
+def serial_residual(field, q: np.ndarray, config):
     """The serial driver: fresh ``(res, grad, phi)`` of ``q`` on ``field``
     from one part, its full edge set (``grad`` / ``phi`` are None at first
     order).  Nothing mutable is cached on the field."""
-    second_order = config.second_order and not first_order
-    a = ResidualArrays.empty(q, second_order)
+    a = ResidualArrays.empty(q, config.second_order)
     run_residual(
-        a, config, second_order, [Part(field_sweeps(field, q))],
+        a, config, [Part(field_sweeps(field, q))],
         field.lsq_inv, field.volumes, field_corners(field),
     )
     return a.res, a.grad, a.phi

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import Fun3dApp, OptimizationConfig
 from repro.mesh import wing_mesh
+from repro.ordering import rcm_relabel
 from repro.solver import SolverOptions
 
 
@@ -107,7 +108,7 @@ class TestFun3dApp:
 
     def test_rcm_mesh_variant(self):
         mesh = wing_mesh(n_around=14, n_radial=5, n_span=4)
-        app = Fun3dApp(mesh, apply_rcm=True, solver=SolverOptions(max_steps=40))
+        app = Fun3dApp(rcm_relabel(mesh), solver=SolverOptions(max_steps=40))
         res = app.run(OptimizationConfig.baseline(ilu_fill=0))
         assert res.solve.converged
 

@@ -175,8 +175,8 @@ class TestJacobian:
         rng = np.random.default_rng(6)
         v = rng.normal(size=q.shape)
         eps = 1e-7
-        r0 = compute_residual(box_field, q, cfg, first_order=True)
-        r1 = compute_residual(box_field, q + eps * v, cfg, first_order=True)
+        r0 = compute_residual(box_field, q, cfg)
+        r1 = compute_residual(box_field, q + eps * v, cfg)
         fd = (r1 - r0) / eps
         an = A.matvec(v.reshape(-1)).reshape(q.shape)
         np.testing.assert_allclose(an, fd, rtol=1e-5, atol=1e-6)
@@ -191,8 +191,8 @@ class TestJacobian:
         A = jac.assemble(q, cfg)
         v = rng.normal(size=q.shape)
         eps = 1e-7
-        r0 = compute_residual(box_field, q, cfg, first_order=True)
-        r1 = compute_residual(box_field, q + eps * v, cfg, first_order=True)
+        r0 = compute_residual(box_field, q, cfg)
+        r1 = compute_residual(box_field, q + eps * v, cfg)
         fd = ((r1 - r0) / eps).reshape(-1)
         an = A.matvec(v.reshape(-1))
         rel = np.linalg.norm(an - fd) / np.linalg.norm(fd)
@@ -265,51 +265,3 @@ def test_freestream_preservation_property(beta, seed):
     res = flux.interior_flux_residual(field, q, beta)
     field_corners(field)["far"].residual(q, qconst, beta, "rusanov", res)
     assert residual_norm(res) < 1e-13
-
-
-class TestGradientVariants:
-    def test_weighted_lsq_exact_linear(self, box_field):
-        from repro.cfd import weighted_lsq_gradients
-
-        g = np.array([0.7, -0.3, 1.1])
-        phi = box_field.mesh.coords @ g
-        q = np.tile(phi[:, None], (1, 4))
-        grads = weighted_lsq_gradients(box_field, q)
-        np.testing.assert_allclose(
-            grads[:, 0, :], np.broadcast_to(g, (q.shape[0], 3)), atol=1e-9
-        )
-
-    def test_green_gauss_interior_exact(self, box_field):
-        from repro.cfd import green_gauss_gradients
-
-        g = np.array([1.0, 0.4, -0.6])
-        phi = box_field.mesh.coords @ g
-        q = np.tile(phi[:, None], (1, 4))
-        grads = green_gauss_gradients(box_field, q)
-        interior = np.ones(box_field.n_vertices, dtype=bool)
-        interior[box_field.mesh.bfaces.ravel()] = False
-        np.testing.assert_allclose(
-            grads[interior, 0, :],
-            np.broadcast_to(g, (int(interior.sum()), 3)),
-            atol=1e-9,
-        )
-
-    def test_variants_agree_on_smooth_fields(self, box_field):
-        from repro.cfd import lsq_gradients, weighted_lsq_gradients
-
-        rng = np.random.default_rng(11)
-        # smooth field: quadratic
-        x = box_field.mesh.coords
-        phi = x[:, 0] ** 2 + 0.5 * x[:, 1] * x[:, 2]
-        q = np.tile(phi[:, None], (1, 4))
-        g1 = lsq_gradients(box_field, q)
-        g2 = weighted_lsq_gradients(box_field, q)
-        # same field, same order of accuracy: close but not identical
-        assert np.abs(g1 - g2).max() < 0.5 * max(np.abs(g1).max(), 1.0)
-
-    def test_green_gauss_constant_zero(self, wing_field):
-        from repro.cfd import green_gauss_gradients
-
-        q = np.full((wing_field.n_vertices, 4), 2.5)
-        grads = green_gauss_gradients(wing_field, q)
-        np.testing.assert_allclose(grads, 0.0, atol=1e-10)

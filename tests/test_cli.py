@@ -307,6 +307,35 @@ class TestProcessBackend:
             forces.append([ln for ln in out.splitlines() if "CL=" in ln])
         assert forces[0] and forces[0] == forces[1] == forces[2]
 
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--backend", "thread", "--workers", "2"], ["--dist-ranks", "2"]],
+        ids=["serial", "thread", "dist"],
+    )
+    def test_measured_commands_price_nothing(self, command, mode, monkeypatch, capsys):
+        """``solve`` / ``profile`` print what the run measured: the machine
+        model is never asked for a price, and the one ILU symbolic plan per
+        subdomain the solve builds is the one ``profile`` describes."""
+        import repro.sparse.ilu as ilu
+        from repro.apps import Fun3dApp
+
+        def priced(*args, **kwargs):
+            raise AssertionError("a measured command priced the model")
+
+        monkeypatch.setattr(Fun3dApp, "modeled_profile", priced)
+        monkeypatch.setattr(ilu.ILUPlan, "factor_block_ops", priced)
+        calls = []
+        symbolic = ilu.ilu_symbolic
+        monkeypatch.setattr(
+            ilu, "ilu_symbolic", lambda *a, **k: calls.append(1) or symbolic(*a, **k)
+        )
+        rc = main([command, "--scale", "0.02", "--max-steps", "60"] + mode)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "baseline profile" not in out
+        assert len(calls) == (2 if "--dist-ranks" in mode else 1)
+
     def test_profile_process_backend_has_worker_spans(self, capsys):
         rc = main([
             "profile", "--scale", "0.02", "--max-steps", "60",

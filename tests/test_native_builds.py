@@ -14,6 +14,7 @@ by position).
 import ctypes
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
                     f"{scheme}/{name}/grad": grad,
                     f"{scheme}/{name}/phi": phi,
                     f"{scheme}/{name}/first": compute_residual(
-                        field, q, cfg, first_order=True
+                        field, q, replace(cfg, second_order=False)
                     ),
                     f"{name}/jacobian": asm.assemble(q, cfg).vals,
                 })
@@ -116,7 +117,9 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
                             f"{key}/res": res,
                             f"{key}/grad": grad,
                             f"{key}/phi": phi,
-                            f"{key}/first": team.residual(q, cfg, True)[0],
+                            f"{key}/first": team.residual(
+                                q, replace(cfg, second_order=False)
+                            )[0],
                         })
         cfg = FlowConfig(aoa_deg=3.0)
         q = _states(field, cfg)["clean"]

@@ -15,6 +15,7 @@ import threading
 import tomllib
 import types
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -198,8 +199,8 @@ def test_inputs_the_kernels_cannot_take_run_the_numpy_stages():
         assert n == 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert np.array_equal(
-            compute_residual(compiled_field, other, cfg, first_order=True),
-            compute_residual(compiled_field, q, cfg, first_order=True),
+            compute_residual(compiled_field, other, replace(cfg, second_order=False)),
+            compute_residual(compiled_field, q, replace(cfg, second_order=False)),
         )
 
     # float32 state: whatever the NumPy sweeps make of it, not a crash and
@@ -501,13 +502,13 @@ def wing_case():
 )
 def test_owner_fleet_bitwise_equals_serial(wing_case, partitioner, workers):
     field, q, cfg, want = wing_case
-    first = compute_residual(field, q, cfg, first_order=True)
+    first = compute_residual(field, q, replace(cfg, second_order=False))
     with ThreadEdgeBackend(
         field, n_workers=workers, strategy="owner", partitioner=partitioner
     ) as fleet:
         got, n = _native_evals(lambda: fleet.residual(q, cfg))
         with use_edge_backend(fleet):
-            got_first = compute_residual(field, q, cfg, first_order=True)
+            got_first = compute_residual(field, q, replace(cfg, second_order=False))
     assert n == 1  # the threads ran the compiled sweeps
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

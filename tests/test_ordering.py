@@ -1,4 +1,4 @@
-"""Tests for RCM, edge coloring and ordering metrics."""
+"""Tests for RCM and ordering metrics."""
 
 import numpy as np
 import pytest
@@ -15,17 +15,13 @@ from repro.mesh import (
 )
 from repro.ordering import (
     bandwidth,
-    color_groups,
     cuthill_mckee,
     edge_span,
-    greedy_edge_coloring,
     ordering_report,
     pseudo_peripheral_vertex,
     rcm_relabel,
     reverse_cuthill_mckee,
-    verify_edge_coloring,
 )
-from repro.ordering.coloring import _greedy_edge_coloring_reference
 from repro.ordering.rcm import _cuthill_mckee_reference, _peripheral_reference
 
 
@@ -96,54 +92,6 @@ class TestRCM:
         r = rcm_relabel(m)
         assert validate_mesh(r).ok
         assert r.n_edges == m.n_edges
-
-
-class TestColoring:
-    def test_valid_on_meshes(self):
-        m = box_mesh((4, 4, 4))
-        colors = greedy_edge_coloring(m.edges, m.n_vertices)
-        assert verify_edge_coloring(m.edges, colors, m.n_vertices)
-
-    def test_color_count_bounded(self):
-        m = delaunay_cloud_mesh(150, seed=1)
-        rowptr, _ = m.adjacency
-        max_deg = int((rowptr[1:] - rowptr[:-1]).max())
-        colors = greedy_edge_coloring(m.edges, m.n_vertices)
-        assert colors.max() + 1 <= 2 * max_deg - 1
-
-    def test_groups_partition_edges(self):
-        m = box_mesh((4, 3, 3))
-        colors = greedy_edge_coloring(m.edges, m.n_vertices)
-        groups = color_groups(colors)
-        allidx = np.concatenate(groups)
-        assert np.array_equal(np.sort(allidx), np.arange(m.n_edges))
-
-    def test_verify_detects_conflict(self):
-        edges = np.array([[0, 1], [1, 2]])
-        colors = np.array([0, 0])
-        assert not verify_edge_coloring(edges, colors, 3)
-
-    def test_matches_sequential_reference_on_mesh(self):
-        m = box_mesh((5, 4, 4))
-        got = greedy_edge_coloring(m.edges, m.n_vertices)
-        want = _greedy_edge_coloring_reference(m.edges, m.n_vertices)
-        assert np.array_equal(got, want)
-
-    def test_empty_edge_list(self):
-        colors = greedy_edge_coloring(np.zeros((0, 2), dtype=np.int64), 5)
-        assert colors.shape == (0,)
-
-    def test_many_colors_grows_table(self):
-        # a star graph forces one color per edge, well past the initial
-        # 8-column occupancy table
-        n = 40
-        edges = np.stack(
-            [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1
-        )
-        got = greedy_edge_coloring(edges, n)
-        want = _greedy_edge_coloring_reference(edges, n)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, np.arange(n - 1))
 
 
 class TestMetrics:
@@ -220,16 +168,3 @@ def test_rcm_equals_queue_on_meshes(n, seed, components, isolated, scramble, dat
 def test_rcm_equals_queue_on_mesh_c_prime(scale):
     rowptr, cols = mesh_c_prime(scale=scale, seed=7, ordering="natural").adjacency
     assert_matches_queue(rowptr, cols)
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(40, 150), seed=st.integers(0, 50))
-def test_coloring_property(n, seed):
-    """Property: greedy edge coloring is always conflict-free and equal to
-    the sequential greedy scan it vectorizes."""
-    m = delaunay_cloud_mesh(n, seed=seed)
-    colors = greedy_edge_coloring(m.edges, m.n_vertices)
-    assert verify_edge_coloring(m.edges, colors, m.n_vertices)
-    assert np.array_equal(
-        colors, _greedy_edge_coloring_reference(m.edges, m.n_vertices)
-    )

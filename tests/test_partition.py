@@ -18,7 +18,6 @@ from repro.partition import (
     partition_graph,
     partition_report,
     replication_overhead,
-    spectral_partition,
 )
 
 
@@ -144,13 +143,6 @@ class TestGeometric:
         lab = coordinate_partition(m.coords, 8)
         nat = natural_partition(m.n_vertices, 8)
         assert edge_cut(m.edges, lab) < edge_cut(m.edges, nat)
-
-    def test_spectral_small(self):
-        m = box_mesh((4, 4, 4))
-        lab = spectral_partition(m.edges, m.n_vertices, 2)
-        counts = np.bincount(lab, minlength=2)
-        assert counts.min() > 0
-        assert load_imbalance(lab, 2) < 1.1
 
 
 class TestMetrics:

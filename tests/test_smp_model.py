@@ -14,7 +14,6 @@ from repro.smp import (
     ilu_time,
     trsv_time,
     vector_op_time,
-    vertex_loop_time,
 )
 from repro.sparse import BCSRMatrix, build_ilu_plan
 
@@ -129,7 +128,7 @@ class TestPaperCalibration:
 
         def t(layout, simd, pf):
             return edge_loop_time(mach, work, make_edge_loop_options(
-                meshc.edges, meshc.n_vertices, 20, "owner", labels,
+                meshc.edges, 20, "owner", labels,
                 layout=layout, simd=simd, prefetch=pf, rcm=True))
 
         thr = t("soa", False, False)
@@ -229,12 +228,6 @@ class TestTriSolveModel:
 
 
 class TestStreamingModels:
-    def test_vertex_loop_bandwidth_bound(self):
-        mach = XEON_E5_2690_V2
-        t1 = vertex_loop_time(mach, 1_000_000, 64.0, 4.0, 1)
-        t10 = vertex_loop_time(mach, 1_000_000, 64.0, 4.0, 10)
-        assert t1 / t10 == pytest.approx(mach.stream_bw / mach.core_bw, rel=0.1)
-
     def test_vector_op_scales_to_bw_limit(self):
         mach = STAMPEDE_E5_2680
         t1 = vector_op_time(mach, 8e6, 2e6, 1)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestSharedArrayPool:
 
 def serial_first_order(field, q, cfg=None):
     cfg = FlowConfig() if cfg is None else cfg
-    return compute_residual(field, q, cfg, first_order=True)
+    return compute_residual(field, q, replace(cfg, second_order=False))
 
 
 class TestBackendEquivalence:
@@ -149,7 +150,7 @@ class TestBackendEquivalence:
             field, 3, strategy=strategy, partitioner=partitioner
         ) as be:
             np.testing.assert_allclose(
-                be.residual(q, cfg, first_order=True)[0], ref,
+                be.residual(q, replace(cfg, second_order=False))[0], ref,
                 rtol=1e-12, atol=1e-12,
             )
             _res, grad, _phi = be.residual(q, cfg)
@@ -171,7 +172,7 @@ class TestBackendEquivalence:
             np.testing.assert_allclose(res, ref2, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(phi, lim)
             np.testing.assert_allclose(
-                be.residual(q, roe, first_order=True)[0],
+                be.residual(q, replace(roe, second_order=False))[0],
                 ref_roe, rtol=1e-12, atol=1e-12,
             )
 
@@ -182,7 +183,7 @@ class TestBackendEquivalence:
         ref2 = compute_residual(field, q, cfg)
         with ThreadEdgeBackend(field, 2) as be, use_edge_backend(be):
             np.testing.assert_allclose(
-                compute_residual(field, q, cfg, first_order=True), ref,
+                compute_residual(field, q, replace(cfg, second_order=False)), ref,
                 rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
@@ -231,7 +232,7 @@ class TestBackendStructure:
                 metis_thread_labels(edges, nv, w, seed=seed)
                 if partitioner == "metis" else natural_thread_labels(nv, w)
             )
-            opts = make_edge_loop_options(edges, nv, w, "owner", labels)
+            opts = make_edge_loop_options(edges, w, "owner", labels)
             with ThreadEdgeBackend(field, w, "owner", partitioner, seed) as be:
                 np.testing.assert_array_equal(
                     opts.edges_per_thread, be.edges_per_worker()
@@ -259,7 +260,7 @@ class TestBackendStructure:
         field, q = wing_setup
         tracer = Tracer()
         with ThreadEdgeBackend(field, 2) as be, use_tracer(tracer):
-            be.residual(q, FlowConfig(), first_order=True)
+            be.residual(q, FlowConfig(second_order=False))
             be.residual(q, FlowConfig())
         names = {s.name for s in tracer.walk()}
         assert {"flux.w0", "flux.w1", "grad.w0", "grad.w1"} <= names
@@ -277,7 +278,7 @@ class TestBackendStructure:
         with ThreadEdgeBackend(field, 2) as be, use_tracer(tracer):
             with tracer.span("solve"):
                 be.residual(q, FlowConfig())
-                be.residual(q, FlowConfig(), first_order=True)
+                be.residual(q, FlowConfig(second_order=False))
         parents = {
             id(c): s for s in tracer.walk() for c in s.children
         }
@@ -321,7 +322,7 @@ class TestFailureContainment:
         )
         assert sorted(t.name for t in helpers) == expected
         assert all(t.daemon for t in helpers)
-        be.residual(q, FlowConfig(), first_order=True)
+        be.residual(q, FlowConfig(second_order=False))
         be.close()
         assert not any(t.is_alive() for t in helpers)
         be.close()  # a second close is a no-op
@@ -352,12 +353,12 @@ class TestFailureContainment:
     def test_close_is_idempotent_and_final(self, wing_setup):
         field, q = wing_setup
         be = ThreadEdgeBackend(field, 2)
-        be.residual(q, FlowConfig(), first_order=True)
+        be.residual(q, FlowConfig(second_order=False))
         be.close()
         be.close()
         assert be.closed and not be.handles(field)
         with pytest.raises(RuntimeError):
-            be.residual(q, FlowConfig(), first_order=True)
+            be.residual(q, FlowConfig(second_order=False))
 
     def test_fleet_reused_across_solves(self, wing_setup):
         """One team held across two solves keeps counting rounds, is never
@@ -394,7 +395,7 @@ def test_process_strategy_equivalence_property(n, seed, workers, strategy):
     q = rng.normal(size=(field.n_vertices, 4))
     ref = serial_first_order(field, q)
     with ThreadEdgeBackend(field, workers, strategy=strategy) as be:
-        res = be.residual(q, FlowConfig(), first_order=True)[0]
+        res = be.residual(q, FlowConfig(second_order=False))[0]
     if strategy == "owner":
         np.testing.assert_array_equal(res, ref)
     else:

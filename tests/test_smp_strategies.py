@@ -1,6 +1,8 @@
 """Tests for the edge-loop strategies: the per-thread edge sets the cost
 model prices, and the numerics of the strategies that run them."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.cfd import FlowConfig, FlowField, rusanov_edge_flux, scatter_edge_flux
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
-from repro.ordering import color_groups, greedy_edge_coloring
 from repro.partition import edges_per_part, replication_overhead
 from repro.smp import (
     ThreadEdgeBackend,
@@ -39,8 +40,8 @@ def team_residual(field, q, n_workers, strategy, partitioner="metis", seed=0):
     """The first-order residual on a real thread team, and the serial one."""
     config = FlowConfig(beta=4.0)
     with ThreadEdgeBackend(field, n_workers, strategy, partitioner, seed) as be:
-        res = be.residual(q, config, first_order=True)[0]
-    return res, serial_residual(field, q, config, first_order=True)[0]
+        res = be.residual(q, replace(config, second_order=False))[0]
+    return res, serial_residual(field, q, replace(config, second_order=False))[0]
 
 
 class TestExecutorStructure:
@@ -51,14 +52,14 @@ class TestExecutorStructure:
         labels = np.zeros(mesh.n_vertices, dtype=np.int64)
         for strategy in ("atomic", "owner"):
             opts = make_edge_loop_options(
-                mesh.edges, mesh.n_vertices, 1, strategy, labels
+                mesh.edges, 1, strategy, labels
             )
             np.testing.assert_array_equal(opts.edges_per_thread, [mesh.n_edges])
 
     def test_atomic_partitions_edges(self, wing_setup):
         mesh, _, _ = wing_setup
         per = make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, 4, "atomic"
+            mesh.edges, 4, "atomic"
         ).edges_per_thread
         assert per.shape == (4,) and per.sum() == mesh.n_edges
         assert per.max() - per.min() <= 1
@@ -69,7 +70,7 @@ class TestExecutorStructure:
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 4)
         per = make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, 4, "owner", labels
+            mesh.edges, 4, "owner", labels
         ).edges_per_thread
         l0 = labels[mesh.edges[:, 0]]
         l1 = labels[mesh.edges[:, 1]]
@@ -82,7 +83,7 @@ class TestExecutorStructure:
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 8)
         per = make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, 8, "owner", labels
+            mesh.edges, 8, "owner", labels
         ).edges_per_thread
         extra = per.sum() - mesh.n_edges
         assert extra / mesh.n_edges == pytest.approx(
@@ -101,12 +102,12 @@ class TestExecutorStructure:
         # owner-writes needs the vertex labels whose cut edges it replicates
         mesh, _, _ = wing_setup
         with pytest.raises(ValueError):
-            make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "owner")
+            make_edge_loop_options(mesh.edges, 4, "owner")
 
     def test_unknown_strategy(self, wing_setup):
         mesh, _, _ = wing_setup
         with pytest.raises(ValueError):
-            make_edge_loop_options(mesh.edges, mesh.n_vertices, 4, "bogus")
+            make_edge_loop_options(mesh.edges, 4, "bogus")
 
 
 class TestNumericalEquivalence:
@@ -136,7 +137,7 @@ class TestOptionsBuilder:
         mesh, _, _ = wing_setup
         labels = natural_thread_labels(mesh.n_vertices, 4)
         opts = make_edge_loop_options(
-            mesh.edges, mesh.n_vertices, 4, "owner", labels, layout="aos",
+            mesh.edges, 4, "owner", labels, layout="aos",
             simd=True,
         )
         assert opts.n_threads == 4
@@ -147,7 +148,7 @@ class TestOptionsBuilder:
 
     def test_sequential_options_no_counts(self, wing_setup):
         mesh, _, _ = wing_setup
-        opts = make_edge_loop_options(mesh.edges, mesh.n_vertices, 1, "sequential")
+        opts = make_edge_loop_options(mesh.edges, 1, "sequential")
         assert opts.edges_per_thread is None
 
 
@@ -169,34 +170,9 @@ def test_strategy_equivalence_property(n, seed, t, strategy):
     q = rng.normal(size=(field.n_vertices, 4))
     team = "locked" if strategy == "atomic" else "owner"
     labels = natural_thread_labels(field.n_vertices, t)
-    opts = make_edge_loop_options(mesh.edges, field.n_vertices, t, strategy, labels)
+    opts = make_edge_loop_options(mesh.edges, t, strategy, labels)
     with ThreadEdgeBackend(field, t, team, "natural") as be:
         np.testing.assert_array_equal(opts.edges_per_thread, be.edges_per_worker())
-        res = be.residual(q, FlowConfig(), first_order=True)[0]
-    ref = serial_residual(field, q, FlowConfig(), first_order=True)[0]
+        res = be.residual(q, FlowConfig(second_order=False))[0]
+    ref = serial_residual(field, q, FlowConfig(second_order=False))[0]
     np.testing.assert_allclose(res, ref, rtol=1e-11, atol=1e-11)
-
-
-class TestColoringStrategy:
-    def test_coloring_matches_sequential(self, wing_setup):
-        # color by color, each color's edges scatter without conflicts
-        _, field, q = wing_setup
-        ref = sequential_reference(field, q)
-        res = np.zeros_like(ref)
-        for group in color_groups(greedy_edge_coloring(field.mesh.edges, field.n_vertices)):
-            flux = rusanov_edge_flux(
-                q[field.e0[group]], q[field.e1[group]], field.enormals[group], 4.0
-            )
-            res[field.e0[group]] += flux
-            res[field.e1[group]] -= flux
-        np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
-
-    def test_coloring_covers_all_edges_once(self, wing_setup):
-        mesh, _, _ = wing_setup
-        groups = color_groups(greedy_edge_coloring(mesh.edges, mesh.n_vertices))
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(groups)), np.arange(mesh.n_edges)
-        )
-        for group in groups:  # conflict-free: no vertex twice in a color
-            ends = mesh.edges[group].ravel()
-            assert np.unique(ends).shape == ends.shape

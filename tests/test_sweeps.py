@@ -6,6 +6,8 @@ oracle across meshes, vertex orderings, serial and threaded execution, and
 any split of the edges into owner-masked parts.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,7 +100,7 @@ def test_owner_parts_change_no_bits(kind, ordering, seed, k, scheme, second_orde
     labels = metis_thread_labels(edges, field.n_vertices, k, seed=0)
     a = ResidualArrays.empty(q, second_order)
     run_residual(
-        a, cfg, second_order, owner_parts(field, labels, k),
+        a, cfg, owner_parts(field, labels, k),
         field.lsq_inv, field.volumes, field_corners(field),
     )
     for name, got, ref in zip(("res", "grad", "phi"), (a.res, a.grad, a.phi), want):
@@ -177,10 +179,10 @@ def test_first_order_runs_the_flux_stage_only(wing_setup):
         field_corners(field), q, cfg,
         interior_flux_residual(field, q, cfg.beta, scheme=cfg.dissipation),
     )
-    assert np.array_equal(compute_residual(field, q, cfg, first_order=True), ref)
+    assert np.array_equal(compute_residual(field, q, replace(cfg, second_order=False)), ref)
     with ThreadEdgeBackend(field, n_workers=2, strategy="owner") as fleet:
         with use_edge_backend(fleet):
-            got = compute_residual(field, q, cfg, first_order=True)
+            got = compute_residual(field, q, replace(cfg, second_order=False))
         stats = fleet.fleet_stats()
     assert np.array_equal(got, ref)
     assert stats["rounds"] == 1 and stats["residuals"] == 1
