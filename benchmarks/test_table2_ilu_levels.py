@@ -33,7 +33,7 @@ def test_table2_ilu_fill_comparison(
         out = {}
         for fill, res in ((0, run_c_ilu0), (1, run_c_ilu1)):
             plan = app_c.ilu_plan(fill)
-            par = available_parallelism(plan.rowptr, plan.cols)
+            par = available_parallelism(*plan.csr())
             base = sum(
                 app_c.modeled_profile(
                     res.counts, OptimizationConfig.baseline(ilu_fill=fill)

@@ -25,8 +25,9 @@ def main() -> None:
     rows = []
     for fill in (0, 1, 2):
         plan = app.ilu_plan(fill)
-        sched = build_levels(plan.rowptr, plan.cols)
-        par = available_parallelism(plan.rowptr, plan.cols)
+        pattern = plan.csr()
+        sched = build_levels(*pattern)
+        par = available_parallelism(*pattern)
         res = app.run(OptimizationConfig.baseline(ilu_fill=fill))
         t1 = sum(app.modeled_profile(
             res.counts, OptimizationConfig.baseline(ilu_fill=fill)).values())

@@ -494,7 +494,7 @@ def _print_recurrence_structure(field, opts, dres) -> None:
     plans = [sub.plan for f in fields for sub in _schwarz_plan(f, opts).subs]
     for i, plan in enumerate(plans):
         where = f", {what} {i} of {len(plans)}" if len(plans) > 1 else ""
-        par = available_parallelism(plan.rowptr, plan.cols, b=plan.b)
+        par = available_parallelism(*plan.csr(), b=plan.b)
         print(f"ILU({plan.fill_level}) recurrence structure (Table II{where}):")
         print(f"  available parallelism {par:.0f}x")
         for name, sched in (("forward", plan.schedule),

@@ -413,7 +413,7 @@ class ThreadEdgeBackend:
 
     def factorize(self, plan, vals: np.ndarray, diag_inv: np.ndarray) -> bool:
         """Block ILU of ``plan``'s pattern in place on the team, level by
-        level: ``vals`` (the matrix scattered into the factor pattern)
+        level: ``vals`` (the matrix scattered into the plan's slots)
         becomes L and U and ``diag_inv`` the inverted diagonal blocks, the
         bytes of the serial sweep.  False where the team cannot (no
         compiled team) or a diagonal block is singular; ``vals`` is then
@@ -432,8 +432,8 @@ class ThreadEdgeBackend:
         with self._call_lock:
             self._check_open()
             singular = self._lib.team_ilu4(
-                self._team, n, plan.rowptr.ctypes.data, plan.cols.ctypes.data,
-                plan.diag_idx.ctypes.data, level_ptr.shape[0] - 1,
+                self._team, n, plan.lptr.ctypes.data, plan.uptr.ctypes.data,
+                plan.cols.ctypes.data, level_ptr.shape[0] - 1,
                 level_ptr.ctypes.data, level_rows.ctypes.data, work.ctypes.data,
                 vals.ctypes.data, diag_inv.ctypes.data, pos.ctypes.data,
             )

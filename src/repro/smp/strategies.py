@@ -111,23 +111,21 @@ def tri_solve_options_from_plan(
     fwd_w = plan.schedule.widths()
     bwd_w = plan.schedule_back.widths()
     widths = np.concatenate([fwd_w, bwd_w])
-    lower = plan.diag_idx - plan.rowptr[:-1]
-    upper = plan.rowptr[1:] - plan.diag_idx - 1
+    lower, upper = plan.n_lower, plan.n_upper
     blocks = np.array(
         [lower[rows].sum() for rows in plan.schedule.levels]
         + [upper[rows].sum() for rows in plan.schedule_back.levels],
         dtype=np.int64,
     )
     cross = 0
+    pattern = plan.csr()
     if strategy == "p2p":
-        dep = sparsify_transitive(
-            build_dependency_graph(plan.rowptr, plan.cols)
-        )
+        dep = sparsify_transitive(build_dependency_graph(*pattern))
         owner = natural_partition(plan.n, max(n_threads, 1))
         cross = cross_thread_syncs(dep, owner)
     from ..sparse.levels import available_parallelism
 
-    par = available_parallelism(plan.rowptr, plan.cols, b=plan.b)
+    par = available_parallelism(*pattern, b=plan.b)
     return TriSolveOptions(
         n_threads=n_threads,
         strategy=strategy,

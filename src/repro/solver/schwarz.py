@@ -186,15 +186,16 @@ class AdditiveSchwarzILU:
         """Refactor all subdomains from the current matrix values (on
         ``team``'s threads when given one, see :func:`ilu_factorize`)."""
         for s, sub in enumerate(self.subs):
-            # release the old factor first: with both alive, every Newton
-            # step would hold two factors at its memory peak
-            self._factors[s] = None
+            # refactor in the old factor's arrays: one factor buffer per
+            # subdomain for the preconditioner's life; a factorization
+            # that raises leaves the subdomain not updated
+            factor, self._factors[s] = self._factors[s], None
             rowptr, cols = sub.sub_pattern
             # one subdomain in order gathers every block in place: skip
             # the copy (the factorization scatters its own)
             vals = matrix.vals if self._identity else matrix.vals[sub.gather]
             local = BCSRMatrix(rowptr=rowptr, cols=cols, vals=vals)
-            self._factors[s] = ilu_factorize(local, sub.plan, team)
+            self._factors[s] = ilu_factorize(local, sub.plan, team, out=factor)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """z = M^-1 r (restricted additive Schwarz combination).

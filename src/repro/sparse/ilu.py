@@ -7,20 +7,24 @@ pseudo-time step, TRSV every Krylov iteration), so, exactly like PETSc does
 [Smith & Zhang 2011], we split the work:
 
 * **symbolic phase** (:func:`build_ilu_plan`, once per sparsity pattern):
-  computes the fill pattern and the dependency level schedule (the fill
-  merge and the levels each one compiled pass); on first
-  access also the *flat index arrays* of the level-scheduled kernels
-  (every batched block operation of the numeric phase, and the per-level
-  position tables of the triangular solves).
+  computes the fill pattern, the factor's storage layout and the dependency
+  level schedule (the fill merge and the levels each one compiled pass);
+  on first access also the *flat index arrays* of the level-scheduled
+  kernels (every batched block operation of the numeric phase, and the
+  per-level position tables of the triangular solves).
 * **numeric phase** (:func:`ilu_factorize`): one call into the compiled
   row-by-row sweep of ``_kernels.c`` (block size 4), else the
   level-scheduled batched block arithmetic (:func:`ilu_factorize_levels`),
   which spells out the compiled sweep's floating-point order and computes
   the same bits.
 
-Storage follows the paper: factors overwrite a copy of the matrix in BCSR;
-diagonal blocks are inverted once inside the factorization and stored
-(so the solve multiplies instead of solving 4x4 systems).
+Storage follows the paper — the factors overwrite the matrix scattered into
+the factor pattern, and diagonal blocks are inverted once inside the
+factorization and stored (so the solve multiplies instead of solving 4x4
+systems) — in *sweep order* (:class:`ILUPlan`): the strictly lower blocks
+row by row, then the diagonal blocks, then the strictly upper blocks from
+the last row up, so the forward and the backward substitution each read
+one ascending stream.
 """
 
 from __future__ import annotations
@@ -63,52 +67,87 @@ class _StepBatch:
 
 @dataclass
 class ILUPlan:
-    """Symbolic factorization plan for a fixed sparsity pattern.
+    """Symbolic factorization plan for a fixed sparsity pattern, in the
+    factor's storage layout: the order the triangular sweeps read it.
+
+    Slots ``lptr[i] .. lptr[i+1]-1`` hold row ``i``'s strictly lower
+    blocks (rows ascending), slot ``lptr[n] + i`` its diagonal block, and
+    slots ``uptr[i+1] .. uptr[i]-1`` its strictly upper blocks (rows
+    descending: row ``n-1``'s first), block columns ascending within every
+    row; ``cols[s]`` is slot ``s``'s block column.  The forward sweep reads
+    slots ``0 .. lptr[n]-1`` in order and the backward sweep ``uptr[n] ..
+    factor_nnzb-1``.
 
     The pattern arrays and the forward schedule are built eagerly; the
     per-level structures that only the level-scheduled kernels and the
-    cost model read (``schedule_back``, ``steps``, ``fwd_positions``,
+    analysis read (``schedule_back``, ``steps``, ``fwd_positions``,
     ``bwd_positions``) are built on first access.
     """
 
     n: int
     b: int
     fill_level: int
-    rowptr: np.ndarray
+    lptr: np.ndarray
+    uptr: np.ndarray
     cols: np.ndarray
-    diag_idx: np.ndarray
-    orig_map: np.ndarray  # factor-val index of each original nonzero
+    orig_map: np.ndarray  # factor slot of each original nonzero
     schedule: LevelSchedule  # forward (lower) dependency levels
     factor_nnzb: int = field(init=False)
 
     def __post_init__(self) -> None:
         # the compiled kernels index through these without further checks
-        self.rowptr, self.cols, self.diag_idx = (
+        self.lptr, self.uptr, self.cols = (
             np.ascontiguousarray(a, dtype=np.int64)
-            for a in (self.rowptr, self.cols, self.diag_idx)
+            for a in (self.lptr, self.uptr, self.cols)
         )
         self.factor_nnzb = int(self.cols.shape[0])
-        n, rowptr, cols = self.n, self.rowptr, self.cols
+        n, lptr, uptr = self.n, self.lptr, self.uptr
         ok = (
-            rowptr.shape == (n + 1,)
-            and self.diag_idx.shape == (n,)
-            and (n == 0 or rowptr[0] == 0)
-            and rowptr[-1] == self.factor_nnzb
-            and bool(np.all(np.diff(rowptr) > 0))
-            and bool(np.all((cols >= 0) & (cols < n)))
-            and bool(np.all(self.diag_idx >= rowptr[:-1]))
-            and bool(np.all(self.diag_idx < rowptr[1:]))
-            and bool(np.all(cols[self.diag_idx] == np.arange(n)))
+            lptr.shape == uptr.shape == (n + 1,)
+            and lptr[0] == 0
+            and uptr[n] == lptr[n] + n
+            and uptr[0] == self.factor_nnzb
+            and bool(np.all(self.n_lower >= 0))
+            and bool(np.all(self.n_upper >= 0))
         )
+        if ok:
+            # every block on its side of the diagonal of its own row
+            rows = np.arange(n, dtype=np.int64)
+            lower = np.repeat(rows, self.n_lower)
+            upper = np.repeat(rows[::-1], self.n_upper[::-1])
+            c = self.cols
+            ok = (
+                bool(np.all((c[: lptr[n]] >= 0) & (c[: lptr[n]] < lower)))
+                and bool(np.all(c[lptr[n] : uptr[n]] == rows))
+                and bool(np.all((c[uptr[n] :] > upper) & (c[uptr[n] :] < n)))
+            )
         if not ok:
             raise ValueError("inconsistent ILU factor pattern")
+
+    @property
+    def n_lower(self) -> np.ndarray:
+        """Strictly lower blocks per row."""
+        return np.diff(self.lptr)
+
+    @property
+    def n_upper(self) -> np.ndarray:
+        """Strictly upper blocks per row."""
+        return self.uptr[:-1] - self.uptr[1:]
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factor pattern as sorted CSR ``(rowptr, cols)``, for the
+        analysis functions that take one (``available_parallelism``,
+        ``build_dependency_graph``).  Built on each call: the kernels
+        never read it."""
+        rowptr, slots = _csr_slots(self.lptr, self.uptr)
+        return rowptr, self.cols[slots]
 
     @cached_property
     def schedule_back(self) -> LevelSchedule:
         """Backward (upper) dependency levels: row i depends on the rows
         j > i of its upper part."""
         return level_schedule(
-            self.diag_idx + 1, self.rowptr[1:], self.cols, backward=True
+            self.uptr[1:], self.uptr[:-1], self.cols, backward=True
         )
 
     @cached_property
@@ -126,11 +165,10 @@ class ILUPlan:
         )
         # row i's IKJ work: per lower block (i, k) one product for L_ik and
         # one per block of row k's upper part
-        row = np.repeat(np.arange(self.n), np.diff(self.rowptr))
-        lower = np.arange(self.factor_nnzb) < self.diag_idx[row]
-        upper = self.rowptr[1:] - self.diag_idx - 1
+        row = np.repeat(np.arange(self.n), self.n_lower)
         per_row = 1 + np.bincount(
-            row[lower], weights=1 + upper[self.cols[lower]], minlength=self.n
+            row, weights=1 + self.n_upper[self.cols[: self.lptr[-1]]],
+            minlength=self.n,
         ).astype(np.int64)
         work = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(per_row[rows], out=work[1:])
@@ -145,24 +183,22 @@ class ILUPlan:
     def fwd_positions(self) -> list[tuple]:
         """Forward-sweep (strictly lower) position table, per forward level."""
         return _position_table(
-            self.schedule.levels, self.rowptr[:-1], self.diag_idx, self.b
+            self.schedule.levels, self.lptr[:-1], self.lptr[1:], self.b
         )
 
     @cached_property
     def bwd_positions(self) -> list[tuple]:
         """Backward-sweep (strictly upper) position table, per backward level."""
         return _position_table(
-            self.schedule_back.levels, self.diag_idx + 1, self.rowptr[1:], self.b
+            self.schedule_back.levels, self.uptr[1:], self.uptr[:-1], self.b
         )
 
     # work accounting used by the machine model
     def factor_block_ops(self) -> int:
-        """Total block-level multiply ops in the numeric factorization."""
-        total = 0
-        for level in self.steps:
-            for sb in level:
-                total += sb.lik_idx.shape[0] + sb.t_dest.shape[0]
-        return total + self.n  # + diagonal inversions
+        """Total block-level multiply ops in the numeric factorization:
+        one per lower block (its ``L``), one per update, one per diagonal
+        inversion."""
+        return int(self.lptr[-1]) + _updates(self)[1].shape[0] + self.n
 
     def solve_block_ops(self) -> int:
         """Block multiplies in one forward+backward solve: every strictly
@@ -172,12 +208,32 @@ class ILUPlan:
 
 @dataclass
 class ILUFactor:
-    """Numeric ILU factors: L (unit lower) and U share ``vals``; the
-    diagonal blocks of U are additionally stored inverted."""
+    """Numeric ILU factors in the plan's slots: L (unit lower) and U share
+    ``vals``; the diagonal blocks of U are additionally stored inverted."""
 
     plan: ILUPlan
     vals: np.ndarray  # (factor_nnzb, b, b)
     diag_inv: np.ndarray  # (n, b, b)
+
+
+def _csr_slots(lptr: np.ndarray, uptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rowptr, slots)`` of the sweep-order layout ``lptr`` / ``uptr``:
+    the sorted-CSR row pointers of its pattern, and the factor slot of the
+    block at each CSR position (a row's lower blocks, its diagonal, then
+    its upper blocks: three runs, each one shifted by a constant)."""
+    n = lptr.shape[0] - 1
+    n_lower, n_upper = np.diff(lptr), uptr[:-1] - uptr[1:]
+    rowptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_lower + 1 + n_upper, out=rowptr[1:])
+    diag = rowptr[:-1] + n_lower
+    runs = np.stack((n_lower, np.ones_like(n_lower), n_upper), axis=1)
+    shift = np.stack(
+        (lptr[:-1] - rowptr[:-1], lptr[n] + np.arange(n) - diag, uptr[1:] - diag - 1),
+        axis=1,
+    )
+    slots = np.arange(rowptr[n], dtype=np.int64)
+    slots += np.repeat(shift.reshape(-1), runs.reshape(-1))
+    return rowptr, slots
 
 
 def _position_table(
@@ -199,47 +255,61 @@ def _position_table(
     return table
 
 
+def _updates(plan: ILUPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lik, dest, ukj)``: every update ``A_ij -= L_ik U_kj`` of the IKJ
+    factorization as the slots of ``L_ik``, ``A_ij`` and ``U_kj``, for
+    ``j`` in (row k beyond k) ∩ row i — ordered by ``lik`` (the sweep's
+    order of the lower blocks), then by ``j``."""
+    n, cols = plan.n, plan.cols
+    n_low = int(plan.lptr[-1])
+    k = cols[:n_low]
+    counts = plan.n_upper[k]
+    lik = np.repeat(np.arange(n_low, dtype=np.int64), counts)
+    ukj = np.repeat(plan.uptr[k + 1] - (np.cumsum(counts) - counts), counts)
+    ukj += np.arange(ukj.shape[0], dtype=np.int64)
+    # (i, j) -> i * n + j is ascending along the sorted-CSR pattern
+    rowptr, slots = _csr_slots(plan.lptr, plan.uptr)
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(rowptr)) * n + cols[slots]
+    want = np.repeat(np.arange(n, dtype=np.int64), plan.n_lower)[lik] * n + cols[ukj]
+    at = np.minimum(np.searchsorted(keys, want), max(keys.shape[0] - 1, 0))
+    hit = keys[at] == want if keys.shape[0] else np.zeros(0, dtype=bool)
+    return lik[hit], slots[at[hit]], ukj[hit]
+
+
 def _build_steps(plan: ILUPlan) -> list[list[_StepBatch]]:
-    f_rowptr, f_cols, diag_idx = plan.rowptr, plan.cols, plan.diag_idx
-    n_lower = diag_idx - f_rowptr[:-1]
-    steps: list[list[_StepBatch]] = []
-    for rows in plan.schedule.levels:
-        max_low = int(n_lower[rows].max()) if rows.shape[0] else 0
-        level_steps: list[_StepBatch] = []
-        for p in range(max_low):
-            lik_idx, krow = [], []
-            t_entry, t_dest, t_ukj = [], [], []
-            for i in rows:
-                if p >= n_lower[i]:
-                    continue
-                flo, fhi = f_rowptr[i], f_rowptr[i + 1]
-                frow = f_cols[flo:fhi]
-                lik = flo + p  # lower entries are the row prefix
-                k = int(f_cols[lik])
-                entry = len(lik_idx)
-                lik_idx.append(lik)
-                krow.append(k)
-                # update A_ij -= L_ik * U_kj for j in (row k beyond k) ∩ row i
-                kstart, khi = diag_idx[k] + 1, f_rowptr[k + 1]
-                kj = f_cols[kstart:khi]
-                pos_i = np.searchsorted(frow, kj)
-                valid = (pos_i < frow.shape[0]) & (
-                    frow[np.minimum(pos_i, frow.shape[0] - 1)] == kj
-                )
-                for q in np.where(valid)[0]:
-                    t_entry.append(entry)
-                    t_dest.append(flo + pos_i[q])
-                    t_ukj.append(kstart + q)
-            level_steps.append(
-                _StepBatch(
-                    lik_idx=np.asarray(lik_idx, dtype=np.int64),
-                    krow=np.asarray(krow, dtype=np.int64),
-                    t_entry=np.asarray(t_entry, dtype=np.int64),
-                    t_dest=np.asarray(t_dest, dtype=np.int64),
-                    t_ukj=np.asarray(t_ukj, dtype=np.int64),
-                )
+    """Batch ``(l, p)`` holds the ``p``-th lower block of every row of
+    level ``l`` that has one (rows ascending) with its updates: a row's
+    lower blocks are final in that order, and rows of a level never read
+    one another."""
+    n_low = int(plan.lptr[-1])
+    row = np.repeat(np.arange(plan.n, dtype=np.int64), plan.n_lower)
+    p = np.arange(n_low, dtype=np.int64) - plan.lptr[row]
+    level = plan.schedule.level_of[row]
+    # lexsort is stable: rows stay ascending within a batch
+    order = np.lexsort((p, level))
+    key = level[order] * (int(p.max(initial=0)) + 1) + p[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    bounds = np.append(starts, n_low)
+    rank = np.argsort(order)  # a lower block's place in that order
+    entry = rank - np.repeat(starts, np.diff(bounds))[rank]  # ... in its batch
+    lik, dest, ukj = _updates(plan)
+    by_batch = np.argsort(rank[lik], kind="stable")
+    lik, dest, ukj = lik[by_batch], dest[by_batch], ukj[by_batch]
+    t_bounds = np.searchsorted(rank[lik], bounds)
+
+    steps: list[list[_StepBatch]] = [[] for _ in plan.schedule.levels]
+    for s in range(starts.shape[0]):
+        slots = order[bounds[s] : bounds[s + 1]]
+        t = slice(t_bounds[s], t_bounds[s + 1])
+        steps[int(level[slots[0]])].append(
+            _StepBatch(
+                lik_idx=slots,
+                krow=plan.cols[slots],
+                t_entry=entry[lik[t]],
+                t_dest=dest[t],
+                t_ukj=ukj[t],
             )
-        steps.append(level_steps)
+        )
     return steps
 
 
@@ -254,41 +324,53 @@ def build_ilu_plan(
     n = rowptr.shape[0] - 1
 
     # Both patterns are sorted CSR, so (row, col) -> row * n + col is
-    # ascending in each: one searchsorted maps the original nonzeros and
-    # the diagonals into the (superset) factor pattern.
+    # ascending in each: one searchsorted finds the diagonals, one maps
+    # the original nonzeros into the (superset) factor pattern.
     f_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(f_rowptr)) * n + f_cols
-    key = np.repeat(np.arange(n, dtype=np.int64), np.diff(rowptr)) * n + cols
-    orig_map = np.searchsorted(f_key, key)
     diag_key = np.arange(n, dtype=np.int64) * (n + 1)
-    diag_idx = np.searchsorted(f_key, diag_key)
-    lost = (diag_idx >= f_key.shape[0]) | (
-        f_key[np.minimum(diag_idx, max(f_key.shape[0] - 1, 0))] != diag_key
+    diag = np.searchsorted(f_key, diag_key)
+    lost = (diag >= f_key.shape[0]) | (
+        f_key[np.minimum(diag, max(f_key.shape[0] - 1, 0))] != diag_key
     )
     if lost.any():
         raise ValueError(f"factor row {int(np.argmax(lost))} lost its diagonal")
+
+    lptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(diag - f_rowptr[:-1], out=lptr[1:])
+    uptr = np.full(n + 1, lptr[n] + n, dtype=np.int64)
+    uptr[:n] += np.cumsum((f_rowptr[1:] - diag - 1)[::-1])[::-1]
+    _, slots = _csr_slots(lptr, uptr)
+    slot_cols = np.empty_like(f_cols)
+    slot_cols[slots] = f_cols
+    key = np.repeat(np.arange(n, dtype=np.int64), np.diff(rowptr)) * n + cols
+    orig_map = slots[np.searchsorted(f_key, key)]
 
     return ILUPlan(
         n=n,
         b=b,
         fill_level=fill_level,
-        rowptr=f_rowptr,
-        cols=f_cols,
-        diag_idx=diag_idx,
+        lptr=lptr,
+        uptr=uptr,
+        cols=slot_cols,
         orig_map=orig_map,
-        schedule=level_schedule(f_rowptr[:-1], diag_idx, f_cols),
+        schedule=level_schedule(lptr[:-1], lptr[1:], slot_cols),
     )
 
 
-def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan, team=None) -> ILUFactor:
+def ilu_factorize(
+    matrix: BCSRMatrix, plan: ILUPlan, team=None, out: ILUFactor | None = None
+) -> ILUFactor:
     """Numeric block ILU factorization following ``plan``.
 
-    The factored values overwrite a scattered copy of the matrix; diagonal
-    blocks are inverted and stored (multiplicative application in TRSV).
-    Runs the compiled row-by-row sweep when it can (``b == 4``, float64,
-    kernels loadable) — level by level on ``team``'s threads when given
-    one (a :class:`~repro.smp.parallel.ThreadEdgeBackend`), the same
-    bytes — else the level-scheduled NumPy kernel
-    :func:`ilu_factorize_levels`, the same bits.
+    The factored values overwrite the matrix scattered into the plan's
+    slots; diagonal blocks are inverted and stored (multiplicative
+    application in TRSV).  ``out``, an earlier factor of ``plan``, lends
+    its arrays: it is refactored in place and returned.  Runs the compiled
+    row-by-row sweep when it can (``b == 4``, float64, kernels loadable) —
+    level by level on ``team``'s threads when given one (a
+    :class:`~repro.smp.parallel.ThreadEdgeBackend`), the same bytes — else
+    the level-scheduled NumPy kernel :func:`ilu_factorize_levels`, the
+    same bits.
     """
     if matrix.vals.shape[1] != plan.b:
         raise ValueError("block size mismatch between matrix and plan")
@@ -299,13 +381,16 @@ def ilu_factorize(matrix: BCSRMatrix, plan: ILUPlan, team=None) -> ILUFactor:
     if plan.b == 4 and matrix.vals.dtype == np.float64:
         lib = native.load_kernels()
         if lib is not None:
-            return _factorize_native(lib, matrix, plan, team)
-    return ilu_factorize_levels(matrix, plan)
+            return _factorize_native(lib, matrix, plan, team, out)
+    return ilu_factorize_levels(matrix, plan, out)
 
 
-def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
+def ilu_factorize_levels(
+    matrix: BCSRMatrix, plan: ILUPlan, out: ILUFactor | None = None
+) -> ILUFactor:
     """Level-scheduled NumPy factorization: the portable fallback of
-    :func:`ilu_factorize`, the same bits as the compiled sweep.
+    :func:`ilu_factorize` (same arguments), the same bits as the compiled
+    sweep.
 
     Row updates run level by level; within a level, position-p batches are
     sequential but each batch is one set of batched block multiplies, each
@@ -316,8 +401,8 @@ def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     """
     if matrix.vals.shape[1] != plan.b:
         raise ValueError("block size mismatch between matrix and plan")
-    vals = _scattered(matrix, plan)
-    diag_inv = np.zeros((plan.n, plan.b, plan.b))
+    factor = _scattered(matrix, plan, out)
+    vals, diag_inv = factor.vals, factor.diag_inv
     bad = plan.n
 
     # a singular block leaves garbage (inf, NaN) in the rows below it, as
@@ -325,8 +410,6 @@ def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
     with np.errstate(all="ignore"):
         for rows, level_steps in zip(plan.schedule.levels, plan.steps):
             for sb in level_steps:
-                if sb.lik_idx.shape[0] == 0:
-                    continue
                 lik = matmul(vals[sb.lik_idx], diag_inv[sb.krow])
                 vals[sb.lik_idx] = lik
                 if sb.t_dest.shape[0]:
@@ -334,12 +417,12 @@ def ilu_factorize_levels(matrix: BCSRMatrix, plan: ILUPlan) -> ILUFactor:
                     # only be touched via its own (i,k) pair, and each pair
                     # hits distinct columns), so in-place subtract is exact.
                     vals[sb.t_dest] -= matmul(lik[sb.t_entry], vals[sb.t_ukj])
-            diag_inv[rows], singular = _gauss_jordan(vals[plan.diag_idx[rows]])
+            diag_inv[rows], singular = _gauss_jordan(vals[plan.lptr[-1] + rows])
             if singular.any():
                 bad = min(bad, int(rows[singular].min()))
     if bad < plan.n:
         raise np.linalg.LinAlgError(f"Singular diagonal block in row {bad}")
-    return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+    return factor
 
 
 def _gauss_jordan(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,30 +453,39 @@ def _gauss_jordan(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M[:, :, b:], singular
 
 
-def _scattered(matrix: BCSRMatrix, plan: ILUPlan) -> np.ndarray:
-    vals = np.zeros((plan.factor_nnzb, plan.b, plan.b))
-    vals[plan.orig_map] = matrix.vals
-    return vals
+def _scattered(
+    matrix: BCSRMatrix, plan: ILUPlan, out: ILUFactor | None = None
+) -> ILUFactor:
+    """A factor of ``plan`` holding ``matrix`` in its slots, the fill
+    slots zero: ``out``'s arrays when given, else new ones."""
+    shape = (plan.factor_nnzb, plan.b, plan.b)
+    if out is None:
+        out = ILUFactor(plan, np.zeros(shape), np.zeros((plan.n, plan.b, plan.b)))
+    elif out.plan is not plan or out.vals.shape != shape:
+        raise ValueError("the factor to reuse is not one of this plan")
+    else:
+        out.vals.fill(0.0)
+    out.vals[plan.orig_map] = matrix.vals
+    return out
 
 
-def _factorize_native(lib, matrix: BCSRMatrix, plan: ILUPlan, team) -> ILUFactor:
-    vals = _scattered(matrix, plan)
-    diag_inv = np.empty((plan.n, 4, 4))
+def _factorize_native(lib, matrix, plan, team, out) -> ILUFactor:
+    factor = _scattered(matrix, plan, out)
     if team is not None:
-        if team.factorize(plan, vals, diag_inv):
-            return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+        if team.factorize(plan, factor.vals, factor.diag_inv):
+            return factor
         # no team to run on, or a singular block: the serial sweep names it
-        vals = _scattered(matrix, plan)
+        _scattered(matrix, plan, factor)
     pos = np.full(plan.n, -1, dtype=np.int64)
     bad = lib.ilu4(
         plan.n,
-        plan.rowptr.ctypes.data,
+        plan.lptr.ctypes.data,
+        plan.uptr.ctypes.data,
         plan.cols.ctypes.data,
-        plan.diag_idx.ctypes.data,
-        vals.ctypes.data,
-        diag_inv.ctypes.data,
+        factor.vals.ctypes.data,
+        factor.diag_inv.ctypes.data,
         pos.ctypes.data,
     )
     if bad >= 0:
         raise np.linalg.LinAlgError(f"Singular diagonal block in row {bad}")
-    return ILUFactor(plan=plan, vals=vals, diag_inv=diag_inv)
+    return factor

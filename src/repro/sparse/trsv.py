@@ -4,7 +4,9 @@ Applies ILU factors: forward substitution on unit-lower L, then backward
 substitution on U using the stored *inverted* diagonal blocks — per nonzero
 block the kernel is a 4x4 matrix times 4-vector multiply with streaming
 access and no reuse across blocks, which is why the paper measures it
-reaching 94% of STREAM bandwidth.
+reaching 94% of STREAM bandwidth.  The factor is stored in sweep order
+(:class:`~repro.sparse.ilu.ILUPlan`), so each substitution reads its
+blocks as one ascending stream.
 
 Three implementations, one floating-point order: every block product is
 ``b`` column axpys ``acc -= V[:, j] * y[j]`` (``j`` ascending, blocks in row
@@ -73,9 +75,9 @@ def trsv_solve(
             x = np.empty_like(rhs) if out is None else out
             lib.trsv4(
                 n,
-                plan.rowptr.ctypes.data,
+                plan.lptr.ctypes.data,
+                plan.uptr.ctypes.data,
                 plan.cols.ctypes.data,
-                plan.diag_idx.ctypes.data,
                 factor.vals.ctypes.data,
                 factor.diag_inv.ctypes.data,
                 rhs.ctypes.data,
@@ -143,7 +145,7 @@ def trsv_solve_sequential(factor: ILUFactor, rhs: np.ndarray) -> np.ndarray:
     flat = rhs.ndim == 1
     bvec = rhs.reshape(plan.n, plan.b)
     vals, diag_inv = factor.vals, factor.diag_inv
-    rowptr, cols, diag_idx = plan.rowptr, plan.cols, plan.diag_idx
+    lptr, uptr, cols = plan.lptr, plan.uptr, plan.cols
 
     def sub_product(acc, blocks, vec):
         for p in blocks:
@@ -154,12 +156,12 @@ def trsv_solve_sequential(factor: ILUFactor, rhs: np.ndarray) -> np.ndarray:
     y = np.zeros_like(bvec)
     for i in range(plan.n):
         acc = bvec[i].copy()
-        sub_product(acc, range(rowptr[i], diag_idx[i]), y)
+        sub_product(acc, range(lptr[i], lptr[i + 1]), y)
         y[i] = acc
     x = np.zeros_like(bvec)
     for i in range(plan.n - 1, -1, -1):
         acc = y[i].copy()
-        sub_product(acc, range(diag_idx[i] + 1, rowptr[i + 1]), x)
+        sub_product(acc, range(uptr[i + 1], uptr[i]), x)
         D = diag_inv[i]
         xi = D[:, 0] * acc[0]
         for j in range(1, plan.b):

@@ -125,6 +125,6 @@ class TestFun3dApp:
         assert res1.solve.linear_iterations < res0.solve.linear_iterations
         p0 = app.ilu_plan(0)
         p1 = app.ilu_plan(1)
-        par0 = available_parallelism(p0.rowptr, p0.cols)
-        par1 = available_parallelism(p1.rowptr, p1.cols)
+        par0 = available_parallelism(*p0.csr())
+        par1 = available_parallelism(*p1.csr())
         assert par1 < par0

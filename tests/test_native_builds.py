@@ -130,6 +130,7 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
             out["team/jacobian"] = asm.assemble(q, cfg, team=team).vals
             for fill in (0, 1):
                 plan = build_ilu_plan(asm.rowptr, asm.cols, fill_level=fill)
+                rowptr, cols = plan.csr()
                 factor = ilu_factorize(A, plan)
                 on_team = ilu_factorize(A, plan, team)
                 out.update({
@@ -142,8 +143,8 @@ def _outputs(lib, monkeypatch, mesh) -> tuple[dict, set]:
                     f"ilu{fill}/levels": plan.schedule.level_of,
                     f"ilu{fill}/levels_back": plan.schedule_back.level_of,
                     f"ilu{fill}/path": dependency_depth(
-                        *_lower_split(plan.rowptr, plan.cols), plan.cols,
-                        weights=row_flops(plan.rowptr, plan.cols),
+                        *_lower_split(rowptr, cols), cols,
+                        weights=row_flops(rowptr, cols),
                     ),
                 })
             stats = team.fleet_stats()

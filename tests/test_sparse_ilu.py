@@ -193,7 +193,7 @@ class TestCompiledSymbolic:
         (_, _), n = _symbolic_paths(A.rowptr, A.cols, 1)
         assert n == 0
         slow = build_ilu_plan(A.rowptr, A.cols, fill_level=1)
-        for name in ("rowptr", "cols", "diag_idx", "orig_map"):
+        for name in ("lptr", "uptr", "cols", "orig_map"):
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
 
 
@@ -219,13 +219,13 @@ class TestNumericILU:
         L = np.zeros((n * b, n * b))
         U = np.zeros((n * b, n * b))
         for i in range(n):
-            for p in range(plan.rowptr[i], plan.rowptr[i + 1]):
+            diag = plan.lptr[-1] + i
+            for p in range(plan.lptr[i], plan.lptr[i + 1]):
                 j = plan.cols[p]
-                blk = F.vals[p]
-                if j < i:
-                    L[i * b : (i + 1) * b, j * b : (j + 1) * b] = blk
-                else:
-                    U[i * b : (i + 1) * b, j * b : (j + 1) * b] = blk
+                L[i * b : (i + 1) * b, j * b : (j + 1) * b] = F.vals[p]
+            for p in [diag, *range(plan.uptr[i + 1], plan.uptr[i])]:
+                j = plan.cols[p]
+                U[i * b : (i + 1) * b, j * b : (j + 1) * b] = F.vals[p]
         L += np.eye(n * b)
         prod = L @ U
         dense = A.to_dense()
@@ -449,11 +449,12 @@ def _levels_loop(rowptr, cols):
     return level_of
 
 
-def _levels_back_loop(rowptr, cols, diag_idx):
+def _levels_back_loop(rowptr, cols):
     n = rowptr.shape[0] - 1
     level_back = np.zeros(n, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        upper = cols[diag_idx[i] + 1 : rowptr[i + 1]]
+        row = cols[rowptr[i] : rowptr[i + 1]]
+        upper = row[np.searchsorted(row, i, side="right") :]
         if upper.shape[0]:
             level_back[i] = level_back[upper].max() + 1
     return level_back
@@ -504,7 +505,7 @@ def _named_patterns() -> dict:
     A = BCSRMatrix.from_mesh_edges(mesh.edges, mesh.n_vertices)
     for fill in (0, 1):
         plan = build_ilu_plan(A.rowptr, A.cols, fill_level=fill)
-        out[f"c12-ilu{fill}"] = (plan.rowptr, plan.cols)
+        out[f"c12-ilu{fill}"] = plan.csr()
     return out
 
 
@@ -539,13 +540,12 @@ class TestCompiledLevels:
 
     @staticmethod
     def _check_plan(plan):
-        back = _levels_back_loop(plan.rowptr, plan.cols, plan.diag_idx)
-        fwd = _levels_loop(plan.rowptr, plan.cols)
+        rowptr, cols = plan.csr()
+        back = _levels_back_loop(rowptr, cols)
+        fwd = _levels_loop(rowptr, cols)
         np.testing.assert_array_equal(plan.schedule.level_of, fwd)
         np.testing.assert_array_equal(plan.schedule_back.level_of, back)
-        off = _kernels_off(
-            lambda: build_ilu_plan(plan.rowptr, plan.cols, fill_level=0),
-        )
+        off = _kernels_off(lambda: build_ilu_plan(rowptr, cols, fill_level=0))
         np.testing.assert_array_equal(off.schedule.level_of, fwd)
         np.testing.assert_array_equal(
             _kernels_off(lambda: off.schedule_back.level_of), back

@@ -25,6 +25,7 @@ from repro.cfd import FlowConfig, FlowField
 from repro.mesh import delaunay_cloud_mesh, mesh_c_prime, wing_mesh
 from repro.ordering import rcm_relabel
 from repro.solver import AdditiveSchwarzILU, SolverOptions, solve_steady
+from repro.solver.schwarz import SchwarzPlan
 from repro.sparse import (
     BCSRMatrix,
     bcsr_pattern_from_edges,
@@ -107,41 +108,91 @@ def no_kernels(monkeypatch):
 @given(
     n=st.integers(30, 90),
     seed=st.integers(0, 30),
-    fill=st.sampled_from([0, 1]),
+    fill=st.sampled_from([0, 1, 2]),
     rcm=st.booleans(),
+    schwarz=st.booleans(),
 )
-def test_compiled_contract_property(team, n, seed, fill, rcm):
+def test_compiled_contract_property(team, n, seed, fill, rcm, schwarz):
+    """``ilu4``, ``team_ilu4`` (2 threads) and the level kernel write the
+    same factor bytes in the plan's slots, and ``trsv4``, the level solve
+    and the sequential reference read them to the same solution: on the
+    whole pattern, or on each subdomain of a 2-way Schwarz split with one
+    layer of overlap."""
     mesh = delaunay_cloud_mesh(n, seed=seed)
     if rcm:
         mesh = rcm_relabel(mesh)
     matrix, plan, rhs = _problem(mesh, seed=seed, fill=fill)
-    factor = ilu_factorize(matrix, plan)
-    threaded = ilu_factorize(matrix, plan, team)
-    levels = ilu_factorize_levels(matrix, plan)
-    assert _same_bytes(factor.vals, threaded.vals, levels.vals)
-    assert _same_bytes(factor.diag_inv, threaded.diag_inv, levels.diag_inv)
+    cases = [(matrix, plan, rhs)]
+    if schwarz:
+        labels = (np.arange(plan.n) >= plan.n // 2).astype(np.int64)
+        split = SchwarzPlan.build(
+            matrix.rowptr, matrix.cols, 4, labels, overlap=1, fill_level=fill
+        )
+        cases = [
+            (BCSRMatrix(*sub.sub_pattern, matrix.vals[sub.gather]), sub.plan,
+             rhs[sub.local_rows])
+            for sub in split.subs
+        ]
+    for matrix, plan, rhs in cases:
+        factor = ilu_factorize(matrix, plan)
+        threaded = ilu_factorize(matrix, plan, team)
+        levels = ilu_factorize_levels(matrix, plan)
+        assert _same_bytes(factor.vals, threaded.vals, levels.vals)
+        assert _same_bytes(factor.diag_inv, threaded.diag_inv, levels.diag_inv)
 
-    x = trsv_solve(factor, rhs)
-    assert _same_bytes(
-        x, trsv_solve_levels(factor, rhs), trsv_solve_sequential(factor, rhs)
-    )
+        x = trsv_solve(factor, rhs)
+        assert _same_bytes(
+            x, trsv_solve_levels(factor, rhs), trsv_solve_sequential(factor, rhs)
+        )
+
+
+@pytest.mark.parametrize("fill", [0, 1, 2])
+def test_factor_is_stored_in_sweep_order(fill):
+    """One ``(factor_nnzb, 4, 4)`` buffer: the lower blocks of rows 0 ..
+    n-1, the diagonal blocks, then the upper blocks of rows n-1 .. 0, each
+    row's blocks one contiguous run of ascending columns; every matrix
+    block is scattered to the slot of its row and column."""
+    mesh = rcm_relabel(delaunay_cloud_mesh(60, seed=fill))
+    matrix, plan, _ = _problem(mesh, seed=fill, fill=fill)
+    factor = ilu_factorize(matrix, plan)
+    assert factor.vals.shape == (plan.factor_nnzb, 4, 4)
+    assert factor.vals.flags.c_contiguous and factor.vals.base is None
+
+    n, lptr, uptr, cols = plan.n, plan.lptr, plan.uptr, plan.cols
+    assert lptr[0] == 0 and np.all(np.diff(lptr) >= 0)
+    assert uptr[n] == lptr[n] + n and uptr[0] == plan.factor_nnzb
+    assert np.all(np.diff(uptr) <= 0)  # upper rows descending
+    np.testing.assert_array_equal(cols[lptr[n] : uptr[n]], np.arange(n))
+    rowptr, csr_cols = plan.csr()
+    slot_row = np.empty(plan.factor_nnzb, dtype=np.int64)
+    for i in range(n):
+        row = csr_cols[rowptr[i] : rowptr[i + 1]]
+        lower, upper = cols[lptr[i] : lptr[i + 1]], cols[uptr[i + 1] : uptr[i]]
+        np.testing.assert_array_equal(lower, row[row < i])
+        np.testing.assert_array_equal(upper, row[row > i])
+        slot_row[lptr[i] : lptr[i + 1]] = slot_row[uptr[i + 1] : uptr[i]] = i
+        slot_row[lptr[n] + i] = i
+    mrow = np.repeat(np.arange(n), np.diff(matrix.rowptr))
+    np.testing.assert_array_equal(slot_row[plan.orig_map], mrow)
+    np.testing.assert_array_equal(cols[plan.orig_map], matrix.cols)
 
 
 @pytest.mark.parametrize("b", [2, 3, 4])
 def test_level_solve_is_the_sequential_order(b):
     """The level kernel reproduces the sequential reference at every
-    block size, not only the compiled sweep's 4."""
+    block size, not only the compiled sweep's 4, at fill 1 and 2."""
     mesh = rcm_relabel(delaunay_cloud_mesh(70, seed=b))
     matrix = _trsv_matrix(mesh, seed=b, b=b)
-    plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=b, fill_level=1)
-    factor = ilu_factorize_levels(matrix, plan)
-    rhs = np.random.default_rng(b).normal(size=(plan.n, b))
-    rhs[::7] = -0.0  # signed zeros must survive both orders alike
-    x = trsv_solve_levels(factor, rhs)
-    assert _same_bytes(x, trsv_solve_sequential(factor, rhs))
-    inplace = rhs.copy()
-    assert trsv_solve_levels(factor, inplace, out=inplace) is inplace
-    assert _same_bytes(inplace, x)
+    for fill in (1, 2):
+        plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=b, fill_level=fill)
+        factor = ilu_factorize_levels(matrix, plan)
+        rhs = np.random.default_rng(b).normal(size=(plan.n, b))
+        rhs[::7] = -0.0  # signed zeros must survive both orders alike
+        x = trsv_solve_levels(factor, rhs)
+        assert _same_bytes(x, trsv_solve_sequential(factor, rhs))
+        inplace = rhs.copy()
+        assert trsv_solve_levels(factor, inplace, out=inplace) is inplace
+        assert _same_bytes(inplace, x)
 
 
 @compiled
@@ -411,7 +462,7 @@ class TestLazyPlan:
         trsv_solve_levels(ilu_factorize_levels(matrix, plan), rhs)
         assert all(name in vars(plan) for name in lazy)
         # every strictly lower / upper block at exactly one position
-        lower = int((plan.diag_idx - plan.rowptr[:-1]).sum())
+        lower = int(plan.lptr[-1])
         for table, count in (
             (plan.fwd_positions, lower),
             (plan.bwd_positions, plan.factor_nnzb - lower - plan.n),
@@ -428,10 +479,31 @@ class TestLazyPlan:
         cols[3] = plan.n  # out of range: the compiled sweep would read past x
         with pytest.raises(ValueError, match="inconsistent"):
             ILUPlan(
-                n=plan.n, b=4, fill_level=1, rowptr=plan.rowptr, cols=cols,
-                diag_idx=plan.diag_idx, orig_map=plan.orig_map,
-                schedule=plan.schedule,
+                n=plan.n, b=4, fill_level=1, lptr=plan.lptr, uptr=plan.uptr,
+                cols=cols, orig_map=plan.orig_map, schedule=plan.schedule,
             )
+
+    def test_block_ops_are_counted_without_the_step_batches(
+        self, wing_problem, monkeypatch
+    ):
+        """The machine model's factorization count comes from the update
+        list: building the NumPy kernel's batches is not needed."""
+        from repro.sparse import ilu
+
+        matrix, _, _ = wing_problem
+        batched = build_ilu_plan(matrix.rowptr, matrix.cols, b=4, fill_level=1)
+        want = batched.n + sum(
+            sb.lik_idx.shape[0] + sb.t_dest.shape[0]
+            for level in batched.steps for sb in level
+        )
+
+        def refuse(plan):
+            raise AssertionError("the step batches were built")
+
+        monkeypatch.setattr(ilu, "_build_steps", refuse)
+        plan = build_ilu_plan(matrix.rowptr, matrix.cols, b=4, fill_level=1)
+        assert plan.factor_block_ops() == want
+        assert "steps" not in vars(plan)
 
 
 class TestSchwarzFastPath:
@@ -459,6 +531,33 @@ class TestSchwarzFastPath:
         labels = (np.arange(plan.n) >= plan.n // 2).astype(np.int64)
         pre = AdditiveSchwarzILU(matrix, labels=labels, fill_level=0)
         assert not pre._identity
+        pre.update(matrix)
+        assert np.isfinite(pre.apply(rhs)).all()
+
+    def test_update_refactors_in_one_buffer(self, wing_problem, team):
+        """Every update writes the same arrays, serial or on the team, and
+        leaves the bytes of a fresh factorization."""
+        matrix, _, _ = wing_problem
+        pre = AdditiveSchwarzILU(matrix, fill_level=1)
+        pre.update(matrix)
+        vals, diag_inv = pre._factors[0].vals, pre._factors[0].diag_inv
+        fresh = ilu_factorize(matrix, pre.subs[0].plan)
+        for t in (None, team, None):
+            pre.update(matrix, team=t)
+            assert pre._factors[0].vals is vals
+            assert pre._factors[0].diag_inv is diag_inv
+            assert _same_bytes(vals, fresh.vals)
+            assert _same_bytes(diag_inv, fresh.diag_inv)
+
+    def test_failed_update_leaves_no_factor(self, wing_problem):
+        matrix, _, rhs = wing_problem
+        pre = AdditiveSchwarzILU(matrix, fill_level=1)
+        pre.update(matrix)
+        bad = BCSRMatrix(matrix.rowptr, matrix.cols, np.zeros_like(matrix.vals))
+        with pytest.raises(np.linalg.LinAlgError):
+            pre.update(bad)
+        with pytest.raises(RuntimeError, match="not updated"):
+            pre.apply(rhs)
         pre.update(matrix)
         assert np.isfinite(pre.apply(rhs)).all()
 
