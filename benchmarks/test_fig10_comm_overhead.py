@@ -5,11 +5,9 @@ of total execution time); >90% of the communication overhead is
 MPI_Allreduce from the Krylov solver; point-to-point messages contribute
 less than 5%.
 
-The per-node-count breakdown is read from the model's span tree
-(``MultiNodeModel.trace_breakdown``): each node count yields a root span
-with ``compute``/``halo``/``allreduce`` children carrying the modeled
-seconds, the same structure the ``repro scaling --trace-out`` export ships
-to Chrome tracing.
+The per-node-count breakdown is the model's own dict
+(``MultiNodeModel.step_breakdown``): modeled ``compute`` / ``halo`` /
+``allreduce`` seconds and their ``total`` at each node count.
 
 Since the process-rank runtime exists the model no longer stands alone:
 ``test_fig10_measured_crosscheck`` runs a real 4-rank distributed solve
@@ -30,34 +28,14 @@ from conftest import emit
 NODES = [1, 4, 16, 64, 128, 256]
 
 
-def _component(span, name):
-    return next(span.find(name)).seconds
-
-
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_communication_overheads(benchmark, capsys):
     mm = MultiNodeModel(MESH_D_PAPER, config=NodeConfig(optimized=False))
 
     def compute():
-        return [mm.trace_breakdown(n) for n in NODES]
+        return [mm.step_breakdown(n) for n in NODES]
 
-    spans = benchmark.pedantic(compute, rounds=1, iterations=1)
-
-    rows = []
-    for s in spans:
-        halo = _component(s, "halo")
-        allreduce = _component(s, "allreduce")
-        comm = halo + allreduce
-        rows.append(
-            {
-                "total": s.seconds,
-                "compute": _component(s, "compute"),
-                "halo": halo,
-                "allreduce": allreduce,
-                "comm": comm,
-                "comm_fraction": comm / s.seconds,
-            }
-        )
+    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
 
     emit(
         capsys,
@@ -80,11 +58,6 @@ def test_fig10_communication_overheads(benchmark, capsys):
             "(paper: ~70% comm at 256 nodes, >90% of it Allreduce, p2p <5%)",
         ),
     )
-
-    # the span tree carries the same numbers as the flat breakdown dict
-    bd = mm.step_breakdown(NODES[-1])
-    assert abs(rows[-1]["total"] - bd["total"]) < 1e-9 * bd["total"]
-    assert abs(rows[-1]["allreduce"] - bd["allreduce"]) < 1e-9
 
     last = rows[-1]
     assert last["comm_fraction"] > 0.5  # paper: ~0.7

@@ -44,9 +44,10 @@ def test_fig5_baseline_profile(benchmark, app_c, run_c_ilu1, capsys):
     emit(
         capsys,
         format_table(
-            ["kernel", "measured share", "paper share"],
+            ["kernel", "modeled share", "paper share"],
             rows,
-            title="Fig 5: baseline application profile (from span tree)",
+            title="Fig 5: baseline application profile "
+            "(span-tree counts priced by the model)",
         ),
     )
 

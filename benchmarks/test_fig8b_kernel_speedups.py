@@ -38,7 +38,7 @@ def test_fig8b_kernel_speedups(benchmark, app_c, run_c_ilu1, capsys):
     emit(
         capsys,
         format_table(
-            ["kernel", "measured speedup", "paper (approx)"],
+            ["kernel", "modeled speedup", "paper (approx)"],
             rows,
             title="Fig 8b: kernel-wise speedups in the optimized application",
         ),

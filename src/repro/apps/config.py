@@ -10,7 +10,7 @@ two endpoints compared throughout Section VI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..smp.machine import XEON_E5_2690_V2, MachineModel
 
@@ -55,10 +55,6 @@ class OptimizationConfig:
             ilu_fill=ilu_fill,
             vec_threaded=True,
         )
-
-    def with_(self, **kw) -> "OptimizationConfig":
-        """Functional update (for optimization sweeps)."""
-        return replace(self, **kw)
 
     def label(self) -> str:
         if self.n_threads == 1:

@@ -102,7 +102,6 @@ class Fun3dApp:
     def run(
         self,
         config: OptimizationConfig | None = None,
-        solver_overrides: dict | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> Fun3dRunResult:
@@ -113,10 +112,7 @@ class Fun3dApp:
         active for the solve, and the result carries both.
         """
         config = config or OptimizationConfig.baseline()
-        kw = {"ilu_fill": config.ilu_fill}
-        if solver_overrides:
-            kw.update(solver_overrides)
-        opts = replace(self.solver, **kw)
+        opts = replace(self.solver, ilu_fill=config.ilu_fill)
 
         tracer = tracer if tracer is not None else Tracer()
         metrics = metrics if metrics is not None else MetricsRegistry()

@@ -6,14 +6,14 @@ Commands
 ``solve``       run the steady solver, print convergence and forces
 ``profile``     traced solve: span-tree profile + metrics (+ exports)
 ``speedup``     price a run under baseline + optimized configs (Fig 8a)
+``scaling``     multi-node strong-scaling table (Fig 9-11)
+``partition``   partition-quality study (natural / RCB / multilevel)
 
 ``solve`` and ``profile`` print only what the run measured (steps,
 Krylov iterations, residuals, forces, the span tree, the metrics, the
 ranks' measured breakdown) and the structure of the ILU plans the solve
 built; the machine model prices nothing there.  Modeled seconds of the
 paper's Xeon come from ``speedup`` and ``scaling`` alone.
-``scaling``     multi-node strong-scaling table (Fig 9-11)
-``partition``   partition-quality study (natural / RCB / multilevel)
 
 Performance is measured by ``python3 bench/run.py`` (see
 ``bench/README.md``), not by a subcommand here.
@@ -31,13 +31,14 @@ preconditioner, so ``--subdomains`` does not combine with it.
 Every command works on the generated ONERA-M6-like datasets; ``--scale``
 sizes them (1.0 = full Mesh-C'/Mesh-D' analogues) and ``--ordering``
 numbers their vertices (``rcm`` by default, ``natural`` for the
-generator's own order).  ``solve``, ``profile``
-and ``scaling`` accept ``--trace-out`` (Chrome ``trace_event`` JSON for
-``chrome://tracing`` / Perfetto) and ``--metrics-out`` (JSONL event log).
-``solve`` and ``profile`` write both on every exit path (SIGTERM and
-Ctrl-C exit 130 after flushing them) and install the flight recorder for
-the command's duration: a crash, SIGUSR1, or a dead rank dumps a
-``flightrec-*.jsonl`` bundle with every rank's telemetry row.
+generator's own order).  ``solve`` and ``profile`` accept ``--trace-out``
+(Chrome ``trace_event`` JSON for ``chrome://tracing`` / Perfetto) and
+``--metrics-out`` (JSONL event log) of what ran, and write both on every
+exit path (SIGTERM and Ctrl-C exit 130 after flushing them) and install
+the flight recorder for the command's duration: a crash, SIGUSR1, or a
+dead rank dumps a ``flightrec-*.jsonl`` bundle with every rank's
+telemetry row.  ``scaling`` and ``speedup`` only print the model's
+tables: they export nothing, since a trace records code that ran.
 """
 
 from __future__ import annotations
@@ -209,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[1, 4, 16, 64, 256])
     sp.add_argument("--pipelined", action="store_true",
                     help="model pipelined GMRES (future-work extension)")
-    add_obs_args(sp)
 
     sp = sub.add_parser("partition", help="partition quality study")
     add_mesh_args(sp)
@@ -239,18 +239,6 @@ def cmd_mesh_info(args) -> int:
         print(f"  {k:<12} {v:g}")
     print(report)
     return 0 if report.ok else 1
-
-
-def _write_obs(args, tracer, metrics) -> None:
-    """Honor --trace-out / --metrics-out if the command defines them."""
-    from .obs import write_chrome_trace, write_jsonl
-
-    if getattr(args, "trace_out", None):
-        write_chrome_trace(tracer, args.trace_out)
-        print(f"wrote Chrome trace: {args.trace_out}")
-    if getattr(args, "metrics_out", None):
-        write_jsonl(args.metrics_out, tracer, metrics)
-        print(f"wrote JSONL log: {args.metrics_out}")
 
 
 class _ObsSession:
@@ -303,9 +291,16 @@ class _ObsSession:
         completed; a flush that is itself interrupted leaves no truncated
         file (each is renamed into place whole) and the next call writes
         every file again."""
+        from .obs import write_chrome_trace, write_jsonl
+
         if self._flushed:
             return
-        _write_obs(self.args, self.tracer, self.metrics)
+        if self.args.trace_out:
+            write_chrome_trace(self.tracer, self.args.trace_out)
+            print(f"wrote Chrome trace: {self.args.trace_out}")
+        if self.args.metrics_out:
+            write_jsonl(self.args.metrics_out, self.tracer, self.metrics)
+            print(f"wrote JSONL log: {self.args.metrics_out}")
         self._flushed = True
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -566,7 +561,6 @@ def cmd_speedup(args) -> int:
 
 def cmd_scaling(args) -> int:
     from .dist import MESH_C_PAPER, MESH_D_PAPER, MultiNodeModel, NodeConfig
-    from .obs import MetricsRegistry, Tracer, use_metrics
     from .perf import format_series
 
     wl = MESH_C_PAPER if args.workload == "mesh-c" else MESH_D_PAPER
@@ -580,30 +574,17 @@ def cmd_scaling(args) -> int:
             threaded_kernels=True, pipelined_gmres=args.pipelined
         ),
     }
-    metrics = MetricsRegistry()
-    tracer = Tracer()  # holds the synthetic model spans for export
     series = {}
-    with use_metrics(metrics):
-        for name, cfg in configs.items():
-            mm = MultiNodeModel(wl, config=cfg)
-            series[name + " (s)"] = [
-                f"{mm.total_time(n):.1f}" for n in args.nodes
-            ]
-        base = MultiNodeModel(wl, config=configs["baseline"])
-        breakdowns = [base.trace_breakdown(n) for n in args.nodes]
-    from .obs import synthetic_span
-
-    tracer.roots.append(synthetic_span(
-        f"scaling/{wl.name}",
-        sum(s.seconds for s in breakdowns),
-        children=breakdowns,
-    ))
+    for name, cfg in configs.items():
+        mm = MultiNodeModel(wl, config=cfg)
+        series[name + " (s)"] = [f"{mm.total_time(n):.1f}" for n in args.nodes]
+    base = MultiNodeModel(wl, config=configs["baseline"])
     series["comm %"] = [
-        f"{100 * s.attrs['comm_fraction']:.0f}%" for s in breakdowns
+        f"{100 * base.step_breakdown(n)['comm_fraction']:.0f}%"
+        for n in args.nodes
     ]
     print(format_series("nodes", args.nodes, series,
                         title=f"{wl.name} strong scaling (modeled)"))
-    _write_obs(args, tracer, metrics)
     return 0
 
 

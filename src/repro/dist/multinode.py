@@ -14,6 +14,9 @@ plus the convergence side: the number of Krylov iterations grows with the
 subdomain count because block-ILU Schwarz weakens as coupling is cut (the
 paper reports ~30% more iterations at 256 nodes MPI-only).  The growth
 exponent is validated against real reduced-scale ASM solves in the tests.
+
+The model's numbers are plain dicts (:meth:`MultiNodeModel.step_breakdown`):
+it opens no span and writes no metric, since those record what ran.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.metrics import get_metrics
-from ..obs.span import Span, synthetic_span
 from ..smp.cost import (
     EdgeLoopOptions,
     TriSolveOptions,
@@ -201,7 +202,8 @@ class MultiNodeModel:
 
     # ------------------------------------------------------------------
     def step_breakdown(self, n_nodes: int) -> dict[str, float]:
-        """Seconds per component for the whole solve at ``n_nodes`` nodes."""
+        """Modeled seconds per component for the whole solve at ``n_nodes``
+        nodes, with the allreduce count and ``comm_fraction``."""
         cfg = self.config
         mach = self.rank_machine()
         P = self.n_ranks(n_nodes)
@@ -256,9 +258,6 @@ class MultiNodeModel:
             allreduce = n_allreduce * ar_once
 
         total = compute + halo + allreduce
-        met = get_metrics()
-        met.counter("model.allreduce_count").inc(n_allreduce)
-        met.gauge("model.comm_fraction").set((halo + allreduce) / total)
         return {
             "nodes": float(n_nodes),
             "ranks": float(P),
@@ -271,33 +270,6 @@ class MultiNodeModel:
             "total": total,
             "comm_fraction": (halo + allreduce) / total,
         }
-
-    def trace_breakdown(self, n_nodes: int) -> Span:
-        """The Fig. 10 breakdown as a synthetic span tree.
-
-        Children ``compute``/``halo``/``allreduce`` carry the modeled
-        seconds of :meth:`step_breakdown`, laid out back-to-back, so the
-        strong-scaling model exports through the same span machinery (and
-        Chrome-trace/JSONL writers) as the measured solves.
-        """
-        bd = self.step_breakdown(n_nodes)
-        children = [
-            synthetic_span("compute", bd["compute"]),
-            synthetic_span("halo", bd["halo"]),
-            synthetic_span(
-                "allreduce", bd["allreduce"], count=bd["allreduce_count"]
-            ),
-        ]
-        return synthetic_span(
-            f"scaling/{self.workload.name}/{n_nodes}-nodes",
-            bd["total"],
-            children=children,
-            nodes=n_nodes,
-            ranks=bd["ranks"],
-            iterations=bd["iterations"],
-            comm_fraction=bd["comm_fraction"],
-            config=self.config.label(),
-        )
 
     def total_time(self, n_nodes: int) -> float:
         return self.step_breakdown(n_nodes)["total"]

@@ -44,10 +44,6 @@ class FatTreeNetwork:
             return 0
         return 1 if node_a // self.nodes_per_leaf == node_b // self.nodes_per_leaf else 3
 
-    def ptp_time(self, nbytes: float, hops: int = 3) -> float:
-        """One point-to-point message of ``nbytes`` over ``hops`` switches."""
-        return self.base_latency + hops * self.hop_latency + nbytes / self.link_bw
-
     def allreduce_time(self, nbytes: float, n_ranks: int) -> float:
         """Recursive-doubling allreduce across ``n_ranks``."""
         if n_ranks <= 1:

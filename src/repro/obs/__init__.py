@@ -4,9 +4,9 @@ The span tree is the one record of time and the metrics registry the one
 record of counts:
 
 * :mod:`~repro.obs.span` — a :class:`Tracer` producing nested span trees
-  (``solve → newton-step → gmres → trsv``) with wall/model seconds and
-  flop/byte attributes; :func:`kernel_span` opens one timed kernel span.  A
-  distributed solve grafts each rank's own tree under ``rank<i>``.
+  (``solve → newton-step → gmres → trsv``), each span a wall-clock
+  interval of code that ran; :func:`kernel_span` opens one timed kernel
+  span.  A distributed solve grafts each rank's own tree under ``rank<i>``.
 * :mod:`~repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms for solver behavior (Krylov iterations per Newton step,
   residual norms, halo bytes, allreduce counts, ``vec.*`` tallies).
@@ -52,7 +52,6 @@ from .span import (
     Tracer,
     get_tracer,
     kernel_span,
-    synthetic_span,
     use_tracer,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "use_tracer",
     "kernel_span",
     "aggregate_spans",
-    "synthetic_span",
     "Counter",
     "Gauge",
     "Histogram",

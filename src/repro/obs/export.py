@@ -63,17 +63,6 @@ def _clean(value: Any) -> Any:
     return str(value)
 
 
-def _span_args(s: Span) -> dict[str, Any]:
-    args = dict(_clean(s.attrs))
-    if s.model_seconds:
-        args["model_seconds"] = s.model_seconds
-    if s.flops:
-        args["flops"] = s.flops
-    if s.bytes:
-        args["bytes"] = s.bytes
-    return args
-
-
 def chrome_trace(
     tracer: Tracer | NullTracer,
     *,
@@ -102,7 +91,7 @@ def chrome_trace(
                     "pid": pid,
                     "tid": tid,
                     "cat": "span",
-                    "args": _span_args(s),
+                    "args": _clean(s.attrs),
                 }
             )
     for e in events:
@@ -150,9 +139,6 @@ def jsonl_records(
                     "name": s.name,
                     "t0": s.t0,
                     "t1": s.t1,
-                    "model_seconds": s.model_seconds,
-                    "flops": s.flops,
-                    "bytes": s.bytes,
                     "attrs": _clean(s.attrs),
                 }
             )
@@ -208,13 +194,7 @@ def read_jsonl(
         kind = rec.get("type")
         if kind == "span":
             s = Span(
-                rec["name"],
-                t0=rec["t0"],
-                t1=rec["t1"],
-                model_seconds=rec.get("model_seconds", 0.0),
-                flops=rec.get("flops", 0.0),
-                bytes=rec.get("bytes", 0.0),
-                attrs=rec.get("attrs", {}),
+                rec["name"], t0=rec["t0"], t1=rec["t1"], attrs=rec.get("attrs", {})
             )
             by_id[rec["id"]] = s
             parent = rec.get("parent")

@@ -8,6 +8,10 @@ ran them.  A :class:`Tracer` keeps an explicit stack of open spans;
 finished tree exports to Chrome ``trace_event`` JSON, JSONL, or the
 plain-text profile report in :mod:`repro.perf.report`.
 
+Every span is a wall-clock interval of code that ran: a span carries its
+two clock readings and free-form attributes, nothing modeled.  The paper
+model's seconds are numbers in the figure tables, not spans.
+
 Kernel-level instrumentation goes through :func:`kernel_span`, which
 opens one span on the active tracer for the kernel's duration; with none
 installed (the default :class:`NullTracer`) it reads no clock at all.
@@ -29,20 +33,17 @@ __all__ = [
     "use_tracer",
     "kernel_span",
     "aggregate_spans",
-    "synthetic_span",
 ]
 
 
 @dataclass
 class Span:
-    """One timed region; children are the regions opened inside it."""
+    """One timed region of code that ran; children are the regions opened
+    inside it."""
 
     name: str
     t0: float = 0.0
     t1: float | None = None
-    model_seconds: float = 0.0
-    flops: float = 0.0
-    bytes: float = 0.0
     attrs: dict[str, Any] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
 
@@ -92,24 +93,9 @@ class Tracer:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        model_seconds: float = 0.0,
-        flops: float = 0.0,
-        nbytes: float = 0.0,
-        **attrs: Any,
-    ):
+    def span(self, name: str, **attrs: Any):
         """Open a nested span for the duration of the ``with`` block."""
-        s = Span(
-            name,
-            t0=self.clock(),
-            model_seconds=model_seconds,
-            flops=flops,
-            bytes=nbytes,
-            attrs=dict(attrs),
-        )
+        s = Span(name, t0=self.clock(), attrs=dict(attrs))
         parent = self._open[-1] if self._open else None
         (parent.children if parent else self.roots).append(s)
         self._open.append(s)
@@ -119,27 +105,9 @@ class Tracer:
             s.t1 = self.clock()
             self._open.pop()
 
-    def add_complete(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        *,
-        model_seconds: float = 0.0,
-        flops: float = 0.0,
-        nbytes: float = 0.0,
-        **attrs: Any,
-    ) -> Span:
+    def add_complete(self, name: str, t0: float, t1: float, **attrs: Any) -> Span:
         """Attach an externally-timed span under the currently open one."""
-        s = Span(
-            name,
-            t0=t0,
-            t1=t1,
-            model_seconds=model_seconds,
-            flops=flops,
-            bytes=nbytes,
-            attrs=dict(attrs),
-        )
+        s = Span(name, t0=t0, t1=t1, attrs=dict(attrs))
         parent = self._open[-1] if self._open else None
         (parent.children if parent else self.roots).append(s)
         return s
@@ -156,16 +124,15 @@ class Tracer:
     def find(self, name: str) -> Iterator[Span]:
         return (s for s in self.walk() if s.name == name)
 
-    def kernel_totals(self, *, model: bool = False) -> dict[str, float]:
-        """Per-name summed seconds over the whole forest.
+    def kernel_totals(self) -> dict[str, float]:
+        """Per-name summed wall seconds over the whole forest.
 
         For code instrumented with :func:`kernel_span` this is the
         per-kernel time of Fig. 5.
         """
         out: dict[str, float] = {}
         for s in self.walk():
-            secs = s.model_seconds if model else s.seconds
-            out[s.name] = out.get(s.name, 0.0) + secs
+            out[s.name] = out.get(s.name, 0.0) + s.seconds
         return out
 
     def kernel_counts(self) -> dict[str, int]:
@@ -203,7 +170,7 @@ class NullTracer:
     def find(self, name: str) -> Iterator[Span]:
         return iter(())
 
-    def kernel_totals(self, *, model: bool = False) -> dict[str, float]:
+    def kernel_totals(self) -> dict[str, float]:
         return {}
 
     def kernel_counts(self) -> dict[str, int]:
@@ -233,7 +200,7 @@ def use_tracer(tracer: Tracer):
 
 
 @contextmanager
-def kernel_span(name: str, *, flops: float = 0.0, nbytes: float = 0.0, **attrs: Any):
+def kernel_span(name: str, **attrs: Any):
     """Time a kernel as a span under the active tracer's open span.
 
     The span is open while the block runs, so spans added inside it (a
@@ -244,7 +211,7 @@ def kernel_span(name: str, *, flops: float = 0.0, nbytes: float = 0.0, **attrs: 
     if not tracer.active:
         yield
         return
-    with tracer.span(name, flops=flops, nbytes=nbytes, **attrs):
+    with tracer.span(name, **attrs):
         yield
 
 
@@ -266,9 +233,6 @@ def aggregate_spans(roots: list[Span] | tuple) -> list[Span]:
                 order.append(s.name)
             agg, kids = by_name[s.name]
             agg.t1 += s.seconds
-            agg.model_seconds += s.model_seconds
-            agg.flops += s.flops
-            agg.bytes += s.bytes
             agg.attrs["count"] += 1
             kids.extend(s.children)
         out = []
@@ -280,35 +244,3 @@ def aggregate_spans(roots: list[Span] | tuple) -> list[Span]:
 
     return merge(list(roots))
 
-
-def synthetic_span(
-    name: str,
-    seconds: float,
-    *,
-    t0: float = 0.0,
-    children: list[Span] | None = None,
-    **attrs: Any,
-) -> Span:
-    """Build a span from *modeled* seconds (no wall clock involved).
-
-    Children are laid out back-to-back starting at ``t0`` so the result
-    renders sensibly in Chrome tracing; ``model_seconds`` carries the same
-    duration for the model/measured distinction.
-    """
-    s = Span(
-        name,
-        t0=t0,
-        t1=t0 + seconds,
-        model_seconds=seconds,
-        attrs=dict(attrs),
-    )
-    t = t0
-    for c in children or []:
-        shift = t - c.t0
-        for sub in c.walk():
-            sub.t0 += shift
-            if sub.t1 is not None:
-                sub.t1 += shift
-        t = c.t1 if c.t1 is not None else t
-        s.children.append(c)
-    return s

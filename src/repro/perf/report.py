@@ -55,21 +55,16 @@ def format_series(
 def format_profile(
     roots: Sequence[Any],
     title: str | None = None,
-    model: bool = False,
     min_share: float = 0.0005,
 ) -> str:
     """Indented span-tree profile (text flame graph, root time = 100%).
 
-    ``roots`` are span-like nodes (``name``, ``seconds``, ``model_seconds``,
-    ``children`` attributes — see :class:`repro.obs.Span`); this module only
-    duck-types them, so it imports nothing from ``repro.obs``.
+    ``roots`` are span-like nodes (``name``, ``seconds``, ``children``
+    attributes — see :class:`repro.obs.Span`); this module only duck-types
+    them, so it imports nothing from ``repro.obs``.
     Subtrees below ``min_share`` of the total are pruned from the listing.
     """
-
-    def secs(node: Any) -> float:
-        return node.model_seconds if model else node.seconds
-
-    total = sum(secs(r) for r in roots) or 1.0
+    total = sum(r.seconds for r in roots) or 1.0
     lines = []
     if title:
         lines.append(title)
@@ -77,7 +72,7 @@ def format_profile(
     lines.append(f"{'-' * 44}{'-' * 12:>12}{'-' * 7:>8}")
 
     def walk(node: Any, depth: int) -> None:
-        s = secs(node)
+        s = node.seconds
         if s / total < min_share and depth > 0:
             return
         label = "  " * depth + node.name

@@ -95,10 +95,6 @@ class MachineModel:
     ilu_buffer_traffic_per_thread: float = 0.15
 
     # ------------------------------------------------------------------
-    @property
-    def n_threads_max(self) -> int:
-        return self.n_cores * self.smt
-
     def threads_to_cores(self, n_threads: int) -> float:
         """Core-equivalents exercised by ``n_threads`` (SMT shares pipes)."""
         if n_threads <= self.n_cores:

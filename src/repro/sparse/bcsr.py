@@ -183,12 +183,6 @@ class BCSRMatrix:
             vals=self.vals.copy(),
         )
 
-    # ------------------------------------------------------------------
-    def lower_counts(self) -> np.ndarray:
-        """Number of strictly-lower blocks per row (cols sorted => prefix)."""
-        rows = np.repeat(np.arange(self.n_brows), np.diff(self.rowptr))
-        return np.bincount(rows[self.cols < rows], minlength=self.n_brows)
-
     def __repr__(self) -> str:  # noqa: D105
         return (
             f"BCSRMatrix(n_brows={self.n_brows}, b={self.b}, nnzb={self.nnzb})"

@@ -1,5 +1,7 @@
 """Tests for the full application driver and optimization configs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import Fun3dApp, OptimizationConfig
@@ -30,7 +32,7 @@ class TestOptimizationConfig:
         assert c.tri_strategy == "p2p"
 
     def test_with_updates(self):
-        c = OptimizationConfig.optimized().with_(simd=False)
+        c = replace(OptimizationConfig.optimized(), simd=False)
         assert not c.simd
         assert c.prefetch  # others unchanged
 
@@ -100,7 +102,7 @@ class TestFun3dApp:
         base = app.modeled_profile(res.counts, OptimizationConfig.baseline(ilu_fill=0))
         opt = app.modeled_profile(
             res.counts,
-            OptimizationConfig.optimized(ilu_fill=0).with_(vec_threaded=False),
+            replace(OptimizationConfig.optimized(ilu_fill=0), vec_threaded=False),
         )
         f_base = base["vecops"] / sum(base.values())
         f_opt = opt["vecops"] / sum(opt.values())

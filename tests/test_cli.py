@@ -411,16 +411,16 @@ class TestObservability:
         assert counters["gmres.iterations"] > 0
         assert counters["gmres.allreduces"] > counters["gmres.iterations"]
 
-    def test_scaling_trace_out(self, tmp_path, capsys):
-        trace = tmp_path / "sc.json"
-        rc = main([
-            "scaling", "--nodes", "1", "16", "--trace-out", str(trace),
-        ])
-        assert rc == 0
-        doc = json.loads(trace.read_text())
-        names = [e["name"] for e in doc["traceEvents"]]
-        assert any(n.endswith("16-nodes") for n in names)
-        assert "allreduce" in names and "compute" in names
+    @pytest.mark.parametrize("option", ["--trace-out", "--metrics-out"])
+    def test_scaling_exports_nothing(self, option, tmp_path, capsys):
+        """The model's table is not a run: ``scaling`` has no trace or
+        metrics export, and asking for one is a usage error."""
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--nodes", "1", "16", option, str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInterruptFlush:

@@ -100,10 +100,6 @@ class TestDomainDecomposition:
 
 
 class TestNetwork:
-    def test_ptp_monotone_in_bytes(self):
-        n = STAMPEDE_FDR
-        assert n.ptp_time(1e6) > n.ptp_time(1e3)
-
     def test_allreduce_log_scaling(self):
         n = STAMPEDE_FDR
         t64 = n.allreduce_time(64, 64)

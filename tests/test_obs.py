@@ -16,7 +16,6 @@ from repro.obs import (
     jsonl_records,
     kernel_span,
     read_jsonl,
-    synthetic_span,
     use_metrics,
     use_tracer,
     write_chrome_trace,
@@ -116,14 +115,31 @@ class TestSpans:
     def test_kernel_span_reports_to_tracer(self):
         tr = Tracer()
         with use_tracer(tr):
-            with kernel_span("flux", flops=10.0, nbytes=20.0):
+            with kernel_span("flux", part=3):
                 pass
             with kernel_span("flux"):
                 pass
         assert tr.kernel_counts()["flux"] == 2
-        first = next(tr.find("flux"))
-        assert (first.flops, first.bytes) == (10.0, 20.0)
+        first, second = tr.find("flux")
+        assert (first.attrs, second.attrs) == ({"part": 3}, {})
         assert all(s.t1 >= s.t0 for s in tr.find("flux"))
+
+    def test_span_holds_only_what_ran(self):
+        """A span is a wall interval plus attributes: no modeled seconds,
+        flops or bytes, and any keyword is an ordinary attribute."""
+        from dataclasses import fields
+
+        from repro.obs import Span
+
+        assert [f.name for f in fields(Span)] == [
+            "name", "t0", "t1", "attrs", "children",
+        ]
+        tr = Tracer(clock=FakeClock())
+        with tr.span("a", flops=8.0):
+            tr.add_complete("b", 0.0, 1.0, model_seconds=2.0)
+        a, b = tr.walk()
+        assert a.attrs == {"flops": 8.0}
+        assert b.attrs == {"model_seconds": 2.0} and b.seconds == 1.0
 
     def test_kernel_span_without_tracer_reads_no_clock(self, monkeypatch):
         import repro.obs.span as span_mod
@@ -146,17 +162,6 @@ class TestSpans:
         (flux,) = agg[0].children
         assert flux.attrs["count"] == 3
         assert flux.seconds == pytest.approx(tr.kernel_totals()["flux"])
-
-    def test_synthetic_span_layout(self):
-        s = synthetic_span(
-            "root", 6.0,
-            children=[synthetic_span("a", 2.0), synthetic_span("b", 3.0)],
-        )
-        a, b = s.children
-        assert (a.t0, a.t1) == (0.0, 2.0)
-        assert (b.t0, b.t1) == (2.0, 5.0)  # laid back-to-back
-        assert s.seconds == 6.0
-        assert s.model_seconds == 6.0
 
 
 class TestMetrics:
@@ -248,7 +253,7 @@ class TestChromeTrace:
     def _trace(self):
         tr = Tracer(clock=FakeClock(0.5))
         with tr.span("solve", ilu_fill=1):
-            with tr.span("flux", flops=8.0):
+            with tr.span("flux", part=0):
                 pass
             tr.event("residual", step=1, rnorm=0.5)
         return tr
@@ -269,7 +274,7 @@ class TestChromeTrace:
         solve, flux = spans
         assert flux["ts"] >= solve["ts"]
         assert flux["ts"] + flux["dur"] <= solve["ts"] + solve["dur"]
-        assert flux["args"]["flops"] == 8.0
+        assert flux["args"] == {"part": 0}
         assert solve["args"]["ilu_fill"] == 1
         assert insts[0]["args"] == {"step": 1, "rnorm": 0.5}
 
@@ -304,6 +309,11 @@ class TestJsonl:
 
         path = tmp_path / "log.jsonl"
         write_jsonl(str(path), tr, m)
+        for rec in map(json.loads, path.read_text().splitlines()):
+            if rec["type"] == "span":
+                assert set(rec) == {
+                    "type", "id", "parent", "name", "t0", "t1", "attrs",
+                }
 
         roots, events, metrics = read_jsonl(str(path))
         assert [s.name for s in roots] == ["solve"]
@@ -417,16 +427,15 @@ class TestSolverIntegration:
             DomainDecomposition(edges, labels)
         assert m.gauge("halo.redundant_edge_fraction").value > 0
 
-    def test_multinode_trace_breakdown(self):
+    def test_multinode_step_breakdown_records_nothing(self):
+        """The strong-scaling model returns its numbers and writes none of
+        them into the active metrics registry or tracer."""
         from repro.dist import MESH_D_PAPER, MultiNodeModel
 
         mm = MultiNodeModel(MESH_D_PAPER)
-        m = MetricsRegistry()
-        with use_metrics(m):
-            span = mm.trace_breakdown(64)
+        m, tr = MetricsRegistry(), Tracer()
+        with use_metrics(m), use_tracer(tr):
             bd = mm.step_breakdown(64)
-        assert span.seconds == pytest.approx(bd["total"])
-        parts = {c.name: c.seconds for c in span.children}
-        assert parts["allreduce"] == pytest.approx(bd["allreduce"])
-        assert parts["halo"] == pytest.approx(bd["halo"])
-        assert m.counter("model.allreduce_count").value > 0
+        assert m.snapshot() == [] and tr.roots == []
+        assert bd["compute"] + bd["halo"] + bd["allreduce"] == bd["total"]
+        assert bd["allreduce_count"] > 0 and 0 < bd["comm_fraction"] < 1

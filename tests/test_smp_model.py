@@ -236,11 +236,6 @@ class TestStreamingModels:
 
 
 class TestManyCoreModel:
-    def test_phi_has_240_threads(self):
-        from repro.smp import XEON_PHI_KNC
-
-        assert XEON_PHI_KNC.n_threads_max == 240
-
     def test_phi_smt_essential(self):
         # in-order cores: SMT threads contribute much more than on Xeon
         from repro.smp import XEON_E5_2690_V2, XEON_PHI_KNC

@@ -112,15 +112,6 @@ class TestBCSRMatrix:
         B.vals[:] = 0
         assert np.abs(A.vals).max() > 0
 
-    def test_lower_counts(self):
-        m = box_mesh((3, 3, 3))
-        A = random_bcsr(m)
-        counts = A.lower_counts()
-        # row 0 has nothing below it
-        assert counts[0] == 0
-        # total lower entries = n_edges (one direction per edge)
-        assert counts.sum() == m.n_edges
-
     def test_missing_diagonal_raises(self):
         rowptr = np.array([0, 1])
         cols = np.array([1])  # 1x1 block matrix without (0,0) — invalid col
@@ -174,7 +165,6 @@ def test_diag_idx_equals_the_row_loop(n, density, seed):
     rowptr, cols = _sorted_pattern(dense)
     A = BCSRMatrix(rowptr=rowptr, cols=cols, vals=np.zeros((cols.shape[0], 1, 1)))
     np.testing.assert_array_equal(A.diag_idx, _diag_idx_loop(rowptr, cols))
-    assert A.lower_counts().tolist() == np.tril(dense, -1).sum(axis=1).tolist()
 
 
 @settings(max_examples=15, deadline=None)
