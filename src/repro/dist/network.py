@@ -38,12 +38,6 @@ class FatTreeNetwork:
     #: compute jitter / OS noise (dominates at scale)
     allreduce_stage_cost: float
 
-    def hops(self, node_a: int, node_b: int) -> int:
-        """Switch hops between two nodes (same leaf: 1, cross-leaf: 3)."""
-        if node_a == node_b:
-            return 0
-        return 1 if node_a // self.nodes_per_leaf == node_b // self.nodes_per_leaf else 3
-
     def allreduce_time(self, nbytes: float, n_ranks: int) -> float:
         """Recursive-doubling allreduce across ``n_ranks``."""
         if n_ranks <= 1:

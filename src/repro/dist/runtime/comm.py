@@ -2,7 +2,7 @@
 
 This is the message layer of the rank runtime.  Each neighbor pair of the
 :class:`~repro.dist.halo.DomainDecomposition` gets a mailbox — a
-shared-memory buffer sized for that pair's send list — guarded by a classic
+shared buffer sized for that pair's send list — guarded by a classic
 producer/consumer semaphore pair (``free``/``full``), so an exchange is a
 real cross-address-space pack -> transmit -> unpack with flow control, not
 a function call.  Collectives reduce through a shared slot array: the flat
@@ -21,18 +21,20 @@ whole.
 
 from __future__ import annotations
 
+import mmap
 import time
 from typing import Sequence
 
 import numpy as np
 
 from ...obs.span import get_tracer
-from .telemetry import STATE_BUSY, STATE_SPIN, RankRows
+from .telemetry import CTL_WIDTH, STATE_BUSY, STATE_SPIN, VAL_WIDTH, RankRows
 
 __all__ = [
     "ShmTransport",
     "Communicator",
     "CommTimeout",
+    "shared_zeros",
 ]
 
 #: doubles per vertex a halo mailbox carries in one message: the widest
@@ -47,14 +49,27 @@ class CommTimeout(RuntimeError):
     """A blocking communicator operation exceeded its deadline."""
 
 
+def shared_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zero-filled array on an anonymous ``MAP_SHARED`` mapping.
+
+    Processes forked after the call share its pages.  The mapping has no
+    name, so nothing can leak: the kernel frees it when the last process
+    unmaps it (the last view dies or its process exits).
+    """
+    dt = np.dtype(dtype)
+    buf = mmap.mmap(-1, max(1, int(np.prod(shape)) * dt.itemsize))
+    return np.ndarray(shape, dtype=dt, buffer=buf)
+
+
 class ShmTransport:
     """Parent-side owner of mailboxes, reduction scratch and sync primitives.
 
-    Built once per distributed run from the decomposition's send lists; the
-    forked ranks construct :class:`Communicator` views onto it.  All shared
-    segments live in one :class:`~.shm.SharedArrayPool`, so the
-    existing leak-proofing (atexit, context manager, owner-only unlink)
-    covers the runtime too.
+    Built once per distributed run from the decomposition's send lists,
+    before the ranks fork: each rank inherits the mappings and constructs
+    its :class:`Communicator` on them.  ``red`` is the reduction scratch,
+    ``mailboxes[(src, dst)]`` the mailbox of each neighbor pair and
+    ``rows`` the ranks' crash-forensics rows, each array a
+    :func:`shared_zeros` mapping.
     """
 
     def __init__(
@@ -64,23 +79,20 @@ class ShmTransport:
         red_width: int = RED_WIDTH,
         timeout: float = 120.0,
     ) -> None:
-        from .shm import SharedArrayPool
-
         self.decomp = decomp
         self.n_ranks = decomp.n_ranks
         self.red_width = int(red_width)
         self.timeout = float(timeout)
-        self.pool = SharedArrayPool()
         # reduction scratch: one row per rank plus a result row for the
         # tree algorithm's broadcast
-        self.pool.zeros("red", (self.n_ranks + 1, self.red_width))
+        self.red = shared_zeros((self.n_ranks + 1, self.red_width))
+        self.mailboxes: dict[tuple[int, int], np.ndarray] = {}
         self.sems: dict[tuple[int, int], tuple] = {}
         for dom in decomp.domains:
             for dst, send_idx in dom.send_lists.items():
                 key = (dom.rank, dst)
-                self.pool.zeros(
-                    f"hb.{key[0]}.{key[1]}",
-                    (max(1, send_idx.shape[0]), HALO_WIDTH),
+                self.mailboxes[key] = shared_zeros(
+                    (max(1, send_idx.shape[0]), HALO_WIDTH)
                 )
                 # free starts at 1 (mailbox empty), full at 0
                 self.sems[key] = (ctx.Semaphore(0), ctx.Semaphore(1))
@@ -89,14 +101,16 @@ class ShmTransport:
         self.up = [ctx.Semaphore(0) for _ in range(self.n_ranks)]
         self.down = [ctx.Semaphore(0) for _ in range(self.n_ranks)]
         self.barrier = ctx.Barrier(self.n_ranks)
-        # one crash-forensics row per rank, in the transport's own pool so
-        # the forked ranks inherit the mappings and the leak-proofing
-        # covers the rows too
-        self.rows = RankRows(self.n_ranks, self.pool)
+        # one crash-forensics row per rank
+        self.rows = RankRows(
+            shared_zeros((self.n_ranks, CTL_WIDTH), np.int64),
+            shared_zeros((self.n_ranks, VAL_WIDTH)),
+        )
 
     def close(self) -> None:
+        """Withdraw the rows from the flight recorder.  The mappings need
+        no teardown: they go with the last reference to them."""
         self.rows.close()
-        self.pool.close()
 
 
 class Communicator:
@@ -126,14 +140,6 @@ class Communicator:
         self.send_lists = dom.send_lists
         self.recv_lists = dom.recv_lists
         self._span_prefix = f"rank{self.rank}."
-        pool = transport.pool
-        self._red = pool.array("red")
-        self._send_bufs = {
-            dst: pool.array(f"hb.{rank}.{dst}") for dst in self.send_lists
-        }
-        self._recv_bufs = {
-            src: pool.array(f"hb.{src}.{rank}") for src in self.recv_lists
-        }
         # measured communication accounting
         self.n_exchanges = 0
         self.n_messages = 0
@@ -183,7 +189,7 @@ class Communicator:
         t0 = time.perf_counter()
         for dst in sorted(self.send_lists):
             send_idx = self.send_lists[dst]
-            buf = self._send_bufs[dst]
+            buf = self._t.mailboxes[(self.rank, dst)]
             full, free = self._t.sems[(self.rank, dst)]
             self._acquire(free, f"mailbox to rank {dst} to drain")
             col = 0
@@ -197,7 +203,7 @@ class Communicator:
             self.bytes_sent += send_idx.shape[0] * total * 8
         for src in sorted(self.recv_lists):
             slots = self.recv_lists[src]
-            buf = self._recv_bufs[src]
+            buf = self._t.mailboxes[(src, self.rank)]
             full, free = self._t.sems[(src, self.rank)]
             self._acquire(full, f"message from rank {src}")
             col = 0
@@ -256,7 +262,7 @@ class Communicator:
         return float(out[0]) if np.ndim(values) == 0 else out
 
     def _allreduce_flat(self, vals, k, op):
-        red = self._red
+        red = self._t.red
         red[self.rank, :k] = vals
         self.barrier()
         if op == "sum":
@@ -275,7 +281,7 @@ class Communicator:
         return out
 
     def _allreduce_tree(self, vals, k, op):
-        red, t = self._red, self._t
+        red, t = self._t.red, self._t
         r, n = self.rank, self.n_ranks
         kids = [c for c in (2 * r + 1, 2 * r + 2) if c < n]
         acc = vals.copy()

@@ -9,11 +9,12 @@ own when the parent is tracing — and ships back its return value, its span
 roots, and measured communication totals over a duplex pipe.  The parent
 supervises the ranks: sub-second liveness polls so a dead (or raising)
 rank surfaces as a ``RuntimeError`` instead of a hang (with a
-flight-recorder bundle), terminate-then-kill teardown, and a single
-:class:`~.shm.SharedArrayPool` cleanup path so no ``/dev/shm`` segment
-survives the run — even a crashed one.  The ranks are the one
+flight-recorder bundle), and terminate-then-kill teardown.  The memory
+the ranks share is anonymous (mapped before the fork, see
+:func:`~.comm.shared_zeros`), so no run, even a crashed one, leaves a
+``/dev/shm`` entry or a helper process behind.  The ranks are the one
 multi-process mode: edge threading is :mod:`repro.smp.parallel`'s thread
-team, which needs neither fork nor ``/dev/shm``.
+team, which needs no fork.
 """
 
 from __future__ import annotations
@@ -251,7 +252,8 @@ class DistRuntime:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down ranks (if any) and unlink every shared segment."""
+        """Tear down ranks (if any) and withdraw their rows from the
+        flight recorder."""
         if self._closed or os.getpid() != self._owner_pid:
             return
         self._closed = True

@@ -1,8 +1,8 @@
 """Rank rows: what a crash bundle knows about each forked rank.
 
-Each rank owns one row in each of two arrays of the transport's
-:class:`~.shm.SharedArrayPool`: an int64 control row (seqlock version,
-pid, state) and a float64 row (heartbeat time, start time, then the
+Each rank owns one row in each of two shared arrays the transport maps
+before the ranks fork: an int64 control row (seqlock version, pid,
+state) and a float64 row (heartbeat time, start time, then the
 :data:`SLOTS`).  The rank is its row's only writer: its communicator
 stamps the state and the heartbeat whenever it blocks (``spin``) and
 wakes (``busy``), and the rank program writes the slots once per Newton
@@ -26,7 +26,10 @@ import numpy as np
 
 from ...obs.live.recorder import unwatch_rows, watch_rows
 
-__all__ = ["SLOTS", "STATE_BUSY", "STATE_SPIN", "RankRows", "RowWriter"]
+__all__ = [
+    "CTL_WIDTH", "SLOTS", "STATE_BUSY", "STATE_SPIN", "VAL_WIDTH",
+    "RankRows", "RowWriter",
+]
 
 #: a row's slots: solver progress, then the keys of ``Communicator.stats()``
 SLOTS = (
@@ -35,6 +38,7 @@ SLOTS = (
 )
 CTL_VER, CTL_PID, CTL_STATE = range(3)  # the int64 control row
 VAL_HB, VAL_START = range(2)  # the float64 row; the slots follow
+CTL_WIDTH, VAL_WIDTH = CTL_STATE + 1, VAL_START + 1 + len(SLOTS)
 STATE_NAMES = ("init", "idle", "busy", "spin")
 STATE_IDLE, STATE_BUSY, STATE_SPIN = range(1, 4)
 
@@ -70,13 +74,13 @@ class RowWriter:
 
 
 class RankRows:
-    """Every rank's row, allocated in ``pool`` before the ranks fork (they
-    inherit the views).  Offered to the flight recorder until :meth:`close`,
-    which the pool's owner calls before it unlinks the arrays."""
+    """Every rank's row: ``ctl`` is a zeroed ``(n_ranks, CTL_WIDTH)`` int64
+    array and ``val`` a zeroed ``(n_ranks, VAL_WIDTH)`` float64 one, both
+    shared before the ranks fork (they inherit the views).  Offered to the
+    flight recorder until :meth:`close`."""
 
-    def __init__(self, n_ranks: int, pool) -> None:
-        self.ctl = pool.zeros("rows.ctl", (n_ranks, CTL_STATE + 1), np.int64)
-        self.val = pool.zeros("rows.val", (n_ranks, VAL_START + 1 + len(SLOTS)))
+    def __init__(self, ctl: np.ndarray, val: np.ndarray) -> None:
+        self.ctl, self.val = ctl, val
         self._open = True
         watch_rows(self)
 

@@ -342,10 +342,6 @@ class UnstructuredMesh:
             _edges=edges,
         )
 
-    def total_volume(self) -> float:
-        """Total mesh volume (= sum of control volumes)."""
-        return float(tet_volumes(self.coords, self.tets).sum())
-
     def stats(self) -> dict[str, float]:
         """Structural statistics mirroring Table I's mesh description."""
         rowptr, _ = self.adjacency

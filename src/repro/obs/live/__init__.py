@@ -1,8 +1,8 @@
 """Crash forensics for the forked ranks.
 
 Each rank writes one seqlock-guarded row
-(:mod:`repro.dist.runtime.telemetry`) into its transport's shared-memory
-pool.  Nothing reads the rows while the run is healthy: when a rank dies,
+(:mod:`repro.dist.runtime.telemetry`) into memory its transport shares
+with the ranks.  Nothing reads the rows while the run is healthy: when a rank dies,
 raises or times out, the parent raises, or SIGUSR1 arrives, the flight
 recorder (:mod:`.recorder`) writes them, with the host fingerprint
 (:mod:`.fingerprint`), into a ``flightrec-*.jsonl`` bundle.  The edge

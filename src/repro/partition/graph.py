@@ -55,10 +55,6 @@ class Graph:
     def n_vertices(self) -> int:
         return self.rowptr.shape[0] - 1
 
-    @property
-    def n_adj(self) -> int:
-        return self.cols.shape[0]
-
     def total_vwgt(self) -> int:
         return int(self.vwgt.sum())
 

@@ -117,14 +117,6 @@ class BCSRMatrix:
             self._diag_idx = idx
         return self._diag_idx
 
-    def block_index(self, i: int, j: int) -> int:
-        """Index into ``vals`` of block (i, j); raises KeyError if absent."""
-        lo, hi = self.rowptr[i], self.rowptr[i + 1]
-        p = np.searchsorted(self.cols[lo:hi], j)
-        if p == hi - lo or self.cols[lo + p] != j:
-            raise KeyError(f"block ({i}, {j}) not in pattern")
-        return int(lo + p)
-
     # ------------------------------------------------------------------
     def set_zero(self) -> None:
         self.vals[:] = 0.0

@@ -31,11 +31,6 @@ class TestOptimizationConfig:
         assert c.edge_strategy == "owner"
         assert c.tri_strategy == "p2p"
 
-    def test_with_updates(self):
-        c = replace(OptimizationConfig.optimized(), simd=False)
-        assert not c.simd
-        assert c.prefetch  # others unchanged
-
     def test_labels_distinct(self):
         a = OptimizationConfig.baseline().label()
         b = OptimizationConfig.optimized().label()

@@ -109,12 +109,6 @@ class TestNetwork:
     def test_allreduce_single_rank_free(self):
         assert STAMPEDE_FDR.allreduce_time(64, 1) == 0.0
 
-    def test_hops(self):
-        n = STAMPEDE_FDR
-        assert n.hops(0, 0) == 0
-        assert n.hops(0, 1) == 1  # same leaf
-        assert n.hops(0, n.nodes_per_leaf) == 3  # cross leaf
-
     def test_neighbor_exchange_empty(self):
         assert STAMPEDE_FDR.neighbor_exchange_time(np.zeros(0)) == 0.0
 

@@ -6,8 +6,7 @@ the package's own BCSR code.  Loading it anyway costs ~0.1 s of import
 time and ~16 MB of resident memory on every run.  Nor does anything serve
 or post telemetry over HTTP, so ``http.server``, ``ssl`` and ``email`` stay
 unloaded too.  And the edge loop runs on threads, not forked processes:
-``multiprocessing`` (and its ``shared_memory``) is loaded only by the
-rank runtime.  Each is held as a count of loaded modules under its prefix,
+``multiprocessing`` is loaded only by the rank runtime.  Each is held as a count of loaded modules under its prefix,
 in a fresh interpreter.  And every module DESIGN.md's per-experiment index
 names imports.
 """

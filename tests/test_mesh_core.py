@@ -96,7 +96,7 @@ class TestDualMetrics:
 
     def test_dual_volume_sums_to_primal(self):
         m = box_mesh((5, 4, 3), jitter=0.1, seed=2)
-        assert m.volumes.sum() == pytest.approx(m.total_volume())
+        assert m.volumes.sum() == pytest.approx(tet_volumes(m.coords, m.tets).sum())
 
     def test_edge_normal_orientation(self):
         # The directed dual face must lean from lo toward hi vertex.

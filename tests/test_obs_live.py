@@ -15,12 +15,19 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.runtime.shm import SharedArrayPool
-from repro.dist.runtime.telemetry import CTL_VER, STATE_BUSY, RankRows
+from repro.dist.runtime.comm import shared_zeros
+from repro.dist.runtime.telemetry import (
+    CTL_VER,
+    CTL_WIDTH,
+    STATE_BUSY,
+    VAL_WIDTH,
+    RankRows,
+)
 from repro.obs.live import FlightRecorder, host_fingerprint, install_flight_recorder
 from repro.obs.live.fingerprint import stable_host_key
 from repro.obs.live.recorder import FLIGHTREC_SCHEMA, crash_dump
@@ -28,13 +35,16 @@ from repro.obs.live.recorder import FLIGHTREC_SCHEMA, crash_dump
 
 @contextmanager
 def shm_rows(n_ranks=1):
-    """Rank rows in their own shared pool; both are gone on exit."""
-    with SharedArrayPool() as pool:
-        rows = RankRows(n_ranks, pool)
-        try:
-            yield rows
-        finally:
-            rows.close()
+    """Rank rows on shared mappings, as the transport builds them, offered
+    to the flight recorder until exit."""
+    rows = RankRows(
+        shared_zeros((n_ranks, CTL_WIDTH), np.int64),
+        shared_zeros((n_ranks, VAL_WIDTH)),
+    )
+    try:
+        yield rows
+    finally:
+        rows.close()
 
 
 @pytest.fixture
@@ -135,7 +145,7 @@ class TestSeqlockRing:
 
     def test_forked_writer_is_visible_to_parent(self):
         """The cross-process path: a forked child writes through inherited
-        views into the shared pool; the parent reads its row."""
+        views of the shared mappings; the parent reads its row."""
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("needs fork")
         with shm_rows(2) as rows:
@@ -206,15 +216,11 @@ class TestFlightRecorder:
         assert rank_rows(lines)["rank0"]["slots"]["residual"] == 3e-5
 
     def test_only_open_rows_reach_a_bundle(self, tmp_recorder):
-        with SharedArrayPool() as pool:
-            rows = RankRows(2, pool)
-            try:
-                path = tmp_recorder.dump("open")
-                assert set(rank_rows(load(path))) == {"rank0", "rank1"}
-            finally:
-                rows.close()
-            path = tmp_recorder.dump("closed")
-            assert rank_rows(load(path)) == {}
+        with shm_rows(2):
+            path = tmp_recorder.dump("open")
+            assert set(rank_rows(load(path))) == {"rank0", "rank1"}
+        path = tmp_recorder.dump("closed")
+        assert rank_rows(load(path)) == {}
 
     def test_killed_rank_leaves_bundle(self, tmp_path, tmp_recorder):
         """SIGKILL a rank mid-program: the parent dumps one bundle naming

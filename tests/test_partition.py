@@ -26,7 +26,7 @@ class TestGraph:
         edges = np.array([[0, 1], [1, 2], [0, 2]])
         g = Graph.from_edges(edges, 3)
         assert g.n_vertices == 3
-        assert g.n_adj == 6
+        assert g.cols.shape[0] == 6
         np.testing.assert_array_equal(g.degree(), [2, 2, 2])
 
     def test_edge_weights_duplicated(self):

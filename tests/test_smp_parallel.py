@@ -3,25 +3,19 @@
 Covers the paper's ground rule (numerics identical to sequential for every
 strategy, now across real threads), failure containment (a bad argument
 raises in the caller before any thread runs, and the team stays usable),
-teardown (no helper thread outlives ``close()``), the
-measured rows the figure tests consume, and the cleanup contract of the
-``SharedArrayPool`` the rank runtime allocates its ``/dev/shm`` segments in
-(context manager, atexit).
+teardown (no helper thread outlives ``close()``) and the
+measured rows the figure tests consume.
 """
 
 import os
-import subprocess
-import sys
 import threading
 from dataclasses import replace
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro import native
 from repro.cfd import (
     FlowConfig,
@@ -33,7 +27,6 @@ from repro.cfd import (
 from repro.cfd.boundary import add_boundary_closures
 from repro.cfd.flux import interior_flux_residual
 from repro.cfd.gradient import lsq_gradients, venkat_limiter
-from repro.dist.runtime.shm import SharedArrayPool
 from repro.mesh import delaunay_cloud_mesh, wing_mesh
 from repro.obs import Tracer, use_tracer
 from repro.partition import replication_overhead
@@ -54,15 +47,6 @@ from repro.sparse import build_ilu_plan, ilu_factorize
 from repro.sweeps.schedule import serial_residual
 from repro.sweeps.sweeps import field_corners
 
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
-def _assert_unlinked(names):
-    """Every OS-level segment name must be gone (opening it must fail)."""
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
 
 @pytest.fixture(scope="module")
 def wing_setup():
@@ -73,60 +57,6 @@ def wing_setup():
         size=(field.n_vertices, 4)
     )
     return field, q
-
-
-class TestSharedArrayPool:
-    def test_zeros_and_from_array_roundtrip(self):
-        with SharedArrayPool() as pool:
-            z = pool.zeros("z", (5, 3))
-            assert z.shape == (5, 3) and np.all(z == 0.0)
-            src = np.arange(12.0).reshape(4, 3)
-            cp = pool.from_array("cp", src)
-            np.testing.assert_array_equal(cp, src)
-            assert pool.array("cp") is cp
-            assert pool.nbytes >= src.nbytes
-
-    def test_duplicate_key_rejected(self):
-        with SharedArrayPool() as pool:
-            pool.zeros("x", (2,))
-            with pytest.raises(ValueError):
-                pool.zeros("x", (2,))
-
-    def test_context_manager_unlinks_segments(self):
-        pool = SharedArrayPool()
-        pool.zeros("a", (16,))
-        names = list(pool.segment_names().values())
-        with pool:
-            pass
-        assert pool.closed
-        _assert_unlinked(names)
-
-    def test_close_idempotent_and_allocation_after_close_fails(self):
-        pool = SharedArrayPool()
-        pool.zeros("a", (4,))
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError):
-            pool.zeros("b", (4,))
-
-    def test_atexit_cleans_up_without_explicit_close(self):
-        """A run that never reaches close() must still unlink at exit."""
-        script = (
-            "from repro.dist.runtime.shm import SharedArrayPool\n"
-            "pool = SharedArrayPool()\n"
-            "pool.zeros('leaky', (1024,))\n"
-            "print(pool.segment_names()['leaky'])\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        name = out.stdout.strip()
-        assert name
-        _assert_unlinked([name])
 
 
 def serial_first_order(field, q, cfg=None):

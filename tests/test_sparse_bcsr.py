@@ -71,20 +71,6 @@ class TestBCSRMatrix:
         A = random_bcsr(m)
         assert np.all(A.cols[A.diag_idx] == np.arange(A.n_brows))
 
-    def test_block_index(self):
-        m = box_mesh((3, 3, 3))
-        A = random_bcsr(m)
-        e = m.edges[0]
-        idx = A.block_index(int(e[0]), int(e[1]))
-        assert A.cols[idx] == e[1]
-        with pytest.raises(KeyError):
-            # find a missing pair
-            far = m.n_vertices - 1
-            row0 = A.cols[A.rowptr[0] : A.rowptr[1]]
-            if far in row0:
-                pytest.skip("vertex 0 adjacent to last vertex")
-            A.block_index(0, far)
-
     def test_add_to_diagonal_scalar(self):
         m = box_mesh((3, 3, 3))
         A = BCSRMatrix.from_mesh_edges(m.edges, m.n_vertices, b=4)
