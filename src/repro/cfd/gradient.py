@@ -53,6 +53,12 @@ def venkat_limiter(
     (allowed jump) / (reconstructed jump).  ``k`` controls how much
     limiting happens in smooth regions (larger = less limiting); the
     threshold scales with the local control-volume size ``h^3 = V``.
+
+    The allowed jumps bracket 0 (the bounds include ``q`` itself), and on
+    that domain the clipped Venkat function never increases as the
+    reconstructed jump grows in size.  So it is evaluated once per vertex
+    and side, at the largest jump up and down over the vertex's edge ends:
+    the per-end minimum up to its rounding (4.4e-16).
     """
     nv, nvar = q.shape
     # min/max of neighbors per vertex and variable
@@ -62,20 +68,25 @@ def venkat_limiter(
     np.minimum.at(qmin, field.e1, q[field.e0])
     np.maximum.at(qmax, field.e0, q[field.e1])
     np.maximum.at(qmax, field.e1, q[field.e0])
+    dmax, dmin = qmax - q, qmin - q
+    e2 = ((k**3) * field.volumes)[:, None]
 
-    eps2 = (k**3) * field.volumes  # (nv,)
-    phi = np.ones((nv, nvar))
-
+    # the largest reconstructed jump up and down at each vertex (a NaN
+    # jump drops out, as the Venkat function maps it to 1)
+    jump_up = np.zeros((nv, nvar))
+    jump_down = np.zeros((nv, nvar))
     for end, disp in ((field.e0, field.emid_d0), (field.e1, field.emid_d1)):
-        d2 = dot3(grad[end], disp[:, None, :])  # reconstructed jump
-        dmax = qmax[end] - q[end]
-        dmin = qmin[end] - q[end]
+        d2 = dot3(grad[end], disp[:, None, :])
+        np.maximum.at(jump_up, end, np.where(d2 > 0.0, d2, 0.0))
+        np.minimum.at(jump_down, end, np.where(d2 < 0.0, d2, 0.0))
+
+    vals = []
+    for d2 in (jump_up, jump_down):
         d1 = np.where(d2 > 0.0, dmax, dmin)
-        e2 = eps2[end][:, None]
         num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
         den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
-        val = np.clip(val, 0.0, 1.0)
-        np.minimum.at(phi, end, val)
-    return phi
+        vals.append(np.clip(val, 0.0, 1.0))
+    up, down = vals
+    return np.where((up < down) | np.isnan(up), up, down)

@@ -134,13 +134,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ("dep_depth", [i64, ptr, ptr, ptr, ptr, i64, ptr]),
         ("recon_sweep", [i64, i64, *[ptr] * 9]),
         ("vertex_stage", [i64, ptr, ptr, ptr, ptr, f64, *[ptr] * 4]),
-        ("limit_sweep", [i64, i64, *[ptr] * 11]),
+        ("limit_sweep", [i64, i64, *[ptr] * 9]),
+        ("limiter_stage", [i64, *[ptr] * 6]),
         ("flux_sweep", [i64, i64, *[ptr] * 10, f64, i64, ptr, ptr]),
         ("jacobian_sweep", [i64, i64, *[ptr] * 10, f64, ptr]),
         ("boundary_sweep", [i64, *[ptr] * 4, f64, i64, ptr, ptr, ptr]),
         # the edge-thread team of repro.smp.parallel
         ("team_serve", [ptr, i64]),
-        ("team_sweep", [ptr, i64, *[ptr] * 7, f64, i64, ptr]),
+        ("team_sweep", [ptr, i64, *[ptr] * 8, f64, i64, ptr]),
         ("team_jacobian", [ptr, i64, *[ptr] * 5, f64, ptr]),
         ("team_stop", [ptr]),
         ("team_free", [ptr]),

@@ -8,8 +8,9 @@
  *                  one call per recurrence instead of one NumPy dispatch
  *                  per wavefront (or one Python dict merge per row); and
  *                  the dependency depth that gives the level schedules;
- *   recon_sweep / vertex_stage / limit_sweep / flux_sweep
- *                  the edge sweeps of the second-order residual;
+ *   recon_sweep / vertex_stage / limit_sweep / limiter_stage / flux_sweep
+ *                  the edge sweeps of the second-order residual and its
+ *                  two per-vertex stages;
  *   jacobian_sweep / boundary_sweep
  *                  the first-order Jacobian's edge blocks and the boundary
  *                  closures of both (corner loops);
@@ -315,8 +316,9 @@ void dep_depth(int64_t n, const int64_t *lo, const int64_t *hi,
  * reference `np.add.at` statements, so a masked sweep leaves in every
  * written row the bits the full serial sweep leaves there.
  *
- * Vertex arrays are rows of NV states (q, res, phi, bounds: NV doubles;
- * rhs, grad: NV x ND, row-major); edge arrays are rows of ND doubles.
+ * Vertex arrays are rows of NV states (q, res, phi, bounds, the limit
+ * sweep's jump folds: NV doubles; rhs, grad: NV x ND, row-major); edge
+ * arrays are rows of ND doubles.
  */
 #define NV 4
 #define ND 3
@@ -452,17 +454,18 @@ static inline v2d venkat(v2d d2, v2d dmax, v2d dmin, double e2)
     return select2(pos > splat2(1.0), splat2(1.0), pos);
 }
 
-/* Limiter sweep: the Venkat value of every written edge end, min-folded
- * into phi.  disp is d0 at e0 and d1 at e1 (midpoint minus that end);
- * dmax / dmin / eps2 are read only at written ends, so a rank's rows
- * beyond its owned vertices are never looked at.  The four variables run
- * as two vectors of two lanes; a lane's jump d2 is its dot3(grad row,
- * disp), read from grad by columns. */
+/* Limiter sweep: the reconstructed jump d2 = grad . disp of every written
+ * edge end, folded into its vertex's largest jump up (d2max) and down
+ * (d2min), both of which start at 0; no division.  disp is d0 at e0 and
+ * d1 at e1 (midpoint minus that end); grad is read only at written ends,
+ * so a rank's rows beyond its owned vertices are never looked at.  A NaN
+ * jump fails both comparisons and drops out: venkat maps it to 1.  The
+ * four variables run as two vectors of two lanes; a lane's jump is its
+ * dot3(grad row, disp), read from grad by columns. */
 void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
                  const int64_t *e1, const double *d0, const double *d1,
                  const uint8_t *w0, const uint8_t *w1, const double *grad,
-                 const double *dmax, const double *dmin, const double *eps2,
-                 double *phi)
+                 double *d2max, double *d2min)
 {
     for (int64_t e = lo; e < hi; e++)
         for (int end = 0; end < 2; end++) {
@@ -470,7 +473,6 @@ void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
                 continue;
             const int64_t v = (end ? e1 : e0)[e];
             const double *disp = (end ? d1 : d0) + e * ND;
-            double val[NV], *p = phi + v * NV;
             for (int k = 0; k < NV; k += 2) {
                 const double *g = grad + (v * NV + k) * ND;
                 v2d col[ND];
@@ -478,12 +480,36 @@ void limit_sweep(int64_t lo, int64_t hi, const int64_t *e0,
                     col[i] = (v2d){g[i], g[ND + i]};
                 const v2d d2 = (col[0] * disp[0] + col[1] * disp[1])
                                + col[2] * disp[2];
-                const v2d lim = venkat(d2, load2(dmax + v * NV + k),
-                                       load2(dmin + v * NV + k), eps2[v]);
-                memcpy(val + k, &lim, sizeof lim);
+                double *up = d2max + v * NV + k, *down = d2min + v * NV + k;
+                const v2d top = load2(up), bottom = load2(down);
+                const v2d up2 = select2(d2 > top, d2, top);
+                const v2d down2 = select2(d2 < bottom, d2, bottom);
+                memcpy(up, &up2, sizeof up2);
+                memcpy(down, &down2, sizeof down2);
             }
-            for (int k = 0; k < NV; k++)
-                p[k] = min_nan(p[k], val[k]);
+        }
+}
+
+/* The limiter at the vertices, rows 0 .. n-1: phi = min(venkat at d2max,
+ * venkat at d2min), the limit sweep's folds.  For dmax >= 0 >= dmin and
+ * e2 >= 0 (the recon stage starts the bounds at q), the clipped venkat
+ * never increases as |d2| grows, so this is the min over the vertex's
+ * written edge ends of their own venkat values, up to venkat's rounding
+ * (4.4e-16); a vertex with no written end gets 1, venkat at 0.  A NaN
+ * bound or threshold propagates wherever the jump on its side is not
+ * tiny. */
+void limiter_stage(int64_t n, const double *dmax, const double *dmin,
+                   const double *eps2, const double *d2max,
+                   const double *d2min, double *phi)
+{
+    for (int64_t v = 0; v < n; v++)
+        for (int k = 0; k < NV; k += 2) {
+            const int64_t i = v * NV + k;
+            const v2d amax = load2(dmax + i), amin = load2(dmin + i);
+            const v2d up = venkat(load2(d2max + i), amax, amin, eps2[v]);
+            const v2d down = venkat(load2(d2min + i), amax, amin, eps2[v]);
+            for (int l = 0; l < 2; l++)
+                phi[i + l] = min_nan(up[l], down[l]);
         }
 }
 
@@ -819,17 +845,17 @@ typedef struct {
     const double *normals, *d0, *d1;
     const uint8_t *w0, *w1;
     double *flux;
-    double *rhs, *qmin, *qmax, *phi, *res;
+    double *rhs, *qmin, *qmax, *d2max, *d2min, *res;
     const uint8_t *jw0, *jw1;
 } team_part;
 
-enum { PART_FIELDS = 17 }; /* int64 words per part passed to team_create */
+enum { PART_FIELDS = 18 }; /* int64 words per part passed to team_create */
 
 typedef struct {
     int64_t kind, n_phases;
     /* residual stages (the shared arrays) and the Jacobian */
-    const double *q, *grad, *eps2;
-    double *rhs, *qmin, *qmax, *phi, *res, *vals;
+    const double *q, *grad, *phi;
+    double *rhs, *qmin, *qmax, *d2max, *d2min, *res, *vals;
     double beta;
     int64_t roe;
     /* the Jacobian's edge set and its (4, n_edges) block slots */
@@ -972,14 +998,18 @@ static void edge_part(team_t *t, int64_t s)
         break;
     }
     case JOB_LIMIT: {
-        double *phi = own ? j->phi : p->phi;
-        if (!own)
-            fill(phi, n, INFINITY);
+        double *up = own ? j->d2max : p->d2max;
+        double *down = own ? j->d2min : p->d2min;
+        if (!own) { /* the folds start at 0, which their values never cross */
+            fill(up, n, 0.0);
+            fill(down, n, 0.0);
+        }
         limit_sweep(p->lo, p->hi, p->e0, p->e1, p->d0, p->d1, p->w0, p->w1,
-                    j->grad, j->qmax, j->qmin, j->eps2, phi);
+                    j->grad, up, down);
         if (!own) {
             pthread_mutex_lock(&t->fold_mu);
-            fold(j->phi, phi, n, 1);
+            fold(j->d2max, up, n, 2);
+            fold(j->d2min, down, n, 1);
             pthread_mutex_unlock(&t->fold_mu);
         }
         break;
@@ -1106,14 +1136,14 @@ static void team_run(team_t *t)
 
 /* A team of n_threads (the caller included) over edge parts given as
  * n_threads rows of PART_FIELDS int64 words (lo, hi, then the addresses
- * of e0, e1, normals, d0, d1, w0, w1, flux, rhs, qmin, qmax, phi, res,
- * jw0, jw1; 0 for an absent one), writing vertex arrays of n_rows rows.
- * fold is a FOLD_* strategy; spin 0 sets the spin budget to zero.
- * stamps (2 per thread) receives the
- * CLOCK_MONOTONIC start and end of each edge part, or of each thread's
- * ILU shares (0 for a thread that ran none); ran_by (1 per part) the
- * thread that ran each edge part; tasks (1 per thread, zero on entry) the
- * running count of each thread's tasks.  NULL when out of memory. */
+ * of e0, e1, normals, d0, d1, w0, w1, flux, rhs, qmin, qmax, d2max,
+ * d2min, res, jw0, jw1; 0 for an absent one), writing vertex arrays of
+ * n_rows rows.  fold is a FOLD_* strategy; spin 0 sets the spin budget
+ * to zero.  stamps (2 per thread) receives the CLOCK_MONOTONIC start and
+ * end of each edge part, or of each thread's ILU shares (0 for a thread
+ * that ran none); ran_by (1 per part) the thread that ran each edge part;
+ * tasks (1 per thread, zero on entry) the running count of each thread's
+ * tasks.  NULL when out of memory. */
 team_t *team_create(int64_t n_threads, int64_t n_rows, int64_t fold,
                     int64_t spin, const int64_t *parts, double *stamps,
                     int64_t *ran_by, int64_t *tasks)
@@ -1146,10 +1176,11 @@ team_t *team_create(int64_t n_threads, int64_t n_rows, int64_t fold,
         p->rhs = (double *)(intptr_t)a[10];
         p->qmin = (double *)(intptr_t)a[11];
         p->qmax = (double *)(intptr_t)a[12];
-        p->phi = (double *)(intptr_t)a[13];
-        p->res = (double *)(intptr_t)a[14];
-        p->jw0 = (const uint8_t *)(intptr_t)a[15];
-        p->jw1 = (const uint8_t *)(intptr_t)a[16];
+        p->d2max = (double *)(intptr_t)a[13];
+        p->d2min = (double *)(intptr_t)a[14];
+        p->res = (double *)(intptr_t)a[15];
+        p->jw0 = (const uint8_t *)(intptr_t)a[16];
+        p->jw1 = (const uint8_t *)(intptr_t)a[17];
     }
     atomic_init(&t->claim, WORK_IDLE);
     pthread_mutex_init(&t->mu, 0);
@@ -1176,13 +1207,13 @@ void team_serve(team_t *t, int64_t s)
  * first-order flux. */
 void team_sweep(team_t *t, int64_t stage, const double *q, double *rhs,
                 double *qmin, double *qmax, const double *grad,
-                const double *eps2, double *phi, double beta, int64_t roe,
-                double *res)
+                double *d2max, double *d2min, const double *phi, double beta,
+                int64_t roe, double *res)
 {
     t->job = (team_job){
         .kind = stage, .n_phases = 1, .q = q, .rhs = rhs, .qmin = qmin,
-        .qmax = qmax, .grad = grad, .eps2 = eps2, .phi = phi, .beta = beta,
-        .roe = roe, .res = res,
+        .qmax = qmax, .grad = grad, .d2max = d2max, .d2min = d2min,
+        .phi = phi, .beta = beta, .roe = roe, .res = res,
     };
     team_run(t);
 }

@@ -18,7 +18,8 @@ then sleeps.  Three kernels run on the team:
 
 * the residual's three edge stages (``recon``, ``limit``, ``flux``): it is
   the thread driver of the residual schedule (:mod:`repro.sweeps.schedule`)
-  and the per-vertex stage and the boundary closures run in the caller;
+  and the two per-vertex stages (gradients, limiter) and the boundary
+  closures run in the caller;
 * the first-order Jacobian's edge blocks, on the owner-writes parts
   (:meth:`~ThreadEdgeBackend.jacobian`);
 * the numeric ILU factorization, level by level, each level's shares
@@ -52,7 +53,7 @@ bad scheme or shape raises there while no helper runs.  Each task is
 stamped in C with ``CLOCK_MONOTONIC`` (the clock of ``perf_counter``); the
 stamps become ``grad.w<i>`` / ``flux.w<i>`` / ``jacobian.w<i>`` spans of
 part ``i`` and ``ilu.w<i>`` spans of thread ``i`` (``w0`` the caller) in
-the active :mod:`repro.obs` tracer (the reconstruction and limiter stages
+the active :mod:`repro.obs` tracer (the reconstruction and limit stages
 both report as ``grad``); each span's ``thread`` attribute is the thread
 that ran it, which for a part is whichever thread claimed it, and
 ``fleet_stats()["tasks"]`` counts each thread's tasks.  Without compiled
@@ -87,20 +88,27 @@ _FOLDS = {"owner": 0, "locked": 1}
 #: stage -> (its job in the C team, the kernel its per-part spans report
 #: under, the arrays its sweep writes, each with the ufunc that folds a
 #: locked part's private accumulator into the shared array and that
-#: fold's identity)
+#: fold's identity; the limit sweep's jump folds start at 0, the identity
+#: of folds whose values never cross it)
 _STAGES = {
     "recon": (1, "grad", (
         ("rhs", np.add, 0.0),
         ("qmin", np.minimum, np.inf),
         ("qmax", np.maximum, -np.inf),
     )),
-    "limit": (2, "grad", (("phi", np.minimum, np.inf),)),
+    "limit": (2, "grad", (
+        ("d2max", np.maximum, 0.0),
+        ("d2min", np.minimum, 0.0),
+    )),
     "flux": (3, "flux", (("res", np.add, 0.0),)),
 }
 
 #: the private accumulators of a locked part, in the C team's order, with
 #: their shapes per vertex
-_PRIVATE = {"rhs": (4, 3), "qmin": (4,), "qmax": (4,), "phi": (4,), "res": (4,)}
+_PRIVATE = {
+    "rhs": (4, 3), "qmin": (4,), "qmax": (4,), "d2max": (4,), "d2min": (4,),
+    "res": (4,),
+}
 
 
 def _run_stage(strategy, part, a, private, stage, beta, scheme, second_order):
@@ -333,7 +341,7 @@ class ThreadEdgeBackend:
         addresses of ``a``'s arrays, in the C team's order."""
         job, kernel, _ = _STAGES[stage]
         if self._team is not None:
-            self._lib.team_sweep(self._team, job, *addrs[:7], beta, roe, addrs[7])
+            self._lib.team_sweep(self._team, job, *addrs[:8], beta, roe, addrs[8])
             stamps = self._stamps
         else:
             stamps = np.empty((self.n_workers, 2))
@@ -371,7 +379,8 @@ class ThreadEdgeBackend:
             a = ResidualArrays.empty(q, second_order)
             addrs = [
                 _addr(x) for x in
-                (a.q, a.rhs, a.qmin, a.qmax, a.grad, a.eps2, a.phi, a.res)
+                (a.q, a.rhs, a.qmin, a.qmax, a.grad, a.d2max, a.d2min, a.phi,
+                 a.res)
             ]
             run_residual(
                 a, config, self.parts, field.lsq_inv,

@@ -3,10 +3,12 @@
 .. code-block:: text
 
     stage     second order                           first order
-    init      rhs = 0, qmin = qmax = q, phi = 1
+    init      rhs = 0, qmin = qmax = q, phi = 1,
+              d2max = d2min = 0
     recon     sweep: rhs += dq (x) dx, fold neighbour q into qmin / qmax
     vertex    grad = lsq_inv . rhs, eps2 = k^3 V, qmin / qmax -> dmin / dmax
-    limit     sweep: scatter-min the Venkatakrishnan values into phi
+    limit     sweep: fold each end's jump grad . disp into d2max / d2min
+    limiter   phi = min(venkat(d2max), venkat(d2min)), per vertex
     flux      sweep: res = 0, +F at e0, -F at e1     the same, no reconstruction
     closures  res += the wall, sym and far totals    the same
 
@@ -36,8 +38,11 @@ The drivers:
 
 Owner-masked parts (:func:`owner_parts`) change no bit: every written row
 sees its edges in the serial order, and the additive write-out is
-term-major.  The stages up to the limiter report as one ``grad`` kernel
-span, the flux stage and the closures as one ``flux`` span.
+term-major.  The two per-vertex stages run on the rows ``lsq_inv`` covers
+(a rank's owned rows); a rank's ghost rows keep ``phi = 1`` until the flux
+stage's exchange brings theirs.  The stages up to the limiter report as
+one ``grad`` kernel span, the flux stage and the closures as one ``flux``
+span.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .sweeps import (
     edge_sweeps,
     field_corners,
     field_sweeps,
+    limiter_stage,
     vertex_stage,
 )
 
@@ -87,8 +93,9 @@ class Part:
 class ResidualArrays:
     """What one evaluation reads and writes, indexed by the parts' vertex
     rows.  ``qmin`` / ``qmax`` hold the neighbour bounds after the recon
-    stage and the allowed jumps after the vertex stage.  First order uses
-    ``q`` and ``res`` only."""
+    stage and the allowed jumps after the vertex stage; ``d2max`` /
+    ``d2min`` the largest jump up and down of each vertex's edge ends after
+    the limit stage.  First order uses ``q`` and ``res`` only."""
 
     q: np.ndarray
     res: np.ndarray
@@ -98,6 +105,8 @@ class ResidualArrays:
     grad: np.ndarray | None = None
     eps2: np.ndarray | None = None
     phi: np.ndarray | None = None
+    d2max: np.ndarray | None = None
+    d2min: np.ndarray | None = None
 
     @classmethod
     def empty(cls, q: np.ndarray, second_order: bool) -> "ResidualArrays":
@@ -109,6 +118,7 @@ class ResidualArrays:
             a.rhs, a.grad = np.empty((n, 4, 3)), np.empty((n, 4, 3))
             a.qmin, a.qmax = np.empty(q.shape, q.dtype), np.empty(q.shape, q.dtype)
             a.eps2, a.phi = np.empty(n), np.empty((n, 4))
+            a.d2max, a.d2min = np.empty((n, 4)), np.empty((n, 4))
         return a
 
 
@@ -126,7 +136,7 @@ def sweep(
     if stage == "recon":
         sw.recon(a.q, a.rhs, a.qmin, a.qmax, lo, hi)
     elif stage == "limit":
-        sw.limit(a.grad, a.qmax, a.qmin, a.eps2, a.phi, lo, hi)
+        sw.limit(a.grad, a.d2max, a.d2min, lo, hi)
     else:
         grad = a.grad if second_order else None
         sw.flux(a.q, grad, a.phi, beta, scheme, a.res, lo, hi)
@@ -145,7 +155,8 @@ def run_residual(
     """Evaluate the residual of ``a.q`` into ``a.res`` (and, when
     ``config.second_order``, ``a.grad`` / ``a.phi``).
 
-    ``lsq_inv`` / ``volumes`` hold the rows the vertex stage computes;
+    ``lsq_inv`` / ``volumes`` hold the rows the two per-vertex stages
+    compute;
     ``corners`` maps each boundary tag to the driver's closure sweeps.
     ``run`` and ``exchange`` are the driver's (module docstring).  A stage
     that needs no ghost row, or a driver without a hook, runs every part
@@ -178,12 +189,17 @@ def run_residual(
             a.qmin[...] = a.q
             a.qmax[...] = a.q
             a.phi.fill(1.0)
+            a.d2max.fill(0.0)
+            a.d2min.fill(0.0)
             stage("recon", ("q",))
             vertex_stage(
                 lsq_inv, a.rhs, volumes, a.q, config.limiter_k,
                 a.grad, a.eps2, a.qmin, a.qmax,
             )
             stage("limit")
+            limiter_stage(
+                lsq_inv.shape[0], a.qmax, a.qmin, a.eps2, a.d2max, a.d2min, a.phi
+            )
     with kernel_span("flux"):
         a.res.fill(0.0)
         stage(

@@ -30,6 +30,7 @@ __all__ = [
     "solve_stage",
     "edge_projection",
     "venkat_stage",
+    "limiter_stage",
     "flux_stage",
 ]
 
@@ -63,17 +64,31 @@ def edge_projection(grad_e: np.ndarray, disp: np.ndarray) -> np.ndarray:
     return dot3(grad_e, disp[:, None, :])
 
 
-def venkat_stage(grad_e, dmax_e, dmin_e, eps2_e, disp):
-    """Venkatakrishnan limiter values at one end of each edge: the per-edge
-    candidates, to be min-folded per vertex."""
-    d2 = edge_projection(grad_e, disp)
-    d1 = np.where(d2 > 0.0, dmax_e, dmin_e)
-    e2 = eps2_e[:, None]
+def venkat_stage(d2, dmax, dmin, eps2):
+    """Venkatakrishnan limiter values of the reconstructed jumps ``d2``
+    against the allowed jumps ``dmax`` (where ``d2 > 0``) / ``dmin``, with
+    the threshold ``eps2`` of each row, clipped to ``[0, 1]``."""
+    d1 = np.where(d2 > 0.0, dmax, dmin)
+    e2 = eps2[:, None]
     num = (d1 * d1 + e2) * d2 + 2.0 * d2 * d2 * d1
     den = d2 * (d1 * d1 + 2.0 * d2 * d2 + d1 * d2 + e2)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(np.abs(d2) > 1e-14, num / den, 1.0)
     return np.clip(val, 0.0, 1.0)
+
+
+def limiter_stage(dmax, dmin, eps2, d2max, d2min):
+    """The limiter per vertex: the Venkatakrishnan values at the largest
+    jump up ``d2max`` and down ``d2min`` of the vertex's edge ends, the
+    smaller of the two.  For ``dmax >= 0 >= dmin`` and ``eps2 >= 0`` the
+    clipped value never increases as ``|d2|`` grows, so this is the min
+    over the ends of their own values, up to the rounding of
+    :func:`venkat_stage` (4.4e-16).  The min is the compiled
+    ``min_nan``'s: a NaN in the first operand, else the smaller, else the
+    second."""
+    up = venkat_stage(d2max, dmax, dmin, eps2)
+    down = venkat_stage(d2min, dmax, dmin, eps2)
+    return np.where((up < down) | (up != up), up, down)
 
 
 def flux_stage(q0, q1, normals, beta, scheme, recon=None):

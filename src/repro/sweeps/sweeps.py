@@ -55,6 +55,7 @@ __all__ = [
     "edge_sweeps",
     "field_corners",
     "field_sweeps",
+    "limiter_stage",
     "vertex_stage",
 ]
 
@@ -182,16 +183,14 @@ class EdgeSweeps(_EdgeSet):
             _ptr(q, n, 4), _ptr(rhs, n, 4, 3), _ptr(qmin, n, 4), _ptr(qmax, n, 4),
         )
 
-    def limit(
-        self, grad, dmax, dmin, eps2, phi, lo: int = 0, hi: int | None = None
-    ) -> None:
-        """Min-fold the Venkatakrishnan value of every written end of edges
-        ``[lo, hi)`` into ``phi``."""
+    def limit(self, grad, d2max, d2min, lo: int = 0, hi: int | None = None):
+        """Fold the reconstructed jump ``grad . disp`` of every written end
+        of edges ``[lo, hi)`` into its vertex's largest jump up ``d2max``
+        and down ``d2min`` (a max- and a min-fold that start at 0)."""
         n = self.n_rows
         self._lib.limit_sweep(
             *self._range(lo, hi), *self._e, *self._d, *self._w,
-            _ptr(grad, n, 4, 3), _ptr(dmax, n, 4), _ptr(dmin, n, 4),
-            _ptr(eps2, n), _ptr(phi, n, 4),
+            _ptr(grad, n, 4, 3), _ptr(d2max, n, 4), _ptr(d2min, n, 4),
         )
 
     def flux(
@@ -273,14 +272,15 @@ class NumpySweeps(_EdgeSet):
             np.minimum.at(qmin, at[w], nbr[w])
             np.maximum.at(qmax, at[w], nbr[w])
 
-    def limit(
-        self, grad, dmax, dmin, eps2, phi, lo: int = 0, hi: int | None = None
-    ) -> None:
-        _rows(phi, self.n_rows, 4)
+    def limit(self, grad, d2max, d2min, lo: int = 0, hi: int | None = None):
+        _rows(d2max, self.n_rows, 4)
+        _rows(d2min, self.n_rows, 4)
         for at, disp, w in self._slices(*self._range(lo, hi)):
-            v = at[w]  # the allowed jumps are read at written ends only
-            val = stages.venkat_stage(grad[v], dmax[v], dmin[v], eps2[v], disp[w])
-            np.minimum.at(phi, v, val)
+            v = at[w]  # grad is read at written ends only
+            d2 = stages.edge_projection(grad[v], disp[w])
+            # a NaN jump offers 0 to both folds: it drops out
+            np.maximum.at(d2max, v, np.where(d2 > 0.0, d2, 0.0))
+            np.minimum.at(d2min, v, np.where(d2 < 0.0, d2, 0.0))
 
     def flux(
         self, q, grad, phi, beta: float, scheme: str, res,
@@ -490,4 +490,23 @@ def vertex_stage(lsq_inv, rhs, volumes, q, limiter_k, grad, eps2, qmin, qmax):
         n, _ptr(lsq_inv, n, 3, 3), _ptr(rhs, n, 4, 3), _ptr(volumes, n),
         _ptr(q, n, 4), float(limiter_k) ** 3, _ptr(grad, n, 4, 3),
         _ptr(eps2, n), _ptr(qmin, n, 4), _ptr(qmax, n, 4),
+    )
+
+
+def limiter_stage(n, dmax, dmin, eps2, d2max, d2min, phi):
+    """The limiter at the vertices, on rows ``0 .. n - 1``: ``phi`` from
+    the allowed jumps ``dmax`` / ``dmin``, the threshold ``eps2`` and the
+    limit sweep's folds ``d2max`` / ``d2min``.  Compiled when every operand
+    can be passed as it is, else :func:`repro.sweeps.stages.limiter_stage`
+    — the same bits."""
+    operands = (dmax, dmin, eps2, d2max, d2min, phi)
+    lib = native.load_kernels() if all(map(is_native, operands)) else None
+    if lib is None:
+        phi[:n] = stages.limiter_stage(
+            dmax[:n], dmin[:n], eps2[:n], d2max[:n], d2min[:n]
+        )
+        return
+    lib.limiter_stage(
+        n, _ptr(dmax, n, 4), _ptr(dmin, n, 4), _ptr(eps2, n),
+        _ptr(d2max, n, 4), _ptr(d2min, n, 4), _ptr(phi, n, 4),
     )

@@ -455,12 +455,6 @@ class TestDistributedSolve:
         )
         assert np.max(np.abs(dres.result.q - serial.q)) <= 1e-10
 
-    def test_no_shm_segments_leak(self, wing_solve):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        leaked = [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
-        assert leaked == []
-
     def test_rank_residual_matches_staged_oracle(self, wing_solve):
         """The rank program runs the shared stage arithmetic on its
         subdomain field: the owned rows agree with the serial staged

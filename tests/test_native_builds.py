@@ -5,8 +5,8 @@ vectorize, with ``-ffp-contract=off`` and without ``-march`` or any
 fast-math flag, so it may not contract, reassociate or drop NaN handling.
 Then the optimiser can change how fast the arithmetic runs but never its
 result.  These tests hold the flags to that and check the result against
-an ``-O0`` build of the same source: every one of the seventeen entries
-(ten kernels and the seven of the edge-thread team, which runs them on
+an ``-O0`` build of the same source: every one of the eighteen entries
+(eleven kernels and the seven of the edge-thread team, which runs them on
 two threads), on clean and NaN/Inf-poisoned inputs, byte for byte (a NaN
 by position).
 """
@@ -174,7 +174,7 @@ def test_unoptimised_build_computes_the_same_bits(monkeypatch, tmp_path):
     mesh = mesh_c_prime(scale=0.02, seed=7)
     shipped, shipped_calls = _outputs(native.load_kernels(), monkeypatch, mesh)
     built, built_calls = _outputs(unoptimised, monkeypatch, mesh)
-    assert len(ENTRIES) == 17
+    assert len(ENTRIES) == 18
     assert shipped_calls == built_calls == ENTRIES
     assert shipped.keys() == built.keys()
     assert np.isnan(shipped["roe/poisoned/res"]).any()

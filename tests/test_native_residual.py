@@ -273,17 +273,21 @@ def test_numpy_twin_writes_the_same_bits_into_the_same_targets(
             field.lsq_inv, rhs, field.volumes, q, cfg.limiter_k,
             grad, eps2, qmin, qmax,
         )
-        phi = np.ones((nv, 4))
-        sw.limit(grad, qmax, qmin, eps2, phi)
+        d2max, d2min = np.zeros((nv, 4)), np.zeros((nv, 4))
+        sw.limit(grad, d2max, d2min, lo, hi)
+        phi = np.empty((nv, 4))
+        sweeps.limiter_stage(nv, qmax, qmin, eps2, d2max, d2min, phi)
         res = res0.copy()
         recon = (grad, phi) if second_order else (None, None)
         sw.flux(q, *recon, cfg.beta, scheme, res, lo, hi)
-        written.append(out + [phi, res])
-    for name, a, b in zip(("rhs", "qmin", "qmax", "phi", "res"), *written):
+        written.append(out + [d2max, d2min, phi, res])
+    names = ("rhs", "qmin", "qmax", "d2max", "d2min", "phi", "res")
+    for name, a, b in zip(names, *written):
         assert np.array_equal(a, b), f"{name}: compiled != NumPy twin"
     if density == 0.0 or lo == hi:  # nothing written: targets untouched
         assert np.array_equal(written[1][0], rhs0)
-        assert np.array_equal(written[1][4], res0)
+        assert np.array_equal(written[1][6], res0)
+        assert not written[1][3].any() and not written[1][4].any()
 
 
 def _jump(d2, y=-0.0):
@@ -336,7 +340,7 @@ def _limiter_table():
 
 
 def test_limiter_table_reaches_the_cases_it_names():
-    from repro.sweeps.stages import edge_projection, venkat_stage
+    from repro.sweeps.stages import edge_projection, limiter_stage
 
     grad, dmax, dmin, eps2 = _limiter_table()
     disp = np.tile([1.0, 0.0, 0.0], (len(grad), 1))
@@ -349,8 +353,13 @@ def test_limiter_table_reaches_the_cases_it_names():
     num = (d1 * d1 + e2) * d1 + 2.0 * d1 * d1 * d1
     den = d1 * (d1 * d1 + 2.0 * d1 * d1 + d1 * d1 + e2)
     assert num / den == 1.0
+    # every row a vertex with one edge end: the limit sweep's folds of
+    # its jumps, then the limiter at the vertex
     with np.errstate(all="ignore"):
-        val = venkat_stage(grad, dmax, dmin, eps2, disp)
+        val = limiter_stage(
+            dmax, dmin, eps2,
+            np.where(jumps > 0.0, jumps, 0.0), np.where(jumps < 0.0, jumps, 0.0),
+        )
     assert np.isnan(val).any() and (val == 1.0).any()
     assert ((val == 0.0) & np.signbit(val)).any()  # np.clip keeps -0.0
     assert ((val == 0.0) & ~np.signbit(val)).any()
@@ -371,8 +380,9 @@ def test_limiter_table_reaches_the_cases_it_names():
 )
 def test_limiter_edge_cases_equal_numpy_twin_bytes(two, masks):
     """Every vertex of the table as an edge end of a hand-built one- or
-    two-edge set (two: the vertex ends both edges, seeing opposite jumps),
-    compiled vs NumPy, compared by bytes so signed zeros count."""
+    two-edge set (two: the vertex ends both edges, seeing opposite jumps):
+    the limit sweep's folds and the limiter stage, compiled vs NumPy,
+    compared by bytes so signed zeros count."""
     grad, dmax, dmin, eps2 = _limiter_table()
     n = len(grad)
     w0, w1 = (None if w is None else np.array(w) for w in masks)
@@ -383,13 +393,15 @@ def test_limiter_edge_cases_equal_numpy_twin_bytes(two, masks):
         e1 = np.array([u, v] if two else [u], dtype=np.int64)
         disp = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]][: len(e0)])
         edge_set = (n, e0, e1, np.ones_like(disp), disp, disp.copy(), w0, w1)
-        phis = []
+        outs = []
         for impl in (sweeps.EdgeSweeps(lib, *edge_set), sweeps.NumpySweeps(*edge_set)):
-            phi = np.ones((n, 4))
-            with np.errstate(all="ignore"):
-                impl.limit(grad, dmax, dmin, eps2, phi)
-            phis.append(phi)
-        assert phis[0].tobytes() == phis[1].tobytes(), f"vertex {v}"
+            d2max, d2min, phi = np.zeros((n, 4)), np.zeros((n, 4)), np.empty((n, 4))
+            twin = nullcontext() if impl.compiled else numpy_residual()
+            with np.errstate(all="ignore"), twin:
+                impl.limit(grad, d2max, d2min)
+                sweeps.limiter_stage(n, dmax, dmin, eps2, d2max, d2min, phi)
+            outs.append(b"".join(a.tobytes() for a in (d2max, d2min, phi)))
+        assert outs[0] == outs[1], f"vertex {v}"
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
@@ -416,7 +428,7 @@ def test_both_twins_reject_the_same_bad_arguments(compiled):
     with pytest.raises(ValueError, match="at least"):  # short target
         sw.recon(state, block, np.zeros((3, 4)), state.copy())
     with pytest.raises(ValueError, match="at least"):
-        sw.limit(block, state, state, np.zeros(nv), np.ones((nv - 1, 4)))
+        sw.limit(block, state.copy(), np.zeros((nv - 1, 4)))
     with pytest.raises(ValueError, match="at least"):
         sw.flux(state, None, None, 4.0, "roe", np.zeros((nv, 3)))
     with pytest.raises(ValueError, match="unknown dissipation scheme"):
@@ -598,7 +610,9 @@ def test_c_source_ships_with_the_package():
     # one translation unit for both kernel families
     assert len(list(package.rglob("*.c"))) == 1
     text = native._SOURCE.read_text()
-    for entry in ("ilu4", "trsv4", "recon_sweep", "limit_sweep", "flux_sweep"):
+    for entry in (
+        "ilu4", "trsv4", "recon_sweep", "limit_sweep", "limiter_stage", "flux_sweep"
+    ):
         assert f" {entry}(" in text
 
 

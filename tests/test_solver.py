@@ -435,7 +435,7 @@ class TestForcing:
         assert res.forcing_history == [1e-2] * (res.steps - 1)
         if native_kernels_available():
             assert hashlib.sha256(res.q.tobytes()).hexdigest() == (
-                "f092e7f8e9ea6eb8777f29103e0463772ae3bcd19acf8841258a669718bb252c"
+                "8210b1c388ae8707db6bfebaa5fe2fec31c758f9dc0004534c5dfbe065fc9417"
             )
 
     def test_default_forcing_does_less_krylov_work(self, wing, plain_ser_loop):
